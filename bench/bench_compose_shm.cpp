@@ -210,17 +210,19 @@ std::optional<PhaseOutcome> run_phase(const std::string& segment, int procs,
   std::uint32_t tick = 0;
   while (out.ok) {
     comb.try_serve(ctx);
-    // Bookkeeping (waitpid probes, the kill, reclaim sweeps) runs on a
-    // coarse tick: these are syscalls, and paying them per serve pass
-    // would pace every client round trip at syscall latency.
-    if ((++tick & 0x3ff) != 0) continue;
+    // The kill is checked on every pass, not on the tick below: the
+    // victim's ops complete only through these passes, so killing on
+    // the first pass that sees it started leaves it mid-run whatever
+    // its op count (a coarse tick let short runs finish first).
     if (crash && !out.victim_killed &&
         cells[0].started.load(std::memory_order_acquire) >= 1 &&
         !children.front().exited) {
-      // The victim has at least one op in flight or behind it: kill it
-      // mid-run and keep serving.
       if (::kill(victim, SIGKILL) == 0) out.victim_killed = true;
     }
+    // Bookkeeping (waitpid probes, reclaim sweeps) runs on a coarse
+    // tick: these are syscalls, and paying them per serve pass would
+    // pace every client round trip at syscall latency.
+    if ((++tick & 0x3ff) != 0) continue;
     if (out.victim_killed) out.reclaimed += comb.reclaim_dead();
     const int live = reap(children);
     if (live == 0) {

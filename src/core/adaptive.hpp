@@ -30,11 +30,13 @@
 //
 // Cost discipline: when adaptation is DISABLED the per-op overhead is
 // one relaxed load; when enabled it is one relaxed load plus one
-// relaxed fetch_add, and all sampling/decision work runs once per
-// window on the single thread that wins the tick lock. Every atomic
-// load in this header is memory_order_relaxed — the monitor must
-// never add a fence to the fast path it is observing (tools/
-// scm_lint.py enforces exactly that for this file). Decisions are
+// relaxed fetch_add on the CALLER's own padded op-count cell (indexed
+// by ctx.id(), so no line is written by two threads unless ids
+// collide), and all sampling/decision work runs once per window on the
+// single thread that wins the tick lock. Every atomic load in this
+// header is memory_order_relaxed — the monitor must never add a fence
+// to the fast path it is observing (tools/scm_lint.py enforces exactly
+// that for this file). Decisions are
 // hints applied to relaxed knobs; no operation's correctness ever
 // depends on seeing a reconfiguration, so the equivalence gates
 // (adaptive_test, compose.adaptive's solo probes) can pin
@@ -231,8 +233,10 @@ struct AdaptivePolicy {
 
 // Adaptive<Obj>: forwards the entire Composable surface of Obj
 // unchanged, ticking the ContentionMonitor once per kWindowOps
-// operations (blocking contexts only) and applying adapt_decide()'s
-// tuning through whichever actuators Obj structurally exposes. Wraps
+// operations of each caller (blocking contexts only; across N busy
+// callers that is still one tick per ~kWindowOps operations overall)
+// and applying adapt_decide()'s tuning through whichever actuators Obj
+// structurally exposes. Wraps
 // anything — Combining, Sharded<Combining>, a bare pipeline (every
 // actuator then compiles out and only the op counter remains).
 template <class Obj>
@@ -241,6 +245,9 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
  public:
   // Power-of-two so the window boundary test is one mask.
   static constexpr std::uint64_t kWindowOps = 1024;
+  // Per-caller op-count cells; callers whose ids collide modulo this
+  // share a cell (exactly, via fetch_add) and tick on their joint count.
+  static constexpr std::size_t kOpCountCells = 16;
 
   Adaptive()
     requires std::is_default_constructible_v<Obj>
@@ -321,9 +328,10 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  // Tuning changes applied so far, and the global op count at the
-  // most recent one — the "time to converge" numerator compose.adaptive
-  // reports (a converged run stops deciding, so this stops moving).
+  // Tuning changes applied so far, and the global op count (summed
+  // over the callers' cells) at the most recent one — the "time to
+  // converge" numerator compose.adaptive reports (a converged run
+  // stops deciding, so this stops moving).
   [[nodiscard]] std::uint64_t decisions() const noexcept {
     return decisions_.load(std::memory_order_relaxed);
   }
@@ -436,28 +444,39 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
   };
 
   // The per-op hook. Disabled: one relaxed load. Enabled: one relaxed
-  // load + one relaxed fetch_add; on a window boundary ONE thread
-  // takes the tick lock and does the sampling/decision work, everyone
-  // else proceeds untouched. Compiled out entirely for contexts that
-  // cannot block (the deterministic simulator).
+  // load + one relaxed fetch_add on the caller's own cell; when that
+  // cell crosses a window boundary its thread tries the tick lock and
+  // does the sampling/decision work, everyone else proceeds untouched.
+  // Compiled out entirely for contexts that cannot block (the
+  // deterministic simulator).
   template <class Ctx>
   void maybe_tick(Ctx& ctx) {
     (void)ctx;
     if constexpr (context_can_block_v<Ctx>) {
       if (!enabled_.load(std::memory_order_relaxed)) return;
-      const std::uint64_t n =
-          op_count_.value.fetch_add(1, std::memory_order_relaxed) + 1;
+      auto& cell =
+          op_counts_[static_cast<std::size_t>(ctx.id()) % kOpCountCells].value;
+      const std::uint64_t n = cell.fetch_add(1, std::memory_order_relaxed) + 1;
       if ((n & (kWindowOps - 1)) != 0) return;
       if (tick_lock_.exchange(true, std::memory_order_acquire)) return;
-      tick(n);
+      tick();
       tick_lock_.store(false, std::memory_order_release);
     }
+  }
+
+  // Operations counted across every caller's cell (tick-time only).
+  [[nodiscard]] std::uint64_t total_ops() const noexcept {
+    std::uint64_t n = 0;
+    for (const auto& cell : op_counts_) {
+      n += cell.value.load(std::memory_order_relaxed);
+    }
+    return n;
   }
 
   // One monitor window: sample cumulative telemetry, difference +
   // smooth, decide, actuate. Runs under tick_lock_, so the monitor
   // state and the actuators are single-writer.
-  void tick(std::uint64_t total_ops) {
+  void tick() {
     MonitorSample cum;
     if constexpr (requires(const Obj& o) { o.direct_ops(); }) {
       cum.direct_ops = obj_.value.direct_ops();
@@ -497,7 +516,7 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
       }
     }
     decisions_.fetch_add(1, std::memory_order_relaxed);
-    last_change_ops_.store(total_ops, std::memory_order_relaxed);
+    last_change_ops_.store(total_ops(), std::memory_order_relaxed);
   }
 
   // Active shards that served at least one op since the last window
@@ -520,9 +539,10 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
   }
 
   Padded<Obj> obj_;
-  // The op counter is the only enabled-path hot write; padded so the
-  // fetch_add traffic never shares a line with monitor state.
-  Padded<std::atomic<std::uint64_t>> op_count_{};
+  // The op counters are the only enabled-path hot writes; one padded
+  // cell per caller, so no line is written by two callers and none
+  // shares a line with monitor state.
+  std::array<Padded<std::atomic<std::uint64_t>>, kOpCountCells> op_counts_{};
   std::atomic<bool> enabled_{true};
   std::atomic<bool> tick_lock_{false};
   std::atomic<std::uint64_t> decisions_{0};

@@ -54,10 +54,15 @@
 // under SimPlatform and sim::explore enumerates its interleavings
 // (slot_protocol_explore_test checks linearizability and zero slot
 // residue over every schedule of 2-3 processes). Like SpinBarrier, the
-// unbounded spin loads are not counted as steps; the slot-claim and
-// pending-hint RMWs, the publish write, the result read, the
-// combiner-election RMW, and the combiner's slot scan/writeback are
-// (they are the algorithm's real per-operation shared-memory traffic).
+// unbounded spin loads are not counted as steps; the slot-claim RMW,
+// the publish write, the result read, the combiner-election RMW, and
+// the combiner's reads/writebacks of pending slots are (they are the
+// algorithm's real per-operation shared-memory traffic). That is the
+// whole RMW budget: a fast-path op pays one (the election), a
+// published op two (claim + whoever wins the election serving it).
+// Nothing else on the path RMWs a line other threads write: the
+// combiner finds work by scanning slot words, and the telemetry
+// counters are plain stores under the election lock.
 // The election lock's failed pre-test loads and release store are
 // uncounted as well: under the simulator each such access is adjacent
 // to a counted scheduling point, so no interleaving class is lost —
@@ -105,11 +110,6 @@ struct CombiningConsensusBase<Obj,
   static constexpr int kConsensusNumber =
       std::max(Obj::kConsensusNumber, kConsensusNumberTas);
 };
-
-// The spin-wait ladder lives in support/backoff.hpp now (the shm gate
-// shares it); this name survives as an alias for its historical
-// call sites.
-inline void combining_backoff(int& spins) noexcept { spin_backoff(spins); }
 
 }  // namespace detail
 
@@ -228,7 +228,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
           waiters_.value);
     }
     run_batch(obj_.value, ctx, batch);
-    direct_ops_.fetch_add(live, std::memory_order_relaxed);
+    bump(direct_ops_, live);
     combine(ctx);
     lock_.value.store(false, std::memory_order_release);
     waiters_.value.wake_all();
@@ -309,15 +309,12 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   template <class Ctx>
   void drain(Ctx& ctx) {
     if constexpr (detail::context_can_block_v<Ctx>) {
-      // Acquire: pairs with the combiner's release decrement, so the
-      // zero observation carries every served op's effects with it.
-      while (pending_hint_.value.load(std::memory_order_acquire) != 0) {
+      while (any_unserved()) {
         if (help_combine(ctx)) continue;
         wait_until(
             ctx,
             [this] {
-              return pending_hint_.value.load(std::memory_order_relaxed) ==
-                         0 ||
+              return !any_unserved() ||
                      !lock_.value.load(std::memory_order_relaxed);
             },
             waiters_.value);
@@ -335,7 +332,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   [[nodiscard]] Policy& policy() noexcept { return policy_; }
   [[nodiscard]] const Policy& policy() const noexcept { return policy_; }
 
-  // ---- combining telemetry (relaxed; written only by combiners).
+  // ---- combining telemetry (relaxed; written only by the election
+  // lock holder, so plain load+store with no RMW).
 
   // Number of combiner passes that served at least one operation.
   [[nodiscard]] std::uint64_t combine_rounds() const noexcept {
@@ -504,7 +502,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     lock_.value.store(false, std::memory_order_release);
     // One batched wake per drained slot set: covers every waiter class
     // at once — slots that turned kDone above, lock-waiters, and
-    // drain()ers that saw the pending count hit zero.
+    // drain()ers whose scan found no pending record.
     waiters_.value.wake_all();
     return true;
   }
@@ -530,7 +528,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
                           void* user = nullptr) {
     const ModuleResult r = scm::apply(obj_.value, ctx, m, init);
     if (completion != nullptr) completion(user, r);
-    direct_ops_.fetch_add(1, std::memory_order_relaxed);
+    bump(direct_ops_, 1);
     combine(ctx);
     lock_.value.store(false, std::memory_order_release);
     // Uncontended cost of this wake: one fence + one relaxed load —
@@ -539,24 +537,42 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     return r;
   }
 
+  // Attempts to claim record idx (kFree -> kClaimed; the successful CAS
+  // is the counted RMW). A claim above the high-water mark raises it
+  // BEFORE the record can turn kPending, so the claimer's own combine
+  // passes — and every later drain() — scan far enough to see it. The
+  // mark only moves on a record's first-ever claim (at most kSlots
+  // times per object), so that CAS is not per-operation traffic and is
+  // deliberately uncounted.
+  template <class Ctx>
+  bool try_claim(Ctx& ctx, std::size_t idx) {
+    Slot& slot = slots_[idx].value;
+    SlotState expected = kFree;
+    if (slot.status.load(std::memory_order_relaxed) != kFree ||
+        !slot.status.compare_exchange_strong(expected, kClaimed,
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed)) {
+      return false;
+    }
+    ctx.on_rmw();
+    std::size_t hwm = claimed_hwm_.value.load(std::memory_order_relaxed);
+    while (idx >= hwm &&
+           !claimed_hwm_.value.compare_exchange_weak(
+               hwm, idx + 1, std::memory_order_relaxed,
+               std::memory_order_relaxed)) {
+    }
+    return true;
+  }
+
   // One rotation over the publication array attempting to claim a free
-  // record (kFree -> kClaimed; the successful CAS is the counted RMW),
-  // starting at the policy's hint. Non-blocking: nullopt when every
-  // record is busy.
+  // record, starting at the policy's hint. Non-blocking: nullopt when
+  // every record is busy.
   template <class Ctx>
   std::optional<std::size_t> try_claim_rotation(Ctx& ctx, std::size_t hint) {
     for (std::size_t k = 0; k < kSlots; ++k) {
       const std::size_t idx =
           hint + k < kSlots ? hint + k : hint + k - kSlots;
-      Slot& slot = slots_[idx].value;
-      SlotState expected = kFree;
-      if (slot.status.load(std::memory_order_relaxed) == kFree &&
-          slot.status.compare_exchange_strong(expected, kClaimed,
-                                              std::memory_order_acquire,
-                                              std::memory_order_relaxed)) {
-        ctx.on_rmw();
-        return idx;
-      }
+      if (try_claim(ctx, idx)) return idx;
     }
     return std::nullopt;
   }
@@ -613,15 +629,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     const std::size_t hint = route_slot(ctx, m);
     for (;;) {
       if constexpr (requires(Policy& p) { p.on_complete(hint); }) {
-        Slot& slot = slots_[hint].value;
-        SlotState expected = kFree;
-        if (slot.status.load(std::memory_order_relaxed) == kFree &&
-            slot.status.compare_exchange_strong(expected, kClaimed,
-                                                std::memory_order_acquire,
-                                                std::memory_order_relaxed)) {
-          ctx.on_rmw();
-          return hint;
-        }
+        if (try_claim(ctx, hint)) return hint;
       } else {
         if (const auto idx = try_claim_rotation(ctx, hint)) return idx;
       }
@@ -661,11 +669,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
 
   // Publishes into a claimed record: the request/init/callback fields
   // are plain writes ordered by the release store of kPending — the
-  // operation's one mandatory shared-memory step on this path. The
-  // pending hint lets an uncontended combiner skip the slot scan
-  // entirely; incremented before the slot turns pending so the count
-  // is conservative (never zero while a publication is visible), and
-  // decremented by whichever combiner serves the op.
+  // operation's one mandatory shared-memory step on this path, and a
+  // write to a line only this record's owner and the combiner touch.
   template <class Ctx>
   void publish(Ctx& ctx, Slot& slot, const Request& m,
                std::optional<SwitchValue> init, bool detached,
@@ -675,8 +680,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     slot.detached = detached;
     slot.completion = completion;
     slot.user = user;
-    ctx.on_rmw();
-    pending_hint_.value.fetch_add(1, std::memory_order_relaxed);
     ctx.on_write();
     slot.status.store(kPending, std::memory_order_release);
   }
@@ -750,21 +753,71 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     return kSource;
   }
 
-  // One combiner pass: snapshot the pending slots into a batch, drive
-  // it through the wrapped object's batch path (specialized for
-  // pipelines: one stage-major walk, bulk stats), then publish each
-  // result back to its slot. Runs with the combiner lock held.
+  static constexpr std::size_t kNone = kSlots;
+
+  // Index of the first kPending record below the claim high-water mark,
+  // or kNone. Records above the mark have never been claimed, so they
+  // cannot be pending; a claim racing this scan raises the mark too
+  // late to be seen, and that publication waits for the next pass — its
+  // publisher retries the election itself, and drain() scans again.
+  [[nodiscard]] std::size_t first_pending() const noexcept {
+    const std::size_t hwm = claimed_hwm_.value.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < hwm; ++i) {
+      if (slots_[i].value.status.load(std::memory_order_relaxed) ==
+          kPending) {
+        return i;
+      }
+    }
+    return kNone;
+  }
+
+  // Whether any record below the mark is kClaimed or kPending. drain()
+  // waits out claimed records too: claim and publish are adjacent on
+  // every path, so a claimed record is a publication about to turn
+  // pending, and a drainer that returned past it could leave it to a
+  // publisher that only polls. Acquire: every kFree/kDone status read
+  // was released by the thread that served (or collected) that record,
+  // so an all-clear carries every served op's effects with it.
+  [[nodiscard]] bool any_unserved() const noexcept {
+    const std::size_t hwm = claimed_hwm_.value.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < hwm; ++i) {
+      const SlotState st =
+          slots_[i].value.status.load(std::memory_order_acquire);
+      if (st == kClaimed || st == kPending) return true;
+    }
+    return false;
+  }
+
+  // Telemetry counters have a single writer (the election-lock holder),
+  // whose lock acquire orders it after the previous holder's stores:
+  // a relaxed load+store loses nothing and needs no RMW.
+  static void bump(std::atomic<std::uint64_t>& counter,
+                   std::uint64_t n) noexcept {
+    counter.store(counter.load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);
+  }
+
+  // One combiner pass. Runs with the combiner lock held. The common
+  // fast-path case — nothing published — costs a relaxed scan of the
+  // claimed prefix of the slot array and builds no batch.
   template <class Ctx>
   void combine(Ctx& ctx) {
-    // Nothing published (the common fast-path case): one cached load
-    // instead of a kSlots-line scan. A publication that lands after
-    // this check is not lost — its publisher retries the lock itself.
-    if (pending_hint_.value.load(std::memory_order_relaxed) == 0) return;
+    const std::size_t first = first_pending();
+    if (first != kNone) serve(ctx, first);
+  }
 
+  // Pre: record `first` is kPending (only the lock holder moves a
+  // record out of kPending, so it stays so). Snapshots the pending
+  // slots from `first` on into a batch, drives it through the wrapped
+  // object's batch path (specialized for pipelines: one stage-major
+  // walk, bulk stats), then publishes each result back to its slot.
+  template <class Ctx>
+  void serve(Ctx& ctx, std::size_t first) {
+    const std::size_t hwm = claimed_hwm_.value.load(std::memory_order_relaxed);
     std::array<OpSlot, kSlots> batch;
     std::array<std::size_t, kSlots> owner{};
     std::size_t n = 0;
-    for (std::size_t i = 0; i < kSlots; ++i) {
+    for (std::size_t i = first; i < hwm; ++i) {
       Slot& s = slots_[i].value;
       if (s.status.load(std::memory_order_acquire) != kPending) continue;
       ctx.on_read();
@@ -776,7 +829,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
       owner[n] = i;
       ++n;
     }
-    if (n == 0) return;
 
     run_batch(obj_.value, ctx, std::span<OpSlot>(batch.data(), n));
 
@@ -800,18 +852,16 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
         s.status.store(kDone, std::memory_order_release);
       }
     }
-    // Release: pairs with drain()'s acquire load, so a drainer that
-    // observes zero pending also observes every served operation's
-    // effects (detached callbacks included).
-    pending_hint_.value.fetch_sub(static_cast<std::uint64_t>(n),
-                                  std::memory_order_release);
-    rounds_.fetch_add(1, std::memory_order_relaxed);
-    batched_ops_.fetch_add(n, std::memory_order_relaxed);
+    bump(rounds_, 1);
+    bump(batched_ops_, n);
   }
 
   std::array<Padded<Slot>, kSlots> slots_;
   Padded<std::atomic<bool>> lock_{};  // combiner election (TAS)
-  Padded<std::atomic<std::uint64_t>> pending_hint_{};
+  // One past the highest record index ever claimed: combiners and
+  // drain() scan only this prefix. Monotonic, written only when a claim
+  // lands above it, so after warm-up it is a read-only line.
+  Padded<std::atomic<std::size_t>> claimed_hwm_{};
   // Rung-3 parking for every wait loop above (process-private futex).
   // One point for the whole wrapper: wakes are per-combine-pass, not
   // per-slot, so a finer grain would buy nothing but syscalls.

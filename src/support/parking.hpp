@@ -40,6 +40,13 @@
 // address-free and may live directly in a segment (the telemetry
 // counters then aggregate across every participating process).
 //
+// Telemetry placement: the slow-path counters (parks, wakes, ...) sit
+// on the word's line, where only parking threads write them. The
+// fast-wake tally is bumped by EVERY completed wait — in the combining
+// wrappers, once per published op — so it lives in per-thread padded
+// cells off that line (see kFastWakeCells): a waiter writes only its
+// own cell, and the line every wake_all() reads stays quiet.
+//
 // Portability: on non-Linux targets — or when SCM_FORCE_NO_FUTEX is
 // defined, the testing seam mirroring SCM_FORCE_GENERIC_CPU_PAUSE —
 // WaitMode::kYield replaces the syscall with one yield per park():
@@ -48,12 +55,15 @@
 // modes in one translation unit via the kMode template parameter.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <thread>
 
 #include "support/backoff.hpp"
+#include "support/cacheline.hpp"
 
 #if defined(__linux__) && !defined(SCM_FORCE_NO_FUTEX)
 #define SCM_HAS_FUTEX 1
@@ -64,6 +74,8 @@
 #if SCM_HAS_FUTEX
 #include <linux/futex.h>
 #include <sys/syscall.h>
+#endif
+#if defined(__linux__)
 #include <unistd.h>
 #endif
 
@@ -125,7 +137,28 @@ inline long futex_call(const std::atomic<std::uint32_t>* word, int op,
 }
 #endif
 
+// This thread's telemetry cell seed, drawn once per thread: a process-
+// wide sequence number, offset by the pid where there is one, so the
+// threads of one process and the first-waiting threads of sibling
+// processes sharing a kShared point start on different cells.
+inline std::size_t this_thread_cell() noexcept {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t cell = [] {
+    std::size_t seed = next.fetch_add(1, std::memory_order_relaxed);
+#if defined(__linux__)
+    seed += static_cast<std::size_t>(::getpid());
+#endif
+    return seed;
+  }();
+  return cell;
+}
+
 }  // namespace detail
+
+// Per-thread fast-wake cells in each WaitPoint. Threads beyond this
+// many share cells, which costs line sharing but never accuracy: each
+// bump is a fetch_add on the cell.
+inline constexpr std::size_t kFastWakeCells = 8;
 
 // Yield rungs to climb after the backoff ladder saturates before the
 // first park: parks cost two syscalls round-trip plus a likely context
@@ -216,9 +249,11 @@ class WaitPoint {
 
   // Telemetry hook for the wait loop: a wait completed without ever
   // parking — rungs 1-2 were enough. Together with parks this gives
-  // ParkStats::park_ratio() its denominator.
+  // ParkStats::park_ratio() its denominator. Bumps the calling
+  // thread's own cell, not a line shared with other waiters.
   void note_fast_wake() noexcept {
-    fast_wakes_.fetch_add(1, std::memory_order_relaxed);
+    fast_wakes_[detail::this_thread_cell() % kFastWakeCells].n.fetch_add(
+        1, std::memory_order_relaxed);
   }
 
   // Runtime wait-rung knob: how many yield rungs a waiter climbs after
@@ -239,18 +274,26 @@ class WaitPoint {
     s.wakes = wakes_.load(std::memory_order_relaxed);
     s.spurious_wakes = spurious_wakes_.load(std::memory_order_relaxed);
     s.futex_syscalls = futex_syscalls_.load(std::memory_order_relaxed);
-    s.fast_wakes = fast_wakes_.load(std::memory_order_relaxed);
+    for (const FastWakeCell& c : fast_wakes_) {
+      s.fast_wakes += c.n.load(std::memory_order_relaxed);
+    }
     return s;
   }
 
  private:
+  // One counter per line; plain struct (not Padded) so WaitPoint stays
+  // standard-layout for segment residence.
+  struct alignas(kCacheLineSize) FastWakeCell {
+    std::atomic<std::uint64_t> n{0};
+  };
+
   alignas(4) std::atomic<std::uint32_t> word_{0};
   std::atomic<std::uint64_t> parks_{0};
   std::atomic<std::uint64_t> wakes_{0};
   std::atomic<std::uint64_t> spurious_wakes_{0};
   std::atomic<std::uint64_t> futex_syscalls_{0};
-  std::atomic<std::uint64_t> fast_wakes_{0};
   std::atomic<std::int32_t> yields_before_park_{kYieldsBeforePark};
+  std::array<FastWakeCell, kFastWakeCells> fast_wakes_{};
 };
 
 // The native three-rung wait loop shared by every blocking site

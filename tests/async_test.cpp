@@ -524,8 +524,9 @@ TEST(AsyncSubmit, ConcurrentSubmitPollWaitHistoriesLinearize) {
             if (o.op % 2 == 0) {
               r = o.ticket.wait();
             } else {
-              while (!o.ticket.poll()) {
-              }
+              // poll() never helps: drain between polls so progress
+              // does not depend on the other threads still running.
+              while (!o.ticket.poll()) combined.drain(ctx);
               r = *o.ticket.try_result();
             }
             rec[tid][o.op].ret =
@@ -591,8 +592,10 @@ TEST(AsyncSubmit, OwnershipStressDropsPollsWaitsAndDrains) {
           }
           case 1: {  // submit + poll-spin + try_result
             auto t = combined.submit(ctx, m);
-            while (!t.poll()) {
-            }
+            // poll() never helps: drain between polls, or a publication
+            // that lands after every other thread has finished would
+            // wait forever for a combiner.
+            while (!t.poll()) combined.drain(ctx);
             if (t.try_result()->committed()) {
               collected.fetch_add(1, std::memory_order_relaxed);
             }

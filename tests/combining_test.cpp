@@ -491,8 +491,166 @@ TEST(Combining, SeededInitsPlumbThroughThePublicationSlot) {
   EXPECT_EQ(combined.invoke(ctx, arg_req(2, 0, 0), 10).response, 11);
 }
 
+// The wrapper's RMW budget, counted by the context: a fast-path op
+// pays exactly the election; a published op exactly the slot claim
+// plus the election that serves it. Pipeline<HopModule, SinkModule>
+// itself touches no counted shared memory, so every RMW here is the
+// wrapper's own — a pending counter, or any other per-op RMW, would
+// show up as an extra one.
+TEST(Combining, RmwBudgetIsTheElectionPlusTheClaimWhenPublished) {
+  Combining<Pipeline<HopModule, SinkModule>, 4, ByThread> combined;
+  NativeContext ctx(0);
+
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    const StepCounters before = ctx.counters();
+    ASSERT_TRUE(combined.invoke(ctx, arg_req(i + 1, 0, 0)).committed());
+    EXPECT_EQ((ctx.counters() - before).rmws, 1u) << "fast-path op " << i;
+  }
+  EXPECT_EQ(combined.direct_ops(), 10u);
+
+  // elect_spins = 0: every op publishes, and its own wait loop wins
+  // the election and serves it (solo, nobody else can).
+  combined.set_elect_spins(0);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    const StepCounters before = ctx.counters();
+    ASSERT_TRUE(combined.invoke(ctx, arg_req(i + 11, 0, 0)).committed());
+    EXPECT_EQ((ctx.counters() - before).rmws, 2u) << "published op " << i;
+  }
+  // The async surface pays the same: submit + wait, and a detached
+  // submission served by drain().
+  {
+    const StepCounters before = ctx.counters();
+    ASSERT_TRUE(combined.submit(ctx, arg_req(21, 0, 0)).wait().committed());
+    EXPECT_EQ((ctx.counters() - before).rmws, 2u);
+  }
+  {
+    const StepCounters before = ctx.counters();
+    combined.submit_detached(ctx, arg_req(22, 0, 0));
+    combined.drain(ctx);
+    EXPECT_EQ((ctx.counters() - before).rmws, 2u);
+  }
+  EXPECT_EQ(combined.combined_ops(), 12u);
+  EXPECT_EQ(combined.combine_rounds(), 12u);
+  EXPECT_EQ(combined.direct_ops(), 10u);
+  EXPECT_EQ(combined.occupied(), 0u);
+}
+
+// drain() with nothing pending returns at once — no election, no RMW —
+// both on a fresh object (no record ever claimed) and after the
+// slot-exhaustion inline fallback served every publication it found.
+TEST(Combining, DrainReturnsAtOnceWhenNothingIsPending) {
+  Combining<Pipeline<HopModule, TicketModule>, 2, ByThread> combined;
+  NativeContext ctx(0);
+  combined.drain(ctx);
+  EXPECT_EQ(ctx.counters().rmws, 0u);
+  EXPECT_EQ(combined.occupied(), 0u);
+
+  // Two publications fill both records; the third submission finds no
+  // free record, wins the lock and completes inline, serving the two
+  // pending records in the same pass.
+  combined.set_elect_spins(0);
+  Ticket<ModuleResult> a = combined.submit(ctx, arg_req(1, 0, 0));
+  Ticket<ModuleResult> b = combined.submit(ctx, arg_req(2, 0, 0));
+  EXPECT_EQ(combined.occupied(), 2u);
+  Ticket<ModuleResult> c = combined.submit(ctx, arg_req(3, 0, 0));
+  EXPECT_TRUE(c.poll());  // born ready: the inline fallback
+  EXPECT_EQ(combined.direct_ops(), 1u);
+  EXPECT_EQ(combined.combined_ops(), 2u);
+
+  const StepCounters before = ctx.counters();
+  combined.drain(ctx);
+  EXPECT_EQ((ctx.counters() - before).rmws, 0u);
+  EXPECT_TRUE(a.poll());
+  EXPECT_TRUE(b.poll());
+  // The inline op executed first (ticket 0), then the pass it ran
+  // served the two publications (tickets 1 and 2).
+  EXPECT_EQ(c.wait().response, 0);
+  EXPECT_EQ(a.wait().response + b.wait().response, 1 + 2);
+  EXPECT_EQ(combined.occupied(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Combining under real threads (runs under TSan via the "tsan" label)
+
+// Combiners find pending records by scanning the claimed prefix of the
+// slot array, so records claimed for the first time MID-RUN (raising
+// the scan bound while combiners are scanning) must still be served.
+// Early threads use slots 0-1; late threads, started once the early
+// ones are busy, route to slots 5 and 7 — each new highest record.
+// Every thread mixes fast-path invoke, ticketed submit and detached
+// submit, while one thread toggles the election knob so both the fast
+// path and the publication path run. At the end one drain() must leave
+// no record occupied, and every completion callback must have fired
+// exactly once.
+TEST(Combining, LateHighSlotClaimsAreServedAndDrainLeavesNoResidue) {
+  constexpr std::size_t kSlots = 8;
+  constexpr std::array<ProcessId, 4> kIds{0, 1, 5, 7};
+  constexpr std::uint64_t kOps = 600;
+  constexpr std::uint64_t kTotal = kIds.size() * kOps;
+
+  for (int round = 0; round < 10; ++round) {
+    Combining<Pipeline<HopModule, TicketModule>, kSlots, ByThread> combined;
+    std::vector<std::atomic<std::uint32_t>> fired(kTotal);
+    std::atomic<std::uint64_t> early_progress{0};
+    const CompletionFn count_fire = [](void* user, const ModuleResult&) {
+      static_cast<std::atomic<std::uint32_t>*>(user)->fetch_add(
+          1, std::memory_order_relaxed);
+    };
+
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kIds.size(); ++t) {
+      threads.emplace_back([&, t] {
+        const bool late = kIds[t] >= 2;
+        if (late) {
+          while (early_progress.load(std::memory_order_acquire) < kOps / 2) {
+            std::this_thread::yield();
+          }
+        }
+        NativeContext ctx(kIds[t]);
+        std::vector<Ticket<ModuleResult>> tickets;
+        for (std::uint64_t i = 0; i < kOps; ++i) {
+          const std::uint64_t k = t * kOps + i;
+          const Request m{(static_cast<std::uint64_t>(t) << 40) | (i + 1),
+                          ctx.id(), CounterSpec::kFetchInc, 0};
+          if (t == 0 && i % 32 == 0) {
+            combined.set_elect_spins((i / 32) % 2 == 0 ? 0u : 1u);
+          }
+          switch (i % 3) {
+            case 0:
+              (void)combined.invoke(ctx, m);
+              fired[k].store(1, std::memory_order_relaxed);  // no callback
+              break;
+            case 1:
+              tickets.push_back(
+                  combined.submit(ctx, m, std::nullopt, count_fire, &fired[k]));
+              break;
+            default:
+              combined.submit_detached(ctx, m, std::nullopt, count_fire,
+                                       &fired[k]);
+              break;
+          }
+          if (tickets.size() == 4) {
+            for (auto& tk : tickets) (void)tk.wait();
+            tickets.clear();
+          }
+          if (!late) early_progress.fetch_add(1, std::memory_order_release);
+        }
+        for (auto& tk : tickets) (void)tk.wait();
+      });
+    }
+    for (auto& th : threads) th.join();
+
+    NativeContext ctx(0);
+    combined.drain(ctx);
+    EXPECT_EQ(combined.occupied(), 0u);
+    EXPECT_EQ(combined.object().stage<1>().count(), kTotal);
+    EXPECT_EQ(combined.direct_ops() + combined.combined_ops(), kTotal);
+    for (std::uint64_t k = 0; k < kTotal; ++k) {
+      ASSERT_EQ(fired[k].load(std::memory_order_relaxed), 1u)
+          << "op " << k << " round " << round;
+    }
+  }
+}
 
 TEST(Combining, ConcurrentTicketsAreDistinctAndFullyAccounted) {
   constexpr int kThreads = 4;
@@ -599,7 +757,7 @@ TEST(Combining, ShardedCombiningKeepsPerShardAccounting) {
 }
 
 TEST(Combining, BackoffLadderLosesNoOpsUnderOversubscription) {
-  // The spin → pause → yield ladder (detail::combining_backoff) exists
+  // The spin → pause → yield ladder (spin_backoff) exists
   // for exactly this regime: more runnable publishers than cores, so a
   // waiter that refuses to yield burns the timeslice the combiner (or
   // the slot owner) needs. Oversubscribe deliberately and verify

@@ -12,8 +12,9 @@
 //    parks > 0; an already-satisfied wait records one fast wake and
 //    zero futex syscalls (the fast-path purity half of the combining
 //    wrappers' contract); park_ratio() is NaN-free and moves with the
-//    park/fast-wake mix; the rung-3 entry threshold is a runtime knob;
-//    wake_all() against no waiter is free;
+//    park/fast-wake mix; the fast-wake tally stays exact when more
+//    threads than per-thread cells share them; the rung-3 entry
+//    threshold is a runtime knob; wake_all() against no waiter is free;
 //  * wait_until()'s WaitPoint overload routes native contexts through
 //    parked_wait (sim contexts keep their ctx.await path — explorer
 //    parity is pinned by slot_protocol_explore_test's unchanged leaf
@@ -36,8 +37,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <type_traits>
+#include <vector>
 
 #include "runtime/context.hpp"
 #include "runtime/wait.hpp"
@@ -194,6 +197,51 @@ TYPED_TEST(ParkingModes, LongWaitEscalatesToAPark) {
   wp.wake_all();
   waiter.join();
   EXPECT_GT(wp.stats().parks, 0u);
+}
+
+// Fast wakes are tallied in per-thread cells; with more threads than
+// cells some threads share one, and the total must still be exact —
+// in both modes and both futex scopes. One genuinely parked wait first
+// keeps park_ratio() a proper fraction strictly inside (0, 1).
+template <class WP>
+class FastWakeCells : public testing::Test {};
+using ModesAndScopes =
+    testing::Types<FutexPoint, YieldPoint,
+                   WaitPoint<FutexScope::kShared, WaitMode::kFutex>,
+                   WaitPoint<FutexScope::kShared, WaitMode::kYield>>;
+TYPED_TEST_SUITE(FastWakeCells, ModesAndScopes);
+
+TYPED_TEST(FastWakeCells, CountIsExactWithMoreThreadsThanCells) {
+  constexpr int kThreads = static_cast<int>(2 * kFastWakeCells + 3);
+  constexpr std::uint64_t kWaitsPerThread = 1000;
+  TypeParam wp;
+
+  std::atomic<bool> flag{false};
+  std::thread parked([&] {
+    parked_wait(wp, [&] { return flag.load(std::memory_order_acquire); });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  flag.store(true, std::memory_order_release);
+  wp.wake_all();
+  parked.join();
+  ASSERT_GT(wp.stats().parks, 0u);
+  ASSERT_EQ(wp.stats().fast_wakes, 0u);
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kWaitsPerThread; ++i) {
+        parked_wait(wp, [] { return true; });
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const ParkStats s = wp.stats();
+  EXPECT_EQ(s.fast_wakes,
+            static_cast<std::uint64_t>(kThreads) * kWaitsPerThread);
+  EXPECT_GT(s.park_ratio(), 0.0);
+  EXPECT_LT(s.park_ratio(), 1.0);
 }
 
 // The wait_until() overload: a native context takes the parked_wait
