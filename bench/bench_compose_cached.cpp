@@ -2,9 +2,10 @@
 // composition stack. Every prior scenario pays the paper's per-op
 // composition price on READS too; Replicated<Obj, N, Model>
 // (core/caching.hpp) serves read-only-classified operations from
-// versioned per-replica snapshots — no shared write, no RMW — while
-// writes still walk the wrapped Combining object and invalidate via
-// one generation bump at their serialization point. This scenario
+// versioned per-replica snapshots — no shared write — while writes
+// still walk the wrapped Combining object and invalidate their key's
+// entry slot (one bump of that slot's generation) at their
+// serialization point. This scenario
 // measures what that buys and what it costs, sweeping
 //
 //   read fraction in {0.5, 0.95, 0.99}  x  zipf skew in {0, 0.99}
@@ -19,9 +20,11 @@
 // Self-checks (scale-robust, gating): a solo caller's cached results
 // are bit-identical to the same op sequence against an uncached
 // object (hits included — the probe rereads written keys); every
-// write bumps the invalidation generation exactly once, and a written
-// key is never visible on any replica with a pre-write value once the
-// writer returned; no committed read ever returns a torn value (key
+// write bumps its slot's invalidation generation exactly once, a
+// written key is never visible on any replica with a pre-write value
+// once the writer returned, and a filled key in another slot still
+// reads back from every replica after that unrelated write; no
+// committed read ever returns a torn value (key
 // decode mismatch). The read-scaling claim (read-slice ns flat within
 // 2x from t=1 to t=max at read fraction 0.95) additionally gates only
 // on hardware with >= 8 cores driven with >= 8 threads — below that
@@ -183,7 +186,7 @@ void run_cell(const BenchParams& params, double read_frac, double theta,
       });
   torn += bad.load(std::memory_order_relaxed);
 
-  // Every write — and nothing else — bumped the invalidation
+  // Every write — and nothing else — bumped its slot's invalidation
   // generation exactly once at its serialization point (the kKeys
   // pre-population writes included).
   if (cached.invalidations() !=
@@ -243,23 +246,41 @@ bool solo_equivalence_probe() {
 
 // Probe 2: once a writer returned, no replica serves the pre-write
 // value — read_at either misses (invalidated) or returns the new
-// value (the writer's replica was refilled).
+// value (the writer's replica was refilled) — and a bystander key
+// filled in another slot still reads back from every replica:
+// invalidation is per slot, not global.
 bool invalidation_probe() {
-  CachedStore<kMaxReplicas> cached;
+  using Store = CachedStore<kMaxReplicas>;
+  Store cached;
   NativeContext ctx(0);
   std::uint64_t id = 0;
-  for (std::uint64_t key = 0; key < kKeys; ++key) {
-    // Fill every replica's entry for this key via the read path.
+  const auto fill = [&](std::uint64_t key) {
     for (std::size_t rep = 0; rep < kMaxReplicas; ++rep) {
-      (void)cached.invoke(ctx, req_of(0, id++, kOpWrite, key));
-      NativeContext other(static_cast<ProcessId>(rep));
-      (void)cached.invoke(other, req_of(0, id++, kOpRead, key));
+      NativeContext reader(static_cast<ProcessId>(rep));
+      (void)cached.invoke(reader, req_of(0, id++, kOpRead, key));
     }
+  };
+  constexpr std::uint64_t kBystander = 0;
+  Response bystander =
+      cached.invoke(ctx, req_of(0, id++, kOpWrite, kBystander)).response;
+  fill(kBystander);
+  for (std::uint64_t key = 0; key < kKeys; ++key) {
+    (void)cached.invoke(ctx, req_of(0, id++, kOpWrite, key));
+    fill(key);
     const ModuleResult w = cached.invoke(ctx, req_of(0, id++, kOpWrite, key));
     if (!w.committed()) return false;
     for (std::size_t rep = 0; rep < kMaxReplicas; ++rep) {
       const auto v = cached.read_at(rep, key);
       if (v.has_value() && *v != w.response) return false;
+    }
+    if (key == kBystander) bystander = w.response;
+    if (Store::slot_of(key) == Store::slot_of(kBystander)) {
+      fill(kBystander);  // a slot-mate evicted it; put it back
+      continue;
+    }
+    for (std::size_t rep = 0; rep < kMaxReplicas; ++rep) {
+      const auto v = cached.read_at(rep, kBystander);
+      if (!v.has_value() || *v != bystander) return false;
     }
   }
   return true;
@@ -334,10 +355,12 @@ ScenarioResult run(const BenchParams& params) {
 
   result.claim =
       "cached results are bit-identical to uncached for a solo caller "
-      "(hit path exercised); every write bumps the invalidation "
-      "generation exactly once and no replica serves a pre-write value "
-      "after the writer returned; no committed read is torn (every "
-      "value decodes to its key); read hits complete as ready tickets; "
+      "(hit path exercised); every write bumps its slot's invalidation "
+      "generation exactly once, no replica serves a pre-write value "
+      "after the writer returned, and a filled key in another slot "
+      "still reads back from every replica after that write; no "
+      "committed read is torn (every value decodes to its key); read "
+      "hits complete as ready tickets; "
       "on >=8-core hardware at read fraction 0.95 the read slice stays "
       "within 2x from t=1 to t=max";
   result.claim_holds = torn == 0 && invalidation_gaps == 0 && probes_ok &&

@@ -3,42 +3,50 @@
 //
 // The paper's per-operation costs (extra RMWs and steps per layer
 // crossed) are unavoidable for operations that MUTATE the composed
-// object; a read against a cached snapshot is a relaxed load plus a
-// version check. Replicated<Obj, N, Model> keeps N cacheline-padded
-// replica tables of {key, value, generation} entries, each entry
-// guarded by a seqlock-style version word:
+// object; a read against a cached snapshot is two shared loads plus a
+// generation check. Replicated<Obj, N, Model> keeps N cacheline-padded
+// direct-mapped replica tables of {key, value, generation} entries,
+// each entry guarded by a seqlock-style version word, plus one padded
+// generation counter per entry slot (slot s of every replica shares
+// generation s):
 //
 //   * reads classified read-only by the Model are served from the
-//     caller's replica via a version-checked snapshot — no shared
-//     write, no RMW, which is what lets the read slice scale with
-//     cores while the write slice tracks the wrapped object's curve
-//     (the compose.cached scenario's claim);
+//     caller's replica via a generation-checked snapshot — no shared
+//     write; the only RMW is a relaxed fetch_add on the replica's own
+//     hits counter. That is what lets the read slice scale with cores
+//     while the write slice tracks the wrapped object's curve (the
+//     compose.cached scenario's claim);
 //   * writes are funneled unchanged through the wrapped object's
 //     submit() path (Combining's publication slots), and the
 //     operation's completion callback performs invalidation + refill:
-//     bump the global generation (one fetch_add — every replica's
-//     stale entries miss from that point on, O(1) invalidation), then
-//     reinstall the written key odd→apply→even under the entry's
-//     seqlock;
+//     bump the written key's slot generation (one fetch_add — every
+//     replica's entries in that slot miss from that point on, while
+//     the other slots keep hitting), then reinstall the written key
+//     odd→apply→even under the entry's seqlock;
 //   * a cache-miss fill is just the read submitted through the object
 //     with a fill callback — against a slow backend the ticket simply
 //     completes late, exactly PR 5's "the caching layer must consume
 //     Ticket<R>s" instruction.
 //
 // Correctness (linearizable mode, staleness bound 0): a hit requires
-// the entry's generation to EQUAL the global generation loaded at the
+// the entry's generation to EQUAL its slot's generation loaded at the
 // start of the read — the read's linearization point. The wrapped
 // object's completion callbacks fire at each operation's serialization
 // point (Combining runs them under the election lock on every path),
-// so generations are assigned in linearization order: an entry
-// matching the current generation holds exactly the value the object
-// would return, and every committed write bumps the generation before
-// its publisher can return, so no later read can hit a pre-write
-// entry. Mixed histories are pinned by lincheck in caching_test.
-// Raising the staleness bound k admits snapshots up to k generations
-// old (the Perrin et al. trade: replicas may serve slightly stale
-// snapshots where the spec allows it); the entry seqlock still makes
-// torn values impossible at every bound.
+// so one key's generations are assigned in linearization order: an
+// entry matching the current generation holds exactly the value the
+// object would return, and every committed write bumps its slot's
+// generation before its publisher can return, so no later read can hit
+// a pre-write entry. Keys that share a slot but are serialized by
+// different locks (other shards of a Sharded<Combining>) only bump
+// each other's generation: a generation never decreases, so the race
+// costs a conservative miss, never a stale hit. Mixed histories are
+// pinned by lincheck in caching_test, per key on a sharded stack.
+// Raising the staleness bound k admits snapshots at most k committed
+// writes (to keys sharing the entry's slot) old — the Perrin et al.
+// trade: replicas may serve slightly stale snapshots where the spec
+// allows it; the entry seqlock still makes torn values impossible at
+// every bound.
 //
 // Backend requirements: in linearizable mode the wrapped object must
 // run completion callbacks at the serialization point (Combining, or
@@ -151,8 +159,9 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // wrapped object's own submission with a pooled completion record
   // carrying the invalidation/refill. When the pool is exhausted the
   // operation still proceeds — a miss just skips its fill, a write
-  // falls back to invalidate-only (self is the cookie; correctness
-  // never depends on refills, they only raise the hit rate).
+  // falls back to invalidate-only (the key's slot generation is the
+  // cookie; correctness never depends on refills, they only raise the
+  // hit rate).
   template <class Ctx>
     requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
@@ -170,7 +179,8 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     if (CacheRec* rec = claim_rec(rep, m)) {
       return submit_through(ctx, m, init, &Replicated::write_cb, rec);
     }
-    return submit_through(ctx, m, init, &Replicated::invalidate_cb, this);
+    return submit_through(ctx, m, init, &Replicated::invalidate_cb,
+                          &generation(key_of(m)));
   }
 
   // Probe a replica's table directly — no fill, no traffic to the
@@ -180,12 +190,21 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
                                                 std::uint64_t key) {
     SCM_CHECK(replica < kReplicas);
     return snapshot(replicas_[replica], key,
-                    version_.value.load(std::memory_order_seq_cst));
+                    generation(key).load(std::memory_order_seq_cst));
+  }
+
+  // The direct-mapped entry slot — and with it the invalidation
+  // generation — that `key` uses in every replica. Keys with equal
+  // slots evict and invalidate each other; other keys are independent.
+  [[nodiscard]] static constexpr std::size_t slot_of(
+      std::uint64_t key) noexcept {
+    return static_cast<std::size_t>(ByKeyHash::mix(key) % kEntries);
   }
 
   // Staleness bound in generations: 0 (the default) is linearizable —
-  // a hit must match the current generation exactly; k admits
-  // snapshots at most k committed writes old.
+  // a hit must match its slot's current generation exactly; k admits
+  // snapshots at most k committed writes (to keys sharing the entry's
+  // slot) old.
   void set_staleness_bound(std::uint64_t k) noexcept {
     staleness_bound_.store(k, std::memory_order_relaxed);
   }
@@ -193,13 +212,14 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     return staleness_bound_.load(std::memory_order_relaxed);
   }
 
-  // The global generation: one bump per completed write — equal to the
-  // number of invalidations performed.
-  [[nodiscard]] std::uint64_t version() const noexcept {
-    return version_.value.load(std::memory_order_relaxed);
-  }
+  // One slot-generation bump per completed write: the sum over slots is
+  // the number of invalidations performed.
   [[nodiscard]] std::uint64_t invalidations() const noexcept {
-    return version();
+    std::uint64_t total = 0;
+    for (const auto& g : generations_) {
+      total += g.value.load(std::memory_order_relaxed);
+    }
+    return total;
   }
 
   // ---- cache telemetry (relaxed, aggregated over replicas).
@@ -254,8 +274,8 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     return obj_.value.commits_by(pid, i);
   }
 
-  // Replication adds only registers (the seqlock words and the global
-  // generation), so the composition's consensus power is the wrapped
+  // Replication adds only registers (the seqlock words and the slot
+  // generations), so the composition's consensus power is the wrapped
   // object's.
   [[nodiscard]] int consensus_number() const
     requires requires(const Obj& o) { o.consensus_number(); }
@@ -322,8 +342,10 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     return static_cast<std::uint64_t>(Model::key(m));
   }
 
-  [[nodiscard]] static std::size_t slot_of(std::uint64_t key) noexcept {
-    return static_cast<std::size_t>(ByKeyHash::mix(key) % kEntries);
+  // The generation guarding `key`'s entry slot in every replica.
+  [[nodiscard]] std::atomic<std::uint64_t>& generation(
+      std::uint64_t key) noexcept {
+    return generations_[slot_of(key)].value;
   }
 
   // The version-checked snapshot shared by the hot read path and the
@@ -358,15 +380,16 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     return val;
   }
 
-  // The hot read path: one seq_cst generation load (the linearization
-  // point of a hit) plus the entry snapshot. Counted as two reads —
-  // the generation and the entry are the operation's real shared
-  // traffic; the RMW-free path is the whole point.
+  // The hot read path: one seq_cst load of the key's slot generation
+  // (the linearization point of a hit) plus the entry snapshot. Counted
+  // as two reads — the generation and the entry are the operation's
+  // real shared traffic; the hit/miss counter bump is a relaxed RMW on
+  // the caller's own replica line.
   template <class Ctx>
   std::optional<Response> try_read(Ctx& ctx, std::size_t rep,
                                    std::uint64_t key) {
     ctx.on_read();
-    const std::uint64_t cur = version_.value.load(std::memory_order_seq_cst);
+    const std::uint64_t cur = generation(key).load(std::memory_order_seq_cst);
     ctx.on_read();
     Replica& r = replicas_[rep];
     const auto v = snapshot(r, key, cur);
@@ -399,44 +422,49 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // ---- completion callbacks (run by the wrapped object's finalizing
   // thread at the operation's serialization point — under Combining's
   // election lock; they must not re-enter the wrapped object, and they
-  // don't: generation + entry seqlocks only).
+  // don't: slot generations + entry seqlocks only).
 
   // A committed read's response is the object's value for that key at
-  // this serialization point; tag it with the generation as of NOW.
-  // Callbacks fire in linearization order, so every earlier write's
-  // bump is included and no later one — the tag is exact.
+  // this serialization point; tag it with the slot generation as of
+  // NOW. Same-key callbacks fire in linearization order, so every
+  // earlier write's bump is included and no later one; a slot-mate's
+  // concurrent bump can only push the tag below a later read's load.
   static void fill_cb(void* user, const ModuleResult& r) {
     auto* rec = static_cast<CacheRec*>(user);
     if (r.committed()) {
       Replicated* self = rec->self;
-      self->install(rec->replica, key_of(rec->req), r.response,
-                    self->version_.value.load(std::memory_order_seq_cst));
+      const std::uint64_t key = key_of(rec->req);
+      self->install(rec->replica, key, r.response,
+                    self->generation(key).load(std::memory_order_seq_cst));
     }
     rec->release();
   }
 
-  // A write bumps the generation FIRST (from this instant every
-  // replica's pre-write entries miss), then — when the model can
-  // derive the post-write value — reinstalls the written key into the
-  // writer's replica tagged with the new generation. Aborted results
-  // bump too: a spurious invalidation is a missed hit, never an error.
+  // A write bumps its key's slot generation FIRST (from this instant
+  // every replica's pre-write entries in that slot miss), then — when
+  // the model can derive the post-write value — reinstalls the written
+  // key into the writer's replica tagged with the new generation.
+  // Aborted results bump too: a spurious invalidation is a missed hit,
+  // never an error.
   static void write_cb(void* user, const ModuleResult& r) {
     auto* rec = static_cast<CacheRec*>(user);
     Replicated* self = rec->self;
+    const std::uint64_t key = key_of(rec->req);
     const std::uint64_t g =
-        self->version_.value.fetch_add(1, std::memory_order_seq_cst) + 1;
+        self->generation(key).fetch_add(1, std::memory_order_seq_cst) + 1;
     if (r.committed()) {
       if (const auto v = Model::read_after_write(rec->req, r.response)) {
-        self->install(rec->replica, key_of(rec->req), *v, g);
+        self->install(rec->replica, key, *v, g);
       }
     }
     rec->release();
   }
 
   // Pool-exhaustion fallback for async writes: invalidate without
-  // refilling (no per-op state needed — the cookie is the cache).
+  // refilling (no per-op state needed — the cookie is the written
+  // key's slot generation).
   static void invalidate_cb(void* user, const ModuleResult&) {
-    static_cast<Replicated*>(user)->version_.value.fetch_add(
+    static_cast<std::atomic<std::uint64_t>*>(user)->fetch_add(
         1, std::memory_order_seq_cst);
   }
 
@@ -502,7 +530,7 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   }
 
   std::array<Replica, kReplicas> replicas_{};
-  Padded<std::atomic<std::uint64_t>> version_{};
+  std::array<Padded<std::atomic<std::uint64_t>>, kEntries> generations_{};
   std::atomic<std::uint64_t> staleness_bound_{0};
   std::array<Padded<CacheRec>, kRecs> recs_{};
   Padded<Obj> obj_;

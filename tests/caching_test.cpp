@@ -14,7 +14,12 @@
 //    linearize against CounterSpec in linearizable mode (bound 0);
 //  * invalidation storms: every write bumps the generation exactly
 //    once under contention, per-thread read streams stay monotone, and
-//    no read ever returns a value the counter never held.
+//    no read ever returns a value the counter never held;
+//  * per-slot invalidation: a write evicts only its key's slot, keys
+//    in other slots keep hitting on every replica, and per-key
+//    histories over a sharded stack (slot-mates on different shards)
+//    linearize against RegisterSpec;
+//  * the async pool-exhaustion fallback invalidates without refilling.
 //
 // Runs under the "tsan" ctest label: the CI sanitizer job executes
 // this suite under ThreadSanitizer (the seqlock snapshot protocol is
@@ -25,16 +30,19 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/caching.hpp"
 #include "core/combining.hpp"
 #include "core/module.hpp"
 #include "core/pipeline.hpp"
+#include "core/sharding.hpp"
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
 #include "runtime/context.hpp"
 #include "runtime/platform.hpp"
+#include "runtime/registers.hpp"
 #include "workload/driver.hpp"
 
 namespace scm {
@@ -93,6 +101,74 @@ Request inc_req(std::uint64_t id, ProcessId p) {
 
 using CachedCounter = Cached<Combining<CounterModule, 8, ByThread>,
                              CounterModel>;
+
+// Parks the calling thread inside KeyedRegisters for kGateOp requests
+// until the gate opens — keeps the combiner lock held while a test
+// publishes behind it. Each user resets the flags.
+std::atomic<bool> g_gate_entered{false};
+std::atomic<bool> g_gate_open{true};
+
+// A keyed register file with RegisterSpec's op codes. The request's
+// arg is the key, so ByKeyHash routes every operation on one key to
+// the same shard; a write stores its request id (unique, never 0) and
+// commits the stored value, so the model can refill from the response.
+struct KeyedRegisters {
+  static constexpr std::size_t kKeys = 256;
+  static constexpr std::int64_t kGateOp = 2;
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& ctx, const Request& m,
+                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
+    if (m.op == kGateOp) {
+      g_gate_entered.store(true, std::memory_order_release);
+      while (!g_gate_open.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      return ModuleResult::commit(0);
+    }
+    auto& cell = cells_[static_cast<std::size_t>(m.arg) % kKeys];
+    if (m.op == RegisterSpec::kWrite) {
+      const auto v = static_cast<Response>(m.id);
+      cell.write(ctx, v);
+      return ModuleResult::commit(v);
+    }
+    return ModuleResult::commit(cell.read(ctx));
+  }
+
+ private:
+  std::array<NativeRegister<Response>, kKeys> cells_{};
+};
+
+struct KeyedModel {
+  static bool is_read(const Request& m) { return m.op == RegisterSpec::kRead; }
+  static std::uint64_t key(const Request& m) {
+    return static_cast<std::uint64_t>(m.arg);
+  }
+  static std::optional<Response> read_after_write(const Request& /*m*/,
+                                                  Response r) {
+    return r;
+  }
+};
+
+Request key_read(std::uint64_t id, ProcessId p, std::uint64_t key) {
+  return Request{id, p, RegisterSpec::kRead, static_cast<std::int64_t>(key)};
+}
+Request key_write(std::uint64_t id, ProcessId p, std::uint64_t key) {
+  return Request{id, p, RegisterSpec::kWrite, static_cast<std::int64_t>(key)};
+}
+
+// The first key after `after` whose slot is (or is not) `slot`.
+template <class Cache>
+std::uint64_t key_in_slot(std::size_t slot, bool same,
+                          std::uint64_t after = 0) {
+  for (std::uint64_t k = after + 1; k < KeyedRegisters::kKeys; ++k) {
+    if ((Cache::slot_of(k) == slot) == same) return k;
+  }
+  ADD_FAILURE() << "no key below " << KeyedRegisters::kKeys
+                << (same ? " in" : " outside") << " slot " << slot;
+  return 0;
+}
 
 // ---------------------------------------------------------------------------
 // The unified Composable surface
@@ -369,11 +445,234 @@ TEST(Replicated, WritesInvalidateEveryReplica) {
   EXPECT_EQ(cached.invoke(writer, inc_req(100, 1)).response, 0);
   for (std::size_t rep = 0; rep < 4; ++rep) {
     const auto v = cached.read_at(rep, 0);
-    if (v.has_value()) EXPECT_EQ(*v, 1) << "replica " << rep;
+    if (v.has_value()) {
+      EXPECT_EQ(*v, 1) << "replica " << rep;
+    }
   }
   // The writer's own replica was refilled by the completion callback.
   ASSERT_TRUE(cached.read_at(1, 0).has_value());
   EXPECT_EQ(*cached.read_at(1, 0), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Per-slot invalidation
+
+TEST(Replicated, WriteLeavesOtherSlotsHitting) {
+  constexpr std::size_t kReps = 4;
+  using Cache =
+      Replicated<Combining<KeyedRegisters, 8, ByThread>, kReps, KeyedModel>;
+  Cache cached;
+  const std::uint64_t a = 1;
+  const std::uint64_t b = key_in_slot<Cache>(Cache::slot_of(a), false);
+  const std::uint64_t mate = key_in_slot<Cache>(Cache::slot_of(a), true, a);
+
+  NativeContext writer(0);
+  std::uint64_t id = 100;
+  const Response a_old = cached.invoke(writer, key_write(id++, 0, a)).response;
+  const Response b_val = cached.invoke(writer, key_write(id++, 0, b)).response;
+  const Response mate_val =
+      cached.invoke(writer, key_write(id++, 0, mate)).response;
+
+  // Fill a and b on every replica, then the slot-mate on the last one
+  // (evicting a there: the table is direct-mapped).
+  for (ProcessId p = 0; p < static_cast<ProcessId>(kReps); ++p) {
+    NativeContext ctx(p);
+    EXPECT_EQ(cached.invoke(ctx, key_read(id++, p, a)).response, a_old);
+    EXPECT_EQ(cached.invoke(ctx, key_read(id++, p, b)).response, b_val);
+  }
+  constexpr auto kLast = static_cast<ProcessId>(kReps - 1);
+  NativeContext last(kLast);
+  EXPECT_EQ(cached.invoke(last, key_read(id++, kLast, mate)).response,
+            mate_val);
+
+  const Response a_new = cached.invoke(writer, key_write(id++, 0, a)).response;
+  ASSERT_NE(a_new, a_old);
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    // The write's slot no longer serves a's pre-write value anywhere...
+    const auto va = cached.read_at(rep, a);
+    if (va.has_value()) {
+      EXPECT_EQ(*va, a_new) << "replica " << rep;
+    }
+    // ...while the other slot is untouched on every replica.
+    const auto vb = cached.read_at(rep, b);
+    ASSERT_TRUE(vb.has_value()) << "replica " << rep;
+    EXPECT_EQ(*vb, b_val) << "replica " << rep;
+  }
+  ASSERT_TRUE(cached.read_at(0, a).has_value());  // the writer's refill
+  EXPECT_EQ(*cached.read_at(0, a), a_new);
+  // The slot-mate shares a's generation, so it may miss — but whatever
+  // it serves is its own, unchanged value.
+  const auto vm = cached.read_at(kReps - 1, mate);
+  if (vm.has_value()) {
+    EXPECT_EQ(*vm, mate_val);
+  }
+  EXPECT_EQ(cached.invoke(last, key_read(id++, kLast, mate)).response,
+            mate_val);
+
+  // The next read of b hits on every replica.
+  for (ProcessId p = 0; p < static_cast<ProcessId>(kReps); ++p) {
+    NativeContext ctx(p);
+    const std::uint64_t hits_before = cached.hits();
+    EXPECT_EQ(cached.invoke(ctx, key_read(id++, p, b)).response, b_val);
+    EXPECT_EQ(cached.hits(), hits_before + 1) << "replica " << p;
+  }
+  EXPECT_EQ(cached.invalidations(), 4u);
+}
+
+TEST(Replicated, SlotMatesOnDifferentShardsLinearizePerKey) {
+  // The benchmark's stack shape with 3 shards: keys 1 and 32 share an
+  // entry slot — and so a generation — but are serialized by different
+  // shard locks, so their callbacks race on that generation.
+  using Shards = Sharded<Combining<KeyedRegisters, 8>, 3, ByKeyHash>;
+  using Cache = Replicated<Shards, 2, KeyedModel>;
+  static_assert(Cache::slot_of(1) == Cache::slot_of(32));
+  static_assert(ByKeyHash::mix(1) % 3 != ByKeyHash::mix(32) % 3);
+  constexpr std::array<std::uint64_t, 3> kKeysUsed{1, 32, 5};
+  constexpr int kThreads = 3;
+  constexpr std::uint64_t kOps = 12;
+
+  std::uint64_t hits = 0;
+  for (std::uint64_t round = 0; round < 40; ++round) {
+    Cache cached;
+    std::atomic<std::uint64_t> clock{0};
+    struct Recorded {
+      std::uint64_t key = 0;
+      std::uint64_t id = 0;
+      std::int64_t op = 0;
+      Response response = 0;
+      std::uint64_t invoke = 0;
+      std::uint64_t ret = 0;
+    };
+    std::array<std::array<Recorded, kOps>, kThreads> rec{};
+
+    (void)workload::run_threads(
+        kThreads, kOps, [&](NativeContext& ctx, std::uint64_t i) {
+          const auto tid = static_cast<std::size_t>(ctx.id());
+          Recorded& r = rec[tid][i];
+          // A fixed pseudo-random key and op per (round, thread, op):
+          // about one write in three, spread over every key.
+          const std::uint64_t h =
+              ByKeyHash::mix((round << 16) | (tid << 8) | i);
+          r.key = kKeysUsed[h % kKeysUsed.size()];
+          r.id = (static_cast<std::uint64_t>(tid) << 40) | (i + 1);
+          const bool is_write = (h >> 8) % 3 == 0;
+          const Request m = is_write ? key_write(r.id, ctx.id(), r.key)
+                                     : key_read(r.id, ctx.id(), r.key);
+          r.op = m.op;
+          r.invoke = clock.fetch_add(1, std::memory_order_acq_rel);
+          r.response = cached.invoke(ctx, m).response;
+          r.ret = clock.fetch_add(1, std::memory_order_acq_rel);
+        });
+    hits += cached.hits();
+
+    // Linearizability is local: checking every key's sub-history
+    // against RegisterSpec checks the whole history.
+    for (const std::uint64_t key : kKeysUsed) {
+      std::vector<ConcurrentOp> ops;
+      for (int t = 0; t < kThreads; ++t) {
+        for (const Recorded& r : rec[static_cast<std::size_t>(t)]) {
+          if (r.key != key) continue;
+          ConcurrentOp op;
+          op.pid = static_cast<ProcessId>(t);
+          if (r.op == RegisterSpec::kWrite) {
+            // The store writes the request id and commits it.
+            ASSERT_EQ(r.response, static_cast<Response>(r.id));
+            op.request = Request{r.id, op.pid, RegisterSpec::kWrite,
+                                 static_cast<std::int64_t>(r.id)};
+            op.response = RegisterSpec::kAck;
+          } else {
+            op.request = Request{r.id, op.pid, RegisterSpec::kRead, 0};
+            op.response = r.response;
+          }
+          op.invoke = r.invoke;
+          op.ret = r.ret;
+          op.completed = true;
+          ops.push_back(op);
+        }
+      }
+      ASSERT_TRUE(linearizable<RegisterSpec>(std::move(ops)))
+          << "round " << round << " key " << key;
+    }
+  }
+  // Hits must have occurred, or the check says nothing about them.
+  EXPECT_GT(hits, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Pool exhaustion: the invalidate-only fallback
+
+TEST(Replicated, ExhaustedRecordPoolInvalidatesWithoutRefill) {
+  using Cache = Replicated<Combining<KeyedRegisters, 8, ByThread>, 2,
+                           KeyedModel, ByThread, 64, /*kRecs=*/1>;
+  Cache cached;
+  const std::uint64_t a = 1;
+  const std::uint64_t b = key_in_slot<Cache>(Cache::slot_of(a), false);
+
+  NativeContext ctx(0);
+  std::uint64_t id = 100;
+  std::uint64_t writes = 0;
+  const Response a_old = cached.invoke(ctx, key_write(id++, 0, a)).response;
+  const Response b_val = cached.invoke(ctx, key_write(id++, 0, b)).response;
+  writes += 2;
+  for (ProcessId p = 0; p < 2; ++p) {
+    NativeContext reader(p);
+    (void)cached.invoke(reader, key_read(id++, p, a));
+    (void)cached.invoke(reader, key_read(id++, p, b));
+  }
+  for (std::size_t rep = 0; rep < 2; ++rep) {
+    ASSERT_TRUE(cached.read_at(rep, a).has_value());
+    ASSERT_EQ(*cached.read_at(rep, a), a_old);
+  }
+  const std::uint64_t fills_before = cached.fills();
+
+  // Park a holder inside the combiner (straight into the wrapped
+  // object, bypassing the cache) so submissions stay in flight.
+  g_gate_entered.store(false);
+  g_gate_open.store(false);
+  std::thread holder([&] {
+    NativeContext hctx(1);
+    (void)cached.object().invoke(
+        hctx, Request{1000, 1, KeyedRegisters::kGateOp, 0});
+  });
+  while (!g_gate_entered.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+
+  // The first write claims the pool's only record; the second finds it
+  // in flight and falls back to invalidate_cb.
+  auto first = cached.submit(ctx, key_write(id++, 0, a));
+  auto second = cached.submit(ctx, key_write(id++, 0, a));
+  writes += 2;
+  EXPECT_FALSE(first.poll());
+  EXPECT_FALSE(second.poll());
+
+  g_gate_open.store(true, std::memory_order_release);
+  holder.join();
+  EXPECT_TRUE(first.wait().committed());
+  EXPECT_TRUE(second.wait().committed());
+
+  EXPECT_EQ(cached.invalidations(), writes);
+  // Only the record-carrying write refilled; the fallback never does.
+  EXPECT_EQ(cached.fills(), fills_before + 1);
+  const Response a_now =
+      cached.object().invoke(ctx, key_read(id++, 0, a)).response;
+  ASSERT_NE(a_now, a_old);
+  for (std::size_t rep = 0; rep < 2; ++rep) {
+    const auto va = cached.read_at(rep, a);
+    if (va.has_value()) {
+      EXPECT_EQ(*va, a_now) << "replica " << rep;
+    }
+    const auto vb = cached.read_at(rep, b);
+    ASSERT_TRUE(vb.has_value()) << "replica " << rep;
+    EXPECT_EQ(*vb, b_val) << "replica " << rep;
+  }
+  for (ProcessId p = 0; p < 2; ++p) {
+    NativeContext reader(p);
+    const std::uint64_t hits_before = cached.hits();
+    EXPECT_EQ(cached.invoke(reader, key_read(id++, p, b)).response, b_val);
+    EXPECT_EQ(cached.hits(), hits_before + 1) << "replica " << p;
+    EXPECT_EQ(cached.invoke(reader, key_read(id++, p, a)).response, a_now);
+  }
 }
 
 }  // namespace
