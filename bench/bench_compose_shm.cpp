@@ -223,7 +223,7 @@ std::optional<PhaseOutcome> run_phase(const std::string& segment, int procs,
     // tick: these are syscalls, and paying them per serve pass would
     // pace every client round trip at syscall latency.
     if ((++tick & 0x3ff) != 0) continue;
-    if (out.victim_killed) out.reclaimed += comb.reclaim_dead();
+    if (out.victim_killed) out.reclaimed += comb.reclaim_dead(ctx);
     const int live = reap(children);
     if (live == 0) {
       t1 = clock_type::now();
@@ -240,7 +240,7 @@ std::optional<PhaseOutcome> run_phase(const std::string& segment, int procs,
   // covered for the in-process twin): it returns immediately.
   if (out.ok) {
     comb.drain(ctx);
-    out.reclaimed += comb.reclaim_dead();
+    out.reclaimed += comb.reclaim_dead(ctx);
     if (comb.occupied() != 0) {
       out.fail("slots still occupied after drain + reclaim_dead");
     }

@@ -52,8 +52,10 @@
 // deterministic simulator parks the process on a wait predicate
 // (ignoring the WaitPoint) — so the ENTIRE slot protocol runs
 // under SimPlatform and sim::explore enumerates its interleavings
-// (slot_protocol_explore_test checks linearizability and zero slot
-// residue over every schedule of 2-3 processes). Like SpinBarrier, the
+// (combining_explore_test checks this class, as shipped, for
+// linearizability, zero slot residue and a released election lock over
+// every schedule of 2-3 processes; slot_protocol_explore_test does the
+// same for ShmCombining). Like SpinBarrier, the
 // unbounded spin loads are not counted as steps; the slot-claim RMW,
 // the publish write, the result read, the combiner-election RMW, and
 // the combiner's reads/writebacks of pending slots are (they are the
@@ -392,6 +394,12 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
       if (padded.value.status.load(std::memory_order_acquire) != kFree) ++n;
     }
     return n;
+  }
+  // Whether some thread holds the combiner election lock (the
+  // counterpart of ShmCombining::gate_holder() != 0); the explorer
+  // checks it is released after every schedule.
+  [[nodiscard]] bool gate_held() const noexcept {
+    return lock_.value.load(std::memory_order_acquire);
   }
 
   // ---- forwarded statistics surfaces (enabled exactly when the

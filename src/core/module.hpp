@@ -6,14 +6,11 @@
 // switch values into the second module's initialization — exactly the
 // structure of Figure 1. A composition is itself a module, mirroring
 // Theorem 2 (composition of safely composable modules is safely
-// composable), so chains of any length nest. Depth-N chains are built
-// with Pipeline<Ms...> / make_pipeline (core/pipeline.hpp); the binary
-// Composed below is the legacy reference combinator.
+// composable), so chains of any length nest. Chains are built with
+// Pipeline<Ms...> / make_pipeline (core/pipeline.hpp).
 #pragma once
 
-#include <algorithm>
 #include <concepts>
-#include <functional>
 #include <optional>
 
 #include "history/request.hpp"
@@ -129,45 +126,5 @@ concept ReadOnlyClassifier = requires(std::int64_t op, const Request& m) {
 };
 
 static_assert(ReadOnlyClassifier<ReadOnlyOps<1>>);
-
-// Legacy binary composition: run A; on abort, run B initialized with
-// A's switch value. The consensus number of the composition is the
-// maximum over the components — the quantity the paper's "negligible
-// cost" results are about.
-//
-// Superseded by the variadic Pipeline<Ms...> of core/pipeline.hpp
-// (arbitrary depth, per-stage stats, owning mode); kept as the minimal
-// reference combinator the pipeline is tested against. Modules are
-// held by reference_wrapper — a Composed must not outlive its modules,
-// but it can never silently decay to a raw pointer of a temporary.
-template <class A, class B>
-class [[deprecated(
-    "use make_pipeline(a, b) for composition and scm::apply() as the "
-    "uniform entry — Composed is the raw invoke-only legacy "
-    "combinator")]] Composed {
- public:
-  static constexpr int kConsensusNumber =
-      std::max(A::kConsensusNumber, B::kConsensusNumber);
-
-  Composed(A& a, B& b) noexcept : a_(a), b_(b) {}
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& ctx, const Request& r,
-                      std::optional<SwitchValue> init = std::nullopt) {
-    const ModuleResult first = a_.get().invoke(ctx, r, init);
-    if (first.committed()) return first;
-    return b_.get().invoke(ctx, r, first.switch_value);
-  }
-
-  [[nodiscard]] A& first() noexcept { return a_; }
-  [[nodiscard]] B& second() noexcept { return b_; }
-
- private:
-  std::reference_wrapper<A> a_;
-  std::reference_wrapper<B> b_;
-};
-
-// The deprecated compose(a, b) helper now lives in core/pipeline.hpp
-// and forwards to make_pipeline.
 
 }  // namespace scm

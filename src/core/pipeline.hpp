@@ -2,9 +2,8 @@
 // depth; Theorem 2 — safely composable modules compose to a safely
 // composable module).
 //
-// Pipeline<Ms...> is the statically-typed chain combinator that
-// supersedes the binary Composed<A, B>: it holds any number of
-// ComposableModules and folds the abort→init switch-value plumbing at
+// Pipeline<Ms...> is the statically-typed chain combinator: it holds
+// any number of ComposableModules and folds the abort→init switch-value plumbing at
 // compile time. Invoking the pipeline runs stage 0; if a stage aborts,
 // its switch value initializes the next stage, exactly as in the
 // paper's composition operator, and the recursion is unrolled with
@@ -15,8 +14,8 @@
 //
 // Each type parameter selects a storage mode:
 //   * `M&` — the pipeline *references* a module owned elsewhere
-//     (stored as std::reference_wrapper, never a raw pointer — this
-//     fixes Composed's pointer-to-possibly-dead-module hazard);
+//     (stored as std::reference_wrapper, never a raw pointer, so it
+//     cannot silently dangle into a temporary);
 //   * `M`  — the pipeline *owns* the module by value (moved in, or
 //     default-constructed for all-owned pipelines).
 // make_pipeline(a, b, c) deduces the mode per argument: lvalues are
@@ -343,15 +342,6 @@ template <class... Ms>
 template <class... Ms>
 [[nodiscard]] auto make_fast_pipeline(Ms&&... modules) {
   return FastPipeline<Ms...>(std::forward<Ms>(modules)...);
-}
-
-// Legacy binary composition helper, superseded by make_pipeline (which
-// handles any depth, fixes the dangling-module hazard and adds stats).
-template <class A, class B>
-[[deprecated("use make_pipeline(a, b) — variadic, lifetime-safe, with "
-             "per-stage stats")]] [[nodiscard]] auto
-compose(A& a, B& b) {
-  return make_pipeline(a, b);
 }
 
 }  // namespace scm

@@ -43,14 +43,15 @@ inline constexpr std::uint32_t kSlotProtocolVersion = 1;
 // ---- seeded protocol mutation (kill-the-mutant gate) ---------------
 //
 // Compiling with -DSCM_MUTATE_SLOT_PROTOCOL plants ONE deliberate
-// protocol bug: the ownership stamp is dropped on claim, so a record
-// claimed by a process that then dies carries owner 0 and the reclaim
-// sweep — which must skip unowned records — can never free it. This
-// exists to prove the verification layer has teeth: the
-// slot_mutation_catch CTest entry compiles the explorer suite with the
-// flag and EXPECTS it to fail (WILL_FAIL). Never define the flag in a
-// shipping build; the constant below keeps the mutation a plain `if`
-// in protocol code instead of scattered #ifdefs.
+// protocol bug in the shipping ShmCombining::claim: the ownership
+// stamp is dropped from the claim CAS, so a record claimed by a
+// process that then dies carries owner 0 and the reclaim sweep — which
+// must skip unowned records — can never free it. This exists to prove
+// the verification layer has teeth: the slot_mutation_catch CTest
+// entry compiles ShmCombining's explorer suite with the flag and
+// EXPECTS its claim kill-point test to fail (WILL_FAIL). Never define
+// the flag in a shipping build; the constant below keeps the mutation
+// a plain `if` in protocol code instead of scattered #ifdefs.
 #if defined(SCM_MUTATE_SLOT_PROTOCOL)
 inline constexpr bool kMutateDropOwnerStamp = true;
 #else

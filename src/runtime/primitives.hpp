@@ -2,6 +2,13 @@
 // fetch-and-add, each tagged with its consensus number so composed
 // algorithms can statically assert the paper's "consensus number at
 // most two" claims.
+//
+// The context-taking accessors are noexcept exactly when the context's
+// step hook is: under the simulator, ctx.on_*() throws sim::Crashed when
+// the scheduler kills the process at that step, and the crash must
+// unwind to the simulator's thread wrapper (through noexcept it would
+// std::terminate the whole binary). NativeContext's hooks are noexcept,
+// so native instantiations keep it. peek()/reset() take no step.
 #pragma once
 
 #include <atomic>
@@ -25,13 +32,13 @@ class alignas(kCacheLineSize) NativeTas {
   NativeTas& operator=(const NativeTas&) = delete;
 
   template <class Ctx>
-  [[nodiscard]] int test_and_set(Ctx& ctx) noexcept {
+  [[nodiscard]] int test_and_set(Ctx& ctx) noexcept(noexcept(ctx.on_rmw())) {
     ctx.on_rmw();
     return cell_.exchange(1, std::memory_order_seq_cst);
   }
 
   template <class Ctx>
-  [[nodiscard]] int read(Ctx& ctx) const noexcept {
+  [[nodiscard]] int read(Ctx& ctx) const noexcept(noexcept(ctx.on_read())) {
     ctx.on_read();
     return cell_.load(std::memory_order_seq_cst);
   }
@@ -64,7 +71,8 @@ class alignas(kCacheLineSize) NativeCas {
   // Single-shot CAS: one RMW step. On failure `expected` is updated to
   // the current value, matching std::atomic::compare_exchange_strong.
   template <class Ctx>
-  [[nodiscard]] bool compare_and_swap(Ctx& ctx, T& expected, T desired) noexcept {
+  [[nodiscard]] bool compare_and_swap(Ctx& ctx, T& expected, T desired)
+      noexcept(noexcept(ctx.on_rmw())) {
     ctx.on_rmw();
     return cell_.compare_exchange_strong(expected, desired,
                                          std::memory_order_seq_cst,
@@ -72,13 +80,13 @@ class alignas(kCacheLineSize) NativeCas {
   }
 
   template <class Ctx>
-  [[nodiscard]] T read(Ctx& ctx) const noexcept {
+  [[nodiscard]] T read(Ctx& ctx) const noexcept(noexcept(ctx.on_read())) {
     ctx.on_read();
     return cell_.load(std::memory_order_seq_cst);
   }
 
   template <class Ctx>
-  void write(Ctx& ctx, T value) noexcept {
+  void write(Ctx& ctx, T value) noexcept(noexcept(ctx.on_write())) {
     ctx.on_write();
     cell_.store(value, std::memory_order_seq_cst);
   }
@@ -105,13 +113,15 @@ class alignas(kCacheLineSize) NativeCounter {
   NativeCounter& operator=(const NativeCounter&) = delete;
 
   template <class Ctx>
-  [[nodiscard]] std::uint64_t fetch_add(Ctx& ctx, std::uint64_t d = 1) noexcept {
+  [[nodiscard]] std::uint64_t fetch_add(Ctx& ctx, std::uint64_t d = 1)
+      noexcept(noexcept(ctx.on_rmw())) {
     ctx.on_rmw();
     return cell_.fetch_add(d, std::memory_order_seq_cst);
   }
 
   template <class Ctx>
-  [[nodiscard]] std::uint64_t read(Ctx& ctx) const noexcept {
+  [[nodiscard]] std::uint64_t read(Ctx& ctx) const
+      noexcept(noexcept(ctx.on_read())) {
     ctx.on_read();
     return cell_.load(std::memory_order_seq_cst);
   }

@@ -33,14 +33,16 @@ class alignas(kCacheLineSize) NativeRegister {
   NativeRegister(const NativeRegister&) = delete;
   NativeRegister& operator=(const NativeRegister&) = delete;
 
+  // noexcept only for contexts whose hooks are: a simulated ctx.on_*()
+  // throws sim::Crashed (see runtime/primitives.hpp).
   template <class Ctx>
-  [[nodiscard]] T read(Ctx& ctx) const noexcept {
+  [[nodiscard]] T read(Ctx& ctx) const noexcept(noexcept(ctx.on_read())) {
     ctx.on_read();
     return cell_.load(std::memory_order_seq_cst);
   }
 
   template <class Ctx>
-  void write(Ctx& ctx, T value) noexcept {
+  void write(Ctx& ctx, T value) noexcept(noexcept(ctx.on_write())) {
     ctx.on_write();
     cell_.store(value, std::memory_order_seq_cst);
   }

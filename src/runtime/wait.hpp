@@ -22,7 +22,7 @@
 //     overload routes sim contexts to the SAME await call and never
 //     touches the point — the simulator's park already is rung 3, and
 //     the interleaving tree must not depend on native wait plumbing
-//     (slot_protocol_explore_test pins the schedule counts).
+//     (the slot-protocol explore tests pin the schedule counts).
 //
 // Contract for callers: the predicate must be a pure condition over
 // shared state (no side effects, no steps — it may be evaluated by the

@@ -48,9 +48,17 @@
 // per kill. A combiner dying mid-batch would instead leave the wrapped
 // object's state ahead of any count — unrecoverable without undo logs.
 //
-// Like the in-process wrapper, publishers BLOCK on the combiner's
-// progress: native-platform only (NativeContext), never the
-// deterministic simulator.
+// Platform note: publishers BLOCK on the combiner's progress, and every
+// blocking point goes through wait_until (runtime/wait.hpp), so this
+// exact class also runs under the deterministic simulator. There the
+// owner stamp is ctx.id() + 1 instead of the OS pid (simulated
+// processes share one pid), the futex wait becomes a SimContext park,
+// and the counted accesses — claim CAS, publish write, result read,
+// gate CAS, the combiner's slot reads/writebacks, and reclaim_dead's
+// gate CAS and slot frees — are the explorer's scheduling points.
+// slot_protocol_explore_test enumerates every interleaving of 2-3
+// processes through it and kills a victim at each of its own steps, so
+// the crash wreckage it checks is exactly what this code leaves behind.
 #pragma once
 
 #include "shm/shm_arena.hpp"  // platform gate: defines SCM_HAS_POSIX_SHM
@@ -159,7 +167,7 @@ class ShmCombining {
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt,
                       bool may_combine = true) {
-    const std::uint32_t self = self_pid();
+    const std::uint32_t self = owner_of(ctx);
     // Fast path: gate free — run directly (a batch of one), serve
     // whatever published meanwhile, release.
     if (may_combine && try_gate(ctx, self)) {
@@ -216,7 +224,7 @@ class ShmCombining {
   template <class Ctx>
     requires Composable<Obj, Ctx>
   bool try_serve(Ctx& ctx) {
-    if (!try_gate(ctx, self_pid())) return false;
+    if (!try_gate(ctx, owner_of(ctx))) return false;
     combine(ctx);
     release_gate();
     return true;
@@ -252,6 +260,10 @@ class ShmCombining {
   [[nodiscard]] std::size_t occupied() const noexcept {
     return kSlots - count_in_state(SlotState::kFree);
   }
+  // Owner id holding the combiner gate, 0 when free.
+  [[nodiscard]] std::uint32_t gate_holder() const noexcept {
+    return gate_.load(std::memory_order_acquire);
+  }
 
   // Sweeps the wreckage of dead processes: frees kClaimed and kDone
   // slots whose owner fails the liveness probe, and steals the gate
@@ -261,28 +273,25 @@ class ShmCombining {
   // to reclaim safely and the sweep is skipped (returns 0 — call
   // again later, the server loop does). Returns slots freed.
   //
-  // `alive(pid) -> bool` is injectable so tests can declare a live
-  // helper process "dead" deterministically.
-  template <class Alive>
-  std::size_t reclaim_dead(Alive&& alive) {
-    const std::uint32_t self = self_pid();
+  // `alive(owner) -> bool` is injectable so tests can declare a live
+  // helper process "dead" deterministically (and so the simulator,
+  // whose owners are ctx.id() + 1, can say which ones died). The gate
+  // CAS and each slot free are counted RMW steps, so under the
+  // simulator the sweep interleaves with live publishers step by step.
+  template <class Ctx, class Alive>
+  std::size_t reclaim_dead(Ctx& ctx, Alive&& alive) {
+    const std::uint32_t self = owner_of(ctx);
     std::uint32_t holder = gate_.load(std::memory_order_acquire);
-    if (holder == 0) {
-      if (!gate_.compare_exchange_strong(holder, self,
-                                         std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-        return 0;
-      }
-    } else {
-      if (alive(holder)) return 0;
-      // Steal from the dead: the CAS fails if anyone else (another
-      // reclaimer) already did.
-      if (!gate_.compare_exchange_strong(holder, self,
-                                         std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-        return 0;
-      }
+    // Take the gate if it is free, or steal it from a dead holder; the
+    // CAS fails if anyone else (a combiner, another reclaimer) got there
+    // first.
+    if (holder != 0 && alive(holder)) return 0;
+    if (!gate_.compare_exchange_strong(holder, self,
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+      return 0;
     }
+    ctx.on_rmw();
 
     std::size_t reclaimed = 0;
     for (Slot& s : slots_) {
@@ -303,6 +312,7 @@ class ShmCombining {
       if (s.word.compare_exchange_strong(w, pack_slot(SlotState::kFree, 0),
                                          std::memory_order_acq_rel,
                                          std::memory_order_relaxed)) {
+        ctx.on_rmw();
         ++reclaimed;
       }
     }
@@ -315,8 +325,14 @@ class ShmCombining {
     return reclaimed;
   }
 
-  std::size_t reclaim_dead() {
-    return reclaim_dead([](std::uint32_t pid) { return shm_process_alive(pid); });
+  // Native sweep: owners are OS pids, probed with kill(pid, 0).
+  template <class Ctx>
+  std::size_t reclaim_dead(Ctx& ctx) {
+    static_assert(!detail::context_can_await_v<Ctx>,
+                  "simulated owners are ctx.id() + 1, not pids: pass an "
+                  "alive() probe");
+    return reclaim_dead(
+        ctx, [](std::uint32_t pid) { return shm_process_alive(pid); });
   }
 
   [[nodiscard]] Obj& object() noexcept { return obj_; }
@@ -345,8 +361,18 @@ class ShmCombining {
   }
 
  private:
-  static std::uint32_t self_pid() noexcept {
-    return static_cast<std::uint32_t>(::getpid());
+  // The caller's slot-owner / gate-holder id: its OS pid natively —
+  // what reclaim_dead's kill(pid, 0) probe understands — and
+  // ctx.id() + 1 under an awaitable (simulated) context, whose
+  // processes share one OS pid. Nonzero either way: 0 means unowned.
+  template <class Ctx>
+  static std::uint32_t owner_of(const Ctx& ctx) noexcept {
+    if constexpr (detail::context_can_await_v<Ctx>) {
+      return static_cast<std::uint32_t>(ctx.id()) + 1;
+    } else {
+      (void)ctx;
+      return static_cast<std::uint32_t>(::getpid());
+    }
   }
 
   // Gate = combiner election word holding the OWNER'S PID (0 = free),
@@ -376,9 +402,12 @@ class ShmCombining {
   // Claims a free record, rotating from a pid-derived hint; blocks
   // (paced) while the array is exhausted — slot holders are publishers
   // mid-round-trip, and each round trip completes in bounded time once
-  // a combiner runs.
+  // a combiner runs. The ownership stamp rides in the claim CAS itself:
+  // the indivisibility the reclaim sweep depends on, and exactly what
+  // the seeded mutation (kMutateDropOwnerStamp) severs.
   template <class Ctx>
   std::size_t claim(Ctx& ctx, std::uint32_t self) {
+    const std::uint32_t stamp = kMutateDropOwnerStamp ? 0 : self;
     const std::size_t hint = static_cast<std::size_t>(self) % kSlots;
     for (;;) {
       for (std::size_t k = 0; k < kSlots; ++k) {
@@ -388,7 +417,7 @@ class ShmCombining {
         std::uint64_t expected = pack_slot(SlotState::kFree, 0);
         if (slot.word.load(std::memory_order_relaxed) == expected &&
             slot.word.compare_exchange_strong(
-                expected, pack_slot(SlotState::kClaimed, self),
+                expected, pack_slot(SlotState::kClaimed, stamp),
                 std::memory_order_acquire, std::memory_order_relaxed)) {
           ctx.on_rmw();
           return idx;

@@ -27,16 +27,20 @@ struct ExploreStats {
 //            state) for one execution; returns ownership.
 // check:     invoked after each complete run with the finished simulator;
 //            should assert/record whatever property is under test.
+// crash:     kill points (see CrashPredicate): every explored
+//            interleaving crashes whoever the predicate names, where it
+//            names them, so crash recovery is checked over the whole
+//            tree of the code as shipped.
 // max_runs:  safety valve on the number of explored interleavings.
 inline ExploreStats explore_all_schedules(
     const std::function<std::unique_ptr<Simulator>()>& make_sim,
     const std::function<void(Simulator&)>& check,
-    std::uint64_t max_runs = 250'000) {
+    const CrashPredicate& crash, std::uint64_t max_runs = 250'000) {
   ExploreStats stats;
   std::vector<std::size_t> prefix;  // canonical choice sequence
   for (;;) {
     auto sim = make_sim();
-    ReplaySchedule schedule(prefix);
+    ReplaySchedule schedule(prefix, crash);
     sim->run(schedule);
     ++stats.runs;
     check(*sim);
@@ -65,6 +69,14 @@ inline ExploreStats explore_all_schedules(
       return stats;
     }
   }
+}
+
+// Crash-free exploration: every process runs to completion.
+inline ExploreStats explore_all_schedules(
+    const std::function<std::unique_ptr<Simulator>()>& make_sim,
+    const std::function<void(Simulator&)>& check,
+    std::uint64_t max_runs = 250'000) {
+  return explore_all_schedules(make_sim, check, CrashPredicate{}, max_runs);
 }
 
 }  // namespace scm::sim

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -119,14 +120,26 @@ class StickyRandomSchedule final : public Schedule {
   ProcessId last_ = -1;
 };
 
+// Kill-point predicate: asked whenever `pid` is about to be granted
+// (or sits blocked in await()); true crashes it right there. It sees
+// the Simulator mid-run, so a test can name a kill point by the
+// victim's own counted steps (sim.counters(pid).total() == k) or by
+// shared state. It must be a pure function of what it reads: the
+// explorer replays runs and relies on the same decision each time.
+using CrashPredicate =
+    std::function<bool(ProcessId pid, const Simulator& sim)>;
+
 // Replays an explicit sequence of choices, expressed as *indices into
 // the runnable set* (canonical form used by the exhaustive explorer).
 // Past the end of the prefix it falls back to the first runnable
-// process. Records the runnable-set size at every choice point.
+// process. Records the runnable-set size at every choice point. An
+// optional CrashPredicate turns chosen grants into crashes; crashes are
+// not choice points, so they leave the branching record unchanged.
 class ReplaySchedule final : public Schedule {
  public:
-  explicit ReplaySchedule(std::vector<std::size_t> prefix)
-      : prefix_(std::move(prefix)) {}
+  explicit ReplaySchedule(std::vector<std::size_t> prefix,
+                          CrashPredicate crash = nullptr)
+      : prefix_(std::move(prefix)), crash_(std::move(crash)) {}
 
   ProcessId next(const View& view) override {
     std::size_t index = 0;
@@ -139,6 +152,13 @@ class ReplaySchedule final : public Schedule {
     return view.runnable[index];
   }
 
+  bool should_crash(ProcessId pid, const View& view) override {
+    return crash_ && crash_(pid, *view.sim);
+  }
+  bool should_crash_blocked(ProcessId pid, const View& view) override {
+    return should_crash(pid, view);
+  }
+
   // Runnable-set sizes seen at each choice point of the last run.
   [[nodiscard]] const std::vector<std::size_t>& branching() const noexcept {
     return branching_;
@@ -148,6 +168,7 @@ class ReplaySchedule final : public Schedule {
   std::vector<std::size_t> prefix_;
   std::vector<std::size_t> branching_;
   std::size_t position_ = 0;
+  CrashPredicate crash_;
 };
 
 // Wraps another schedule and crashes chosen processes at chosen step

@@ -173,6 +173,7 @@ std::uint64_t Simulator::run(Schedule& schedule) {
   }
 
   std::vector<ProcessId> runnable;
+  std::vector<ProcessId> blocked;
   std::unique_lock lk(mu_);
   for (;;) {
     await_quiescent(lk);
@@ -181,24 +182,42 @@ std::uint64_t Simulator::run(Schedule& schedule) {
     // predicate. Predicates run on the controller thread with every
     // process quiescent, so they may peek shared state freely.
     runnable.clear();
-    bool any_blocked = false;
+    blocked.clear();
     for (std::size_t pid = 0; pid < procs_.size(); ++pid) {
       Proc& p = *procs_[pid];
       if (p.state == State::kParked) {
         runnable.push_back(static_cast<ProcessId>(pid));
       } else if (p.state == State::kWaiting) {
-        if (p.wait_pred()) {
-          runnable.push_back(static_cast<ProcessId>(pid));
-        } else {
-          any_blocked = true;
-        }
+        (p.wait_pred() ? runnable : blocked)
+            .push_back(static_cast<ProcessId>(pid));
       }
     }
+
+    // A process blocked on a false predicate is never picked, but it can
+    // still die where it waits: should_crash_blocked is asked about it on
+    // every round, and a crash grant unwinds it out of await(). Without
+    // this, "died waiting, never served" would be unreachable — a waiter
+    // only runs again once whatever it waits for has happened.
+    bool crashed_blocked = false;
+    const Schedule::View view{std::span<const ProcessId>(runnable), steps_,
+                              this};
+    for (ProcessId pid : blocked) {
+      if (schedule.should_crash_blocked(pid, view)) {
+        procs_[pid]->crash_pending = true;
+        procs_[pid]->state = State::kGranted;
+        crashed_blocked = true;
+      }
+    }
+    if (crashed_blocked) {
+      cv_.notify_all();
+      continue;
+    }
+
     if (runnable.empty()) {
       // Every live process waiting on a false predicate is a simulated
       // deadlock (lost wakeup / wedged combiner). Loud failure: this is
       // exactly the class of protocol bug the explorer exists to catch.
-      SCM_CHECK_MSG(!any_blocked,
+      SCM_CHECK_MSG(blocked.empty(),
                     "simulated deadlock: every live process is parked in "
                     "await() on a false predicate");
       break;  // everyone done or crashed
@@ -221,7 +240,6 @@ std::uint64_t Simulator::run(Schedule& schedule) {
       continue;
     }
 
-    Schedule::View view{std::span<const ProcessId>(runnable), steps_, this};
     const ProcessId pick = schedule.next(view);
     SCM_CHECK_MSG(pick >= 0 && static_cast<std::size_t>(pick) < procs_.size() &&
                       (procs_[pick]->state == State::kParked ||

@@ -87,8 +87,11 @@ class SimContext {
   // between the controller's check and the wake. This is the sim-side
   // replacement for a native spin loop: the explored tree stays FINITE
   // because a waiting process contributes no interleavings while its
-  // condition is false. If every live process is waiting on a false
-  // predicate the run aborts loudly — a simulated lost-wakeup deadlock.
+  // condition is false. The schedule's should_crash_blocked() is asked
+  // about a blocked waiter on every round, so a process can die parked
+  // here (Crashed unwinds out of await). If every live process is
+  // waiting on a false predicate and none is crashed, the run aborts
+  // loudly — a simulated lost-wakeup deadlock.
   void await(std::function<bool()> pred);
 
   // Operation markers. Not shared-memory steps; they stamp the global
@@ -127,7 +130,11 @@ struct StepRecord {
 
 // Scheduling policy. `next` picks the process to take the next step
 // among the currently parked (runnable) ones; `should_crash` may kill
-// the picked process at that point instead.
+// the picked process at that point instead. `should_crash_blocked` is
+// asked, each round, about every process blocked in await() on a false
+// predicate (a pid absent from view.runnable): true kills it there.
+// Only schedules that opt in override it, so seeded crash schedules
+// never see a blocked process.
 class Schedule {
  public:
   virtual ~Schedule() = default;
@@ -140,6 +147,10 @@ class Schedule {
 
   virtual ProcessId next(const View& view) = 0;
   virtual bool should_crash(ProcessId /*pid*/, const View& /*view*/) {
+    return false;
+  }
+  virtual bool should_crash_blocked(ProcessId /*pid*/,
+                                    const View& /*view*/) {
     return false;
   }
 };

@@ -1,0 +1,40 @@
+// Exhaustive model checking of the in-process flat-combining wrapper,
+// Combining<TicketModule, 2> (core/combining.hpp), exactly as shipped:
+// every interleaving of 2 and 3 processes through its publication-slot
+// protocol (core/slot_protocol.hpp), each run checked for a
+// linearizable fetch&inc history, zero slot residue, and a released
+// combiner lock. Three processes through two slots exhaust the array,
+// so the claim_or_run inline fallback is explored too.
+//
+// Its cross-process sibling, ShmCombining, is explored the same way in
+// slot_protocol_explore_test. The two executors stay separate classes
+// on purpose — this one's slots carry process-local callback pointers
+// and ticket plumbing, ShmCombining's carry pid stamps for
+// reclaim_dead — and both run under the explorer as shipped. The
+// trees live in separate binaries so ctest -j runs them in parallel.
+#include <gtest/gtest.h>
+
+#include "core/combining.hpp"
+#include "slot_explore.hpp"
+
+namespace scm {
+namespace {
+
+using InProcess = Combining<slot_explore::TicketModule, 2>;
+
+bool lock_free(const InProcess& c) { return !c.gate_held(); }
+
+TEST(CombiningExplore, TwoProcsTwoSlotsLinearizableNoResidue) {
+  const auto stats = slot_explore::explore_fetch_inc<InProcess>(2, lock_free);
+  EXPECT_TRUE(stats.exhausted);
+  EXPECT_EQ(stats.runs, 20u);
+}
+
+TEST(CombiningExplore, ThreeProcsTwoSlotsLinearizableNoResidue) {
+  const auto stats = slot_explore::explore_fetch_inc<InProcess>(3, lock_free);
+  EXPECT_TRUE(stats.exhausted);
+  EXPECT_EQ(stats.runs, 119'652u);
+}
+
+}  // namespace
+}  // namespace scm

@@ -8,11 +8,14 @@
 //  * truncation by max_runs reports exhausted = false and exactly
 //    max_runs runs, so a gating test can always distinguish "proved
 //    over the full tree" from "gave up early";
+//  * the crash predicate (kill points) adds no branching of its own —
+//    one that never fires leaves the tree exactly as it was;
 //  * the await() conditional-wait primitive underneath it: parked
 //    processes stay out of the runnable set while their predicate is
 //    false (no spurious branching), wakes are scheduling events but
-//    not shared-memory steps, and an unsatisfiable predicate aborts as
-//    a simulated deadlock instead of hanging the exploration.
+//    not shared-memory steps, an unsatisfiable predicate aborts as a
+//    simulated deadlock instead of hanging the exploration, and a
+//    process blocked on such a predicate can still be crashed there.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,6 +80,34 @@ TEST(Explorer, PinsLeafCountOnAsymmetricTree) {
       [](Simulator&) {});
   EXPECT_TRUE(stats.exhausted);
   EXPECT_EQ(stats.runs, 126u);
+}
+
+// Kill points are consulted at every grant, but a predicate that never
+// fires must not perturb the enumeration: same 70 leaves as above.
+TEST(Explorer, NeverFiringCrashPredicateLeavesTreeUnchanged) {
+  std::uint64_t consulted = 0;
+  auto stats = explore_all_schedules(
+      [] {
+        auto sim = std::make_unique<Simulator>();
+        auto reg = std::make_shared<SimRegister<int>>(0);
+        for (int p = 0; p < 2; ++p) {
+          sim->add_process([reg](SimContext& ctx) {
+            for (int i = 0; i < 3; ++i) reg->write(ctx, i);
+          });
+        }
+        return sim;
+      },
+      [](Simulator& sim) {
+        EXPECT_FALSE(sim.crashed(0));
+        EXPECT_FALSE(sim.crashed(1));
+      },
+      [&](ProcessId, const Simulator&) {
+        ++consulted;
+        return false;
+      });
+  EXPECT_TRUE(stats.exhausted);
+  EXPECT_EQ(stats.runs, 70u);
+  EXPECT_EQ(consulted, stats.runs * 8);  // every one of the 8 grants
 }
 
 // Truncation must be loud: exactly max_runs runs, exhausted = false.
@@ -175,6 +206,40 @@ TEST(AwaitDeathTest, UnsatisfiablePredicateAbortsAsDeadlock) {
         sim.run(sched);
       },
       "simulated deadlock");
+}
+
+// A process parked on a predicate that never turns true is never
+// picked, yet a crash predicate can still kill it where it waits: it
+// unwinds out of await() (its open op reads incomplete), and because it
+// is gone rather than blocked, the deadlock check does not trip.
+TEST(Await, BlockedWaiterCanBeCrashedWhereItWaits) {
+  auto stats = explore_all_schedules(
+      [] {
+        auto sim = std::make_unique<Simulator>();
+        auto reg = std::make_shared<SimRegister<int>>(0);
+        sim->add_process([reg](SimContext& ctx) {
+          ctx.begin_op();
+          reg->write(ctx, 1);
+          ctx.await([reg] { return reg->peek() == 42; });  // never written
+          ctx.end_op();
+        });
+        sim->add_process([reg](SimContext& ctx) {
+          for (int i = 2; i <= 4; ++i) reg->write(ctx, i);
+        });
+        return sim;
+      },
+      [](Simulator& sim) {
+        EXPECT_TRUE(sim.crashed(0));
+        EXPECT_FALSE(sim.crashed(1));
+        ASSERT_EQ(sim.ops().size(), 1u);
+        EXPECT_FALSE(sim.ops()[0].complete);
+        EXPECT_EQ(sim.steps_taken(), 4u);  // no wake: it never resumed
+      },
+      // Kill pid 0 once its write is in — it is then parked in await().
+      [](ProcessId pid, const Simulator& sim) {
+        return pid == 0 && sim.counters(0).writes == 1;
+      });
+  EXPECT_TRUE(stats.exhausted);
 }
 
 }  // namespace

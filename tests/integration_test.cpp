@@ -111,7 +111,7 @@ TEST(BiasedLock, StepsPerUncontendedAcquireConstant) {
 // ---------------------------------------------------------------------------
 // Composition combinator chains
 
-TEST(Composed, A1WithItselfThenHardwareIsCorrect) {
+TEST(PipelineChain, A1WithItselfThenHardwareIsCorrect) {
   // Section 6.3: "module A1 can also be composed with itself". Build
   // A1 ∘ A1 ∘ A2 via the variadic pipeline and check TAS safety
   // across schedules.
@@ -157,7 +157,7 @@ TEST(Composed, A1WithItselfThenHardwareIsCorrect) {
   }
 }
 
-TEST(Composed, SoloPathNeverReachesSecondModule) {
+TEST(PipelineChain, SoloPathNeverReachesSecondModule) {
   Simulator s;
   ObstructionFreeTas<SimPlatform> a1;
   WaitFreeTas<SimPlatform> a2;

@@ -406,7 +406,7 @@ TEST(ParkingShm, SigkillWhileParkedStillReclaims) {
 
   // The corpse's kDone record is swept; the dead waiter's flag bit in
   // the futex word costs at most one spurious syscall, never a hang.
-  EXPECT_EQ(comb.reclaim_dead(), 1u);
+  EXPECT_EQ(comb.reclaim_dead(ctx), 1u);
   EXPECT_EQ(comb.occupied(), 0u);
   EXPECT_GT(comb.park_stats().parks, 0u);
 

@@ -3,7 +3,8 @@
 // Abstract chain.
 //
 //  * depth-1/2/4 pipelines produce bit-identical commit/abort results
-//    to the legacy nested Composed combinator across random schedules;
+//    to a hand-nested two-stage reference combinator across random
+//    schedules;
 //  * the consensus-number fold and the ComposableModule concept hold
 //    statically (and the pipeline type is non-polymorphic — there is
 //    no virtual dispatch to pay for);
@@ -14,6 +15,7 @@
 //  * StaticAbstractChain matches the type-erased UniversalChain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -98,7 +100,27 @@ TEST(Pipeline, ConsensusNumberFoldAndConceptConformance) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence with the legacy nested Composed combinator
+// Equivalence with a hand-nested two-stage reference
+
+// The paper's binary composition operator spelled out by hand: run A;
+// on abort, run B initialized with A's switch value. Nesting it gives
+// any depth — the reference the folded pipeline must match bit for bit.
+template <class A, class B>
+struct TwoStage {
+  static constexpr int kConsensusNumber =
+      std::max(A::kConsensusNumber, B::kConsensusNumber);
+
+  A& first;
+  B& second;
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& ctx, const Request& r,
+                      std::optional<SwitchValue> init = std::nullopt) {
+    const ModuleResult a = first.invoke(ctx, r, init);
+    if (a.committed()) return a;
+    return second.invoke(ctx, r, a.switch_value);
+  }
+};
 
 struct RunOutcome {
   std::vector<ModuleResult> results;
@@ -151,18 +173,12 @@ TEST(Pipeline, Depth1MatchesBareModule) {
   }
 }
 
-// Composed is deprecated in favour of make_pipeline + scm::apply, but
-// it is precisely the reference combinator these equivalence tests
-// exist to compare against — suppress the deprecation locally.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(Pipeline, Depth2MatchesNestedComposed) {
+TEST(Pipeline, Depth2MatchesNestedTwoStage) {
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
     A1 ca1;
     A2 ca2;
-    Composed<A1, A2> composed(ca1, ca2);
-    RunOutcome expect = run_tas_chain(composed, 3, seed);
+    TwoStage<A1, A2> reference{ca1, ca2};
+    RunOutcome expect = run_tas_chain(reference, 3, seed);
 
     A1 pa1;
     A2 pa2;
@@ -172,27 +188,25 @@ TEST(Pipeline, Depth2MatchesNestedComposed) {
   }
 }
 
-TEST(Pipeline, Depth4MatchesNestedComposed) {
+TEST(Pipeline, Depth4MatchesNestedTwoStage) {
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
     A1 ca, cb, cc;
     A2 cd;
-    Composed<A1, A2> inner(cc, cd);
-    Composed<A1, decltype(inner)> mid(cb, inner);
-    Composed<A1, decltype(mid)> composed(ca, mid);
-    RunOutcome expect = run_tas_chain(composed, 4, seed);
+    TwoStage<A1, A2> inner{cc, cd};
+    TwoStage<A1, decltype(inner)> mid{cb, inner};
+    TwoStage<A1, decltype(mid)> reference{ca, mid};
+    RunOutcome expect = run_tas_chain(reference, 4, seed);
 
     A1 pa, pb, pc;
     A2 pd;
     auto pipe = make_pipeline(pa, pb, pc, pd);
     static_assert(decltype(pipe)::kDepth == 4);
     static_assert(decltype(pipe)::kConsensusNumber ==
-                  decltype(composed)::kConsensusNumber);
+                  decltype(reference)::kConsensusNumber);
     RunOutcome got = run_tas_chain(pipe, 4, seed);
     expect_same(expect, got, seed);
   }
 }
-
-#pragma GCC diagnostic pop
 
 // ---------------------------------------------------------------------------
 // Per-stage statistics

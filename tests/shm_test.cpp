@@ -379,7 +379,7 @@ TEST(ShmCombining, SecondProcessAttachesByNameAndCombines) {
   EXPECT_EQ(mine.size(), kOps);
   EXPECT_LT(*mine.rbegin(), static_cast<Response>(2 * kOps));
   EXPECT_EQ(comb.occupied(), 0u);
-  EXPECT_EQ(comb.reclaim_dead(), 0u);  // nothing dead, nothing swept
+  EXPECT_EQ(comb.reclaim_dead(ctx), 0u);  // nothing dead, nothing swept
 }
 
 // ---------------------------------------------------------------------------
@@ -426,13 +426,13 @@ TEST(ShmCombining, SigkilledPublisherIsExecutedThenReclaimed) {
   EXPECT_EQ(WTERMSIG(status), SIGKILL);
 
   // The publication survived its publisher.
+  NativeContext ctx(0);
   EXPECT_EQ(comb.pending(), 1u);
   // kPending is exempt from reclaim: the op must execute, not vanish.
-  EXPECT_EQ(comb.reclaim_dead(), 0u);
+  EXPECT_EQ(comb.reclaim_dead(ctx), 0u);
   EXPECT_EQ(comb.pending(), 1u);
 
   // A combine pass executes the dead publisher's op...
-  NativeContext ctx(0);
   EXPECT_TRUE(comb.try_serve(ctx));
   EXPECT_EQ(comb.object().value(), 1);
   // ...leaving a kDone record no one will ever collect.
@@ -442,9 +442,9 @@ TEST(ShmCombining, SigkilledPublisherIsExecutedThenReclaimed) {
   // The injectable probe gates the sweep: with every pid declared
   // alive nothing is touched; with the real probe the corpse's record
   // is freed.
-  EXPECT_EQ(comb.reclaim_dead([](std::uint32_t) { return true; }), 0u);
+  EXPECT_EQ(comb.reclaim_dead(ctx, [](std::uint32_t) { return true; }), 0u);
   EXPECT_EQ(comb.occupied(), 1u);
-  EXPECT_EQ(comb.reclaim_dead(), 1u);
+  EXPECT_EQ(comb.reclaim_dead(ctx), 1u);
   EXPECT_EQ(comb.occupied(), 0u);
 
   // The object is fully serviceable again after the sweep.

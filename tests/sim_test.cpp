@@ -6,8 +6,10 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "runtime/primitives.hpp"
 #include "sim/explorer.hpp"
 #include "sim/schedules.hpp"
 #include "sim/sim_platform.hpp"
@@ -143,6 +145,33 @@ TEST(Simulator, CrashInjectionStopsProcessMidOperation) {
   EXPECT_FALSE(sim.ops()[0].complete);
   EXPECT_TRUE(sim.ops()[1].complete);
   EXPECT_EQ(reg.peek(), 1);  // exactly one write landed before the crash
+}
+
+// The native primitives are context-generic, so they run under the
+// simulator too — and a crash at their step must unwind through them
+// like through any simulated register (noexcept there would turn the
+// Crashed exception into std::terminate). Natively they stay noexcept.
+static_assert(!noexcept(std::declval<NativeCounter&>().fetch_add(
+    std::declval<SimContext&>())));
+static_assert(noexcept(std::declval<NativeCounter&>().fetch_add(
+    std::declval<NativeContext&>())));
+
+TEST(Simulator, CrashInsideNativeCounterFetchAddUnwinds) {
+  Simulator sim;
+  NativeCounter counter;
+  sim.add_process([&](SimContext& ctx) {
+    ctx.begin_op();
+    (void)counter.fetch_add(ctx);
+    (void)counter.fetch_add(ctx);
+    ctx.end_op();
+  });
+  SequentialSchedule inner;
+  CrashSchedule sched(inner, {{0, 1}});  // crash at the 2nd fetch_add
+  sim.run(sched);
+  EXPECT_TRUE(sim.crashed(0));
+  ASSERT_EQ(sim.ops().size(), 1u);
+  EXPECT_FALSE(sim.ops()[0].complete);
+  EXPECT_EQ(counter.peek(), 1u);  // exactly one add landed before the crash
 }
 
 TEST(Simulator, StepLimitTerminatesRun) {

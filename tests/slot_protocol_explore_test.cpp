@@ -1,286 +1,253 @@
 // Exhaustive model checking of the owner-tagged publication-slot
-// protocol (core/slot_protocol.hpp) via CombiningModel
-// (sim/combining_model.hpp) — the sim twin of ShmCombining.
+// protocol (core/slot_protocol.hpp) on the shipping cross-process
+// executor, ShmCombining<TicketModule, 2> — the same class compose.shm
+// and the ipc-counter benchmark run, instantiated under SimContext.
 //
-// Every test here drives the protocol through sim::explore over ALL
-// interleavings of its processes (stats.exhausted is asserted, so a
-// silently truncated search fails the suite) and checks:
+// Every test drives it through sim::explore over ALL interleavings of
+// its processes (stats.exhausted is asserted, so a silently truncated
+// search fails the suite) and checks:
 //
-//  * linearizability: the served fetch&inc history linearizes against
+//  * linearizability: the fetch&inc history linearizes against
 //    CounterSpec in every interleaving ({2 procs x 2 slots} and
-//    {3 procs x 2 slots}, the latter forcing slot exhaustion);
+//    {3 procs x 2 slots}, the latter forcing slot exhaustion), with the
+//    exact tree sizes pinned;
 //  * residue: after every run the slot array is all-kFree and the
 //    combiner gate is released;
-//  * crash-reclaim, with deaths modeled as protocol prefixes (the
-//    crash surface of CombiningModel) at each stage:
-//      - died WAITING (kPending published): the op still executes
+//  * crash-reclaim, with deaths as KILL POINTS inside the shipping
+//    invoke(): the explorer's crash predicate kills a victim process at
+//    one of its own counted steps (or while it is parked waiting), and
+//    a surviving server's drain + reclaim_dead must leave no residue:
+//      - killed after its claim (kClaimed): the record is swept and
+//        nothing executed — the invariant the seeded mutation
+//        (SCM_MUTATE_SLOT_PROTOCOL drops the ownership stamp in
+//        ShmCombining::claim) breaks; the slot_mutation_catch CTest
+//        entry recompiles this file with the mutation and expects
+//        CrashReclaim.ClaimedRecordOfDeadOwnerIsSwept to fail;
+//      - killed parked and unserved (kPending): the op still executes
 //        exactly once, and the dead-owned kDone record is swept;
-//      - died MID-CLAIM (kClaimed): the record is swept — this is the
-//        invariant the seeded mutation (SCM_MUTATE_SLOT_PROTOCOL,
-//        drops the ownership stamp) breaks, and the slot_mutation_catch
-//        CTest entry recompiles this file with the mutation and
-//        expects CrashReclaim.ClaimedRecordOfDeadOwnerIsSwept to fail;
-//      - died HOLDING THE GATE: a survivor's reclaim steals the gate
-//        and the object serves operations again.
+//      - killed after being served (kDone): the record is swept;
+//      - killed right after winning the combiner gate: a survivor's
+//        reclaim steals the gate and the object serves ops again.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
-#include <iostream>
 #include <memory>
 #include <optional>
-#include <utility>
-#include <vector>
 
-#include "core/module.hpp"
 #include "core/slot_protocol.hpp"
-#include "history/request.hpp"
-#include "history/specs.hpp"
-#include "lincheck/lincheck.hpp"
-#include "runtime/primitives.hpp"
 #include "runtime/wait.hpp"
-#include "sim/combining_model.hpp"
+#include "shm/shm_combining.hpp"
 #include "sim/explorer.hpp"
 #include "sim/simulator.hpp"
+#include "slot_explore.hpp"
+
+#if SCM_HAS_POSIX_SHM
 
 namespace scm {
 namespace {
 
-using sim::CombiningModel;
 using sim::explore_all_schedules;
 using sim::SimContext;
 using sim::Simulator;
+using slot_explore::inc_req;
+using slot_explore::TicketModule;
 
-// Fetch&inc semantics (CounterSpec): commits a unique monotone ticket.
-// NativeCounter is context-generic, so the same module runs under the
-// simulator with its RMW counted as a step.
-struct TicketModule {
-  static constexpr int kConsensusNumber = kConsensusNumberFetchAdd;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& ctx, const Request& /*m*/,
-                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
-    return ModuleResult::commit(static_cast<Response>(count_.fetch_add(ctx)));
-  }
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_.peek(); }
-
- private:
-  NativeCounter count_;
-};
-
-Request inc_req(std::uint64_t id, ProcessId p) {
-  return Request{id, p, CounterSpec::kFetchInc, 0};
-}
-
-// Rebuilds the simulator's recorded ops as ConcurrentOps for the
-// Wing&Gong checker; `tag` carries nothing here (one op per process),
-// `output` carries the ticket.
-std::vector<ConcurrentOp> history_of(const Simulator& sim) {
-  std::vector<ConcurrentOp> ops;
-  for (const auto& rec : sim.ops()) {
-    ConcurrentOp op;
-    op.pid = rec.pid;
-    op.request = inc_req(static_cast<std::uint64_t>(rec.tag), rec.pid);
-    op.response = rec.output;
-    op.invoke = rec.invoke_event;
-    op.ret = rec.response_event;
-    op.completed = rec.complete;
-    ops.push_back(op);
-  }
-  return ops;
-}
+using Shm = ShmCombining<TicketModule, 2>;
 
 // ---------------------------------------------------------------------------
 // Exhaustive linearizability + residue, no crashes
 
-// Shared fixture state for one explored configuration: the model must
-// outlive each run, and the check hook only receives the Simulator, so
-// the factory stashes the current instance here.
-template <std::size_t kSlots>
-struct Fixture {
-  CombiningModel<TicketModule, kSlots> model;
-};
-
-template <std::size_t kSlots>
-void explore_full_protocol(int procs, std::uint64_t min_runs) {
-  std::shared_ptr<Fixture<kSlots>> fx;
-  std::uint64_t runs = 0;
-  auto stats = explore_all_schedules(
-      [&] {
-        fx = std::make_shared<Fixture<kSlots>>();
-        auto sim = std::make_unique<Simulator>();
-        for (int p = 0; p < procs; ++p) {
-          sim->add_process([fx, p](SimContext& ctx) {
-            const auto id = static_cast<std::uint64_t>(p) + 1;
-            ctx.begin_op(static_cast<std::int64_t>(id));
-            const ModuleResult r =
-                fx->model.invoke(ctx, inc_req(id, ctx.id()));
-            ctx.end_op(r.response);
-          });
-        }
-        return sim;
-      },
-      [&](Simulator& sim) {
-        ++runs;
-        // Every op completed and drew a ticket; the history linearizes.
-        ASSERT_EQ(sim.ops().size(), static_cast<std::size_t>(procs));
-        for (const auto& op : sim.ops()) ASSERT_TRUE(op.complete);
-        ASSERT_TRUE(linearizable<CounterSpec>(history_of(sim)))
-            << "non-linearizable interleaving at run " << runs;
-        // Residue: all ops executed, every record recycled, gate free.
-        ASSERT_EQ(fx->model.object().count(),
-                  static_cast<std::uint64_t>(procs));
-        ASSERT_EQ(fx->model.occupied(), 0u);
-        ASSERT_EQ(fx->model.pending(), 0u);
-        ASSERT_EQ(fx->model.gate_holder(), 0u);
-      });
-  // The gate: the FULL tree was enumerated (a truncated search would
-  // be a silent downgrade from "verified" to "sampled"), and it is at
-  // least as large as the count measured when the test was written —
-  // shrinkage means scheduling points disappeared from the protocol.
-  EXPECT_TRUE(stats.exhausted);
-  EXPECT_GE(stats.runs, min_runs);
-  EXPECT_EQ(stats.runs, runs);
-  std::cerr << "[ protocol ] " << procs << " procs x " << kSlots
-            << " slots: " << stats.runs << " interleavings verified\n";
-}
+bool shm_gate_free(const Shm& shm) { return shm.gate_holder() == 0; }
 
 // The trees are smaller than a naive step count suggests: failed gate
 // pre-tests and the publisher's final kFree store are uncounted, so
 // only schedules that differ in a COUNTED access are distinct leaves
 // (the soundness argument lives in core/combining.hpp's platform note).
+// An exact count pins the protocol's scheduling points: a change that
+// adds or removes one moves it.
 TEST(SlotProtocolExplore, TwoProcsTwoSlotsLinearizableNoResidue) {
-  explore_full_protocol<2>(/*procs=*/2, /*min_runs=*/20);
+  const auto stats = slot_explore::explore_fetch_inc<Shm>(2, shm_gate_free);
+  EXPECT_TRUE(stats.exhausted);
+  EXPECT_EQ(stats.runs, 20u);
 }
 
 // Three processes through two slots: some interleavings exhaust the
 // slot array, exercising the claim-wait path and recycle-then-claim.
 TEST(SlotProtocolExplore, ThreeProcsTwoSlotsLinearizableNoResidue) {
-  explore_full_protocol<2>(/*procs=*/3, /*min_runs=*/10'000);
+  const auto stats = slot_explore::explore_fetch_inc<Shm>(3, shm_gate_free);
+  EXPECT_TRUE(stats.exhausted);
+  EXPECT_EQ(stats.runs, 118'886u);
 }
 
 // ---------------------------------------------------------------------------
-// Crash-reclaim invariants
+// Crash-reclaim over kill points in ShmCombining::invoke
 //
-// A "death" is a protocol prefix: the process body performs the prefix
-// and returns, leaving shared state exactly as a SIGKILL there would.
-// The survivor's alive() predicate declares every other owner dead.
+// Process 0 is the victim, process 1 the surviving server. The victim's
+// owner id under a simulated context is ctx.id() + 1.
 
-using CrashModel = CombiningModel<TicketModule, 2>;
+constexpr ProcessId kVictim = 0;
+constexpr std::uint32_t kVictimOwner = 1;
 
-// Owner id of simulated process p under CombiningModel's ctx.id()+1
-// scheme, for alive() predicates evaluated outside any context.
-constexpr std::uint32_t owner_id(int p) {
-  return static_cast<std::uint32_t>(p) + 1;
+struct CrashFixture {
+  Shm shm;
+  // Set as the victim's body is left, by return or by the Crashed
+  // unwind: the survivor's view of waitpid() reporting the exit.
+  std::atomic<bool> victim_gone{false};
+};
+
+struct Departure {
+  std::atomic<bool>& gone;
+  ~Departure() { gone.store(true, std::memory_order_release); }
+};
+
+// Liveness as the survivor sees it: only the victim can die, and the
+// survivor asks only once the victim is gone — so the sweep is honest.
+bool alive(std::uint32_t owner) { return owner != kVictimOwner; }
+
+// The victim: one fetch&inc, bracketed as an op so a crash inside it
+// shows up as an incomplete record.
+void victim_body(CrashFixture& fx, SimContext& ctx, bool may_combine) {
+  const Departure departure{fx.victim_gone};
+  ctx.begin_op(1);
+  const ModuleResult r =
+      fx.shm.invoke(ctx, inc_req(1, ctx.id()), std::nullopt, may_combine);
+  ctx.end_op(r.response);
 }
 
-// Died waiting: the kPending publication is complete, so the op MUST
-// execute exactly once — a reclaim that discarded it would lose an
-// acknowledged-as-published operation; a combiner that ran it twice
-// would double-apply. Afterwards the dead-owned kDone record (the
-// publisher will never collect) must be swept and the array left clean.
-TEST(CrashReclaim, PendingOpOfDeadOwnerExecutesExactlyOnce) {
-  std::shared_ptr<CrashModel> model;
+// Where, in its own execution, the victim dies: at its first grant (or
+// blocked wait) after `steps` counted shared-memory accesses. For a
+// parked victim `served` further splits "its record is still kPending"
+// from "already kDone".
+enum class Served { kAny, kNo, kYes };
+
+struct KillPoint {
+  std::uint64_t steps;
+  Served served;
+  std::uint64_t executed;  // victim ops the object executed
+  std::size_t swept;       // records reclaim_dead freed
+};
+
+// A may_combine = false victim (the compose.shm client role) against a
+// dedicated server that drains while the victim lives, then runs
+// drain + reclaim_dead once it is gone.
+void explore_publisher_kill(const KillPoint& kp) {
+  std::shared_ptr<CrashFixture> fx;
+  const sim::CrashPredicate kill = [&](ProcessId pid, const Simulator& sim) {
+    if (pid != kVictim || sim.counters(kVictim).total() != kp.steps) {
+      return false;
+    }
+    return kp.served == Served::kAny ||
+           (fx->shm.pending() == 0) == (kp.served == Served::kYes);
+  };
   auto stats = explore_all_schedules(
       [&] {
-        model = std::make_shared<CrashModel>();
+        fx = std::make_shared<CrashFixture>();
         auto sim = std::make_unique<Simulator>();
-        // pid 0: publishes, then dies waiting to be served.
-        sim->add_process([model](SimContext& ctx) {
-          (void)model->publish_only(ctx, inc_req(1, ctx.id()));
+        sim->add_process([fx](SimContext& ctx) {
+          victim_body(*fx, ctx, /*may_combine=*/false);
         });
-        // pid 1: the survivor. Serves once the publication is visible,
-        // then sweeps the wreckage.
-        sim->add_process([model](SimContext& ctx) {
-          wait_until(ctx, [model] { return model->pending() != 0; });
-          model->drain(ctx);
-          const std::size_t swept = model->reclaim_dead(
-              ctx, [](std::uint32_t owner) { return owner == owner_id(1); });
+        sim->add_process([fx](SimContext& ctx) {
+          for (;;) {
+            wait_until(ctx, [fx] {
+              return fx->victim_gone.load(std::memory_order_acquire) ||
+                     fx->shm.pending() != 0;
+            });
+            if (fx->victim_gone.load(std::memory_order_acquire)) break;
+            fx->shm.drain(ctx);
+          }
+          fx->shm.drain(ctx);
+          const std::size_t swept = fx->shm.reclaim_dead(ctx, alive);
           ctx.begin_op();
           ctx.end_op(static_cast<std::int64_t>(swept));
         });
         return sim;
       },
       [&](Simulator& sim) {
-        ASSERT_EQ(sim.ops().size(), 1u);
-        // Exactly once: the counter advanced by one for the dead
-        // publisher's op, never zero, never two.
-        ASSERT_EQ(model->object().count(), 1u);
-        // The dead-owned kDone record was swept...
-        ASSERT_EQ(sim.ops()[0].output, 1);
-        // ...leaving no residue and a free gate.
-        ASSERT_EQ(model->occupied(), 0u);
-        ASSERT_EQ(model->gate_holder(), 0u);
-      });
+        ASSERT_TRUE(sim.crashed(kVictim));
+        // No residue, and the op executed exactly once — or not at all
+        // if it was never published.
+        ASSERT_EQ(fx->shm.occupied(), 0u) << "dead owner's record leaked";
+        ASSERT_EQ(fx->shm.gate_holder(), 0u);
+        ASSERT_EQ(fx->shm.object().count(), kp.executed);
+        const auto& survivor = sim.ops().back();
+        ASSERT_EQ(survivor.pid, 1);
+        ASSERT_TRUE(survivor.complete);
+        ASSERT_EQ(survivor.output, static_cast<std::int64_t>(kp.swept));
+        ASSERT_FALSE(sim.ops().front().complete);
+      },
+      kill);
   EXPECT_TRUE(stats.exhausted);
 }
 
-// Died mid-claim: a kClaimed record whose owner is dead is pure
-// wreckage (the request was never published) and must be swept. THIS
-// is the invariant the seeded mutation breaks: with the ownership
+// Killed after the claim CAS, before publishing (a kill AT the claim's
+// own step lands after its CAS too, leaving the same record): a
+// kClaimed record whose owner is dead is pure wreckage (the request
+// was never published), so it must be swept and nothing may execute.
+// THIS is the invariant the seeded mutation breaks: with the ownership
 // stamp dropped, the record reads as owner 0 — indistinguishable from
 // an in-flight claim — and the sweep must skip it forever.
 TEST(CrashReclaim, ClaimedRecordOfDeadOwnerIsSwept) {
-  std::shared_ptr<CrashModel> model;
-  auto stats = explore_all_schedules(
-      [&] {
-        model = std::make_shared<CrashModel>();
-        auto sim = std::make_unique<Simulator>();
-        // pid 0: claims a record, dies before publishing into it.
-        sim->add_process(
-            [model](SimContext& ctx) { (void)model->claim_only(ctx); });
-        // pid 1: waits until the claim landed, then sweeps.
-        sim->add_process([model](SimContext& ctx) {
-          wait_until(ctx, [model] { return model->occupied() != 0; });
-          const std::size_t swept = model->reclaim_dead(
-              ctx, [](std::uint32_t owner) { return owner == owner_id(1); });
-          ctx.begin_op();
-          ctx.end_op(static_cast<std::int64_t>(swept));
-        });
-        return sim;
-      },
-      [&](Simulator& sim) {
-        ASSERT_EQ(sim.ops().size(), 1u);
-        ASSERT_EQ(sim.ops()[0].output, 1) << "dead kClaimed record not swept";
-        ASSERT_EQ(model->occupied(), 0u);
-        ASSERT_EQ(model->gate_holder(), 0u);
-        // Nothing was ever published, so nothing may have executed.
-        ASSERT_EQ(model->object().count(), 0u);
-      });
-  EXPECT_TRUE(stats.exhausted);
+  explore_publisher_kill({1, Served::kAny, 0, 1});
 }
 
-// Died holding the gate: a dead combiner wedges every future election.
-// The survivor's reclaim must steal the gate from the corpse, after
-// which the object serves operations again.
+// Killed parked in the wait for its result, never served: the kPending
+// publication is complete, so the op MUST execute exactly once — a
+// reclaim that discarded it would lose a published operation; a
+// combiner that ran it twice would double-apply. The dead-owned kDone
+// record it resurfaces as is then swept.
+TEST(CrashReclaim, PendingOpOfDeadOwnerExecutesExactlyOnce) {
+  explore_publisher_kill({2, Served::kNo, 1, 1});
+}
+
+// Killed after being served, before collecting: the kDone record has no
+// collector left and must be swept.
+TEST(CrashReclaim, DoneRecordOfDeadOwnerIsSwept) {
+  explore_publisher_kill({2, Served::kYes, 1, 1});
+}
+
+// Killed right after winning the combiner gate (the gate CAS is its
+// first counted step; the kill lands on the next, the module's RMW):
+// a dead combiner wedges every future election. The survivor's
+// reclaim must steal the gate from the corpse, after which the object
+// serves operations again.
 TEST(CrashReclaim, GateIsStolenFromDeadHolder) {
-  std::shared_ptr<CrashModel> model;
+  std::shared_ptr<CrashFixture> fx;
+  const sim::CrashPredicate kill = [](ProcessId pid, const Simulator& sim) {
+    return pid == kVictim && sim.counters(kVictim).total() == 1;
+  };
   auto stats = explore_all_schedules(
       [&] {
-        model = std::make_shared<CrashModel>();
+        fx = std::make_shared<CrashFixture>();
         auto sim = std::make_unique<Simulator>();
-        // pid 0: wins the combiner election, dies before combining.
-        sim->add_process([model](SimContext& ctx) { model->seize_gate(ctx); });
-        // pid 1: sees the wedge, reclaims (stealing the gate), then
-        // runs an op end-to-end to prove the object is live again.
-        sim->add_process([model](SimContext& ctx) {
-          wait_until(ctx, [model] { return model->gate_holder() != 0; });
-          (void)model->reclaim_dead(
-              ctx, [](std::uint32_t owner) { return owner == owner_id(1); });
-          ctx.begin_op(2);
-          const ModuleResult r = model->invoke(ctx, inc_req(2, ctx.id()));
+        sim->add_process([fx](SimContext& ctx) {
+          victim_body(*fx, ctx, /*may_combine=*/true);
+        });
+        sim->add_process([fx](SimContext& ctx) {
+          wait_until(ctx, [fx] {
+            return fx->victim_gone.load(std::memory_order_acquire);
+          });
+          const std::uint32_t wedged = fx->shm.gate_holder();
+          (void)fx->shm.reclaim_dead(ctx, alive);
+          ctx.begin_op(static_cast<std::int64_t>(wedged));
+          const ModuleResult r = fx->shm.invoke(ctx, inc_req(2, ctx.id()));
           ctx.end_op(r.response);
         });
         return sim;
       },
       [&](Simulator& sim) {
-        ASSERT_EQ(sim.ops().size(), 1u);
-        ASSERT_TRUE(sim.ops()[0].complete) << "object still wedged";
-        ASSERT_EQ(sim.ops()[0].output, 0);  // first ticket
-        ASSERT_EQ(model->object().count(), 1u);
-        ASSERT_EQ(model->occupied(), 0u);
-        ASSERT_EQ(model->gate_holder(), 0u);
-      });
+        ASSERT_TRUE(sim.crashed(kVictim));
+        ASSERT_EQ(sim.ops().size(), 2u);
+        ASSERT_FALSE(sim.ops()[0].complete);
+        const auto& survivor = sim.ops()[1];
+        ASSERT_EQ(survivor.tag, kVictimOwner) << "victim never held the gate";
+        ASSERT_TRUE(survivor.complete) << "object still wedged";
+        ASSERT_EQ(survivor.output, 0);  // the victim's op never executed
+        ASSERT_EQ(fx->shm.object().count(), 1u);
+        ASSERT_EQ(fx->shm.occupied(), 0u);
+        ASSERT_EQ(fx->shm.gate_holder(), 0u);
+      },
+      kill);
   EXPECT_TRUE(stats.exhausted);
 }
 
@@ -298,3 +265,11 @@ TEST(SlotProtocolExplore, MutationFlagMatchesBuild) {
 
 }  // namespace
 }  // namespace scm
+
+#else  // !SCM_HAS_POSIX_SHM
+
+TEST(SlotProtocolExplore, SkippedOnThisPlatform) {
+  GTEST_SKIP() << "POSIX shared memory is unavailable on this target";
+}
+
+#endif
