@@ -9,8 +9,8 @@
 // sequential (no contention) and randomly interleaved (contention).
 // We report, per phase style, which stage served the commits and how
 // many RMW steps were spent.
-#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "bench/registry.hpp"
@@ -23,7 +23,7 @@
 #include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "universal/composable_universal.hpp"
-#include "universal/universal_chain.hpp"
+#include "universal/static_chain.hpp"
 
 namespace {
 
@@ -43,15 +43,6 @@ using CasStage =
     ComposableUniversal<SimPlatform, CounterSpec, CasConsensus<SimPlatform>,
                         48>;
 
-std::unique_ptr<UniversalChain<SimPlatform, CounterSpec>> make_chain(int n) {
-  std::vector<std::unique_ptr<AbstractStage<SimPlatform>>> stages;
-  stages.push_back(std::make_unique<SplitStage>(n, 48, "split (registers)"));
-  stages.push_back(std::make_unique<BakeryStage>(n, 48, "bakery (registers)"));
-  stages.push_back(std::make_unique<CasStage>(n, 48, "cas (hardware)"));
-  return std::make_unique<UniversalChain<SimPlatform, CounterSpec>>(
-      n, std::move(stages));
-}
-
 struct PhaseResult {
   std::uint64_t commits_by_stage[3] = {0, 0, 0};
   std::uint64_t steps = 0;
@@ -61,7 +52,10 @@ struct PhaseResult {
 };
 
 PhaseResult run_phase(int n, int ops_per_proc, sim::Schedule& sched) {
-  auto chain = make_chain(n);
+  SplitStage split(n, 48, "split (registers)");
+  BakeryStage bakery(n, 48, "bakery (registers)");
+  CasStage cas(n, 48, "cas (hardware)");
+  StaticAbstractChain chain(n, split, bakery, cas);
   Simulator s;
   std::vector<std::vector<Response>> responses(n);
   for (int p = 0; p < n; ++p) {
@@ -70,7 +64,7 @@ PhaseResult run_phase(int n, int ops_per_proc, sim::Schedule& sched) {
         const auto id = static_cast<std::uint64_t>(p) * 1000 +
                         static_cast<std::uint64_t>(i) + 1;
         responses[p].push_back(
-            chain->perform(ctx, Request{id, p, CounterSpec::kFetchInc, 0})
+            chain.perform(ctx, Request{id, p, CounterSpec::kFetchInc, 0})
                 .response);
       }
     });
@@ -83,7 +77,7 @@ PhaseResult run_phase(int n, int ops_per_proc, sim::Schedule& sched) {
     out.steps += c.total();
     out.rmws += c.rmws;
     for (std::size_t st = 0; st < 3; ++st) {
-      out.commits_by_stage[st] += chain->commits_by(p, st);
+      out.commits_by_stage[st] += chain.commits_by(p, st);
     }
   }
   std::set<Response> all;

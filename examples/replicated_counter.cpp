@@ -7,10 +7,8 @@
 //   stage 1: AbortableBakery   — registers only, commits absent step
 //                                contention;
 //   stage 2: CasConsensus      — hardware CAS, wait-free.
-// The chain is assembled with StaticAbstractChain: the stage types are
-// known at compile time, so every stage call devirtualizes (the
-// type-erased UniversalChain remains available for stage sets chosen
-// at runtime — see universal/universal_chain.hpp).
+// The chain is assembled with StaticAbstractChain over the three
+// concrete stage types, so every stage call is a direct call.
 // The example runs a quiet phase (one thread) and a storm phase (all
 // threads) and prints which stage served the commits in each — the
 // speculation reverting to hardware exactly when contention appears.

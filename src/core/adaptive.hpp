@@ -278,14 +278,6 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
     obj_.value.invoke_batch(ctx, batch);
   }
 
-  template <class Ctx>
-  auto perform(Ctx& ctx, const Request& m)
-    requires requires(Obj& o) { o.perform(ctx, m); }
-  {
-    maybe_tick(ctx);
-    return obj_.value.perform(ctx, m);
-  }
-
   // ---- async surface: one forward per arity shape Obj accepts, so
   // ticket types, callbacks, and overload resolution all match the
   // bare object's exactly.

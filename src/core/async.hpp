@@ -14,10 +14,11 @@
 //
 // A Ticket is one of:
 //   * READY   — the result is stored inline. Synchronous layers
-//     (Pipeline, StaticAbstractChain, an uncontended Combining fast
-//     path, any layer on the step-granting simulator) complete inline
-//     and hand back ready tickets, so the submit/complete surface is
-//     uniform without a second queue mechanism.
+//     (Pipeline, Sharded over a synchronous replica, an uncontended
+//     Combining fast path, any layer on the step-granting simulator)
+//     complete inline and hand back ready tickets, so the
+//     submit/complete surface is uniform without a second queue
+//     mechanism.
 //   * PENDING — the operation lives in a publication slot owned by an
 //     asynchronous source (Combining). poll()/wait() go through the
 //     bound TicketSource vtable; wait() HELPS the source make progress

@@ -1,7 +1,7 @@
 // Batch invocation layer: the publication record shared by every
-// batched execution path (pipelines, chains, the flat-combining
-// wrapper) and the generic dispatcher that drives a batch through any
-// ComposableModule.
+// batched execution path (pipelines, the flat-combining wrapper) and
+// the generic dispatcher that drives a batch through any Composable
+// object.
 //
 // The paper measures composition one operation at a time; under
 // contention the dominant cost is every process paying the full
@@ -62,8 +62,8 @@ concept BatchInvocable = requires(M m, Ctx& ctx, std::span<OpSlot> batch) {
 // Generic batch dispatch: the module's own invoke_batch when it has
 // one, otherwise the semantics-defining per-op loop. Every pending
 // (done == false) slot's result is filled and its flag set on return.
-// The fallback enters through scm::apply(), so any Composable —
-// module-shaped or chain-shaped — can sit under a batching layer.
+// The fallback enters through scm::apply(), so any Composable object
+// can sit under a batching layer.
 template <class M, class Ctx>
   requires BatchInvocable<M, Ctx> || Composable<M, Ctx>
 void run_batch(M& m, Ctx& ctx, std::span<OpSlot> batch) {

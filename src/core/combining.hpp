@@ -175,36 +175,16 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     // publication path below and get batched. How hard to fight for
     // the lock here is the runtime elect_spins knob: 0 skips the
     // election entirely (publish-and-batch mode).
-    if (try_elect(ctx)) return run_direct(ctx, m, init);
-
+    //
     // The slot policy is consulted on the publication path only (the
     // fast path touches no slot); a load-tracking policy's counters
     // therefore see published ops, and its on_complete hook fires
-    // after the slot round trip below. When the array is exhausted,
-    // claim_or_run executes the operation inline instead.
+    // after the slot round trip. When the array is exhausted, the
+    // operation executes inline instead (claim_or_run).
     ModuleResult inline_result;
-    const auto idx = claim_or_run(ctx, m, init, &inline_result);
-    if (!idx.has_value()) return inline_result;
-    Slot& slot = slots_[*idx].value;
-    publish(ctx, slot, m, init, /*detached=*/false, nullptr, nullptr);
-
-    // Wait to be served, electing ourselves combiner whenever the lock
-    // is free (test-and-test-and-set). Our own slot is pending
-    // throughout, so our combine() pass serves at least ourselves. The
-    // wait parks until something can have changed: our slot completed,
-    // or the lock freed and we should re-attempt the election.
-    for (;;) {
-      if (slot.status.load(std::memory_order_acquire) == kDone) break;
-      if (help_combine(ctx)) continue;
-      wait_until(
-          ctx,
-          [this, &slot] {
-            return slot.status.load(std::memory_order_relaxed) == kDone ||
-                   !lock_.value.load(std::memory_order_relaxed);
-          },
-          waiters_.value);
-    }
-    return collect(ctx, *idx);
+    const auto idx = submit_impl(ctx, m, init, /*detached=*/false, nullptr,
+                                 nullptr, &inline_result);
+    return idx.has_value() ? await_served(ctx, *idx) : inline_result;
   }
 
   // Native batch path (BatchInvocable): one combiner election serves
@@ -585,13 +565,13 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     return std::nullopt;
   }
 
-  // Shared body of submit/submit_detached on blocking platforms:
-  // completes the operation inline — fast path or exhaustion fallback,
-  // with the callback fired under the election lock inside run_direct,
-  // returning nullopt with *out filled — or claims AND publishes a
-  // record, returning its index (the callback then travels with the
-  // publication and the serving combiner fires it, likewise under the
-  // lock).
+  // Shared body of invoke, and of submit/submit_detached on blocking
+  // platforms: completes the operation inline — fast path or
+  // exhaustion fallback, with the callback fired under the election
+  // lock inside run_direct, returning nullopt with *out filled — or
+  // claims AND publishes a record, returning its index (the callback
+  // then travels with the publication and the serving combiner fires
+  // it, likewise under the lock).
   template <class Ctx>
   std::optional<std::size_t> submit_impl(Ctx& ctx, const Request& m,
                                          std::optional<SwitchValue> init,
@@ -712,6 +692,29 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     return r;
   }
 
+  // Waits for published record idx to be served, then collects it.
+  // The waiter elects itself combiner whenever the lock is free
+  // (test-and-test-and-set); its own record is pending throughout, so
+  // its combine() pass serves at least itself. The wait parks until
+  // something can have changed: the record completed, or the lock
+  // freed and the election is worth another attempt.
+  template <class Ctx>
+  ModuleResult await_served(Ctx& ctx, std::size_t idx) {
+    Slot& slot = slots_[idx].value;
+    for (;;) {
+      if (slot.status.load(std::memory_order_acquire) == kDone) break;
+      if (help_combine(ctx)) continue;
+      wait_until(
+          ctx,
+          [this, &slot] {
+            return slot.status.load(std::memory_order_relaxed) == kDone ||
+                   !lock_.value.load(std::memory_order_relaxed);
+          },
+          waiters_.value);
+    }
+    return collect(ctx, idx);
+  }
+
   // ---- ticket plumbing: the type-erased completion source bound into
   // every pending Ticket. `slot` carries the publication slot INDEX
   // (as a uintptr), not a pointer — collect() needs the index for the
@@ -738,20 +741,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     auto* self = static_cast<Combining*>(source);
     const auto idx =
         static_cast<std::size_t>(reinterpret_cast<std::uintptr_t>(slot));
-    Ctx& c = *static_cast<Ctx*>(ctx);
-    Slot& s = self->slots_[idx].value;
-    for (;;) {
-      if (s.status.load(std::memory_order_acquire) == kDone) break;
-      if (self->help_combine(c)) continue;
-      wait_until(
-          c,
-          [self, &s] {
-            return s.status.load(std::memory_order_relaxed) == kDone ||
-                   !self->lock_.value.load(std::memory_order_relaxed);
-          },
-          self->waiters_.value);
-    }
-    *out = self->collect(c, idx);
+    *out = self->await_served(*static_cast<Ctx*>(ctx), idx);
   }
 
   template <class Ctx>

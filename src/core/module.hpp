@@ -14,7 +14,6 @@
 #include <optional>
 
 #include "history/request.hpp"
-#include "support/assert.hpp"
 
 namespace scm {
 
@@ -37,64 +36,29 @@ struct ModuleResult {
   }
 };
 
-// Structural requirements on a composable module for a given context.
+// The composable surface: every composable object — a module, a
+// Pipeline, a universal chain, and every wrapper over them (Sharded,
+// Combining, Replicated, Adaptive) — speaks one op entry,
+// invoke(ctx, m, init) -> ModuleResult.
 template <class M, class Ctx>
-concept ComposableModule =
-    requires(M m, Ctx& ctx, const Request& r, std::optional<SwitchValue> v) {
-      { m.invoke(ctx, r, v) } -> std::same_as<ModuleResult>;
-      { M::kConsensusNumber } -> std::convertible_to<int>;
-    };
-
-// ---- the unified composable surface -------------------------------
-//
-// Two op-entry spellings grew side by side: modules expose
-// invoke(ctx, m, init) -> ModuleResult (Section 3's switch plumbing)
-// and the universal chains expose perform(ctx, m) -> ChainPerformed
-// (Section 4.2's sticky stage switching, where the switch value never
-// leaves the chain). Every wrapper (Sharded, Combining, Replicated)
-// used to branch on which spelling the wrapped object speaks; the
-// Composable concept + the apply() adapter below collapse that: a
-// wrapper calls apply() once and composes over EITHER shape. Wrapper
-// authors should dispatch through apply() rather than spelling the
-// invoke/perform duality out again (both spellings keep working on
-// the objects themselves — apply() is an adapter, not a rename).
-
-// Module shape: invoke(ctx, m, init) -> ModuleResult.
-template <class M, class Ctx>
-concept ModuleShaped =
+concept Composable =
     requires(M m, Ctx& ctx, const Request& r, std::optional<SwitchValue> v) {
       { m.invoke(ctx, r, v) } -> std::same_as<ModuleResult>;
     };
 
-// Chain shape: perform(ctx, m) -> something with a .response (the
-// universal chains return ChainPerformed; anything structurally alike
-// qualifies). Chains consume their switch values internally.
+// A composable module also declares its consensus number statically
+// (a chain reports its consensus number at runtime instead).
 template <class M, class Ctx>
-concept ChainShaped = requires(M m, Ctx& ctx, const Request& r) {
-  { m.perform(ctx, r).response } -> std::convertible_to<Response>;
+concept ComposableModule = Composable<M, Ctx> && requires {
+  { M::kConsensusNumber } -> std::convertible_to<int>;
 };
 
-// A composable object speaks at least one of the two shapes.
-template <class M, class Ctx>
-concept Composable = ModuleShaped<M, Ctx> || ChainShaped<M, Ctx>;
-
-// The uniform entry point: one call, either shape. Module-shaped
-// objects get the full switch plumbing; chain-shaped objects commit
-// their response (a chain's last stage never leaks an abort, and its
-// initialization travels inside the chain — passing an external init
-// to a chain is a composition error, checked here).
+// The uniform entry point wrappers call on the object they wrap.
 template <class M, class Ctx>
   requires Composable<M, Ctx>
 ModuleResult apply(M& obj, Ctx& ctx, const Request& m,
                    std::optional<SwitchValue> init = std::nullopt) {
-  if constexpr (ModuleShaped<M, Ctx>) {
-    return obj.invoke(ctx, m, init);
-  } else {
-    SCM_CHECK_MSG(!init.has_value(),
-                  "chain-shaped objects consume switch values internally; "
-                  "an external init has no meaning here");
-    return ModuleResult::commit(obj.perform(ctx, m).response);
-  }
+  return obj.invoke(ctx, m, init);
 }
 
 // ---- read-only op classification ----------------------------------

@@ -1,12 +1,12 @@
 // Sharded composition (the decomposition-for-scalability counterpart
-// of Pipeline<Ms...>): replicate a pipeline/chain-like object across
+// of Pipeline<Ms...>): replicate a pipeline or chain across
 // cacheline-isolated shards and route every operation to exactly one
 // replica, so contention becomes a tunable axis instead of a fixed
 // property of the single shared instance the paper measures.
 //
 // Sharded<Obj, kShards, Policy> is a combinator, not an algorithm: each
 // shard is an independent instance of Obj (a Pipeline, FastPipeline,
-// StaticAbstractChain, or any other module/chain-shaped object), and
+// StaticAbstractChain, or any other Composable object), and
 // the policy maps (context, request) -> shard index. Routing is the
 // only code the combinator adds to the hot path — one arithmetic
 // function, no virtual dispatch, no type erasure. Because Sharded
@@ -141,7 +141,7 @@ struct ByDomain {
 
 // Approximate least-loaded routing: each shard has a padded in-flight
 // counter; routing scans for the minimum and increments the chosen
-// shard, and the completion hook (invoked by Sharded::invoke/perform
+// shard, and the completion hook (invoked by Sharded::invoke
 // after the operation returns) decrements it. "Approximate" is load-
 // bearing twice over: the scan is racy (two routers may pick the same
 // minimum), and callers using the explicit route()/invoke_at()
@@ -299,10 +299,9 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
     return mask_epoch_.load(std::memory_order_acquire);
   }
 
-  // Module surface: route, then run the replica through the uniform
-  // apply() entry — any Composable (module- OR chain-shaped) replica
-  // serves it, so Sharded<StaticAbstractChain<...>> answers invoke()
-  // too. Together with the inherited kConsensusNumber this makes
+  // Module surface: route, then run the replica through apply(). Any
+  // Composable replica serves it, Sharded<StaticAbstractChain<...>>
+  // included. Together with the inherited kConsensusNumber this makes
   // Sharded<Pipeline<...>> a ComposableModule again.
   template <class Ctx>
     requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
@@ -323,29 +322,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
                          std::optional<SwitchValue> init = std::nullopt) {
     SCM_CHECK(s < kShards);
     return scm::apply(shard(s), ctx, m, init);
-  }
-
-  // Chain surface (enabled when Obj is chain-like): same routing, the
-  // universal layers' perform() instead of the module invoke() —
-  // kept alongside apply() because ChainPerformed carries more than a
-  // ModuleResult (serving stage, commit history).
-  template <class Ctx>
-    requires ShardRoutingPolicy<Policy, Ctx>
-  auto perform(Ctx& ctx, const Request& m)
-    requires requires(Obj& o) { o.perform(ctx, m); }
-  {
-    return routed(ctx, m,
-                  [&](std::size_t s) { return perform_at(s, ctx, m); });
-  }
-
-  // See invoke_at: the explicit-shard variant for chain-shaped
-  // objects.
-  template <class Ctx>
-  auto perform_at(std::size_t s, Ctx& ctx, const Request& m)
-    requires requires(Obj& o) { o.perform(ctx, m); }
-  {
-    SCM_CHECK(s < kShards);
-    return shard(s).perform(ctx, m);
   }
 
   // ---- async surface (core/async.hpp).
@@ -369,14 +345,13 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
                   [&](std::size_t s) { return shard(s).submit(ctx, m, init); });
   }
 
-  // Synchronous replicas (pipelines, chains-as-modules) complete
-  // inline: submit() is invoke() plus a ready ticket, keeping the
+  // Synchronous replicas (pipelines, chains) complete inline:
+  // submit() is invoke() plus a ready ticket, keeping the
   // submit/complete surface uniform across every Sharded instance.
   template <class Ctx>
     requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx> &&
              (!requires(Obj& o, Ctx& c, const Request& r,
-                        std::optional<SwitchValue> v) { o.submit(c, r, v); }) &&
-             (!requires(Obj& o, Ctx& c, const Request& r) { o.submit(c, r); })
+                        std::optional<SwitchValue> v) { o.submit(c, r, v); })
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
                               std::optional<SwitchValue> init = std::nullopt) {
     return Ticket<ModuleResult>::ready(invoke(ctx, m, init));
@@ -415,21 +390,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
     });
   }
 
-  // Chain-shaped counterpart (StaticAbstractChain::submit takes no
-  // init); constrained away when Obj has the module-shaped submit so
-  // the two cannot collide in overload resolution.
-  template <class Ctx>
-    requires ShardRoutingPolicy<Policy, Ctx>
-  auto submit(Ctx& ctx, const Request& m)
-    requires(requires(Obj& o) { o.submit(ctx, m); } &&
-             !requires(Obj& o, std::optional<SwitchValue> v) {
-               o.submit(ctx, m, v);
-             })
-  {
-    return routed(ctx, m,
-                  [&](std::size_t s) { return shard(s).submit(ctx, m); });
-  }
-
   // Drains every shard's pending publications (enabled exactly when
   // the replica is drainable, i.e. per-shard Combining).
   template <class Ctx>
@@ -454,61 +414,38 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   template <class Ctx>
     requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
   void invoke_batch(Ctx& ctx, std::span<OpSlot> batch) {
-    if (batch.empty()) return;
-    std::vector<OpSlot> scratch;
-    group_by_shard(
-        ctx, batch.size(),
-        [&](std::size_t i) -> const Request& { return batch[i].request; },
-        [&](std::size_t i) { return !batch[i].done; },
-        [&](std::size_t s, std::span<const std::size_t> origin) {
-          scratch.clear();
-          scratch.reserve(origin.size());
-          for (const std::size_t i : origin) scratch.push_back(batch[i]);
-          run_batch(shard(s), ctx, std::span<OpSlot>(scratch));
-          for (std::size_t k = 0; k < origin.size(); ++k) {
-            batch[origin[k]] = scratch[k];
-          }
-        });
-  }
-
-  // Chain-shaped counterpart: group the requests per shard, run each
-  // shard's group through its perform_batch (one sticky-stage dispatch
-  // per sub-batch), scatter the per-request results back into `out` at
-  // their original positions. Same routing contract as invoke_batch
-  // (both walk through group_by_shard).
-  template <class Ctx, class Performed>
-    requires ShardRoutingPolicy<Policy, Ctx>
-  void perform_batch(Ctx& ctx, std::span<const Request> ms,
-                     std::span<Performed> out)
-    requires requires(Obj& o, std::span<const Request> rs,
-                      std::span<Performed> ps) {
-      o.perform_batch(ctx, rs, ps);
+    constexpr std::size_t kUnrouted = kShards;
+    std::vector<std::size_t> shard_of(batch.size(), kUnrouted);
+    std::array<std::size_t, kShards> load{};
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (batch[i].done) continue;
+      const std::size_t s = route(ctx, batch[i].request);
+      shard_of[i] = s;
+      ++load[s];
     }
-  {
-    SCM_CHECK_MSG(ms.size() == out.size(),
-                  "perform_batch needs one output slot per request");
-    if (ms.empty()) return;
-    std::vector<Request> group;
-    std::vector<Performed> results;
-    group_by_shard(
-        ctx, ms.size(),
-        [&](std::size_t i) -> const Request& { return ms[i]; },
-        [](std::size_t) { return true; },
-        [&](std::size_t s, std::span<const std::size_t> origin) {
-          group.clear();
-          group.reserve(origin.size());
-          for (const std::size_t i : origin) group.push_back(ms[i]);
-          results.assign(origin.size(), Performed{});
-          shard(s).perform_batch(ctx, std::span<const Request>(group),
-                                 std::span<Performed>(results));
-          for (std::size_t k = 0; k < origin.size(); ++k) {
-            out[origin[k]] = std::move(results[k]);
-          }
-        });
+    std::vector<std::size_t> origin;
+    std::vector<OpSlot> scratch;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      if (load[s] == 0) continue;
+      origin.clear();
+      scratch.clear();
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (shard_of[i] != s) continue;
+        origin.push_back(i);
+        scratch.push_back(batch[i]);
+      }
+      run_batch(shard(s), ctx, std::span<OpSlot>(scratch));
+      // Scatter back; complete(s) fires once per dispatched slot,
+      // mirroring per-op invoke.
+      for (std::size_t k = 0; k < origin.size(); ++k) {
+        batch[origin[k]] = scratch[k];
+        complete(s);
+      }
+    }
   }
 
   // Tells a load-tracking policy (ByLeastLoaded) that an operation
-  // routed to shard s has finished. invoke()/perform() call it
+  // routed to shard s has finished. invoke() and submit() call it
   // automatically; users of the explicit route()/invoke_at()
   // attribution pattern call it themselves once the operation returns.
   // A no-op (compiled out) for policies without an on_complete hook.
@@ -569,7 +506,7 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
     return total;
   }
 
-  // Runtime consensus number for chain-shaped objects: replicas are
+  // Runtime consensus number for chains: replicas are
   // identical, so shard 0 answers for all.
   [[nodiscard]] int consensus_number() const
     requires requires(const Obj& o) { o.consensus_number(); }
@@ -656,11 +593,9 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   }
 
  private:
-  // The one copy of the per-op round trip — route, run on the chosen
-  // shard, fire the policy's completion hook — that every forwarding
-  // surface (invoke, perform, the submit family, submit_detached)
-  // used to spell out as its own triplet. fn receives the routed
-  // shard index and does the shape-specific work.
+  // The per-op round trip shared by invoke, the submit family and
+  // submit_detached: route, run on the chosen shard, fire the policy's
+  // completion hook. fn receives the routed shard index.
   template <class Ctx, class Fn>
   decltype(auto) routed(Ctx& ctx, const Request& m, Fn&& fn) {
     const std::size_t s = route(ctx, m);
@@ -671,38 +606,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
       auto r = fn(s);
       complete(s);
       return r;
-    }
-  }
-
-  // The one copy of the batch-grouping contract both batch surfaces
-  // walk through: every pending item is routed exactly once, in item
-  // order (a stateful policy advances exactly as the per-op loop
-  // would), then each shard with work gets its items' indices — still
-  // in item order — via dispatch(shard, origin), which runs the
-  // sub-batch and scatters results; complete(shard) fires once per
-  // dispatched item, mirroring per-op invoke/perform.
-  template <class Ctx, class RequestOf, class IsPending, class Dispatch>
-  void group_by_shard(Ctx& ctx, std::size_t n, const RequestOf& request_of,
-                      const IsPending& is_pending, const Dispatch& dispatch) {
-    constexpr std::size_t kUnrouted = kShards;
-    std::vector<std::size_t> shard_of(n, kUnrouted);
-    std::array<std::size_t, kShards> load{};
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!is_pending(i)) continue;
-      const std::size_t s = route(ctx, request_of(i));
-      shard_of[i] = s;
-      ++load[s];
-    }
-    std::vector<std::size_t> origin;
-    for (std::size_t s = 0; s < kShards; ++s) {
-      if (load[s] == 0) continue;
-      origin.clear();
-      origin.reserve(load[s]);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (shard_of[i] == s) origin.push_back(i);
-      }
-      dispatch(s, std::span<const std::size_t>(origin));
-      for (std::size_t k = 0; k < origin.size(); ++k) complete(s);
     }
   }
 

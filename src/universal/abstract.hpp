@@ -24,22 +24,20 @@ struct AbstractResult {
   }
 };
 
-// A committed chain operation: the response, the stage that served it
-// (for progress accounting in benches and examples) and the commit
-// history. Shared by the type-erased UniversalChain and the static
-// StaticAbstractChain so callers can switch between the two.
+// A committed chain operation (StaticAbstractChain::perform): the
+// response, the stage that served it (for progress accounting in
+// benches and examples) and the commit history.
 struct ChainPerformed {
   Response response = kNoResponse;
   std::size_t stage = 0;
   History history;
 };
 
-// Structural requirements on an Abstract stage used *without* type
-// erasure (StaticAbstractChain): the same surface as AbstractStage,
-// but checked as a concept against the concrete context type, so any
-// concrete stage qualifies — including AbstractStage implementations,
-// whose calls devirtualize when the concrete type is final
-// (ComposableUniversal is).
+// Structural requirements on an Abstract stage, checked against the
+// concrete context type: invoke(ctx, m, init) commits or aborts m with
+// a history (init is empty for "no init"), consensus_number() is the
+// largest consensus number among the base objects the stage uses, and
+// name() labels the stage in reports.
 template <class S, class Ctx>
 concept AbstractStageLike =
     requires(S s, Ctx& ctx, const Request& m, const History& init) {
@@ -47,25 +45,5 @@ concept AbstractStageLike =
       { s.consensus_number() } -> std::convertible_to<int>;
       { s.name() } -> std::convertible_to<const char*>;
     };
-
-// Type-erased Abstract instance for one platform. The universal chain
-// composes stages through this interface; virtual dispatch is
-// acceptable here because the universal construction's costs are
-// dominated by consensus and snapshot steps (Proposition 2 territory),
-// not by call overhead.
-template <class P>
-class AbstractStage {
- public:
-  virtual ~AbstractStage() = default;
-
-  // Issues request m with initial history h (empty for "no init").
-  virtual AbstractResult invoke(typename P::Context& ctx, const Request& m,
-                                const History& init) = 0;
-
-  // Largest consensus number among the base objects this stage uses.
-  [[nodiscard]] virtual int consensus_number() const = 0;
-
-  [[nodiscard]] virtual const char* name() const = 0;
-};
 
 }  // namespace scm

@@ -21,6 +21,7 @@
 // process switches to the next module.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -34,7 +35,7 @@
 namespace scm {
 
 template <class P, class Spec, class Cons, std::size_t CapPerProc = 64>
-class ComposableUniversal final : public AbstractStage<P> {
+class ComposableUniversal {
  public:
   static constexpr int kConsensusNumber = Cons::kConsensusNumber;
   using Context = typename P::Context;
@@ -54,7 +55,9 @@ class ComposableUniversal final : public AbstractStage<P> {
   }
 
   AbstractResult invoke(Context& ctx, const Request& m,
-                        const History& init) override {
+                        const History& init) {
+    SCM_CHECK_MSG(0 <= ctx.id() && ctx.id() < n_,
+                  "ComposableUniversal: process id out of range");
     PerProc& me = per_proc_[static_cast<std::size_t>(ctx.id())];
 
     // Already poisoned? Recover immediately (checkAbort task).
@@ -130,13 +133,13 @@ class ComposableUniversal final : public AbstractStage<P> {
     }
   }
 
-  [[nodiscard]] int consensus_number() const override {
+  [[nodiscard]] int consensus_number() const {
     // The counter C is fetch-and-add (consensus number 2); the cells
     // contribute their own strength.
     return std::max(kConsensusNumber, kConsensusNumberFetchAdd);
   }
 
-  [[nodiscard]] const char* name() const override { return name_; }
+  [[nodiscard]] const char* name() const { return name_; }
 
   // Whether this instance has been poisoned (post-run diagnostics).
   [[nodiscard]] bool poisoned() const { return aborted_.peek(); }

@@ -42,6 +42,8 @@ class HerlihyUniversal {
 
   // Wait-free: applies m and returns its response.
   Response perform(Context& ctx, const Request& m) {
+    SCM_CHECK_MSG(0 <= ctx.id() && ctx.id() < n_,
+                  "HerlihyUniversal: process id out of range");
     PerProc& me = per_proc_[static_cast<std::size_t>(ctx.id())];
 
     const std::uint64_t index = requests_.append(ctx, m);

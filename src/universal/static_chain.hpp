@@ -1,15 +1,22 @@
-// Statically-typed counterpart of UniversalChain: the same Section 4.2
-// stage-switching semantics (sticky per process; an abort's history
-// initializes the next stage — Theorem 1), but over a compile-time
-// list of concrete stage types instead of AbstractStage pointers.
+// A chain of composed Abstract instances (Section 4.2, "Contention-free,
+// obstruction-free and wait-free variants") over a compile-time list of
+// concrete stage types.
 //
-// Because the stage types are known (and ComposableUniversal is
-// `final`), every invoke call devirtualizes: a chain of universal
-// constructions runs with zero indirect calls on the commit path, the
-// static analogue of what Pipeline<Ms...> does for modules. The
-// type-erased UniversalChain remains for heterogeneous stage sets
-// assembled at runtime; this combinator is for benches and objects
-// whose composition is fixed at build time.
+// The chain first calls stage 0; on Abort(m, h) it calls stage 1 with
+// initial history h, and so on (Theorem 1: the composition of Abstracts
+// is an Abstract). With a wait-free final stage the chain never aborts,
+// yielding a wait-free linearizable implementation of any sequential
+// type that uses only registers while the cheap stages commit
+// (Proposition 1).
+//
+// Stage switching is *sticky per process*, as in the paper: once a
+// process aborts out of a stage it keeps using the later stage for its
+// subsequent requests (an aborted Abstract instance is poisoned anyway).
+//
+// The chain speaks the module surface — invoke(ctx, m, init) ->
+// ModuleResult — so every wrapper (Sharded, Combining, Replicated,
+// Adaptive) composes over it exactly as over a Pipeline. perform()
+// additionally returns the serving stage and the commit history.
 //
 // Ownership mirrors Pipeline's reference mode: stages are held by
 // reference_wrapper (ComposableUniversal is immovable — it pins
@@ -20,13 +27,14 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
+#include <optional>
 #include <tuple>
 #include <utility>
 
-#include "core/async.hpp"
+#include "core/module.hpp"
 #include "support/assert.hpp"
 #include "support/cacheline.hpp"
 #include "universal/abstract.hpp"
@@ -45,14 +53,13 @@ class StaticAbstractChain {
   // The platform context comes from the first stage; all stages run on
   // the same platform.
   using Context = typename stage_t<0>::Context;
-  using Performed = ChainPerformed;
 
   static_assert((AbstractStageLike<Stages, Context> && ...),
                 "every static chain stage must expose the Abstract "
                 "surface (invoke/consensus_number/name)");
 
   StaticAbstractChain(int num_processes, Stages&... stages)
-      : stages_(stages...) {
+      : n_(num_processes), stages_(stages...) {
     // Validate before sizing the allocation: a negative count must hit
     // this diagnostic, not a size_t-wrapped bad_alloc.
     SCM_CHECK(num_processes > 0);
@@ -61,34 +68,23 @@ class StaticAbstractChain {
   }
 
   // Performs request m; wait-free iff the last stage never aborts.
-  Performed perform(Context& ctx, const Request& m) {
+  ChainPerformed perform(Context& ctx, const Request& m) {
+    SCM_CHECK_MSG(0 <= ctx.id() && ctx.id() < n_,
+                  "StaticAbstractChain: process id out of range");
     PerProc& me = per_proc_[static_cast<std::size_t>(ctx.id())];
     return resume_at<0>(me.stage, me, ctx, m);
   }
 
-  // Async adapter (core/async.hpp): the chain's perform is synchronous
-  // (wait-free iff the last stage never aborts), so submit() completes
-  // inline and returns a ready ticket — the uniform submit/complete
-  // surface, no behavioural change.
-  Ticket<Performed> submit(Context& ctx, const Request& m) {
-    return Ticket<Performed>::ready(perform(ctx, m));
-  }
-
-  // Batch path: applies `ms` in order in ONE chain traversal, filling
-  // `out[k]` with request k's ChainPerformed. The runtime sticky-index
-  // dispatch (resume_at's tuple walk) happens once per batch instead
-  // of once per request, and the stage switch only ever moves forward:
-  // a request that aborts drags the calling process — and every later
-  // request of the batch — to the next stage, exactly the per-op
-  // semantics (the switch is sticky, Theorem 1), so the results are
-  // identical to performing the requests one at a time.
-  void perform_batch(Context& ctx, std::span<const Request> ms,
-                     std::span<Performed> out) {
-    SCM_CHECK_MSG(ms.size() == out.size(),
-                  "perform_batch needs one output slot per request");
-    if (ms.empty()) return;
-    PerProc& me = per_proc_[static_cast<std::size_t>(ctx.id())];
-    resume_batch_at<0>(me.stage, me, ctx, ms, out);
+  // The module surface: commits perform()'s response. A chain's switch
+  // values travel inside it (an abort's history initializes the next
+  // stage, and the last stage never aborts), so an external init has
+  // no meaning here — passing one is a composition error.
+  ModuleResult invoke(Context& ctx, const Request& m,
+                      std::optional<SwitchValue> init = std::nullopt) {
+    SCM_CHECK_MSG(!init.has_value(),
+                  "a chain consumes its switch values internally; an "
+                  "external init has no meaning here");
+    return ModuleResult::commit(perform(ctx, m).response);
   }
 
   [[nodiscard]] static constexpr std::size_t stage_count() noexcept {
@@ -111,8 +107,7 @@ class StaticAbstractChain {
     return per_proc_[static_cast<std::size_t>(pid)].commits_by_stage[i];
   }
 
-  // The chain's consensus number: max over the stages (devirtualized —
-  // resolved per concrete stage type at compile time).
+  // The chain's consensus number: max over the stages.
   [[nodiscard]] int consensus_number() const {
     return std::apply(
         [](const auto&... s) {
@@ -133,8 +128,8 @@ class StaticAbstractChain {
   // Runtime stage index -> compile-time stage: walk the tuple until the
   // sticky index is reached, then run the chain tail from there.
   template <std::size_t I>
-  Performed resume_at(std::size_t idx, PerProc& me, Context& ctx,
-                      const Request& m) {
+  ChainPerformed resume_at(std::size_t idx, PerProc& me, Context& ctx,
+                           const Request& m) {
     if constexpr (I < kDepth) {
       if (idx == I) return run_from<I>(me, ctx, m);
       return resume_at<I + 1>(idx, me, ctx, m);
@@ -145,12 +140,12 @@ class StaticAbstractChain {
   }
 
   template <std::size_t I>
-  Performed run_from(PerProc& me, Context& ctx, const Request& m) {
+  ChainPerformed run_from(PerProc& me, Context& ctx, const Request& m) {
     AbstractResult r =
         std::get<I>(stages_).get().invoke(ctx, m, me.pending_init);
     if (r.committed()) {
       ++me.commits_by_stage[I];
-      Performed out;
+      ChainPerformed out;
       out.response = r.response;
       out.stage = I;
       out.history = std::move(r.history);
@@ -168,52 +163,6 @@ class StaticAbstractChain {
     }
   }
 
-  // Batch analogue of resume_at: locate the process's sticky stage
-  // once, then run the whole batch from there.
-  template <std::size_t I>
-  void resume_batch_at(std::size_t idx, PerProc& me, Context& ctx,
-                       std::span<const Request> ms, std::span<Performed> out) {
-    if constexpr (I < kDepth) {
-      if (idx == I) {
-        run_batch_from<I>(me, ctx, ms, out, 0);
-        return;
-      }
-      resume_batch_at<I + 1>(idx, me, ctx, ms, out);
-    } else {
-      SCM_CHECK_MSG(false, "static chain exhausted: last stage aborted");
-      __builtin_unreachable();
-    }
-  }
-
-  // Requests ms[begin..) run at stage I until one aborts; the abort
-  // history initializes stage I+1 and the REST of the batch (this
-  // request included) continues there — the sticky switch applied
-  // batch-wide in a single forward walk.
-  template <std::size_t I>
-  void run_batch_from(PerProc& me, Context& ctx, std::span<const Request> ms,
-                      std::span<Performed> out, std::size_t begin) {
-    for (std::size_t k = begin; k < ms.size(); ++k) {
-      AbstractResult r =
-          std::get<I>(stages_).get().invoke(ctx, ms[k], me.pending_init);
-      if (r.committed()) {
-        ++me.commits_by_stage[I];
-        out[k].response = r.response;
-        out[k].stage = I;
-        out[k].history = std::move(r.history);
-        continue;
-      }
-      me.pending_init = std::move(r.history);
-      me.stage = I + 1;
-      if constexpr (I + 1 < kDepth) {
-        run_batch_from<I + 1>(me, ctx, ms, out, k);
-        return;
-      } else {
-        SCM_CHECK_MSG(false, "static chain exhausted: last stage aborted");
-        __builtin_unreachable();
-      }
-    }
-  }
-
   template <std::size_t I, class Fn>
   auto with_stage(std::size_t idx, Fn&& fn) const {
     if constexpr (I + 1 < kDepth) {
@@ -222,6 +171,7 @@ class StaticAbstractChain {
     return fn(std::get<I>(stages_).get());
   }
 
+  int n_;
   std::tuple<std::reference_wrapper<Stages>...> stages_;
   std::unique_ptr<PerProc[]> per_proc_;
 };

@@ -9,35 +9,21 @@
 // register stages.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <vector>
 
-#include "support/cacheline.hpp"
 #include "consensus/abortable_bakery.hpp"
 #include "consensus/cas_consensus.hpp"
 #include "consensus/split_consensus.hpp"
 #include "history/specs.hpp"
+#include "support/cacheline.hpp"
 #include "universal/composable_universal.hpp"
-#include "universal/universal_chain.hpp"
+#include "universal/static_chain.hpp"
 
 namespace scm {
 
 namespace detail {
-
-template <class P, class Spec, std::size_t Cap>
-std::unique_ptr<UniversalChain<P, Spec>> make_standard_chain(int n) {
-  std::vector<std::unique_ptr<AbstractStage<P>>> stages;
-  stages.push_back(
-      std::make_unique<ComposableUniversal<P, Spec, SplitConsensus<P>, Cap>>(
-          n, Cap, "split/registers"));
-  stages.push_back(
-      std::make_unique<ComposableUniversal<P, Spec, AbortableBakery<P>, Cap>>(
-          n, Cap, "bakery/registers"));
-  stages.push_back(
-      std::make_unique<ComposableUniversal<P, Spec, CasConsensus<P>, Cap>>(
-          n, Cap, "cas/hardware"));
-  return std::make_unique<UniversalChain<P, Spec>>(n, std::move(stages));
-}
 
 // Per-process unique request-id minting.
 template <class P>
@@ -58,42 +44,62 @@ class RequestMinter {
   std::unique_ptr<Padded<std::uint64_t>[]> seq_;
 };
 
+// The Proposition-1 chain every façade owns: the three stages, the
+// chain over them, and the request minter. Cap bounds the total
+// operations the object accepts over its lifetime (a model parameter
+// of the underlying construction).
+template <class P, class Spec, std::size_t Cap>
+class StandardChain {
+  template <class Cons>
+  using Stage = ComposableUniversal<P, Spec, Cons, Cap>;
+
+ public:
+  explicit StandardChain(int n)
+      : split_(n, Cap, "split/registers"),
+        bakery_(n, Cap, "bakery/registers"),
+        cas_(n, Cap, "cas/hardware"),
+        chain_(n, split_, bakery_, cas_),
+        minter_(n) {}
+
+  // Mints a request for (op, arg) and returns its committed response.
+  Response perform(typename P::Context& ctx, std::int64_t op,
+                   std::int64_t arg = 0) {
+    return chain_.perform(ctx, minter_.mint(ctx, op, arg)).response;
+  }
+
+ private:
+  Stage<SplitConsensus<P>> split_;
+  Stage<AbortableBakery<P>> bakery_;
+  Stage<CasConsensus<P>> cas_;
+  StaticAbstractChain<Stage<SplitConsensus<P>>, Stage<AbortableBakery<P>>,
+                      Stage<CasConsensus<P>>>
+      chain_;
+  RequestMinter<P> minter_;
+};
+
 }  // namespace detail
 
 // Wait-free linearizable fetch&increment counter (Proposition 1 + the
-// conclusions' fetch-and-increment target). Cap bounds the total
-// operations the object accepts over its lifetime (a model parameter of
-// the underlying construction).
+// conclusions' fetch-and-increment target).
 template <class P, std::size_t Cap = 64>
 class UniversalCounter {
  public:
   using Context = typename P::Context;
 
-  explicit UniversalCounter(int num_processes)
-      : minter_(num_processes),
-        chain_(detail::make_standard_chain<P, CounterSpec, Cap>(
-            num_processes)) {}
+  explicit UniversalCounter(int num_processes) : chain_(num_processes) {}
 
   // Atomically returns the current value and increments it.
   [[nodiscard]] std::int64_t fetch_increment(Context& ctx) {
-    return chain_
-        ->perform(ctx, minter_.mint(ctx, CounterSpec::kFetchInc, 0))
-        .response;
+    return chain_.perform(ctx, CounterSpec::kFetchInc);
   }
 
   // Linearizable read.
   [[nodiscard]] std::int64_t read(Context& ctx) {
-    return chain_->perform(ctx, minter_.mint(ctx, CounterSpec::kRead, 0))
-        .response;
-  }
-
-  [[nodiscard]] const UniversalChain<P, CounterSpec>& chain() const {
-    return *chain_;
+    return chain_.perform(ctx, CounterSpec::kRead);
   }
 
  private:
-  detail::RequestMinter<P> minter_;
-  std::unique_ptr<UniversalChain<P, CounterSpec>> chain_;
+  detail::StandardChain<P, CounterSpec, Cap> chain_;
 };
 
 // Wait-free linearizable FIFO queue of int64 values (the conclusions'
@@ -104,28 +110,19 @@ class UniversalQueue {
   using Context = typename P::Context;
   static constexpr std::int64_t kEmpty = QueueSpec::kEmpty;
 
-  explicit UniversalQueue(int num_processes)
-      : minter_(num_processes),
-        chain_(
-            detail::make_standard_chain<P, QueueSpec, Cap>(num_processes)) {}
+  explicit UniversalQueue(int num_processes) : chain_(num_processes) {}
 
   void enqueue(Context& ctx, std::int64_t value) {
-    (void)chain_->perform(ctx, minter_.mint(ctx, QueueSpec::kEnqueue, value));
+    (void)chain_.perform(ctx, QueueSpec::kEnqueue, value);
   }
 
   // Returns the head, or kEmpty.
   [[nodiscard]] std::int64_t dequeue(Context& ctx) {
-    return chain_->perform(ctx, minter_.mint(ctx, QueueSpec::kDequeue, 0))
-        .response;
-  }
-
-  [[nodiscard]] const UniversalChain<P, QueueSpec>& chain() const {
-    return *chain_;
+    return chain_.perform(ctx, QueueSpec::kDequeue);
   }
 
  private:
-  detail::RequestMinter<P> minter_;
-  std::unique_ptr<UniversalChain<P, QueueSpec>> chain_;
+  detail::StandardChain<P, QueueSpec, Cap> chain_;
 };
 
 }  // namespace scm

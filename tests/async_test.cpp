@@ -5,9 +5,8 @@
 //    ownership, destructor settles abandoned operations;
 //  * submit().wait() — and the submit()+poll()/try_result() path — is
 //    bit-identical to invoke() for a single-threaded caller on every
-//    layer: Pipeline, FastPipeline, StaticAbstractChain, Sharded,
-//    Combining, and their nestings (the acceptance pin for this
-//    surface);
+//    layer: Pipeline, FastPipeline, Sharded, Combining, and their
+//    nestings (the acceptance pin for this surface);
 //  * on the simulator (a non-blocking context) submit() completes
 //    inline and the tickets are born ready;
 //  * the publication path proper: with the combiner lock held
@@ -38,8 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "consensus/cas_consensus.hpp"
-#include "consensus/split_consensus.hpp"
 #include "core/async.hpp"
 #include "core/batch.hpp"
 #include "core/combining.hpp"
@@ -53,15 +50,12 @@
 #include "sim/schedules.hpp"
 #include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
-#include "universal/composable_universal.hpp"
-#include "universal/static_chain.hpp"
 #include "workload/driver.hpp"
 
 namespace scm {
 namespace {
 
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 struct HopModule {
@@ -207,32 +201,6 @@ TEST(AsyncSubmit, SoloSubmitWaitMatchesInvokeOnEveryLayer) {
     Sharded<Combining<Pipe, 4, ByThread>, 2, ByThread> nested;
     expect_solo_submit_equivalence(nested);
   }
-}
-
-TEST(AsyncSubmit, StaticChainSubmitMatchesPerformSolo) {
-  using SplitStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                         SplitConsensus<SimPlatform>, 48>;
-  using CasStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                       CasConsensus<SimPlatform>, 48>;
-  SplitStage split_a(1, 48, "split_a"), split_b(1, 48, "split_b");
-  CasStage cas_a(1, 48, "cas_a"), cas_b(1, 48, "cas_b");
-  StaticAbstractChain ref(1, split_a, cas_a);
-  StaticAbstractChain chain(1, split_b, cas_b);
-
-  Simulator s;
-  s.add_process([&](SimContext& ctx) {
-    for (std::uint64_t i = 0; i < 5; ++i) {
-      const Request m{i + 1, 0, CounterSpec::kFetchInc, 0};
-      const auto want = ref.perform(ctx, m);
-      auto ticket = chain.submit(ctx, m);
-      ASSERT_TRUE(ticket.poll());  // chains complete inline
-      const auto got = ticket.wait();
-      EXPECT_EQ(got.response, want.response);
-      EXPECT_EQ(got.stage, want.stage);
-    }
-  });
-  sim::SequentialSchedule sched;
-  s.run(sched);
 }
 
 TEST(AsyncSubmit, SimulatorContextCompletesInline) {

@@ -173,41 +173,16 @@ std::uint64_t key_in_slot(std::size_t slot, bool same,
 // ---------------------------------------------------------------------------
 // The unified Composable surface
 
-struct ChainStub {
-  struct Performed {
-    Response response = 0;
-  };
-
-  template <class Ctx>
-  Performed perform(Ctx& /*ctx*/, const Request& m) {
-    return {m.arg * 2};
-  }
-};
-
-static_assert(ModuleShaped<CounterModule, NativeContext>);
-static_assert(!ChainShaped<CounterModule, NativeContext>);
-static_assert(ChainShaped<ChainStub, NativeContext>);
-static_assert(!ModuleShaped<ChainStub, NativeContext>);
 static_assert(Composable<CounterModule, NativeContext>);
-static_assert(Composable<ChainStub, NativeContext>);
 static_assert(Composable<Combining<CounterModule, 8, ByThread>,
                          NativeContext>);
 static_assert(Composable<CachedCounter, NativeContext>);
 
-TEST(ComposableSurface, ApplyDispatchesModuleShaped) {
+TEST(ComposableSurface, ApplyForwardsToInvoke) {
   CounterModule counter;
   NativeContext ctx(0);
   EXPECT_EQ(scm::apply(counter, ctx, inc_req(1, 0)).response, 0);
   EXPECT_EQ(scm::apply(counter, ctx, read_req(2, 0)).response, 1);
-}
-
-TEST(ComposableSurface, ApplyDispatchesChainShaped) {
-  ChainStub chain;
-  NativeContext ctx(0);
-  const ModuleResult r =
-      scm::apply(chain, ctx, Request{1, 0, 0, 21});
-  EXPECT_TRUE(r.committed());
-  EXPECT_EQ(r.response, 42);
 }
 
 TEST(ComposableSurface, ReadOnlyOpsClassifies) {

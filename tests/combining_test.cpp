@@ -1,18 +1,18 @@
 // Tests for the batch invocation path (core/batch.hpp, the pipeline's
-// stage-major invoke_batch, StaticAbstractChain::perform_batch) and
-// the flat-combining combinator (core/combining.hpp):
+// stage-major invoke_batch) and the flat-combining combinator
+// (core/combining.hpp):
 //
 //  * run_batch falls back to the per-op loop for plain modules and
 //    dispatches to a module's own batch path when it has one;
 //  * Pipeline::invoke_batch is result- and stats-identical to invoking
 //    the slots in order, across commit/abort mixes, seeded inits,
 //    whole-pipeline aborts, FastPipeline, and nested pipeline stages;
-//  * StaticAbstractChain::perform_batch matches per-op perform under
-//    identical random schedules (responses, stages, commit tallies);
 //  * Combining satisfies ComposableModule, folds TAS into the
 //    consensus number, nests inside Sharded, and a solo stream through
 //    it is bit-identical to direct invocation (each op combining
-//    itself);
+//    itself) — for pipelines and for a StaticAbstractChain, whose
+//    Combining and Sharded wrappers answer invoke() with the bare
+//    chain's perform() responses and commit tallies;
 //  * under real threads (the "tsan" ctest label runs this suite under
 //    ThreadSanitizer) every combined op draws a distinct ticket and
 //    the recorded concurrent history linearizes against CounterSpec —
@@ -26,6 +26,8 @@
 #include <optional>
 #include <span>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "consensus/cas_consensus.hpp"
@@ -39,9 +41,6 @@
 #include "lincheck/lincheck.hpp"
 #include "runtime/context.hpp"
 #include "runtime/platform.hpp"
-#include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
-#include "sim/simulator.hpp"
 #include "support/rng.hpp"
 #include "universal/composable_universal.hpp"
 #include "universal/static_chain.hpp"
@@ -50,9 +49,6 @@
 namespace scm {
 namespace {
 
-using sim::SimContext;
-using sim::SimPlatform;
-using sim::Simulator;
 
 // Plumbing-only helpers, as in pipeline_test.
 struct HopModule {
@@ -264,112 +260,6 @@ TEST(Batch, EmptyBatchIsANoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// StaticAbstractChain::perform_batch
-
-TEST(Batch, ChainPerformBatchMatchesPerOpUnderIdenticalSchedules) {
-  using SplitStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                         SplitConsensus<SimPlatform>, 48>;
-  using CasStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                       CasConsensus<SimPlatform>, 48>;
-  constexpr int kN = 3;
-  constexpr std::size_t kOpsPerProc = 4;
-
-  const auto request_of = [](int p, std::size_t i) {
-    return Request{static_cast<std::uint64_t>(p) * 100 +
-                       static_cast<std::uint64_t>(i) + 1,
-                   static_cast<ProcessId>(p), CounterSpec::kFetchInc, 0};
-  };
-
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    // Per-op reference: each process performs its requests one by one.
-    std::array<std::vector<Response>, kN> per_op;
-    std::array<std::vector<std::size_t>, kN> per_op_stage;
-    {
-      SplitStage split(kN, 48, "split");
-      CasStage cas(kN, 48, "cas");
-      StaticAbstractChain chain(kN, split, cas);
-      Simulator s;
-      for (int p = 0; p < kN; ++p) {
-        s.add_process([&, p](SimContext& ctx) {
-          for (std::size_t i = 0; i < kOpsPerProc; ++i) {
-            const auto r = chain.perform(ctx, request_of(p, i));
-            per_op[static_cast<std::size_t>(p)].push_back(r.response);
-            per_op_stage[static_cast<std::size_t>(p)].push_back(r.stage);
-          }
-        });
-      }
-      sim::RandomSchedule sched(seed * 17 + 3);
-      s.run(sched);
-    }
-
-    // Batch run: each process hands the SAME requests over in one
-    // perform_batch call. The invocation step streams are identical,
-    // so the same-seed schedule interleaves both runs identically and
-    // the results must match bit for bit.
-    SplitStage split(kN, 48, "split");
-    CasStage cas(kN, 48, "cas");
-    StaticAbstractChain chain(kN, split, cas);
-    Simulator s;
-    std::array<std::array<ChainPerformed, kOpsPerProc>, kN> got;
-    for (int p = 0; p < kN; ++p) {
-      s.add_process([&, p](SimContext& ctx) {
-        std::array<Request, kOpsPerProc> ms;
-        for (std::size_t i = 0; i < kOpsPerProc; ++i) {
-          ms[i] = request_of(p, i);
-        }
-        chain.perform_batch(ctx, std::span<const Request>(ms),
-                            std::span<ChainPerformed>(
-                                got[static_cast<std::size_t>(p)]));
-      });
-    }
-    sim::RandomSchedule sched(seed * 17 + 3);
-    s.run(sched);
-
-    for (int p = 0; p < kN; ++p) {
-      const auto pi = static_cast<std::size_t>(p);
-      for (std::size_t i = 0; i < kOpsPerProc; ++i) {
-        EXPECT_EQ(got[pi][i].response, per_op[pi][i])
-            << "p" << p << " op " << i << " seed " << seed;
-        EXPECT_EQ(got[pi][i].stage, per_op_stage[pi][i])
-            << "p" << p << " op " << i << " seed " << seed;
-      }
-    }
-  }
-}
-
-TEST(Batch, ChainPerformBatchSoloCommitsEverythingOnStageZero) {
-  using SplitStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                         SplitConsensus<SimPlatform>, 48>;
-  using CasStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                       CasConsensus<SimPlatform>, 48>;
-  SplitStage split(1, 48, "split");
-  CasStage cas(1, 48, "cas");
-  StaticAbstractChain chain(1, split, cas);
-
-  Simulator s;
-  constexpr std::size_t kOps = 5;
-  std::array<ChainPerformed, kOps> got;
-  s.add_process([&](SimContext& ctx) {
-    std::array<Request, kOps> ms;
-    for (std::size_t i = 0; i < kOps; ++i) {
-      ms[i] = Request{static_cast<std::uint64_t>(i) + 1, 0,
-                      CounterSpec::kFetchInc, 0};
-    }
-    chain.perform_batch(ctx, std::span<const Request>(ms),
-                        std::span<ChainPerformed>(got));
-  });
-  sim::SequentialSchedule sched;
-  s.run(sched);
-
-  for (std::size_t i = 0; i < kOps; ++i) {
-    EXPECT_EQ(got[i].response, static_cast<Response>(i));
-    EXPECT_EQ(got[i].stage, 0u);
-  }
-  EXPECT_EQ(chain.commits_by(0, 0), kOps);
-  EXPECT_EQ(chain.commits_by(0, 1), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Combining: static properties and solo equivalence
 
 TEST(Combining, IsAComposableModuleAndFoldsTasIntoTheConsensusNumber) {
@@ -415,6 +305,42 @@ TEST(Combining, SoloStreamIsIdenticalToDirectInvocation) {
   EXPECT_EQ(combined.stats(1).commits, 50u);
   combined.reset_stats();
   EXPECT_EQ(combined.stats(1).invocations(), 0u);
+}
+
+TEST(Combining, WrappedChainInvokeMatchesBarePerformSolo) {
+  using SplitStage = ComposableUniversal<NativePlatform, CounterSpec,
+                                         SplitConsensus<NativePlatform>, 32>;
+  using CasStage = ComposableUniversal<NativePlatform, CounterSpec,
+                                       CasConsensus<NativePlatform>, 32>;
+  using Chain = StaticAbstractChain<SplitStage, CasStage>;
+  static_assert(Composable<Chain, NativeContext>);
+
+  constexpr int kN = 1;  // named: forward_as_tuple holds references
+  SplitStage split_a(kN, 32, "a"), split_b(kN, 32, "b"), split_c(kN, 32, "c");
+  CasStage cas_a(kN, 32, "a"), cas_b(kN, 32, "b"), cas_c(kN, 32, "c");
+  Chain bare(kN, split_a, cas_a);
+  Combining<Chain, 4, ByThread> combined(std::in_place, kN, split_b, cas_b);
+  Sharded<Chain, 2, ByThread> sharded(std::in_place, [&](std::size_t) {
+    return std::forward_as_tuple(kN, split_c, cas_c);
+  });
+  EXPECT_EQ(combined.consensus_number(), kConsensusNumberCas);
+
+  NativeContext ctx(0);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    const Request m{i + 1, 0, CounterSpec::kFetchInc, 0};
+    const Response want = bare.perform(ctx, m).response;
+    const ModuleResult via_combining = combined.invoke(ctx, m);
+    const ModuleResult via_sharding = sharded.invoke(ctx, m);
+    ASSERT_TRUE(via_combining.committed());
+    ASSERT_TRUE(via_sharding.committed());
+    EXPECT_EQ(via_combining.response, want) << "op " << i;
+    EXPECT_EQ(via_sharding.response, want) << "op " << i;
+  }
+  for (std::size_t st = 0; st < Chain::kDepth; ++st) {
+    EXPECT_EQ(combined.commits_by(0, st), bare.commits_by(0, st)) << st;
+    EXPECT_EQ(sharded.commits_by(0, st), bare.commits_by(0, st)) << st;
+  }
+  EXPECT_EQ(bare.commits_by(0, 0), 8u);  // solo: stage 0 served all
 }
 
 TEST(Combining, InvokeBatchRunsTheWholeBatchUnderOneElection) {

@@ -8,7 +8,6 @@
 //  * crash injection through the full universal chain.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -29,7 +28,7 @@
 #include "tas/biased_lock.hpp"
 #include "tas/speculative_tas.hpp"
 #include "universal/composable_universal.hpp"
-#include "universal/universal_chain.hpp"
+#include "universal/static_chain.hpp"
 
 namespace scm {
 namespace {
@@ -268,17 +267,16 @@ TEST(Schedules, RoundRobinQuantumControlsInterleavingGranularity) {
 // ---------------------------------------------------------------------------
 // Crash injection through the universal chain
 
-TEST(UniversalChain, SurvivorsStayCorrectUnderCrashes) {
+TEST(StaticChain, SurvivorsStayCorrectUnderCrashes) {
   using SplitStage = ComposableUniversal<SimPlatform, CounterSpec,
                                          SplitConsensus<SimPlatform>, 48>;
   using CasStage = ComposableUniversal<SimPlatform, CounterSpec,
                                        CasConsensus<SimPlatform>, 48>;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     constexpr int kN = 4;
-    std::vector<std::unique_ptr<AbstractStage<SimPlatform>>> stages;
-    stages.push_back(std::make_unique<SplitStage>(kN, 48, "split"));
-    stages.push_back(std::make_unique<CasStage>(kN, 48, "cas"));
-    UniversalChain<SimPlatform, CounterSpec> chain(kN, std::move(stages));
+    SplitStage split(kN, 48, "split");
+    CasStage cas(kN, 48, "cas");
+    StaticAbstractChain chain(kN, split, cas);
 
     Simulator s;
     std::vector<std::vector<Response>> got(kN);

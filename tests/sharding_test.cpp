@@ -489,17 +489,16 @@ TEST(Sharded, WrapsStaticAbstractChainWithPerShardArguments) {
         const auto id = static_cast<std::uint64_t>(p) * 100 +
                         static_cast<std::uint64_t>(i) + 1;
         got[static_cast<std::size_t>(p)].push_back(
-            sharded
-                .perform(ctx, Request{id, p, CounterSpec::kFetchInc, 0})
+            sharded.invoke(ctx, Request{id, p, CounterSpec::kFetchInc, 0})
                 .response);
       }
-      // The explicit-shard chain surface continues the same shard's
-      // sequence (ByThread maps process p to shard p here).
+      // The explicit-shard surface continues the same shard's sequence
+      // (ByThread maps process p to shard p here).
       got[static_cast<std::size_t>(p)].push_back(
           sharded
-              .perform_at(static_cast<std::size_t>(p), ctx,
-                          Request{static_cast<std::uint64_t>(p) * 100 + 99, p,
-                                  CounterSpec::kFetchInc, 0})
+              .invoke_at(static_cast<std::size_t>(p), ctx,
+                         Request{static_cast<std::uint64_t>(p) * 100 + 99, p,
+                                 CounterSpec::kFetchInc, 0})
               .response);
     });
   }
@@ -624,76 +623,6 @@ TEST(Sharded, InvokeBatchRoutesKeysLikePerOpInvoke) {
     EXPECT_EQ(batched.shard(s).stats(1).commits,
               per_op.shard(s).stats(1).commits)
         << "shard " << s;
-  }
-}
-
-TEST(Sharded, PerformBatchGroupsChainRequestsPerShard) {
-  // Chain-shaped counterpart: group, one perform_batch per shard,
-  // scatter the ChainPerformed results back to their original
-  // positions. Solo under a sequential schedule, so the batch run is
-  // deterministic and comparable against per-op perform on identical
-  // replicas.
-  using SplitStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                         SplitConsensus<SimPlatform>, 48>;
-  using CasStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                       CasConsensus<SimPlatform>, 48>;
-  using Chain = StaticAbstractChain<SplitStage, CasStage>;
-  constexpr std::size_t kOps = 10;
-
-  constexpr int kN = 1;  // named: forward_as_tuple holds references
-  SplitStage split_a0(kN, 48, "a0"), split_a1(kN, 48, "a1");
-  CasStage cas_a0(kN, 48, "ca0"), cas_a1(kN, 48, "ca1");
-  Sharded<Chain, 2, ByKeyHash> per_op(std::in_place, [&](std::size_t shard) {
-    return shard == 0 ? std::forward_as_tuple(kN, split_a0, cas_a0)
-                      : std::forward_as_tuple(kN, split_a1, cas_a1);
-  });
-  SplitStage split_b0(kN, 48, "b0"), split_b1(kN, 48, "b1");
-  CasStage cas_b0(kN, 48, "cb0"), cas_b1(kN, 48, "cb1");
-  Sharded<Chain, 2, ByKeyHash> batched(std::in_place, [&](std::size_t shard) {
-    return shard == 0 ? std::forward_as_tuple(kN, split_b0, cas_b0)
-                      : std::forward_as_tuple(kN, split_b1, cas_b1);
-  });
-
-  std::array<Request, kOps> ms;
-  for (std::size_t i = 0; i < kOps; ++i) {
-    ms[i] = Request{static_cast<std::uint64_t>(i) + 1, 0,
-                    CounterSpec::kFetchInc,
-                    static_cast<std::int64_t>(i % 3)};  // repeated keys
-  }
-
-  std::array<ChainPerformed, kOps> want;
-  std::array<ChainPerformed, kOps> got;
-  {
-    Simulator s;
-    s.add_process([&](SimContext& ctx) {
-      for (std::size_t i = 0; i < kOps; ++i) {
-        want[i] = per_op.perform(ctx, ms[i]);
-      }
-    });
-    sim::SequentialSchedule sched;
-    s.run(sched);
-  }
-  {
-    Simulator s;
-    s.add_process([&](SimContext& ctx) {
-      batched.perform_batch(ctx, std::span<const Request>(ms),
-                            std::span<ChainPerformed>(got));
-    });
-    sim::SequentialSchedule sched;
-    s.run(sched);
-  }
-
-  for (std::size_t i = 0; i < kOps; ++i) {
-    EXPECT_EQ(got[i].response, want[i].response) << i;
-    EXPECT_EQ(got[i].stage, want[i].stage) << i;
-  }
-  // Per-shard chain accounting matches per-op routing exactly.
-  for (std::size_t sh = 0; sh < 2; ++sh) {
-    for (std::size_t st = 0; st < 2; ++st) {
-      EXPECT_EQ(batched.shard(sh).commits_by(0, st),
-                per_op.shard(sh).commits_by(0, st))
-          << "shard " << sh << " stage " << st;
-    }
   }
 }
 

@@ -5,10 +5,10 @@
 // checked for linearizable counter behaviour.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <numeric>
 #include <optional>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "consensus/abortable_bakery.hpp"
@@ -17,13 +17,14 @@
 #include "core/abstract_checker.hpp"
 #include "core/trace.hpp"
 #include "history/specs.hpp"
+#include "runtime/platform.hpp"
 #include "sim/schedules.hpp"
 #include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "universal/composable_universal.hpp"
 #include "universal/herlihy.hpp"
 #include "universal/snapshot.hpp"
-#include "universal/universal_chain.hpp"
+#include "universal/static_chain.hpp"
 
 namespace scm {
 namespace {
@@ -312,23 +313,42 @@ TEST(ComposableUniversal, InitializationReplaysInheritedHistory) {
 }
 
 // ---------------------------------------------------------------------------
-// UniversalChain: the Proposition-1 composition
+// StaticAbstractChain: the Proposition-1 composition
 
-std::unique_ptr<UniversalChain<SimPlatform, CounterSpec>> make_chain(int n) {
-  std::vector<std::unique_ptr<AbstractStage<SimPlatform>>> stages;
-  stages.push_back(std::make_unique<SplitStage>(n, 32, "contention-free"));
-  stages.push_back(std::make_unique<BakeryStage>(n, 32, "obstruction-free"));
-  stages.push_back(std::make_unique<CasStage>(n, 32, "wait-free"));
-  return std::make_unique<UniversalChain<SimPlatform, CounterSpec>>(
-      n, std::move(stages));
-}
+// The three Proposition-1 stages and the chain over them, owned
+// together (the chain holds its stages by reference).
+template <class Spec>
+struct PropositionOneChain {
+  template <class Cons>
+  using Stage = ComposableUniversal<SimPlatform, Spec, Cons, 32>;
 
-TEST(UniversalChain, SoloUsesFirstStageOnly) {
+  explicit PropositionOneChain(int n)
+      : split(n, 32, "contention-free"),
+        bakery(n, 32, "obstruction-free"),
+        cas(n, 32, "wait-free"),
+        chain(n, split, bakery, cas) {}
+
+  Stage<SplitConsensus<SimPlatform>> split;
+  Stage<AbortableBakery<SimPlatform>> bakery;
+  Stage<CasConsensus<SimPlatform>> cas;
+  StaticAbstractChain<Stage<SplitConsensus<SimPlatform>>,
+                      Stage<AbortableBakery<SimPlatform>>,
+                      Stage<CasConsensus<SimPlatform>>>
+      chain;
+};
+using CounterChain = PropositionOneChain<CounterSpec>;
+
+// The chain speaks the module surface; its stages need no vtable.
+static_assert(Composable<decltype(CounterChain::chain), SimContext>);
+static_assert(!std::is_polymorphic_v<SplitStage>);
+static_assert(!std::is_polymorphic_v<CasStage>);
+
+TEST(StaticChain, SoloUsesFirstStageOnly) {
   Simulator s;
-  auto chain = make_chain(2);
-  UniversalChain<SimPlatform, CounterSpec>::Performed result;
+  CounterChain c(2);
+  ChainPerformed result;
   s.add_process([&](SimContext& ctx) {
-    result = chain->perform(ctx, req(1, 0, CounterSpec::kFetchInc));
+    result = c.chain.perform(ctx, req(1, 0, CounterSpec::kFetchInc));
   });
   s.add_process([](SimContext&) {});
   sim::SequentialSchedule sched;
@@ -337,12 +357,12 @@ TEST(UniversalChain, SoloUsesFirstStageOnly) {
   EXPECT_EQ(result.stage, 0u);  // registers-only stage served it
 }
 
-TEST(UniversalChain, NeverFailsAndStaysLinearizableUnderContention) {
+TEST(StaticChain, NeverFailsAndStaysLinearizableUnderContention) {
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
     Simulator s;
     constexpr int kN = 4;
     constexpr int kOpsPer = 2;
-    auto chain = make_chain(kN);
+    CounterChain c(kN);
     std::vector<std::vector<Response>> responses(kN);
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
@@ -350,7 +370,8 @@ TEST(UniversalChain, NeverFailsAndStaysLinearizableUnderContention) {
           const auto id = static_cast<std::uint64_t>(p) * 100 +
                           static_cast<std::uint64_t>(i) + 1;
           responses[p].push_back(
-              chain->perform(ctx, req(id, p, CounterSpec::kFetchInc)).response);
+              c.chain.perform(ctx, req(id, p, CounterSpec::kFetchInc))
+                  .response);
         }
       });
     }
@@ -368,17 +389,18 @@ TEST(UniversalChain, NeverFailsAndStaysLinearizableUnderContention) {
   }
 }
 
-TEST(UniversalChain, ContentionPushesProcessesToLaterStages) {
+TEST(StaticChain, ContentionPushesProcessesToLaterStages) {
   int later_stage_commits = 0;
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     Simulator s;
     constexpr int kN = 4;
-    auto chain = make_chain(kN);
+    CounterChain c(kN);
     std::vector<std::size_t> stages_used(kN, 0);
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
-        const auto r = chain->perform(
-            ctx, req(static_cast<std::uint64_t>(p) + 1, p, CounterSpec::kFetchInc));
+        const auto r = c.chain.perform(
+            ctx, req(static_cast<std::uint64_t>(p) + 1, p,
+                     CounterSpec::kFetchInc));
         stages_used[p] = r.stage;
       });
     }
@@ -392,17 +414,14 @@ TEST(UniversalChain, ContentionPushesProcessesToLaterStages) {
       << "round-robin contention never escalated past stage 0";
 }
 
-TEST(UniversalChain, WorksForQueueSpec) {
+TEST(StaticChain, WorksForQueueSpec) {
   Simulator s;
   constexpr int kN = 2;
-  std::vector<std::unique_ptr<AbstractStage<SimPlatform>>> stages;
-  stages.push_back(std::make_unique<ComposableUniversal<
-                       SimPlatform, QueueSpec, SplitConsensus<SimPlatform>, 32>>(
-      kN, 32, "split"));
-  stages.push_back(std::make_unique<ComposableUniversal<
-                       SimPlatform, QueueSpec, CasConsensus<SimPlatform>, 32>>(
-      kN, 32, "cas"));
-  UniversalChain<SimPlatform, QueueSpec> chain(kN, std::move(stages));
+  ComposableUniversal<SimPlatform, QueueSpec, SplitConsensus<SimPlatform>, 32>
+      split(kN, 32, "split");
+  ComposableUniversal<SimPlatform, QueueSpec, CasConsensus<SimPlatform>, 32>
+      cas(kN, 32, "cas");
+  StaticAbstractChain chain(kN, split, cas);
 
   std::vector<Response> deqs;
   s.add_process([&](SimContext& ctx) {
@@ -419,23 +438,24 @@ TEST(UniversalChain, WorksForQueueSpec) {
   EXPECT_EQ(deqs, (std::vector<Response>{10, 20, QueueSpec::kEmpty}));
 }
 
-TEST(UniversalChain, ConsensusNumberReportsStrongestStage) {
-  auto chain = make_chain(2);
-  EXPECT_EQ(chain->consensus_number(), kConsensusNumberCas);
+TEST(StaticChain, ConsensusNumberReportsStrongestStage) {
+  CounterChain c(2);
+  EXPECT_EQ(c.chain.consensus_number(), kConsensusNumberCas);
 }
 
-// A stage stub that aborts until the chain reaches the final stage —
-// the minimal driver for deep-chain accounting.
-class AbortingStub final : public AbstractStage<SimPlatform> {
+// A non-virtual stage stub that aborts until the chain reaches the
+// final stage — the minimal driver for deep-chain accounting.
+template <bool kCommits>
+class AbortingStub {
  public:
-  explicit AbortingStub(bool commits) : commits_(commits) {}
+  using Context = SimContext;
 
   AbstractResult invoke(SimContext& /*ctx*/, const Request& m,
-                        const History& init) override {
+                        const History& init) {
     AbstractResult r;
     r.history = init;
     r.history.append_if_absent(m);
-    if (commits_) {
+    if (kCommits) {
       r.outcome = Outcome::kCommit;
       r.response = static_cast<Response>(r.history.size());
     } else {
@@ -444,40 +464,32 @@ class AbortingStub final : public AbstractStage<SimPlatform> {
     return r;
   }
 
-  [[nodiscard]] int consensus_number() const override {
+  [[nodiscard]] int consensus_number() const {
     return kConsensusNumberRegister;
   }
-  [[nodiscard]] const char* name() const override {
-    return commits_ ? "commit-stub" : "abort-stub";
+  [[nodiscard]] const char* name() const {
+    return kCommits ? "commit-stub" : "abort-stub";
   }
-
- private:
-  bool commits_;
 };
 
-// Regression: the per-process commit tallies used to be hard-coded to
-// capacity 8, so a chain with more stages wrote (and read) out of
-// bounds once a process fell through to stage 8+. The tallies are now
-// sized from the actual stage count.
-TEST(UniversalChain, DeepChainAccountsCommitsBeyondEightStages) {
+// Commit tallies are sized from the chain's depth, so a process that
+// falls through to stage 8+ is counted in bounds.
+TEST(StaticChain, DeepChainAccountsCommitsBeyondEightStages) {
   constexpr std::size_t kStages = 10;
-  std::vector<std::unique_ptr<AbstractStage<SimPlatform>>> stages;
-  for (std::size_t i = 0; i + 1 < kStages; ++i) {
-    stages.push_back(std::make_unique<AbortingStub>(false));
-  }
-  stages.push_back(std::make_unique<AbortingStub>(true));
-  UniversalChain<SimPlatform, CounterSpec> chain(2, std::move(stages));
+  AbortingStub<false> a;
+  AbortingStub<true> last;
+  StaticAbstractChain chain(2, a, a, a, a, a, a, a, a, a, last);
+  static_assert(decltype(chain)::kDepth == kStages);
 
   Simulator s;
-  UniversalChain<SimPlatform, CounterSpec>::Performed r0, r1;
+  ChainPerformed r0, r1;
   s.add_process([&](SimContext& ctx) { r0 = chain.perform(ctx, req(1, 0)); });
   s.add_process([&](SimContext& ctx) { r1 = chain.perform(ctx, req(2, 1)); });
   sim::SequentialSchedule sched;
   s.run(sched);
 
   // Both processes fell through all nine aborting stages and committed
-  // on the tenth; the tally for stage 9 must hold exactly that commit
-  // (indexing it was UB before the fix).
+  // on the tenth; the tally for stage 9 holds exactly that commit.
   EXPECT_EQ(r0.stage, kStages - 1);
   EXPECT_EQ(r1.stage, kStages - 1);
   for (std::size_t st = 0; st + 1 < kStages; ++st) {
@@ -486,6 +498,49 @@ TEST(UniversalChain, DeepChainAccountsCommitsBeyondEightStages) {
   }
   EXPECT_EQ(chain.commits_by(0, kStages - 1), 1u);
   EXPECT_EQ(chain.commits_by(1, kStages - 1), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Entry-point checks: per-process state is indexed by the context id,
+// so an id outside [0, num_processes) must fail loudly instead of
+// writing past the allocation.
+
+template <class Cons>
+using NativeStage =
+    ComposableUniversal<NativePlatform, CounterSpec, Cons, 8>;
+
+TEST(StaticChainDeathTest, RejectsOutOfRangeProcessId) {
+  NativeStage<SplitConsensus<NativePlatform>> split(2, 8, "split");
+  NativeStage<CasConsensus<NativePlatform>> cas(2, 8, "cas");
+  StaticAbstractChain chain(2, split, cas);
+  NativeContext ctx(2);
+  EXPECT_DEATH((void)chain.perform(ctx, req(1, 2, CounterSpec::kFetchInc)),
+               "process id out of range");
+}
+
+TEST(StaticChainDeathTest, InvokeRejectsAnExternalInit) {
+  NativeStage<SplitConsensus<NativePlatform>> split(1, 8, "split");
+  NativeStage<CasConsensus<NativePlatform>> cas(1, 8, "cas");
+  StaticAbstractChain chain(1, split, cas);
+  NativeContext ctx(0);
+  EXPECT_DEATH((void)chain.invoke(ctx, req(1, 0, CounterSpec::kFetchInc),
+                                  SwitchValue{1}),
+               "external init");
+}
+
+TEST(ComposableUniversalDeathTest, RejectsOutOfRangeProcessId) {
+  NativeStage<CasConsensus<NativePlatform>> stage(2, 8, "cas");
+  NativeContext ctx(2);
+  EXPECT_DEATH(
+      (void)stage.invoke(ctx, req(1, 2, CounterSpec::kFetchInc), History{}),
+      "process id out of range");
+}
+
+TEST(HerlihyUniversalDeathTest, RejectsOutOfRangeProcessId) {
+  HerlihyUniversal<NativePlatform, CounterSpec, 8> uni(2, 8);
+  NativeContext ctx(2);
+  EXPECT_DEATH((void)uni.perform(ctx, req(1, 2, CounterSpec::kFetchInc)),
+               "process id out of range");
 }
 
 }  // namespace
