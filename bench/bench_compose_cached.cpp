@@ -246,9 +246,11 @@ bool solo_equivalence_probe() {
 
 // Probe 2: once a writer returned, no replica serves the pre-write
 // value — read_at either misses (invalidated) or returns the new
-// value (the writer's replica was refilled) — and a bystander key
-// filled in another slot still reads back from every replica:
-// invalidation is per slot, not global.
+// value (the writer's replica was refilled) — and a filled bystander
+// key still reads back from every replica after each write and fill
+// outside its slot: invalidation and eviction are per slot, not
+// global. Only a slot-mate excuses the bystander; among the probe's
+// keys that is the bystander itself.
 bool invalidation_probe() {
   using Store = CachedStore<kMaxReplicas>;
   Store cached;
@@ -357,8 +359,9 @@ ScenarioResult run(const BenchParams& params) {
       "cached results are bit-identical to uncached for a solo caller "
       "(hit path exercised); every write bumps its slot's invalidation "
       "generation exactly once, no replica serves a pre-write value "
-      "after the writer returned, and a filled key in another slot "
-      "still reads back from every replica after that write; no "
+      "after the writer returned, and a filled bystander key still "
+      "reads back from every replica after every write and fill "
+      "outside its slot; no "
       "committed read is torn (every value decodes to its key); read "
       "hits complete as ready tickets; "
       "on >=8-core hardware at read fraction 0.95 the read slice stays "

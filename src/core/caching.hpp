@@ -10,6 +10,11 @@
 // generation counter per entry slot (slot s of every replica shares
 // generation s):
 //
+//   * placement: slot_of(key) XOR-folds the key's 64 bits into
+//     log2(kEntries) bits, so any kEntries keys that differ only in
+//     their low bits (a dense range, or a strided one once the high
+//     bits fold in) get distinct slots. SLOT-MATES (equal slot_of)
+//     evict each other and share an invalidation generation;
 //   * reads classified read-only by the Model are served from the
 //     caller's replica via a generation-checked snapshot — no shared
 //     write; the only RMW is a relaxed fetch_add on the replica's own
@@ -41,7 +46,8 @@
 // different locks (other shards of a Sharded<Combining>) only bump
 // each other's generation: a generation never decreases, so the race
 // costs a conservative miss, never a stale hit. Mixed histories are
-// pinned by lincheck in caching_test, per key on a sharded stack.
+// pinned by lincheck in caching_test, per key on a sharded stack with
+// slot-mates on different shards.
 // Raising the staleness bound k admits snapshots at most k committed
 // writes (to keys sharing the entry's slot) old — the Perrin et al.
 // trade: replicas may serve slightly stale snapshots where the spec
@@ -64,6 +70,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -100,7 +107,8 @@ template <class Obj, std::size_t kReplicas, class Model,
 class Replicated : public detail::ShardedConsensusBase<Obj>,
                    public detail::ShardedDepthBase<Obj> {
   static_assert(kReplicas >= 1, "a replicated cache needs a replica");
-  static_assert(kEntries >= 1, "a replica needs at least one entry");
+  static_assert(kEntries >= 1 && (kEntries & (kEntries - 1)) == 0,
+                "the replica table's slot count must be a power of two");
   static_assert(kRecs >= 1, "the async completion pool needs a record");
 
  public:
@@ -190,15 +198,26 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
                                                 std::uint64_t key) {
     SCM_CHECK(replica < kReplicas);
     return snapshot(replicas_[replica], key,
-                    generation(key).load(std::memory_order_seq_cst));
+                    generation(key).load(std::memory_order_seq_cst))
+        .value;
   }
 
   // The direct-mapped entry slot — and with it the invalidation
-  // generation — that `key` uses in every replica. Keys with equal
-  // slots evict and invalidate each other; other keys are independent.
+  // generation — that `key` uses in every replica: the key's 64 bits
+  // XOR-folded down to log2(kEntries) bits. Slot-mates evict and
+  // invalidate each other; other keys are independent.
   [[nodiscard]] static constexpr std::size_t slot_of(
       std::uint64_t key) noexcept {
-    return static_cast<std::size_t>(ByKeyHash::mix(key) % kEntries);
+    constexpr unsigned kBits = std::bit_width(kEntries) - 1;
+    if constexpr (kBits == 0) {
+      return 0;
+    } else {
+      std::uint64_t folded = 0;
+      for (unsigned shift = 0; shift < 64; shift += kBits) {
+        folded ^= key >> shift;
+      }
+      return static_cast<std::size_t>(folded & (kEntries - 1));
+    }
   }
 
   // Staleness bound in generations: 0 (the default) is linearizable —
@@ -229,9 +248,9 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   [[nodiscard]] std::uint64_t misses() const noexcept {
     return sum(&Replica::misses);
   }
-  // Snapshot attempts abandoned because an installer held the entry's
-  // seqlock odd (or moved it) mid-read — each one became a miss, never
-  // a torn value.
+  // Reads abandoned because an installer held the entry's seqlock odd
+  // (or moved it) mid-read — each one became a miss, never a torn
+  // value. Only the read path counts them; read_at probes do not.
   [[nodiscard]] std::uint64_t torn_retries() const noexcept {
     return sum(&Replica::torn);
   }
@@ -309,6 +328,13 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     std::atomic<std::uint64_t> fills{0};
   };
 
+  // What one snapshot saw: the value on a hit; `torn` when the entry's
+  // seqlock was odd or moved under the read.
+  struct Snapshot {
+    std::optional<Response> value;
+    bool torn = false;
+  };
+
   // Completion-callback state for one in-flight operation: which
   // replica to refill and the request whose key/effect the refill
   // concerns. Stack-allocated on blocking paths (the callback runs
@@ -350,34 +376,29 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
 
   // The version-checked snapshot shared by the hot read path and the
   // read_at probe: returns the entry's value iff the seqlock snapshot
-  // is consistent, the key matches, and the tagged generation is
-  // within the staleness bound of `cur`. No counters — callers
-  // attribute hits/misses themselves.
-  std::optional<Response> snapshot(Replica& rep, std::uint64_t key,
-                                   std::uint64_t cur) {
+  // is consistent, the key matches, and the tagged generation is within
+  // the staleness bound of `cur`. No counters — callers attribute hits,
+  // misses and torn reads themselves.
+  Snapshot snapshot(Replica& rep, std::uint64_t key, std::uint64_t cur) {
     Entry& e = rep.entries[slot_of(key)];
     const std::uint64_t v1 = e.ver.load(std::memory_order_acquire);
-    if ((v1 & 1) != 0) {
-      rep.torn.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
+    if ((v1 & 1) != 0) return {std::nullopt, /*torn=*/true};
     const std::uint64_t k1 = e.key1.load(std::memory_order_relaxed);
     const Response val = e.val.load(std::memory_order_relaxed);
     const std::uint64_t g = e.gen.load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
     if (e.ver.load(std::memory_order_relaxed) != v1) {
-      rep.torn.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
+      return {std::nullopt, /*torn=*/true};
     }
-    if (k1 != key + 1) return std::nullopt;
+    if (k1 != key + 1) return {};
     // g > cur: installed after this read's linearization point —
     // serving it would claim the future. g too far below cur: staler
     // than the bound admits. Both are misses.
-    if (g > cur) return std::nullopt;
+    if (g > cur) return {};
     if (cur - g > staleness_bound_.load(std::memory_order_relaxed)) {
-      return std::nullopt;
+      return {};
     }
-    return val;
+    return {val, /*torn=*/false};
   }
 
   // The hot read path: one seq_cst load of the key's slot generation
@@ -392,10 +413,11 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     const std::uint64_t cur = generation(key).load(std::memory_order_seq_cst);
     ctx.on_read();
     Replica& r = replicas_[rep];
-    const auto v = snapshot(r, key, cur);
-    (v.has_value() ? r.hits : r.misses)
+    const Snapshot s = snapshot(r, key, cur);
+    if (s.torn) r.torn.fetch_add(1, std::memory_order_relaxed);
+    (s.value.has_value() ? r.hits : r.misses)
         .fetch_add(1, std::memory_order_relaxed);
-    return v;
+    return s.value;
   }
 
   // Best-effort install of (key, val) tagged with generation g. The

@@ -19,6 +19,8 @@
 //    in other slots keep hitting on every replica, and per-key
 //    histories over a sharded stack (slot-mates on different shards)
 //    linearize against RegisterSpec;
+//  * placement: a dense key range stays resident;
+//  * the read_at probe does not count torn reads;
 //  * the async pool-exhaustion fallback invalidates without refilling.
 //
 // Runs under the "tsan" ctest label: the CI sanitizer job executes
@@ -495,14 +497,15 @@ TEST(Replicated, WriteLeavesOtherSlotsHitting) {
 }
 
 TEST(Replicated, SlotMatesOnDifferentShardsLinearizePerKey) {
-  // The benchmark's stack shape with 3 shards: keys 1 and 32 share an
+  // The benchmark's stack shape with 3 shards: keys 1 and 64 share an
   // entry slot — and so a generation — but are serialized by different
-  // shard locks, so their callbacks race on that generation.
+  // shard locks, so their callbacks race on that generation and on the
+  // entry's seqlock.
   using Shards = Sharded<Combining<KeyedRegisters, 8>, 3, ByKeyHash>;
   using Cache = Replicated<Shards, 2, KeyedModel>;
-  static_assert(Cache::slot_of(1) == Cache::slot_of(32));
-  static_assert(ByKeyHash::mix(1) % 3 != ByKeyHash::mix(32) % 3);
-  constexpr std::array<std::uint64_t, 3> kKeysUsed{1, 32, 5};
+  static_assert(Cache::slot_of(1) == Cache::slot_of(64));
+  static_assert(ByKeyHash::mix(1) % 3 != ByKeyHash::mix(64) % 3);
+  constexpr std::array<std::uint64_t, 3> kKeysUsed{1, 64, 5};
   constexpr int kThreads = 3;
   constexpr std::uint64_t kOps = 12;
 
@@ -571,6 +574,76 @@ TEST(Replicated, SlotMatesOnDifferentShardsLinearizePerKey) {
   }
   // Hits must have occurred, or the check says nothing about them.
   EXPECT_GT(hits, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Placement: the fold index
+
+TEST(Replicated, DenseKeysStayResident) {
+  constexpr std::size_t kReps = 4;
+  using Cache =
+      Replicated<Combining<KeyedRegisters, 8, ByThread>, kReps, KeyedModel>;
+  Cache cached;
+  constexpr std::uint64_t kKeys = Cache::kEntryCount;
+  static_assert(kKeys <= KeyedRegisters::kKeys);
+
+  NativeContext writer(0);
+  std::uint64_t id = 1000;
+  std::array<Response, kKeys> values{};
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    values[k] = cached.invoke(writer, key_write(id++, 0, k)).response;
+  }
+  const auto read_all = [&] {
+    for (ProcessId p = 0; p < static_cast<ProcessId>(kReps); ++p) {
+      NativeContext ctx(p);
+      for (std::uint64_t k = 0; k < kKeys; ++k) {
+        ASSERT_EQ(cached.invoke(ctx, key_read(id++, p, k)).response,
+                  values[k])
+            << "replica " << p << " key " << k;
+      }
+    }
+  };
+  read_all();
+  const std::uint64_t hits_before = cached.hits();
+  const std::uint64_t fills_before = cached.fills();
+  read_all();
+  // Every key kept a slot of its own on every replica.
+  EXPECT_EQ(cached.hits() - hits_before, kKeys * kReps);
+  EXPECT_EQ(cached.fills() - fills_before, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Telemetry: the read_at probe is not a read
+
+TEST(Replicated, ReadAtProbeCountsNoTornReads) {
+  using Cache = Cached<Combining<KeyedRegisters, 8, ByThread>, KeyedModel>;
+  Cache cached;
+  constexpr std::uint64_t kKey = 5;
+  constexpr std::uint64_t kWrites = 200000;
+  std::atomic<std::uint64_t> writes{0};
+  std::atomic<bool> stop{false};
+
+  // Every write reinstalls kKey into replica 0 under its seqlock, so
+  // the prober keeps finding the way odd or moved.
+  std::thread writer([&] {
+    NativeContext ctx(0);
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::uint64_t i = writes.fetch_add(1, std::memory_order_relaxed);
+      (void)cached.invoke(ctx, key_write(i + 1, 0, kKey));
+    }
+  });
+  while (writes.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  // Probe for as long as the writer takes to install kWrites times.
+  while (writes.load(std::memory_order_relaxed) < kWrites) {
+    (void)cached.read_at(0, kKey);
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+
+  EXPECT_GT(cached.fills(), 0u);
+  EXPECT_EQ(cached.torn_retries(), 0u);
 }
 
 // ---------------------------------------------------------------------------
