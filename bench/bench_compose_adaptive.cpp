@@ -119,8 +119,7 @@ using PipeOf = FastPipeline<Relay, Relay, Relay, Sink>;
 // The full stack under adaptation: shards of combiners over pipelines.
 template <class Sink>
 using StackOf =
-    Sharded<Combining<PipeOf<Sink>, kCombineSlots, ByThread>, kShards,
-            ByThread>;
+    Sharded<Combining<PipeOf<Sink>, kCombineSlots>, kShards, ByThread>;
 
 Request req_of(ProcessId p, std::uint64_t i) {
   return Request{(static_cast<std::uint64_t>(p) << 40) | (i + 1), p, 0, 0};

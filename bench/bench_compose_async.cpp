@@ -216,8 +216,8 @@ bool solo_submit_equivalence(Layer& layer) {
 bool submit_equivalence_probes() {
   PipeOf<TicketSink> pipe;
   Sharded<PipeOf<TicketSink>, 4, ByThread> sharded;
-  Combining<PipeOf<TicketSink>, 4, ByThread> combined;
-  Sharded<Combining<PipeOf<TicketSink>, 4, ByThread>, 4, ByThread> nested;
+  Combining<PipeOf<TicketSink>, 4> combined;
+  Sharded<Combining<PipeOf<TicketSink>, 4>, 4, ByThread> nested;
   return solo_submit_equivalence(pipe) && solo_submit_equivalence(sharded) &&
          solo_submit_equivalence(combined) && solo_submit_equivalence(nested);
 }
@@ -226,7 +226,7 @@ bool submit_equivalence_probes() {
 // combiner-run (or inline) callback fires exactly once, and drain()
 // leaves no publication behind.
 bool detached_probe() {
-  Combining<PipeOf<RmwSink>, 4, ByThread> combined;
+  Combining<PipeOf<RmwSink>, 4> combined;
   NativeContext ctx(0);
   constexpr std::uint64_t kOps = 96;
   std::uint64_t callbacks = 0;
@@ -273,9 +273,7 @@ ScenarioResult run(const BenchParams& params) {
       }
       for (const std::size_t window : {std::size_t{1}, std::size_t{4},
                                        std::size_t{16}}) {
-        Sharded<Combining<PipeOf<RmwSink>, kCombineSlots, ByThread>, S,
-                ByThread>
-            cell;
+        Sharded<Combining<PipeOf<RmwSink>, kCombineSlots>, S, ByThread> cell;
         const auto sink_total = [&] {
           std::uint64_t total = 0;
           for (std::size_t s = 0; s < S; ++s) {

@@ -144,7 +144,7 @@ double run_cell(const BenchParams& params, int threads,
                 std::uint64_t& accounting_gaps) {
   using Pipe = typename PipeOf<D>::type;
   using Cell = std::conditional_t<
-      Combined, Sharded<Combining<Pipe, kCombineSlots, ByThread>, S, ByThread>,
+      Combined, Sharded<Combining<Pipe, kCombineSlots>, S, ByThread>,
       Sharded<Pipe, S, ByThread>>;
   Cell cell;
   static_assert(Cell::kConsensusNumber >= kConsensusNumberFetchAdd);
@@ -213,7 +213,7 @@ bool solo_equivalence_probe() {
   NativeContext ctx(0);
 
   Ticket direct;
-  Combining<Ticket, 4, ByThread> combined;
+  Combining<Ticket, 4> combined;
   for (std::uint64_t i = 0; i < kProbeOps; ++i) {
     const ModuleResult a = direct.invoke(ctx, req_of(0, i));
     const ModuleResult b = combined.invoke(ctx, req_of(0, i));
@@ -262,7 +262,7 @@ bool batch_equivalence_probe() {
 template <std::size_t D, std::size_t S>
 bool stats_probe() {
   using StatsPipe = typename PipeOf<D>::stats_type;
-  Sharded<Combining<StatsPipe, 4, ByThread>, S, ByThread> probe;
+  Sharded<Combining<StatsPipe, 4>, S, ByThread> probe;
   constexpr std::uint64_t kProbeOps = 64;
   NativeContext ctx(0);
   for (std::uint64_t i = 0; i < kProbeOps; ++i) {

@@ -102,7 +102,7 @@ struct StoreModel {
 
 template <std::size_t R>
 using CachedStore =
-    Replicated<Combining<KeyedStore, kCombineSlots, ByThread>, R, StoreModel>;
+    Replicated<Combining<KeyedStore, kCombineSlots>, R, StoreModel>;
 
 Request req_of(ProcessId p, std::uint64_t i, std::int64_t op,
                std::uint64_t key) {
@@ -224,7 +224,7 @@ void run_cell(const BenchParams& params, double read_frac, double theta,
 // its table on the rereads).
 bool solo_equivalence_probe() {
   CachedStore<2> cached;
-  Combining<KeyedStore, kCombineSlots, ByThread> bare;
+  Combining<KeyedStore, kCombineSlots> bare;
   NativeContext ctx(0);
   Rng rng(11);
   const workload::ZipfianKeys stream(kKeys, 0.99);

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   const std::uint64_t total =
       static_cast<std::uint64_t>(threads) * kOpsPerThread;
 
-  Combining<TicketPipe, 16, ByThread> counter;
+  Combining<TicketPipe, 16> counter;
   static_assert(decltype(counter)::kConsensusNumber ==
                 kConsensusNumberFetchAdd);
   static_assert(decltype(counter)::kDepth == 3);

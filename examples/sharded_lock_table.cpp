@@ -82,9 +82,8 @@ int main(int argc, char** argv) {
         Rng& rng = rngs[static_cast<std::size_t>(ctx.id())].value;
         const std::uint64_t key = stream(rng);
         const Request m = lock_req(ctx.id(), i, key);
-        // Route once and run on that shard explicitly, so the
-        // attribution below names the shard that actually served the
-        // op (route + invoke would consult the policy twice).
+        // Route and run on that shard explicitly, so the attribution
+        // below names the shard that served the op.
         const std::size_t shard = locks.route(ctx, m);
         touched[shard].fetch_add(1, std::memory_order_relaxed);
         const ModuleResult res = locks.invoke_at(shard, ctx, m);

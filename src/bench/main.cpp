@@ -10,11 +10,15 @@
 //   scm_bench --filter=universal --json=BENCH_results.json
 //   scm_bench --threads=8 --ops=100000 --reps=5 --warmup=1
 //   scm_bench --filter=tas.* --schedule=sticky:0.8
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bench/compare.hpp"
@@ -45,11 +49,6 @@ void print_usage() {
       "  --seed=N           base RNG seed                     (default 42)\n"
       "  --pin              pin scm-worker-N threads to cores (native\n"
       "                     scenarios; recorded in the JSON report)\n"
-      "  --topology=MODE    worker placement: none | pin | compact |\n"
-      "                     spread — compact fills one L3/NUMA domain\n"
-      "                     before the next, spread round-robins across\n"
-      "                     domains (sysfs topology; recorded in the JSON\n"
-      "                     report with the detected domain count)\n"
       "  --shm-role=ROLE    cross-process composition (compose.shm):\n"
       "                     server = run only compose.shm (it forks the\n"
       "                     clients itself); client = internal worker role\n"
@@ -68,7 +67,9 @@ void print_usage() {
       "                     nonzero on regression (no scenarios are run)\n"
       "  --threshold=T      --compare tolerance as a fraction\n"
       "                     (default 0.25 = +25%%)\n"
-      "  --help             this text\n");
+      "  --help             this text\n"
+      "Numeric flags take a whole non-negative decimal integer; anything\n"
+      "else (a sign, trailing characters, overflow) exits 2.\n");
 }
 
 bool parse_flag(const std::string& arg, const std::string& name,
@@ -76,6 +77,25 @@ bool parse_flag(const std::string& arg, const std::string& name,
   const std::string prefix = name + "=";
   if (arg.rfind(prefix, 0) != 0) return false;
   *out = arg.substr(prefix.size());
+  return true;
+}
+
+// Parses a numeric flag's value: the whole string must be a
+// non-negative decimal integer that fits T. Otherwise prints why and
+// returns false, so the caller exits 2 instead of running with
+// whatever prefix atoi or strtoull would have salvaged.
+template <class T>
+bool parse_count(const std::string& arg, const std::string& value, T* out) {
+  std::uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (value.empty() || ec != std::errc{} || ptr != end ||
+      v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    std::fprintf(stderr, "invalid %s (want a non-negative integer)\n",
+                 arg.c_str());
+    return false;
+  }
+  *out = static_cast<T>(v);
   return true;
 }
 
@@ -119,31 +139,29 @@ int main(int argc, char** argv) {
     } else if (parse_flag(arg, "--filter", &value)) {
       filter = value;
     } else if (parse_flag(arg, "--threads", &value)) {
-      params.threads = std::atoi(value.c_str());
+      if (!parse_count(arg, value, &params.threads)) return 2;
     } else if (parse_flag(arg, "--ops", &value)) {
-      params.ops = std::strtoull(value.c_str(), nullptr, 10);
+      if (!parse_count(arg, value, &params.ops)) return 2;
     } else if (parse_flag(arg, "--reps", &value)) {
-      params.reps = std::atoi(value.c_str());
+      if (!parse_count(arg, value, &params.reps)) return 2;
     } else if (parse_flag(arg, "--warmup", &value)) {
-      params.warmup = std::atoi(value.c_str());
+      if (!parse_count(arg, value, &params.warmup)) return 2;
     } else if (parse_flag(arg, "--schedule", &value)) {
       params.schedule = value;
     } else if (parse_flag(arg, "--seed", &value)) {
-      params.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!parse_count(arg, value, &params.seed)) return 2;
     } else if (arg == "--pin") {
       params.pin = true;
-    } else if (parse_flag(arg, "--topology", &value)) {
-      params.topology = value;
     } else if (parse_flag(arg, "--shm-role", &value)) {
       shm_role = value;
     } else if (parse_flag(arg, "--shm-name", &value)) {
       shm_name = value;
     } else if (parse_flag(arg, "--shm-id", &value)) {
-      shm_id = std::atoi(value.c_str());
+      if (!parse_count(arg, value, &shm_id)) return 2;
     } else if (parse_flag(arg, "--shm-procs", &value)) {
-      params.shm_procs = std::atoi(value.c_str());
+      if (!parse_count(arg, value, &params.shm_procs)) return 2;
     } else if (parse_flag(arg, "--shm-bytes", &value)) {
-      params.shm_segment_bytes = std::strtoull(value.c_str(), nullptr, 10);
+      if (!parse_count(arg, value, &params.shm_segment_bytes)) return 2;
     } else if (parse_flag(arg, "--adaptive", &value)) {
       if (value != "0" && value != "1") {
         std::fprintf(stderr, "--adaptive wants 0 or 1\n");
@@ -204,23 +222,7 @@ int main(int argc, char** argv) {
                  params.schedule.c_str());
     return 2;
   }
-  // Placement: --topology wins over the plain --pin boolean ("pin" is
-  // its sequential mode); both are recorded in the JSON params.
-  if (params.topology == "none") {
-    workload::set_pin_workers(params.pin);
-  } else if (params.topology == "pin") {
-    workload::set_pin_workers(workload::PinMode::kSequential);
-  } else if (params.topology == "compact") {
-    workload::set_pin_workers(workload::PinMode::kCompact);
-  } else if (params.topology == "spread") {
-    workload::set_pin_workers(workload::PinMode::kSpread);
-  } else {
-    std::fprintf(stderr,
-                 "unknown --topology=%s (want none | pin | compact | "
-                 "spread)\n",
-                 params.topology.c_str());
-    return 2;
-  }
+  workload::set_pin_workers(params.pin);
 
   const std::vector<ScenarioDef> defs = sorted_registry();
   if (list_only) {

@@ -15,7 +15,6 @@
 #include "bench/shm_e16.hpp"
 #include "support/parking.hpp"
 #include "support/table.hpp"
-#include "support/topology.hpp"
 
 namespace scm::bench {
 namespace {
@@ -187,13 +186,9 @@ void write_json(const RunReport& report, std::ostream& os) {
       .kv("shm_procs", report.params.shm_procs)
       .kv("shm_segment_bytes", report.params.shm_segment_bytes)
       .kv("shm_slot_count", shm_slot_count())
-      // Placement + parking provenance — additive keys again: which
-      // worker-placement policy ran (--topology), how many L3/NUMA
-      // domains the host sysfs reported, and which rung-3 wait
+      // Parking provenance — additive key again: which rung-3 wait
       // implementation the binary was built with (futex vs the forced
       // yield fallback), since the slow-path numbers differ.
-      .kv("topology", report.params.topology)
-      .kv("topology_domains", CpuTopology::system().domain_count())
       .kv("wait_mode", wait_mode_name(kDefaultWaitMode))
       // Whether Adaptive-wrapped scenarios ran with live actuators
       // (--adaptive) — additive key, same contract as above.

@@ -34,13 +34,6 @@ struct BenchParams {
   std::uint64_t seed = 42;
   bool pin = false;  // pin scm-worker-N threads to cores (--pin)
 
-  // Worker placement policy (--topology): none | pin | compact |
-  // spread. `pin` is sequential pinning (what --pin sets); compact
-  // fills one L3/NUMA domain before the next, spread round-robins
-  // across domains (support/topology.hpp). Recorded in the JSON params
-  // together with the detected domain count.
-  std::string topology = "none";
-
   // Cross-process (compose.shm) axis: worker-process count and shared
   // segment size. The combiner's slot count is compiled in
   // (bench/shm_e16.hpp) and recorded alongside these in the JSON

@@ -16,11 +16,12 @@
 //     bits fold in) get distinct slots. SLOT-MATES (equal slot_of)
 //     evict each other and share an invalidation generation;
 //   * reads classified read-only by the Model are served from the
-//     caller's replica via a generation-checked snapshot — no shared
-//     write; the only RMW is a relaxed fetch_add on the replica's own
-//     hits counter. That is what lets the read slice scale with cores
-//     while the write slice tracks the wrapped object's curve (the
-//     compose.cached scenario's claim);
+//     caller's replica (process i reads replica i mod N) via a
+//     generation-checked snapshot — no shared write; the only RMW is
+//     a relaxed fetch_add on the replica's own hits counter. That is
+//     what lets the read slice scale with cores while the write slice
+//     tracks the wrapped object's curve (the compose.cached scenario's
+//     claim);
 //   * writes are funneled unchanged through the wrapped object's
 //     submit() path (Combining's publication slots), and the
 //     operation's completion callback performs invalidation + refill:
@@ -33,29 +34,25 @@
 //     completes late, exactly PR 5's "the caching layer must consume
 //     Ticket<R>s" instruction.
 //
-// Correctness (linearizable mode, staleness bound 0): a hit requires
-// the entry's generation to EQUAL its slot's generation loaded at the
-// start of the read — the read's linearization point. The wrapped
-// object's completion callbacks fire at each operation's serialization
-// point (Combining runs them under the election lock on every path),
-// so one key's generations are assigned in linearization order: an
-// entry matching the current generation holds exactly the value the
-// object would return, and every committed write bumps its slot's
-// generation before its publisher can return, so no later read can hit
-// a pre-write entry. Keys that share a slot but are serialized by
-// different locks (other shards of a Sharded<Combining>) only bump
-// each other's generation: a generation never decreases, so the race
-// costs a conservative miss, never a stale hit. Mixed histories are
+// Correctness (linearizable): a hit requires the entry's generation to
+// EQUAL its slot's generation loaded at the start of the read — the
+// read's linearization point. The wrapped object's completion
+// callbacks fire at each operation's serialization point (Combining
+// runs them under the election lock on every path), so one key's
+// generations are assigned in linearization order: an entry matching
+// the current generation holds exactly the value the object would
+// return, and every committed write bumps its slot's generation before
+// its publisher can return, so no later read can hit a pre-write
+// entry. Keys that share a slot but are serialized by different locks
+// (other shards of a Sharded<Combining>) only bump each other's
+// generation: a generation never decreases, so the race costs a
+// conservative miss, never a stale hit. Mixed histories are
 // pinned by lincheck in caching_test, per key on a sharded stack with
-// slot-mates on different shards.
-// Raising the staleness bound k admits snapshots at most k committed
-// writes (to keys sharing the entry's slot) old — the Perrin et al.
-// trade: replicas may serve slightly stale snapshots where the spec
-// allows it; the entry seqlock still makes torn values impossible at
-// every bound.
+// slot-mates on different shards. The entry seqlock makes torn values
+// impossible.
 //
-// Backend requirements: in linearizable mode the wrapped object must
-// run completion callbacks at the serialization point (Combining, or
+// Backend requirements: the wrapped object must run completion
+// callbacks at the serialization point (Combining, or
 // Sharded<Combining> routed ByKeyHash so same-key operations share a
 // shard — cross-key callback races only cause conservative misses).
 // Objects without a callback-carrying submit (a bare pipeline) still
@@ -101,8 +98,7 @@ concept ReplicationModel =
     };
 
 template <class Obj, std::size_t kReplicas, class Model,
-          class Policy = ByThread, std::size_t kEntries = 64,
-          std::size_t kRecs = 32>
+          std::size_t kEntries = 64, std::size_t kRecs = 32>
   requires ReplicationModel<Model>
 class Replicated : public detail::ShardedConsensusBase<Obj>,
                    public detail::ShardedDepthBase<Obj> {
@@ -147,10 +143,10 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // object hands the result back (Combining fires it before kDone),
   // so a stack record suffices here.
   template <class Ctx>
-    requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
+    requires Composable<Obj, Ctx>
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt) {
-    const std::size_t rep = replica_of(ctx, m);
+    const std::size_t rep = replica_of(ctx);
     if (Model::is_read(m) && !init.has_value()) {
       if (const auto v = try_read(ctx, rep, key_of(m))) {
         return ModuleResult::commit(*v);
@@ -171,10 +167,10 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // cookie; correctness never depends on refills, they only raise the
   // hit rate).
   template <class Ctx>
-    requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
+    requires Composable<Obj, Ctx>
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
                               std::optional<SwitchValue> init = std::nullopt) {
-    const std::size_t rep = replica_of(ctx, m);
+    const std::size_t rep = replica_of(ctx);
     if (Model::is_read(m) && !init.has_value()) {
       if (const auto v = try_read(ctx, rep, key_of(m))) {
         return Ticket<ModuleResult>::ready(ModuleResult::commit(*v));
@@ -220,17 +216,6 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     }
   }
 
-  // Staleness bound in generations: 0 (the default) is linearizable —
-  // a hit must match its slot's current generation exactly; k admits
-  // snapshots at most k committed writes (to keys sharing the entry's
-  // slot) old.
-  void set_staleness_bound(std::uint64_t k) noexcept {
-    staleness_bound_.store(k, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t staleness_bound() const noexcept {
-    return staleness_bound_.load(std::memory_order_relaxed);
-  }
-
   // One slot-generation bump per completed write: the sum over slots is
   // the number of invalidations performed.
   [[nodiscard]] std::uint64_t invalidations() const noexcept {
@@ -260,9 +245,6 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
 
   [[nodiscard]] Obj& object() noexcept { return obj_.value; }
   [[nodiscard]] const Obj& object() const noexcept { return obj_.value; }
-
-  [[nodiscard]] Policy& policy() noexcept { return policy_; }
-  [[nodiscard]] const Policy& policy() const noexcept { return policy_; }
 
   // ---- forwarded surfaces (enabled exactly when Obj provides them).
 
@@ -320,8 +302,8 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
 
   struct alignas(kCacheLineSize) Replica {
     std::array<Entry, kEntries> entries{};
-    // Telemetry lives with its replica: a ByThread caller bumps
-    // counters on lines it already owns.
+    // Telemetry lives with its replica: a caller bumps counters on
+    // lines it already owns.
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> torn{0};
@@ -357,11 +339,8 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   };
 
   template <class Ctx>
-  std::size_t replica_of(Ctx& ctx, const Request& m) {
-    const std::size_t r = policy_(ctx, m, kReplicas);
-    SCM_CHECK_MSG(r < kReplicas,
-                  "replica policy produced an out-of-range replica");
-    return r;
+  static std::size_t replica_of(Ctx& ctx) noexcept {
+    return static_cast<std::size_t>(ctx.id()) % kReplicas;
   }
 
   [[nodiscard]] static std::uint64_t key_of(const Request& m) {
@@ -376,9 +355,9 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
 
   // The version-checked snapshot shared by the hot read path and the
   // read_at probe: returns the entry's value iff the seqlock snapshot
-  // is consistent, the key matches, and the tagged generation is within
-  // the staleness bound of `cur`. No counters — callers attribute hits,
-  // misses and torn reads themselves.
+  // is consistent, the key matches, and the tagged generation equals
+  // `cur`. No counters — callers attribute hits, misses and torn reads
+  // themselves.
   Snapshot snapshot(Replica& rep, std::uint64_t key, std::uint64_t cur) {
     Entry& e = rep.entries[slot_of(key)];
     const std::uint64_t v1 = e.ver.load(std::memory_order_acquire);
@@ -390,14 +369,10 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     if (e.ver.load(std::memory_order_relaxed) != v1) {
       return {std::nullopt, /*torn=*/true};
     }
-    if (k1 != key + 1) return {};
     // g > cur: installed after this read's linearization point —
-    // serving it would claim the future. g too far below cur: staler
-    // than the bound admits. Both are misses.
-    if (g > cur) return {};
-    if (cur - g > staleness_bound_.load(std::memory_order_relaxed)) {
-      return {};
-    }
+    // serving it would claim the future. g < cur: a write to the slot
+    // committed since the install. Both are misses.
+    if (k1 != key + 1 || g != cur) return {};
     return {val, /*torn=*/false};
   }
 
@@ -553,10 +528,8 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
 
   std::array<Replica, kReplicas> replicas_{};
   std::array<Padded<std::atomic<std::uint64_t>>, kEntries> generations_{};
-  std::atomic<std::uint64_t> staleness_bound_{0};
   std::array<Padded<CacheRec>, kRecs> recs_{};
   Padded<Obj> obj_;
-  [[no_unique_address]] Policy policy_{};
 };
 
 // The single-replica special case: one shared table — the right shape
@@ -564,6 +537,6 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
 // filled with the same hot keys anyway.
 template <class Obj, class Model, std::size_t kEntries = 64,
           std::size_t kRecs = 32>
-using Cached = Replicated<Obj, 1, Model, ByThread, kEntries, kRecs>;
+using Cached = Replicated<Obj, 1, Model, kEntries, kRecs>;
 
 }  // namespace scm

@@ -3,17 +3,18 @@
 // let ONE elected combiner execute everyone's pending requests through
 // the batch invocation path (core/batch.hpp).
 //
-// Combining<Obj, kSlots, Policy> is a combinator, not an algorithm:
-// each operation publishes its request into a cacheline-padded slot
-// (one release store), then either waits for a combiner to serve it or
-// — whenever the TAS-elected combiner lock is free — becomes the
-// combiner itself, draining every pending slot through
-// run_batch(obj, ...) in one pass. Under contention the composed-chain
-// walk that every process used to pay per operation is paid once per
-// batch by the combiner, which also keeps the wrapped object's cache
-// lines local to one core instead of bouncing them between all
-// publishers (Hendler/Incze/Shavit/Tzafrir's flat combining, applied
-// to the paper's composition chains).
+// Combining<Obj, kSlots> is a combinator, not an algorithm: each
+// operation publishes its request into a cacheline-padded slot (one
+// release store; process i starts its claim at slot i mod kSlots, so
+// with threads <= kSlots every thread owns a private slot), then
+// either waits for a combiner to serve it or — whenever the
+// TAS-elected combiner lock is free — becomes the combiner itself,
+// draining every pending slot through run_batch(obj, ...) in one pass.
+// Under contention the composed-chain walk that every process used to
+// pay per operation is paid once per batch by the combiner, which also
+// keeps the wrapped object's cache lines local to one core instead of
+// bouncing them between all publishers (Hendler/Incze/Shavit/Tzafrir's
+// flat combining, applied to the paper's composition chains).
 //
 // Semantics: the combiner executes the batch sequentially while
 // holding the election lock, so every operation — published or run on
@@ -115,7 +116,7 @@ struct CombiningConsensusBase<Obj,
 
 }  // namespace detail
 
-template <class Obj, std::size_t kSlots, class Policy = ByThread>
+template <class Obj, std::size_t kSlots>
 class Combining : public detail::CombiningConsensusBase<Obj>,
                   public detail::ShardedDepthBase<Obj> {
   static_assert(kSlots >= 1, "a combining wrapper needs at least one slot");
@@ -155,16 +156,12 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     }
   }
 
-  // Module surface: publish, then wait to be served or combine. The
-  // policy maps (context, request) to a publication slot — the same
-  // concept as shard routing, and ByThread (the default) gives every
-  // thread a private slot whenever threads <= kSlots. With more
-  // threads than slots, a colliding publisher waits for the slot
-  // owner's round trip (helping the combiner along, so the wait is
-  // bounded by its own progress even if the owner submitted
-  // asynchronously and is off doing something else).
+  // Module surface: publish, then wait to be served or combine. With
+  // more threads than slots, a publisher whose home slot is busy
+  // claims the next free one; when none is free it serves itself
+  // inline under the election lock (claim_or_run).
   template <class Ctx>
-    requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
+    requires Composable<Obj, Ctx>
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt) {
     // Fast path: the combiner lock is free — run the operation
@@ -175,12 +172,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     // publication path below and get batched. How hard to fight for
     // the lock here is the runtime elect_spins knob: 0 skips the
     // election entirely (publish-and-batch mode).
-    //
-    // The slot policy is consulted on the publication path only (the
-    // fast path touches no slot); a load-tracking policy's counters
-    // therefore see published ops, and its on_complete hook fires
-    // after the slot round trip. When the array is exhausted, the
-    // operation executes inline instead (claim_or_run).
     ModuleResult inline_result;
     const auto idx = submit_impl(ctx, m, init, /*detached=*/false, nullptr,
                                  nullptr, &inline_result);
@@ -197,7 +188,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // this way count as direct (no publication), keeping
   // direct_ops() + combined_ops() == total invocations.
   template <class Ctx>
-    requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
+    requires Composable<Obj, Ctx>
   void invoke_batch(Ctx& ctx, std::span<OpSlot> batch) {
     if (batch.empty()) return;
     std::uint64_t live = 0;
@@ -239,7 +230,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // simulator) publication round trips cannot run, so submit()
   // degenerates to invoke() plus a ready ticket.
   template <class Ctx>
-    requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
+    requires Composable<Obj, Ctx>
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
                               std::optional<SwitchValue> init = std::nullopt,
                               CompletionFn completion = nullptr,
@@ -267,7 +258,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // detached submissions survive until some thread combines: callers
   // must drain() (or keep the object busy) before destruction.
   template <class Ctx>
-    requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
+    requires Composable<Obj, Ctx>
   void submit_detached(Ctx& ctx, const Request& m,
                        std::optional<SwitchValue> init = std::nullopt,
                        CompletionFn completion = nullptr,
@@ -308,11 +299,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
 
   [[nodiscard]] Obj& object() noexcept { return obj_.value; }
   [[nodiscard]] const Obj& object() const noexcept { return obj_.value; }
-
-  // The slot policy instance, for inspection (e.g. ByLeastLoaded's
-  // in-flight counters — consulted on the publication path only).
-  [[nodiscard]] Policy& policy() noexcept { return policy_; }
-  [[nodiscard]] const Policy& policy() const noexcept { return policy_; }
 
   // ---- combining telemetry (relaxed; written only by the election
   // lock holder, so plain load+store with no RMW).
@@ -437,14 +423,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     void* user = nullptr;
   };
 
-  // Routes (context, request) to a publication slot, range-checked.
-  template <class Ctx>
-  std::size_t route_slot(Ctx& ctx, const Request& m) {
-    const std::size_t idx = policy_(ctx, m, kSlots);
-    SCM_CHECK_MSG(idx < kSlots, "slot policy produced an out-of-range slot");
-    return idx;
-  }
-
   // Tries to elect the caller combiner (test-and-test-and-set); the
   // winning exchange is the counted RMW. The caller owns the lock on
   // success and must release it.
@@ -553,8 +531,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   }
 
   // One rotation over the publication array attempting to claim a free
-  // record, starting at the policy's hint. Non-blocking: nullopt when
-  // every record is busy.
+  // record, starting at `hint` (the caller's home slot). Non-blocking:
+  // nullopt when every record is busy.
   template <class Ctx>
   std::optional<std::size_t> try_claim_rotation(Ctx& ctx, std::size_t hint) {
     for (std::size_t k = 0; k < kSlots; ++k) {
@@ -602,54 +580,34 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // waiting for a record to free can deadlock the whole group. The
   // combiner lock, by contrast, always frees in bounded time (holders
   // run one bounded pass and release), so "serve yourself as a batch
-  // of one" is always reachable. Stateless policies treat the routed
-  // slot as a HINT and rotate (any record serves a publication
-  // equally); load-tracking policies (on_complete) need the claimed
-  // index to equal the routed index or their per-slot counters skew,
-  // so for them a busy routed record goes straight to the inline
-  // fallback instead of waiting.
+  // of one" is always reachable. The home slot is only where the
+  // rotation starts: any record serves a publication equally.
   template <class Ctx>
   std::optional<std::size_t> claim_or_run(Ctx& ctx, const Request& m,
                                           std::optional<SwitchValue> init,
                                           ModuleResult* out,
                                           CompletionFn completion = nullptr,
                                           void* user = nullptr) {
-    const std::size_t hint = route_slot(ctx, m);
+    const std::size_t home = static_cast<std::size_t>(ctx.id()) % kSlots;
     for (;;) {
-      if constexpr (requires(Policy& p) { p.on_complete(hint); }) {
-        if (try_claim(ctx, hint)) return hint;
-      } else {
-        if (const auto idx = try_claim_rotation(ctx, hint)) return idx;
-      }
+      if (const auto idx = try_claim_rotation(ctx, home)) return idx;
       if (try_lock(ctx)) {
         *out = run_direct(ctx, m, init, completion, user);
-        // The routed record was never used: balance a load-tracking
-        // policy's in-flight increment from route_slot, or its
-        // counters drift up on every inline fallback.
-        if constexpr (requires(Policy& p) { p.on_complete(hint); }) {
-          policy_.on_complete(hint);
-        }
         return std::nullopt;
       }
       // Nothing claimable and the lock is held: park until a record
-      // (the routed one for load-tracking policies, any for stateless
-      // ones) frees or the lock does, then retry the races above.
+      // frees or the lock does, then retry the races above.
       wait_until(
           ctx,
-          [this, hint] {
+          [this] {
             if (!lock_.value.load(std::memory_order_relaxed)) return true;
-            if constexpr (requires(Policy& p) { p.on_complete(hint); }) {
-              return slots_[hint].value.status.load(
-                         std::memory_order_relaxed) == kFree;
-            } else {
-              for (const auto& padded : slots_) {
-                if (padded.value.status.load(std::memory_order_relaxed) ==
-                    kFree) {
-                  return true;
-                }
+            for (const auto& padded : slots_) {
+              if (padded.value.status.load(std::memory_order_relaxed) ==
+                  kFree) {
+                return true;
               }
-              return false;
             }
+            return false;
           },
           waiters_.value);
     }
@@ -672,10 +630,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     slot.status.store(kPending, std::memory_order_release);
   }
 
-  // Consumes a kDone slot: reads the result, recycles the record, and
-  // fires the slot policy's completion hook — the publication round
-  // trip is over, mirroring Sharded::invoke. Compiled out for
-  // stateless policies.
+  // Consumes a kDone slot: reads the result and recycles the record —
+  // the publication round trip is over.
   template <class Ctx>
   ModuleResult collect(Ctx& ctx, std::size_t idx) {
     Slot& slot = slots_[idx].value;
@@ -686,9 +642,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     // on; collect runs on the publisher (the slow path already), so
     // the wake's fence rides an existing round trip.
     waiters_.value.wake_all();
-    if constexpr (requires(Policy& p) { p.on_complete(idx); }) {
-      policy_.on_complete(idx);
-    }
     return r;
   }
 
@@ -717,8 +670,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
 
   // ---- ticket plumbing: the type-erased completion source bound into
   // every pending Ticket. `slot` carries the publication slot INDEX
-  // (as a uintptr), not a pointer — collect() needs the index for the
-  // policy hook anyway.
+  // (as a uintptr), not a pointer — collect() takes the index.
 
   template <class Ctx>
   static bool ticket_poll(void* source, void* slot, void* ctx,
@@ -837,13 +789,9 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
       if (s.completion != nullptr) s.completion(s.user, batch[i].result);
       if (batch[i].completion == OpCompletion::kDetached) {
         // Fire-and-forget: no collector will ever come for this
-        // record, so retire it in place and complete the slot policy's
-        // round trip ourselves.
+        // record, so retire it in place.
         ctx.on_write();
         s.status.store(kFree, std::memory_order_release);
-        if constexpr (requires(Policy& p) { p.on_complete(owner[i]); }) {
-          policy_.on_complete(owner[i]);
-        }
       } else {
         s.result = batch[i].result;
         ctx.on_write();
@@ -871,7 +819,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   std::atomic<std::uint64_t> rounds_{0};
   std::atomic<std::uint64_t> batched_ops_{0};
   std::atomic<std::uint64_t> direct_ops_{0};
-  [[no_unique_address]] Policy policy_{};
 };
 
 }  // namespace scm

@@ -8,11 +8,12 @@
 // shard is an independent instance of Obj (a Pipeline, FastPipeline,
 // StaticAbstractChain, or any other Composable object), and
 // the policy maps (context, request) -> shard index. Routing is the
-// only code the combinator adds to the hot path — one arithmetic
-// function, no virtual dispatch, no type erasure. Because Sharded
-// forwards the module surface (invoke + kConsensusNumber) it is itself
-// a ComposableModule whenever Obj is, so shards nest: a shard may be a
-// pipeline, and a pipeline stage may be a Sharded.
+// only code the combinator adds to the hot path — one pure arithmetic
+// function, no shared state, no virtual dispatch, no type erasure.
+// Because Sharded forwards the module surface (invoke +
+// kConsensusNumber) it is itself a ComposableModule whenever Obj is, so
+// shards nest: a shard may be a pipeline, and a pipeline stage may be a
+// Sharded.
 //
 // Semantics: operations on DIFFERENT shards touch disjoint base
 // objects, so a sharded object is linearizable per shard (each shard
@@ -20,9 +21,9 @@
 // NOT a single linearizable instance of the unsharded type — exactly
 // the trade studied for sequentially consistent composition (Perrin et
 // al.) and coded emulation (Cadambe et al.): spread the load, keep the
-// per-shard guarantees. Deterministic policies (ByThread, ByKeyHash)
-// make the partition reproducible: the same key always reaches the
-// same shard, so per-key histories stay linearizable.
+// per-shard guarantees. Both policies (ByThread, ByKeyHash) are pure
+// functions, so the partition is reproducible: the same key always
+// reaches the same shard, and per-key histories stay linearizable.
 //
 // Statistics: per-shard PipelineCounters (or per-process chain commit
 // tallies) stay on their shard's cache lines; stats()/commits_by()
@@ -47,19 +48,19 @@
 #include "history/request.hpp"
 #include "runtime/ids.hpp"
 #include "support/assert.hpp"
-#include "support/backoff.hpp"
 #include "support/cacheline.hpp"
 #include "support/parking.hpp"
-#include "support/topology.hpp"
 
 namespace scm {
 
 // A routing policy maps (context, request, shard count) to a shard
-// index in [0, shards). Policies may be stateful (RoundRobin), so they
-// are invoked through a mutable reference.
+// index in [0, shards). The call operator must be const: routing is a
+// pure function of its arguments, so routing the same operation twice
+// (route() then invoke_at(), or Sharded::invoke_batch's grouping pass)
+// always picks the same shard.
 template <class P, class Ctx>
 concept ShardRoutingPolicy =
-    requires(P& p, Ctx& ctx, const Request& m, std::size_t shards) {
+    requires(const P& p, Ctx& ctx, const Request& m, std::size_t shards) {
       { p(ctx, m, shards) } -> std::convertible_to<std::size_t>;
     };
 
@@ -94,95 +95,6 @@ struct ByKeyHash {
     return static_cast<std::size_t>(mix(static_cast<std::uint64_t>(m.arg)) %
                                     shards);
   }
-};
-
-// Global round-robin: spreads operations evenly regardless of issuer
-// or key. The cursor is one shared fetch_add per operation — a
-// deliberate cost (it is the only policy that needs cross-thread
-// state), acceptable when the per-operation work dwarfs one relaxed
-// RMW and the goal is load balance, not affinity.
-struct RoundRobin {
-  template <class Ctx>
-  std::size_t operator()(Ctx& /*ctx*/, const Request& /*m*/,
-                         std::size_t shards) noexcept {
-    return static_cast<std::size_t>(
-        next_.value.fetch_add(1, std::memory_order_relaxed) % shards);
-  }
-
- private:
-  // The cursor is written by EVERY routed operation, so it gets a cache
-  // line of its own: unpadded it shares a line with whatever the
-  // enclosing object stores next to the policy (Sharded lays the policy
-  // out right after the shard array), and that neighbor's readers would
-  // take a miss on every routed op.
-  Padded<std::atomic<std::uint64_t>> next_{};
-};
-
-// Topology-affine routing: every thread running in the same L3/NUMA
-// domain (support/topology.hpp) reaches the same shard, so a shard's
-// cache lines stay resident in ONE last-level cache instead of
-// bouncing across packages — the domain-aligned placement half of the
-// sharding story (pin workers per domain with workload's
-// PinMode::kCompact/kSpread and each shard becomes domain-local).
-// Deterministic given thread placement: pinned workers never migrate,
-// so their domain — and therefore their shard — is fixed for the run;
-// unpinned threads re-sample their domain periodically and may
-// migrate, which costs affinity, never correctness. On machines where
-// sysfs reports a single domain (or reports nothing) every operation
-// routes to shard 0 — the explicit degradation to "one shared object",
-// matching the topology's single-domain fallback.
-struct ByDomain {
-  template <class Ctx>
-  std::size_t operator()(Ctx& /*ctx*/, const Request& /*m*/,
-                         std::size_t shards) const noexcept {
-    return static_cast<std::size_t>(current_domain()) % shards;
-  }
-};
-
-// Approximate least-loaded routing: each shard has a padded in-flight
-// counter; routing scans for the minimum and increments the chosen
-// shard, and the completion hook (invoked by Sharded::invoke
-// after the operation returns) decrements it. "Approximate" is load-
-// bearing twice over: the scan is racy (two routers may pick the same
-// minimum), and callers using the explicit route()/invoke_at()
-// attribution pattern must call Sharded::complete() themselves or the
-// counters drift — both acceptable for a load-balancing heuristic.
-// kMaxShards bounds the counter array; routing more shards than that
-// is a checked error.
-template <std::size_t kMaxShards = 16>
-struct ByLeastLoaded {
-  template <class Ctx>
-  std::size_t operator()(Ctx& /*ctx*/, const Request& /*m*/,
-                         std::size_t shards) noexcept {
-    SCM_CHECK_MSG(shards <= kMaxShards,
-                  "ByLeastLoaded: raise kMaxShards for this shard count");
-    std::size_t best = 0;
-    std::int64_t best_load =
-        in_flight_[0].value.load(std::memory_order_relaxed);
-    for (std::size_t s = 1; s < shards; ++s) {
-      const std::int64_t load =
-          in_flight_[s].value.load(std::memory_order_relaxed);
-      if (load < best_load) {
-        best = s;
-        best_load = load;
-      }
-    }
-    in_flight_[best].value.fetch_add(1, std::memory_order_relaxed);
-    return best;
-  }
-
-  // Completion hook, detected structurally by Sharded: one routed
-  // operation on shard s finished.
-  void on_complete(std::size_t s) noexcept {
-    in_flight_[s].value.fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::int64_t in_flight(std::size_t s) const noexcept {
-    return in_flight_[s].value.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::array<Padded<std::atomic<std::int64_t>>, kMaxShards> in_flight_{};
 };
 
 namespace detail {
@@ -250,7 +162,7 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   // replica and is therefore harmless.
   template <class Ctx>
     requires ShardRoutingPolicy<Policy, Ctx>
-  [[nodiscard]] std::size_t route(Ctx& ctx, const Request& m) {
+  [[nodiscard]] std::size_t route(Ctx& ctx, const Request& m) const {
     const std::size_t n = active_.value.load(std::memory_order_relaxed);
     const std::size_t s = policy_(ctx, m, n);
     SCM_CHECK_MSG(s < n, "routing policy produced an out-of-range shard");
@@ -262,28 +174,16 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   // Publishes a new active shard count in [1, kShards]. Growing widens
   // the policy's modulus immediately (replicas beyond the old count
   // are idle, fully-constructed objects — nothing to initialize).
-  // Shrinking publishes the smaller count FIRST (stopping new
-  // arrivals), then — for load-tracking policies exposing
-  // in_flight(s) — drains every deactivated shard's in-flight counter
-  // to zero before returning, so by the time the call completes no
-  // routed operation is still executing on a retired replica. The
-  // epoch bump is the "remap done" publication tests and monitors key
-  // on. Concurrent callers are the caller's problem (the adaptive
-  // layer serializes decisions behind its tick lock).
+  // Shrinking stops new arrivals at the retired replicas; operations
+  // already routed there finish on them, which is harmless because a
+  // retired replica stays a live, fully-constructed object. The epoch
+  // bump is the "remap done" publication tests and monitors key on.
+  // Concurrent callers are the caller's problem (the adaptive layer
+  // serializes decisions behind its tick lock).
   void set_active_shards(std::size_t n) {
     SCM_CHECK_MSG(n >= 1 && n <= kShards,
                   "active shard count must be in [1, kShards]");
-    const std::size_t old = active_.value.exchange(n, std::memory_order_seq_cst);
-    if (n < old) {
-      if constexpr (requires(const Policy& p, std::size_t s) {
-                      { p.in_flight(s) } -> std::convertible_to<std::int64_t>;
-                    }) {
-        for (std::size_t s = n; s < old; ++s) {
-          int spins = 0;
-          while (policy_.in_flight(s) != 0) (void)spin_backoff(spins);
-        }
-      }
-    }
+    active_.value.store(n, std::memory_order_seq_cst);
     mask_epoch_.fetch_add(1, std::memory_order_release);
   }
 
@@ -292,9 +192,8 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   }
 
   // Monotone remap counter: bumped once per completed
-  // set_active_shards (after any drain), so an observer comparing
-  // epochs across a reconfiguration knows the mask — and for
-  // load-tracking policies the drain — is fully published.
+  // set_active_shards, so an observer comparing epochs across a
+  // reconfiguration knows the new count is published.
   [[nodiscard]] std::uint64_t active_epoch() const noexcept {
     return mask_epoch_.load(std::memory_order_acquire);
   }
@@ -307,15 +206,11 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
     requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt) {
-    return routed(ctx, m,
-                  [&](std::size_t s) { return invoke_at(s, ctx, m, init); });
+    return invoke_at(route(ctx, m), ctx, m, init);
   }
 
-  // Runs the operation on an explicitly chosen shard. Callers that
-  // need to attribute the result to the serving shard must route once
-  // and pass the index here — calling route() and then invoke() would
-  // consult the policy twice, and a stateful policy (RoundRobin)
-  // advances on every consultation, so the two calls could disagree.
+  // Runs the operation on an explicitly chosen shard (usually the one
+  // route() returned, for callers that attribute results per shard).
   template <class Ctx>
     requires Composable<Obj, Ctx>
   ModuleResult invoke_at(std::size_t s, Ctx& ctx, const Request& m,
@@ -329,20 +224,13 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   // Route, then submit on the chosen shard. When the replica is itself
   // asynchronous (per-shard Combining), its pending ticket is
   // forwarded unchanged; otherwise see the synchronous overload below.
-  // NOTE for load-tracking policies (ByLeastLoaded): the completion
-  // hook fires when submit returns, so under async submission the
-  // in-flight counters track the submission window rather than true
-  // completion — acceptable for a load heuristic, and the alternative
-  // (hooking ticket collection) would put a shared-counter touch on
-  // every poll.
   template <class Ctx>
     requires ShardRoutingPolicy<Policy, Ctx> &&
              requires(Obj& o, Ctx& c, const Request& r,
                       std::optional<SwitchValue> v) { o.submit(c, r, v); }
   auto submit(Ctx& ctx, const Request& m,
               std::optional<SwitchValue> init = std::nullopt) {
-    return routed(ctx, m,
-                  [&](std::size_t s) { return shard(s).submit(ctx, m, init); });
+    return shard(route(ctx, m)).submit(ctx, m, init);
   }
 
   // Synchronous replicas (pipelines, chains) complete inline:
@@ -368,9 +256,7 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
               CompletionFn completion, void* user = nullptr)
     requires requires(Obj& o) { o.submit(ctx, m, init, completion, user); }
   {
-    return routed(ctx, m, [&](std::size_t s) {
-      return shard(s).submit(ctx, m, init, completion, user);
-    });
+    return shard(route(ctx, m)).submit(ctx, m, init, completion, user);
   }
 
   // Fire-and-forget forwarding (enabled when the replica has it): the
@@ -385,9 +271,7 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
       o.submit_detached(ctx, m, init, completion, user);
     }
   {
-    routed(ctx, m, [&](std::size_t s) {
-      shard(s).submit_detached(ctx, m, init, completion, user);
-    });
+    shard(route(ctx, m)).submit_detached(ctx, m, init, completion, user);
   }
 
   // Drains every shard's pending publications (enabled exactly when
@@ -405,12 +289,11 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   // and dispatches each through run_batch, so a per-shard combiner (or
   // a replica's own invoke_batch) finally sees a REAL batch instead of
   // the one-op batches per-op forwarding produced. Every pending slot
-  // is routed exactly once, in slot order — a stateful policy
-  // (RoundRobin) advances exactly as the per-op loop would, so the
-  // grouping is accounting-identical to routing each op individually.
-  // Within a shard, slots run in slot order; across shards the replicas
-  // are disjoint objects, so for a single executing thread the results
-  // equal per-op invocation. Grouping allocates O(batch) scratch.
+  // is routed exactly once; routing is pure, so each slot lands on the
+  // shard per-op invoke would have picked. Within a shard, slots run in
+  // slot order; across shards the replicas are disjoint objects, so for
+  // a single executing thread the results equal per-op invocation.
+  // Grouping allocates O(batch) scratch.
   template <class Ctx>
     requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
   void invoke_batch(Ctx& ctx, std::span<OpSlot> batch) {
@@ -435,34 +318,11 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
         scratch.push_back(batch[i]);
       }
       run_batch(shard(s), ctx, std::span<OpSlot>(scratch));
-      // Scatter back; complete(s) fires once per dispatched slot,
-      // mirroring per-op invoke.
       for (std::size_t k = 0; k < origin.size(); ++k) {
         batch[origin[k]] = scratch[k];
-        complete(s);
       }
     }
   }
-
-  // Tells a load-tracking policy (ByLeastLoaded) that an operation
-  // routed to shard s has finished. invoke() and submit() call it
-  // automatically; users of the explicit route()/invoke_at()
-  // attribution pattern call it themselves once the operation returns.
-  // A no-op (compiled out) for policies without an on_complete hook.
-  void complete(std::size_t s) noexcept {
-    if constexpr (requires(Policy& p) { p.on_complete(s); }) {
-      SCM_CHECK(s < kShards);
-      policy_.on_complete(s);
-    } else {
-      (void)s;
-    }
-  }
-
-  // The routing policy instance, for inspection (e.g. ByLeastLoaded's
-  // in-flight counters). Routing should still go through route() so
-  // the range check applies.
-  [[nodiscard]] Policy& policy() noexcept { return policy_; }
-  [[nodiscard]] const Policy& policy() const noexcept { return policy_; }
 
   [[nodiscard]] Obj& shard(std::size_t s) noexcept {
     return shards_[s].value;
@@ -593,22 +453,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   }
 
  private:
-  // The per-op round trip shared by invoke, the submit family and
-  // submit_detached: route, run on the chosen shard, fire the policy's
-  // completion hook. fn receives the routed shard index.
-  template <class Ctx, class Fn>
-  decltype(auto) routed(Ctx& ctx, const Request& m, Fn&& fn) {
-    const std::size_t s = route(ctx, m);
-    if constexpr (std::is_void_v<decltype(fn(s))>) {
-      fn(s);
-      complete(s);
-    } else {
-      auto r = fn(s);
-      complete(s);
-      return r;
-    }
-  }
-
   template <class Fn, std::size_t... I>
   static std::array<Padded<Obj>, kShards> build(Fn& make_args,
                                                 std::index_sequence<I...>) {

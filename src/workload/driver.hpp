@@ -9,7 +9,6 @@
 // callers that store type-erased bodies.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -28,47 +27,23 @@
 #include "runtime/context.hpp"
 #include "runtime/ids.hpp"
 #include "support/barrier.hpp"
-#include "support/topology.hpp"
 
 namespace scm::workload {
 
-// How spawned workers are placed on CPUs (scm_bench --pin /
-// --topology): set once at startup before any run_threads call; every
-// spawned worker reads it. Pinning makes thread<->core placement
-// stable across repetitions — cross-rep variance from the scheduler
-// migrating workers disappears — at the cost of fixing the placement
-// the measurement reports. The domain-aware modes additionally choose
-// WHICH cores, using the sysfs topology (support/topology.hpp):
-//
-//   kNone        workers float; the scheduler places them.
-//   kSequential  worker t -> t-th allowed CPU (the historical --pin).
-//   kCompact     allowed CPUs ordered domain-by-domain: one L3/NUMA
-//                domain fills completely before the next is touched —
-//                maximum sharing, the ByDomain-friendly placement.
-//   kSpread      one CPU per domain in round-robin — maximum
-//                aggregate cache, the bandwidth-friendly placement.
-//
-// On single-domain machines (or where sysfs is silent) kCompact and
-// kSpread both degrade to kSequential exactly.
-enum class PinMode : int { kNone = 0, kSequential, kCompact, kSpread };
-
-inline std::atomic<int>& pin_mode_flag() {
-  static std::atomic<int> flag{static_cast<int>(PinMode::kNone)};
+// Whether spawned workers are pinned to CPUs (scm_bench --pin): set
+// once at startup before any run_threads call; every spawned worker
+// reads it. Pinning makes thread<->core placement stable across
+// repetitions — cross-rep variance from the scheduler migrating
+// workers disappears — at the cost of fixing the placement the
+// measurement reports.
+inline std::atomic<bool>& pin_flag() {
+  static std::atomic<bool> flag{false};
   return flag;
 }
-inline void set_pin_workers(PinMode mode) {
-  pin_mode_flag().store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-// Historical boolean switch (scm_bench --pin), now an alias for
-// sequential pinning.
 inline void set_pin_workers(bool on) {
-  set_pin_workers(on ? PinMode::kSequential : PinMode::kNone);
+  pin_flag().store(on, std::memory_order_relaxed);
 }
-inline PinMode pin_workers_mode() {
-  return static_cast<PinMode>(
-      pin_mode_flag().load(std::memory_order_relaxed));
-}
-inline bool pin_workers() { return pin_workers_mode() != PinMode::kNone; }
+inline bool pin_workers() { return pin_flag().load(std::memory_order_relaxed); }
 
 struct DriverResult {
   double seconds = 0.0;
@@ -115,17 +90,14 @@ inline void name_worker_thread(int pid) {
 #endif
 }
 
-// Pins the calling worker to the (pid mod n)-th CPU of the placement
-// order derived from the pin mode: scm-worker-N lands on the same core
-// every repetition, and workers spread over all available cores before
-// doubling up. The base order indexes into the sched_getaffinity mask
-// (rather than 0..online-cores), which keeps pinning correct inside
-// cpuset-restricted containers, where the allowed CPUs need not start
-// at 0 or be contiguous; the domain-aware modes reorder that allowed
-// list by topology domain (compact: domain by domain; spread: round-
-// robin across domains). Best-effort — failures and non-Linux hosts
-// are ignored.
-inline void pin_worker_thread(int pid, PinMode mode = PinMode::kSequential) {
+// Pins the calling worker to the (pid mod n)-th of the n CPUs in its
+// sched_getaffinity mask: scm-worker-N lands on the same core every
+// repetition, and workers spread over all available cores before
+// doubling up. Indexing the mask (rather than 0..online-cores) keeps
+// pinning correct inside cpuset-restricted containers, where the
+// allowed CPUs need not start at 0 or be contiguous. Best-effort —
+// failures and non-Linux hosts are ignored.
+inline void pin_worker_thread(int pid) {
 #if defined(__linux__)
   cpu_set_t allowed;
   CPU_ZERO(&allowed);
@@ -133,51 +105,17 @@ inline void pin_worker_thread(int pid, PinMode mode = PinMode::kSequential) {
   const int navail = CPU_COUNT(&allowed);
   if (navail <= 0) return;
 
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(navail));
+  int skip = pid % navail;
   for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &allowed)) order.push_back(cpu);
+    if (!CPU_ISSET(cpu, &allowed) || skip-- != 0) continue;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+    return;
   }
-  if (mode == PinMode::kCompact || mode == PinMode::kSpread) {
-    const CpuTopology& topo = CpuTopology::system();
-    // Bucket the ALLOWED cpus by domain, preserving cpu order inside
-    // each bucket; unknown cpus land in domain 0 (the fallback).
-    std::vector<std::vector<int>> buckets(
-        static_cast<std::size_t>(std::max(1, topo.domain_count())));
-    for (const int cpu : order) {
-      buckets[static_cast<std::size_t>(topo.domain_of(cpu)) %
-              buckets.size()]
-          .push_back(cpu);
-    }
-    order.clear();
-    if (mode == PinMode::kCompact) {
-      for (const auto& b : buckets) {
-        order.insert(order.end(), b.begin(), b.end());
-      }
-    } else {  // kSpread: one cpu per domain in turn
-      for (std::size_t i = 0;; ++i) {
-        bool any = false;
-        for (const auto& b : buckets) {
-          if (i < b.size()) {
-            order.push_back(b[i]);
-            any = true;
-          }
-        }
-        if (!any) break;
-      }
-    }
-  }
-  if (order.empty()) return;
-
-  const int cpu =
-      order[static_cast<std::size_t>(pid) % order.size()];
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 #else
   (void)pid;
-  (void)mode;
 #endif
 }
 
@@ -198,9 +136,7 @@ double run_pool(int threads, std::vector<StepCounters>& counters,
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
       name_worker_thread(t);
-      if (const PinMode mode = pin_workers_mode(); mode != PinMode::kNone) {
-        pin_worker_thread(t, mode);
-      }
+      if (pin_workers()) pin_worker_thread(t);
       NativeContext ctx(static_cast<ProcessId>(t));
       start.arrive_and_wait();
       worker(ctx, t);

@@ -25,9 +25,9 @@
 //    fetch&inc response exactly once while ticks and decisions fire
 //    mid-run.
 //
-// Runs under the "tsan" ctest label: the monitor's tick lock, the
-// relaxed knob publications, and the drain in set_active_shards are
-// exactly the kind of protocol TSan arbitrates.
+// Runs under the "tsan" ctest label: the monitor's tick lock and the
+// relaxed knob and shard-count publications are exactly the kind of
+// protocol TSan arbitrates.
 #include "core/adaptive.hpp"
 
 #include <gtest/gtest.h>
@@ -78,7 +78,7 @@ Request inc_req(std::uint64_t id, ProcessId p) {
   return Request{id, p, CounterSpec::kFetchInc, 0};
 }
 
-using CombStack = Combining<CounterModule, 8, ByThread>;
+using CombStack = Combining<CounterModule, 8>;
 using ShardStack = Sharded<CombStack, 4, ByThread>;
 
 // ---------------------------------------------------------------------------

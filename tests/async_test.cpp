@@ -191,14 +191,14 @@ TEST(AsyncSubmit, SoloSubmitWaitMatchesInvokeOnEveryLayer) {
     expect_solo_submit_equivalence(sharded);
   }
   {
-    Combining<Pipe, 4, ByThread> combined;
+    Combining<Pipe, 4> combined;
     expect_solo_submit_equivalence(combined);
     // Solo, every submit took the uncontended inline fast path.
     EXPECT_EQ(combined.direct_ops(), 48u);
     EXPECT_EQ(combined.combine_rounds(), 0u);
   }
   {
-    Sharded<Combining<Pipe, 4, ByThread>, 2, ByThread> nested;
+    Sharded<Combining<Pipe, 4>, 2, ByThread> nested;
     expect_solo_submit_equivalence(nested);
   }
 }
@@ -210,7 +210,7 @@ TEST(AsyncSubmit, SimulatorContextCompletesInline) {
   // Under a sim context, Combining::submit must degenerate to
   // invoke() + ready ticket — a pending publication would park the
   // process against the step-granting scheduler.
-  Combining<Pipeline<HopModule, SinkModule>, 4, ByThread> combined;
+  Combining<Pipeline<HopModule, SinkModule>, 4> combined;
   Simulator s;
   s.add_process([&](SimContext& ctx) {
     std::uint64_t callbacks = 0;
@@ -240,7 +240,7 @@ TEST(AsyncSubmit, PublishedSubmissionsAreServedInOneCombinePass) {
   g_gate_entered.store(false);
   g_gate_open.store(false);
 
-  Combining<Pipeline<GateModule>, 16, ByThread> combined;
+  Combining<Pipeline<GateModule>, 16> combined;
   std::thread holder([&] {
     NativeContext hctx(1);
     // op == 1 parks inside the module with the combiner lock held.
@@ -292,7 +292,7 @@ TEST(AsyncSubmit, DrainExecutesEveryDetachedSubmissionPublishedBefore) {
   g_gate_entered.store(false);
   g_gate_open.store(false);
 
-  Combining<Pipeline<GateModule>, 8, ByThread> combined;
+  Combining<Pipeline<GateModule>, 8> combined;
   std::thread holder([&] {
     NativeContext hctx(1);
     (void)combined.invoke(hctx, req(1000, 1, 0, 1));
@@ -331,7 +331,7 @@ TEST(AsyncSubmit, ExhaustedPublicationArrayFallsBackToInlineExecution) {
   g_gate_entered.store(false);
   g_gate_open.store(false);
 
-  Combining<Pipeline<GateModule>, kSlots, ByThread> combined;
+  Combining<Pipeline<GateModule>, kSlots> combined;
   std::thread holder([&] {
     NativeContext hctx(1);
     (void)combined.invoke(hctx, req(1000, 1, 0, 1));
@@ -378,9 +378,7 @@ TEST(AsyncSubmit, ShardedForwardsCallbacksAndDetachedSubmission) {
   // Combinings exposes the FULL submit/complete surface —
   // callback-carrying submit, submit_detached, drain — not just the
   // plain ticket form.
-  Sharded<Combining<Pipeline<HopModule, TicketModule>, 8, ByThread>, 2,
-          ByThread>
-      obj;
+  Sharded<Combining<Pipeline<HopModule, TicketModule>, 8>, 2, ByThread> obj;
   NativeContext ctx(0);
   std::uint64_t callbacks = 0;
   const CompletionFn cb = [](void* user, const ModuleResult& r) {
@@ -404,48 +402,6 @@ TEST(AsyncSubmit, ShardedForwardsCallbacksAndDetachedSubmission) {
   EXPECT_EQ(sink, 16u);
 }
 
-TEST(AsyncSubmit, InlineFallbackBalancesLoadTrackingSlotPolicy) {
-  // A load-tracking slot policy's counters increment when submit
-  // routes; when the routed record is busy and the op completes via
-  // the inline fallback instead, the increment must be balanced or
-  // the counters drift up on every fallback. At quiescence all
-  // in-flight counts return to zero.
-  constexpr std::size_t kSlots = 2;
-  g_gate_entered.store(false);
-  g_gate_open.store(false);
-
-  Combining<Pipeline<GateModule>, kSlots, ByLeastLoaded<kSlots>> combined;
-  std::thread holder([&] {
-    NativeContext hctx(1);
-    (void)combined.invoke(hctx, req(1000, 1, 0, 1));
-  });
-  while (!g_gate_entered.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-
-  NativeContext ctx(0);
-  // Fill both records with pending publications...
-  auto ta = combined.submit(ctx, req(1, 0, 10));
-  auto tb = combined.submit(ctx, req(2, 0, 20));
-  // ...then force the fallback: the third submit routes to a busy
-  // record and must complete inline once the gate opens (its ticket
-  // may be served either inline or, if the holder's combine wins the
-  // race, through the slot — both balance).
-  std::thread extra([&] {
-    NativeContext ectx(2);
-    EXPECT_EQ(combined.submit(ectx, req(3, 2, 30)).wait().response, 30);
-  });
-  g_gate_open.store(true, std::memory_order_release);
-  holder.join();
-  extra.join();
-  EXPECT_EQ(ta.wait().response, 10);
-  EXPECT_EQ(tb.wait().response, 20);
-
-  for (std::size_t s = 0; s < kSlots; ++s) {
-    EXPECT_EQ(combined.policy().in_flight(s), 0) << "slot " << s;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Concurrent histories linearize (overlapping submit windows)
 
@@ -460,7 +416,7 @@ TEST(AsyncSubmit, ConcurrentSubmitPollWaitHistoriesLinearize) {
   constexpr std::uint64_t kOps = 4;
 
   for (int round = 0; round < 10; ++round) {
-    Combining<Pipeline<HopModule, TicketModule>, 8, ByThread> combined;
+    Combining<Pipeline<HopModule, TicketModule>, 8> combined;
     std::atomic<std::uint64_t> clock{0};
     struct Recorded {
       Response response = 0;
@@ -542,7 +498,7 @@ TEST(AsyncSubmit, OwnershipStressDropsPollsWaitsAndDrains) {
   constexpr std::uint64_t kOps = 384;
   constexpr std::uint64_t kTotal = kThreads * kOps;
 
-  Combining<Pipeline<HopModule, TicketModule>, 8, ByThread> combined;
+  Combining<Pipeline<HopModule, TicketModule>, 8> combined;
   std::atomic<std::uint64_t> detached_callbacks{0};
   std::atomic<std::uint64_t> collected{0};
 
@@ -612,7 +568,7 @@ TEST(AsyncSubmit, OwnershipStressDropsPollsWaitsAndDrains) {
 void destroy_combining_with_outstanding_publication() {
   g_gate_entered.store(false);
   g_gate_open.store(false);
-  auto* combined = new Combining<Pipeline<GateModule>, 4, ByThread>();
+  auto* combined = new Combining<Pipeline<GateModule>, 4>();
   std::thread holder([&] {
     NativeContext hctx(1);
     (void)combined->invoke(hctx, req(1000, 1, 0, 1));
@@ -641,9 +597,7 @@ TEST(AsyncSubmit, DestroyingCombiningWithOutstandingPublicationDies) {
 TEST(OpenLoop, DriverAccountsOneLatencySamplePerOp) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kOps = 256;
-  Sharded<Combining<Pipeline<HopModule, TicketModule>, 8, ByThread>, 2,
-          ByThread>
-      cell;
+  Sharded<Combining<Pipeline<HopModule, TicketModule>, 8>, 2, ByThread> cell;
   std::atomic<std::uint64_t> committed{0};
 
   const workload::OpenLoopResult r = workload::run_open_loop(
@@ -691,7 +645,7 @@ TEST(OpenLoop, WindowWiderThanPerThreadOpsCompletesAndAccountsEveryOp) {
   constexpr int kThreads = 3;
   constexpr std::uint64_t kOps = 5;        // per thread
   constexpr std::size_t kWindow = 64;      // >> kOps
-  Combining<Pipeline<HopModule, TicketModule>, 8, ByThread> cell;
+  Combining<Pipeline<HopModule, TicketModule>, 8> cell;
   std::atomic<std::uint64_t> committed{0};
 
   const workload::OpenLoopResult r = workload::run_open_loop(
@@ -720,7 +674,7 @@ TEST(OpenLoop, WindowWiderThanPerThreadOpsCompletesAndAccountsEveryOp) {
 // multi-process driver drains defensively after short runs where
 // nothing may be in flight.
 TEST(OpenLoop, DrainOnEmptyCombiningReturnsImmediately) {
-  Combining<TicketModule, 4, ByThread> cell;
+  Combining<TicketModule, 4> cell;
   NativeContext ctx(0);
   cell.drain(ctx);  // fresh object: no publication has ever existed
   EXPECT_EQ(cell.object().count(), 0u);

@@ -242,10 +242,9 @@ TEST(ReportSchema, ContainsRequiredKeys) {
         // environment keys above.
         "\"page_size\"", "\"shm_procs\"", "\"shm_segment_bytes\"",
         "\"shm_slot_count\"",
-        // Placement + parking provenance (PR 9) — additive again:
-        // which --topology policy ran, how many L3/NUMA domains the
-        // host reported, and the compiled-in rung-3 wait mode.
-        "\"topology\"", "\"topology_domains\"", "\"wait_mode\"",
+        // Parking provenance — additive again: the compiled-in
+        // rung-3 wait mode.
+        "\"wait_mode\"",
         // Whether Adaptive-wrapped scenarios ran with live actuators
         // (--adaptive) — additive like everything above.
         "\"adaptive\""}) {

@@ -6,12 +6,12 @@
 //  * ReadOnlyOps classification;
 //  * a solo caller's cached results are bit-identical to the bare
 //    object's, hit path included;
-//  * the staleness bound: 0 is linearizable (a post-write read misses
-//    and refetches), k admits snapshots up to k generations old;
+//  * invalidation: a post-write read misses, refetches, and refills at
+//    the current generation;
 //  * ticket-consuming invalidation: submit()'s completion callbacks
 //    refill/invalidate by the time the ticket is collected;
 //  * concurrent mixed read/fetch_inc histories through the cache
-//    linearize against CounterSpec in linearizable mode (bound 0);
+//    linearize against CounterSpec;
 //  * invalidation storms: every write bumps the generation exactly
 //    once under contention, per-thread read streams stay monotone, and
 //    no read ever returns a value the counter never held;
@@ -84,7 +84,7 @@ struct CounterModel {
 
 // Same classification, but the write's effect is declared underivable:
 // the cache must invalidate without refilling — the shape the
-// staleness-bound tests need (a stale entry stays stale).
+// invalidation test needs (a stale entry stays stale).
 struct NoRefillModel {
   static bool is_read(const Request& m) { return m.op == CounterSpec::kRead; }
   static std::uint64_t key(const Request& /*m*/) { return 0; }
@@ -101,8 +101,7 @@ Request inc_req(std::uint64_t id, ProcessId p) {
   return Request{id, p, CounterSpec::kFetchInc, 0};
 }
 
-using CachedCounter = Cached<Combining<CounterModule, 8, ByThread>,
-                             CounterModel>;
+using CachedCounter = Cached<Combining<CounterModule, 8>, CounterModel>;
 
 // Parks the calling thread inside KeyedRegisters for kGateOp requests
 // until the gate opens — keeps the combiner lock held while a test
@@ -176,8 +175,7 @@ std::uint64_t key_in_slot(std::size_t slot, bool same,
 // The unified Composable surface
 
 static_assert(Composable<CounterModule, NativeContext>);
-static_assert(Composable<Combining<CounterModule, 8, ByThread>,
-                         NativeContext>);
+static_assert(Composable<Combining<CounterModule, 8>, NativeContext>);
 static_assert(Composable<CachedCounter, NativeContext>);
 
 TEST(ComposableSurface, ApplyForwardsToInvoke) {
@@ -225,10 +223,10 @@ TEST(Cached, SoloResultsMatchBareObjectIncludingHits) {
 }
 
 // ---------------------------------------------------------------------------
-// Staleness bound semantics
+// Invalidation semantics
 
-TEST(Cached, BoundZeroIsLinearizableBoundKServesStale) {
-  Cached<Combining<CounterModule, 8, ByThread>, NoRefillModel> cached;
+TEST(Cached, InvalidatedEntryMissesThenRefillsAtCurrentGeneration) {
+  Cached<Combining<CounterModule, 8>, NoRefillModel> cached;
   NativeContext ctx(0);
 
   // Fill: the first read misses and installs 0 at generation 0.
@@ -238,20 +236,17 @@ TEST(Cached, BoundZeroIsLinearizableBoundKServesStale) {
   EXPECT_EQ(cached.invoke(ctx, inc_req(2, 0)).response, 0);
   EXPECT_EQ(cached.invalidations(), 1u);
 
-  // Bound 1: the entry is one generation stale — admissible, and the
-  // cache serves the STALE value (the real counter is already 1).
-  cached.set_staleness_bound(1);
-  EXPECT_EQ(cached.invoke(ctx, read_req(3, 0)).response, 0);
-  EXPECT_EQ(cached.object().object().peek(), 1u);
-
-  // Bound 0 (linearizable): the same entry now misses; the read goes
-  // through the object and returns the current value.
-  cached.set_staleness_bound(0);
-  EXPECT_EQ(cached.invoke(ctx, read_req(4, 0)).response, 1);
+  // The entry is one generation behind its slot, so it misses; the
+  // read goes through the object and returns the current value, never
+  // the stale 0.
+  const std::uint64_t misses_before = cached.misses();
+  EXPECT_EQ(cached.invoke(ctx, read_req(3, 0)).response, 1);
+  EXPECT_EQ(cached.misses(), misses_before + 1);
+  EXPECT_EQ(cached.fills(), 2u);
   // ... and the miss refilled at the current generation, so the next
   // read hits fresh.
   const std::uint64_t hits_before = cached.hits();
-  EXPECT_EQ(cached.invoke(ctx, read_req(5, 0)).response, 1);
+  EXPECT_EQ(cached.invoke(ctx, read_req(4, 0)).response, 1);
   EXPECT_EQ(cached.hits(), hits_before + 1);
 }
 
@@ -288,20 +283,18 @@ TEST(Cached, TicketCompletionRefillsAndInvalidates) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent histories linearize at bound 0
+// Concurrent histories linearize
 
 TEST(Cached, ConcurrentMixedHistoriesLinearizeAgainstCounterSpec) {
   // 3 threads x 5 ops, reads and fetch_incs interleaved, timestamps
-  // from a global atomic clock. At staleness bound 0 every response —
-  // cache hits included — must admit a linearization against
-  // CounterSpec. Trace sizes stay small: the checker is exponential
-  // in overlap.
+  // from a global atomic clock. Every response — cache hits included —
+  // must admit a linearization against CounterSpec. Trace sizes stay
+  // small: the checker is exponential in overlap.
   constexpr int kThreads = 3;
   constexpr std::uint64_t kOps = 5;
 
   for (int round = 0; round < 10; ++round) {
-    Replicated<Combining<CounterModule, 8, ByThread>, 2, CounterModel>
-        cached;
+    Replicated<Combining<CounterModule, 8>, 2, CounterModel> cached;
     std::atomic<std::uint64_t> clock{0};
     struct Recorded {
       Response response = 0;
@@ -359,7 +352,7 @@ TEST(Replicated, InvalidationStormKeepsGenerationExactAndReadsMonotone) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kOps = 512;
 
-  Replicated<Combining<CounterModule, 8, ByThread>, 2, CounterModel> cached;
+  Replicated<Combining<CounterModule, 8>, 2, CounterModel> cached;
   std::atomic<std::uint64_t> writes{0};
   std::atomic<std::uint64_t> monotonicity_violations{0};
   std::atomic<std::uint64_t> overshoots{0};
@@ -404,7 +397,7 @@ TEST(Replicated, InvalidationStormKeepsGenerationExactAndReadsMonotone) {
 // Replica isolation
 
 TEST(Replicated, WritesInvalidateEveryReplica) {
-  Replicated<Combining<CounterModule, 8, ByThread>, 4, CounterModel> cached;
+  Replicated<Combining<CounterModule, 8>, 4, CounterModel> cached;
 
   // Fill each replica's entry from a differently-bound context.
   for (ProcessId p = 0; p < 4; ++p) {
@@ -436,8 +429,7 @@ TEST(Replicated, WritesInvalidateEveryReplica) {
 
 TEST(Replicated, WriteLeavesOtherSlotsHitting) {
   constexpr std::size_t kReps = 4;
-  using Cache =
-      Replicated<Combining<KeyedRegisters, 8, ByThread>, kReps, KeyedModel>;
+  using Cache = Replicated<Combining<KeyedRegisters, 8>, kReps, KeyedModel>;
   Cache cached;
   const std::uint64_t a = 1;
   const std::uint64_t b = key_in_slot<Cache>(Cache::slot_of(a), false);
@@ -581,8 +573,7 @@ TEST(Replicated, SlotMatesOnDifferentShardsLinearizePerKey) {
 
 TEST(Replicated, DenseKeysStayResident) {
   constexpr std::size_t kReps = 4;
-  using Cache =
-      Replicated<Combining<KeyedRegisters, 8, ByThread>, kReps, KeyedModel>;
+  using Cache = Replicated<Combining<KeyedRegisters, 8>, kReps, KeyedModel>;
   Cache cached;
   constexpr std::uint64_t kKeys = Cache::kEntryCount;
   static_assert(kKeys <= KeyedRegisters::kKeys);
@@ -616,7 +607,7 @@ TEST(Replicated, DenseKeysStayResident) {
 // Telemetry: the read_at probe is not a read
 
 TEST(Replicated, ReadAtProbeCountsNoTornReads) {
-  using Cache = Cached<Combining<KeyedRegisters, 8, ByThread>, KeyedModel>;
+  using Cache = Cached<Combining<KeyedRegisters, 8>, KeyedModel>;
   Cache cached;
   constexpr std::uint64_t kKey = 5;
   constexpr std::uint64_t kWrites = 200000;
@@ -650,8 +641,8 @@ TEST(Replicated, ReadAtProbeCountsNoTornReads) {
 // Pool exhaustion: the invalidate-only fallback
 
 TEST(Replicated, ExhaustedRecordPoolInvalidatesWithoutRefill) {
-  using Cache = Replicated<Combining<KeyedRegisters, 8, ByThread>, 2,
-                           KeyedModel, ByThread, 64, /*kRecs=*/1>;
+  using Cache = Replicated<Combining<KeyedRegisters, 8>, 2, KeyedModel, 64,
+                           /*kRecs=*/1>;
   Cache cached;
   const std::uint64_t a = 1;
   const std::uint64_t b = key_in_slot<Cache>(Cache::slot_of(a), false);

@@ -264,7 +264,7 @@ TEST(Batch, EmptyBatchIsANoOp) {
 
 TEST(Combining, IsAComposableModuleAndFoldsTasIntoTheConsensusNumber) {
   using Pipe = Pipeline<HopModule, SinkModule>;
-  using C = Combining<Pipe, 8, ByThread>;
+  using C = Combining<Pipe, 8>;
   static_assert(C::kSlotCount == 8);
   static_assert(C::kDepth == Pipe::kDepth);
   // The wrapper adds a TAS-elected combiner lock on top of the
@@ -276,7 +276,7 @@ TEST(Combining, IsAComposableModuleAndFoldsTasIntoTheConsensusNumber) {
 
   // Per-shard combiners: Combining nests inside Sharded and the result
   // is still a module.
-  using PerShard = Sharded<Combining<Pipe, 4, ByThread>, 2, ByThread>;
+  using PerShard = Sharded<Combining<Pipe, 4>, 2, ByThread>;
   static_assert(ComposableModule<PerShard, NativeContext>);
   static_assert(PerShard::kConsensusNumber == kConsensusNumberTas);
   SUCCEED();
@@ -285,7 +285,7 @@ TEST(Combining, IsAComposableModuleAndFoldsTasIntoTheConsensusNumber) {
 TEST(Combining, SoloStreamIsIdenticalToDirectInvocation) {
   using Pipe = Pipeline<HopModule, TicketModule>;
   Pipe direct;
-  Combining<Pipe, 4, ByThread> combined;
+  Combining<Pipe, 4> combined;
   NativeContext ctx(0);
 
   for (std::uint64_t i = 0; i < 50; ++i) {
@@ -319,7 +319,7 @@ TEST(Combining, WrappedChainInvokeMatchesBarePerformSolo) {
   SplitStage split_a(kN, 32, "a"), split_b(kN, 32, "b"), split_c(kN, 32, "c");
   CasStage cas_a(kN, 32, "a"), cas_b(kN, 32, "b"), cas_c(kN, 32, "c");
   Chain bare(kN, split_a, cas_a);
-  Combining<Chain, 4, ByThread> combined(std::in_place, kN, split_b, cas_b);
+  Combining<Chain, 4> combined(std::in_place, kN, split_b, cas_b);
   Sharded<Chain, 2, ByThread> sharded(std::in_place, [&](std::size_t) {
     return std::forward_as_tuple(kN, split_c, cas_c);
   });
@@ -350,7 +350,7 @@ TEST(Combining, InvokeBatchRunsTheWholeBatchUnderOneElection) {
   // path — not one publication round trip per op — with results
   // identical to invoking the slots in order.
   using Pipe = Pipeline<StageGate, StageGate, StageGate>;
-  static_assert(BatchInvocable<Combining<Pipe, 4, ByThread>, NativeContext>);
+  static_assert(BatchInvocable<Combining<Pipe, 4>, NativeContext>);
 
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     std::vector<OpSlot> slots = random_slots(seed, 11, 4);
@@ -358,7 +358,7 @@ TEST(Combining, InvokeBatchRunsTheWholeBatchUnderOneElection) {
     Pipe per_op(StageGate{0}, StageGate{1}, StageGate{2});
     const std::vector<ModuleResult> expect = drive_per_op(per_op, slots);
 
-    Combining<Pipe, 4, ByThread> combined(
+    Combining<Pipe, 4> combined(
         std::in_place, StageGate{0}, StageGate{1}, StageGate{2});
     NativeContext ctx(0);
     combined.invoke_batch(ctx, std::span<OpSlot>(slots));
@@ -380,8 +380,7 @@ TEST(Combining, ShardedInvokeBatchHandsPerShardCombinersRealBatches) {
   // builds per-shard sub-batches and run_batch dispatches them through
   // each shard's Combining::invoke_batch — so a solo batch drive shows
   // every op on the combiner's direct batch path, zero publications.
-  Sharded<Combining<Pipeline<HopModule, TicketModule>, 4, ByThread>, 2,
-          ByKeyHash>
+  Sharded<Combining<Pipeline<HopModule, TicketModule>, 4>, 2, ByKeyHash>
       sharded;
   NativeContext ctx(0);
 
@@ -411,7 +410,7 @@ TEST(Combining, ShardedInvokeBatchHandsPerShardCombinersRealBatches) {
 }
 
 TEST(Combining, SeededInitsPlumbThroughThePublicationSlot) {
-  Combining<Pipeline<HopModule, SinkModule>, 2, ByThread> combined;
+  Combining<Pipeline<HopModule, SinkModule>, 2> combined;
   NativeContext ctx(0);
   EXPECT_EQ(combined.invoke(ctx, arg_req(1, 0, 0)).response, 1);
   EXPECT_EQ(combined.invoke(ctx, arg_req(2, 0, 0), 10).response, 11);
@@ -424,7 +423,7 @@ TEST(Combining, SeededInitsPlumbThroughThePublicationSlot) {
 // wrapper's own — a pending counter, or any other per-op RMW, would
 // show up as an extra one.
 TEST(Combining, RmwBudgetIsTheElectionPlusTheClaimWhenPublished) {
-  Combining<Pipeline<HopModule, SinkModule>, 4, ByThread> combined;
+  Combining<Pipeline<HopModule, SinkModule>, 4> combined;
   NativeContext ctx(0);
 
   for (std::uint64_t i = 0; i < 10; ++i) {
@@ -465,7 +464,7 @@ TEST(Combining, RmwBudgetIsTheElectionPlusTheClaimWhenPublished) {
 // both on a fresh object (no record ever claimed) and after the
 // slot-exhaustion inline fallback served every publication it found.
 TEST(Combining, DrainReturnsAtOnceWhenNothingIsPending) {
-  Combining<Pipeline<HopModule, TicketModule>, 2, ByThread> combined;
+  Combining<Pipeline<HopModule, TicketModule>, 2> combined;
   NativeContext ctx(0);
   combined.drain(ctx);
   EXPECT_EQ(ctx.counters().rmws, 0u);
@@ -515,7 +514,7 @@ TEST(Combining, LateHighSlotClaimsAreServedAndDrainLeavesNoResidue) {
   constexpr std::uint64_t kTotal = kIds.size() * kOps;
 
   for (int round = 0; round < 10; ++round) {
-    Combining<Pipeline<HopModule, TicketModule>, kSlots, ByThread> combined;
+    Combining<Pipeline<HopModule, TicketModule>, kSlots> combined;
     std::vector<std::atomic<std::uint32_t>> fired(kTotal);
     std::atomic<std::uint64_t> early_progress{0};
     const CompletionFn count_fire = [](void* user, const ModuleResult&) {
@@ -583,7 +582,7 @@ TEST(Combining, ConcurrentTicketsAreDistinctAndFullyAccounted) {
   constexpr std::uint64_t kOps = 512;
   constexpr std::uint64_t kTotal = kThreads * kOps;
 
-  Combining<Pipeline<HopModule, TicketModule>, 4, ByThread> combined;
+  Combining<Pipeline<HopModule, TicketModule>, 4> combined;
   std::vector<std::atomic<std::uint8_t>> seen(kTotal);
   std::atomic<std::uint64_t> bad{0};
 
@@ -614,7 +613,7 @@ TEST(Combining, SharedSlotsStayCorrectWhenThreadsOutnumberThem) {
   constexpr std::uint64_t kOps = 256;
   constexpr std::uint64_t kTotal = kThreads * kOps;
 
-  Combining<Pipeline<HopModule, TicketModule>, 2, ByThread> combined;
+  Combining<Pipeline<HopModule, TicketModule>, 2> combined;
   std::vector<std::atomic<std::uint8_t>> seen(kTotal);
   std::atomic<std::uint64_t> bad{0};
 
@@ -634,36 +633,10 @@ TEST(Combining, SharedSlotsStayCorrectWhenThreadsOutnumberThem) {
   EXPECT_EQ(combined.object().stage<1>().count(), kTotal);
 }
 
-TEST(Combining, SlotPolicyCompletionHookFiresForEveryPublishedOp) {
-  // A load-tracking slot policy must see every publication complete:
-  // whatever interleaving the run takes, at quiescence all in-flight
-  // counters are back to zero (fast-path ops never consult the
-  // policy, published ops increment on routing and decrement after
-  // the slot round trip).
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kOps = 256;
-  Combining<Pipeline<HopModule, TicketModule>, 4, ByLeastLoaded<4>> combined;
-
-  (void)workload::run_threads(
-      kThreads, kOps, [&](NativeContext& ctx, std::uint64_t i) {
-        (void)combined.invoke(
-            ctx, Request{(static_cast<std::uint64_t>(ctx.id()) << 40) | (i + 1),
-                         ctx.id(), CounterSpec::kFetchInc, 0});
-      });
-
-  EXPECT_EQ(combined.object().stage<1>().count(),
-            static_cast<std::uint64_t>(kThreads) * kOps);
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(combined.policy().in_flight(s), 0) << "slot " << s;
-  }
-}
-
 TEST(Combining, ShardedCombiningKeepsPerShardAccounting) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kOps = 128;
-  Sharded<Combining<Pipeline<HopModule, TicketModule>, 4, ByThread>, 2,
-          ByThread>
-      sharded;
+  Sharded<Combining<Pipeline<HopModule, TicketModule>, 4>, 2, ByThread> sharded;
 
   (void)workload::run_threads(
       kThreads, kOps, [&](NativeContext& ctx, std::uint64_t i) {
@@ -699,7 +672,7 @@ TEST(Combining, BackoffLadderLosesNoOpsUnderOversubscription) {
   constexpr std::uint64_t kOps = 256;
   const std::uint64_t total = static_cast<std::uint64_t>(threads) * kOps;
 
-  Combining<Pipeline<HopModule, TicketModule>, 4, ByThread> combined;
+  Combining<Pipeline<HopModule, TicketModule>, 4> combined;
   std::vector<std::atomic<std::uint8_t>> seen(total);
   std::atomic<std::uint64_t> bad{0};
 
@@ -731,7 +704,7 @@ TEST(Combining, ConcurrentHistoryLinearizesAgainstCounterSpec) {
   constexpr std::uint64_t kOps = 4;
 
   for (int round = 0; round < 10; ++round) {
-    Combining<Pipeline<HopModule, TicketModule>, kThreads, ByThread> combined;
+    Combining<Pipeline<HopModule, TicketModule>, kThreads> combined;
     std::atomic<std::uint64_t> clock{0};
     struct Recorded {
       Response response;

@@ -1,16 +1,16 @@
 // Tests for the sharded composition layer (core/sharding.hpp) and the
 // keyed operation streams (workload/keyed.hpp):
 //
-//  * routing policies are deterministic where promised (ByThread,
-//    ByKeyHash) and cycle where promised (RoundRobin);
+//  * routing policies are pure functions (the concept demands a const
+//    call operator), deterministic per process (ByThread) and per key
+//    (ByKeyHash);
 //  * a depth-2 A1∘A2 pipeline replicated across shards stays
 //    linearizable per shard under random schedules (each shard is the
 //    composed object the paper proves correct);
 //  * merged statistics equal the sum of the per-shard snapshots, for
 //    both pipeline stats and chain commit tallies;
 //  * the runtime active-shard mask: set_active_shards remaps routing
-//    and bumps the epoch, and shrinking drains retired shards'
-//    in-flight operations before returning;
+//    and bumps the epoch;
 //  * Sharded composes: it is itself a ComposableModule, nests inside
 //    pipelines and inside another Sharded, and wraps
 //    StaticAbstractChain via per-shard constructor arguments;
@@ -19,12 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -107,6 +104,24 @@ TEST(Sharded, IsItselfAComposableModuleAndInheritsStaticTags) {
 // ---------------------------------------------------------------------------
 // Routing policies
 
+// A policy whose call operator is not const could keep state between
+// calls; the concept rejects it, so routing stays a pure function of
+// (context, request, active shard count).
+struct MutableCursorPolicy {
+  std::size_t next = 0;
+  template <class Ctx>
+  std::size_t operator()(Ctx& /*ctx*/, const Request& /*m*/,
+                         std::size_t shards) {
+    return next++ % shards;
+  }
+};
+
+static_assert(ShardRoutingPolicy<ByThread, NativeContext>);
+static_assert(ShardRoutingPolicy<ByKeyHash, NativeContext>);
+static_assert(ShardRoutingPolicy<ByThread, SimContext>);
+static_assert(ShardRoutingPolicy<ByKeyHash, SimContext>);
+static_assert(!ShardRoutingPolicy<MutableCursorPolicy, NativeContext>);
+
 TEST(Sharded, ByThreadRoutesEachProcessToItsResidueClass) {
   Sharded<Pipeline<SinkModule>, 4, ByThread> sharded;
   for (int pid = 0; pid < 12; ++pid) {
@@ -138,82 +153,6 @@ TEST(Sharded, ByKeyHashIsDeterministicPerKeyAndIssuerIndependent) {
   for (std::size_t s = 0; s < 8; ++s) EXPECT_TRUE(hit[s]) << "shard " << s;
 }
 
-TEST(Sharded, RoundRobinCyclesThroughAllShards) {
-  Sharded<Pipeline<SinkModule>, 3, RoundRobin> sharded;
-  NativeContext ctx(0);
-  for (int lap = 0; lap < 4; ++lap) {
-    for (std::size_t s = 0; s < 3; ++s) {
-      EXPECT_EQ(sharded.route(ctx, keyed_req(1, 0, 0)), s);
-    }
-  }
-}
-
-TEST(Sharded, RoundRobinCursorOwnsItsCacheLine) {
-  // Regression for false sharing: the round-robin cursor is written on
-  // every routed operation, so it must start a cache line and claim the
-  // whole of it — neighbors laid out after the policy (or after the
-  // cursor, inside the policy) may never share its line.
-  static_assert(alignof(RoundRobin) == kCacheLineSize,
-                "cursor must start on a cache-line boundary");
-  static_assert(sizeof(RoundRobin) >= kCacheLineSize,
-                "cursor must claim its full cache line");
-  SUCCEED();
-}
-
-TEST(Sharded, ByLeastLoadedTracksInFlightAndSpreadsAccordingly) {
-  static_assert(ShardRoutingPolicy<ByLeastLoaded<8>, NativeContext>);
-  ByLeastLoaded<8> policy;
-  NativeContext ctx(0);
-  const Request m = keyed_req(1, 0, 0);
-
-  // Route WITHOUT completing: in-flight counts accumulate, so the
-  // minimum scan cycles through the shards (ties break to the lowest
-  // index).
-  for (int lap = 0; lap < 3; ++lap) {
-    for (std::size_t s = 0; s < 4; ++s) {
-      EXPECT_EQ(policy(ctx, m, 4), s) << "lap " << lap;
-    }
-  }
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(policy.in_flight(s), 3) << "shard " << s;
-  }
-  // Completion drains the counters back down.
-  for (int k = 0; k < 3; ++k) {
-    for (std::size_t s = 0; s < 4; ++s) policy.on_complete(s);
-  }
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(policy.in_flight(s), 0) << "shard " << s;
-  }
-}
-
-TEST(Sharded, InvokeNotifiesALoadTrackingPolicyOnCompletion) {
-  // Sharded::invoke routes, runs, then calls the policy's on_complete
-  // hook, so sequential callers always see zero in-flight afterwards
-  // (and, all counts equal, land on shard 0 — genuine spreading needs
-  // overlapping operations).
-  Sharded<Pipeline<HopModule, SinkModule>, 4, ByLeastLoaded<4>> sharded;
-  NativeContext ctx(0);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(sharded.invoke(ctx, keyed_req(static_cast<std::uint64_t>(i) + 1,
-                                            0, 0))
-                  .response,
-              1);
-    for (std::size_t s = 0; s < 4; ++s) {
-      EXPECT_EQ(sharded.policy().in_flight(s), 0) << "op " << i;
-    }
-  }
-  EXPECT_EQ(sharded.shard(0).stats(1).commits, 6u);
-
-  // The explicit attribution pattern: route() increments, the caller
-  // completes by hand.
-  const Request m = keyed_req(100, 0, 0);
-  const std::size_t s = sharded.route(ctx, m);
-  EXPECT_EQ(sharded.policy().in_flight(s), 1);
-  (void)sharded.invoke_at(s, ctx, m);
-  sharded.complete(s);
-  EXPECT_EQ(sharded.policy().in_flight(s), 0);
-}
-
 TEST(Sharded, SetActiveShardsRemapsRoutingAndBumpsTheEpoch) {
   // The active-mask actuator with a stateless policy: the published
   // count IS the routing modulus, growing and shrinking both take
@@ -239,69 +178,16 @@ TEST(Sharded, SetActiveShardsRemapsRoutingAndBumpsTheEpoch) {
   EXPECT_EQ(sharded.route(c6, keyed_req(4, 6, 0)), 2u);
 }
 
-TEST(Sharded, ShrinkDrainsInFlightOpsOnRetiredShards) {
-  // The drain regression: with a load-tracking policy,
-  // set_active_shards(n) publishes the smaller mask immediately (new
-  // arrivals stop routing to retired shards) but must NOT return
-  // while an operation routed earlier is still attributed to a
-  // retired shard — only complete() unblocks it.
-  Sharded<Pipeline<HopModule, SinkModule>, 4, ByLeastLoaded<4>> sharded;
-  NativeContext ctx(0);
-
-  // The attribution pattern, left open: route() increments in-flight,
-  // nobody completes. Least-loaded cycles through all four shards.
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    (void)sharded.route(ctx, keyed_req(i + 1, 0, 0));
-  }
-  for (std::size_t s = 0; s < 4; ++s) {
-    ASSERT_EQ(sharded.policy().in_flight(s), 1) << "shard " << s;
-  }
-
-  std::atomic<bool> returned{false};
-  std::thread reconfig([&] {
-    sharded.set_active_shards(2);
-    returned.store(true, std::memory_order_release);
-  });
-
-  // The mask is published before the drain finishes...
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(sharded.active_shards(), 2u);
-  // ... but the call is still parked on shards 2 and 3.
-  EXPECT_FALSE(returned.load(std::memory_order_acquire));
-
-  sharded.complete(3);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(returned.load(std::memory_order_acquire));  // 2 still open
-
-  sharded.complete(2);
-  reconfig.join();
-  EXPECT_EQ(sharded.active_epoch(), 1u);
-
-  // The drain touched only retired shards; the survivors' in-flight
-  // attribution is intact.
-  EXPECT_EQ(sharded.policy().in_flight(0), 1);
-  EXPECT_EQ(sharded.policy().in_flight(1), 1);
-  sharded.complete(0);
-  sharded.complete(1);
-
-  // Post-shrink routing never leaves the active range.
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    const std::size_t s = sharded.route(ctx, keyed_req(100 + i, 0, 0));
-    EXPECT_LT(s, 2u);
-    sharded.complete(s);
-  }
-}
-
 TEST(Sharded, InvokeAtRunsOnTheNamedShardWithoutConsultingThePolicy) {
-  // The attribution pattern: route once, run on exactly that shard.
-  // With a stateful policy a second consultation would advance the
-  // cursor, so invoke_at must not route again.
-  Sharded<Pipeline<HopModule, SinkModule>, 3, RoundRobin> sharded;
+  // invoke_at runs on exactly the shard it is given, even one the
+  // policy would never pick for this caller: process 0 routes ByThread
+  // to shard 0, and each op lands on the named shard instead.
+  Sharded<Pipeline<HopModule, SinkModule>, 3, ByThread> sharded;
   NativeContext ctx(0);
   for (int i = 0; i < 6; ++i) {
     const Request m = keyed_req(static_cast<std::uint64_t>(i) + 1, 0, 0);
-    const std::size_t s = sharded.route(ctx, m);
-    EXPECT_EQ(s, static_cast<std::size_t>(i % 3));
+    EXPECT_EQ(sharded.route(ctx, m), 0u);
+    const std::size_t s = static_cast<std::size_t>(i % 3);
     EXPECT_EQ(sharded.invoke_at(s, ctx, m).response, 1);
     EXPECT_EQ(sharded.shard(s).stats(1).commits,
               static_cast<std::uint64_t>(i / 3) + 1);
@@ -543,14 +429,13 @@ struct CountingSink {
 
 TEST(Sharded, InvokeBatchMatchesPerOpRoutingExactly) {
   // The regression pinning the batch-grouping contract: every pending
-  // slot is routed exactly once, in slot order, so a STATEFUL policy
-  // (RoundRobin — the adversarial case) advances identically under the
-  // batch path and the per-op loop, and the per-shard accounting (the
-  // shard each op ran on, the order within each shard, the per-stage
-  // stats) matches exactly.
+  // slot runs on the shard per-op invoke would pick, in slot order
+  // within that shard, so the per-shard accounting (the shard each op
+  // ran on, the order within each shard, the per-stage stats) matches
+  // the per-op loop exactly.
   using Pipe = Pipeline<HopModule, CountingSink>;
-  Sharded<Pipe, 4, RoundRobin> per_op;
-  Sharded<Pipe, 4, RoundRobin> batched;
+  Sharded<Pipe, 4, ByKeyHash> per_op;
+  Sharded<Pipe, 4, ByKeyHash> batched;
   NativeContext ctx(0);
 
   std::vector<OpSlot> slots;
@@ -560,8 +445,8 @@ TEST(Sharded, InvokeBatchMatchesPerOpRoutingExactly) {
     if (i % 3 == 0) s.init = static_cast<SwitchValue>(i);
     slots.push_back(s);
   }
-  // Pre-finalized slots must be skipped — not routed, not executed
-  // (routing one would advance the policy and desync every later op).
+  // Pre-finalized slots must be skipped — not executed (running one
+  // would advance its shard's sink and desync every later op there).
   slots[4].done = true;
   slots[4].result = ModuleResult::commit(-1);
   slots[9].done = true;
