@@ -1,13 +1,14 @@
 // Scenario compose.async (E14) — open-loop asynchronous submission
-// over the composition stack. compose.batched (E13) amortizes the
-// chain walk but still measures a CLOSED loop: every thread blocks
-// until its operation commits, so latency and throughput are one
-// number seen from two sides. This scenario detaches them with the
-// submit/complete surface (core/async.hpp): each thread keeps a
-// bounded window of in-flight tickets (workload::run_open_loop) and
-// the report separates submission throughput (ns/op over the wall
-// clock) from completion latency (per-op submit→completion samples,
-// summarized as lat_{mean,p50,p99}_ns extra columns), sweeping
+// over the composition stack. Flat combining amortizes the chain walk,
+// but a CLOSED loop over it has every thread block until its
+// operation commits, so latency and throughput are one number seen
+// from two sides (window 1 below is that closed loop). This scenario
+// detaches them with the submit/complete surface (core/async.hpp):
+// each thread keeps a bounded window of in-flight tickets
+// (workload::run_open_loop) and the report separates submission
+// throughput (ns/op over the wall clock) from completion latency
+// (per-op submit→completion samples, summarized as
+// lat_{mean,p50,p99}_ns extra columns), sweeping
 //
 //   window in {1, 4, 16}  x  combining in {off, on}
 //     x  shards in {1, 4}  x  threads in {1, --threads}
@@ -77,7 +78,7 @@ constexpr std::size_t kCombineSlots = 16;
 constexpr std::size_t kDepth = 4;
 
 // Aborts after one counted register read, incrementing the hop count —
-// the composition plumbing under test (same shape as E11/E12/E13).
+// the composition plumbing under test (same shape as E11's relay).
 class AsyncRelay {
  public:
   static constexpr int kConsensusNumber = kConsensusNumberRegister;

@@ -8,9 +8,9 @@
 // requests always land on the same shard, so each shard elects exactly
 // one winner among all requests routed to it — the per-shard object
 // keeps the composed TAS's guarantees while the table as a whole
-// spreads contention. The load histograms show the axis the
-// compose.sharded benchmark sweeps: uniform keys spread across all
-// shards, zipf(0.99) keys pile onto the hot ones.
+// spreads contention. The load histograms show the skew axis: uniform
+// keys spread across all shards, zipf(0.99) keys pile onto the hot
+// ones.
 //
 //   $ ./examples/sharded_lock_table [threads]
 #include <algorithm>

@@ -2,11 +2,10 @@
 // reads two scm-bench/v1 reports and fails (nonzero exit) when any
 // scenario's median ns_per_op regressed beyond the threshold.
 //
-// The committed BENCH_*.json baselines make the perf trajectory
-// first-class: CI regenerates the same sweep and compares it against
-// the committed file, so a slowdown shows up as a failing (or, while
-// the gate is advisory, loudly annotated) step instead of a silent
-// drift across PRs.
+// Both reports must come from the same host: CI builds the parent
+// commit next to the change on one runner, runs the same sweep with
+// each binary, and compares the two, so a slowdown shows up as a
+// failing step instead of a drift hidden by hardware differences.
 //
 // The JsonValue parser below is the minimal counterpart of
 // json.hpp's writer — it exists so the repository can read its own

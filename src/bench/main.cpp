@@ -11,9 +11,9 @@
 //   scm_bench --threads=8 --ops=100000 --reps=5 --warmup=1
 //   scm_bench --filter=tas.* --schedule=sticky:0.8
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -24,7 +24,6 @@
 #include "bench/compare.hpp"
 #include "bench/registry.hpp"
 #include "bench/runner.hpp"
-#include "bench/shm_role.hpp"
 #include "support/table.hpp"
 #include "workload/driver.hpp"
 
@@ -49,14 +48,6 @@ void print_usage() {
       "  --seed=N           base RNG seed                     (default 42)\n"
       "  --pin              pin scm-worker-N threads to cores (native\n"
       "                     scenarios; recorded in the JSON report)\n"
-      "  --shm-role=ROLE    cross-process composition (compose.shm):\n"
-      "                     server = run only compose.shm (it forks the\n"
-      "                     clients itself); client = internal worker role\n"
-      "                     (needs --shm-name and --shm-id)\n"
-      "  --shm-procs=N      compose.shm worker-process count  (default 2)\n"
-      "  --shm-bytes=N      compose.shm segment size in bytes (default 1MiB)\n"
-      "  --shm-name=SEG     [client role] segment to attach\n"
-      "  --shm-id=K         [client role] this worker's index\n"
       "  --adaptive=0|1     run Adaptive-wrapped scenarios with the\n"
       "                     contention monitor's actuators live (1,\n"
       "                     default) or frozen (0 — the zero-overhead\n"
@@ -68,8 +59,9 @@ void print_usage() {
       "  --threshold=T      --compare tolerance as a fraction\n"
       "                     (default 0.25 = +25%%)\n"
       "  --help             this text\n"
-      "Numeric flags take a whole non-negative decimal integer; anything\n"
-      "else (a sign, trailing characters, overflow) exits 2.\n");
+      "Numeric flags take a whole non-negative decimal integer, and\n"
+      "--threshold a finite fraction > 0; anything else (a sign, trailing\n"
+      "characters, overflow, nan, inf) exits 2.\n");
 }
 
 bool parse_flag(const std::string& arg, const std::string& name,
@@ -99,19 +91,30 @@ bool parse_count(const std::string& arg, const std::string& value, T* out) {
   return true;
 }
 
+// Parses --threshold's value: the whole string must be a finite
+// decimal > 0. A NaN or infinite threshold would switch the --compare
+// gate off (no delta is ever greater than either), so both are
+// rejected like a salvaged prefix ("0.25junk") is.
+bool parse_threshold(const std::string& value, double* out) {
+  double v = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (value.empty() || ec != std::errc{} || ptr != end ||
+      !std::isfinite(v) || v <= 0.0) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  set_self_exe(argv[0]);  // the compose.shm server re-execs this binary
-
   BenchParams params;
   std::string filter;
   std::string json_path;
   std::string compare_old;
   std::string compare_new;
-  std::string shm_role;
-  std::string shm_name;
-  int shm_id = -1;
   double compare_threshold = 0.25;
   bool list_only = false;
 
@@ -128,9 +131,10 @@ int main(int argc, char** argv) {
       compare_old = argv[++i];
       compare_new = argv[++i];
     } else if (parse_flag(arg, "--threshold", &value)) {
-      compare_threshold = std::atof(value.c_str());
-      if (compare_threshold <= 0.0) {
-        std::fprintf(stderr, "--threshold must be a positive fraction\n");
+      if (!parse_threshold(value, &compare_threshold)) {
+        std::fprintf(stderr,
+                     "invalid %s (want a finite fraction > 0, e.g. 0.25)\n",
+                     arg.c_str());
         return 2;
       }
     } else if (arg == "--help" || arg == "-h") {
@@ -152,16 +156,6 @@ int main(int argc, char** argv) {
       if (!parse_count(arg, value, &params.seed)) return 2;
     } else if (arg == "--pin") {
       params.pin = true;
-    } else if (parse_flag(arg, "--shm-role", &value)) {
-      shm_role = value;
-    } else if (parse_flag(arg, "--shm-name", &value)) {
-      shm_name = value;
-    } else if (parse_flag(arg, "--shm-id", &value)) {
-      if (!parse_count(arg, value, &shm_id)) return 2;
-    } else if (parse_flag(arg, "--shm-procs", &value)) {
-      if (!parse_count(arg, value, &params.shm_procs)) return 2;
-    } else if (parse_flag(arg, "--shm-bytes", &value)) {
-      if (!parse_count(arg, value, &params.shm_segment_bytes)) return 2;
     } else if (parse_flag(arg, "--adaptive", &value)) {
       if (value != "0" && value != "1") {
         std::fprintf(stderr, "--adaptive wants 0 or 1\n");
@@ -176,27 +170,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // Role dispatch for cross-process composition. The client role is
-  // the worker half of compose.shm — the scenario's server forks and
-  // re-execs this binary with these flags, so this path must stay
-  // banner-free and exit with the worker's status code. The server
-  // role is a convenience spelling of --filter=compose.shm.
-  if (shm_role == "client") {
-    if (shm_name.empty() || shm_id < 0) {
-      std::fprintf(stderr,
-                   "--shm-role=client needs --shm-name=SEG and --shm-id=K\n");
-      return 2;
-    }
-    return run_shm_client(shm_name, shm_id, params.ops);
-  }
-  if (shm_role == "server") {
-    filter = "compose.shm";
-  } else if (!shm_role.empty()) {
-    std::fprintf(stderr, "unknown --shm-role=%s (want server | client)\n",
-                 shm_role.c_str());
-    return 2;
-  }
-
   // Compare mode runs no scenarios: parse, diff, exit.
   if (!compare_old.empty()) {
     return run_compare(compare_old, compare_new, compare_threshold,
@@ -208,11 +181,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "invalid parameters: need threads>0, reps>0, warmup>=0, "
                  "ops>0\n");
-    return 2;
-  }
-  if (params.shm_procs <= 0 || params.shm_segment_bytes < (1u << 16)) {
-    std::fprintf(stderr,
-                 "invalid parameters: need shm-procs>0 and shm-bytes>=64KiB\n");
     return 2;
   }
   if (!SchedulePolicy::try_parse(params.schedule, params.seed).has_value()) {

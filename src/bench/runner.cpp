@@ -7,12 +7,8 @@
 #if defined(__linux__)
 #include <sched.h>
 #endif
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 #include "bench/json.hpp"
-#include "bench/shm_e16.hpp"
 #include "support/parking.hpp"
 #include "support/table.hpp"
 
@@ -30,28 +26,6 @@ int affinity_cpus() {
   CPU_ZERO(&allowed);
   if (::sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return 0;
   return CPU_COUNT(&allowed);
-#else
-  return 0;
-#endif
-}
-
-// System page size — the granularity shared segments are actually
-// sized and mapped at, so compose.shm numbers stay interpretable on
-// hosts with non-4K pages. 0 where unqueryable.
-long page_size() {
-#if defined(__unix__) || defined(__APPLE__)
-  const long sz = ::sysconf(_SC_PAGESIZE);
-  return sz > 0 ? sz : 0;
-#else
-  return 0;
-#endif
-}
-
-// compose.shm's compiled-in publication slot count; 0 when the shm
-// subsystem is compiled out on this platform.
-int shm_slot_count() {
-#if SCM_HAS_POSIX_SHM
-  return static_cast<int>(kShmSlots);
 #else
   return 0;
 #endif
@@ -180,12 +154,6 @@ void write_json(const RunReport& report, std::ostream& os) {
           static_cast<int>(std::thread::hardware_concurrency()))
       .kv("affinity_cpus", affinity_cpus())
       .kv("git_sha", build_git_sha())
-      // Cross-process (compose.shm) parameters — additive keys like
-      // the environment block above.
-      .kv("page_size", static_cast<std::uint64_t>(page_size()))
-      .kv("shm_procs", report.params.shm_procs)
-      .kv("shm_segment_bytes", report.params.shm_segment_bytes)
-      .kv("shm_slot_count", shm_slot_count())
       // Parking provenance — additive key again: which rung-3 wait
       // implementation the binary was built with (futex vs the forced
       // yield fallback), since the slow-path numbers differ.

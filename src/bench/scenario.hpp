@@ -34,13 +34,6 @@ struct BenchParams {
   std::uint64_t seed = 42;
   bool pin = false;  // pin scm-worker-N threads to cores (--pin)
 
-  // Cross-process (compose.shm) axis: worker-process count and shared
-  // segment size. The combiner's slot count is compiled in
-  // (bench/shm_e16.hpp) and recorded alongside these in the JSON
-  // params as shm_slot_count.
-  int shm_procs = 2;
-  std::uint64_t shm_segment_bytes = 1 << 20;
-
   // Whether Adaptive-wrapped scenario objects (compose.adaptive) run
   // with the monitor's actuators live (--adaptive=0 disables them:
   // the wrapper stays in, the decisions stop — the zero-overhead

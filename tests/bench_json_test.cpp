@@ -238,10 +238,6 @@ TEST(ReportSchema, ContainsRequiredKeys) {
        {"\"params\"", "\"threads\"", "\"ops\"", "\"reps\"", "\"warmup\"",
         "\"schedule\"", "\"seed\"", "\"scenarios\"",
         "\"hardware_concurrency\"", "\"affinity_cpus\"", "\"git_sha\"",
-        // Cross-process (compose.shm) parameters — additive like the
-        // environment keys above.
-        "\"page_size\"", "\"shm_procs\"", "\"shm_segment_bytes\"",
-        "\"shm_slot_count\"",
         // Parking provenance — additive again: the compiled-in
         // rung-3 wait mode.
         "\"wait_mode\"",

@@ -633,26 +633,62 @@ TEST(Combining, SharedSlotsStayCorrectWhenThreadsOutnumberThem) {
   EXPECT_EQ(combined.object().stage<1>().count(), kTotal);
 }
 
-TEST(Combining, ShardedCombiningKeepsPerShardAccounting) {
+// Commits the inherited hop count and tallies its commits: the
+// response checks the switch plumbing through the batch path, the
+// count checks the accounting.
+struct HopCountSink {
+  static constexpr int kConsensusNumber = kConsensusNumberFetchAdd;
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& ctx, const Request& /*m*/,
+                      std::optional<SwitchValue> init = std::nullopt) {
+    (void)count_.fetch_add(ctx);
+    return ModuleResult::commit(init.value_or(0));
+  }
+
+  [[nodiscard]] std::uint64_t count() const noexcept { return count_.peek(); }
+
+ private:
+  NativeCounter count_;
+};
+
+// Every op through per-shard combiners commits its full-walk hop
+// count, the per-shard sinks sum to the offered load, and the stats
+// forwarded through Combining and merged by Sharded count every op.
+template <std::size_t kShards>
+void expect_sharded_combining_accounts_every_op() {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kOps = 128;
-  Sharded<Combining<Pipeline<HopModule, TicketModule>, 4>, 2, ByThread> sharded;
+  constexpr std::uint64_t kTotal = kThreads * kOps;
+  using Pipe = Pipeline<HopModule, HopModule, HopModule, HopCountSink>;
+  Sharded<Combining<Pipe, 4>, kShards, ByThread> sharded;
+  std::atomic<std::uint64_t> bad{0};
 
   (void)workload::run_threads(
       kThreads, kOps, [&](NativeContext& ctx, std::uint64_t i) {
-        (void)sharded.invoke(
+        const ModuleResult r = sharded.invoke(
             ctx, Request{(static_cast<std::uint64_t>(ctx.id()) << 40) | (i + 1),
                          ctx.id(), CounterSpec::kFetchInc, 0});
+        if (!r.committed() || r.response != 3) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+        }
       });
 
+  EXPECT_EQ(bad.load(), 0u) << kShards << " shards";
   std::uint64_t total = 0;
-  for (std::size_t s = 0; s < 2; ++s) {
-    total += sharded.shard(s).object().stage<1>().count();
+  for (std::size_t s = 0; s < kShards; ++s) {
+    total += sharded.shard(s).object().template stage<3>().count();
   }
-  EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kOps);
-  // Merged stats forwarded through Combining and summed by Sharded.
-  EXPECT_EQ(sharded.stats(1).commits,
-            static_cast<std::uint64_t>(kThreads) * kOps);
+  EXPECT_EQ(total, kTotal) << kShards << " shards";
+  for (std::size_t stage = 0; stage < 3; ++stage) {
+    EXPECT_EQ(sharded.stats(stage).aborts, kTotal) << "stage " << stage;
+  }
+  EXPECT_EQ(sharded.stats(3).commits, kTotal) << kShards << " shards";
+}
+
+TEST(Combining, ShardedCombiningKeepsPerShardAccounting) {
+  expect_sharded_combining_accounts_every_op<1>();
+  expect_sharded_combining_accounts_every_op<4>();
 }
 
 TEST(Combining, BackoffLadderLosesNoOpsUnderOversubscription) {

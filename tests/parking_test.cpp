@@ -185,8 +185,8 @@ TYPED_TEST(ParkingModes, YieldsBeforeParkIsARuntimeKnob) {
 
 // A wait that outlives the whole spin/yield ladder must reach rung 3:
 // parks > 0 in BOTH modes (the yield fallback counts its fallback
-// yields as parks — that is what lets the compose.shm stall gate hold
-// under forced-fallback builds).
+// yields as parks — that is what lets shm_test's stalled-server case
+// hold under forced-fallback builds).
 TYPED_TEST(ParkingModes, LongWaitEscalatesToAPark) {
   TypeParam wp;
   std::atomic<bool> flag{false};

@@ -7,6 +7,9 @@
 //  * a depth-2 A1∘A2 pipeline replicated across shards stays
 //    linearizable per shard under random schedules (each shard is the
 //    composed object the paper proves correct);
+//  * under real threads, every keyed op through a depth-4 sharded
+//    pipeline commits its full-walk hop count, and each shard's sink
+//    counts exactly the ops whose key routes to it;
 //  * merged statistics equal the sum of the per-shard snapshots, for
 //    both pipeline stats and chain commit tallies;
 //  * the runtime active-shard mask: set_active_shards remaps routing
@@ -19,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -34,6 +38,7 @@
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
 #include "runtime/context.hpp"
+#include "runtime/primitives.hpp"
 #include "sim/schedules.hpp"
 #include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
@@ -42,6 +47,7 @@
 #include "tas/a2_module.hpp"
 #include "universal/composable_universal.hpp"
 #include "universal/static_chain.hpp"
+#include "workload/driver.hpp"
 #include "workload/keyed.hpp"
 
 namespace scm {
@@ -287,6 +293,82 @@ TEST(Sharded, EachShardStaysLinearizableUnderRandomSchedules) {
       ASSERT_TRUE(linearizable<TasSpec>(std::move(ops)))
           << "seed " << seed << " shard " << sh;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Keyed operations under real threads
+
+// Commits the inherited hop count and tallies its commits, so each
+// shard's total is readable after a threaded run.
+struct CountingHopSink {
+  static constexpr int kConsensusNumber = kConsensusNumberFetchAdd;
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& ctx, const Request& /*m*/,
+                      std::optional<SwitchValue> init = std::nullopt) {
+    (void)count.fetch_add(ctx);
+    return ModuleResult::commit(init.value_or(0));
+  }
+
+  NativeCounter count;
+};
+
+// Four threads draw keys from one Zipf stream and invoke a depth-4
+// sharded pipeline. Every op must commit its full-walk hop count, and
+// each shard's sink must count exactly the ops whose key routes to it,
+// so the totals sum to the offered load.
+template <std::size_t kShards>
+void expect_keyed_ops_land_on_their_shard(double theta) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kOps = 512;
+  constexpr std::uint64_t kKeys = 128;
+  using Pipe = FastPipeline<HopModule, HopModule, HopModule, CountingHopSink>;
+  Sharded<Pipe, kShards, ByKeyHash> sharded;
+
+  const workload::ZipfianKeys stream(kKeys, theta);
+  std::vector<Rng> rngs;
+  std::vector<std::vector<std::uint64_t>> issued(
+      kThreads, std::vector<std::uint64_t>(kKeys, 0));
+  for (int t = 0; t < kThreads; ++t) {
+    rngs.emplace_back(0x5bd1e995ULL * (static_cast<std::uint64_t>(t) + 1));
+  }
+  std::atomic<std::uint64_t> bad{0};
+  (void)workload::run_threads(
+      kThreads, kOps, [&](NativeContext& ctx, std::uint64_t i) {
+        const auto t = static_cast<std::size_t>(ctx.id());
+        const std::uint64_t key = stream(rngs[t]);
+        ++issued[t][key];
+        const auto id = (static_cast<std::uint64_t>(t) << 40) | (i + 1);
+        const ModuleResult r =
+            sharded.invoke(ctx, keyed_req(id, ctx.id(), key));
+        if (!r.committed() || r.response != 3) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+  EXPECT_EQ(bad.load(), 0u) << kShards << " shards, skew " << theta;
+
+  std::array<std::uint64_t, kShards> expected{};
+  NativeContext probe(0);
+  for (const auto& per_thread : issued) {
+    for (std::uint64_t key = 0; key < kKeys; ++key) {
+      expected[sharded.route(probe, keyed_req(1, 0, key))] += per_thread[key];
+    }
+  }
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const std::uint64_t got = sharded.shard(s).template stage<3>().count.peek();
+    EXPECT_EQ(got, expected[s])
+        << "shard " << s << " of " << kShards << ", skew " << theta;
+    total += got;
+  }
+  EXPECT_EQ(total, kThreads * kOps);
+}
+
+TEST(Sharded, ConcurrentKeyedOpsCommitTheirHopCountOnTheirKeysShard) {
+  for (const double theta : {0.0, 0.99}) {
+    expect_keyed_ops_land_on_their_shard<1>(theta);
+    expect_keyed_ops_land_on_their_shard<8>(theta);
   }
 }
 

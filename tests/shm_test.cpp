@@ -13,12 +13,19 @@
 //  * ShmCombining executes a threaded fetch&inc workload with exact
 //    counts and unique tickets (the in-process half of the
 //    equivalence claim);
-//  * a fork()ed second PROCESS attaches the segment by name and
-//    combines into the same object — exact total, no residue;
+//  * one and three fork()ed client PROCESSES attach the segment by
+//    name and combine into the same object — exact total, no residue;
 //  * the crash-reclaim protocol: a publisher SIGKILLed while kPending
 //    is executed (not dropped), then its kDone residue is swept by
 //    reclaim_dead(), with the kPending exemption and the injectable
-//    liveness probe both pinned.
+//    liveness probe both pinned;
+//  * crash under load: one of three publish-only clients is SIGKILLed
+//    mid-run while a server serves; the counter stays inside
+//    sum(completed) <= counter <= sum(started), the survivors' counts
+//    are exact, and drain + reclaim_dead leave no occupied slot;
+//  * stall: a client whose server sleeps 100 ms before serving parks
+//    on the segment's futex word (the park counter is segment-resident,
+//    so the server reads it) and still counts exactly.
 //
 // fork() under ThreadSanitizer is unreliable, so this suite stays
 // unlabeled (not part of the TSan ctest subset); the in-process
@@ -39,9 +46,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <optional>
 #include <set>
 #include <string>
@@ -54,6 +64,7 @@
 #include "shm/shm_combining.hpp"
 #include "shm/shm_counter.hpp"
 #include "shm/shm_ref.hpp"
+#include "support/cacheline.hpp"
 
 namespace scm {
 namespace {
@@ -318,12 +329,76 @@ TEST(ShmCombining, ThreadedFetchIncIsExactWithUniqueTickets) {
 }
 
 // ---------------------------------------------------------------------------
-// Two processes, one object: the fork()-based equivalence check.
-// (The full crash-injected gate with exec'd clients is the compose.shm
-// scenario; this is the fast in-tree pin of the same protocol.)
+// Client processes: helpers shared by the multi-process tests below.
 
-TEST(ShmCombining, SecondProcessAttachesByNameAndCombines) {
+using clock_type = std::chrono::steady_clock;
+
+// Every wait in these tests is bounded: a wedged protocol fails the
+// test instead of hanging the suite.
+constexpr auto kDeadline = std::chrono::seconds(30);
+
+// Waits for `pid` to exit until `deadline`; false on timeout.
+bool reap_by(pid_t pid, int* status, clock_type::time_point deadline) {
+  for (;;) {
+    const pid_t r = ::waitpid(pid, status, WNOHANG);
+    if (r == pid) return true;
+    if (r < 0 || clock_type::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// SIGKILLs and reaps every child still registered when the test scope
+// ends, so a failed assertion never leaves a client behind.
+struct ChildReaper {
+  std::vector<pid_t> pids;
+  void forget(pid_t pid) {
+    pids.erase(std::remove(pids.begin(), pids.end(), pid), pids.end());
+  }
+  ~ChildReaper() {
+    for (const pid_t pid : pids) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+};
+
+// Per-client accounting, one cache line each, in the shared segment.
+// `started` advances before the op is published and `completed` after
+// its result is collected, so a client killed at any instruction
+// leaves at most one op between the two, and
+//   sum(completed) <= counter <= sum(started)
+// bounds the counter exactly.
+struct alignas(kCacheLineSize) ClientCell {
+  std::atomic<std::uint64_t> started{0};
+  std::atomic<std::uint64_t> completed{0};
+};
+
+// The body of a forked client: `ops` fetch&incs published with
+// may_combine = false, so the op executes only on the serving
+// process, and a client can die holding a slot but never the gate.
+[[noreturn]] void run_client(TestCombining& comb, ClientCell& cell,
+                             ProcessId id, std::uint64_t ops) {
+  NativeContext ctx(id);
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    cell.started.store(i + 1, std::memory_order_release);
+    const auto op = (static_cast<std::uint64_t>(id) << 40) | (i + 1);
+    const ModuleResult r = comb.invoke(ctx, fetch_inc(op, id), std::nullopt,
+                                       /*may_combine=*/false);
+    if (!r.committed()) ::_exit(13);
+    cell.completed.store(i + 1, std::memory_order_release);
+  }
+  ::_exit(0);
+}
+
+// ---------------------------------------------------------------------------
+// N processes, one object: the fork()-based equivalence check. Each
+// client attaches the segment by name, as a separate binary would.
+
+class ShmCombiningClients : public testing::TestWithParam<int> {};
+
+TEST_P(ShmCombiningClients, ClientProcessesAttachByNameAndCombine) {
   constexpr std::uint64_t kOps = 1500;
+  const int clients = GetParam();
   const std::string name = unique_segment("fork-eq");
   SegmentJanitor janitor{name};
 
@@ -334,30 +409,37 @@ TEST(ShmCombining, SecondProcessAttachesByNameAndCombines) {
   ASSERT_TRUE(arena->publish("comb", off, sizeof(TestCombining),
                              TestCombining::kTypeTag));
 
-  const pid_t child = ::fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    // Child: reach the object the way a separate binary would — attach
-    // by NAME (a fresh mapping at its own base address), resolve, tag
-    // check. Plain _exit codes instead of gtest: the child must never
-    // run the parent's test teardown.
-    auto mine = ShmArena::attach(name);
-    if (!mine.has_value()) ::_exit(10);
-    const auto found = mine->resolve("comb");
-    if (!found.has_value()) ::_exit(11);
-    if (found->type_tag != TestCombining::kTypeTag) ::_exit(12);
-    TestCombining& comb = *mine->at<TestCombining>(found->offset);
-    NativeContext ctx(1);
-    for (std::uint64_t i = 0; i < kOps; ++i) {
-      const ModuleResult r =
-          comb.invoke(ctx, fetch_inc((std::uint64_t{1} << 40) | i, 1));
-      if (!r.committed()) ::_exit(13);
+  ChildReaper reaper;
+  std::vector<pid_t> children;
+  for (int k = 1; k <= clients; ++k) {
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      // Child: reach the object the way a separate binary would —
+      // attach by NAME (a fresh mapping at its own base address),
+      // resolve, tag check. Plain _exit codes instead of gtest: the
+      // child must never run the parent's test teardown.
+      auto mine = ShmArena::attach(name);
+      if (!mine.has_value()) ::_exit(10);
+      const auto found = mine->resolve("comb");
+      if (!found.has_value()) ::_exit(11);
+      if (found->type_tag != TestCombining::kTypeTag) ::_exit(12);
+      TestCombining& comb = *mine->at<TestCombining>(found->offset);
+      const auto id = static_cast<ProcessId>(k);
+      NativeContext ctx(id);
+      for (std::uint64_t i = 0; i < kOps; ++i) {
+        const ModuleResult r = comb.invoke(
+            ctx, fetch_inc((static_cast<std::uint64_t>(id) << 40) | i, id));
+        if (!r.committed()) ::_exit(13);
+      }
+      ::_exit(0);
     }
-    ::_exit(0);
+    reaper.pids.push_back(child);
+    children.push_back(child);
   }
 
   // Parent: combine into the same object through its own mapping,
-  // concurrently with the child.
+  // concurrently with the clients.
   TestCombining& comb = *arena->at<TestCombining>(off);
   NativeContext ctx(0);
   std::set<Response> mine;
@@ -367,20 +449,28 @@ TEST(ShmCombining, SecondProcessAttachesByNameAndCombines) {
     mine.insert(r.response);
   }
 
-  int status = 0;
-  ASSERT_EQ(::waitpid(child, &status, 0), child);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
+  const auto deadline = clock_type::now() + kDeadline;
+  for (const pid_t child : children) {
+    int status = 0;
+    ASSERT_TRUE(reap_by(child, &status, deadline)) << "client wedged";
+    reaper.forget(child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+  }
 
   comb.drain(ctx);
-  // Exact equivalence: both processes' ops landed exactly once.
-  EXPECT_EQ(comb.object().value(), static_cast<std::int64_t>(2 * kOps));
+  // Exact equivalence: every process's ops landed exactly once.
+  const auto total = static_cast<std::uint64_t>(clients + 1) * kOps;
+  EXPECT_EQ(comb.object().value(), static_cast<std::int64_t>(total));
   // The parent's tickets alone are distinct and within range.
   EXPECT_EQ(mine.size(), kOps);
-  EXPECT_LT(*mine.rbegin(), static_cast<Response>(2 * kOps));
+  EXPECT_LT(*mine.rbegin(), static_cast<Response>(total));
   EXPECT_EQ(comb.occupied(), 0u);
   EXPECT_EQ(comb.reclaim_dead(ctx), 0u);  // nothing dead, nothing swept
 }
+
+INSTANTIATE_TEST_SUITE_P(Clients, ShmCombiningClients, testing::Values(1, 3),
+                         testing::PrintToStringParamName());
 
 // ---------------------------------------------------------------------------
 // Crash reclaim: the publisher dies, the operation does not get lost,
@@ -450,6 +540,192 @@ TEST(ShmCombining, SigkilledPublisherIsExecutedThenReclaimed) {
   // The object is fully serviceable again after the sweep.
   EXPECT_TRUE(comb.invoke(ctx, fetch_inc(2, 0)).committed());
   EXPECT_EQ(comb.object().value(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Crash under load: clients publish to a serving process, and one of
+// them is SIGKILLed mid-run while the others keep going.
+
+TEST(ShmCombining, SigkilledClientUnderLoadReconcilesAndIsReclaimed) {
+  constexpr int kClients = 3;  // client 0 is the victim
+  constexpr std::uint64_t kSurvivorOps = 2000;
+  // The victim never finishes on its own: it is still mid-run whenever
+  // the kill lands.
+  constexpr std::uint64_t kVictimOps = std::uint64_t{1} << 40;
+  const std::string name = unique_segment("crash");
+  SegmentJanitor janitor{name};
+
+  auto arena = ShmArena::create(name, 1 << 20);
+  ASSERT_TRUE(arena.has_value());
+  const std::uint64_t comb_off = arena->construct<TestCombining>();
+  const std::uint64_t cells_off =
+      arena->alloc(sizeof(ClientCell) * kClients, alignof(ClientCell));
+  ASSERT_NE(comb_off, 0u);
+  ASSERT_NE(cells_off, 0u);
+  TestCombining& comb = *arena->at<TestCombining>(comb_off);
+  ClientCell* cells = arena->at<ClientCell>(cells_off);
+  for (int k = 0; k < kClients; ++k) new (&cells[k]) ClientCell;
+
+  ChildReaper reaper;
+  std::vector<pid_t> pids;
+  for (int k = 0; k < kClients; ++k) {
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      run_client(comb, cells[k], static_cast<ProcessId>(k + 1),
+                 k == 0 ? kVictimOps : kSurvivorOps);
+    }
+    reaper.pids.push_back(child);
+    pids.push_back(child);
+  }
+
+  // This thread is the server: the only combiner, since every client
+  // publishes with may_combine = false.
+  NativeContext ctx(0);
+  const auto deadline = clock_type::now() + kDeadline;
+  const auto in_flight = [&](int k) {
+    return cells[k].started.load(std::memory_order_acquire) >
+           cells[k].completed.load(std::memory_order_acquire);
+  };
+
+  // Serve until the victim's first op has completed and its second
+  // has started.
+  while (cells[0].started.load(std::memory_order_acquire) < 2) {
+    ASSERT_LT(clock_type::now(), deadline) << "victim never got served";
+    comb.try_serve(ctx);
+  }
+
+  // Stop serving until every live client is parked on a published op.
+  // With no combiner nothing completes, so once each client is either
+  // done or in flight, and as many ops are pending as clients are in
+  // flight, the state is frozen, and the victim's op is kPending.
+  for (;;) {
+    ASSERT_LT(clock_type::now(), deadline) << "clients never settled";
+    std::size_t waiting = 0;
+    bool settled = true;
+    for (int k = 0; k < kClients; ++k) {
+      const std::uint64_t ops = k == 0 ? kVictimOps : kSurvivorOps;
+      if (in_flight(k)) {
+        ++waiting;
+      } else if (cells[k].completed.load(std::memory_order_acquire) != ops) {
+        settled = false;
+      }
+    }
+    if (settled && comb.pending() == waiting) break;
+    std::this_thread::yield();
+  }
+
+  ASSERT_EQ(::kill(pids[0], SIGKILL), 0);
+  int victim_status = 0;
+  ASSERT_TRUE(reap_by(pids[0], &victim_status, deadline));
+  reaper.forget(pids[0]);
+  ASSERT_TRUE(WIFSIGNALED(victim_status));
+  EXPECT_EQ(WTERMSIG(victim_status), SIGKILL);
+
+  // Serve the survivors to the end, sweeping the corpse's residue on
+  // the way, as a long-running server would.
+  std::size_t reclaimed = 0;
+  for (int k = 1; k < kClients; ++k) {
+    int status = 0;
+    for (;;) {
+      ASSERT_LT(clock_type::now(), deadline) << "survivor never finished";
+      comb.try_serve(ctx);
+      reclaimed += comb.reclaim_dead(ctx);
+      const pid_t r = ::waitpid(pids[k], &status, WNOHANG);
+      ASSERT_GE(r, 0);
+      if (r == pids[k]) break;
+    }
+    reaper.forget(pids[k]);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "survivor " << k;
+  }
+
+  // Quiesce: execute anything still published, then sweep the dead.
+  comb.drain(ctx);
+  reclaimed += comb.reclaim_dead(ctx);
+  EXPECT_EQ(comb.occupied(), 0u);
+  // The victim's kPending op was executed, then its kDone record swept.
+  EXPECT_EQ(reclaimed, 1u);
+
+  std::uint64_t started = 0;
+  std::uint64_t completed = 0;
+  for (int k = 0; k < kClients; ++k) {
+    started += cells[k].started.load(std::memory_order_acquire);
+    completed += cells[k].completed.load(std::memory_order_acquire);
+  }
+  for (int k = 1; k < kClients; ++k) {
+    EXPECT_EQ(cells[k].started.load(), kSurvivorOps) << "survivor " << k;
+    EXPECT_EQ(cells[k].completed.load(), kSurvivorOps) << "survivor " << k;
+  }
+  const auto counter = static_cast<std::uint64_t>(comb.object().value());
+  EXPECT_LE(completed, counter);
+  EXPECT_LE(counter, started);
+  // The kill landed on a published op, which executes, not vanishes.
+  EXPECT_EQ(counter, started);
+}
+
+// ---------------------------------------------------------------------------
+// Stall: a client facing a server that does not serve yet must park on
+// the segment's futex word, not burn its core.
+
+TEST(ShmCombining, ClientFacingAStalledServerParks) {
+  constexpr std::uint64_t kOps = 64;
+  const std::string name = unique_segment("stall");
+  SegmentJanitor janitor{name};
+
+  auto arena = ShmArena::create(name, 1 << 20);
+  ASSERT_TRUE(arena.has_value());
+  const std::uint64_t comb_off = arena->construct<TestCombining>();
+  const std::uint64_t cell_off = arena->construct<ClientCell>();
+  const std::uint64_t barrier_off = arena->construct<ShmSpinBarrier>(2u);
+  ASSERT_NE(comb_off, 0u);
+  ASSERT_NE(cell_off, 0u);
+  ASSERT_NE(barrier_off, 0u);
+  TestCombining& comb = *arena->at<TestCombining>(comb_off);
+  ClientCell& cell = *arena->at<ClientCell>(cell_off);
+  ShmSpinBarrier& start = *arena->at<ShmSpinBarrier>(barrier_off);
+
+  ChildReaper reaper;
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    start.arrive_and_wait();
+    run_client(comb, cell, 1, kOps);
+  }
+  reaper.pids.push_back(child);
+
+  const auto deadline = clock_type::now() + kDeadline;
+  while (start.arrived() < 1) {
+    ASSERT_LT(clock_type::now(), deadline) << "client never arrived";
+    std::this_thread::yield();
+  }
+  start.arrive_and_wait();
+  // The client's first op is published and nobody serves it: 100 ms
+  // outlasts the whole spin/yield ladder, so its wait must park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  NativeContext ctx(0);
+  int status = 0;
+  for (;;) {
+    ASSERT_LT(clock_type::now(), deadline) << "client never finished";
+    comb.try_serve(ctx);
+    const pid_t r = ::waitpid(child, &status, WNOHANG);
+    ASSERT_GE(r, 0);
+    if (r == child) break;
+  }
+  reaper.forget(child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  // The park counter lives in the segment, so the client's parks show
+  // here. The yield fallback counts its saturated yields as parks, so
+  // this holds under -DSCM_FORCE_NO_FUTEX=ON too.
+  EXPECT_GT(comb.park_stats().parks, 0u);
+  comb.drain(ctx);
+  EXPECT_EQ(comb.object().value(), static_cast<std::int64_t>(kOps));
+  EXPECT_EQ(cell.started.load(), kOps);
+  EXPECT_EQ(cell.completed.load(), kOps);
+  EXPECT_EQ(comb.occupied(), 0u);
 }
 
 }  // namespace

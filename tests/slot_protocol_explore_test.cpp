@@ -1,7 +1,8 @@
 // Exhaustive model checking of the owner-tagged publication-slot
 // protocol (core/slot_protocol.hpp) on the shipping cross-process
-// executor, ShmCombining<TicketModule, 2> — the same class compose.shm
-// and the ipc-counter benchmark run, instantiated under SimContext.
+// executor, ShmCombining<TicketModule, 2> — the same class shm_test's
+// forked clients and the ipc-counter benchmark run, instantiated under
+// SimContext.
 //
 // Every test drives it through sim::explore over ALL interleavings of
 // its processes (stats.exhausted is asserted, so a silently truncated
@@ -128,7 +129,7 @@ struct KillPoint {
   std::size_t swept;       // records reclaim_dead freed
 };
 
-// A may_combine = false victim (the compose.shm client role) against a
+// A may_combine = false victim (a publish-only client) against a
 // dedicated server that drains while the victim lives, then runs
 // drain + reclaim_dead once it is gone.
 void explore_publisher_kill(const KillPoint& kp) {
