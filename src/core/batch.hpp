@@ -17,8 +17,8 @@
 // results of invoking each slot in order, provided the stages are
 // distinct objects (they always are in a pipeline — each stage's
 // invocation subsequence, and therefore its state evolution, is
-// identical under per-op and stage-major order). The compose.batched
-// scenario and combining_test pin this equivalence.
+// identical under per-op and stage-major order). combining_test's
+// Batch.* cases pin this equivalence.
 #pragma once
 
 #include <optional>

@@ -32,7 +32,11 @@
 //   * a cache-miss fill is just the read submitted through the object
 //     with a fill callback — against a slow backend the ticket simply
 //     completes late, exactly PR 5's "the caching layer must consume
-//     Ticket<R>s" instruction.
+//     Ticket<R>s" instruction;
+//   * an async submission's callback state lives in a completion record
+//     claimed from the caller's replica's own pool of kRecs records, so
+//     a claim scans only lines its replica's callers and the releasing
+//     combiners write — never every thread's in-flight records.
 //
 // Correctness (linearizable): a hit requires the entry's generation to
 // EQUAL its slot's generation loaded at the start of the read — the
@@ -97,6 +101,11 @@ concept ReplicationModel =
       { M::read_after_write(m, r) } -> std::same_as<std::optional<Response>>;
     };
 
+// Template parameters: kReplicas replica tables (caller i uses replica
+// i mod kReplicas), kEntries direct-mapped slots per table (a power of
+// two), and kRecs async completion records PER REPLICA — the bound on
+// one replica's misses and writes in flight through submit() with a
+// refill still pending (beyond it they degrade, see submit()).
 template <class Obj, std::size_t kReplicas, class Model,
           std::size_t kEntries = 64, std::size_t kRecs = 32>
   requires ReplicationModel<Model>
@@ -129,10 +138,12 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // tickets (a dropped ticket waits its operation out) and drain()
   // detached submissions first.
   ~Replicated() {
-    for (auto& p : recs_) {
-      SCM_CHECK_MSG(p.value.busy.load(std::memory_order_acquire) == 0,
-                    "Replicated destroyed with an in-flight completion "
-                    "record (outstanding submission)");
+    for (const auto& r : replicas_) {
+      for (const auto& p : r.recs) {
+        SCM_CHECK_MSG(p.value.busy.load(std::memory_order_acquire) == 0,
+                      "Replicated destroyed with an in-flight completion "
+                      "record (outstanding submission)");
+      }
     }
   }
 
@@ -160,12 +171,13 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
 
   // Async surface: a read hit is a ready ticket (it cost no shared
   // write, there is nothing to wait for); a miss or write is the
-  // wrapped object's own submission with a pooled completion record
-  // carrying the invalidation/refill. When the pool is exhausted the
-  // operation still proceeds — a miss just skips its fill, a write
-  // falls back to invalidate-only (the key's slot generation is the
-  // cookie; correctness never depends on refills, they only raise the
-  // hit rate).
+  // wrapped object's own submission with a completion record, claimed
+  // from the caller's replica's pool, carrying the invalidation/refill.
+  // When that pool is exhausted the operation still proceeds — a miss
+  // just skips its fill, a write falls back to invalidate-only (the
+  // key's slot generation is the cookie; correctness never depends on
+  // refills, they only raise the hit rate). Another replica's free
+  // records are never borrowed.
   template <class Ctx>
     requires Composable<Obj, Ctx>
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
@@ -285,6 +297,27 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   }
 
  private:
+  // Completion-callback state for one in-flight operation: which
+  // replica to refill and the request whose key/effect the refill
+  // concerns. Stack-allocated on blocking paths (the callback runs
+  // before the wrapped object hands the result back); pool-claimed on
+  // async paths, released by the callback.
+  struct CacheRec {
+    CacheRec() = default;
+    CacheRec(Replicated* s, std::size_t r, const Request& m, bool p)
+        : self(s), replica(r), req(m), pooled(p) {}
+
+    Replicated* self = nullptr;
+    std::size_t replica = 0;
+    Request req;
+    bool pooled = false;
+    std::atomic<std::uint32_t> busy{0};
+
+    void release() noexcept {
+      if (pooled) busy.store(0, std::memory_order_release);
+    }
+  };
+
   // One direct-mapped cache entry. The seqlock protocol: installers
   // CAS the version word even→odd (mutual exclusion between
   // installers; a loser skips its install — refills are best-effort),
@@ -308,6 +341,10 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> torn{0};
     std::atomic<std::uint64_t> fills{0};
+    // The replica's async completion records, each on its own line:
+    // claimed by this replica's callers, released by whichever thread
+    // finalizes the operation.
+    std::array<Padded<CacheRec>, kRecs> recs{};
   };
 
   // What one snapshot saw: the value on a hit; `torn` when the entry's
@@ -315,27 +352,6 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   struct Snapshot {
     std::optional<Response> value;
     bool torn = false;
-  };
-
-  // Completion-callback state for one in-flight operation: which
-  // replica to refill and the request whose key/effect the refill
-  // concerns. Stack-allocated on blocking paths (the callback runs
-  // before the wrapped object hands the result back); pool-claimed on
-  // async paths, released by the callback.
-  struct CacheRec {
-    CacheRec() = default;
-    CacheRec(Replicated* s, std::size_t r, const Request& m, bool p)
-        : self(s), replica(r), req(m), pooled(p) {}
-
-    Replicated* self = nullptr;
-    std::size_t replica = 0;
-    Request req;
-    bool pooled = false;
-    std::atomic<std::uint32_t> busy{0};
-
-    void release() noexcept {
-      if (pooled) busy.store(0, std::memory_order_release);
-    }
   };
 
   template <class Ctx>
@@ -496,11 +512,13 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     }
   }
 
-  // Claims an async completion record (CAS-scan over a small pool);
-  // nullptr when every record is in flight — callers degrade to the
-  // stateless callback, they never block on the pool.
+  // Claims an async completion record from `replica`'s own pool (a
+  // CAS-scan over its kRecs records; callers whose ids collide modulo
+  // kReplicas share the pool through the same CAS); nullptr when every
+  // record is in flight — callers degrade to the stateless callback,
+  // they never block on the pool.
   CacheRec* claim_rec(std::size_t replica, const Request& m) {
-    for (auto& p : recs_) {
+    for (auto& p : replicas_[replica].recs) {
       CacheRec& rec = p.value;
       std::uint32_t expected = 0;
       if (rec.busy.load(std::memory_order_relaxed) == 0 &&
@@ -528,7 +546,6 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
 
   std::array<Replica, kReplicas> replicas_{};
   std::array<Padded<std::atomic<std::uint64_t>>, kEntries> generations_{};
-  std::array<Padded<CacheRec>, kRecs> recs_{};
   Padded<Obj> obj_;
 };
 

@@ -21,8 +21,8 @@
 // the lock-free fast path — takes effect at one point inside its
 // invoke/return interval: the wrapped object's linearizability is
 // preserved, and a single-threaded caller gets bit-identical results
-// to invoking the object directly (combining_test and the
-// compose.batched scenario pin both properties). Note the combiner
+// to invoking the object directly (combining_test pins both
+// properties). Note the combiner
 // executes published requests under its OWN context: per-op step
 // counters accrue to the serving thread, and requests carry their
 // issuer in Request::issuer.

@@ -79,8 +79,8 @@ struct ByThread {
 // (workload/keyed.hpp generates such streams); a SplitMix64 finalizer
 // decorrelates adjacent keys before the modulo so hot keys spread only
 // as far as their hash allows — skewed key draws produce genuinely
-// skewed shard load, which is the contention axis the compose.sharded
-// scenario sweeps.
+// skewed shard load, which is the contention axis sharding_test's
+// concurrent keyed-ops case runs at zipf 0 and 0.99.
 struct ByKeyHash {
   [[nodiscard]] static constexpr std::uint64_t mix(std::uint64_t k) noexcept {
     std::uint64_t z = k + 0x9e3779b97f4a7c15ULL;

@@ -32,7 +32,7 @@
 #define SCM_HAS_POSIX_SHM 1
 #else
 // No POSIX shm on this target: the shm subsystem compiles away and
-// the compose.shm scenario reports a skip instead of running.
+// shm_test reports a skip instead of running.
 #define SCM_HAS_POSIX_SHM 0
 #endif
 
@@ -141,7 +141,7 @@ class ShmArena {
   // equal (same header layout), capacity matching the file size.
   // Fails fast (nullopt + *error) on any mismatch; callers that race
   // against a server still creating the segment retry attach() in a
-  // loop (see the compose.shm client).
+  // loop. shm_test's AttachRejects* cases pin each rejection.
   static std::optional<ShmArena> attach(const std::string& name,
                                         std::string* error = nullptr) {
     const std::string path = normalize(name);

@@ -1,7 +1,7 @@
 // ShmSpinBarrier — support/barrier.hpp's algorithm, re-housed so the
 // whole object can live inside a shared segment and align PROCESSES
-// instead of threads (the compose.shm scenario parks every client at
-// one barrier before the measured region, exactly like the in-process
+// instead of threads (shm_test's stalled-server case aligns its server
+// and client process at one barrier, exactly like the in-process
 // driver does with SpinBarrier).
 //
 // Same one-word protocol as SpinBarrier: arrival count and generation
@@ -43,9 +43,9 @@ class ShmSpinBarrier {
 
   [[nodiscard]] std::uint32_t parties() const noexcept { return parties_; }
 
-  // How many parties of the current generation have arrived — lets the
-  // compose.shm server spin until every client is parked, timestamp,
-  // and only then arrive itself.
+  // How many parties of the current generation have arrived — lets a
+  // server (shm_test's stalled-server case) spin until every client is
+  // parked and only then arrive itself.
   [[nodiscard]] std::uint32_t arrived() const noexcept {
     return static_cast<std::uint32_t>(
         state_.load(std::memory_order_acquire) & kCountMask);

@@ -39,7 +39,7 @@
 //
 // Division of labor that makes crash-reclaim SOUND rather than
 // best-effort: a process that may be killed should submit with
-// may_combine = false (publication only — the compose.shm clients do).
+// may_combine = false (publication only — shm_test's SIGKILL clients do).
 // Then it can only ever die holding a slot, never the gate mid-batch,
 // and the reconciliation bound is exact: a client killed at an
 // arbitrary point has AT MOST ONE operation in flight, which either
@@ -219,7 +219,7 @@ class ShmCombining {
   }
 
   // One combine pass if the gate is free right now; false when some
-  // other process holds it. The compose.shm server's serve loop is
+  // other process holds it. shm_test's serving loops are
   // `while (...) try_serve(ctx);` — a dedicated combiner.
   template <class Ctx>
     requires Composable<Obj, Ctx>
@@ -255,8 +255,8 @@ class ShmCombining {
   [[nodiscard]] std::size_t pending() const noexcept {
     return count_in_state(SlotState::kPending);
   }
-  // Records not currently kFree — the compose.shm gate checks this is
-  // zero after the final drain + reclaim.
+  // Records not currently kFree — shm_test checks this is zero after
+  // the final drain + reclaim.
   [[nodiscard]] std::size_t occupied() const noexcept {
     return kSlots - count_in_state(SlotState::kFree);
   }
@@ -355,7 +355,7 @@ class ShmCombining {
   // counters live in shared memory, so — like the combining counters
   // above — they aggregate over ALL participating processes: a client
   // that parked against a stalled server shows up in the server's
-  // readout (compose.shm gates on exactly that).
+  // readout (shm_test's stalled-server case checks exactly that).
   [[nodiscard]] ParkStats park_stats() const noexcept {
     return futex_waiters_.stats();
   }

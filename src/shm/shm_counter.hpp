@@ -1,5 +1,5 @@
-// ShmCounter — the segment-resident fetch&increment counter the
-// compose.shm equivalence gate counts with.
+// ShmCounter — the segment-resident fetch&increment counter that
+// shm_test's cross-process exact-count cases count with.
 //
 // Speaks CounterSpec's op vocabulary (kFetchInc/kRead from
 // history/specs.hpp) and the ModuleResult surface, so it drops into

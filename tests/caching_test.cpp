@@ -21,7 +21,10 @@
 //    linearize against RegisterSpec;
 //  * placement: a dense key range stays resident;
 //  * the read_at probe does not count torn reads;
-//  * the async pool-exhaustion fallback invalidates without refilling.
+//  * the async pool-exhaustion fallback invalidates without refilling,
+//    and only for the replica whose pool ran dry;
+//  * records claimed by two callers of a pool and released by other
+//    threads' combiners all come back before the cache is destroyed.
 //
 // Runs under the "tsan" ctest label: the CI sanitizer job executes
 // this suite under ThreadSanitizer (the seqlock snapshot protocol is
@@ -30,7 +33,9 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -638,7 +643,7 @@ TEST(Replicated, ReadAtProbeCountsNoTornReads) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool exhaustion: the invalidate-only fallback
+// Pool exhaustion: the invalidate-only fallback, per replica
 
 TEST(Replicated, ExhaustedRecordPoolInvalidatesWithoutRefill) {
   using Cache = Replicated<Combining<KeyedRegisters, 8>, 2, KeyedModel, 64,
@@ -646,6 +651,8 @@ TEST(Replicated, ExhaustedRecordPoolInvalidatesWithoutRefill) {
   Cache cached;
   const std::uint64_t a = 1;
   const std::uint64_t b = key_in_slot<Cache>(Cache::slot_of(a), false);
+  const std::uint64_t c = key_in_slot<Cache>(Cache::slot_of(a), false, b);
+  ASSERT_NE(Cache::slot_of(c), Cache::slot_of(b));
 
   NativeContext ctx(0);
   std::uint64_t id = 100;
@@ -669,30 +676,43 @@ TEST(Replicated, ExhaustedRecordPoolInvalidatesWithoutRefill) {
   g_gate_entered.store(false);
   g_gate_open.store(false);
   std::thread holder([&] {
-    NativeContext hctx(1);
+    NativeContext hctx(2);
     (void)cached.object().invoke(
-        hctx, Request{1000, 1, KeyedRegisters::kGateOp, 0});
+        hctx, Request{1000, 2, KeyedRegisters::kGateOp, 0});
   });
   while (!g_gate_entered.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
 
-  // The first write claims the pool's only record; the second finds it
-  // in flight and falls back to invalidate_cb.
+  // The first write claims replica 0's only record; the second finds
+  // it in flight and falls back to invalidate_cb. Pools are per
+  // replica, so a replica-1 write submitted meanwhile still claims
+  // replica 1's record.
   auto first = cached.submit(ctx, key_write(id++, 0, a));
   auto second = cached.submit(ctx, key_write(id++, 0, a));
-  writes += 2;
+  NativeContext ctx1(1);
+  auto other = cached.submit(ctx1, key_write(id++, 1, c));
+  writes += 3;
   EXPECT_FALSE(first.poll());
   EXPECT_FALSE(second.poll());
+  EXPECT_FALSE(other.poll());
 
   g_gate_open.store(true, std::memory_order_release);
   holder.join();
   EXPECT_TRUE(first.wait().committed());
   EXPECT_TRUE(second.wait().committed());
+  const ModuleResult c_written = other.wait();
+  ASSERT_TRUE(c_written.committed());
 
   EXPECT_EQ(cached.invalidations(), writes);
-  // Only the record-carrying write refilled; the fallback never does.
-  EXPECT_EQ(cached.fills(), fills_before + 1);
+  // One refill per replica — replica 0's record-carrying write and the
+  // replica-1 write, each into its own replica; the fallback never
+  // refills.
+  EXPECT_EQ(cached.fills(), fills_before + 2);
+  const auto vc = cached.read_at(1, c);
+  ASSERT_TRUE(vc.has_value());
+  EXPECT_EQ(*vc, c_written.response);
+  EXPECT_FALSE(cached.read_at(0, c).has_value());
   const Response a_now =
       cached.object().invoke(ctx, key_read(id++, 0, a)).response;
   ASSERT_NE(a_now, a_old);
@@ -712,6 +732,91 @@ TEST(Replicated, ExhaustedRecordPoolInvalidatesWithoutRefill) {
     EXPECT_EQ(cached.hits(), hits_before + 1) << "replica " << p;
     EXPECT_EQ(cached.invoke(reader, key_read(id++, p, a)).response, a_now);
   }
+}
+
+// Two callers share each replica's pool of four records and each keeps
+// four submissions in flight, so claims race, combiners on either shard
+// release records other threads claimed, and a pool whose callers have
+// more than four operations published runs dry into the fallbacks.
+// Every value must decode to its key, every write must invalidate once,
+// and the destructor's in-flight record check must pass once every
+// thread has quiesced.
+TEST(Replicated, SharedPoolsSurviveCrossThreadReleaseAndExhaustion) {
+  using Shards = Sharded<Combining<KeyedRegisters, 8>, 2, ByKeyHash>;
+  using Cache = Replicated<Shards, 2, KeyedModel, 64, /*kRecs=*/4>;
+  constexpr int kThreads = 4;
+  constexpr std::size_t kWindow = 4;
+  constexpr std::uint64_t kKeys = 16;
+  // Long enough for the scheduler to spread the threads over the CPUs.
+  constexpr auto kRun = std::chrono::milliseconds(200);
+  // A write stores its request id, whose low byte is the key.
+  const auto decodes = [](Response v, std::uint64_t key) {
+    return v == 0 || (static_cast<std::uint64_t>(v) & 0xff) == key;
+  };
+
+  auto cached = std::make_unique<Cache>();
+  std::atomic<std::uint64_t> writes{0};
+  std::atomic<std::uint64_t> bad{0};
+  std::atomic<int> started{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto pid = static_cast<ProcessId>(t);
+      NativeContext ctx(pid);
+      struct InFlight {
+        Ticket<ModuleResult> ticket;
+        std::uint64_t key = 0;
+      };
+      std::array<InFlight, kWindow> window;
+      const auto collect = [&](InFlight& f) {
+        if (!f.ticket.valid()) return;
+        const ModuleResult r = f.ticket.wait();
+        if (!r.committed() || !decodes(r.response, f.key)) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+        }
+      };
+      std::uint64_t local_writes = 0;
+      started.fetch_add(1, std::memory_order_acq_rel);
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        InFlight& f = window[i % kWindow];
+        collect(f);
+        const std::uint64_t h =
+            ByKeyHash::mix((static_cast<std::uint64_t>(t) << 32) | i);
+        f.key = h % kKeys;
+        const std::uint64_t id =
+            (((static_cast<std::uint64_t>(t) << 40) | (i + 1)) << 8) | f.key;
+        const bool is_write = ((h >> 8) & 1) != 0;
+        local_writes += is_write ? 1 : 0;
+        f.ticket = cached->submit(ctx, is_write ? key_write(id, pid, f.key)
+                                                : key_read(id, pid, f.key));
+      }
+      for (InFlight& f : window) collect(f);
+      writes.fetch_add(local_writes, std::memory_order_relaxed);
+    });
+  }
+  while (started.load(std::memory_order_acquire) < kThreads) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(kRun);
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(cached->invalidations(), writes.load());
+  EXPECT_GT(cached->fills(), 0u);
+  // Quiesced: a surviving entry on any replica holds the object's value.
+  NativeContext ctx(0);
+  for (std::uint64_t key = 0; key < kKeys; ++key) {
+    const Response now =
+        cached->object().invoke(ctx, key_read(1, 0, key)).response;
+    for (std::size_t rep = 0; rep < 2; ++rep) {
+      if (const auto v = cached->read_at(rep, key)) {
+        EXPECT_EQ(*v, now) << "key " << key << " replica " << rep;
+      }
+    }
+  }
+  cached.reset();
 }
 
 }  // namespace
