@@ -48,10 +48,6 @@ void print_usage() {
       "  --seed=N           base RNG seed                     (default 42)\n"
       "  --pin              pin scm-worker-N threads to cores (native\n"
       "                     scenarios; recorded in the JSON report)\n"
-      "  --adaptive=0|1     run Adaptive-wrapped scenarios with the\n"
-      "                     contention monitor's actuators live (1,\n"
-      "                     default) or frozen (0 — the zero-overhead\n"
-      "                     configuration; recorded in the JSON report)\n"
       "  --json=FILE        write the scm-bench/v1 report to FILE\n"
       "  --compare OLD NEW  regression gate: compare two scm-bench/v1\n"
       "                     reports by scenario median ns_per_op and exit\n"
@@ -156,12 +152,6 @@ int main(int argc, char** argv) {
       if (!parse_count(arg, value, &params.seed)) return 2;
     } else if (arg == "--pin") {
       params.pin = true;
-    } else if (parse_flag(arg, "--adaptive", &value)) {
-      if (value != "0" && value != "1") {
-        std::fprintf(stderr, "--adaptive wants 0 or 1\n");
-        return 2;
-      }
-      params.adaptive = value == "1";
     } else if (parse_flag(arg, "--json", &value)) {
       json_path = value;
     } else {

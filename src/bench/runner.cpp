@@ -157,10 +157,7 @@ void write_json(const RunReport& report, std::ostream& os) {
       // Parking provenance — additive key again: which rung-3 wait
       // implementation the binary was built with (futex vs the forced
       // yield fallback), since the slow-path numbers differ.
-      .kv("wait_mode", wait_mode_name(kDefaultWaitMode))
-      // Whether Adaptive-wrapped scenarios ran with live actuators
-      // (--adaptive) — additive key, same contract as above.
-      .kv("adaptive", report.params.adaptive);
+      .kv("wait_mode", wait_mode_name(kDefaultWaitMode));
   w.end_object();
 
   w.key("scenarios").begin_array();

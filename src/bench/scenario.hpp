@@ -34,12 +34,6 @@ struct BenchParams {
   std::uint64_t seed = 42;
   bool pin = false;  // pin scm-worker-N threads to cores (--pin)
 
-  // Whether Adaptive-wrapped scenario objects (compose.adaptive) run
-  // with the monitor's actuators live (--adaptive=0 disables them:
-  // the wrapper stays in, the decisions stop — the zero-overhead
-  // configuration).
-  bool adaptive = true;
-
   // Scales a scenario-internal sweep count from the ops budget.
   [[nodiscard]] int sweeps(std::uint64_t divisor, int lo, int hi) const {
     const std::uint64_t raw = divisor == 0 ? ops : ops / divisor;

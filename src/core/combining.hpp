@@ -327,8 +327,9 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     return waiters_.value.stats();
   }
 
-  // ---- runtime actuators (core/adaptive.hpp drives these; both are
-  // relaxed hints, safe to flip while operations are in flight).
+  // ---- runtime knobs: Adaptive's two actuators (core/adaptive.hpp
+  // drives them; both are relaxed hints, safe to flip while operations
+  // are in flight).
 
   // Election attempts a per-op entry point makes before conceding to
   // the publication path. 1 = historical TAS fast path (the default);
@@ -736,15 +737,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
       if (st == kClaimed || st == kPending) return true;
     }
     return false;
-  }
-
-  // Telemetry counters have a single writer (the election-lock holder),
-  // whose lock acquire orders it after the previous holder's stores:
-  // a relaxed load+store loses nothing and needs no RMW.
-  static void bump(std::atomic<std::uint64_t>& counter,
-                   std::uint64_t n) noexcept {
-    counter.store(counter.load(std::memory_order_relaxed) + n,
-                  std::memory_order_relaxed);
   }
 
   // One combiner pass. Runs with the combiner lock held. The common

@@ -22,7 +22,8 @@
 // the trade studied for sequentially consistent composition (Perrin et
 // al.) and coded emulation (Cadambe et al.): spread the load, keep the
 // per-shard guarantees. Both policies (ByThread, ByKeyHash) are pure
-// functions, so the partition is reproducible: the same key always
+// functions of the request and the compile-time shard count, so the
+// partition is fixed for the object's lifetime: the same key always
 // reaches the same shard, and per-key histories stay linearizable.
 //
 // Statistics: per-shard PipelineCounters (or per-process chain commit
@@ -31,7 +32,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -155,47 +155,18 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   // The shard this (context, request) pair routes to. Exposed so tests
   // and scenarios can verify routing determinism and measure per-shard
   // load without re-implementing the policy. The policy sees the
-  // ACTIVE shard count (set_active_shards), not the constructed one,
-  // so concentrating or spreading load is one published integer away —
-  // no replica reconstruction. The load is relaxed: a router may use a
-  // just-retired count for one more op, which routes to a still-live
-  // replica and is therefore harmless.
+  // compile-time shard count, so routing reads no shared state.
   template <class Ctx>
     requires ShardRoutingPolicy<Policy, Ctx>
   [[nodiscard]] std::size_t route(Ctx& ctx, const Request& m) const {
-    const std::size_t n = active_.value.load(std::memory_order_relaxed);
-    const std::size_t s = policy_(ctx, m, n);
-    SCM_CHECK_MSG(s < n, "routing policy produced an out-of-range shard");
+    const std::size_t s = policy_(ctx, m, kShards);
+    SCM_CHECK_MSG(s < kShards, "routing policy produced an out-of-range shard");
     return s;
   }
 
-  // ---- runtime actuator: effective shard count.
-
-  // Publishes a new active shard count in [1, kShards]. Growing widens
-  // the policy's modulus immediately (replicas beyond the old count
-  // are idle, fully-constructed objects — nothing to initialize).
-  // Shrinking stops new arrivals at the retired replicas; operations
-  // already routed there finish on them, which is harmless because a
-  // retired replica stays a live, fully-constructed object. The epoch
-  // bump is the "remap done" publication tests and monitors key on.
-  // Concurrent callers are the caller's problem (the adaptive layer
-  // serializes decisions behind its tick lock).
-  void set_active_shards(std::size_t n) {
-    SCM_CHECK_MSG(n >= 1 && n <= kShards,
-                  "active shard count must be in [1, kShards]");
-    active_.value.store(n, std::memory_order_seq_cst);
-    mask_epoch_.fetch_add(1, std::memory_order_release);
-  }
-
-  [[nodiscard]] std::size_t active_shards() const noexcept {
-    return active_.value.load(std::memory_order_relaxed);
-  }
-
-  // Monotone remap counter: bumped once per completed
-  // set_active_shards, so an observer comparing epochs across a
-  // reconfiguration knows the new count is published.
-  [[nodiscard]] std::uint64_t active_epoch() const noexcept {
-    return mask_epoch_.load(std::memory_order_acquire);
+  // Every shard serves; the count is fixed at compile time.
+  [[nodiscard]] static constexpr std::size_t active_shards() noexcept {
+    return kShards;
   }
 
   // Module surface: route, then run the replica through apply(). Any
@@ -206,7 +177,7 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
     requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt) {
-    return invoke_at(route(ctx, m), ctx, m, init);
+    return scm::apply(shards_[route(ctx, m)].value, ctx, m, init);
   }
 
   // Runs the operation on an explicitly chosen shard (usually the one
@@ -215,7 +186,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
     requires Composable<Obj, Ctx>
   ModuleResult invoke_at(std::size_t s, Ctx& ctx, const Request& m,
                          std::optional<SwitchValue> init = std::nullopt) {
-    SCM_CHECK(s < kShards);
     return scm::apply(shard(s), ctx, m, init);
   }
 
@@ -230,7 +200,7 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
                       std::optional<SwitchValue> v) { o.submit(c, r, v); }
   auto submit(Ctx& ctx, const Request& m,
               std::optional<SwitchValue> init = std::nullopt) {
-    return shard(route(ctx, m)).submit(ctx, m, init);
+    return shards_[route(ctx, m)].value.submit(ctx, m, init);
   }
 
   // Synchronous replicas (pipelines, chains) complete inline:
@@ -256,7 +226,8 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
               CompletionFn completion, void* user = nullptr)
     requires requires(Obj& o) { o.submit(ctx, m, init, completion, user); }
   {
-    return shard(route(ctx, m)).submit(ctx, m, init, completion, user);
+    return shards_[route(ctx, m)].value.submit(ctx, m, init, completion,
+                                               user);
   }
 
   // Fire-and-forget forwarding (enabled when the replica has it): the
@@ -271,7 +242,8 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
       o.submit_detached(ctx, m, init, completion, user);
     }
   {
-    shard(route(ctx, m)).submit_detached(ctx, m, init, completion, user);
+    shards_[route(ctx, m)].value.submit_detached(ctx, m, init, completion,
+                                                 user);
   }
 
   // Drains every shard's pending publications (enabled exactly when
@@ -317,7 +289,7 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
         origin.push_back(i);
         scratch.push_back(batch[i]);
       }
-      run_batch(shard(s), ctx, std::span<OpSlot>(scratch));
+      run_batch(shards_[s].value, ctx, std::span<OpSlot>(scratch));
       for (std::size_t k = 0; k < origin.size(); ++k) {
         batch[origin[k]] = scratch[k];
       }
@@ -325,9 +297,11 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   }
 
   [[nodiscard]] Obj& shard(std::size_t s) noexcept {
+    SCM_CHECK(s < kShards);
     return shards_[s].value;
   }
   [[nodiscard]] const Obj& shard(std::size_t s) const noexcept {
+    SCM_CHECK(s < kShards);
     return shards_[s].value;
   }
 
@@ -374,38 +348,9 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
     return shards_[0].value.consensus_number();
   }
 
-  // ---- broadcast tuning knobs (enabled when the replica has them):
-  // one adaptive decision re-tunes every shard, active or not, so a
-  // later grow never resurrects a replica with stale settings.
-
-  void set_elect_spins(std::uint32_t n) noexcept
-    requires requires(Obj& o) { o.set_elect_spins(n); }
-  {
-    for (auto& s : shards_) s.value.set_elect_spins(n);
-  }
-
-  [[nodiscard]] std::uint32_t elect_spins() const noexcept
-    requires requires(const Obj& o) { o.elect_spins(); }
-  {
-    return shards_[0].value.elect_spins();
-  }
-
-  void set_yields_before_park(int n) noexcept
-    requires requires(Obj& o) { o.set_yields_before_park(n); }
-  {
-    for (auto& s : shards_) s.value.set_yields_before_park(n);
-  }
-
-  [[nodiscard]] int yields_before_park() const noexcept
-    requires requires(const Obj& o) { o.yields_before_park(); }
-  {
-    return shards_[0].value.yields_before_park();
-  }
-
   // ---- aggregate combining/parking telemetry (enabled when the
-  // replica emits it): the sums the ContentionMonitor reads when the
-  // monitored object is Sharded<Combining<...>>. Per-shard counters
-  // stay on their own lines; summation is off the hot path.
+  // replica emits it). Per-shard counters stay on their own lines;
+  // summation is off the hot path.
 
   [[nodiscard]] std::uint64_t direct_ops() const noexcept
     requires requires(const Obj& o) { o.direct_ops(); }
@@ -448,10 +393,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
     return agg;
   }
 
-  [[nodiscard]] static constexpr std::size_t shard_count() noexcept {
-    return kShards;
-  }
-
  private:
   template <class Fn, std::size_t... I>
   static std::array<Padded<Obj>, kShards> build(Fn& make_args,
@@ -464,10 +405,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   }
 
   std::array<Padded<Obj>, kShards> shards_;
-  // Active shard count (the routing modulus) on its own line: every
-  // routed op loads it, only reconfigurations write it.
-  Padded<std::atomic<std::size_t>> active_{std::in_place, kShards};
-  std::atomic<std::uint64_t> mask_epoch_{0};
   [[no_unique_address]] Policy policy_{};
 };
 

@@ -30,6 +30,7 @@
 // to kFree after running the completion callback.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 namespace scm {
@@ -108,5 +109,20 @@ static_assert(slot_state_of(pack_slot(SlotState::kPending, 0x1234)) ==
 static_assert(slot_owner_of(pack_slot(SlotState::kPending, 0x1234)) == 0x1234);
 static_assert(pack_slot(SlotState::kFree, 0) == 0,
               "zero-initialized slot words must read as free/unowned");
+
+// ---- executor telemetry ---------------------------------------------
+//
+// Both executors count direct ops, combine rounds and batched ops in
+// counters whose single writer is the election-lock (gate) holder; the
+// lock's acquire orders each holder after the previous one's stores, so
+// a relaxed load+store loses nothing and needs no RMW. (A gate stolen
+// from a dead ShmCombining holder may miss that holder's last bumps;
+// a batch cut short by a crash is unaccountable anyway.) Readers load
+// them relaxed, off the hot path.
+inline void bump(std::atomic<std::uint64_t>& counter,
+                 std::uint64_t n) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+}
 
 }  // namespace scm

@@ -172,7 +172,7 @@ class ShmCombining {
     // whatever published meanwhile, release.
     if (may_combine && try_gate(ctx, self)) {
       const ModuleResult r = scm::apply(obj_, ctx, m, init);
-      direct_ops_.fetch_add(1, std::memory_order_relaxed);
+      bump(direct_ops_, 1);
       combine(ctx);
       release_gate();
       return r;
@@ -479,8 +479,8 @@ class ShmCombining {
       s.word.store(pack_slot(SlotState::kDone, publisher[i]),
                    std::memory_order_release);
     }
-    rounds_.fetch_add(1, std::memory_order_relaxed);
-    batched_ops_.fetch_add(n, std::memory_order_relaxed);
+    bump(rounds_, 1);
+    bump(batched_ops_, n);
   }
 
   [[nodiscard]] std::size_t count_in_state(SlotState state) const noexcept {

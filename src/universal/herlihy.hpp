@@ -82,11 +82,6 @@ class HerlihyUniversal {
     return out;
   }
 
-  // Number of decided cells this process has replayed (diagnostics).
-  [[nodiscard]] std::size_t applied_by(ProcessId pid) const {
-    return per_proc_[static_cast<std::size_t>(pid)].applied;
-  }
-
  private:
   struct AnnounceSlot {
     typename P::template Register<std::int64_t> ref{kBottom};

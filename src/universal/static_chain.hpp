@@ -103,6 +103,8 @@ class StaticAbstractChain {
 
   // Commits served by stage `i` on behalf of process `pid`.
   [[nodiscard]] std::uint64_t commits_by(ProcessId pid, std::size_t i) const {
+    SCM_CHECK_MSG(0 <= pid && pid < n_,
+                  "StaticAbstractChain: process id out of range");
     SCM_CHECK(i < kDepth);
     return per_proc_[static_cast<std::size_t>(pid)].commits_by_stage[i];
   }

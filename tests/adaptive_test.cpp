@@ -1,45 +1,46 @@
 // Tests for the adaptive composition layer (core/adaptive.hpp):
 //
 //  * Adaptive<Obj> is a Composable module, inherits the wrapped
-//    object's consensus number, and compiles its monitor tick out for
-//    non-blocking (simulator) contexts;
+//    object's consensus number, compiles its monitor tick out for
+//    non-blocking (simulator) contexts, and accepts only objects with
+//    Combining's knobs and counters;
 //  * solo equivalence: every invoke/submit response through
-//    Adaptive<Obj> is bit-identical to the bare Obj's, with adaptation
-//    enabled AND disabled — decisions are hints to relaxed knobs,
-//    never semantics;
-//  * the disabled configuration is inert: windows of operations tick
-//    nothing, decide nothing, move no knob;
+//    Adaptive<Obj> is bit-identical to the bare Obj's, on the wait and
+//    the poll path — decisions are hints to relaxed knobs, never
+//    semantics;
 //  * ContentionMonitor: first window seeds the EWMA directly, later
-//    windows mix at alpha, zero-op windows are ignored entirely (idle
+//    windows mix at kAlpha, zero-op windows are ignored entirely (idle
 //    must not decay the signals);
-//  * adapt_decide is pure and enumerable: grow/shrink with the
-//    used-shards disambiguator, the non-overlapping hysteresis bands,
-//    elect-spin publish/republish keyed on achieved batch size, and
-//    the park-ratio wait rung;
-//  * the closed loop end to end: a solo caller on a 4-shard stack is
-//    observed uncontended and concentrated onto one shard within two
-//    windows (the deterministic counterpart of compose.adaptive's
-//    thread-ramp convergence);
+//  * adapt_decide is pure and enumerable: elect-spin
+//    publish/republish keyed on achieved batch size, and the
+//    park-ratio wait rung;
+//  * the closed loop end to end: a solo caller is observed
+//    uncontended, so windows tick and no knob moves;
 //  * concurrent histories through Adaptive<Combining> linearize
-//    against CounterSpec, and a window-crossing storm commits every
+//    against CounterSpec, a window-crossing storm commits every
 //    fetch&inc response exactly once while ticks and decisions fire
-//    mid-run.
+//    mid-run, and a thread ramp from 1 to 2x the hardware threads on
+//    one object commits every op's hop count and leaves the tuning in
+//    range.
 //
 // Runs under the "tsan" ctest label: the monitor's tick lock and the
-// relaxed knob and shard-count publications are exactly the kind of
-// protocol TSan arbitrates.
+// relaxed knob publications are exactly the kind of protocol TSan
+// arbitrates.
 #include "core/adaptive.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/combining.hpp"
 #include "core/module.hpp"
+#include "core/pipeline.hpp"
 #include "core/sharding.hpp"
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
@@ -71,6 +72,35 @@ struct CounterModule {
   NativeCounter count_;
 };
 
+// Pipeline plumbing for the thread ramp: relays abort with an
+// incremented hop count; the sink counts each op it commits and
+// commits the hops that reached it.
+struct Relay {
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& /*ctx*/, const Request& /*m*/,
+                      std::optional<SwitchValue> init = std::nullopt) {
+    return ModuleResult::abort_with(init.value_or(0) + 1);
+  }
+};
+
+struct HopSink {
+  static constexpr int kConsensusNumber = kConsensusNumberFetchAdd;
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& ctx, const Request& /*m*/,
+                      std::optional<SwitchValue> init = std::nullopt) {
+    (void)count_.fetch_add(ctx);
+    return ModuleResult::commit(init.value_or(0));
+  }
+
+  [[nodiscard]] std::uint64_t peek() const noexcept { return count_.peek(); }
+
+ private:
+  NativeCounter count_;
+};
+
 Request read_req(std::uint64_t id, ProcessId p) {
   return Request{id, p, CounterSpec::kRead, 0};
 }
@@ -85,11 +115,18 @@ using ShardStack = Sharded<CombStack, 4, ByThread>;
 // Static properties
 
 static_assert(Composable<Adaptive<CombStack>, NativeContext>);
-static_assert(Composable<Adaptive<ShardStack>, NativeContext>);
 static_assert(Adaptive<CombStack>::kConsensusNumber ==
                   kConsensusNumberFetchAdd,
               "the wrapper cannot change consensus power");
-static_assert(!std::is_polymorphic_v<Adaptive<ShardStack>>);
+static_assert(!std::is_polymorphic_v<Adaptive<CombStack>>);
+// Only an object with Combining's knobs and counters can be wrapped:
+// a Sharded of combiners or a bare module is rejected at compile time
+// rather than silently tuned by no actuator.
+template <class T>
+concept Adaptable = requires { typename Adaptive<T>; };
+static_assert(Adaptable<CombStack>);
+static_assert(!Adaptable<ShardStack>);
+static_assert(!Adaptable<CounterModule>);
 // The tick is compiled out exactly where blocking is illegal: the
 // deterministic simulator must never observe wall-clock-dependent
 // reconfiguration.
@@ -104,62 +141,46 @@ TEST(Adaptive, SoloInvokeMatchesBareObjectAcrossWindows) {
   // equivalence covers ticks and any decisions they apply — not just
   // the quiet stretch before the first boundary.
   constexpr std::uint64_t kOps = 3 * Adaptive<CombStack>::kWindowOps + 17;
-  for (const bool enabled : {true, false}) {
-    Adaptive<CombStack> adaptive;
-    adaptive.set_enabled(enabled);
-    CombStack bare;
-    NativeContext ctx(0);
-    for (std::uint64_t i = 0; i < kOps; ++i) {
-      const bool is_read = i % 4 == 3;
-      const Request m = is_read ? read_req(i + 1, 0) : inc_req(i + 1, 0);
-      const ModuleResult want = bare.invoke(ctx, m);
-      const ModuleResult got = adaptive.invoke(ctx, m);
-      ASSERT_EQ(got.outcome, want.outcome) << "op " << i;
-      ASSERT_EQ(got.response, want.response) << "op " << i;
-    }
-    EXPECT_EQ(adaptive.object().object().peek(), bare.object().peek());
+  Adaptive<CombStack> adaptive;
+  CombStack bare;
+  NativeContext ctx(0);
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    const bool is_read = i % 4 == 3;
+    const Request m = is_read ? read_req(i + 1, 0) : inc_req(i + 1, 0);
+    const ModuleResult want = bare.invoke(ctx, m);
+    const ModuleResult got = adaptive.invoke(ctx, m);
+    ASSERT_EQ(got.outcome, want.outcome) << "op " << i;
+    ASSERT_EQ(got.response, want.response) << "op " << i;
   }
+  EXPECT_EQ(adaptive.object().object().peek(), bare.object().peek());
 }
 
 TEST(Adaptive, SoloSubmitMatchesBareObjectTicketForTicket) {
+  // Odd ops collect through poll()/try_result() instead of wait(), so
+  // both ticket paths are pinned.
   Adaptive<CombStack> adaptive;
   CombStack bare;
   NativeContext ctx(0);
   for (std::uint64_t i = 0; i < 256; ++i) {
     auto want = bare.submit(ctx, inc_req(i + 1, 0));
     auto got = adaptive.submit(ctx, inc_req(i + 1, 0));
-    ASSERT_EQ(got.wait().response, want.wait().response) << "op " << i;
+    if (i % 2 == 1) {
+      while (!got.poll()) {
+      }
+      const std::optional<ModuleResult> r = got.try_result();
+      ASSERT_TRUE(r.has_value()) << "op " << i;
+      ASSERT_EQ(r->response, want.wait().response) << "op " << i;
+    } else {
+      ASSERT_EQ(got.wait().response, want.wait().response) << "op " << i;
+    }
   }
-}
-
-// ---------------------------------------------------------------------------
-// The disabled configuration is inert
-
-TEST(Adaptive, DisabledTicksNothingAndMovesNoKnob) {
-  Adaptive<ShardStack> adaptive;
-  adaptive.set_enabled(false);
-  EXPECT_FALSE(adaptive.enabled());
-  const AdaptiveTuning before = adaptive.tuning();
-  EXPECT_EQ(before.active_shards, 4u);
-  EXPECT_EQ(before.elect_spins, 1u);
-  EXPECT_EQ(before.yields_before_park, kYieldsBeforePark);
-
-  NativeContext ctx(0);
-  constexpr std::uint64_t kOps = 4 * Adaptive<ShardStack>::kWindowOps;
-  for (std::uint64_t i = 0; i < kOps; ++i) {
-    ASSERT_TRUE(adaptive.invoke(ctx, inc_req(i + 1, 0)).committed());
-  }
-  EXPECT_EQ(adaptive.windows(), 0u);
-  EXPECT_EQ(adaptive.decisions(), 0u);
-  EXPECT_EQ(adaptive.last_change_ops(), 0u);
-  EXPECT_EQ(adaptive.tuning(), before);
 }
 
 // ---------------------------------------------------------------------------
 // ContentionMonitor: differencing + EWMA + the zero-op window rule
 
 TEST(ContentionMonitorTest, FirstWindowSeedsSignalsDirectly) {
-  ContentionMonitor mon(0.5);
+  ContentionMonitor mon;
   EXPECT_EQ(mon.windows(), 0u);
   EXPECT_TRUE(mon.observe({80, 20, 10, 5, 5}));
   EXPECT_EQ(mon.windows(), 1u);
@@ -169,10 +190,10 @@ TEST(ContentionMonitorTest, FirstWindowSeedsSignalsDirectly) {
 }
 
 TEST(ContentionMonitorTest, LaterWindowsMixAtAlpha) {
-  ContentionMonitor mon(0.5);
+  ContentionMonitor mon;
   ASSERT_TRUE(mon.observe({80, 20, 10, 0, 0}));  // seeds fastpath 0.8
   // Second window delta: 0 direct, 100 combined, 25 rounds — raw
-  // fastpath 0.0, opc 4.0. At alpha 0.5 the EWMA lands halfway.
+  // fastpath 0.0, opc 4.0. At kAlpha 0.5 the EWMA lands halfway.
   ASSERT_TRUE(mon.observe({80, 120, 35, 0, 0}));
   EXPECT_DOUBLE_EQ(mon.signals().fastpath_share, 0.4);
   EXPECT_DOUBLE_EQ(mon.signals().ops_per_combine, 3.0);
@@ -180,7 +201,7 @@ TEST(ContentionMonitorTest, LaterWindowsMixAtAlpha) {
 }
 
 TEST(ContentionMonitorTest, ZeroOpWindowsAreIgnoredNotDecayed) {
-  ContentionMonitor mon(0.5);
+  ContentionMonitor mon;
   ASSERT_TRUE(mon.observe({0, 100, 20, 8, 2}));
   const ContentionSignals seeded = mon.signals();
   // An idle stretch: the cumulative counters do not move. No evidence
@@ -200,50 +221,6 @@ TEST(ContentionMonitorTest, ZeroOpWindowsAreIgnoredNotDecayed) {
 // ---------------------------------------------------------------------------
 // adapt_decide: pure, enumerable
 
-TEST(AdaptDecide, Pow2AtLeastRoundsUp) {
-  EXPECT_EQ(pow2_at_least(1), 1u);
-  EXPECT_EQ(pow2_at_least(2), 2u);
-  EXPECT_EQ(pow2_at_least(3), 4u);
-  EXPECT_EQ(pow2_at_least(5), 8u);
-  EXPECT_EQ(pow2_at_least(8), 8u);
-}
-
-TEST(AdaptDecide, GrowsByDoublingUnderContentionAndCapsAtMax) {
-  const AdaptivePolicy p;
-  ContentionSignals s;
-  s.fastpath_share = 0.4;  // contention 0.6 > grow threshold
-  AdaptiveTuning cur;
-  cur.active_shards = 2;
-  EXPECT_EQ(adapt_decide(p, s, cur, 8, 2).active_shards, 4u);
-  cur.active_shards = 8;
-  EXPECT_EQ(adapt_decide(p, s, cur, 8, 8).active_shards, 8u);  // capped
-}
-
-TEST(AdaptDecide, ShrinksTowardUsedShardsOnlyWhenUncontended) {
-  const AdaptivePolicy p;
-  ContentionSignals s;
-  s.fastpath_share = 0.95;  // contention 0.05 < shrink threshold
-  AdaptiveTuning cur;
-  cur.active_shards = 8;
-  // 3 shards actually served work: shrink to the covering power of 2.
-  EXPECT_EQ(adapt_decide(p, s, cur, 8, 3).active_shards, 4u);
-  // Shrink never grows: fewer active than used-rounded stays put.
-  cur.active_shards = 2;
-  EXPECT_EQ(adapt_decide(p, s, cur, 8, 3).active_shards, 2u);
-  // A zero-used window (reads served elsewhere) still keeps one shard.
-  cur.active_shards = 8;
-  EXPECT_EQ(adapt_decide(p, s, cur, 8, 0).active_shards, 1u);
-}
-
-TEST(AdaptDecide, HysteresisBandHoldsTheShardCount) {
-  const AdaptivePolicy p;
-  ContentionSignals s;
-  s.fastpath_share = 0.7;  // contention 0.3: between shrink and grow
-  AdaptiveTuning cur;
-  cur.active_shards = 4;
-  EXPECT_EQ(adapt_decide(p, s, cur, 8, 1).active_shards, 4u);
-}
-
 TEST(AdaptDecide, PublishesUnderContentionRepublishesOnThinBatches) {
   const AdaptivePolicy p;
   ContentionSignals s;
@@ -252,17 +229,17 @@ TEST(AdaptDecide, PublishesUnderContentionRepublishesOnThinBatches) {
   // Sustained contention: stop fighting for the combiner lock.
   s.fastpath_share = 0.3;  // contention 0.7 > publish threshold
   cur.elect_spins = 1;
-  EXPECT_EQ(adapt_decide(p, s, cur, 1, 1).elect_spins, 0u);
+  EXPECT_EQ(adapt_decide(p, s, cur).elect_spins, 0u);
 
   // Recovery keys on achieved batch size (fastpath_share is 0 by
   // construction at spins == 0): thin batches restore the TAS path...
   cur.elect_spins = 0;
   s.fastpath_share = 0.0;
   s.ops_per_combine = 1.2;
-  EXPECT_EQ(adapt_decide(p, s, cur, 1, 1).elect_spins, 1u);
+  EXPECT_EQ(adapt_decide(p, s, cur).elect_spins, 1u);
   // ... while fat batches keep the publish-and-batch mode.
   s.ops_per_combine = 3.0;
-  EXPECT_EQ(adapt_decide(p, s, cur, 1, 1).elect_spins, 0u);
+  EXPECT_EQ(adapt_decide(p, s, cur).elect_spins, 0u);
 }
 
 TEST(AdaptDecide, ParkRatioSelectsTheWaitRung) {
@@ -271,50 +248,40 @@ TEST(AdaptDecide, ParkRatioSelectsTheWaitRung) {
   AdaptiveTuning cur;
 
   s.park_ratio = 0.6;  // waiters lose the spin anyway: park early
-  EXPECT_EQ(adapt_decide(p, s, cur, 1, 1).yields_before_park, 1);
+  EXPECT_EQ(adapt_decide(p, s, cur).yields_before_park, 1);
 
   cur.yields_before_park = 1;
   s.park_ratio = 0.01;  // almost nobody parks: full ladder back
-  EXPECT_EQ(adapt_decide(p, s, cur, 1, 1).yields_before_park,
+  EXPECT_EQ(adapt_decide(p, s, cur).yields_before_park,
             kYieldsBeforePark);
 
   s.park_ratio = 0.2;  // in the band: hold
-  EXPECT_EQ(adapt_decide(p, s, cur, 1, 1).yields_before_park, 1);
+  EXPECT_EQ(adapt_decide(p, s, cur).yields_before_park, 1);
 }
 
 // ---------------------------------------------------------------------------
 // The closed loop, end to end (deterministic direction)
 
-TEST(Adaptive, SoloCallerIsConcentratedOntoOneShard) {
-  // One thread on a 4-shard stack: every window observes
-  // fastpath_share == 1 with exactly one shard serving work, so the
-  // first tick must shrink the active mask to 1 — and later ticks must
-  // hold there (no oscillation). The mirror image of compose.adaptive's
-  // thread-ramp growth, in the direction a unit test can pin exactly.
-  Adaptive<ShardStack> adaptive;
-  ASSERT_TRUE(adaptive.enabled());
-  EXPECT_EQ(adaptive.tuning().active_shards, 4u);
+TEST(Adaptive, SoloCallerTicksWindowsAndMovesNoKnob) {
+  // One thread: every window observes fastpath_share == 1 and no
+  // parks, so the monitor ticks but the signals give no reason to move
+  // either knob — no decision, no oscillation.
+  Adaptive<CombStack> adaptive;
+  const AdaptiveTuning before = adaptive.tuning();
+  EXPECT_EQ(before.elect_spins, 1u);
+  EXPECT_EQ(before.yields_before_park, kYieldsBeforePark);
 
   NativeContext ctx(0);
-  constexpr std::uint64_t kOps = 3 * Adaptive<ShardStack>::kWindowOps;
+  constexpr std::uint64_t kOps = 3 * Adaptive<CombStack>::kWindowOps;
   for (std::uint64_t i = 0; i < kOps; ++i) {
     ASSERT_TRUE(adaptive.invoke(ctx, inc_req(i + 1, 0)).committed());
   }
 
-  EXPECT_EQ(adaptive.tuning().active_shards, 1u);
-  EXPECT_EQ(adaptive.decisions(), 1u);  // shrink once, then hold
-  EXPECT_EQ(adaptive.last_change_ops(), Adaptive<ShardStack>::kWindowOps);
-  EXPECT_GE(adaptive.windows(), 2u);
+  EXPECT_EQ(adaptive.windows(), 3u);
   EXPECT_DOUBLE_EQ(adaptive.signals().fastpath_share, 1.0);
-  // The knobs the signals gave no reason to touch stayed put.
-  EXPECT_EQ(adaptive.tuning().elect_spins, 1u);
-  EXPECT_EQ(adaptive.tuning().yields_before_park, kYieldsBeforePark);
-  // Every op committed on a live replica despite the mid-run remap.
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < 4; ++s) {
-    total += adaptive.object().shard(s).object().peek();
-  }
-  EXPECT_EQ(total, kOps);
+  EXPECT_EQ(adaptive.decisions(), 0u);
+  EXPECT_EQ(adaptive.tuning(), before);
+  EXPECT_EQ(adaptive.object().object().peek(), kOps);
 }
 
 // ---------------------------------------------------------------------------
@@ -410,6 +377,45 @@ TEST(Adaptive, WindowCrossingStormCommitsEveryTicketExactlyOnce) {
   // The storm crossed window boundaries, so the monitor demonstrably
   // ran while the equivalence above held.
   EXPECT_GE(adaptive.windows(), 1u);
+}
+
+TEST(Adaptive, ThreadRampCommitsEveryHopAndKeepsTuningInRange) {
+  // One object under a doubling thread ramp from 1 to twice the
+  // hardware threads (capped so huge hosts stay quick): the monitor
+  // sees the load change under it and may retune mid-run, yet every
+  // op commits the full three-relay hop count, the sink counts exactly
+  // the ops offered, and each knob ends on a value its actuator can
+  // set.
+  using RampStack =
+      Adaptive<Combining<FastPipeline<Relay, Relay, Relay, HopSink>, 8>>;
+  constexpr std::uint64_t kOps = 2 * RampStack::kWindowOps;
+  const int top = static_cast<int>(
+      std::clamp(2 * std::thread::hardware_concurrency(), 2u, 32u));
+
+  RampStack adaptive;
+  std::uint64_t offered = 0;
+  std::atomic<std::uint64_t> bad{0};
+  for (int threads = 1; threads <= top; threads *= 2) {
+    (void)workload::run_threads(
+        threads, kOps, [&](NativeContext& ctx, std::uint64_t i) {
+          const std::uint64_t id =
+              (static_cast<std::uint64_t>(ctx.id()) << 40) | (i + 1);
+          const ModuleResult r = adaptive.invoke(ctx, inc_req(id, ctx.id()));
+          if (!r.committed() || r.response != 3) {
+            bad.fetch_add(1, std::memory_order_relaxed);
+          }
+        });
+    offered += static_cast<std::uint64_t>(threads) * kOps;
+  }
+
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(adaptive.object().object().stage<3>().peek(), offered);
+  EXPECT_GE(adaptive.windows(), 1u);
+  const AdaptiveTuning t = adaptive.tuning();
+  EXPECT_TRUE(t.elect_spins == 0 || t.elect_spins == 1) << t.elect_spins;
+  EXPECT_TRUE(t.yields_before_park == 1 ||
+              t.yields_before_park == kYieldsBeforePark)
+      << t.yields_before_park;
 }
 
 }  // namespace

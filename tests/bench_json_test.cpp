@@ -240,10 +240,7 @@ TEST(ReportSchema, ContainsRequiredKeys) {
         "\"hardware_concurrency\"", "\"affinity_cpus\"", "\"git_sha\"",
         // Parking provenance — additive again: the compiled-in
         // rung-3 wait mode.
-        "\"wait_mode\"",
-        // Whether Adaptive-wrapped scenarios ran with live actuators
-        // (--adaptive) — additive like everything above.
-        "\"adaptive\""}) {
+        "\"wait_mode\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   // Per scenario.

@@ -12,8 +12,8 @@
 //    counts exactly the ops whose key routes to it;
 //  * merged statistics equal the sum of the per-shard snapshots, for
 //    both pipeline stats and chain commit tallies;
-//  * the runtime active-shard mask: set_active_shards remaps routing
-//    and bumps the epoch;
+//  * the shard count is a compile-time constant and shard(s) rejects
+//    an index outside it;
 //  * Sharded composes: it is itself a ComposableModule, nests inside
 //    pipelines and inside another Sharded, and wraps
 //    StaticAbstractChain via per-shard constructor arguments;
@@ -93,6 +93,7 @@ TEST(Sharded, IsItselfAComposableModuleAndInheritsStaticTags) {
   using Pipe = Pipeline<HopModule, SinkModule>;
   using S = Sharded<Pipe, 4, ByKeyHash>;
   static_assert(S::kShardCount == 4);
+  static_assert(S::active_shards() == 4, "the partition is fixed");
   static_assert(S::kDepth == Pipe::kDepth);
   static_assert(S::kConsensusNumber == Pipe::kConsensusNumber,
                 "replication cannot raise consensus power");
@@ -112,7 +113,7 @@ TEST(Sharded, IsItselfAComposableModuleAndInheritsStaticTags) {
 
 // A policy whose call operator is not const could keep state between
 // calls; the concept rejects it, so routing stays a pure function of
-// (context, request, active shard count).
+// (context, request, shard count).
 struct MutableCursorPolicy {
   std::size_t next = 0;
   template <class Ctx>
@@ -159,31 +160,6 @@ TEST(Sharded, ByKeyHashIsDeterministicPerKeyAndIssuerIndependent) {
   for (std::size_t s = 0; s < 8; ++s) EXPECT_TRUE(hit[s]) << "shard " << s;
 }
 
-TEST(Sharded, SetActiveShardsRemapsRoutingAndBumpsTheEpoch) {
-  // The active-mask actuator with a stateless policy: the published
-  // count IS the routing modulus, growing and shrinking both take
-  // effect on the next route, and each reconfiguration bumps the
-  // epoch exactly once.
-  Sharded<Pipeline<SinkModule>, 4, ByThread> sharded;
-  EXPECT_EQ(sharded.active_shards(), 4u);
-  EXPECT_EQ(sharded.active_epoch(), 0u);
-
-  NativeContext c6(6);
-  EXPECT_EQ(sharded.route(c6, keyed_req(1, 6, 0)), 2u);  // 6 mod 4
-
-  sharded.set_active_shards(2);
-  EXPECT_EQ(sharded.active_shards(), 2u);
-  EXPECT_EQ(sharded.active_epoch(), 1u);
-  EXPECT_EQ(sharded.route(c6, keyed_req(2, 6, 0)), 0u);  // 6 mod 2
-  // Routed operations keep running on the shrunken mask.
-  EXPECT_TRUE(sharded.invoke(c6, keyed_req(3, 6, 0)).committed());
-
-  sharded.set_active_shards(4);
-  EXPECT_EQ(sharded.active_shards(), 4u);
-  EXPECT_EQ(sharded.active_epoch(), 2u);
-  EXPECT_EQ(sharded.route(c6, keyed_req(4, 6, 0)), 2u);
-}
-
 TEST(Sharded, InvokeAtRunsOnTheNamedShardWithoutConsultingThePolicy) {
   // invoke_at runs on exactly the shard it is given, even one the
   // policy would never pick for this caller: process 0 routes ByThread
@@ -202,6 +178,13 @@ TEST(Sharded, InvokeAtRunsOnTheNamedShardWithoutConsultingThePolicy) {
 
 // ---------------------------------------------------------------------------
 // Per-shard isolation and linearizability
+
+TEST(ShardedDeathTest, ShardRejectsAnOutOfRangeIndex) {
+  Sharded<Pipeline<SinkModule>, 4, ByThread> sharded;
+  const auto& view = sharded;
+  EXPECT_DEATH((void)sharded.shard(4), "s < kShards");
+  EXPECT_DEATH((void)view.shard(7), "s < kShards");
+}
 
 TEST(Sharded, ShardsAreIndependentInstances) {
   // Two ByThread shards of a hop->sink pipeline: operations on shard 0

@@ -518,6 +518,14 @@ TEST(StaticChainDeathTest, RejectsOutOfRangeProcessId) {
                "process id out of range");
 }
 
+TEST(StaticChainDeathTest, CommitsByRejectsOutOfRangeProcessId) {
+  NativeStage<SplitConsensus<NativePlatform>> split(2, 8, "split");
+  NativeStage<CasConsensus<NativePlatform>> cas(2, 8, "cas");
+  StaticAbstractChain chain(2, split, cas);
+  EXPECT_DEATH((void)chain.commits_by(2, 0), "process id out of range");
+  EXPECT_DEATH((void)chain.commits_by(-1, 0), "process id out of range");
+}
+
 TEST(StaticChainDeathTest, InvokeRejectsAnExternalInit) {
   NativeStage<SplitConsensus<NativePlatform>> split(1, 8, "split");
   NativeStage<CasConsensus<NativePlatform>> cas(1, 8, "cas");
