@@ -11,7 +11,6 @@
 //   scm_bench --threads=8 --ops=100000 --reps=5 --warmup=1
 //   scm_bench --filter=tas.* --schedule=sticky:0.8
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -21,11 +20,9 @@
 #include <system_error>
 #include <vector>
 
-#include "bench/compare.hpp"
 #include "bench/registry.hpp"
 #include "bench/runner.hpp"
 #include "support/table.hpp"
-#include "workload/driver.hpp"
 
 namespace {
 
@@ -46,18 +43,10 @@ void print_usage() {
       "                     | <seed> (random with that seed; default "
       "random)\n"
       "  --seed=N           base RNG seed                     (default 42)\n"
-      "  --pin              pin scm-worker-N threads to cores (native\n"
-      "                     scenarios; recorded in the JSON report)\n"
       "  --json=FILE        write the scm-bench/v1 report to FILE\n"
-      "  --compare OLD NEW  regression gate: compare two scm-bench/v1\n"
-      "                     reports by scenario median ns_per_op and exit\n"
-      "                     nonzero on regression (no scenarios are run)\n"
-      "  --threshold=T      --compare tolerance as a fraction\n"
-      "                     (default 0.25 = +25%%)\n"
       "  --help             this text\n"
-      "Numeric flags take a whole non-negative decimal integer, and\n"
-      "--threshold a finite fraction > 0; anything else (a sign, trailing\n"
-      "characters, overflow, nan, inf) exits 2.\n");
+      "Numeric flags take a whole non-negative decimal integer; anything\n"
+      "else (a sign, trailing characters, overflow) exits 2.\n");
 }
 
 bool parse_flag(const std::string& arg, const std::string& name,
@@ -87,31 +76,12 @@ bool parse_count(const std::string& arg, const std::string& value, T* out) {
   return true;
 }
 
-// Parses --threshold's value: the whole string must be a finite
-// decimal > 0. A NaN or infinite threshold would switch the --compare
-// gate off (no delta is ever greater than either), so both are
-// rejected like a salvaged prefix ("0.25junk") is.
-bool parse_threshold(const std::string& value, double* out) {
-  double v = 0.0;
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
-  if (value.empty() || ec != std::errc{} || ptr != end ||
-      !std::isfinite(v) || v <= 0.0) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   BenchParams params;
   std::string filter;
   std::string json_path;
-  std::string compare_old;
-  std::string compare_new;
-  double compare_threshold = 0.25;
   bool list_only = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -119,20 +89,6 @@ int main(int argc, char** argv) {
     std::string value;
     if (arg == "--list") {
       list_only = true;
-    } else if (arg == "--compare") {
-      if (i + 2 >= argc) {
-        std::fprintf(stderr, "--compare needs OLD and NEW report paths\n");
-        return 2;
-      }
-      compare_old = argv[++i];
-      compare_new = argv[++i];
-    } else if (parse_flag(arg, "--threshold", &value)) {
-      if (!parse_threshold(value, &compare_threshold)) {
-        std::fprintf(stderr,
-                     "invalid %s (want a finite fraction > 0, e.g. 0.25)\n",
-                     arg.c_str());
-        return 2;
-      }
     } else if (arg == "--help" || arg == "-h") {
       print_usage();
       return 0;
@@ -150,8 +106,6 @@ int main(int argc, char** argv) {
       params.schedule = value;
     } else if (parse_flag(arg, "--seed", &value)) {
       if (!parse_count(arg, value, &params.seed)) return 2;
-    } else if (arg == "--pin") {
-      params.pin = true;
     } else if (parse_flag(arg, "--json", &value)) {
       json_path = value;
     } else {
@@ -160,12 +114,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // Compare mode runs no scenarios: parse, diff, exit.
-  if (!compare_old.empty()) {
-    return run_compare(compare_old, compare_new, compare_threshold,
-                       std::cout);
-  }
-
   if (params.threads <= 0 || params.reps <= 0 || params.warmup < 0 ||
       params.ops == 0) {
     std::fprintf(stderr,
@@ -180,8 +128,6 @@ int main(int argc, char** argv) {
                  params.schedule.c_str());
     return 2;
   }
-  workload::set_pin_workers(params.pin);
-
   const std::vector<ScenarioDef> defs = sorted_registry();
   if (list_only) {
     Table t({"scenario", "experiment", "backend", "description"});

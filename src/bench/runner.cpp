@@ -145,7 +145,6 @@ void write_json(const RunReport& report, std::ostream& os) {
       .kv("warmup", report.params.warmup)
       .kv("schedule", report.params.schedule)
       .kv("seed", report.params.seed)
-      .kv("pin", report.params.pin)
       // Execution environment, so downloaded artifacts stay
       // interpretable: an 8-thread sweep means something different on
       // 2 allowed CPUs than on 16. Additive keys — scm-bench/v1

@@ -32,7 +32,6 @@ struct BenchParams {
   int warmup = 1;
   std::string schedule = "random";  // sequential | random | sticky:<s> | <seed>
   std::uint64_t seed = 42;
-  bool pin = false;  // pin scm-worker-N threads to cores (--pin)
 
   // Scales a scenario-internal sweep count from the ops budget.
   [[nodiscard]] int sweeps(std::uint64_t divisor, int lo, int hi) const {

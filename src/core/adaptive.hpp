@@ -256,16 +256,6 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
     return obj_.value.submit(ctx, m, std::forward<Args>(args)...);
   }
 
-  template <class Ctx, class... Args>
-  void submit_detached(Ctx& ctx, const Request& m, Args&&... args)
-    requires requires(Obj& o) {
-      o.submit_detached(ctx, m, std::forward<Args>(args)...);
-    }
-  {
-    maybe_tick(ctx);
-    obj_.value.submit_detached(ctx, m, std::forward<Args>(args)...);
-  }
-
   template <class Ctx>
   void drain(Ctx& ctx)
     requires requires(Obj& o) { o.drain(ctx); }

@@ -37,10 +37,7 @@
 //
 // Completion callbacks: submit() optionally carries a CompletionFn
 // that the COMPLETING thread runs — the combiner for published
-// operations, the submitter itself on inline-complete paths. Paired
-// with submit_detached() this yields fire-and-forget submission: no
-// ticket, the combiner retires the slot itself (the detached
-// completion state of core/batch.hpp).
+// operations, the submitter itself on inline-complete paths.
 #pragma once
 
 #include <cstdint>
@@ -138,8 +135,7 @@ class Ticket {
 
   // A dropped ticket waits out its operation (helping, so this cannot
   // deadlock solo) and discards the result: slots never leak, results
-  // are simply lost — use submit_detached() for intentional
-  // fire-and-forget.
+  // are simply lost (a completion callback still sees them).
   ~Ticket() { settle(); }
 
   // Whether this handle still refers to an operation (pending or ready

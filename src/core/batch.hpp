@@ -25,7 +25,6 @@
 #include <span>
 
 #include "core/module.hpp"
-#include "core/slot_protocol.hpp"  // OpCompletion, SlotState
 #include "history/request.hpp"
 
 namespace scm {
@@ -39,15 +38,11 @@ namespace scm {
 // returns. Executors nest on this contract: an outer pipeline hands a
 // nested stage the whole span and the nested walk skips the slots the
 // outer one already finalized, no gathering or copying required.
-// `completion` rides along untouched by executors; only the
-// batch-assembling layer (the combiner) acts on it when writing
-// results back.
 struct OpSlot {
   Request request;
   std::optional<SwitchValue> init;
   ModuleResult result;
   bool done = false;
-  OpCompletion completion = OpCompletion::kAttached;
 };
 
 // A module with a native batch path. Modules are free to omit it —

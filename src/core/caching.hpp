@@ -20,8 +20,7 @@
 //     generation-checked snapshot — no shared write; the only RMW is
 //     a relaxed fetch_add on the replica's own hits counter. That is
 //     what lets the read slice scale with cores while the write slice
-//     tracks the wrapped object's curve (the compose.cached scenario's
-//     claim);
+//     tracks the wrapped object's curve;
 //   * writes are funneled unchanged through the wrapped object's
 //     submit() path (Combining's publication slots), and the
 //     operation's completion callback performs invalidation + refill:
@@ -135,8 +134,7 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // callback before the cache goes away — an outstanding record means
   // an operation is still in flight inside the wrapped object and its
   // callback is about to write freed memory. Collect or drop all
-  // tickets (a dropped ticket waits its operation out) and drain()
-  // detached submissions first.
+  // tickets (a dropped ticket waits its operation out) first.
   ~Replicated() {
     for (const auto& r : replicas_) {
       for (const auto& p : r.recs) {

@@ -35,14 +35,13 @@
 // Async surface (core/async.hpp): a publication slot already is a
 // one-operation future, so submit() detaches the wait loop — it
 // publishes and returns a Ticket (or completes inline and returns a
-// ready ticket whenever the combiner lock is free), submit_detached()
-// publishes fire-and-forget with a combiner-run completion callback,
-// and drain() combines until no publication is pending. The ticket's
-// poll()/wait() complete the slot round trip the blocking invoke()
-// used to finish in place; wait() helps (the caller may elect itself
-// combiner), so progress never depends on other threads. Destroying a
-// Combining with any slot still occupied — an outstanding ticket, an
-// un-drained detached submission — is a checked error.
+// ready ticket whenever the combiner lock is free), and drain()
+// combines until no publication is pending. The ticket's poll()/wait()
+// complete the slot round trip the blocking invoke() used to finish in
+// place; wait() helps (the caller may elect itself combiner), so
+// progress never depends on other threads. Destroying a Combining with
+// any slot still occupied — an outstanding ticket — is a checked
+// error.
 //
 // Platform note: publishers BLOCK on the combiner's progress, but the
 // blocking points all go through the wait_until() seam
@@ -144,15 +143,15 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
 
   // No publication may outlive the wrapper: at destruction every slot
   // must be kFree — tickets collected (or dropped: a dropped ticket
-  // waits out its op), detached submissions drained. Anything else is
-  // an outstanding operation about to read freed memory, so it is a
-  // checked error rather than undefined behaviour.
+  // waits out its op). Anything else is an outstanding operation about
+  // to read freed memory, so it is a checked error rather than
+  // undefined behaviour.
   ~Combining() {
     for (auto& padded : slots_) {
       SCM_CHECK_MSG(
           padded.value.status.load(std::memory_order_acquire) == kFree,
           "Combining destroyed with an occupied publication slot "
-          "(outstanding Ticket, or submit_detached without drain())");
+          "(outstanding Ticket)");
     }
   }
 
@@ -173,8 +172,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     // the lock here is the runtime elect_spins knob: 0 skips the
     // election entirely (publish-and-batch mode).
     ModuleResult inline_result;
-    const auto idx = submit_impl(ctx, m, init, /*detached=*/false, nullptr,
-                                 nullptr, &inline_result);
+    const auto idx = submit_impl(ctx, m, init, nullptr, nullptr,
+                                 &inline_result);
     return idx.has_value() ? await_served(ctx, *idx) : inline_result;
   }
 
@@ -241,8 +240,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
       return Ticket<ModuleResult>::ready(r);
     } else {
       ModuleResult r;
-      const auto idx =
-          submit_impl(ctx, m, init, /*detached=*/false, completion, user, &r);
+      const auto idx = submit_impl(ctx, m, init, completion, user, &r);
       if (!idx.has_value()) return Ticket<ModuleResult>::ready(r);
       return Ticket<ModuleResult>(
           &ticket_source<Ctx>(), this,
@@ -250,35 +248,11 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     }
   }
 
-  // Fire-and-forget submission: no ticket. The completion callback
-  // (which may be null for pure side-effect operations) runs when the
-  // operation is served, and the serving thread retires the
-  // publication record itself — the kDetached completion state of
-  // core/batch.hpp — since no publisher will ever collect it. Pending
-  // detached submissions survive until some thread combines: callers
-  // must drain() (or keep the object busy) before destruction.
-  template <class Ctx>
-    requires Composable<Obj, Ctx>
-  void submit_detached(Ctx& ctx, const Request& m,
-                       std::optional<SwitchValue> init = std::nullopt,
-                       CompletionFn completion = nullptr,
-                       void* user = nullptr) {
-    if constexpr (!detail::context_can_block_v<Ctx>) {
-      const ModuleResult r = invoke(ctx, m, init);
-      if (completion != nullptr) completion(user, r);
-    } else {
-      ModuleResult r;
-      (void)submit_impl(ctx, m, init, /*detached=*/true, completion, user,
-                        &r);
-    }
-  }
-
   // Combines until no publication is pending: when drain() returns,
   // every operation submitted (by any thread) before the call has been
-  // EXECUTED — attached slots sit in kDone awaiting their ticket,
-  // detached slots are fully retired. It does not wait for other
-  // threads to collect their tickets. A no-op on non-blocking
-  // platforms, where nothing can be pending.
+  // EXECUTED — its slot sits in kDone awaiting its ticket. It does not
+  // wait for other threads to collect their tickets. A no-op on
+  // non-blocking platforms, where nothing can be pending.
   template <class Ctx>
   void drain(Ctx& ctx) {
     if constexpr (detail::context_can_block_v<Ctx>) {
@@ -321,8 +295,9 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // Park/wake telemetry from the wrapper's WaitPoint (rung-3 waits).
   // futex_syscalls stays zero as long as every operation completed
   // before any waiter's backoff ladder saturated — in particular, a
-  // pure fast-path run performs NO futex syscalls (compose.async
-  // asserts exactly that for its fastpath_share == 1 phases).
+  // pure fast-path run performs NO futex syscalls (async_test's
+  // AsyncSubmit.SoloSubmitWaitMatchesInvokeOnEveryLayer asserts exactly
+  // that on an all-fast-path run).
   [[nodiscard]] ParkStats park_stats() const noexcept {
     return waiters_.value.stats();
   }
@@ -353,8 +328,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
 
   // Publication records not currently kFree — the slot-residue probe
   // (mirrors ShmCombining::occupied()). Zero once every invoke has
-  // returned, every ticket is collected, and detached work is drained;
-  // the explorer asserts exactly that after every explored schedule.
+  // returned and every ticket is collected; the explorer asserts
+  // exactly that after every explored schedule.
   [[nodiscard]] std::size_t occupied() const noexcept {
     std::size_t n = 0;
     for (const auto& padded : slots_) {
@@ -414,12 +389,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     Request request;
     std::optional<SwitchValue> init;
     ModuleResult result;
-    // Async publication extras, plain fields ordered by the kPending
-    // release store like request/init: detached marks fire-and-forget
-    // records (the server retires them — no kDone handback), and
-    // completion/user is the optional callback the finalizing thread
-    // runs.
-    bool detached = false;
+    // The optional callback the finalizing thread runs: plain fields
+    // ordered by the kPending release store like request/init.
     CompletionFn completion = nullptr;
     void* user = nullptr;
   };
@@ -544,8 +515,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     return std::nullopt;
   }
 
-  // Shared body of invoke, and of submit/submit_detached on blocking
-  // platforms: completes the operation inline — fast path or
+  // Shared body of invoke, and of submit on blocking platforms:
+  // completes the operation inline — fast path or
   // exhaustion fallback, with the callback fired under the election
   // lock inside run_direct, returning nullopt with *out filled — or
   // claims AND publishes a record, returning its index (the callback
@@ -554,7 +525,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   template <class Ctx>
   std::optional<std::size_t> submit_impl(Ctx& ctx, const Request& m,
                                          std::optional<SwitchValue> init,
-                                         bool detached,
                                          CompletionFn completion, void* user,
                                          ModuleResult* out) {
     if (try_elect(ctx)) {
@@ -563,7 +533,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     }
     const auto idx = claim_or_run(ctx, m, init, out, completion, user);
     if (idx.has_value()) {
-      publish(ctx, slots_[*idx].value, m, init, detached, completion, user);
+      publish(ctx, slots_[*idx].value, m, init, completion, user);
       return idx;
     }
     return std::nullopt;
@@ -620,11 +590,10 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // write to a line only this record's owner and the combiner touch.
   template <class Ctx>
   void publish(Ctx& ctx, Slot& slot, const Request& m,
-               std::optional<SwitchValue> init, bool detached,
-               CompletionFn completion, void* user) {
+               std::optional<SwitchValue> init, CompletionFn completion,
+               void* user) {
     slot.request = m;
     slot.init = init;
-    slot.detached = detached;
     slot.completion = completion;
     slot.user = user;
     ctx.on_write();
@@ -766,8 +735,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
       batch[n].request = s.request;
       batch[n].init = s.init;
       batch[n].done = false;
-      batch[n].completion =
-          s.detached ? OpCompletion::kDetached : OpCompletion::kAttached;
       owner[n] = i;
       ++n;
     }
@@ -779,16 +746,9 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
       // The finalizing thread runs the publisher's callback, with the
       // election lock held — callbacks must not re-enter this wrapper.
       if (s.completion != nullptr) s.completion(s.user, batch[i].result);
-      if (batch[i].completion == OpCompletion::kDetached) {
-        // Fire-and-forget: no collector will ever come for this
-        // record, so retire it in place.
-        ctx.on_write();
-        s.status.store(kFree, std::memory_order_release);
-      } else {
-        s.result = batch[i].result;
-        ctx.on_write();
-        s.status.store(kDone, std::memory_order_release);
-      }
+      s.result = batch[i].result;
+      ctx.on_write();
+      s.status.store(kDone, std::memory_order_release);
     }
     bump(rounds_, 1);
     bump(batched_ops_, n);

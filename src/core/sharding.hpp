@@ -230,22 +230,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
                                                user);
   }
 
-  // Fire-and-forget forwarding (enabled when the replica has it): the
-  // routed shard's combiner retires the publication itself. Pair with
-  // drain() before destruction, exactly as on a bare Combining.
-  template <class Ctx>
-    requires ShardRoutingPolicy<Policy, Ctx>
-  void submit_detached(Ctx& ctx, const Request& m,
-                       std::optional<SwitchValue> init = std::nullopt,
-                       CompletionFn completion = nullptr, void* user = nullptr)
-    requires requires(Obj& o) {
-      o.submit_detached(ctx, m, init, completion, user);
-    }
-  {
-    shards_[route(ctx, m)].value.submit_detached(ctx, m, init, completion,
-                                                 user);
-  }
-
   // Drains every shard's pending publications (enabled exactly when
   // the replica is drainable, i.e. per-shard Combining).
   template <class Ctx>

@@ -23,11 +23,6 @@
 // correct across processes — std::atomic on a lock-free 32/64-bit word
 // is address-free, so acquire/release pairs work between mappings of
 // the same physical page at different virtual addresses.
-//
-// Detached completion (OpCompletion below) rides alongside: kAttached
-// slots are handed back to a waiting publisher in kDone; kDetached
-// slots have no collector, so the executor retires them straight back
-// to kFree after running the completion callback.
 #pragma once
 
 #include <atomic>
@@ -65,17 +60,6 @@ enum class SlotState : std::uint32_t {
   kPending = 2,  // request visible; exactly one combiner will serve it
   kDone = 3,     // result visible; the publisher collects and recycles
 };
-
-// Completion state of a batch slot, set by whoever assembled the
-// batch and consumed by whoever retires it (the combiner's writeback
-// pass). kAttached — the default, and the only state the blocking
-// paths ever see — means a publisher is (or will be) waiting to
-// collect the result, so the slot must be handed back. kDetached means
-// the publisher has already returned without a handle
-// (Combining::submit_detached): no one will ever collect, so the
-// executor retires the slot itself — runs the completion callback and
-// recycles the publication record directly.
-enum class OpCompletion : std::uint8_t { kAttached, kDetached };
 
 // ---- owner-tagged slot words ---------------------------------------
 //

@@ -461,7 +461,6 @@ class ShmCombining {
       batch[n].init = s.has_init ? std::optional<SwitchValue>(s.init_value)
                                  : std::nullopt;
       batch[n].done = false;
-      batch[n].completion = OpCompletion::kAttached;
       source[n] = i;
       publisher[n] = slot_owner_of(w);
       ++n;

@@ -22,7 +22,8 @@
 // when nobody ever parked — NO atomic RMW, NO syscall, which is what
 // keeps the uncontended fast paths of the combining wrappers
 // syscall-free (proven by the futex_syscalls == 0 telemetry assert in
-// compose.async) — and one epoch-bumping CAS + FUTEX_WAKE otherwise.
+// async_test's AsyncSubmit.SoloSubmitWaitMatchesInvokeOnEveryLayer) —
+// and one epoch-bumping CAS + FUTEX_WAKE otherwise.
 //
 // The announce/check handshake is a Dekker pattern (waiter: store
 // flag, load predicate; waker: store predicate, load flag), so both

@@ -9,21 +9,21 @@
 //    nestings (the acceptance pin for this surface);
 //  * on the simulator (a non-blocking context) submit() completes
 //    inline and the tickets are born ready;
+//  * a solo caller's all-fast-path run issues no futex syscall on the
+//    combining layers;
 //  * the publication path proper: with the combiner lock held
 //    elsewhere, submit() publishes and returns pending tickets, the
 //    eventual combiner serves the backlog in one pass and runs the
 //    publishers' completion callbacks, and drain() executes every
-//    fire-and-forget submission;
+//    publication submitted before it;
 //  * concurrent submit/poll/wait histories (overlapping windows, mixed
 //    collection strategies) linearize against CounterSpec — every
 //    operation takes effect inside its submit→collect interval;
-//  * ticket ownership stress: dropped tickets still execute, detached
-//    submissions all run their callbacks, and at quiescence no
-//    publication record is occupied;
+//  * ticket ownership stress: dropped tickets still execute and run
+//    their callbacks, and at quiescence no publication record is
+//    occupied;
 //  * destroying a Combining with an outstanding publication dies on
-//    the destructor assertion (death test);
-//  * the open-loop workload driver accounts one completion-latency
-//    sample per offered op.
+//    the destructor assertion (death test).
 //
 // Runs under the "tsan" ctest label: the CI sanitizer job executes
 // this suite under ThreadSanitizer.
@@ -190,16 +190,22 @@ TEST(AsyncSubmit, SoloSubmitWaitMatchesInvokeOnEveryLayer) {
     Sharded<Pipe, 4, ByThread> sharded;
     expect_solo_submit_equivalence(sharded);
   }
+  // Solo, every submit takes the uncontended inline fast path, which
+  // never publishes and has nothing to park on: any futex syscall
+  // means the parking rung leaked into the fast path.
   {
     Combining<Pipe, 4> combined;
     expect_solo_submit_equivalence(combined);
-    // Solo, every submit took the uncontended inline fast path.
     EXPECT_EQ(combined.direct_ops(), 48u);
     EXPECT_EQ(combined.combine_rounds(), 0u);
+    EXPECT_EQ(combined.park_stats().futex_syscalls, 0u);
   }
   {
     Sharded<Combining<Pipe, 4>, 2, ByThread> nested;
     expect_solo_submit_equivalence(nested);
+    EXPECT_EQ(nested.direct_ops(), 48u);
+    EXPECT_EQ(nested.combine_rounds(), 0u);
+    EXPECT_EQ(nested.park_stats().futex_syscalls, 0u);
   }
 }
 
@@ -224,7 +230,6 @@ TEST(AsyncSubmit, SimulatorContextCompletesInline) {
       ASSERT_TRUE(t.poll());
       EXPECT_EQ(t.wait().response, 1);
     }
-    combined.submit_detached(ctx, req(9, 0));
     combined.drain(ctx);  // no-op, nothing can be pending
     EXPECT_EQ(callbacks, 4u);
   });
@@ -261,12 +266,6 @@ TEST(AsyncSubmit, PublishedSubmissionsAreServedInOneCombinePass) {
         },
         &callbacks));
   }
-  combined.submit_detached(
-      ctx, req(500, 0, 0), std::nullopt,
-      [](void* user, const ModuleResult&) {
-        ++*static_cast<std::uint64_t*>(user);
-      },
-      &callbacks);
 
   // The lock is held and no combiner can run: nothing may complete.
   for (auto& t : tickets) EXPECT_FALSE(t.poll());
@@ -282,13 +281,13 @@ TEST(AsyncSubmit, PublishedSubmissionsAreServedInOneCombinePass) {
     EXPECT_EQ(tickets[i].wait().response,
               static_cast<Response>(i + 10));
   }
-  EXPECT_EQ(callbacks, kPublished + 1);
+  EXPECT_EQ(callbacks, kPublished);
   EXPECT_EQ(combined.combine_rounds(), 1u);
-  EXPECT_EQ(combined.combined_ops(), kPublished + 1);
+  EXPECT_EQ(combined.combined_ops(), kPublished);
   EXPECT_EQ(combined.direct_ops(), 1u);  // the holder's own op
 }
 
-TEST(AsyncSubmit, DrainExecutesEveryDetachedSubmissionPublishedBefore) {
+TEST(AsyncSubmit, DrainExecutesEveryPublicationSubmittedBefore) {
   g_gate_entered.store(false);
   g_gate_open.store(false);
 
@@ -303,22 +302,27 @@ TEST(AsyncSubmit, DrainExecutesEveryDetachedSubmissionPublishedBefore) {
 
   NativeContext ctx(0);
   std::uint64_t callbacks = 0;
+  std::vector<Ticket<ModuleResult>> tickets;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    combined.submit_detached(
-        ctx, req(i + 1, 0, 0), std::nullopt,
+    tickets.push_back(combined.submit(
+        ctx, req(i + 1, 0, static_cast<std::int64_t>(i)), std::nullopt,
         [](void* user, const ModuleResult&) {
           ++*static_cast<std::uint64_t*>(user);
         },
-        &callbacks);
+        &callbacks));
   }
   EXPECT_EQ(callbacks, 0u);
 
   g_gate_open.store(true, std::memory_order_release);
   // drain() helps combine until nothing is pending; whichever of the
-  // holder and this thread serves the backlog, all five detached
-  // submissions have executed when it returns.
+  // holder and this thread serves the backlog, all five submissions
+  // have executed when it returns — before any ticket is touched.
   combined.drain(ctx);
   EXPECT_EQ(callbacks, 5u);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_TRUE(tickets[i].poll());
+    EXPECT_EQ(tickets[i].wait().response, static_cast<Response>(i));
+  }
   holder.join();
 }
 
@@ -373,11 +377,11 @@ TEST(AsyncSubmit, ExhaustedPublicationArrayFallsBackToInlineExecution) {
   EXPECT_EQ(combined.combined_ops(), static_cast<std::uint64_t>(kSlots));
 }
 
-TEST(AsyncSubmit, ShardedForwardsCallbacksAndDetachedSubmission) {
+TEST(AsyncSubmit, ShardedForwardsCallbackCarryingSubmit) {
   // The README's async example shape: a Sharded of per-shard
   // Combinings exposes the FULL submit/complete surface —
-  // callback-carrying submit, submit_detached, drain — not just the
-  // plain ticket form.
+  // callback-carrying submit and drain — not just the plain ticket
+  // form.
   Sharded<Combining<Pipeline<HopModule, TicketModule>, 8>, 2, ByThread> obj;
   NativeContext ctx(0);
   std::uint64_t callbacks = 0;
@@ -389,17 +393,14 @@ TEST(AsyncSubmit, ShardedForwardsCallbacksAndDetachedSubmission) {
     auto t = obj.submit(ctx, req(i + 1, 0), std::nullopt, cb, &callbacks);
     EXPECT_TRUE(t.wait().committed());
   }
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    obj.submit_detached(ctx, req(100 + i, 0), std::nullopt, cb, &callbacks);
-  }
   obj.drain(ctx);
 
-  EXPECT_EQ(callbacks, 16u);
+  EXPECT_EQ(callbacks, 8u);
   std::uint64_t sink = 0;
   for (std::size_t s = 0; s < 2; ++s) {
     sink += obj.shard(s).object().stage<1>().count();
   }
-  EXPECT_EQ(sink, 16u);
+  EXPECT_EQ(sink, 8u);
 }
 
 // ---------------------------------------------------------------------------
@@ -499,7 +500,7 @@ TEST(AsyncSubmit, OwnershipStressDropsPollsWaitsAndDrains) {
   constexpr std::uint64_t kTotal = kThreads * kOps;
 
   Combining<Pipeline<HopModule, TicketModule>, 8> combined;
-  std::atomic<std::uint64_t> detached_callbacks{0};
+  std::atomic<std::uint64_t> dropped_callbacks{0};
   std::atomic<std::uint64_t> collected{0};
 
   (void)workload::run_threads(
@@ -525,8 +526,9 @@ TEST(AsyncSubmit, OwnershipStressDropsPollsWaitsAndDrains) {
             }
             break;
           }
-          case 2: {  // fire-and-forget with callback
-            combined.submit_detached(
+          case 2: {  // dropped ticket with callback: the result only
+                     // reaches the callback
+            auto t = combined.submit(
                 ctx, m, std::nullopt,
                 [](void* user, const ModuleResult& r) {
                   if (r.committed()) {
@@ -534,7 +536,8 @@ TEST(AsyncSubmit, OwnershipStressDropsPollsWaitsAndDrains) {
                         1, std::memory_order_relaxed);
                   }
                 },
-                &detached_callbacks);
+                &dropped_callbacks);
+            (void)t;
             break;
           }
           default: {  // dropped ticket: the destructor settles it
@@ -549,11 +552,11 @@ TEST(AsyncSubmit, OwnershipStressDropsPollsWaitsAndDrains) {
   NativeContext main_ctx(99);
   combined.drain(main_ctx);
   // Every op executed exactly once (the sink counter is the ground
-  // truth), every detached callback fired, every collected result
+  // truth), every dropped ticket's callback fired, every collected result
   // committed. Quiescence: the Combining destructor at scope exit
   // asserts all publication records are free.
   EXPECT_EQ(combined.object().stage<1>().count(), kTotal);
-  EXPECT_EQ(detached_callbacks.load(), kTotal / 4);
+  EXPECT_EQ(dropped_callbacks.load(), kTotal / 4);
   EXPECT_EQ(collected.load(), kTotal / 2);
   EXPECT_EQ(combined.combined_ops() + combined.direct_ops(), kTotal);
 }
@@ -592,88 +595,12 @@ TEST(AsyncSubmit, DestroyingCombiningWithOutstandingPublicationDies) {
 }
 
 // ---------------------------------------------------------------------------
-// Open-loop driver accounting
-
-TEST(OpenLoop, DriverAccountsOneLatencySamplePerOp) {
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kOps = 256;
-  Sharded<Combining<Pipeline<HopModule, TicketModule>, 8>, 2, ByThread> cell;
-  std::atomic<std::uint64_t> committed{0};
-
-  const workload::OpenLoopResult r = workload::run_open_loop(
-      kThreads, kOps, /*window=*/4,
-      [&](NativeContext& ctx, std::uint64_t i) {
-        return cell.submit(
-            ctx, req((static_cast<std::uint64_t>(ctx.id()) << 40) | (i + 1),
-                     ctx.id()));
-      },
-      [&](NativeContext&, const ModuleResult& res) {
-        if (res.committed()) {
-          committed.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-
-  EXPECT_EQ(r.total_ops, static_cast<std::uint64_t>(kThreads) * kOps);
-  EXPECT_EQ(r.latency_ns.size(), r.total_ops);
-  EXPECT_EQ(committed.load(), r.total_ops);
-  for (const double lat : r.latency_ns) EXPECT_GE(lat, 0.0);
-  std::uint64_t sink = 0;
-  for (std::size_t s = 0; s < 2; ++s) {
-    sink += cell.shard(s).object().stage<1>().count();
-  }
-  EXPECT_EQ(sink, r.total_ops);
-}
-
-TEST(OpenLoop, DegenerateParametersProduceEmptyResults) {
-  Pipeline<HopModule, SinkModule> pipe;
-  const auto submit = [&](NativeContext& ctx, std::uint64_t i) {
-    return pipe.submit(ctx, req(i + 1, ctx.id()));
-  };
-  EXPECT_EQ(workload::run_open_loop(0, 10, 4, submit).total_ops, 0u);
-  EXPECT_EQ(workload::run_open_loop(2, 0, 4, submit).total_ops, 0u);
-  // window 0 is clamped to 1, not a crash.
-  EXPECT_EQ(workload::run_open_loop(1, 3, 0, submit).total_ops, 3u);
-}
-
-// A window wider than a thread's whole op budget — the shape every
-// short crash-injected multi-process run has (few ops, generous
-// in-flight allowance). The driver must neither deadlock waiting to
-// fill an unfillable window nor lose the tail: every op still
-// completes, is accounted exactly once, and harvests one latency
-// sample.
-TEST(OpenLoop, WindowWiderThanPerThreadOpsCompletesAndAccountsEveryOp) {
-  constexpr int kThreads = 3;
-  constexpr std::uint64_t kOps = 5;        // per thread
-  constexpr std::size_t kWindow = 64;      // >> kOps
-  Combining<Pipeline<HopModule, TicketModule>, 8> cell;
-  std::atomic<std::uint64_t> committed{0};
-
-  const workload::OpenLoopResult r = workload::run_open_loop(
-      kThreads, kOps, kWindow,
-      [&](NativeContext& ctx, std::uint64_t i) {
-        return cell.submit(
-            ctx, req((static_cast<std::uint64_t>(ctx.id()) << 40) | (i + 1),
-                     ctx.id()));
-      },
-      [&](NativeContext&, const ModuleResult& res) {
-        if (res.committed()) {
-          committed.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-
-  EXPECT_EQ(r.total_ops, static_cast<std::uint64_t>(kThreads) * kOps);
-  EXPECT_EQ(committed.load(), r.total_ops);
-  EXPECT_EQ(r.latency_ns.size(), r.total_ops);
-  EXPECT_EQ(cell.object().stage<1>().count(), r.total_ops);
-  NativeContext ctx(0);
-  cell.drain(ctx);  // nothing left pending after the run
-}
+// drain() with nothing in flight
 
 // drain() on a Combining that has never seen a publication (and again
-// after everything already completed) must return immediately — the
-// multi-process driver drains defensively after short runs where
-// nothing may be in flight.
-TEST(OpenLoop, DrainOnEmptyCombiningReturnsImmediately) {
+// after everything already completed) must return immediately: callers
+// drain defensively after short runs where nothing may be in flight.
+TEST(AsyncSubmit, DrainOnEmptyCombiningReturnsImmediately) {
   Combining<TicketModule, 4> cell;
   NativeContext ctx(0);
   cell.drain(ctx);  // fresh object: no publication has ever existed

@@ -1,17 +1,12 @@
-// Validates the scm-bench/v1 JSON emitter and its counterpart reader
-// (bench/compare.hpp): well-formedness (via a small recursive-descent
-// checker), escaping, the stable report schema every BENCH_*.json
-// must satisfy, a full parse round trip of the writer's own output,
-// and the --compare regression gate's exit-code contract (0 ok,
-// 1 regressed, 2 unreadable).
+// Validates the scm-bench/v1 JSON emitter: well-formedness (via a
+// small recursive-descent checker), escaping, and the stable report
+// schema every BENCH_*.json must satisfy.
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <fstream>
 #include <sstream>
 #include <string>
 
-#include "bench/compare.hpp"
 #include "bench/json.hpp"
 #include "bench/runner.hpp"
 
@@ -243,12 +238,16 @@ TEST(ReportSchema, ContainsRequiredKeys) {
         "\"wait_mode\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
-  // Per scenario.
+  // Per scenario. The claim is a nested {"text", "holds"} object: its
+  // text escaped verbatim, `holds` a JSON bool (not a string or a
+  // number), and each summary is a {min, median, p99, mean} object.
   for (const char* key :
        {"\"scenario\":\"tas.steps\"", "\"experiment\":\"E1\"",
-        "\"backend\":\"sim\"", "\"claim\"", "\"holds\":true",
-        "\"ns_per_op\"", "\"steps_per_op\"", "\"rmws_per_op\"",
-        "\"phases\""}) {
+        "\"backend\":\"sim\"",
+        "\"claim\":{\"text\":\"solo steps constant \\\"quoted\\\" and"
+        "\\nnewlined\",\"holds\":true}",
+        "\"ns_per_op\":{\"min\":1,\"median\":2,\"p99\":3,\"mean\":2.5}",
+        "\"steps_per_op\"", "\"rmws_per_op\"", "\"phases\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   // Per phase and per summary. The parking telemetry extras flow
@@ -295,219 +294,6 @@ TEST(ReportSchema, AggregatesAcrossRepetitions) {
   EXPECT_DOUBLE_EQ(report.steps_per_op.median, 5.0);
   EXPECT_DOUBLE_EQ(report.rmws_per_op.median, 1.0);
   EXPECT_TRUE(report.claim_holds);
-}
-
-// ---------------------------------------------------------------------------
-// The reader (bench/compare.hpp): parse_json + run_compare
-
-// A native-backend two-scenario report with controllable medians —
-// native, because run_compare deliberately skips sim scenarios
-// (steps, not nanoseconds, are their time).
-RunReport native_report(double cached_median, double async_median) {
-  RunReport r;
-  r.params.threads = 8;
-
-  ScenarioReport cached;
-  cached.scenario = "compose.cached";
-  cached.experiment = "E15";
-  cached.backend = "native";
-  cached.reps = 3;
-  cached.claim = "reads \"scale\";\nwrites don't";  // escaping round trip
-  cached.claim_holds = true;
-  cached.ns_per_op = Summary{cached_median * 0.9, cached_median,
-                             cached_median * 1.4, cached_median * 1.05};
-  PhaseReport phase;
-  phase.phase = "f=0.95 t=8";
-  phase.ops = 4096;
-  phase.ns_per_op = cached.ns_per_op;
-  phase.extra.emplace_back("hit_rate", 0.875);
-  cached.phases.push_back(phase);
-  r.scenarios.push_back(std::move(cached));
-
-  ScenarioReport async;
-  async.scenario = "compose.async";
-  async.experiment = "E14";
-  async.backend = "native";
-  async.reps = 3;
-  async.claim_holds = true;
-  async.ns_per_op = Summary{async_median * 0.9, async_median,
-                            async_median * 1.2, async_median};
-  r.scenarios.push_back(std::move(async));
-  return r;
-}
-
-std::string to_json(const RunReport& r) {
-  std::ostringstream os;
-  write_json(r, os);
-  return os.str();
-}
-
-std::string write_temp(const std::string& name, const std::string& text) {
-  const std::string path = testing::TempDir() + name;
-  std::ofstream out(path);
-  out << text;
-  return path;
-}
-
-TEST(BenchJsonReader, ParserRoundTripsTheWriterOutput) {
-  const std::string text = to_json(native_report(120.5, 340.25));
-  std::string error;
-  const auto doc = parse_json(text, &error);
-  ASSERT_TRUE(doc.has_value()) << error;
-
-  const JsonValue* schema = doc->find("schema");
-  ASSERT_NE(schema, nullptr);
-  EXPECT_EQ(schema->string, "scm-bench/v1");
-  EXPECT_EQ(doc->number_at({"params", "threads"}), 8.0);
-
-  const JsonValue* scenarios = doc->find("scenarios");
-  ASSERT_NE(scenarios, nullptr);
-  ASSERT_TRUE(scenarios->is_array());
-  ASSERT_EQ(scenarios->items.size(), 2u);
-
-  const JsonValue& cached = scenarios->items[0];
-  EXPECT_EQ(cached.find("scenario")->string, "compose.cached");
-  EXPECT_EQ(cached.number_at({"ns_per_op", "median"}), 120.5);
-  // Escaped quotes and the newline survived the round trip (claim is
-  // the nested {"text", "holds"} object).
-  const JsonValue* claim = cached.find("claim");
-  ASSERT_NE(claim, nullptr);
-  ASSERT_NE(claim->find("text"), nullptr);
-  EXPECT_EQ(claim->find("text")->string, "reads \"scale\";\nwrites don't");
-  EXPECT_EQ(claim->find("holds")->kind, JsonValue::Kind::kBool);
-  const JsonValue* phases = cached.find("phases");
-  ASSERT_NE(phases, nullptr);
-  ASSERT_EQ(phases->items.size(), 1u);
-  EXPECT_EQ(phases->items[0].number_at({"extra", "hit_rate"}), 0.875);
-
-  // Missing paths answer nullopt, not a crash; non-numbers too.
-  EXPECT_FALSE(doc->number_at({"params", "no_such_key"}).has_value());
-  EXPECT_FALSE(cached.number_at({"claim", "text"}).has_value());
-}
-
-TEST(BenchJsonReader, ParserRejectsMalformedInput) {
-  for (const char* bad :
-       {"", "{", "[1, 2", "{\"a\": }", "{\"a\": 1} trailing", "nul",
-        "{\"s\": \"unterminated}", "{\"a\" 1}"}) {
-    std::string error;
-    EXPECT_FALSE(parse_json(bad, &error).has_value()) << bad;
-    EXPECT_FALSE(error.empty()) << bad;
-  }
-  // Duplicate keys keep the first value (the writer never emits them;
-  // the reader just has to be deterministic about it).
-  const auto dup = parse_json(R"({"a": 1, "a": 2})");
-  ASSERT_TRUE(dup.has_value());
-  EXPECT_EQ(dup->number_at({"a"}), 1.0);
-}
-
-TEST(BenchCompare, FlatReportsPassAndRegressionsGate) {
-  const std::string old_path =
-      write_temp("old.json", to_json(native_report(100.0, 200.0)));
-
-  // Within threshold (+10% < 25%): exit 0.
-  {
-    const std::string new_path =
-        write_temp("new_ok.json", to_json(native_report(110.0, 210.0)));
-    std::ostringstream os;
-    EXPECT_EQ(run_compare(old_path, new_path, 0.25, os), 0);
-    EXPECT_NE(os.str().find("2 compared, 0 regressed"), std::string::npos)
-        << os.str();
-  }
-
-  // One scenario beyond threshold (+50%): exit 1, named REGRESSED.
-  {
-    const std::string new_path =
-        write_temp("new_bad.json", to_json(native_report(150.0, 210.0)));
-    std::ostringstream os;
-    EXPECT_EQ(run_compare(old_path, new_path, 0.25, os), 1);
-    EXPECT_NE(os.str().find("REGRESSED"), std::string::npos) << os.str();
-    EXPECT_NE(os.str().find("1 regressed"), std::string::npos) << os.str();
-  }
-
-  // A tighter threshold turns the passing pair into a failing one.
-  {
-    const std::string new_path =
-        write_temp("new_tight.json", to_json(native_report(110.0, 210.0)));
-    std::ostringstream os;
-    EXPECT_EQ(run_compare(old_path, new_path, 0.05, os), 1);
-  }
-}
-
-TEST(BenchCompare, UnreadableAndUnmatchedInputs) {
-  const std::string good =
-      write_temp("good.json", to_json(native_report(100.0, 200.0)));
-
-  // Missing file and non-report JSON: exit 2.
-  {
-    std::ostringstream os;
-    EXPECT_EQ(run_compare(testing::TempDir() + "nope.json", good, 0.25, os),
-              2);
-  }
-  {
-    const std::string not_report =
-        write_temp("not_report.json", R"({"schema": "something-else"})");
-    std::ostringstream os;
-    EXPECT_EQ(run_compare(not_report, good, 0.25, os), 2);
-    EXPECT_NE(os.str().find("not an scm-bench/v1 report"), std::string::npos);
-  }
-
-  // Scenarios present on only one side are reported but never gate.
-  {
-    RunReport only_cached = native_report(100.0, 200.0);
-    only_cached.scenarios.pop_back();  // drop compose.async
-    const std::string old_path =
-        write_temp("only_cached.json", to_json(only_cached));
-    const std::string new_path =
-        write_temp("both.json", to_json(native_report(100.0, 9999.0)));
-    std::ostringstream os;
-    // compose.async is "new" — its enormous median cannot regress.
-    EXPECT_EQ(run_compare(old_path, new_path, 0.25, os), 0);
-    EXPECT_NE(os.str().find("new"), std::string::npos);
-
-    // In the other direction it is "missing" — still not a gate.
-    std::ostringstream os2;
-    EXPECT_EQ(run_compare(new_path, old_path, 0.25, os2), 0);
-    EXPECT_NE(os2.str().find("missing"), std::string::npos);
-  }
-}
-
-TEST(BenchCompare, OneSidedScenariosAreNamedInExplicitWarnings) {
-  // Beyond the table rows, every one-sided scenario is called out in a
-  // post-table warning line BY NAME — a renamed or accidentally
-  // unregistered scenario must not vanish from the gate silently.
-  RunReport only_cached = native_report(100.0, 200.0);
-  only_cached.scenarios.pop_back();  // drop compose.async
-  const std::string cached_only =
-      write_temp("warn_cached_only.json", to_json(only_cached));
-  const std::string both =
-      write_temp("warn_both.json", to_json(native_report(100.0, 200.0)));
-
-  // NEW side has the extra scenario.
-  {
-    std::ostringstream os;
-    EXPECT_EQ(run_compare(cached_only, both, 0.25, os), 0);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("warning: 1 scenario(s) only in NEW report"),
-              std::string::npos)
-        << out;
-    EXPECT_NE(out.find("compose.async"), std::string::npos) << out;
-  }
-  // OLD side has the extra scenario.
-  {
-    std::ostringstream os;
-    EXPECT_EQ(run_compare(both, cached_only, 0.25, os), 0);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("warning: 1 scenario(s) only in OLD report"),
-              std::string::npos)
-        << out;
-    EXPECT_NE(out.find("compose.async"), std::string::npos) << out;
-  }
-  // Two-sided reports emit no warning at all.
-  {
-    std::ostringstream os;
-    EXPECT_EQ(run_compare(both, both, 0.25, os), 0);
-    EXPECT_EQ(os.str().find("warning:"), std::string::npos) << os.str();
-  }
 }
 
 }  // namespace

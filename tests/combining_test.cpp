@@ -389,8 +389,7 @@ TEST(Combining, ShardedInvokeBatchHandsPerShardCombinersRealBatches) {
     slots.push_back(OpSlot{arg_req(i + 1, 0, static_cast<std::int64_t>(i)),
                            std::nullopt,
                            {},
-                           false,
-                           OpCompletion::kAttached});
+                           false});
   }
   sharded.invoke_batch(ctx, std::span<OpSlot>(slots));
 
@@ -441,21 +440,14 @@ TEST(Combining, RmwBudgetIsTheElectionPlusTheClaimWhenPublished) {
     ASSERT_TRUE(combined.invoke(ctx, arg_req(i + 11, 0, 0)).committed());
     EXPECT_EQ((ctx.counters() - before).rmws, 2u) << "published op " << i;
   }
-  // The async surface pays the same: submit + wait, and a detached
-  // submission served by drain().
+  // The async surface pays the same: submit + wait.
   {
     const StepCounters before = ctx.counters();
     ASSERT_TRUE(combined.submit(ctx, arg_req(21, 0, 0)).wait().committed());
     EXPECT_EQ((ctx.counters() - before).rmws, 2u);
   }
-  {
-    const StepCounters before = ctx.counters();
-    combined.submit_detached(ctx, arg_req(22, 0, 0));
-    combined.drain(ctx);
-    EXPECT_EQ((ctx.counters() - before).rmws, 2u);
-  }
-  EXPECT_EQ(combined.combined_ops(), 12u);
-  EXPECT_EQ(combined.combine_rounds(), 12u);
+  EXPECT_EQ(combined.combined_ops(), 11u);
+  EXPECT_EQ(combined.combine_rounds(), 11u);
   EXPECT_EQ(combined.direct_ops(), 10u);
   EXPECT_EQ(combined.occupied(), 0u);
 }
@@ -502,11 +494,11 @@ TEST(Combining, DrainReturnsAtOnceWhenNothingIsPending) {
 // the scan bound while combiners are scanning) must still be served.
 // Early threads use slots 0-1; late threads, started once the early
 // ones are busy, route to slots 5 and 7 — each new highest record.
-// Every thread mixes fast-path invoke, ticketed submit and detached
-// submit, while one thread toggles the election knob so both the fast
-// path and the publication path run. At the end one drain() must leave
-// no record occupied, and every completion callback must have fired
-// exactly once.
+// Every thread mixes fast-path invoke, ticketed submit and
+// callback-carrying submit whose ticket is dropped, while one thread
+// toggles the election knob so both the fast path and the publication
+// path run. At the end one drain() must leave no record occupied, and
+// every completion callback must have fired exactly once.
 TEST(Combining, LateHighSlotClaimsAreServedAndDrainLeavesNoResidue) {
   constexpr std::size_t kSlots = 8;
   constexpr std::array<ProcessId, 4> kIds{0, 1, 5, 7};
@@ -550,8 +542,8 @@ TEST(Combining, LateHighSlotClaimsAreServedAndDrainLeavesNoResidue) {
                   combined.submit(ctx, m, std::nullopt, count_fire, &fired[k]));
               break;
             default:
-              combined.submit_detached(ctx, m, std::nullopt, count_fire,
-                                       &fired[k]);
+              (void)combined.submit(ctx, m, std::nullopt, count_fire,
+                                    &fired[k]);
               break;
           }
           if (tickets.size() == 4) {
@@ -653,31 +645,67 @@ struct HopCountSink {
 };
 
 // Every op through per-shard combiners commits its full-walk hop
-// count, the per-shard sinks sum to the offered load, and the stats
-// forwarded through Combining and merged by Sharded count every op.
+// count — through invoke(), and through submit() with kWindow tickets
+// in flight per thread — each shard's sink counts exactly the ops its
+// threads route to it, and the stats forwarded through Combining and
+// merged by Sharded count every op.
 template <std::size_t kShards>
 void expect_sharded_combining_accounts_every_op() {
   constexpr int kThreads = 4;
-  constexpr std::uint64_t kOps = 128;
-  constexpr std::uint64_t kTotal = kThreads * kOps;
+  constexpr std::uint64_t kOps = 128;  // per thread, per entry point
+  constexpr std::size_t kWindow = 4;
+  constexpr std::uint64_t kTotal = 2 * kThreads * kOps;
   using Pipe = Pipeline<HopModule, HopModule, HopModule, HopCountSink>;
   Sharded<Combining<Pipe, 4>, kShards, ByThread> sharded;
   std::atomic<std::uint64_t> bad{0};
+  const auto check = [&](const ModuleResult& r) {
+    if (!r.committed() || r.response != 3) {
+      bad.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  const auto request = [](NativeContext& ctx, std::uint64_t i) {
+    return Request{(static_cast<std::uint64_t>(ctx.id()) << 40) | (i + 1),
+                   ctx.id(), CounterSpec::kFetchInc, 0};
+  };
 
   (void)workload::run_threads(
       kThreads, kOps, [&](NativeContext& ctx, std::uint64_t i) {
-        const ModuleResult r = sharded.invoke(
-            ctx, Request{(static_cast<std::uint64_t>(ctx.id()) << 40) | (i + 1),
-                         ctx.id(), CounterSpec::kFetchInc, 0});
-        if (!r.committed() || r.response != 3) {
-          bad.fetch_add(1, std::memory_order_relaxed);
+        check(sharded.invoke(ctx, request(ctx, i)));
+      });
+  // Async: each thread refills a ring of kWindow tickets, collecting
+  // the oldest (alternately by wait() and by poll()) before reusing
+  // its place, so several of its publications are pending at once.
+  (void)workload::run_threads(
+      kThreads, 1, [&](NativeContext& ctx, std::uint64_t) {
+        std::array<Ticket<ModuleResult>, kWindow> ring;
+        const auto collect = [&](Ticket<ModuleResult>& t, std::uint64_t i) {
+          if (!t.valid()) return;
+          if (i % 2 == 0) {
+            check(t.wait());
+            return;
+          }
+          while (!t.poll()) sharded.drain(ctx);
+          check(*t.try_result());
+        };
+        for (std::uint64_t i = 0; i < kOps; ++i) {
+          collect(ring[i % kWindow], i);
+          ring[i % kWindow] = sharded.submit(ctx, request(ctx, kOps + i));
         }
+        for (std::uint64_t i = 0; i < kWindow; ++i) collect(ring[i], i);
       });
 
   EXPECT_EQ(bad.load(), 0u) << kShards << " shards";
   std::uint64_t total = 0;
   for (std::size_t s = 0; s < kShards; ++s) {
-    total += sharded.shard(s).object().template stage<3>().count();
+    // ByThread: shard s serves the threads t with t % kShards == s.
+    std::uint64_t routed = 0;
+    for (int t = 0; t < kThreads; ++t) {
+      if (static_cast<std::size_t>(t) % kShards == s) routed += 2 * kOps;
+    }
+    const std::uint64_t got =
+        sharded.shard(s).object().template stage<3>().count();
+    EXPECT_EQ(got, routed) << "shard " << s << " of " << kShards;
+    total += got;
   }
   EXPECT_EQ(total, kTotal) << kShards << " shards";
   for (std::size_t stage = 0; stage < 3; ++stage) {

@@ -719,7 +719,7 @@ TEST(ShmCombining, ClientFacingAStalledServerParks) {
 
   // The park counter lives in the segment, so the client's parks show
   // here. The yield fallback counts its saturated yields as parks, so
-  // this holds under -DSCM_FORCE_NO_FUTEX=ON too.
+  // this holds when built with -DSCM_FORCE_NO_FUTEX too.
   EXPECT_GT(comb.park_stats().parks, 0u);
   comb.drain(ctx);
   EXPECT_EQ(comb.object().value(), static_cast<std::int64_t>(kOps));
