@@ -4,7 +4,7 @@
 // the batch invocation path (core/batch.hpp).
 //
 // Combining<Obj, kSlots> is a combinator, not an algorithm: each
-// operation publishes its request into a cacheline-padded slot (one
+// operation publishes its request into a one-cache-line slot (one
 // release store; process i starts its claim at slot i mod kSlots, so
 // with threads <= kSlots every thread owns a private slot), then
 // either waits for a combiner to serve it or — whenever the
@@ -120,13 +120,32 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
                   public detail::ShardedDepthBase<Obj> {
   static_assert(kSlots >= 1, "a combining wrapper needs at least one slot");
 
+  // One publication record: exactly one cache line, aligned, so
+  // distinct publishers write distinct lines and a published op moves
+  // one line each way. The request (kClaimed/kPending) and the result
+  // (kDone) share the payload bytes (core/slot_protocol.hpp); the
+  // completion callback fills the rest of the line. All plain fields
+  // are ordered by the status word's release stores.
+  struct alignas(kCacheLineSize) Slot {
+    std::atomic<SlotState> status{SlotState::kFree};
+    bool has_init = false;
+    SlotPayload payload;
+    // The optional callback the finalizing thread runs.
+    CompletionFn completion = nullptr;
+    void* user = nullptr;
+  };
+  static_assert(sizeof(Slot) == kCacheLineSize,
+                "a publication record must fill exactly one cache line");
+
  public:
   static constexpr std::size_t kSlotCount = kSlots;
 
   // The publication protocol (core/slot_protocol.hpp), exposed so
   // tests can assert this wrapper and the cross-process ShmCombining
-  // compile against the SAME state machine.
+  // compile against the SAME state machine and record payload.
   using slot_state = SlotState;
+  using slot_payload = SlotPayload;
+  static constexpr std::size_t kSlotBytes = sizeof(Slot);
 
   Combining()
     requires std::is_default_constructible_v<Obj>
@@ -147,9 +166,9 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // to read freed memory, so it is a checked error rather than
   // undefined behaviour.
   ~Combining() {
-    for (auto& padded : slots_) {
+    for (const Slot& slot : slots_) {
       SCM_CHECK_MSG(
-          padded.value.status.load(std::memory_order_acquire) == kFree,
+          slot.status.load(std::memory_order_acquire) == kFree,
           "Combining destroyed with an occupied publication slot "
           "(outstanding Ticket)");
     }
@@ -332,8 +351,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // exactly that after every explored schedule.
   [[nodiscard]] std::size_t occupied() const noexcept {
     std::size_t n = 0;
-    for (const auto& padded : slots_) {
-      if (padded.value.status.load(std::memory_order_acquire) != kFree) ++n;
+    for (const Slot& slot : slots_) {
+      if (slot.status.load(std::memory_order_acquire) != kFree) ++n;
     }
     return n;
   }
@@ -383,17 +402,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   static constexpr SlotState kClaimed = SlotState::kClaimed;
   static constexpr SlotState kPending = SlotState::kPending;
   static constexpr SlotState kDone = SlotState::kDone;
-
-  struct Slot {
-    std::atomic<SlotState> status{kFree};
-    Request request;
-    std::optional<SwitchValue> init;
-    ModuleResult result;
-    // The optional callback the finalizing thread runs: plain fields
-    // ordered by the kPending release store like request/init.
-    CompletionFn completion = nullptr;
-    void* user = nullptr;
-  };
 
   // Tries to elect the caller combiner (test-and-test-and-set); the
   // winning exchange is the counted RMW. The caller owns the lock on
@@ -484,7 +492,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // deliberately uncounted.
   template <class Ctx>
   bool try_claim(Ctx& ctx, std::size_t idx) {
-    Slot& slot = slots_[idx].value;
+    Slot& slot = slots_[idx];
     SlotState expected = kFree;
     if (slot.status.load(std::memory_order_relaxed) != kFree ||
         !slot.status.compare_exchange_strong(expected, kClaimed,
@@ -533,7 +541,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     }
     const auto idx = claim_or_run(ctx, m, init, out, completion, user);
     if (idx.has_value()) {
-      publish(ctx, slots_[*idx].value, m, init, completion, user);
+      publish(ctx, slots_[*idx], m, init, completion, user);
       return idx;
     }
     return std::nullopt;
@@ -572,9 +580,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
           ctx,
           [this] {
             if (!lock_.value.load(std::memory_order_relaxed)) return true;
-            for (const auto& padded : slots_) {
-              if (padded.value.status.load(std::memory_order_relaxed) ==
-                  kFree) {
+            for (const Slot& slot : slots_) {
+              if (slot.status.load(std::memory_order_relaxed) == kFree) {
                 return true;
               }
             }
@@ -592,8 +599,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   void publish(Ctx& ctx, Slot& slot, const Request& m,
                std::optional<SwitchValue> init, CompletionFn completion,
                void* user) {
-    slot.request = m;
-    slot.init = init;
+    slot.has_init = init.has_value();
+    slot.payload.published = SlotRequest{init.value_or(SwitchValue{0}), m};
     slot.completion = completion;
     slot.user = user;
     ctx.on_write();
@@ -604,9 +611,9 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // the publication round trip is over.
   template <class Ctx>
   ModuleResult collect(Ctx& ctx, std::size_t idx) {
-    Slot& slot = slots_[idx].value;
+    Slot& slot = slots_[idx];
     ctx.on_read();
-    const ModuleResult r = slot.result;
+    const ModuleResult r = slot.payload.result;
     slot.status.store(kFree, std::memory_order_release);
     // A freed record is what claim_or_run's exhaustion wait is parked
     // on; collect runs on the publisher (the slow path already), so
@@ -623,7 +630,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // freed and the election is worth another attempt.
   template <class Ctx>
   ModuleResult await_served(Ctx& ctx, std::size_t idx) {
-    Slot& slot = slots_[idx].value;
+    Slot& slot = slots_[idx];
     for (;;) {
       if (slot.status.load(std::memory_order_acquire) == kDone) break;
       if (help_combine(ctx)) continue;
@@ -649,8 +656,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     const auto idx =
         static_cast<std::size_t>(reinterpret_cast<std::uintptr_t>(slot));
     Ctx& c = *static_cast<Ctx*>(ctx);
-    if (self->slots_[idx].value.status.load(std::memory_order_acquire) !=
-        kDone) {
+    if (self->slots_[idx].status.load(std::memory_order_acquire) != kDone) {
       return false;
     }
     *out = self->collect(c, idx);
@@ -683,8 +689,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   [[nodiscard]] std::size_t first_pending() const noexcept {
     const std::size_t hwm = claimed_hwm_.value.load(std::memory_order_relaxed);
     for (std::size_t i = 0; i < hwm; ++i) {
-      if (slots_[i].value.status.load(std::memory_order_relaxed) ==
-          kPending) {
+      if (slots_[i].status.load(std::memory_order_relaxed) == kPending) {
         return i;
       }
     }
@@ -701,8 +706,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   [[nodiscard]] bool any_unserved() const noexcept {
     const std::size_t hwm = claimed_hwm_.value.load(std::memory_order_relaxed);
     for (std::size_t i = 0; i < hwm; ++i) {
-      const SlotState st =
-          slots_[i].value.status.load(std::memory_order_acquire);
+      const SlotState st = slots_[i].status.load(std::memory_order_acquire);
       if (st == kClaimed || st == kPending) return true;
     }
     return false;
@@ -721,7 +725,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // record out of kPending, so it stays so). Snapshots the pending
   // slots from `first` on into a batch, drives it through the wrapped
   // object's batch path (specialized for pipelines: one stage-major
-  // walk, bulk stats), then publishes each result back to its slot.
+  // walk, bulk stats), then publishes each result back to its slot —
+  // over the request, which the snapshot no longer needs.
   template <class Ctx>
   void serve(Ctx& ctx, std::size_t first) {
     const std::size_t hwm = claimed_hwm_.value.load(std::memory_order_relaxed);
@@ -729,11 +734,13 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     std::array<std::size_t, kSlots> owner{};
     std::size_t n = 0;
     for (std::size_t i = first; i < hwm; ++i) {
-      Slot& s = slots_[i].value;
+      Slot& s = slots_[i];
       if (s.status.load(std::memory_order_acquire) != kPending) continue;
       ctx.on_read();
-      batch[n].request = s.request;
-      batch[n].init = s.init;
+      batch[n].request = s.payload.published.request;
+      batch[n].init = s.has_init ? std::optional<SwitchValue>(
+                                       s.payload.published.init)
+                                 : std::nullopt;
       batch[n].done = false;
       owner[n] = i;
       ++n;
@@ -742,11 +749,11 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     run_batch(obj_.value, ctx, std::span<OpSlot>(batch.data(), n));
 
     for (std::size_t i = 0; i < n; ++i) {
-      Slot& s = slots_[owner[i]].value;
+      Slot& s = slots_[owner[i]];
       // The finalizing thread runs the publisher's callback, with the
       // election lock held — callbacks must not re-enter this wrapper.
       if (s.completion != nullptr) s.completion(s.user, batch[i].result);
-      s.result = batch[i].result;
+      s.payload.result = batch[i].result;
       ctx.on_write();
       s.status.store(kDone, std::memory_order_release);
     }
@@ -754,7 +761,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     bump(batched_ops_, n);
   }
 
-  std::array<Padded<Slot>, kSlots> slots_;
+  std::array<Slot, kSlots> slots_;
   Padded<std::atomic<bool>> lock_{};  // combiner election (TAS)
   // One past the highest record index ever claimed: combiners and
   // drain() scan only this prefix. Monotonic, written only when a claim

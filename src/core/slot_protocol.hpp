@@ -8,13 +8,19 @@
 // defined ONCE here so the two cannot drift — shm_test static_asserts
 // that both compile against this same enum.
 //
-// Lifecycle of one publication record:
+// Lifecycle of one publication record, and what its payload holds:
 //
 //   kFree ──CAS──▶ kClaimed ──release──▶ kPending ──release──▶ kDone
 //     ▲   (publisher owns     (request visible      (result visible
 //     │    the record)         to combiners)         to the publisher)
 //     └──────────────────────── release ◀────────────────────────┘
 //                       (publisher collects, record recycles)
+//
+//   state     payload (SlotPayload)  written by
+//   kFree     stale                  —
+//   kClaimed  request + init         the publisher, before kPending
+//   kPending  request + init         nobody (combiners snapshot it)
+//   kDone     result                 the combiner, before kDone
 //
 // kClaimed exists so a colliding publisher can never observe a
 // half-written request: a combiner only reads slots it sees as
@@ -28,13 +34,50 @@
 #include <atomic>
 #include <cstdint>
 
+#include "core/module.hpp"
+#include "history/request.hpp"
+
 namespace scm {
 
 // Protocol revision: bumped whenever a state is added/renumbered or a
 // transition changes meaning. Cross-process consumers fold it into
 // their segment type tags so two binaries speaking different protocol
 // revisions fail fast at attach time instead of corrupting slots.
-inline constexpr std::uint32_t kSlotProtocolVersion = 1;
+// Revision 2: a kDone record's payload bytes hold the result where
+// revision 1 kept them holding the request.
+inline constexpr std::uint32_t kSlotProtocolVersion = 2;
+
+// ---- the record payload ----------------------------------------------
+//
+// A record never needs its request and its result at once: the combiner
+// snapshots every kPending request into its batch before it writes any
+// result back, and the publisher reads the result only after kDone. So
+// both executors overlay the two in one union, which keeps a whole
+// record — state word, has_init flag, payload, and Combining's
+// completion callback — inside one cache line: a published op moves one
+// line to the combiner and one line back.
+//
+// `init` is meaningful iff the record's has_init flag is set; both
+// executors keep that flag beside the state word rather than use
+// std::optional, whose layout is not guaranteed segment-safe. `init`
+// comes first so it shares bytes with the result's outcome: a combiner
+// that read it after writing the result would hand the op a wrong init,
+// which the seeded-init tests of combining_test and shm_test catch.
+struct SlotRequest {
+  SwitchValue init = 0;
+  Request request;
+};
+
+union SlotPayload {
+  SlotPayload() : published{} {}
+
+  SlotRequest published;  // live in kClaimed/kPending
+  ModuleResult result;    // live in kDone
+};
+
+// 40 bytes: with an 8-byte state word + has_init and Combining's
+// 16-byte callback, a record is exactly 64.
+static_assert(sizeof(SlotPayload) == 40);
 
 // ---- seeded protocol mutation (kill-the-mutant gate) ---------------
 //

@@ -104,27 +104,30 @@ class ShmCombining {
   static_assert(std::is_trivially_destructible_v<Obj>,
                 "segment-resident objects are never destroyed in-place");
 
-  // One publication record, padded to a cache line so distinct
-  // processes publish on distinct lines. The word packs
-  // {SlotState, owner pid}; request/init/result are plain fields
-  // ordered by the word's release stores exactly as in the in-process
-  // Slot — except init is (has_init, value) rather than std::optional,
-  // which is not guaranteed segment-safe layout.
+  // One publication record: exactly one cache line, so distinct
+  // processes publish on distinct lines and a published op moves one
+  // line each way. The word packs {SlotState, owner pid}; has_init and
+  // the payload — request + init while kClaimed/kPending, result once
+  // kDone (core/slot_protocol.hpp) — are plain fields ordered by the
+  // word's release stores exactly as in the in-process Slot.
   struct alignas(kCacheLineSize) Slot {
     std::atomic<std::uint64_t> word{0};  // pack_slot(kFree, 0)
-    Request request{};
-    SwitchValue init_value = 0;
-    ModuleResult result{};
     bool has_init = false;
+    SlotPayload payload;
   };
   SCM_ASSERT_ADDRESS_FREE(Slot);
+  static_assert(sizeof(Slot) == kCacheLineSize,
+                "a publication record must fill exactly one cache line");
 
  public:
   static constexpr std::size_t kSlotCount = kSlots;
 
-  // Same protocol as the in-process wrapper — shm_test asserts the
-  // two `slot_state` aliases are one type.
+  // Same protocol and record payload as the in-process wrapper —
+  // shm_test asserts the two `slot_state` aliases, and the two
+  // `slot_payload` aliases, are one type each.
   using slot_state = SlotState;
+  using slot_payload = SlotPayload;
+  static constexpr std::size_t kSlotBytes = sizeof(Slot);
 
   // Compiled-in shape fingerprint, published alongside the arena
   // offset and checked by attachers BEFORE the first shared access:
@@ -179,9 +182,8 @@ class ShmCombining {
     }
 
     Slot& slot = slots_[claim(ctx, self)];
-    slot.request = m;
     slot.has_init = init.has_value();
-    slot.init_value = init.value_or(SwitchValue{0});
+    slot.payload.published = SlotRequest{init.value_or(SwitchValue{0}), m};
     ctx.on_write();
     // The release publishes the plain writes above; pid rides in the
     // word so a reclaimer knows whose publication this is.
@@ -210,7 +212,7 @@ class ShmCombining {
           futex_waiters_);
     }
     ctx.on_read();
-    const ModuleResult r = slot.result;
+    const ModuleResult r = slot.payload.result;
     slot.word.store(pack_slot(SlotState::kFree, 0),
                     std::memory_order_release);
     // A freed record is what claim()'s exhaustion wait parks on.
@@ -443,9 +445,10 @@ class ShmCombining {
 
   // One combiner pass (pre: gate held by this process): snapshot the
   // pending slots into a process-LOCAL batch, drive it through the
-  // shared run_batch dispatch, publish results back. The local batch
-  // is why a combiner crash mid-pass is unrecoverable — and why
-  // crash-exposed processes publish with may_combine = false.
+  // shared run_batch dispatch, publish results back over the requests
+  // the snapshot no longer needs. The local batch is why a combiner
+  // crash mid-pass is unrecoverable — and why crash-exposed processes
+  // publish with may_combine = false.
   template <class Ctx>
   void combine(Ctx& ctx) {
     std::array<OpSlot, kSlots> batch;
@@ -457,8 +460,9 @@ class ShmCombining {
       const std::uint64_t w = s.word.load(std::memory_order_acquire);
       if (slot_state_of(w) != SlotState::kPending) continue;
       ctx.on_read();
-      batch[n].request = s.request;
-      batch[n].init = s.has_init ? std::optional<SwitchValue>(s.init_value)
+      batch[n].request = s.payload.published.request;
+      batch[n].init = s.has_init ? std::optional<SwitchValue>(
+                                       s.payload.published.init)
                                  : std::nullopt;
       batch[n].done = false;
       source[n] = i;
@@ -471,7 +475,7 @@ class ShmCombining {
 
     for (std::size_t i = 0; i < n; ++i) {
       Slot& s = slots_[source[i]];
-      s.result = batch[i].result;
+      s.payload.result = batch[i].result;
       ctx.on_write();
       // Preserve the publisher's pid: if it died waiting, its name on
       // the kDone slot is what makes the record reclaimable.
@@ -519,6 +523,10 @@ struct ShmLayoutProbe {
 }  // namespace detail
 SCM_ASSERT_ADDRESS_FREE(detail::ShmLayoutProbe);
 SCM_ASSERT_ADDRESS_FREE(ShmCombining<detail::ShmLayoutProbe, 2>);
+// The record payload is defined in core/ (shared with the in-process
+// wrapper) but lives in the segment inside every Slot.
+SCM_ASSERT_ADDRESS_FREE(SlotRequest);
+SCM_ASSERT_ADDRESS_FREE(SlotPayload);
 
 }  // namespace scm
 

@@ -408,11 +408,84 @@ TEST(Combining, ShardedInvokeBatchHandsPerShardCombinersRealBatches) {
   }
 }
 
+// Reports the init it was handed through its result, on both result
+// paths: an even arg commits the init as the response, an odd arg
+// aborts with it as the switch value (kNoInit when uninitialized).
+struct InitEcho {
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+  static constexpr SwitchValue kNoInit = -7;
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& /*ctx*/, const Request& m,
+                      std::optional<SwitchValue> init = std::nullopt) {
+    const SwitchValue seen = init.value_or(kNoInit);
+    return m.arg % 2 == 0 ? ModuleResult::commit(seen)
+                          : ModuleResult::abort_with(seen);
+  }
+};
+
+// One record and elect_spins = 0: every op claims record 0, publishes
+// into it and is served there by its own wait loop, so each op's
+// request and then its result cross the same payload bytes. Op k
+// alternates with-init/without-init every op, callback/no callback
+// every 2 and commit/abort every 4, so a has_init left over from the
+// previous publication, or a request field read after the result
+// overwrote it, shows up as a wrong result.
 TEST(Combining, SeededInitsPlumbThroughThePublicationSlot) {
-  Combining<Pipeline<HopModule, SinkModule>, 2> combined;
+  Combining<Pipeline<HopModule, SinkModule>, 1> combined;
+  combined.set_elect_spins(0);
   NativeContext ctx(0);
   EXPECT_EQ(combined.invoke(ctx, arg_req(1, 0, 0)).response, 1);
   EXPECT_EQ(combined.invoke(ctx, arg_req(2, 0, 0), 10).response, 11);
+  EXPECT_EQ(combined.invoke(ctx, arg_req(3, 0, 0)).response, 1);
+  EXPECT_EQ(combined.combined_ops(), 3u);
+
+  Combining<InitEcho, 1> echo;
+  echo.set_elect_spins(0);
+  struct Seen {
+    int calls = 0;
+    ModuleResult last;
+  } seen;
+  const CompletionFn record = [](void* user, const ModuleResult& r) {
+    auto* s = static_cast<Seen*>(user);
+    ++s->calls;
+    s->last = r;
+  };
+  constexpr std::uint64_t kOps = 16;
+  int callbacks = 0;
+  for (std::uint64_t k = 0; k < kOps; ++k) {
+    const bool with_init = k % 2 == 0;
+    const bool with_callback = (k / 2) % 2 == 0;
+    const bool aborts = (k / 4) % 2 == 1;
+    const std::optional<SwitchValue> init =
+        with_init ? std::optional<SwitchValue>(static_cast<SwitchValue>(10 + k))
+                  : std::nullopt;
+    const SwitchValue expect = init.value_or(InitEcho::kNoInit);
+    const ModuleResult r =
+        echo.submit(ctx, arg_req(k + 1, 0, aborts ? 1 : 0), init,
+                    with_callback ? record : nullptr, &seen)
+            .wait();
+    if (aborts) {
+      EXPECT_EQ(r.outcome, Outcome::kAbort) << "op " << k;
+      EXPECT_EQ(r.switch_value, expect) << "op " << k;
+      EXPECT_EQ(r.response, kNoResponse) << "op " << k;
+    } else {
+      EXPECT_EQ(r.outcome, Outcome::kCommit) << "op " << k;
+      EXPECT_EQ(r.response, expect) << "op " << k;
+      EXPECT_EQ(r.switch_value, 0) << "op " << k;
+    }
+    if (with_callback) {
+      ++callbacks;
+      EXPECT_EQ(seen.last.outcome, r.outcome) << "op " << k;
+      EXPECT_EQ(seen.last.response, r.response) << "op " << k;
+      EXPECT_EQ(seen.last.switch_value, r.switch_value) << "op " << k;
+    }
+    EXPECT_EQ(seen.calls, callbacks) << "op " << k;
+  }
+  // Every op crossed the record: none ran on the direct path.
+  EXPECT_EQ(echo.combined_ops(), kOps);
+  EXPECT_EQ(echo.direct_ops(), 0u);
+  EXPECT_EQ(echo.occupied(), 0u);
 }
 
 // The wrapper's RMW budget, counted by the context: a fast-path op

@@ -2,8 +2,9 @@
 //
 //  * the slot-protocol constants are ONE definition shared by the
 //    in-process Combining and the cross-process ShmCombining (the
-//    regression pin for the slot_protocol.hpp extraction), and the
-//    owner-packed word helpers roundtrip;
+//    regression pin for the slot_protocol.hpp extraction), both
+//    overlay request and result in one SlotPayload and fit each record
+//    in one cache line, and the owner-packed word helpers roundtrip;
 //  * ShmArena lifecycle: create / attach / publish / resolve across
 //    two independent mappings of one segment, the allocator's
 //    free-list reuse and exhaustion behavior, and the fail-fast
@@ -12,7 +13,8 @@
 //  * ShmSpinBarrier aligns arrivals across generations;
 //  * ShmCombining executes a threaded fetch&inc workload with exact
 //    counts and unique tickets (the in-process half of the
-//    equivalence claim);
+//    equivalence claim), and a publish-only client's inits and
+//    commit/abort results cross one reused record intact;
 //  * one and three fork()ed client PROCESSES attach the segment by
 //    name and combine into the same object — exact total, no residue;
 //  * the crash-reclaim protocol: a publisher SIGKILLed while kPending
@@ -81,6 +83,16 @@ static_assert(
                    ShmCombining<ShmCounter, 8>::slot_state>,
     "in-process and cross-process combining must share one slot enum");
 static_assert(std::is_same_v<TestCombining::slot_state, SlotState>);
+// ... and one record payload: the request and its result overlaid, so
+// each executor's whole publication record is one cache line.
+static_assert(
+    std::is_same_v<Combining<ShmCounter, 8>::slot_payload,
+                   ShmCombining<ShmCounter, 8>::slot_payload>,
+    "in-process and cross-process combining must share one record payload");
+static_assert(std::is_same_v<TestCombining::slot_payload, SlotPayload>);
+static_assert(Combining<ShmCounter, 8>::kSlotBytes == 64 &&
+                  ShmCombining<ShmCounter, 8>::kSlotBytes == 64,
+              "each publication record must be one 64-byte cache line");
 
 // Any layout-determining difference must change the fingerprint.
 static_assert(ShmCombining<ShmCounter, 8>::kTypeTag !=
@@ -326,6 +338,67 @@ TEST(ShmCombining, ThreadedFetchIncIsExactWithUniqueTickets) {
   EXPECT_EQ(comb.direct_ops() + comb.combined_ops(), kTotal);
   EXPECT_EQ(comb.occupied(), 0u);
   EXPECT_EQ(comb.pending(), 0u);
+}
+
+// Reports the init it was handed through its result, on both result
+// paths: an even arg commits the init as the response, an odd arg
+// aborts with it as the switch value (kNoInit when uninitialized).
+struct InitEcho {
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+  static constexpr SwitchValue kNoInit = -7;
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& /*ctx*/, const Request& m,
+                      std::optional<SwitchValue> init = std::nullopt) {
+    const SwitchValue seen = init.value_or(kNoInit);
+    return m.arg % 2 == 0 ? ModuleResult::commit(seen)
+                          : ModuleResult::abort_with(seen);
+  }
+};
+SCM_ASSERT_ADDRESS_FREE(InitEcho);
+
+// The cross-process twin of combining_test's
+// Combining.SeededInitsPlumbThroughThePublicationSlot: a
+// may_combine = false publisher against a serving thread, one record,
+// so every op's request and then its result cross the same payload
+// bytes. Op k alternates with-init/without-init every op and
+// commit/abort every 4.
+TEST(ShmCombining, SeededInitsPlumbThroughThePublicationSlot) {
+  ShmCombining<InitEcho, 1> comb;
+  std::atomic<bool> stop{false};
+  std::thread server([&] {
+    NativeContext ctx(1);
+    while (!stop.load(std::memory_order_acquire)) comb.try_serve(ctx);
+  });
+
+  NativeContext ctx(0);
+  constexpr std::uint64_t kOps = 16;
+  for (std::uint64_t k = 0; k < kOps; ++k) {
+    const bool aborts = (k / 4) % 2 == 1;
+    const std::optional<SwitchValue> init =
+        k % 2 == 0
+            ? std::optional<SwitchValue>(static_cast<SwitchValue>(10 + k))
+            : std::nullopt;
+    const SwitchValue expect = init.value_or(InitEcho::kNoInit);
+    const ModuleResult r =
+        comb.invoke(ctx, Request{k + 1, 0, 0, aborts ? 1 : 0}, init,
+                    /*may_combine=*/false);
+    if (aborts) {
+      EXPECT_EQ(r.outcome, Outcome::kAbort) << "op " << k;
+      EXPECT_EQ(r.switch_value, expect) << "op " << k;
+      EXPECT_EQ(r.response, kNoResponse) << "op " << k;
+    } else {
+      EXPECT_EQ(r.outcome, Outcome::kCommit) << "op " << k;
+      EXPECT_EQ(r.response, expect) << "op " << k;
+      EXPECT_EQ(r.switch_value, 0) << "op " << k;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  server.join();
+  // Every op crossed the record and was served by the server thread.
+  EXPECT_EQ(comb.combined_ops(), kOps);
+  EXPECT_EQ(comb.direct_ops(), 0u);
+  EXPECT_EQ(comb.occupied(), 0u);
 }
 
 // ---------------------------------------------------------------------------
