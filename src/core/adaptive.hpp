@@ -45,11 +45,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <utility>
 
 #include "core/async.hpp"
-#include "core/batch.hpp"
 #include "core/module.hpp"
 #include "core/sharding.hpp"
 #include "history/request.hpp"
@@ -234,14 +232,6 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
                       std::optional<SwitchValue> init = std::nullopt) {
     maybe_tick(ctx);
     return scm::apply(obj_.value, ctx, m, init);
-  }
-
-  template <class Ctx>
-  void invoke_batch(Ctx& ctx, std::span<OpSlot> batch)
-    requires requires(Obj& o) { o.invoke_batch(ctx, batch); }
-  {
-    maybe_tick(ctx);
-    obj_.value.invoke_batch(ctx, batch);
   }
 
   // ---- async surface: one forward per arity shape Obj accepts, so

@@ -46,45 +46,31 @@
 // Platform note: publishers BLOCK on the combiner's progress, but the
 // blocking points all go through the wait_until() seam
 // (runtime/wait.hpp): native contexts climb the spin → yield → park
-// ladder against the wrapper's WaitPoint (support/parking.hpp) — the
-// combiner issues one batched wake per drained slot set, and the
-// uncontended fast path performs no futex syscall at all — while the
-// deterministic simulator parks the process on a wait predicate
-// (ignoring the WaitPoint) — so the ENTIRE slot protocol runs
-// under SimPlatform and sim::explore enumerates its interleavings
-// (combining_explore_test checks this class, as shipped, for
-// linearizability, zero slot residue and a released election lock over
-// every schedule of 2-3 processes; slot_protocol_explore_test does the
-// same for ShmCombining). Like SpinBarrier, the
-// unbounded spin loads are not counted as steps; the slot-claim RMW,
-// the publish write, the result read, the combiner-election RMW, and
-// the combiner's reads/writebacks of pending slots are (they are the
-// algorithm's real per-operation shared-memory traffic). That is the
-// whole RMW budget: a fast-path op pays one (the election), a
-// published op two (claim + whoever wins the election serving it).
-// Nothing else on the path RMWs a line other threads write: the
-// combiner finds work by scanning slot words, and the telemetry
-// counters are plain stores under the election lock.
+// ladder against the wrapper's WaitPoint (support/parking.hpp), and the
+// uncontended fast path performs no futex syscall at all, while the
+// deterministic simulator parks the process on the wait predicate — so
+// this class runs under SimPlatform as shipped and
+// combining_explore_test enumerates its interleavings. The slot
+// transitions and their counted steps are core/slot_protocol.hpp's;
+// this wrapper adds one counted step, the winning election exchange.
+// That is the whole RMW budget: a fast-path op pays one (the election),
+// a published op two (claim + whoever wins the election serving it).
 // The election lock's failed pre-test loads and release store are
-// uncounted as well: under the simulator each such access is adjacent
-// to a counted scheduling point, so no interleaving class is lost —
-// only equivalent schedules collapse, which is what keeps exhaustive
-// exploration tractable.
+// uncounted: under the simulator each such access is adjacent to a
+// counted scheduling point, so no interleaving class is lost — only
+// equivalent schedules collapse, which keeps exhaustive exploration
+// tractable.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <thread>
 #include <type_traits>
 #include <utility>
 
 #include "core/async.hpp"
-#include "core/batch.hpp"
 #include "core/module.hpp"
 #include "core/sharding.hpp"
 #include "core/slot_protocol.hpp"
@@ -115,27 +101,21 @@ struct CombiningConsensusBase<Obj,
 
 }  // namespace detail
 
+// A Combining record's `extra` (core/slot_protocol.hpp): the optional
+// callback the finalizing thread runs.
+struct SlotCompletion {
+  CompletionFn fn = nullptr;
+  void* user = nullptr;
+
+  void complete(const ModuleResult& result) const {
+    if (fn != nullptr) fn(user, result);
+  }
+};
+
 template <class Obj, std::size_t kSlots>
 class Combining : public detail::CombiningConsensusBase<Obj>,
                   public detail::ShardedDepthBase<Obj> {
-  static_assert(kSlots >= 1, "a combining wrapper needs at least one slot");
-
-  // One publication record: exactly one cache line, aligned, so
-  // distinct publishers write distinct lines and a published op moves
-  // one line each way. The request (kClaimed/kPending) and the result
-  // (kDone) share the payload bytes (core/slot_protocol.hpp); the
-  // completion callback fills the rest of the line. All plain fields
-  // are ordered by the status word's release stores.
-  struct alignas(kCacheLineSize) Slot {
-    std::atomic<SlotState> status{SlotState::kFree};
-    bool has_init = false;
-    SlotPayload payload;
-    // The optional callback the finalizing thread runs.
-    CompletionFn completion = nullptr;
-    void* user = nullptr;
-  };
-  static_assert(sizeof(Slot) == kCacheLineSize,
-                "a publication record must fill exactly one cache line");
+  using Slots = SlotArray<SlotCompletion, kSlots>;
 
  public:
   static constexpr std::size_t kSlotCount = kSlots;
@@ -145,7 +125,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // compile against the SAME state machine and record payload.
   using slot_state = SlotState;
   using slot_payload = SlotPayload;
-  static constexpr std::size_t kSlotBytes = sizeof(Slot);
+  static constexpr std::size_t kSlotBytes = sizeof(typename Slots::Record);
 
   Combining()
     requires std::is_default_constructible_v<Obj>
@@ -166,12 +146,9 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // to read freed memory, so it is a checked error rather than
   // undefined behaviour.
   ~Combining() {
-    for (const Slot& slot : slots_) {
-      SCM_CHECK_MSG(
-          slot.status.load(std::memory_order_acquire) == kFree,
-          "Combining destroyed with an occupied publication slot "
-          "(outstanding Ticket)");
-    }
+    SCM_CHECK_MSG(slots_.occupied() == 0,
+                  "Combining destroyed with an occupied publication slot "
+                  "(outstanding Ticket)");
   }
 
   // Module surface: publish, then wait to be served or combine. With
@@ -191,38 +168,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     // the lock here is the runtime elect_spins knob: 0 skips the
     // election entirely (publish-and-batch mode).
     ModuleResult inline_result;
-    const auto idx = submit_impl(ctx, m, init, nullptr, nullptr,
-                                 &inline_result);
+    const auto idx = submit_impl(ctx, m, init, {}, &inline_result);
     return idx.has_value() ? await_served(ctx, *idx) : inline_result;
-  }
-
-  // Native batch path (BatchInvocable): one combiner election serves
-  // the WHOLE caller-provided batch — plus anything published
-  // meanwhile — instead of paying one publication round trip per op.
-  // This is what lets an outer grouping layer (Sharded::invoke_batch
-  // building per-shard sub-batches) hand a per-shard combiner a REAL
-  // batch: the wrapped object's own batch path (a pipeline's
-  // stage-major walk) runs over all of it in one pass. Ops executed
-  // this way count as direct (no publication), keeping
-  // direct_ops() + combined_ops() == total invocations.
-  template <class Ctx>
-    requires Composable<Obj, Ctx>
-  void invoke_batch(Ctx& ctx, std::span<OpSlot> batch) {
-    if (batch.empty()) return;
-    std::uint64_t live = 0;
-    for (const OpSlot& slot : batch) live += slot.done ? 0 : 1;
-    if (live == 0) return;
-    while (!try_lock(ctx)) {
-      wait_until(
-          ctx,
-          [this] { return !lock_.value.load(std::memory_order_relaxed); },
-          waiters_.value);
-    }
-    run_batch(obj_.value, ctx, batch);
-    bump(direct_ops_, live);
-    combine(ctx);
-    lock_.value.store(false, std::memory_order_release);
-    waiters_.value.wake_all();
   }
 
   // ---- async surface (core/async.hpp).
@@ -259,7 +206,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
       return Ticket<ModuleResult>::ready(r);
     } else {
       ModuleResult r;
-      const auto idx = submit_impl(ctx, m, init, completion, user, &r);
+      const auto idx = submit_impl(ctx, m, init, {completion, user}, &r);
       if (!idx.has_value()) return Ticket<ModuleResult>::ready(r);
       return Ticket<ModuleResult>(
           &ticket_source<Ctx>(), this,
@@ -298,12 +245,12 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
 
   // Number of combiner passes that served at least one operation.
   [[nodiscard]] std::uint64_t combine_rounds() const noexcept {
-    return rounds_.load(std::memory_order_relaxed);
+    return slots_.rounds();
   }
   // Operations served across all passes; divided by combine_rounds()
   // this is the achieved batch size — the amortization factor.
   [[nodiscard]] std::uint64_t combined_ops() const noexcept {
-    return batched_ops_.load(std::memory_order_relaxed);
+    return slots_.batched_ops();
   }
   // Operations that took the uncontended fast path (lock free, no
   // publication). direct_ops() + combined_ops() == total invocations.
@@ -350,11 +297,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // returned and every ticket is collected; the explorer asserts
   // exactly that after every explored schedule.
   [[nodiscard]] std::size_t occupied() const noexcept {
-    std::size_t n = 0;
-    for (const Slot& slot : slots_) {
-      if (slot.status.load(std::memory_order_acquire) != kFree) ++n;
-    }
-    return n;
+    return slots_.occupied();
   }
   // Whether some thread holds the combiner election lock (the
   // counterpart of ShmCombining::gate_holder() != 0); the explorer
@@ -394,15 +337,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   }
 
  private:
-  // Publication slot lifecycle (shared with the cross-process
-  // ShmCombining via core/slot_protocol.hpp): kFree -> kClaimed
-  // (publisher owns the record) -> kPending (request visible to
-  // combiners) -> kDone (result visible to the publisher) -> kFree.
-  static constexpr SlotState kFree = SlotState::kFree;
-  static constexpr SlotState kClaimed = SlotState::kClaimed;
-  static constexpr SlotState kPending = SlotState::kPending;
-  static constexpr SlotState kDone = SlotState::kDone;
-
   // Tries to elect the caller combiner (test-and-test-and-set); the
   // winning exchange is the counted RMW. The caller owns the lock on
   // success and must release it.
@@ -416,6 +350,15 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     return false;
   }
 
+  // Releases the election lock with one batched wake: it covers every
+  // waiter class at once — records that turned kDone, lock-waiters,
+  // and drain()ers. Uncontended cost: one fence + one relaxed load, no
+  // RMW, no syscall unless somebody actually parked.
+  void unlock() noexcept {
+    lock_.value.store(false, std::memory_order_release);
+    waiters_.value.wake_all();
+  }
+
   // The knob-gated election used by the PER-OP entry points (invoke,
   // submit): up to elect_spins election attempts with a pause between
   // them. The default of 1 is bit-identical to the historical single
@@ -423,9 +366,9 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // contended op publishes and amortizes into a combiner batch —
   // what the adaptive layer selects under sustained contention.
   // Internal liveness sites (claim_or_run's exhaustion fallback,
-  // help_combine, invoke_batch) deliberately keep the raw try_lock:
-  // at elect_spins == 0 someone must still be able to take the lock
-  // or nothing would ever combine.
+  // help_combine) deliberately keep the raw try_lock: at
+  // elect_spins == 0 someone must still be able to take the lock or
+  // nothing would ever combine.
   template <class Ctx>
   bool try_elect(Ctx& ctx) {
     const std::uint32_t attempts =
@@ -444,12 +387,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   template <class Ctx>
   bool help_combine(Ctx& ctx) {
     if (!try_lock(ctx)) return false;
-    combine(ctx);
-    lock_.value.store(false, std::memory_order_release);
-    // One batched wake per drained slot set: covers every waiter class
-    // at once — slots that turned kDone above, lock-waiters, and
-    // drain()ers whose scan found no pending record.
-    waiters_.value.wake_all();
+    slots_.combine(obj_.value, ctx);
+    unlock();
     return true;
   }
 
@@ -470,87 +409,39 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   template <class Ctx>
   ModuleResult run_direct(Ctx& ctx, const Request& m,
                           std::optional<SwitchValue> init,
-                          CompletionFn completion = nullptr,
-                          void* user = nullptr) {
+                          const SlotCompletion& completion) {
     const ModuleResult r = scm::apply(obj_.value, ctx, m, init);
-    if (completion != nullptr) completion(user, r);
+    completion.complete(r);
     bump(direct_ops_, 1);
-    combine(ctx);
-    lock_.value.store(false, std::memory_order_release);
-    // Uncontended cost of this wake: one fence + one relaxed load —
-    // no RMW, no syscall unless somebody actually parked.
-    waiters_.value.wake_all();
+    slots_.combine(obj_.value, ctx);
+    unlock();
     return r;
   }
 
-  // Attempts to claim record idx (kFree -> kClaimed; the successful CAS
-  // is the counted RMW). A claim above the high-water mark raises it
-  // BEFORE the record can turn kPending, so the claimer's own combine
-  // passes — and every later drain() — scan far enough to see it. The
-  // mark only moves on a record's first-ever claim (at most kSlots
-  // times per object), so that CAS is not per-operation traffic and is
-  // deliberately uncounted.
-  template <class Ctx>
-  bool try_claim(Ctx& ctx, std::size_t idx) {
-    Slot& slot = slots_[idx];
-    SlotState expected = kFree;
-    if (slot.status.load(std::memory_order_relaxed) != kFree ||
-        !slot.status.compare_exchange_strong(expected, kClaimed,
-                                             std::memory_order_acquire,
-                                             std::memory_order_relaxed)) {
-      return false;
-    }
-    ctx.on_rmw();
-    std::size_t hwm = claimed_hwm_.value.load(std::memory_order_relaxed);
-    while (idx >= hwm &&
-           !claimed_hwm_.value.compare_exchange_weak(
-               hwm, idx + 1, std::memory_order_relaxed,
-               std::memory_order_relaxed)) {
-    }
-    return true;
-  }
-
-  // One rotation over the publication array attempting to claim a free
-  // record, starting at `hint` (the caller's home slot). Non-blocking:
-  // nullopt when every record is busy.
-  template <class Ctx>
-  std::optional<std::size_t> try_claim_rotation(Ctx& ctx, std::size_t hint) {
-    for (std::size_t k = 0; k < kSlots; ++k) {
-      const std::size_t idx =
-          hint + k < kSlots ? hint + k : hint + k - kSlots;
-      if (try_claim(ctx, idx)) return idx;
-    }
-    return std::nullopt;
-  }
-
   // Shared body of invoke, and of submit on blocking platforms:
-  // completes the operation inline — fast path or
-  // exhaustion fallback, with the callback fired under the election
-  // lock inside run_direct, returning nullopt with *out filled — or
-  // claims AND publishes a record, returning its index (the callback
-  // then travels with the publication and the serving combiner fires
-  // it, likewise under the lock).
+  // completes the operation inline — fast path or exhaustion
+  // fallback, with the callback fired under the election lock inside
+  // run_direct, returning nullopt with *out filled — or claims AND
+  // publishes a record, returning its index (the callback then
+  // travels with the publication and the serving combiner fires it,
+  // likewise under the lock).
   template <class Ctx>
   std::optional<std::size_t> submit_impl(Ctx& ctx, const Request& m,
                                          std::optional<SwitchValue> init,
-                                         CompletionFn completion, void* user,
+                                         const SlotCompletion& completion,
                                          ModuleResult* out) {
     if (try_elect(ctx)) {
-      *out = run_direct(ctx, m, init, completion, user);
+      *out = run_direct(ctx, m, init, completion);
       return std::nullopt;
     }
-    const auto idx = claim_or_run(ctx, m, init, out, completion, user);
-    if (idx.has_value()) {
-      publish(ctx, slots_[*idx], m, init, completion, user);
-      return idx;
-    }
-    return std::nullopt;
+    const auto idx = claim_or_run(ctx, m, init, completion, out);
+    if (idx.has_value()) slots_.publish(ctx, *idx, 0, m, init, completion);
+    return idx;
   }
 
-  // Either claims a publication record for (m, init) — returning its
-  // index, publication left to the caller — or executes the operation
-  // inline under the combiner lock, returning nullopt with *out
-  // filled.
+  // Either claims a publication record — returning its index,
+  // publication left to the caller — or executes the operation inline
+  // under the combiner lock, returning nullopt with *out filled.
   //
   // The inline fallback is what keeps async submission LIVE: a kDone
   // record frees only when its owner polls, and under async submission
@@ -564,14 +455,13 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   template <class Ctx>
   std::optional<std::size_t> claim_or_run(Ctx& ctx, const Request& m,
                                           std::optional<SwitchValue> init,
-                                          ModuleResult* out,
-                                          CompletionFn completion = nullptr,
-                                          void* user = nullptr) {
+                                          const SlotCompletion& completion,
+                                          ModuleResult* out) {
     const std::size_t home = static_cast<std::size_t>(ctx.id()) % kSlots;
     for (;;) {
-      if (const auto idx = try_claim_rotation(ctx, home)) return idx;
+      if (const auto idx = slots_.try_claim(ctx, home, 0)) return idx;
       if (try_lock(ctx)) {
-        *out = run_direct(ctx, m, init, completion, user);
+        *out = run_direct(ctx, m, init, completion);
         return std::nullopt;
       }
       // Nothing claimable and the lock is held: park until a record
@@ -579,45 +469,19 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
       wait_until(
           ctx,
           [this] {
-            if (!lock_.value.load(std::memory_order_relaxed)) return true;
-            for (const Slot& slot : slots_) {
-              if (slot.status.load(std::memory_order_relaxed) == kFree) {
-                return true;
-              }
-            }
-            return false;
+            return !lock_.value.load(std::memory_order_relaxed) ||
+                   slots_.occupied() < kSlots;
           },
           waiters_.value);
     }
   }
 
-  // Publishes into a claimed record: the request/init/callback fields
-  // are plain writes ordered by the release store of kPending — the
-  // operation's one mandatory shared-memory step on this path, and a
-  // write to a line only this record's owner and the combiner touch.
-  template <class Ctx>
-  void publish(Ctx& ctx, Slot& slot, const Request& m,
-               std::optional<SwitchValue> init, CompletionFn completion,
-               void* user) {
-    slot.has_init = init.has_value();
-    slot.payload.published = SlotRequest{init.value_or(SwitchValue{0}), m};
-    slot.completion = completion;
-    slot.user = user;
-    ctx.on_write();
-    slot.status.store(kPending, std::memory_order_release);
-  }
-
-  // Consumes a kDone slot: reads the result and recycles the record —
-  // the publication round trip is over.
+  // Collects a kDone record, then wakes claim_or_run's exhaustion
+  // wait; collect runs on the publisher (the slow path already), so
+  // the wake's fence rides an existing round trip.
   template <class Ctx>
   ModuleResult collect(Ctx& ctx, std::size_t idx) {
-    Slot& slot = slots_[idx];
-    ctx.on_read();
-    const ModuleResult r = slot.payload.result;
-    slot.status.store(kFree, std::memory_order_release);
-    // A freed record is what claim_or_run's exhaustion wait is parked
-    // on; collect runs on the publisher (the slow path already), so
-    // the wake's fence rides an existing round trip.
+    const ModuleResult r = slots_.collect(ctx, idx);
     waiters_.value.wake_all();
     return r;
   }
@@ -625,24 +489,32 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // Waits for published record idx to be served, then collects it.
   // The waiter elects itself combiner whenever the lock is free
   // (test-and-test-and-set); its own record is pending throughout, so
-  // its combine() pass serves at least itself. The wait parks until
+  // its combine pass serves at least itself. The wait parks until
   // something can have changed: the record completed, or the lock
   // freed and the election is worth another attempt.
   template <class Ctx>
   ModuleResult await_served(Ctx& ctx, std::size_t idx) {
-    Slot& slot = slots_[idx];
-    for (;;) {
-      if (slot.status.load(std::memory_order_acquire) == kDone) break;
+    while (!slots_.done(idx)) {
       if (help_combine(ctx)) continue;
       wait_until(
           ctx,
-          [this, &slot] {
-            return slot.status.load(std::memory_order_relaxed) == kDone ||
+          [this, idx] {
+            return slots_.done(idx) ||
                    !lock_.value.load(std::memory_order_relaxed);
           },
           waiters_.value);
     }
     return collect(ctx, idx);
+  }
+
+  // Whether any record is kClaimed or kPending. drain() waits out
+  // claimed records too: claim and publish are adjacent on every path,
+  // so a claimed record is a publication about to turn pending, and a
+  // drainer that returned past it could leave it to a publisher that
+  // only polls.
+  [[nodiscard]] bool any_unserved() const noexcept {
+    return slots_.count_below_mark(SlotState::kClaimed,
+                                   SlotState::kPending) != 0;
   }
 
   // ---- ticket plumbing: the type-erased completion source bound into
@@ -655,11 +527,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     auto* self = static_cast<Combining*>(source);
     const auto idx =
         static_cast<std::size_t>(reinterpret_cast<std::uintptr_t>(slot));
-    Ctx& c = *static_cast<Ctx*>(ctx);
-    if (self->slots_[idx].status.load(std::memory_order_acquire) != kDone) {
-      return false;
-    }
-    *out = self->collect(c, idx);
+    if (!self->slots_.done(idx)) return false;
+    *out = self->collect(*static_cast<Ctx*>(ctx), idx);
     return true;
   }
 
@@ -679,94 +548,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     return kSource;
   }
 
-  static constexpr std::size_t kNone = kSlots;
-
-  // Index of the first kPending record below the claim high-water mark,
-  // or kNone. Records above the mark have never been claimed, so they
-  // cannot be pending; a claim racing this scan raises the mark too
-  // late to be seen, and that publication waits for the next pass — its
-  // publisher retries the election itself, and drain() scans again.
-  [[nodiscard]] std::size_t first_pending() const noexcept {
-    const std::size_t hwm = claimed_hwm_.value.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < hwm; ++i) {
-      if (slots_[i].status.load(std::memory_order_relaxed) == kPending) {
-        return i;
-      }
-    }
-    return kNone;
-  }
-
-  // Whether any record below the mark is kClaimed or kPending. drain()
-  // waits out claimed records too: claim and publish are adjacent on
-  // every path, so a claimed record is a publication about to turn
-  // pending, and a drainer that returned past it could leave it to a
-  // publisher that only polls. Acquire: every kFree/kDone status read
-  // was released by the thread that served (or collected) that record,
-  // so an all-clear carries every served op's effects with it.
-  [[nodiscard]] bool any_unserved() const noexcept {
-    const std::size_t hwm = claimed_hwm_.value.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < hwm; ++i) {
-      const SlotState st = slots_[i].status.load(std::memory_order_acquire);
-      if (st == kClaimed || st == kPending) return true;
-    }
-    return false;
-  }
-
-  // One combiner pass. Runs with the combiner lock held. The common
-  // fast-path case — nothing published — costs a relaxed scan of the
-  // claimed prefix of the slot array and builds no batch.
-  template <class Ctx>
-  void combine(Ctx& ctx) {
-    const std::size_t first = first_pending();
-    if (first != kNone) serve(ctx, first);
-  }
-
-  // Pre: record `first` is kPending (only the lock holder moves a
-  // record out of kPending, so it stays so). Snapshots the pending
-  // slots from `first` on into a batch, drives it through the wrapped
-  // object's batch path (specialized for pipelines: one stage-major
-  // walk, bulk stats), then publishes each result back to its slot —
-  // over the request, which the snapshot no longer needs.
-  template <class Ctx>
-  void serve(Ctx& ctx, std::size_t first) {
-    const std::size_t hwm = claimed_hwm_.value.load(std::memory_order_relaxed);
-    std::array<OpSlot, kSlots> batch;
-    std::array<std::size_t, kSlots> owner{};
-    std::size_t n = 0;
-    for (std::size_t i = first; i < hwm; ++i) {
-      Slot& s = slots_[i];
-      if (s.status.load(std::memory_order_acquire) != kPending) continue;
-      ctx.on_read();
-      batch[n].request = s.payload.published.request;
-      batch[n].init = s.has_init ? std::optional<SwitchValue>(
-                                       s.payload.published.init)
-                                 : std::nullopt;
-      batch[n].done = false;
-      owner[n] = i;
-      ++n;
-    }
-
-    run_batch(obj_.value, ctx, std::span<OpSlot>(batch.data(), n));
-
-    for (std::size_t i = 0; i < n; ++i) {
-      Slot& s = slots_[owner[i]];
-      // The finalizing thread runs the publisher's callback, with the
-      // election lock held — callbacks must not re-enter this wrapper.
-      if (s.completion != nullptr) s.completion(s.user, batch[i].result);
-      s.payload.result = batch[i].result;
-      ctx.on_write();
-      s.status.store(kDone, std::memory_order_release);
-    }
-    bump(rounds_, 1);
-    bump(batched_ops_, n);
-  }
-
-  std::array<Slot, kSlots> slots_;
+  Slots slots_;
   Padded<std::atomic<bool>> lock_{};  // combiner election (TAS)
-  // One past the highest record index ever claimed: combiners and
-  // drain() scan only this prefix. Monotonic, written only when a claim
-  // lands above it, so after warm-up it is a read-only line.
-  Padded<std::atomic<std::size_t>> claimed_hwm_{};
   // Rung-3 parking for every wait loop above (process-private futex).
   // One point for the whole wrapper: wakes are per-combine-pass, not
   // per-slot, so a finer grain would buy nothing but syscalls.
@@ -775,8 +558,6 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // loads it; only adaptive reconfigurations write it.
   Padded<std::atomic<std::uint32_t>> elect_spins_{std::in_place, 1u};
   Padded<Obj> obj_;
-  std::atomic<std::uint64_t> rounds_{0};
-  std::atomic<std::uint64_t> batched_ops_{0};
   std::atomic<std::uint64_t> direct_ops_{0};
 };
 

@@ -35,14 +35,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <tuple>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "core/async.hpp"
-#include "core/batch.hpp"
 #include "core/module.hpp"
 #include "core/pipeline.hpp"
 #include "history/request.hpp"
@@ -56,7 +53,7 @@ namespace scm {
 // A routing policy maps (context, request, shard count) to a shard
 // index in [0, shards). The call operator must be const: routing is a
 // pure function of its arguments, so routing the same operation twice
-// (route() then invoke_at(), or Sharded::invoke_batch's grouping pass)
+// (route() then invoke_at())
 // always picks the same shard.
 template <class P, class Ctx>
 concept ShardRoutingPolicy =
@@ -237,47 +234,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
     requires requires(Obj& o) { o.drain(ctx); }
   {
     for (auto& s : shards_) s.value.drain(ctx);
-  }
-
-  // ---- batch surface: per-shard grouping.
-
-  // Groups a batch into per-shard sub-batches by the routing policy
-  // and dispatches each through run_batch, so a per-shard combiner (or
-  // a replica's own invoke_batch) finally sees a REAL batch instead of
-  // the one-op batches per-op forwarding produced. Every pending slot
-  // is routed exactly once; routing is pure, so each slot lands on the
-  // shard per-op invoke would have picked. Within a shard, slots run in
-  // slot order; across shards the replicas are disjoint objects, so for
-  // a single executing thread the results equal per-op invocation.
-  // Grouping allocates O(batch) scratch.
-  template <class Ctx>
-    requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
-  void invoke_batch(Ctx& ctx, std::span<OpSlot> batch) {
-    constexpr std::size_t kUnrouted = kShards;
-    std::vector<std::size_t> shard_of(batch.size(), kUnrouted);
-    std::array<std::size_t, kShards> load{};
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].done) continue;
-      const std::size_t s = route(ctx, batch[i].request);
-      shard_of[i] = s;
-      ++load[s];
-    }
-    std::vector<std::size_t> origin;
-    std::vector<OpSlot> scratch;
-    for (std::size_t s = 0; s < kShards; ++s) {
-      if (load[s] == 0) continue;
-      origin.clear();
-      scratch.clear();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (shard_of[i] != s) continue;
-        origin.push_back(i);
-        scratch.push_back(batch[i]);
-      }
-      run_batch(shards_[s].value, ctx, std::span<OpSlot>(scratch));
-      for (std::size_t k = 0; k < origin.size(); ++k) {
-        batch[origin[k]] = scratch[k];
-      }
-    }
   }
 
   [[nodiscard]] Obj& shard(std::size_t s) noexcept {

@@ -1,12 +1,12 @@
-// The publication-slot state machine shared by every combining path.
+// The publication-slot protocol of every combining executor: one
+// record type, one array type, and every slot transition, written once.
 //
-// Two executors speak this protocol today: the in-process
-// flat-combining wrapper (core/combining.hpp), whose slots live at
-// virtual addresses inside one process, and the cross-process
-// ShmCombining (shm/shm_combining.hpp), whose slots live at offsets
-// inside a shared-memory segment. The states and transitions are
-// defined ONCE here so the two cannot drift — shm_test static_asserts
-// that both compile against this same enum.
+// Two executors run this code: the in-process flat-combining wrapper
+// (core/combining.hpp), whose array lives inside one process, and the
+// cross-process ShmCombining (shm/shm_combining.hpp), whose array lives
+// inside a shared-memory segment. Both explorer suites
+// (combining_explore_test, slot_protocol_explore_test) therefore check
+// the same claim, publish, serve and collect code.
 //
 // Lifecycle of one publication record, and what its payload holds:
 //
@@ -23,46 +23,72 @@
 //   kDone     result                 the combiner, before kDone
 //
 // kClaimed exists so a colliding publisher can never observe a
-// half-written request: a combiner only reads slots it sees as
+// half-written request: a combiner only reads records it sees as
 // kPending, and the kPending store releases the plain request/init
-// writes before it. The same fence discipline makes the protocol
-// correct across processes — std::atomic on a lock-free 32/64-bit word
-// is address-free, so acquire/release pairs work between mappings of
-// the same physical page at different virtual addresses.
+// writes before it. std::atomic on a lock-free 32-bit word is
+// address-free, so the same acquire/release pairs order accesses
+// between mappings of one physical page at different virtual addresses.
+//
+// The record is one cache line: {word, has_init, payload, extra}. The
+// word packs the state (low 2 bits) with an owner id (high 30 bits), so
+// the claim CAS and the ownership stamp are one indivisible step and a
+// reclaim sweep never sees a claimed record under a previous owner's
+// name. `extra` is the executor's per-record companion: Combining's
+// completion callback, nothing for ShmCombining.
+//
+// What each executor keeps for itself is policy, not protocol:
+//   - Combining stamps owner 0 (a thread cannot vanish mid-publication),
+//     elects its combiner with elect_spins attempts at a TAS lock, and
+//     serves an op inline when every record is taken;
+//   - ShmCombining stamps the publisher's pid, elects through a pid gate
+//     that reclaim_dead can steal from a dead holder, lets a publisher
+//     opt out of combining (may_combine), and waits when every record is
+//     taken.
+// Each executor also owns its wait loops, its wake word and its drain()
+// predicate.
+//
+// Counted accesses (ctx.on_*) are the simulator's scheduling points:
+// the claim CAS, the publish write, a combiner's read and writeback of
+// each pending record, and the result read. Everything else here —
+// pre-test loads, scans, the claim mark — is uncounted.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 
+#include "core/batch.hpp"
 #include "core/module.hpp"
 #include "history/request.hpp"
+#include "shm/shm_layout.hpp"
+#include "support/cacheline.hpp"
 
 namespace scm {
 
-// Protocol revision: bumped whenever a state is added/renumbered or a
-// transition changes meaning. Cross-process consumers fold it into
-// their segment type tags so two binaries speaking different protocol
-// revisions fail fast at attach time instead of corrupting slots.
-// Revision 2: a kDone record's payload bytes hold the result where
-// revision 1 kept them holding the request.
-inline constexpr std::uint32_t kSlotProtocolVersion = 2;
+// Protocol revision: bumped whenever a state is added/renumbered, a
+// transition changes meaning, or the record layout changes. Cross-process
+// consumers fold it into their segment type tags so two binaries
+// speaking different revisions fail fast at attach time instead of
+// corrupting records. Revision 2: a kDone record's payload holds the
+// result. Revision 3: the slot word is 32 bits, {state:2, owner:30}.
+inline constexpr std::uint32_t kSlotProtocolVersion = 3;
 
 // ---- the record payload ----------------------------------------------
 //
 // A record never needs its request and its result at once: the combiner
 // snapshots every kPending request into its batch before it writes any
 // result back, and the publisher reads the result only after kDone. So
-// both executors overlay the two in one union, which keeps a whole
-// record — state word, has_init flag, payload, and Combining's
-// completion callback — inside one cache line: a published op moves one
-// line to the combiner and one line back.
+// the two share one union.
 //
-// `init` is meaningful iff the record's has_init flag is set; both
-// executors keep that flag beside the state word rather than use
-// std::optional, whose layout is not guaranteed segment-safe. `init`
-// comes first so it shares bytes with the result's outcome: a combiner
-// that read it after writing the result would hand the op a wrong init,
-// which the seeded-init tests of combining_test and shm_test catch.
+// `init` is meaningful iff the record's has_init flag is set; the flag
+// sits beside the word rather than inside a std::optional, whose layout
+// is not guaranteed segment-safe. `init` comes first so it shares bytes
+// with the result's outcome: a combiner that read it after writing the
+// result would hand the op a wrong init, which the seeded-init tests of
+// combining_test and shm_test catch.
 struct SlotRequest {
   SwitchValue init = 0;
   Request request;
@@ -75,22 +101,21 @@ union SlotPayload {
   ModuleResult result;    // live in kDone
 };
 
-// 40 bytes: with an 8-byte state word + has_init and Combining's
-// 16-byte callback, a record is exactly 64.
+// 40 bytes: with the 4-byte word, has_init and Combining's 16-byte
+// callback, a record is exactly 64.
 static_assert(sizeof(SlotPayload) == 40);
 
 // ---- seeded protocol mutation (kill-the-mutant gate) ---------------
 //
 // Compiling with -DSCM_MUTATE_SLOT_PROTOCOL plants ONE deliberate
-// protocol bug in the shipping ShmCombining::claim: the ownership
-// stamp is dropped from the claim CAS, so a record claimed by a
-// process that then dies carries owner 0 and the reclaim sweep — which
-// must skip unowned records — can never free it. This exists to prove
-// the verification layer has teeth: the slot_mutation_catch CTest
-// entry compiles ShmCombining's explorer suite with the flag and
-// EXPECTS its claim kill-point test to fail (WILL_FAIL). Never define
-// the flag in a shipping build; the constant below keeps the mutation
-// a plain `if` in protocol code instead of scattered #ifdefs.
+// protocol bug in SlotArray::try_claim: the ownership stamp is dropped
+// from the claim CAS, so a record claimed by a process that then dies
+// carries owner 0 and the reclaim sweep — which must skip unowned
+// records — can never free it. This exists to prove the verification
+// layer has teeth: the slot_mutation_catch CTest entry compiles
+// ShmCombining's explorer suite with the flag and EXPECTS its claim
+// kill-point test to fail (WILL_FAIL). Never define the flag in a
+// shipping build; the constant keeps the mutation a plain `if`.
 #if defined(SCM_MUTATE_SLOT_PROTOCOL)
 inline constexpr bool kMutateDropOwnerStamp = true;
 #else
@@ -105,37 +130,30 @@ enum class SlotState : std::uint32_t {
 };
 
 // ---- owner-tagged slot words ---------------------------------------
-//
-// The cross-process protocol adds a failure domain the in-process one
-// lacks: a publisher can die (SIGKILL) between claim and collect, and
-// nothing in its address space survives to recycle the record. The shm
-// slots therefore pack {state, owner pid} into ONE atomic 64-bit word
-// — state in the low half, pid in the high half — so the claim CAS and
-// the ownership stamp are a single indivisible step: a reclaim sweep
-// can never observe a claimed record whose owner field still belongs
-// to a previous (possibly dead) occupant. The in-process wrapper keeps
-// a bare SlotState word; same states, same transitions.
 
-[[nodiscard]] constexpr std::uint64_t pack_slot(SlotState state,
+// Owners are below this bound. Linux caps pid_max at 2^22, so every pid
+// fits; the executor that stamps pids checks it.
+inline constexpr std::uint32_t kSlotOwnerLimit = 1u << 30;
+
+[[nodiscard]] constexpr std::uint32_t pack_slot(SlotState state,
                                                 std::uint32_t owner) noexcept {
-  return static_cast<std::uint64_t>(state) |
-         (static_cast<std::uint64_t>(owner) << 32);
+  return static_cast<std::uint32_t>(state) | (owner << 2);
 }
 
-[[nodiscard]] constexpr SlotState slot_state_of(std::uint64_t word) noexcept {
-  return static_cast<SlotState>(word & 0xffffffffull);
+[[nodiscard]] constexpr SlotState slot_state_of(std::uint32_t word) noexcept {
+  return static_cast<SlotState>(word & 3u);
 }
 
 [[nodiscard]] constexpr std::uint32_t slot_owner_of(
-    std::uint64_t word) noexcept {
-  return static_cast<std::uint32_t>(word >> 32);
+    std::uint32_t word) noexcept {
+  return word >> 2;
 }
 
-static_assert(slot_state_of(pack_slot(SlotState::kPending, 0x1234)) ==
-              SlotState::kPending);
-static_assert(slot_owner_of(pack_slot(SlotState::kPending, 0x1234)) == 0x1234);
 static_assert(pack_slot(SlotState::kFree, 0) == 0,
               "zero-initialized slot words must read as free/unowned");
+static_assert(pack_slot(SlotState::kDone, 0) ==
+                  static_cast<std::uint32_t>(SlotState::kDone),
+              "owner 0 leaves the word equal to its state");
 
 // ---- executor telemetry ---------------------------------------------
 //
@@ -151,5 +169,228 @@ inline void bump(std::atomic<std::uint64_t>& counter,
   counter.store(counter.load(std::memory_order_relaxed) + n,
                 std::memory_order_relaxed);
 }
+
+// ---- the record and the array ---------------------------------------
+
+// An empty `extra`: a record that carries nothing besides the protocol.
+struct SlotNoExtra {
+  void complete(const ModuleResult& /*result*/) const noexcept {}
+};
+
+// One publication record, exactly one cache line, so distinct
+// publishers write distinct lines and a published op moves one line
+// each way. The plain fields are ordered by the word's release stores.
+template <class Extra>
+struct alignas(kCacheLineSize) SlotRecord {
+  std::atomic<std::uint32_t> word{0};  // pack_slot(kFree, 0)
+  bool has_init = false;
+  SlotPayload payload;
+  Extra extra;
+};
+
+// The publication array and its transitions. Pre-conditions name who
+// may call what: claim and publish belong to the publisher, combine to
+// whoever holds the executor's election lock, collect to the record's
+// owner once it is done.
+template <class Extra, std::size_t kSlots>
+class SlotArray {
+  static_assert(kSlots >= 1, "a combining wrapper needs at least one slot");
+
+ public:
+  using Record = SlotRecord<Extra>;
+  static_assert(sizeof(Record) == kCacheLineSize,
+                "a publication record must fill exactly one cache line");
+
+  // One rotation from `hint` attempting kFree -> kClaimed under
+  // `owner`'s stamp; the successful CAS is the counted RMW. Non-blocking:
+  // nullopt when every record is taken. A claim at or above the mark
+  // raises it before the record can turn kPending, so every later scan
+  // that needs to see the record does. The mark moves only on a
+  // record's first claim (at most kSlots times per array), so that CAS
+  // is uncounted.
+  template <class Ctx>
+  std::optional<std::size_t> try_claim(Ctx& ctx, std::size_t hint,
+                                       std::uint32_t owner) {
+    const std::uint32_t claimed =
+        pack_slot(SlotState::kClaimed, kMutateDropOwnerStamp ? 0 : owner);
+    for (std::size_t k = 0; k < kSlots; ++k) {
+      const std::size_t idx = hint + k < kSlots ? hint + k : hint + k - kSlots;
+      std::atomic<std::uint32_t>& word = records_[idx].word;
+      std::uint32_t expected = pack_slot(SlotState::kFree, 0);
+      if (word.load(std::memory_order_relaxed) != expected ||
+          !word.compare_exchange_strong(expected, claimed,
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+        continue;
+      }
+      ctx.on_rmw();
+      std::size_t mark = mark_.load(std::memory_order_relaxed);
+      while (idx >= mark &&
+             !mark_.compare_exchange_weak(mark, idx + 1,
+                                          std::memory_order_relaxed,
+                                          std::memory_order_relaxed)) {
+      }
+      return idx;
+    }
+    return std::nullopt;
+  }
+
+  // Pre: the caller claimed `idx`. The request fields are plain writes
+  // released by the kPending store; `owner` rides in the word so a
+  // reclaimer knows whose publication this is.
+  template <class Ctx>
+  void publish(Ctx& ctx, std::size_t idx, std::uint32_t owner,
+               const Request& m, std::optional<SwitchValue> init,
+               const Extra& extra) {
+    Record& r = records_[idx];
+    r.has_init = init.has_value();
+    r.payload.published = SlotRequest{init.value_or(SwitchValue{0}), m};
+    r.extra = extra;
+    ctx.on_write();
+    r.word.store(pack_slot(SlotState::kPending, owner),
+                 std::memory_order_release);
+  }
+
+  [[nodiscard]] bool done(std::size_t idx) const noexcept {
+    return slot_state_of(records_[idx].word.load(std::memory_order_acquire)) ==
+           SlotState::kDone;
+  }
+
+  // Pre: done(idx), and the caller owns the record. Reads the result and
+  // recycles the record; the caller wakes whoever waits for a free one.
+  template <class Ctx>
+  ModuleResult collect(Ctx& ctx, std::size_t idx) {
+    Record& r = records_[idx];
+    ctx.on_read();
+    const ModuleResult result = r.payload.result;
+    r.word.store(pack_slot(SlotState::kFree, 0), std::memory_order_release);
+    return result;
+  }
+
+  // One combiner pass; pre: the caller holds its executor's election
+  // lock, which is what keeps a kPending record pending until served.
+  // Nothing published costs a relaxed scan below the mark and builds no
+  // batch. Otherwise the pending requests are snapshotted into a local
+  // batch, run through `obj`'s batch path, and each result is written
+  // back over its request. Each record's `extra` completes before its
+  // kDone store, and that store keeps the publisher's owner, so a
+  // publisher that died waiting still has its name on the record.
+  template <class Obj, class Ctx>
+  void combine(Obj& obj, Ctx& ctx) {
+    const std::size_t first = first_pending();
+    if (first != kSlots) serve(obj, ctx, first);
+  }
+
+  // Records below the mark in state `a` or `b`. Acquire: every other
+  // state a record reads was released by whoever served or collected
+  // it, so a zero count carries every served op's effects with it.
+  [[nodiscard]] std::size_t count_below_mark(SlotState a,
+                                             SlotState b) const noexcept {
+    const std::size_t mark = mark_.load(std::memory_order_relaxed);
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < mark; ++i) {
+      const SlotState s =
+          slot_state_of(records_[i].word.load(std::memory_order_acquire));
+      if (s == a || s == b) ++n;
+    }
+    return n;
+  }
+
+  // Records not kFree, over the whole array: a claimer that died
+  // between its claim CAS and its mark raise leaves a kClaimed record
+  // above the mark.
+  [[nodiscard]] std::size_t occupied() const noexcept {
+    std::size_t n = 0;
+    for (const Record& r : records_) {
+      if (slot_state_of(r.word.load(std::memory_order_acquire)) !=
+          SlotState::kFree) {
+        ++n;
+      }
+    }
+    return n;
+  }
+
+  [[nodiscard]] std::array<Record, kSlots>& records() noexcept {
+    return records_;
+  }
+
+  [[nodiscard]] std::uint64_t rounds() const noexcept {
+    return rounds_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t batched_ops() const noexcept {
+    return batched_ops_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  // Index of the first kPending record below the mark, or kSlots. A
+  // claim racing this scan raises the mark too late to be seen, and
+  // that publication waits for the next pass.
+  [[nodiscard]] std::size_t first_pending() const noexcept {
+    const std::size_t mark = mark_.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < mark; ++i) {
+      if (slot_state_of(records_[i].word.load(std::memory_order_relaxed)) ==
+          SlotState::kPending) {
+        return i;
+      }
+    }
+    return kSlots;
+  }
+
+  // Pre: record `first` is kPending. The pass scans below the mark it
+  // reads here: a record first claimed during the pass is served by the
+  // next one.
+  template <class Obj, class Ctx>
+  void serve(Obj& obj, Ctx& ctx, std::size_t first) {
+    const std::size_t mark = mark_.load(std::memory_order_relaxed);
+    std::array<OpSlot, kSlots> batch;
+    std::array<std::size_t, kSlots> source{};
+    std::size_t n = 0;
+    for (std::size_t i = first; i < mark; ++i) {
+      Record& r = records_[i];
+      if (slot_state_of(r.word.load(std::memory_order_acquire)) !=
+          SlotState::kPending) {
+        continue;
+      }
+      ctx.on_read();
+      batch[n].request = r.payload.published.request;
+      batch[n].init = r.has_init ? std::optional<SwitchValue>(
+                                       r.payload.published.init)
+                                 : std::nullopt;
+      batch[n].done = false;
+      source[n] = i;
+      ++n;
+    }
+
+    run_batch(obj, ctx, std::span<OpSlot>(batch.data(), n));
+
+    for (std::size_t i = 0; i < n; ++i) {
+      Record& r = records_[source[i]];
+      r.extra.complete(batch[i].result);
+      r.payload.result = batch[i].result;
+      ctx.on_write();
+      const std::uint32_t owner =
+          slot_owner_of(r.word.load(std::memory_order_relaxed));
+      r.word.store(pack_slot(SlotState::kDone, owner),
+                   std::memory_order_release);
+    }
+    bump(rounds_, 1);
+    bump(batched_ops_, n);
+  }
+
+  std::array<Record, kSlots> records_{};
+  // One past the highest record index ever claimed: combiners and the
+  // below-mark scans look only at this prefix. Monotonic, so after
+  // warm-up it is a read-only line.
+  alignas(kCacheLineSize) std::atomic<std::size_t> mark_{0};
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> rounds_{0};
+  std::atomic<std::uint64_t> batched_ops_{0};
+};
+
+// The array lives inside ShmCombining's segment-resident object.
+SCM_ASSERT_ADDRESS_FREE(SlotRequest);
+SCM_ASSERT_ADDRESS_FREE(SlotPayload);
+SCM_ASSERT_ADDRESS_FREE(SlotNoExtra);
+SCM_ASSERT_ADDRESS_FREE(SlotRecord<SlotNoExtra>);
+SCM_ASSERT_ADDRESS_FREE(SlotArray<SlotNoExtra, 2>);
 
 }  // namespace scm

@@ -2,29 +2,20 @@
 // segment, so INDEPENDENT PROCESSES submit operations into one
 // combiner the way threads submit into core/combining.hpp.
 //
-// The insight carried over from the in-process wrapper: a publication
-// slot is already a wait-free mailbox. Nothing about the
-// kFree → kClaimed → kPending → kDone protocol (core/slot_protocol.hpp
-// — shared with Combining, enforced by static_assert in shm_test)
-// depends on a virtual address: the slot array, the gate word, and the
+// The publication array, its records and every slot transition are
+// core/slot_protocol.hpp's, the same code Combining runs; none of it
+// depends on a virtual address. The array, the gate word and the
 // wrapped object all live inline in this object, which itself lives at
-// an arena offset, and every synchronization word is a lock-free
-// std::atomic — address-free, so acquire/release pairs order accesses
-// between different processes' mappings of the same physical lines.
-// Ticket-style completion polls therefore work cross-process: poll the
-// slot's word for kDone, exactly like Ticket::poll does in-process.
+// an arena offset.
 //
 // What IS new is the failure domain. A thread cannot vanish
 // mid-publication; a process can (SIGKILL, OOM kill). Two mechanisms
 // absorb that:
 //
-//   - Every slot word packs {state, owner PID} into ONE atomic u64
-//     (state low half, pid high half — pack_slot in
-//     core/slot_protocol.hpp), so the claim CAS and the ownership
-//     stamp are indivisible: a reclaim sweep can never see a claimed
-//     record with a stale owner. The combiner preserves the
-//     publisher's pid when it stores kDone, so a publisher that died
-//     waiting still has its name on the slot.
+//   - Every record's word carries its publisher's pid beside the state
+//     (core/slot_protocol.hpp), stamped by the claim CAS itself and
+//     kept by the combiner's kDone store, so a publisher that died at
+//     any point still has its name on the record.
 //   - reclaim_dead() sweeps, UNDER THE GATE, every slot whose owner no
 //     longer exists (kill(pid, 0) probe, injectable for tests) and
 //     frees the ones the dead process could never recycle itself:
@@ -53,12 +44,12 @@
 // exact class also runs under the deterministic simulator. There the
 // owner stamp is ctx.id() + 1 instead of the OS pid (simulated
 // processes share one pid), the futex wait becomes a SimContext park,
-// and the counted accesses — claim CAS, publish write, result read,
-// gate CAS, the combiner's slot reads/writebacks, and reclaim_dead's
-// gate CAS and slot frees — are the explorer's scheduling points.
-// slot_protocol_explore_test enumerates every interleaving of 2-3
-// processes through it and kills a victim at each of its own steps, so
-// the crash wreckage it checks is exactly what this code leaves behind.
+// and the counted accesses — the slot transitions' steps, the gate CAS,
+// and reclaim_dead's gate CAS and record frees — are the explorer's
+// scheduling points. slot_protocol_explore_test enumerates every
+// interleaving of 2-3 processes through it and kills a victim at each
+// of its own steps, so the crash wreckage it checks is exactly what
+// this code leaves behind.
 #pragma once
 
 #include "shm/shm_arena.hpp"  // platform gate: defines SCM_HAS_POSIX_SHM
@@ -68,16 +59,13 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <type_traits>
 
-#include "core/batch.hpp"
 #include "core/module.hpp"
 #include "core/slot_protocol.hpp"
 #include "history/request.hpp"
@@ -85,7 +73,6 @@
 #include "runtime/wait.hpp"
 #include "shm/shm_layout.hpp"
 #include "support/assert.hpp"
-#include "support/backoff.hpp"
 #include "support/cacheline.hpp"
 #include "support/parking.hpp"
 
@@ -100,24 +87,10 @@ inline bool shm_process_alive(std::uint32_t pid) noexcept {
 
 template <class Obj, std::size_t kSlots>
 class ShmCombining {
-  static_assert(kSlots >= 1, "a combining wrapper needs at least one slot");
   static_assert(std::is_trivially_destructible_v<Obj>,
                 "segment-resident objects are never destroyed in-place");
 
-  // One publication record: exactly one cache line, so distinct
-  // processes publish on distinct lines and a published op moves one
-  // line each way. The word packs {SlotState, owner pid}; has_init and
-  // the payload — request + init while kClaimed/kPending, result once
-  // kDone (core/slot_protocol.hpp) — are plain fields ordered by the
-  // word's release stores exactly as in the in-process Slot.
-  struct alignas(kCacheLineSize) Slot {
-    std::atomic<std::uint64_t> word{0};  // pack_slot(kFree, 0)
-    bool has_init = false;
-    SlotPayload payload;
-  };
-  SCM_ASSERT_ADDRESS_FREE(Slot);
-  static_assert(sizeof(Slot) == kCacheLineSize,
-                "a publication record must fill exactly one cache line");
+  using Slots = SlotArray<SlotNoExtra, kSlots>;
 
  public:
   static constexpr std::size_t kSlotCount = kSlots;
@@ -127,7 +100,7 @@ class ShmCombining {
   // `slot_payload` aliases, are one type each.
   using slot_state = SlotState;
   using slot_payload = SlotPayload;
-  static constexpr std::size_t kSlotBytes = sizeof(Slot);
+  static constexpr std::size_t kSlotBytes = sizeof(typename Slots::Record);
 
   // Compiled-in shape fingerprint, published alongside the arena
   // offset and checked by attachers BEFORE the first shared access:
@@ -142,7 +115,7 @@ class ShmCombining {
     for (std::uint64_t v :
          {std::uint64_t{kSlotProtocolVersion}, std::uint64_t{kSlots},
           std::uint64_t{sizeof(Obj)}, std::uint64_t{alignof(Obj)},
-          std::uint64_t{sizeof(Slot)}, std::uint64_t{sizeof(Request)},
+          std::uint64_t{kSlotBytes}, std::uint64_t{sizeof(Request)},
           std::uint64_t{sizeof(ModuleResult)},
           std::uint64_t{sizeof(WaitPoint<FutexScope::kShared>)}}) {
       for (int b = 0; b < 8; ++b) {
@@ -176,24 +149,16 @@ class ShmCombining {
     if (may_combine && try_gate(ctx, self)) {
       const ModuleResult r = scm::apply(obj_, ctx, m, init);
       bump(direct_ops_, 1);
-      combine(ctx);
+      slots_.combine(obj_, ctx);
       release_gate();
       return r;
     }
 
-    Slot& slot = slots_[claim(ctx, self)];
-    slot.has_init = init.has_value();
-    slot.payload.published = SlotRequest{init.value_or(SwitchValue{0}), m};
-    ctx.on_write();
-    // The release publishes the plain writes above; pid rides in the
-    // word so a reclaimer knows whose publication this is.
-    slot.word.store(pack_slot(SlotState::kPending, self),
-                    std::memory_order_release);
-
-    while (slot_state_of(slot.word.load(std::memory_order_acquire)) !=
-           SlotState::kDone) {
+    const std::size_t idx = claim(ctx, self);
+    slots_.publish(ctx, idx, self, m, init, {});
+    while (!slots_.done(idx)) {
       if (may_combine && try_gate(ctx, self)) {
-        combine(ctx);  // serves at least our own pending slot
+        slots_.combine(obj_, ctx);  // serves at least our own record
         release_gate();
         continue;
       }
@@ -203,18 +168,14 @@ class ShmCombining {
       // serving combiner's release_gate() wake resumes it.
       wait_until(
           ctx,
-          [this, &slot, may_combine] {
-            return slot_state_of(slot.word.load(std::memory_order_relaxed)) ==
-                       SlotState::kDone ||
+          [this, idx, may_combine] {
+            return slots_.done(idx) ||
                    (may_combine &&
                     gate_.load(std::memory_order_relaxed) == 0);
           },
           futex_waiters_);
     }
-    ctx.on_read();
-    const ModuleResult r = slot.payload.result;
-    slot.word.store(pack_slot(SlotState::kFree, 0),
-                    std::memory_order_release);
+    const ModuleResult r = slots_.collect(ctx, idx);
     // A freed record is what claim()'s exhaustion wait parks on.
     futex_waiters_.wake_all();
     return r;
@@ -227,7 +188,7 @@ class ShmCombining {
     requires Composable<Obj, Ctx>
   bool try_serve(Ctx& ctx) {
     if (!try_gate(ctx, owner_of(ctx))) return false;
-    combine(ctx);
+    slots_.combine(obj_, ctx);
     release_gate();
     return true;
   }
@@ -235,7 +196,9 @@ class ShmCombining {
   // Combines until no publication is pending. Same contract as the
   // in-process drain(): every op PUBLISHED before the call has
   // executed on return; kDone slots still await their publishers.
-  // Safe on an empty/fresh object — returns immediately.
+  // Only kPending is waited out: a dead publisher's kClaimed record
+  // never clears until reclaim_dead. Safe on an empty/fresh object —
+  // returns immediately.
   template <class Ctx>
     requires Composable<Obj, Ctx>
   void drain(Ctx& ctx) {
@@ -255,12 +218,12 @@ class ShmCombining {
   // is no pending-count hint on purpose: a cached counter drifts
   // permanently when the process that was about to decrement it dies).
   [[nodiscard]] std::size_t pending() const noexcept {
-    return count_in_state(SlotState::kPending);
+    return slots_.count_below_mark(SlotState::kPending, SlotState::kPending);
   }
   // Records not currently kFree — shm_test checks this is zero after
   // the final drain + reclaim.
   [[nodiscard]] std::size_t occupied() const noexcept {
-    return kSlots - count_in_state(SlotState::kFree);
+    return slots_.occupied();
   }
   // Owner id holding the combiner gate, 0 when free.
   [[nodiscard]] std::uint32_t gate_holder() const noexcept {
@@ -295,9 +258,12 @@ class ShmCombining {
     }
     ctx.on_rmw();
 
+    // Every record, not just those below the claim mark: a claimer
+    // killed between its claim CAS and its mark raise leaves a
+    // kClaimed record above it.
     std::size_t reclaimed = 0;
-    for (Slot& s : slots_) {
-      std::uint64_t w = s.word.load(std::memory_order_acquire);
+    for (auto& r : slots_.records()) {
+      std::uint32_t w = r.word.load(std::memory_order_acquire);
       const SlotState state = slot_state_of(w);
       const std::uint32_t owner = slot_owner_of(w);
       // kPending is deliberately exempt: the publication is complete,
@@ -311,7 +277,7 @@ class ShmCombining {
       // Only the owner performs kClaimed->kPending and kDone->kFree,
       // and the owner is dead; the gate excludes combiners. The CAS is
       // belt-and-braces against a probe that raced the owner's death.
-      if (s.word.compare_exchange_strong(w, pack_slot(SlotState::kFree, 0),
+      if (r.word.compare_exchange_strong(w, pack_slot(SlotState::kFree, 0),
                                          std::memory_order_acq_rel,
                                          std::memory_order_relaxed)) {
         ctx.on_rmw();
@@ -344,10 +310,10 @@ class ShmCombining {
   // these aggregate over ALL participating processes).
 
   [[nodiscard]] std::uint64_t combine_rounds() const noexcept {
-    return rounds_.load(std::memory_order_relaxed);
+    return slots_.rounds();
   }
   [[nodiscard]] std::uint64_t combined_ops() const noexcept {
-    return batched_ops_.load(std::memory_order_relaxed);
+    return slots_.batched_ops();
   }
   [[nodiscard]] std::uint64_t direct_ops() const noexcept {
     return direct_ops_.load(std::memory_order_relaxed);
@@ -367,14 +333,19 @@ class ShmCombining {
   // what reclaim_dead's kill(pid, 0) probe understands — and
   // ctx.id() + 1 under an awaitable (simulated) context, whose
   // processes share one OS pid. Nonzero either way: 0 means unowned.
+  // The id must fit the slot word's 30-bit owner field.
   template <class Ctx>
   static std::uint32_t owner_of(const Ctx& ctx) noexcept {
+    std::uint32_t owner;
     if constexpr (detail::context_can_await_v<Ctx>) {
-      return static_cast<std::uint32_t>(ctx.id()) + 1;
+      owner = static_cast<std::uint32_t>(ctx.id()) + 1;
     } else {
       (void)ctx;
-      return static_cast<std::uint32_t>(::getpid());
+      owner = static_cast<std::uint32_t>(::getpid());
     }
+    SCM_CHECK_MSG(owner < kSlotOwnerLimit,
+                  "owner id does not fit the slot word's owner field");
+    return owner;
   }
 
   // Gate = combiner election word holding the OWNER'S PID (0 = free),
@@ -404,108 +375,27 @@ class ShmCombining {
   // Claims a free record, rotating from a pid-derived hint; blocks
   // (paced) while the array is exhausted — slot holders are publishers
   // mid-round-trip, and each round trip completes in bounded time once
-  // a combiner runs. The ownership stamp rides in the claim CAS itself:
-  // the indivisibility the reclaim sweep depends on, and exactly what
-  // the seeded mutation (kMutateDropOwnerStamp) severs.
+  // a combiner runs. Parks until some record frees: a publisher's
+  // collect, or reclaim_dead() sweeping a corpse's records (its
+  // release_gate wake is what un-parks us after a SIGKILL).
   template <class Ctx>
   std::size_t claim(Ctx& ctx, std::uint32_t self) {
-    const std::uint32_t stamp = kMutateDropOwnerStamp ? 0 : self;
     const std::size_t hint = static_cast<std::size_t>(self) % kSlots;
     for (;;) {
-      for (std::size_t k = 0; k < kSlots; ++k) {
-        const std::size_t idx =
-            hint + k < kSlots ? hint + k : hint + k - kSlots;
-        Slot& slot = slots_[idx];
-        std::uint64_t expected = pack_slot(SlotState::kFree, 0);
-        if (slot.word.load(std::memory_order_relaxed) == expected &&
-            slot.word.compare_exchange_strong(
-                expected, pack_slot(SlotState::kClaimed, stamp),
-                std::memory_order_acquire, std::memory_order_relaxed)) {
-          ctx.on_rmw();
-          return idx;
-        }
-      }
-      // Array exhausted: park until some record frees — a publisher's
-      // collect, or reclaim_dead() sweeping a corpse's records (its
-      // release_gate wake is what un-parks us after a SIGKILL).
+      if (const auto idx = slots_.try_claim(ctx, hint, self)) return *idx;
       wait_until(
-          ctx,
-          [this] {
-            for (const Slot& s : slots_) {
-              if (slot_state_of(s.word.load(std::memory_order_relaxed)) ==
-                  SlotState::kFree) {
-                return true;
-              }
-            }
-            return false;
-          },
-          futex_waiters_);
+          ctx, [this] { return slots_.occupied() < kSlots; }, futex_waiters_);
     }
   }
 
-  // One combiner pass (pre: gate held by this process): snapshot the
-  // pending slots into a process-LOCAL batch, drive it through the
-  // shared run_batch dispatch, publish results back over the requests
-  // the snapshot no longer needs. The local batch is why a combiner
-  // crash mid-pass is unrecoverable — and why crash-exposed processes
-  // publish with may_combine = false.
-  template <class Ctx>
-  void combine(Ctx& ctx) {
-    std::array<OpSlot, kSlots> batch;
-    std::array<std::size_t, kSlots> source{};
-    std::array<std::uint32_t, kSlots> publisher{};
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < kSlots; ++i) {
-      Slot& s = slots_[i];
-      const std::uint64_t w = s.word.load(std::memory_order_acquire);
-      if (slot_state_of(w) != SlotState::kPending) continue;
-      ctx.on_read();
-      batch[n].request = s.payload.published.request;
-      batch[n].init = s.has_init ? std::optional<SwitchValue>(
-                                       s.payload.published.init)
-                                 : std::nullopt;
-      batch[n].done = false;
-      source[n] = i;
-      publisher[n] = slot_owner_of(w);
-      ++n;
-    }
-    if (n == 0) return;
-
-    run_batch(obj_, ctx, std::span<OpSlot>(batch.data(), n));
-
-    for (std::size_t i = 0; i < n; ++i) {
-      Slot& s = slots_[source[i]];
-      s.payload.result = batch[i].result;
-      ctx.on_write();
-      // Preserve the publisher's pid: if it died waiting, its name on
-      // the kDone slot is what makes the record reclaimable.
-      s.word.store(pack_slot(SlotState::kDone, publisher[i]),
-                   std::memory_order_release);
-    }
-    bump(rounds_, 1);
-    bump(batched_ops_, n);
-  }
-
-  [[nodiscard]] std::size_t count_in_state(SlotState state) const noexcept {
-    std::size_t n = 0;
-    for (const Slot& s : slots_) {
-      if (slot_state_of(s.word.load(std::memory_order_acquire)) == state) {
-        ++n;
-      }
-    }
-    return n;
-  }
-
-  std::array<Slot, kSlots> slots_{};
+  Slots slots_{};
   alignas(kCacheLineSize) std::atomic<std::uint32_t> gate_{0};
   // Rung-3 parking for every wait loop above. kShared scope: the futex
   // word lives in the segment, so FUTEX_WAIT/FUTEX_WAKE must key on
   // the physical page (no FUTEX_PRIVATE_FLAG) — each process maps it
   // at a different virtual address.
   alignas(kCacheLineSize) WaitPoint<FutexScope::kShared> futex_waiters_{};
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> rounds_{0};
-  std::atomic<std::uint64_t> batched_ops_{0};
-  std::atomic<std::uint64_t> direct_ops_{0};
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> direct_ops_{0};
   alignas(kCacheLineSize) Obj obj_{};
 };
 
@@ -523,11 +413,6 @@ struct ShmLayoutProbe {
 }  // namespace detail
 SCM_ASSERT_ADDRESS_FREE(detail::ShmLayoutProbe);
 SCM_ASSERT_ADDRESS_FREE(ShmCombining<detail::ShmLayoutProbe, 2>);
-// The record payload is defined in core/ (shared with the in-process
-// wrapper) but lives in the segment inside every Slot.
-SCM_ASSERT_ADDRESS_FREE(SlotRequest);
-SCM_ASSERT_ADDRESS_FREE(SlotPayload);
-
 }  // namespace scm
 
 #endif  // SCM_HAS_POSIX_SHM

@@ -7,11 +7,12 @@
 // so the claim_or_run inline fallback is explored too.
 //
 // Its cross-process sibling, ShmCombining, is explored the same way in
-// slot_protocol_explore_test. The two executors stay separate classes
-// on purpose — this one's slots carry process-local callback pointers
-// and ticket plumbing, ShmCombining's carry pid stamps for
-// reclaim_dead — and both run under the explorer as shipped. The
-// trees live in separate binaries so ctest -j runs them in parallel.
+// slot_protocol_explore_test. Both executors run the one slot-protocol
+// implementation (core/slot_protocol.hpp), so the two trees check the
+// same claim, publish, serve and collect code under each executor's
+// own policy: this one's election, inline fallback and callbacks,
+// ShmCombining's pid gate, may_combine and claim wait. The trees live
+// in separate binaries so ctest -j runs them in parallel.
 #include <gtest/gtest.h>
 
 #include "core/combining.hpp"

@@ -343,71 +343,6 @@ TEST(Combining, WrappedChainInvokeMatchesBarePerformSolo) {
   EXPECT_EQ(bare.commits_by(0, 0), 8u);  // solo: stage 0 served all
 }
 
-TEST(Combining, InvokeBatchRunsTheWholeBatchUnderOneElection) {
-  // Combining is itself BatchInvocable: a caller-provided batch (e.g.
-  // a per-shard sub-batch built by Sharded::invoke_batch) is executed
-  // under ONE combiner election through the wrapped object's batch
-  // path — not one publication round trip per op — with results
-  // identical to invoking the slots in order.
-  using Pipe = Pipeline<StageGate, StageGate, StageGate>;
-  static_assert(BatchInvocable<Combining<Pipe, 4>, NativeContext>);
-
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    std::vector<OpSlot> slots = random_slots(seed, 11, 4);
-
-    Pipe per_op(StageGate{0}, StageGate{1}, StageGate{2});
-    const std::vector<ModuleResult> expect = drive_per_op(per_op, slots);
-
-    Combining<Pipe, 4> combined(
-        std::in_place, StageGate{0}, StageGate{1}, StageGate{2});
-    NativeContext ctx(0);
-    combined.invoke_batch(ctx, std::span<OpSlot>(slots));
-
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      EXPECT_TRUE(slots[i].done) << "slot " << i << " seed " << seed;
-      EXPECT_EQ(slots[i].result.outcome, expect[i].outcome) << i;
-      EXPECT_EQ(slots[i].result.response, expect[i].response) << i;
-      EXPECT_EQ(slots[i].result.switch_value, expect[i].switch_value) << i;
-    }
-    // The whole batch counted as direct (no publication round trips).
-    EXPECT_EQ(combined.direct_ops(), slots.size());
-    EXPECT_EQ(combined.combined_ops(), 0u);
-  }
-}
-
-TEST(Combining, ShardedInvokeBatchHandsPerShardCombinersRealBatches) {
-  // The composition the grouping exists for: Sharded::invoke_batch
-  // builds per-shard sub-batches and run_batch dispatches them through
-  // each shard's Combining::invoke_batch — so a solo batch drive shows
-  // every op on the combiner's direct batch path, zero publications.
-  Sharded<Combining<Pipeline<HopModule, TicketModule>, 4>, 2, ByKeyHash>
-      sharded;
-  NativeContext ctx(0);
-
-  std::vector<OpSlot> slots;
-  for (std::uint64_t i = 0; i < 12; ++i) {
-    slots.push_back(OpSlot{arg_req(i + 1, 0, static_cast<std::int64_t>(i)),
-                           std::nullopt,
-                           {},
-                           false});
-  }
-  sharded.invoke_batch(ctx, std::span<OpSlot>(slots));
-
-  std::uint64_t direct = 0, combined = 0, sink = 0;
-  for (std::size_t s = 0; s < 2; ++s) {
-    direct += sharded.shard(s).direct_ops();
-    combined += sharded.shard(s).combined_ops();
-    sink += sharded.shard(s).object().stage<1>().count();
-  }
-  EXPECT_EQ(sink, slots.size());
-  EXPECT_EQ(direct, slots.size());
-  EXPECT_EQ(combined, 0u);
-  for (const OpSlot& s : slots) {
-    EXPECT_TRUE(s.done);
-    EXPECT_TRUE(s.result.committed());
-  }
-}
-
 // Reports the init it was handed through its result, on both result
 // paths: an even arg commits the init as the response, an odd arg
 // aborts with it as the switch value (kNoInit when uninitialized).

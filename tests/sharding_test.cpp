@@ -25,13 +25,11 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <tuple>
 #include <vector>
 
 #include "consensus/cas_consensus.hpp"
 #include "consensus/split_consensus.hpp"
-#include "core/batch.hpp"
 #include "core/module.hpp"
 #include "core/pipeline.hpp"
 #include "core/sharding.hpp"
@@ -477,103 +475,6 @@ TEST(Sharded, WrapsStaticAbstractChainWithPerShardArguments) {
     }
   }
   EXPECT_EQ(agg, 8u);
-}
-
-// Commits the inherited fold tagged with a per-instance ticket, so
-// response streams expose both the routing and the execution order.
-struct CountingSink {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-  std::int64_t next = 0;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& /*m*/,
-                      std::optional<SwitchValue> init = std::nullopt) {
-    return ModuleResult::commit(init.value_or(0) * 1000 + next++);
-  }
-};
-
-TEST(Sharded, InvokeBatchMatchesPerOpRoutingExactly) {
-  // The regression pinning the batch-grouping contract: every pending
-  // slot runs on the shard per-op invoke would pick, in slot order
-  // within that shard, so the per-shard accounting (the shard each op
-  // ran on, the order within each shard, the per-stage stats) matches
-  // the per-op loop exactly.
-  using Pipe = Pipeline<HopModule, CountingSink>;
-  Sharded<Pipe, 4, ByKeyHash> per_op;
-  Sharded<Pipe, 4, ByKeyHash> batched;
-  NativeContext ctx(0);
-
-  std::vector<OpSlot> slots;
-  for (std::uint64_t i = 0; i < 13; ++i) {
-    OpSlot s;
-    s.request = keyed_req(i + 1, 0, i * 7);
-    if (i % 3 == 0) s.init = static_cast<SwitchValue>(i);
-    slots.push_back(s);
-  }
-  // Pre-finalized slots must be skipped — not executed (running one
-  // would advance its shard's sink and desync every later op there).
-  slots[4].done = true;
-  slots[4].result = ModuleResult::commit(-1);
-  slots[9].done = true;
-  slots[9].result = ModuleResult::commit(-2);
-
-  std::vector<ModuleResult> want(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i].done) {
-      want[i] = slots[i].result;
-      continue;
-    }
-    want[i] = per_op.invoke(ctx, slots[i].request, slots[i].init);
-  }
-
-  batched.invoke_batch(ctx, std::span<OpSlot>(slots));
-
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    EXPECT_TRUE(slots[i].done) << i;
-    EXPECT_EQ(slots[i].result.outcome, want[i].outcome) << i;
-    EXPECT_EQ(slots[i].result.response, want[i].response) << i;
-  }
-  // Per-shard accounting: each replica saw the same invocation
-  // subsequence under both paths.
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(batched.shard(s).stats(0).aborts, per_op.shard(s).stats(0).aborts)
-        << "shard " << s;
-    EXPECT_EQ(batched.shard(s).stats(1).commits,
-              per_op.shard(s).stats(1).commits)
-        << "shard " << s;
-    EXPECT_EQ(batched.shard(s).template stage<1>().next,
-              per_op.shard(s).template stage<1>().next)
-        << "shard " << s;
-  }
-}
-
-TEST(Sharded, InvokeBatchRoutesKeysLikePerOpInvoke) {
-  // ByKeyHash grouping: per-key determinism survives the batch path —
-  // the same key reaches the same shard either way.
-  using Pipe = Pipeline<HopModule, CountingSink>;
-  Sharded<Pipe, 4, ByKeyHash> per_op;
-  Sharded<Pipe, 4, ByKeyHash> batched;
-  NativeContext ctx(0);
-
-  std::vector<OpSlot> slots;
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    OpSlot s;
-    s.request = keyed_req(i + 1, 0, i % 5);  // repeated keys
-    slots.push_back(s);
-  }
-  std::vector<ModuleResult> want(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    want[i] = per_op.invoke(ctx, slots[i].request, slots[i].init);
-  }
-  batched.invoke_batch(ctx, std::span<OpSlot>(slots));
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    EXPECT_EQ(slots[i].result.response, want[i].response) << i;
-  }
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(batched.shard(s).stats(1).commits,
-              per_op.shard(s).stats(1).commits)
-        << "shard " << s;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 // Tests for the cross-process composition fabric (src/shm/):
 //
-//  * the slot-protocol constants are ONE definition shared by the
-//    in-process Combining and the cross-process ShmCombining (the
-//    regression pin for the slot_protocol.hpp extraction), both
-//    overlay request and result in one SlotPayload and fit each record
-//    in one cache line, and the owner-packed word helpers roundtrip;
+//  * both executors run the one slot-protocol implementation
+//    (core/slot_protocol.hpp): they alias its enum and payload, each
+//    record is one cache line, the 32-bit {state:2, owner:30} word
+//    format is pinned, and owner_of rejects an owner that does not fit;
 //  * ShmArena lifecycle: create / attach / publish / resolve across
 //    two independent mappings of one segment, the allocator's
 //    free-list reuse and exhaustion behavior, and the fail-fast
@@ -13,8 +12,9 @@
 //  * ShmSpinBarrier aligns arrivals across generations;
 //  * ShmCombining executes a threaded fetch&inc workload with exact
 //    counts and unique tickets (the in-process half of the
-//    equivalence claim), and a publish-only client's inits and
-//    commit/abort results cross one reused record intact;
+//    equivalence claim), a publish-only client's inits and
+//    commit/abort results cross one reused record intact, and its RMW
+//    budget is the gate plus the claim when published;
 //  * one and three fork()ed client PROCESSES attach the segment by
 //    name and combine into the same object — exact total, no residue;
 //  * the crash-reclaim protocol: a publisher SIGKILLed while kPending
@@ -99,15 +99,44 @@ static_assert(ShmCombining<ShmCounter, 8>::kTypeTag !=
                   ShmCombining<ShmCounter, 16>::kTypeTag,
               "slot count must be folded into the type tag");
 
+// The word format, revision 3: state in the low 2 bits, owner in the
+// high 30. Owner 0 (Combining's stamp) leaves each word equal to its
+// state, and a zero word is a free, unowned record.
 TEST(SlotProtocol, OwnerPackedWordsRoundtrip) {
-  const std::uint32_t pid = 0x7fff1234u;
+  constexpr std::uint32_t kMaxOwner = kSlotOwnerLimit - 1;
+  static_assert(kMaxOwner == (1u << 30) - 1);
   for (const SlotState s : {SlotState::kFree, SlotState::kClaimed,
                             SlotState::kPending, SlotState::kDone}) {
-    const std::uint64_t w = pack_slot(s, pid);
+    EXPECT_EQ(pack_slot(s, 0), static_cast<std::uint32_t>(s));
+    EXPECT_EQ(slot_state_of(pack_slot(s, 0)), s);
+    EXPECT_EQ(slot_owner_of(pack_slot(s, 0)), 0u);
+    const std::uint32_t w = pack_slot(s, kMaxOwner);
     EXPECT_EQ(slot_state_of(w), s);
-    EXPECT_EQ(slot_owner_of(w), pid);
+    EXPECT_EQ(slot_owner_of(w), kMaxOwner);
   }
   EXPECT_EQ(pack_slot(SlotState::kFree, 0), 0u);  // zero-init == free
+}
+
+// An awaitable context with a chosen id: ShmCombining stamps
+// ctx.id() + 1 under it, so the owner range check is reachable without
+// a real pid that large. reclaim_dead needs nothing more.
+struct OwnerProbeContext {
+  static constexpr bool kCanAwait = true;
+  ProcessId pid;
+  [[nodiscard]] ProcessId id() const noexcept { return pid; }
+  void on_rmw() noexcept {}
+};
+
+TEST(SlotProtocol, OwnerOutsideTheWordIsRejected) {
+  TestCombining comb;
+  const auto never_alive = [](std::uint32_t) { return false; };
+  // The largest owner that fits: its reclaim takes and frees the gate.
+  OwnerProbeContext fits{static_cast<ProcessId>(kSlotOwnerLimit - 2)};
+  EXPECT_EQ(comb.reclaim_dead(fits, never_alive), 0u);
+  EXPECT_EQ(comb.gate_holder(), 0u);
+  OwnerProbeContext too_big{static_cast<ProcessId>(kSlotOwnerLimit - 1)};
+  EXPECT_DEATH((void)comb.reclaim_dead(too_big, never_alive),
+               "owner id does not fit");
 }
 
 // ---------------------------------------------------------------------------
@@ -398,6 +427,56 @@ TEST(ShmCombining, SeededInitsPlumbThroughThePublicationSlot) {
   // Every op crossed the record and was served by the server thread.
   EXPECT_EQ(comb.combined_ops(), kOps);
   EXPECT_EQ(comb.direct_ops(), 0u);
+  EXPECT_EQ(comb.occupied(), 0u);
+}
+
+// The cross-process counterpart of combining_test's
+// Combining.RmwBudgetIsTheElectionPlusTheClaimWhenPublished. A solo
+// may_combine = true op pays the gate CAS and nothing else. A
+// may_combine = false publisher pays its claim, and the context that
+// serves it pays the gate: one RMW per successful try_serve pass,
+// none for a pass that finds the gate taken. InitEcho does no RMW of
+// its own, so the counts are the wrapper's alone.
+TEST(ShmCombining, RmwBudgetIsTheGatePlusTheClaimWhenPublished) {
+  ShmCombining<InitEcho, 4> comb;
+  NativeContext ctx(0);
+  constexpr std::uint64_t kOps = 10;
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    const StepCounters before = ctx.counters();
+    ASSERT_TRUE(comb.invoke(ctx, Request{i + 1, 0, 0, 0}).committed());
+    EXPECT_EQ((ctx.counters() - before).rmws, 1u) << "fast-path op " << i;
+  }
+  EXPECT_EQ(comb.direct_ops(), kOps);
+
+  std::atomic<bool> stop{false};
+  std::uint64_t passes = 0;
+  std::uint64_t off_budget = 0;
+  std::thread server([&] {
+    NativeContext server_ctx(1);
+    while (!stop.load(std::memory_order_acquire)) {
+      const StepCounters before = server_ctx.counters();
+      const bool served = comb.try_serve(server_ctx);
+      passes += served ? 1 : 0;
+      if ((server_ctx.counters() - before).rmws != (served ? 1u : 0u)) {
+        ++off_budget;
+      }
+    }
+  });
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    const StepCounters before = ctx.counters();
+    ASSERT_TRUE(comb.invoke(ctx, Request{kOps + i + 1, 0, 0, 0}, std::nullopt,
+                            /*may_combine=*/false)
+                    .committed());
+    EXPECT_EQ((ctx.counters() - before).rmws, 1u) << "published op " << i;
+  }
+  stop.store(true, std::memory_order_release);
+  server.join();
+  EXPECT_EQ(off_budget, 0u);
+  EXPECT_GE(passes, kOps);
+  // One publisher in flight at a time: every op is its own round.
+  EXPECT_EQ(comb.combined_ops(), kOps);
+  EXPECT_EQ(comb.combine_rounds(), kOps);
+  EXPECT_EQ(comb.direct_ops(), kOps);
   EXPECT_EQ(comb.occupied(), 0u);
 }
 

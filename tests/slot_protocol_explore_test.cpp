@@ -21,7 +21,7 @@
 //      - killed after its claim (kClaimed): the record is swept and
 //        nothing executed — the invariant the seeded mutation
 //        (SCM_MUTATE_SLOT_PROTOCOL drops the ownership stamp in
-//        ShmCombining::claim) breaks; the slot_mutation_catch CTest
+//        SlotArray::try_claim) breaks; the slot_mutation_catch CTest
 //        entry recompiles this file with the mutation and expects
 //        CrashReclaim.ClaimedRecordOfDeadOwnerIsSwept to fail;
 //      - killed parked and unserved (kPending): the op still executes
@@ -78,7 +78,7 @@ TEST(SlotProtocolExplore, TwoProcsTwoSlotsLinearizableNoResidue) {
 TEST(SlotProtocolExplore, ThreeProcsTwoSlotsLinearizableNoResidue) {
   const auto stats = slot_explore::explore_fetch_inc<Shm>(3, shm_gate_free);
   EXPECT_TRUE(stats.exhausted);
-  EXPECT_EQ(stats.runs, 118'886u);
+  EXPECT_EQ(stats.runs, 120'210u);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ RULE 1: explicit memory orders (src/**).
   Escape hatch: `// scm-lint: default-order-ok` on the call's first
   line.
 
-RULE 2: address-free shm layer (src/shm/**).
+RULE 2: address-free segment code (src/shm/**, src/core/slot_protocol.hpp).
   The shared segment maps at a different virtual address in every
   process, so segment-resident types must carry no process-local
-  addresses. Every struct/class defined under src/shm/ must either:
+  addresses. The slot protocol's payload, record and array types live
+  in every ShmCombining's segment although they are defined under
+  src/core/, so that file is in scope too. Every struct/class defined
+  in scope must either:
     * be annotated `// scm-lint: process-local` in the comment block
       right above it (handle types: ShmArena, LockGuard), or
     * contain no pointer/reference/virtual/owning-container members
@@ -29,7 +32,7 @@ RULE 2: address-free shm layer (src/shm/**).
       under src/ (the macro pins what the traits can check; this rule
       pins the rest and that the macro is actually applied).
 
-RULE 3: cross-process futex words (src/shm/**).
+RULE 3: cross-process futex words (same scope as rule 2).
   futex(2) compares exactly 4 bytes at the given address, and a
   process-private futex keys on the mapping's virtual address — both
   mistakes compile silently and fail only under contention. So every
@@ -256,8 +259,9 @@ def check_adaptive_hot_reads(path: str, raw: str) -> list[Finding]:
 # ---------------------------------------------------------------------------
 # RULE 2: address-free shm layer
 
+# `enum class` declares no members, so it is not a struct here.
 STRUCT_RE = re.compile(
-    r"\b(struct|class)\s+(?:alignas\s*\([^)]*\)\s*)?([A-Za-z_]\w*)"
+    r"(?<!\benum\s)\b(struct|class)\s+(?:alignas\s*\([^)]*\)\s*)?([A-Za-z_]\w*)"
     r"(?:\s+final)?\s*(?::[^{;]*)?\{"
 )
 PROCESS_LOCAL_MARK = "scm-lint: process-local"
@@ -351,8 +355,8 @@ def check_shm_layout(path: str, raw: str, macro_corpus: str) -> list[Finding]:
         if not macro_covers(name, macro_corpus):
             findings.append(
                 Finding(path, line_of(text, m.start()), "address-free",
-                        f"'{name}' is defined under src/shm/ but never "
-                        f"covered by {MACRO_NAME} (or annotate it "
+                        f"'{name}' is defined in segment-resident code but "
+                        f"never covered by {MACRO_NAME} (or annotate it "
                         "process-local)"))
     return findings
 
@@ -377,7 +381,7 @@ ALIGNAS_RE = re.compile(r"\balignas\s*\([^)]*\)")
 
 
 def check_shm_futex(path: str, raw: str, macro_corpus: str) -> list[Finding]:
-    """Flags futex-word members under src/shm/ that the kernel (or a
+    """Flags segment-resident futex-word members that the kernel (or a
     second process) would silently misread: wrong width, private scope,
     or a containing type nobody asserted address-free."""
     text = strip_comments(raw)
@@ -446,6 +450,22 @@ def collect(root: str) -> list[str]:
     return sorted(paths)
 
 
+# Files outside src/shm/ that define segment-resident types.
+SEGMENT_FILES = (os.path.join("core", "slot_protocol.hpp"),)
+
+
+def lint_file(rel: str, raw: str, macro_corpus: str) -> list[Finding]:
+    """Runs every rule whose scope covers `rel`, a path relative to the
+    scanned source root."""
+    findings = check_memory_orders(rel, raw)
+    if rel.startswith("shm" + os.sep) or rel in SEGMENT_FILES:
+        findings.extend(check_shm_layout(rel, raw, macro_corpus))
+        findings.extend(check_shm_futex(rel, raw, macro_corpus))
+    if rel == os.path.join("core", "adaptive.hpp"):
+        findings.extend(check_adaptive_hot_reads(rel, raw))
+    return findings
+
+
 def run_lint(src_root: str) -> list[Finding]:
     paths = collect(src_root)
     if not paths:
@@ -456,16 +476,11 @@ def run_lint(src_root: str) -> list[Finding]:
     macro_corpus = "\n".join(
         strip_comments(open(p, encoding="utf-8").read()) for p in paths)
     findings: list[Finding] = []
-    shm_prefix = os.path.join(src_root, "shm") + os.sep
-    adaptive_suffix = os.path.join("core", "adaptive.hpp")
     for p in paths:
         raw = open(p, encoding="utf-8").read()
-        findings.extend(check_memory_orders(p, raw))
-        if p.startswith(shm_prefix):
-            findings.extend(check_shm_layout(p, raw, macro_corpus))
-            findings.extend(check_shm_futex(p, raw, macro_corpus))
-        if p.endswith(adaptive_suffix):
-            findings.extend(check_adaptive_hot_reads(p, raw))
+        for f in lint_file(os.path.relpath(p, src_root), raw, macro_corpus):
+            f.path = p
+            findings.append(f)
     return findings
 
 
@@ -473,7 +488,8 @@ def run_lint(src_root: str) -> list[Finding]:
 # self-test: prove the rules have teeth before trusting a clean run
 
 SELF_TESTS = [
-    # (name, rule fn flag, snippet, is_shm, expected finding count)
+    # (name, rule (or "file:<path under src/>"), snippet, expected
+    # finding count)
     ("defaulted load flagged",
      "order", "void f() { x.load(); }", 1),
     ("defaulted multi-line store flagged",
@@ -569,6 +585,19 @@ SELF_TESTS = [
               "  void f() { futex_waiters_.wake_all(); }\n"
               "};\n"
               "SCM_ASSERT_ADDRESS_FREE(S);", 0),
+    ("enum class is not a struct",
+     "shm", "enum class E : std::uint32_t { kA = 0, kB = 1 };", 0),
+    ("pointer member in the slot protocol flagged",
+     "file:core/slot_protocol.hpp",
+     "struct S { void* base_ = nullptr; };\n"
+     "SCM_ASSERT_ADDRESS_FREE(S);", 1),
+    ("private-scope WaitPoint in the slot protocol flagged",
+     "file:core/slot_protocol.hpp",
+     "struct S { WaitPoint<FutexScope::kPrivate> futex_waiters_{}; };\n"
+     "SCM_ASSERT_ADDRESS_FREE(S);", 1),
+    ("process-local core files stay out of the segment rules",
+     "file:core/combining.hpp",
+     "struct S { void* user = nullptr; };", 0),
     ("acquire load in adaptive hot path flagged",
      "adaptive",
      "void f() { n_ = op_count_.load(std::memory_order_acquire); }", 1),
@@ -601,7 +630,10 @@ SELF_TESTS = [
 def self_test() -> int:
     failures = 0
     for name, rule, snippet, expected in SELF_TESTS:
-        if rule == "order":
+        if rule.startswith("file:"):
+            got = lint_file(rule[len("file:"):].replace("/", os.sep), snippet,
+                            strip_comments(snippet))
+        elif rule == "order":
             got = check_memory_orders("<self-test>", snippet)
         elif rule == "adaptive":
             got = check_adaptive_hot_reads("<self-test>", snippet)
