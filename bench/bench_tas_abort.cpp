@@ -38,7 +38,6 @@ workload::SimMetrics sweep_stickiness(int n, double stickiness, int sweeps,
     sim::StickyRandomSchedule sched(
         seed + static_cast<std::uint64_t>(i) * 131 + 7, stickiness);
     total += workload::run_sim(
-        n,
         [&](Simulator& s) {
           for (int p = 0; p < n; ++p) {
             s.add_process([a1, p](SimContext& ctx) {

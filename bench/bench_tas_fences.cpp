@@ -40,7 +40,7 @@ struct HardwareOnly {
     return TasOutcome{prev == 0 ? TasSpec::kWinner : TasSpec::kLoser,
                       TasPath::kHardware};
   }
-  sim::SimTas cell;
+  sim::SimPlatform::Tas cell;
 };
 
 struct RmwStats {

@@ -34,10 +34,10 @@
 // depends on seeing a reconfiguration, so adaptive_test's equivalence
 // cases can pin Adaptive<Obj> bit-identical to the bare Obj.
 //
-// Determinism: monitor ticks are compiled out for non-blocking
-// contexts (context_can_block_v), so simulator-driven exploration
-// never observes wall-clock-dependent reconfiguration and every
-// sim-backed proof about Obj applies verbatim to Adaptive<Obj>.
+// Determinism: monitor ticks are compiled out for awaitable contexts
+// (detail::context_can_await_v, i.e. the simulator), so simulator-driven
+// exploration never observes wall-clock-dependent reconfiguration and
+// every sim-backed proof about Obj applies verbatim to Adaptive<Obj>.
 #pragma once
 
 #include <array>
@@ -51,6 +51,7 @@
 #include "core/module.hpp"
 #include "core/sharding.hpp"
 #include "history/request.hpp"
+#include "runtime/wait.hpp"
 #include "support/cacheline.hpp"
 #include "support/parking.hpp"
 
@@ -295,12 +296,12 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
   // The per-op hook: one relaxed fetch_add on the caller's own cell;
   // when that cell crosses a window boundary its thread tries the tick
   // lock and does the sampling/decision work, everyone else proceeds
-  // untouched. Compiled out entirely for contexts that cannot block
-  // (the deterministic simulator).
+  // untouched. Compiled out entirely for awaitable contexts (the
+  // deterministic simulator).
   template <class Ctx>
   void maybe_tick(Ctx& ctx) {
     (void)ctx;
-    if constexpr (context_can_block_v<Ctx>) {
+    if constexpr (!detail::context_can_await_v<Ctx>) {
       auto& cell =
           op_counts_[static_cast<std::size_t>(ctx.id()) % kOpCountCells].value;
       const std::uint64_t n = cell.fetch_add(1, std::memory_order_relaxed) + 1;

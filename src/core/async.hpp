@@ -15,8 +15,8 @@
 // A Ticket is one of:
 //   * READY   — the result is stored inline. Synchronous layers
 //     (Pipeline, Sharded over a synchronous replica, an uncontended
-//     Combining fast path, any layer on the step-granting simulator)
-//     complete inline and hand back ready tickets, so the
+//     Combining fast path, any layer on the simulator's awaitable
+//     context) complete inline and hand back ready tickets, so the
 //     submit/complete surface is uniform without a second queue
 //     mechanism.
 //   * PENDING — the operation lives in a publication slot owned by an
@@ -42,7 +42,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 #include "core/module.hpp"
@@ -56,33 +55,6 @@ namespace scm {
 // nothing. Combiner-run callbacks execute while the combiner lock is
 // held: they must not re-enter the owning Combining.
 using CompletionFn = void (*)(void* user, const ModuleResult& result);
-
-namespace detail {
-
-// Contexts whose on_*() hooks may block the calling OS thread are the
-// only ones that can run publication round trips (the simulator's
-// step-granting scheduler cannot express a spin on combiner progress).
-// NativeContext opts in via `static constexpr bool kCanBlock = true`;
-// everything else — SimContext in particular — defaults to inline
-// completion.
-template <class Ctx, class = void>
-struct context_can_block : std::false_type {};
-
-template <class Ctx>
-struct context_can_block<Ctx, std::void_t<decltype(Ctx::kCanBlock)>>
-    : std::bool_constant<Ctx::kCanBlock> {};
-
-template <class Ctx>
-inline constexpr bool context_can_block_v = context_can_block<Ctx>::value;
-
-}  // namespace detail
-
-// Public name for the blocking-context trait: layers outside this
-// header (core/adaptive.hpp gates its monitor ticks on it, so the
-// deterministic simulator never observes wall-clock-dependent
-// reconfiguration) key behavior on the same opt-in NativeContext uses.
-template <class Ctx>
-inline constexpr bool context_can_block_v = detail::context_can_block_v<Ctx>;
 
 // Type-erased completion source of a pending ticket: two functions
 // instantiated by the issuing layer for the (source, context) pair the

@@ -191,16 +191,17 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // serialization point: callbacks across the whole object fire in
   // linearization order (the caching combinator's invalidation/refill
   // depends on this), and callbacks must never re-enter this
-  // Combining. On non-blocking platforms (the step-granting
-  // simulator) publication round trips cannot run, so submit()
-  // degenerates to invoke() plus a ready ticket.
+  // Combining. On awaitable contexts (the simulator) submit() is
+  // invoke() plus a ready ticket: the simulator explores invoke()'s
+  // publication round trip through await, and pending tickets stay a
+  // native-thread surface.
   template <class Ctx>
     requires Composable<Obj, Ctx>
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
                               std::optional<SwitchValue> init = std::nullopt,
                               CompletionFn completion = nullptr,
                               void* user = nullptr) {
-    if constexpr (!detail::context_can_block_v<Ctx>) {
+    if constexpr (detail::context_can_await_v<Ctx>) {
       const ModuleResult r = invoke(ctx, m, init);
       if (completion != nullptr) completion(user, r);
       return Ticket<ModuleResult>::ready(r);
@@ -218,10 +219,10 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // every operation submitted (by any thread) before the call has been
   // EXECUTED — its slot sits in kDone awaiting its ticket. It does not
   // wait for other threads to collect their tickets. A no-op on
-  // non-blocking platforms, where nothing can be pending.
+  // awaitable contexts, where submit() leaves nothing pending.
   template <class Ctx>
   void drain(Ctx& ctx) {
-    if constexpr (detail::context_can_block_v<Ctx>) {
+    if constexpr (!detail::context_can_await_v<Ctx>) {
       while (any_unserved()) {
         if (help_combine(ctx)) continue;
         wait_until(

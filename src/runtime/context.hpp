@@ -9,14 +9,6 @@ namespace scm {
 
 class NativeContext {
  public:
-  // Native threads may block (spin on combiner progress, park in a
-  // publication round trip): the async submission layer keys on this
-  // to pick publish-and-return over inline completion. The simulated
-  // context deliberately lacks the marker — its on_*() hooks hand
-  // control to a step-granting scheduler that cannot express blocking
-  // helping, so async submission completes inline there.
-  static constexpr bool kCanBlock = true;
-
   NativeContext() = default;
   explicit NativeContext(ProcessId id) noexcept : id_(id) {}
 

@@ -9,10 +9,13 @@
 //   P::Cas<T>             — hardware compare-and-swap
 //   P::Counter            — fetch-and-add counter
 //
-// Two platforms are provided: NativePlatform (std::atomic, real
-// threads; used by benchmarks and examples) and sim::SimPlatform
-// (deterministic scheduler; used by tests and model-level benches).
-// Algorithm code is byte-for-byte identical across the two.
+// The base objects are the native ones on every platform; a platform
+// only picks the context that drives their step hooks. NativePlatform
+// (NativeContext: real threads, inline step counting; used by
+// benchmarks and examples) and sim::SimPlatform (SimContext: every
+// hook is a scheduling point of the deterministic simulator; used by
+// tests and model-level benches) are the two instantiations, so the
+// simulator explores exactly the code that ships.
 #pragma once
 
 #include <concepts>
@@ -33,8 +36,9 @@ concept ExecutionContext = requires(Ctx c) {
   c.on_rmw();
 };
 
-struct NativePlatform {
-  using Context = NativeContext;
+template <ExecutionContext Ctx>
+struct BasicPlatform {
+  using Context = Ctx;
   template <class T>
   using Register = NativeRegister<T>;
   using Tas = NativeTas;
@@ -43,6 +47,6 @@ struct NativePlatform {
   using Counter = NativeCounter;
 };
 
-static_assert(ExecutionContext<NativePlatform::Context>);
+using NativePlatform = BasicPlatform<NativeContext>;
 
 }  // namespace scm

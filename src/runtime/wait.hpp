@@ -43,7 +43,9 @@ namespace detail {
 
 // Contexts that can park on a condition mark themselves with
 // `static constexpr bool kCanAwait = true` (SimContext); everything
-// else falls back to the native spin.
+// else (NativeContext) falls back to the native spin. It is the one
+// context capability: Combining's submit()/drain() and Adaptive's
+// monitor tick key on it too.
 template <class Ctx, class = void>
 struct context_can_await : std::false_type {};
 

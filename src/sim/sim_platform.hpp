@@ -1,150 +1,17 @@
-// Simulated shared-memory base objects.
-//
-// Under the token-passing scheduler exactly one process executes at a
-// time and every access is preceded by SimContext::on_*() (which parks
-// until granted), so plain storage gives linearizable registers "for
-// free": the grant order *is* the linearization order. Cross-thread
-// visibility is established by the simulator's mutex.
+// The simulated platform: the native base objects, driven by
+// SimContext. Every access calls ctx.on_*() before touching the atomic
+// cell, and that hook parks the process until the token-passing
+// scheduler grants the step, so exactly one process touches shared
+// memory at a time and the grant order is the linearization order.
+// A crash injected at a hook throws sim::Crashed before the access, and
+// the context-dependent noexcept of the primitives lets it unwind.
 #pragma once
 
-#include <cstdint>
-#include <type_traits>
-
-#include "runtime/ids.hpp"
+#include "runtime/platform.hpp"
 #include "sim/simulator.hpp"
 
 namespace scm::sim {
 
-template <class T>
-class SimRegister {
-  static_assert(std::is_trivially_copyable_v<T>);
-
- public:
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-
-  SimRegister() = default;
-  explicit SimRegister(T initial) noexcept : value_(initial) {}
-  SimRegister(const SimRegister&) = delete;
-  SimRegister& operator=(const SimRegister&) = delete;
-
-  [[nodiscard]] T read(SimContext& ctx) const {
-    ctx.on_read();
-    return value_;
-  }
-
-  void write(SimContext& ctx, T value) {
-    ctx.on_write();
-    value_ = value;
-  }
-
-  [[nodiscard]] T peek() const noexcept { return value_; }
-  void reset(T value) noexcept { value_ = value; }
-
- private:
-  T value_{};
-};
-
-class SimTas {
- public:
-  static constexpr int kConsensusNumber = kConsensusNumberTas;
-
-  SimTas() = default;
-  SimTas(const SimTas&) = delete;
-  SimTas& operator=(const SimTas&) = delete;
-
-  [[nodiscard]] int test_and_set(SimContext& ctx) {
-    ctx.on_rmw();
-    const int prev = value_;
-    value_ = 1;
-    return prev;
-  }
-
-  [[nodiscard]] int read(SimContext& ctx) const {
-    ctx.on_read();
-    return value_;
-  }
-
-  void reset() noexcept { value_ = 0; }
-  [[nodiscard]] int peek() const noexcept { return value_; }
-
- private:
-  int value_ = 0;
-};
-
-template <class T>
-class SimCas {
-  static_assert(std::is_trivially_copyable_v<T>);
-
- public:
-  static constexpr int kConsensusNumber = kConsensusNumberCas;
-
-  SimCas() = default;
-  explicit SimCas(T initial) noexcept : value_(initial) {}
-  SimCas(const SimCas&) = delete;
-  SimCas& operator=(const SimCas&) = delete;
-
-  [[nodiscard]] bool compare_and_swap(SimContext& ctx, T& expected, T desired) {
-    ctx.on_rmw();
-    if (value_ == expected) {
-      value_ = desired;
-      return true;
-    }
-    expected = value_;
-    return false;
-  }
-
-  [[nodiscard]] T read(SimContext& ctx) const {
-    ctx.on_read();
-    return value_;
-  }
-
-  void write(SimContext& ctx, T value) {
-    ctx.on_write();
-    value_ = value;
-  }
-
-  [[nodiscard]] T peek() const noexcept { return value_; }
-  void reset(T value) noexcept { value_ = value; }
-
- private:
-  T value_{};
-};
-
-class SimCounter {
- public:
-  static constexpr int kConsensusNumber = kConsensusNumberFetchAdd;
-
-  SimCounter() = default;
-  SimCounter(const SimCounter&) = delete;
-  SimCounter& operator=(const SimCounter&) = delete;
-
-  [[nodiscard]] std::uint64_t fetch_add(SimContext& ctx, std::uint64_t d = 1) {
-    ctx.on_rmw();
-    const std::uint64_t prev = value_;
-    value_ += d;
-    return prev;
-  }
-
-  [[nodiscard]] std::uint64_t read(SimContext& ctx) const {
-    ctx.on_read();
-    return value_;
-  }
-
-  [[nodiscard]] std::uint64_t peek() const noexcept { return value_; }
-  void reset(std::uint64_t v = 0) noexcept { value_ = v; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-struct SimPlatform {
-  using Context = SimContext;
-  template <class T>
-  using Register = SimRegister<T>;
-  using Tas = SimTas;
-  template <class T>
-  using Cas = SimCas<T>;
-  using Counter = SimCounter;
-};
+using SimPlatform = BasicPlatform<SimContext>;
 
 }  // namespace scm::sim

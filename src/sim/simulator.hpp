@@ -59,7 +59,9 @@ class SimContext {
   // Marker consumed by scm::wait_until (runtime/wait.hpp): this context
   // supports conditional parking, so blocking layers (the combining
   // wrappers' wait loops) park in await() instead of spinning — which
-  // is what makes the slot protocol explorable by sim::explore.
+  // is what makes the slot protocol explorable by sim::explore. The
+  // same marker makes Combining::submit complete inline and compiles
+  // Adaptive's wall-clock monitor out.
   static constexpr bool kCanAwait = true;
 
   [[nodiscard]] ProcessId id() const noexcept { return id_; }

@@ -53,15 +53,13 @@ struct SimMetrics {
   }
 };
 
-// Runs one simulated execution. `make_bodies` installs the process
+// Runs one simulated execution. `add_processes` installs the process
 // bodies into the simulator; each body must wrap operations in
 // begin_op/end_op with output 1 = commit, 0 = abort. Aggregates the
 // operation records into SimMetrics.
 inline SimMetrics run_sim(
-    int processes,
     const std::function<void(sim::Simulator&)>& add_processes,
     sim::Schedule& schedule) {
-  (void)processes;
   sim::Simulator s;
   add_processes(s);
   s.run(schedule);

@@ -2,7 +2,7 @@
 //
 //  * Adaptive<Obj> is a Composable module, inherits the wrapped
 //    object's consensus number, compiles its monitor tick out for
-//    non-blocking (simulator) contexts, and accepts only objects with
+//    awaitable (simulator) contexts, and accepts only objects with
 //    Combining's knobs and counters;
 //  * solo equivalence: every invoke/submit response through
 //    Adaptive<Obj> is bit-identical to the bare Obj's, on the wait and
@@ -46,6 +46,7 @@
 #include "lincheck/lincheck.hpp"
 #include "runtime/context.hpp"
 #include "runtime/platform.hpp"
+#include "runtime/wait.hpp"
 #include "sim/sim_platform.hpp"
 #include "workload/driver.hpp"
 
@@ -127,11 +128,11 @@ concept Adaptable = requires { typename Adaptive<T>; };
 static_assert(Adaptable<CombStack>);
 static_assert(!Adaptable<ShardStack>);
 static_assert(!Adaptable<CounterModule>);
-// The tick is compiled out exactly where blocking is illegal: the
+// The tick is compiled out exactly for awaitable contexts: the
 // deterministic simulator must never observe wall-clock-dependent
 // reconfiguration.
-static_assert(context_can_block_v<NativeContext>);
-static_assert(!context_can_block_v<sim::SimContext>);
+static_assert(!detail::context_can_await_v<NativeContext>);
+static_assert(detail::context_can_await_v<sim::SimContext>);
 
 // ---------------------------------------------------------------------------
 // Solo equivalence: Adaptive<Obj> == Obj, bit for bit

@@ -7,7 +7,7 @@
 //    bit-identical to invoke() for a single-threaded caller on every
 //    layer: Pipeline, FastPipeline, Sharded, Combining, and their
 //    nestings (the acceptance pin for this surface);
-//  * on the simulator (a non-blocking context) submit() completes
+//  * on the simulator (an awaitable context) submit() completes
 //    inline and the tickets are born ready;
 //  * a solo caller's all-fast-path run issues no futex syscall on the
 //    combining layers;
@@ -43,10 +43,12 @@
 #include "core/module.hpp"
 #include "core/pipeline.hpp"
 #include "core/sharding.hpp"
+#include "fixtures.hpp"
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
 #include "runtime/context.hpp"
 #include "runtime/platform.hpp"
+#include "runtime/wait.hpp"
 #include "sim/schedules.hpp"
 #include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
@@ -55,44 +57,12 @@
 namespace scm {
 namespace {
 
+using fixtures::HopModule;
+using fixtures::SinkModule;
+using fixtures::TicketModule;
+
 using sim::SimContext;
 using sim::Simulator;
-
-struct HopModule {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& /*m*/,
-                      std::optional<SwitchValue> init = std::nullopt) {
-    return ModuleResult::abort_with(init.value_or(0) + 1);
-  }
-};
-
-struct SinkModule {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& /*m*/,
-                      std::optional<SwitchValue> init = std::nullopt) {
-    return ModuleResult::commit(init.value_or(0));
-  }
-};
-
-// Fetch&inc semantics (CounterSpec): commits a unique monotone ticket.
-struct TicketModule {
-  static constexpr int kConsensusNumber = kConsensusNumberFetchAdd;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& ctx, const Request& /*m*/,
-                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
-    return ModuleResult::commit(static_cast<Response>(count_.fetch_add(ctx)));
-  }
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_.peek(); }
-
- private:
-  NativeCounter count_;
-};
 
 // Parks the calling thread inside the wrapped object for requests with
 // op == 1 until the gate opens — the deterministic way to keep the
@@ -210,12 +180,12 @@ TEST(AsyncSubmit, SoloSubmitWaitMatchesInvokeOnEveryLayer) {
 }
 
 TEST(AsyncSubmit, SimulatorContextCompletesInline) {
-  static_assert(detail::context_can_block_v<NativeContext>);
-  static_assert(!detail::context_can_block_v<SimContext>);
+  static_assert(!detail::context_can_await_v<NativeContext>);
+  static_assert(detail::context_can_await_v<SimContext>);
 
   // Under a sim context, Combining::submit must degenerate to
-  // invoke() + ready ticket — a pending publication would park the
-  // process against the step-granting scheduler.
+  // invoke() + ready ticket: pending tickets are a native-thread
+  // surface.
   Combining<Pipeline<HopModule, SinkModule>, 4> combined;
   Simulator s;
   s.add_process([&](SimContext& ctx) {

@@ -37,6 +37,7 @@
 #include "core/module.hpp"
 #include "core/pipeline.hpp"
 #include "core/sharding.hpp"
+#include "fixtures.hpp"
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
 #include "runtime/context.hpp"
@@ -49,27 +50,9 @@
 namespace scm {
 namespace {
 
-
-// Plumbing-only helpers, as in pipeline_test.
-struct HopModule {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& /*m*/,
-                      std::optional<SwitchValue> init = std::nullopt) {
-    return ModuleResult::abort_with(init.value_or(0) + 1);
-  }
-};
-
-struct SinkModule {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& /*m*/,
-                      std::optional<SwitchValue> init = std::nullopt) {
-    return ModuleResult::commit(init.value_or(0));
-  }
-};
+using fixtures::HopModule;
+using fixtures::SinkModule;
+using fixtures::TicketModule;
 
 // Commits exactly the requests whose arg equals this stage's index
 // (response encodes the inherited fold and the serving stage), aborts
@@ -87,22 +70,6 @@ struct StageGate {
     }
     return ModuleResult::abort_with(init.value_or(0) + 1);
   }
-};
-
-// Fetch&inc semantics (CounterSpec): commits a unique monotone ticket.
-struct TicketModule {
-  static constexpr int kConsensusNumber = kConsensusNumberFetchAdd;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& ctx, const Request& /*m*/,
-                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
-    return ModuleResult::commit(static_cast<Response>(count_.fetch_add(ctx)));
-  }
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_.peek(); }
-
- private:
-  NativeCounter count_;
 };
 
 Request arg_req(std::uint64_t id, ProcessId p, std::int64_t arg) {

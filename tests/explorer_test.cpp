@@ -44,7 +44,7 @@ TEST(Explorer, PinsExactLeafCountOnKnownTree) {
   auto stats = explore_all_schedules(
       [] {
         auto sim = std::make_unique<Simulator>();
-        auto reg = std::make_shared<SimRegister<int>>(0);
+        auto reg = std::make_shared<SimPlatform::Register<int>>(0);
         for (int p = 0; p < 2; ++p) {
           sim->add_process([reg](SimContext& ctx) {
             for (int i = 0; i < 3; ++i) reg->write(ctx, i);
@@ -68,7 +68,7 @@ TEST(Explorer, PinsLeafCountOnAsymmetricTree) {
   auto stats = explore_all_schedules(
       [] {
         auto sim = std::make_unique<Simulator>();
-        auto reg = std::make_shared<SimRegister<int>>(0);
+        auto reg = std::make_shared<SimPlatform::Register<int>>(0);
         sim->add_process([reg](SimContext& ctx) {
           for (int i = 0; i < 3; ++i) reg->write(ctx, i);
         });
@@ -89,7 +89,7 @@ TEST(Explorer, NeverFiringCrashPredicateLeavesTreeUnchanged) {
   auto stats = explore_all_schedules(
       [] {
         auto sim = std::make_unique<Simulator>();
-        auto reg = std::make_shared<SimRegister<int>>(0);
+        auto reg = std::make_shared<SimPlatform::Register<int>>(0);
         for (int p = 0; p < 2; ++p) {
           sim->add_process([reg](SimContext& ctx) {
             for (int i = 0; i < 3; ++i) reg->write(ctx, i);
@@ -115,7 +115,7 @@ TEST(Explorer, TruncationReportsNotExhausted) {
   auto stats = explore_all_schedules(
       [] {
         auto sim = std::make_unique<Simulator>();
-        auto reg = std::make_shared<SimRegister<int>>(0);
+        auto reg = std::make_shared<SimPlatform::Register<int>>(0);
         for (int p = 0; p < 2; ++p) {
           sim->add_process([reg](SimContext& ctx) {
             for (int i = 0; i < 3; ++i) reg->write(ctx, i);
@@ -138,7 +138,7 @@ TEST(Explorer, TruncationReportsNotExhausted) {
 // step in the paper's cost model).
 TEST(Await, ParksUntilPredicateHoldsAndWakeIsNotAStep) {
   Simulator sim;
-  SimRegister<int> reg(0);
+  SimPlatform::Register<int> reg(0);
   std::vector<int> order;
   sim.add_process([&](SimContext& ctx) {
     ctx.await([&] { return reg.peek() == 1; });
@@ -176,7 +176,7 @@ TEST(Await, WaitingProcessAddsNoBranching) {
   auto stats = explore_all_schedules(
       [] {
         auto sim = std::make_unique<Simulator>();
-        auto reg = std::make_shared<SimRegister<int>>(0);
+        auto reg = std::make_shared<SimPlatform::Register<int>>(0);
         sim->add_process([reg](SimContext& ctx) {
           ctx.await([reg] { return reg->peek() == 3; });
           reg->write(ctx, 99);
@@ -198,7 +198,7 @@ TEST(AwaitDeathTest, UnsatisfiablePredicateAbortsAsDeadlock) {
   EXPECT_DEATH(
       {
         Simulator sim;
-        SimRegister<int> reg(0);
+        SimPlatform::Register<int> reg(0);
         sim.add_process([&](SimContext& ctx) {
           ctx.await([&] { return reg.peek() == 42; });  // never written
         });
@@ -216,7 +216,7 @@ TEST(Await, BlockedWaiterCanBeCrashedWhereItWaits) {
   auto stats = explore_all_schedules(
       [] {
         auto sim = std::make_unique<Simulator>();
-        auto reg = std::make_shared<SimRegister<int>>(0);
+        auto reg = std::make_shared<SimPlatform::Register<int>>(0);
         sim->add_process([reg](SimContext& ctx) {
           ctx.begin_op();
           reg->write(ctx, 1);

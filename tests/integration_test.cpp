@@ -209,7 +209,7 @@ TEST(TraceRecorder, ProjectionKeepsPerProcessOrder) {
 
 TEST(Schedules, SoloScheduleRunsHeroToCompletionFirst) {
   Simulator s;
-  sim::SimRegister<int> reg(0);
+  sim::SimPlatform::Register<int> reg(0);
   std::vector<int> finish_order;
   for (int p = 0; p < 3; ++p) {
     s.add_process([&, p](SimContext& ctx) {
@@ -225,7 +225,7 @@ TEST(Schedules, SoloScheduleRunsHeroToCompletionFirst) {
 
 TEST(Schedules, StickyRandomWithStickinessOneIsSequentialPerOp) {
   Simulator s;
-  sim::SimRegister<int> reg(0);
+  sim::SimPlatform::Register<int> reg(0);
   for (int p = 0; p < 3; ++p) {
     s.add_process([&](SimContext& ctx) {
       ctx.begin_op();
@@ -243,7 +243,7 @@ TEST(Schedules, StickyRandomWithStickinessOneIsSequentialPerOp) {
 TEST(Schedules, RoundRobinQuantumControlsInterleavingGranularity) {
   auto contention_with_quantum = [](std::uint64_t quantum) {
     Simulator s;
-    sim::SimRegister<int> reg(0);
+    sim::SimPlatform::Register<int> reg(0);
     for (int p = 0; p < 2; ++p) {
       s.add_process([&](SimContext& ctx) {
         ctx.begin_op();

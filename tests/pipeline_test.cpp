@@ -25,6 +25,7 @@
 #include "consensus/split_consensus.hpp"
 #include "core/module.hpp"
 #include "core/pipeline.hpp"
+#include "fixtures.hpp"
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
 #include "runtime/context.hpp"
@@ -39,6 +40,8 @@
 namespace scm {
 namespace {
 
+using fixtures::SinkModule;
+
 using sim::SimContext;
 using sim::SimPlatform;
 using sim::Simulator;
@@ -50,8 +53,8 @@ Request tas_req(std::uint64_t id, ProcessId p) {
   return Request{id, p, TasSpec::kTestAndSet, 0};
 }
 
-// Context-free helper modules for plumbing tests (no shared-memory
-// steps, so they run on a bare NativeContext).
+// Plumbing-only hop (no shared-memory steps, so it runs on a bare
+// NativeContext) that counts its invocations.
 struct HopModule {
   static constexpr int kConsensusNumber = kConsensusNumberRegister;
   int invocations = 0;
@@ -61,16 +64,6 @@ struct HopModule {
                       std::optional<SwitchValue> init = std::nullopt) {
     ++invocations;
     return ModuleResult::abort_with(init.value_or(0) + 1);
-  }
-};
-
-struct SinkModule {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& /*m*/,
-                      std::optional<SwitchValue> init = std::nullopt) {
-    return ModuleResult::commit(init.value_or(0));
   }
 };
 

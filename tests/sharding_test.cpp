@@ -33,6 +33,7 @@
 #include "core/module.hpp"
 #include "core/pipeline.hpp"
 #include "core/sharding.hpp"
+#include "fixtures.hpp"
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
 #include "runtime/context.hpp"
@@ -51,33 +52,15 @@
 namespace scm {
 namespace {
 
+using fixtures::HopModule;
+using fixtures::SinkModule;
+
 using sim::SimContext;
 using sim::SimPlatform;
 using sim::Simulator;
 
 using A1 = ObstructionFreeTas<SimPlatform>;
 using A2 = WaitFreeTas<SimPlatform>;
-
-// Plumbing-only modules (no shared-memory steps), as in pipeline_test.
-struct HopModule {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& /*m*/,
-                      std::optional<SwitchValue> init = std::nullopt) {
-    return ModuleResult::abort_with(init.value_or(0) + 1);
-  }
-};
-
-struct SinkModule {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& /*m*/,
-                      std::optional<SwitchValue> init = std::nullopt) {
-    return ModuleResult::commit(init.value_or(0));
-  }
-};
 
 Request keyed_req(std::uint64_t id, ProcessId p, std::uint64_t key) {
   return Request{id, p, TasSpec::kTestAndSet,

@@ -3,6 +3,7 @@
 // and the exhaustive explorer.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "runtime/primitives.hpp"
+#include "runtime/registers.hpp"
 #include "sim/explorer.hpp"
 #include "sim/schedules.hpp"
 #include "sim/sim_platform.hpp"
@@ -20,7 +22,7 @@ namespace {
 
 TEST(Simulator, SingleProcessRunsToCompletion) {
   Simulator sim;
-  SimRegister<int> reg(0);
+  SimPlatform::Register<int> reg(0);
   sim.add_process([&](SimContext& ctx) {
     ctx.begin_op(1);
     reg.write(ctx, 42);
@@ -39,7 +41,7 @@ TEST(Simulator, SingleProcessRunsToCompletion) {
 
 TEST(Simulator, SequentialScheduleHasNoContention) {
   Simulator sim;
-  SimRegister<int> reg(0);
+  SimPlatform::Register<int> reg(0);
   for (int p = 0; p < 4; ++p) {
     sim.add_process([&](SimContext& ctx) {
       ctx.begin_op();
@@ -61,7 +63,7 @@ TEST(Simulator, SequentialScheduleHasNoContention) {
 
 TEST(Simulator, RoundRobinScheduleCreatesStepContention) {
   Simulator sim;
-  SimRegister<int> reg(0);
+  SimPlatform::Register<int> reg(0);
   for (int p = 0; p < 2; ++p) {
     sim.add_process([&](SimContext& ctx) {
       ctx.begin_op();
@@ -83,7 +85,7 @@ TEST(Simulator, StepsAreMutuallyExclusiveAndTotal) {
   // as two *separate* steps may lose updates under round-robin, but the
   // total step count must be exact and no torn values can appear.
   Simulator sim;
-  SimRegister<int> reg(0);
+  SimPlatform::Register<int> reg(0);
   constexpr int kProcs = 8;
   constexpr int kIters = 5;
   for (int p = 0; p < kProcs; ++p) {
@@ -104,7 +106,7 @@ TEST(Simulator, StepsAreMutuallyExclusiveAndTotal) {
 TEST(Simulator, DeterministicUnderSameSeed) {
   auto run_once = [](std::uint64_t seed) {
     Simulator sim;
-    auto reg = std::make_unique<SimRegister<int>>(0);
+    auto reg = std::make_unique<SimPlatform::Register<int>>(0);
     for (int p = 0; p < 4; ++p) {
       sim.add_process([&reg](SimContext& ctx) {
         for (int i = 0; i < 6; ++i) {
@@ -123,7 +125,7 @@ TEST(Simulator, DeterministicUnderSameSeed) {
 
 TEST(Simulator, CrashInjectionStopsProcessMidOperation) {
   Simulator sim;
-  SimRegister<int> reg(0);
+  SimPlatform::Register<int> reg(0);
   sim.add_process([&](SimContext& ctx) {
     ctx.begin_op();
     reg.write(ctx, 1);
@@ -147,14 +149,26 @@ TEST(Simulator, CrashInjectionStopsProcessMidOperation) {
   EXPECT_EQ(reg.peek(), 1);  // exactly one write landed before the crash
 }
 
-// The native primitives are context-generic, so they run under the
-// simulator too — and a crash at their step must unwind through them
-// like through any simulated register (noexcept there would turn the
-// Crashed exception into std::terminate). Natively they stay noexcept.
-static_assert(!noexcept(std::declval<NativeCounter&>().fetch_add(
-    std::declval<SimContext&>())));
-static_assert(noexcept(std::declval<NativeCounter&>().fetch_add(
-    std::declval<NativeContext&>())));
+// The native base objects are context-generic, and SimPlatform runs
+// them under the simulator — so a crash at their step must unwind
+// through them (noexcept there would turn the Crashed exception into
+// std::terminate). Natively they stay noexcept. One entry per step:
+// register read and write, test&set, compare&swap, fetch&add.
+template <class Ctx>
+constexpr std::array<bool, 5> steps_noexcept() {
+  using std::declval;
+  return {
+      noexcept(declval<NativeRegister<int>&>().read(declval<Ctx&>())),
+      noexcept(declval<NativeRegister<int>&>().write(declval<Ctx&>(), 0)),
+      noexcept(declval<NativeTas&>().test_and_set(declval<Ctx&>())),
+      noexcept(declval<NativeCas<int>&>().compare_and_swap(
+          declval<Ctx&>(), declval<int&>(), 0)),
+      noexcept(declval<NativeCounter&>().fetch_add(declval<Ctx&>()))};
+}
+static_assert(steps_noexcept<SimContext>() ==
+              std::array{false, false, false, false, false});
+static_assert(steps_noexcept<NativeContext>() ==
+              std::array{true, true, true, true, true});
 
 TEST(Simulator, CrashInsideNativeCounterFetchAddUnwinds) {
   Simulator sim;
@@ -176,7 +190,7 @@ TEST(Simulator, CrashInsideNativeCounterFetchAddUnwinds) {
 
 TEST(Simulator, StepLimitTerminatesRun) {
   Simulator sim(/*max_steps=*/10);
-  SimRegister<int> reg(0);
+  SimPlatform::Register<int> reg(0);
   sim.add_process([&](SimContext& ctx) {
     for (;;) reg.write(ctx, 1);  // unbounded loop, must be cut off
   });
@@ -186,9 +200,9 @@ TEST(Simulator, StepLimitTerminatesRun) {
   EXPECT_TRUE(sim.crashed(0));
 }
 
-TEST(Simulator, SimCasSemantics) {
+TEST(Simulator, CasSemantics) {
   Simulator sim;
-  SimCas<int> cas(0);
+  SimPlatform::Cas<int> cas(0);
   std::vector<int> won(2, 0);
   for (int p = 0; p < 2; ++p) {
     sim.add_process([&, p](SimContext& ctx) {
@@ -202,10 +216,10 @@ TEST(Simulator, SimCasSemantics) {
   EXPECT_EQ(cas.peek(), won[0] == 1 ? 1 : 2);
 }
 
-TEST(Simulator, SimTasExactlyOneWinner) {
+TEST(Simulator, TasExactlyOneWinner) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Simulator sim;
-    SimTas tas;
+    SimPlatform::Tas tas;
     std::vector<int> result(4, -1);
     for (int p = 0; p < 4; ++p) {
       sim.add_process(
@@ -226,7 +240,7 @@ TEST(Explorer, EnumeratesAllInterleavingsOfTwoWriters) {
   auto stats = explore_all_schedules(
       [&]() {
         auto sim = std::make_unique<Simulator>();
-        auto reg = std::make_shared<SimRegister<int>>(-1);
+        auto reg = std::make_shared<SimPlatform::Register<int>>(-1);
         for (int p = 0; p < 2; ++p) {
           sim->add_process([reg, p](SimContext& ctx) {
             reg->write(ctx, p);
@@ -259,7 +273,7 @@ TEST(Explorer, RespectsRunLimit) {
   auto stats = explore_all_schedules(
       [&]() {
         auto sim = std::make_unique<Simulator>();
-        auto reg = std::make_shared<SimRegister<int>>(0);
+        auto reg = std::make_shared<SimPlatform::Register<int>>(0);
         for (int p = 0; p < 3; ++p) {
           sim->add_process([reg](SimContext& ctx) {
             for (int i = 0; i < 4; ++i) reg->write(ctx, i);

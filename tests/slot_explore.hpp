@@ -15,32 +15,16 @@
 #include <vector>
 
 #include "core/module.hpp"
+#include "fixtures.hpp"
 #include "history/request.hpp"
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
-#include "runtime/primitives.hpp"
 #include "sim/explorer.hpp"
 #include "sim/simulator.hpp"
 
 namespace scm::slot_explore {
 
-// Fetch&inc semantics (CounterSpec): commits a unique monotone ticket.
-// NativeCounter is context-generic, so the same module runs under the
-// simulator with its RMW counted as a step.
-struct TicketModule {
-  static constexpr int kConsensusNumber = kConsensusNumberFetchAdd;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& ctx, const Request& /*m*/,
-                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
-    return ModuleResult::commit(static_cast<Response>(count_.fetch_add(ctx)));
-  }
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_.peek(); }
-
- private:
-  NativeCounter count_;
-};
+using fixtures::TicketModule;
 
 inline Request inc_req(std::uint64_t id, ProcessId p) {
   return Request{id, p, CounterSpec::kFetchInc, 0};

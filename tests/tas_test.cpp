@@ -182,14 +182,18 @@ TEST(A1, Lemma4InvariantsExhaustive) {
         // Invariant 1: at most one winner.
         ASSERT_LE(winners, 1);
         // Invariant 2: a winner excludes W-aborts.
-        if (winners == 1) ASSERT_EQ(w_aborts, 0);
+        if (winners == 1) {
+          ASSERT_EQ(w_aborts, 0);
+        }
         // Invariant 3 (completed-run corollary): if anyone committed
         // loser, then someone either won or aborted with W.
         int losers = 0;
         for (const auto& r : rs) {
           if (r.committed() && r.response == TasSpec::kLoser) ++losers;
         }
-        if (losers > 0) ASSERT_GE(winners + w_aborts, 1);
+        if (losers > 0) {
+          ASSERT_GE(winners + w_aborts, 1);
+        }
         // Invariants 4/5 need return/start ordering:
         // no W-abort may *start* after a loser commit returns; every op
         // starting after an abort returns must abort.

@@ -14,7 +14,7 @@ RULE 1: explicit memory orders (src/**).
 
   Skipped: calls whose first argument is a context (`ctx`, `c`) —
   those are the repo's own platform primitives (NativeCounter::
-  fetch_add(ctx), SimRegister::load(ctx)...), not std::atomic.
+  fetch_add(ctx), NativeRegister::read(ctx)...), not std::atomic.
   Escape hatch: `// scm-lint: default-order-ok` on the call's first
   line.
 
