@@ -383,14 +383,20 @@ class ShmArena {
                 "shm atomics must be address-free");
 
   // RAII guard over the header spinlock: stack-resident in the locking
-  // process, holds a reference into the mapping.
+  // process, holds a reference into the mapping. Test-and-test-and-set:
+  // a waiter spins on a relaxed read (paced by spin_backoff) and tries
+  // the exchange only once the word reads free, so a held lock costs
+  // its waiters cache-local re-reads, not a stream of RMWs on the line
+  // the holder must write to release it.
   // scm-lint: process-local
   class LockGuard {
    public:
     explicit LockGuard(std::atomic<std::uint32_t>& lock) : lock_(lock) {
       int spins = 0;
       while (lock_.exchange(1, std::memory_order_acquire) != 0) {
-        spin_backoff(spins);
+        while (lock_.load(std::memory_order_relaxed) != 0) {
+          spin_backoff(spins);
+        }
       }
     }
     ~LockGuard() { lock_.store(0, std::memory_order_release); }

@@ -7,10 +7,10 @@
 //                    `yield`), telling the pipeline and an SMT sibling
 //                    that this is a spin-wait without giving up the
 //                    timeslice;
-//   spin_backoff() — the exponential spin → pause → yield ladder that
-//                    keeps short waits free, medium waits polite, and
-//                    long waits (oversubscribed runs, cross-process
-//                    waits on a descheduled server) yielding.
+//   spin_backoff() — the flat spin → pause → yield ladder that keeps
+//                    short waits free, medium waits polite, and long
+//                    waits (oversubscribed runs, cross-process waits on
+//                    a descheduled server) yielding.
 //
 // Portability: targets without a dedicated spin-hint instruction fall
 // back to a compiler reordering barrier — the caller's re-read of the
@@ -40,17 +40,32 @@ inline void cpu_pause() noexcept {
 #endif
 }
 
-// Spin-wait pacing: an exponential spin → pause → yield ladder. The
-// first few iterations re-read bare (the watched line is cache-local
+// Length of the ladder: kBareSpins bare re-reads, then kPauseSteps
+// steps of exactly one pause each. The ladder saturates after
+// kBareSpins + kPauseSteps calls, having spent kPauseSteps pauses
+// (about 6 µs at 25 ns a pause). These are fixed, not knobs:
+// backoff_test pins them.
+inline constexpr int kBareSpins = 8;
+inline constexpr int kPauseSteps = 255;
+
+// Spin-wait pacing: a flat spin → pause → yield ladder. The first
+// kBareSpins calls return at once (the watched line is cache-local
 // until the writer invalidates it, so the common short wait costs
-// nothing extra); medium waits insert a doubling number of pause
-// hints, keeping the core polite without a syscall; long waits yield
-// the timeslice every iteration, which is what makes oversubscribed
+// nothing extra); the next kPauseSteps calls each issue ONE pause
+// hint, keeping the core polite without a syscall; once saturated,
+// every call yields the timeslice, which is what makes oversubscribed
 // runs (threads > cores, the CI regime) — and cross-process waits on a
 // server that lost its timeslice — complete promptly. A fixed spin
 // count would burn whole quanta that the thread being waited on needs.
 // There is no wakeup to lose: every rung returns to the caller's
 // re-read of the watched variable.
+//
+// Why one pause per step: every caller re-checks only a read of its
+// predicate between calls (an RMW is retried only once that read
+// turns true; ShmArena's header lock is a test-and-test-and-set for
+// this reason), so there is no RMW traffic for longer pause blocks to
+// throttle. Re-reading a line this core holds is nearly free, while a
+// block of N pauses delays seeing the write by up to N pauses.
 //
 // Returns whether the ladder is SATURATED — this call yielded the
 // timeslice rather than spinning. `spins` stops advancing at the
@@ -59,15 +74,8 @@ inline void cpu_pause() noexcept {
 // wait" — the signal the parking layer (support/parking.hpp) keys its
 // spin → yield → park escalation off.
 inline bool spin_backoff(int& spins) noexcept {
-  constexpr int kSpinRungs = 8;   // bare re-reads
-  constexpr int kPauseRungs = 8;  // 1, 2, 4, ... 128 pauses
-  if (spins < kSpinRungs) {
-    ++spins;
-    return false;
-  }
-  if (spins < kSpinRungs + kPauseRungs) {
-    const int reps = 1 << (spins - kSpinRungs);
-    for (int i = 0; i < reps; ++i) cpu_pause();
+  if (spins < kBareSpins + kPauseSteps) {
+    if (spins >= kBareSpins) cpu_pause();
     ++spins;
     return false;
   }

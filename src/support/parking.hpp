@@ -7,7 +7,9 @@
 // descheduled server lose their CPU time. WaitPoint adds the classic
 // CAS-fast-path + sys_futex-slow-path pattern on top:
 //
-//   rung 1  spin/pause   — backoff ladder, unchanged
+//   rung 1  spin/pause   — spin_backoff's flat ladder: 8 bare
+//                          re-reads, then 255 steps of one pause, the
+//                          predicate re-checked after every step
 //   rung 2  yield        — ladder saturated, hand over the timeslice
 //   rung 3  park         — FUTEX_WAIT on a 32-bit word; the kernel
 //                          runs someone useful until a waker calls

@@ -27,34 +27,40 @@ TEST(Backoff, GenericCpuPauseIsANoOpHint) {
   SUCCEED();
 }
 
-// Walk the whole ladder: 8 bare rungs, 8 doubling-pause rungs, then
+// The ladder's shape is fixed: 8 bare re-reads, then 255 steps of one
+// pause each, so the caller re-checks after every pause.
+static_assert(kBareSpins == 8);
+static_assert(kPauseSteps == 255);
+
+// Walk the whole ladder: 8 bare rungs, 255 single-pause rungs, then
 // the saturated yield rung. The counter stops advancing once
 // saturated — callers reset it themselves when the wait ends.
 TEST(Backoff, LadderAdvancesThenSaturates) {
   int spins = 0;
   for (int i = 0; i < 8; ++i) spin_backoff(spins);  // bare re-reads
   EXPECT_EQ(spins, 8);
-  for (int i = 0; i < 8; ++i) spin_backoff(spins);  // pause rungs
-  EXPECT_EQ(spins, 16);
+  for (int i = 0; i < 255; ++i) spin_backoff(spins);  // one pause each
+  EXPECT_EQ(spins, 263);
   for (int i = 0; i < 32; ++i) spin_backoff(spins);  // yield, forever
-  EXPECT_EQ(spins, 16);
+  EXPECT_EQ(spins, 263);
 }
 
 // Regression: because `spins` stops advancing at saturation, the
 // RETURN VALUE is the only signal that the wait has become long — a
-// caller watching the counter alone can never tell rung 16 ("about to
-// yield for the first time") from rung 16 after a thousand yields.
+// caller watching the counter alone can never tell rung 263 ("about to
+// yield for the first time") from rung 263 after a thousand yields.
 // The parking layer (support/parking.hpp) escalates to a futex park
 // off exactly this signal, so: every pre-saturation call must return
 // false, every saturated call true, indefinitely.
 TEST(Backoff, SaturationIsSignalledThroughTheReturnValue) {
   int spins = 0;
-  for (int i = 0; i < 16; ++i) {
+  for (int i = 0; i < 263; ++i) {
     EXPECT_FALSE(spin_backoff(spins)) << "rung " << i;
+    EXPECT_EQ(spins, i + 1);
   }
   for (int i = 0; i < 32; ++i) {
     EXPECT_TRUE(spin_backoff(spins)) << "saturated call " << i;
-    EXPECT_EQ(spins, 16);
+    EXPECT_EQ(spins, 263);
   }
 }
 

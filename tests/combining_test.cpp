@@ -695,16 +695,18 @@ TEST(Combining, ShardedCombiningKeepsPerShardAccounting) {
 }
 
 TEST(Combining, BackoffLadderLosesNoOpsUnderOversubscription) {
-  // The spin → pause → yield ladder (spin_backoff) exists
-  // for exactly this regime: more runnable publishers than cores, so a
-  // waiter that refuses to yield burns the timeslice the combiner (or
-  // the slot owner) needs. Oversubscribe deliberately and verify
-  // nothing is lost: every op commits a distinct ticket and the
-  // telemetry accounts for every invocation. There are no wakeups to
-  // lose by construction — every backoff rung returns to a re-read of
-  // the watched variable — and this pins the ladder against
-  // reintroducing one (e.g. a futex-style sleep without a matching
-  // wake on the publish path).
+  // The spin → pause → yield → park ladder exists for exactly this
+  // regime: more runnable publishers than cores, so a waiter that
+  // refuses to yield burns the timeslice the combiner (or the slot
+  // owner) needs. spin_backoff re-checks the watched variable after
+  // each of its 8 bare re-reads and 255 single pauses, then yields;
+  // parked_wait then parks on the wrapper's WaitPoint. Oversubscribe
+  // deliberately and verify nothing is lost: every op commits a
+  // distinct ticket and the telemetry accounts for every invocation.
+  // Every spin and yield rung returns to a re-read of the watched
+  // variable, and every park is preceded by an announce-then-re-check,
+  // so a lost wakeup (a state change on the publish path without its
+  // matching wake_all) would hang or drop ops here.
   const unsigned hw = std::thread::hardware_concurrency();
   const int threads =
       std::clamp(static_cast<int>(hw == 0 ? 2 : hw) * 2, 4, 16);

@@ -6,15 +6,19 @@
 //    format is pinned, and owner_of rejects an owner that does not fit;
 //  * ShmArena lifecycle: create / attach / publish / resolve across
 //    two independent mappings of one segment, the allocator's
-//    free-list reuse and exhaustion behavior, and the fail-fast
-//    attach paths (uninitialized magic, corrupted layout version);
+//    free-list reuse and exhaustion behavior, four threads allocating
+//    and freeing concurrently without two live blocks overlapping, and
+//    the fail-fast attach paths (uninitialized magic, corrupted layout
+//    version);
 //  * distinct ShmCombining instantiations carry distinct type tags;
 //  * ShmSpinBarrier aligns arrivals across generations;
 //  * ShmCombining executes a threaded fetch&inc workload with exact
 //    counts and unique tickets (the in-process half of the
 //    equivalence claim), a publish-only client's inits and
-//    commit/abort results cross one reused record intact, and its RMW
-//    budget is the gate plus the claim when published;
+//    commit/abort results cross one reused record intact, its RMW
+//    budget is the gate plus the claim when published, and four
+//    publish-only threads sharing two records (claim exhaustion) still
+//    count exactly;
 //  * one and three fork()ed client PROCESSES attach the segment by
 //    name and combine into the same object — exact total, no residue;
 //  * the crash-reclaim protocol: a publisher SIGKILLed while kPending
@@ -53,6 +57,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <map>
+#include <mutex>
 #include <new>
 #include <optional>
 #include <set>
@@ -241,6 +248,100 @@ TEST(ShmArena, AllocatorReusesFreedBlocksAndReportsExhaustion) {
   EXPECT_EQ(a->alloc(1 << 20), 0u);
 }
 
+// The header lock under real contention: kThreads threads churn
+// same-size blocks through one arena, each keeping up to a quarter of
+// the arena live at a time. A registry of live [offset, end) ranges
+// catches any two live blocks that overlap, and each block's contents
+// must survive untouched until its owner frees it. The arena holds
+// exactly kThreads * kLive blocks (calibrated on a fresh arena of the
+// same capacity), so a block the free list lost would fail a later
+// alloc; the second round reruns the same churn on the recycled blocks.
+TEST(ShmArena, ConcurrentAllocationsNeverOverlap) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kBlock = 256;
+  constexpr std::uint64_t kCapacity = 1 << 16;
+  constexpr int kAllocsPerThread = 2000;
+
+  // How many kBlock blocks a fresh arena of this capacity holds.
+  std::size_t fits = 0;
+  {
+    const std::string probe_name = unique_segment("alloc-probe");
+    SegmentJanitor probe_janitor{probe_name};
+    auto probe = ShmArena::create(probe_name, kCapacity);
+    ASSERT_TRUE(probe.has_value());
+    while (probe->alloc(kBlock) != 0) ++fits;
+  }
+  const std::size_t kLive = fits / kThreads;
+  ASSERT_GE(kLive, 8u);
+
+  const std::string name = unique_segment("alloc-mt");
+  SegmentJanitor janitor{name};
+  auto arena = ShmArena::create(name, kCapacity);
+  ASSERT_TRUE(arena.has_value());
+
+  std::mutex registry_mu;
+  std::map<std::uint64_t, std::uint64_t> live;  // offset -> end
+  std::atomic<std::uint64_t> failed_allocs{0};
+  std::atomic<std::uint64_t> overlaps{0};
+  std::atomic<std::uint64_t> corrupted{0};
+
+  auto churn = [&](int t) {
+    std::vector<std::uint64_t> mine;
+    auto release = [&](std::uint64_t off) {
+      const auto* words = arena->at<std::uint64_t>(off);
+      for (std::uint64_t w = 0; w < kBlock / sizeof(std::uint64_t); ++w) {
+        if (words[w] != off + static_cast<std::uint64_t>(t)) {
+          corrupted.fetch_add(1, std::memory_order_relaxed);
+          break;
+        }
+      }
+      {
+        const std::lock_guard<std::mutex> lock(registry_mu);
+        live.erase(off);
+      }
+      arena->free(off, kBlock);
+    };
+    for (int i = 0; i < kAllocsPerThread; ++i) {
+      if (mine.size() == kLive) {
+        release(mine.front());
+        mine.erase(mine.begin());
+      }
+      const std::uint64_t off = arena->alloc(kBlock);
+      if (off == 0) {
+        failed_allocs.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      {
+        const std::lock_guard<std::mutex> lock(registry_mu);
+        auto next = live.lower_bound(off);
+        const bool hits_next = next != live.end() && next->first < off + kBlock;
+        const bool hits_prev =
+            next != live.begin() && std::prev(next)->second > off;
+        if (hits_next || hits_prev) {
+          overlaps.fetch_add(1, std::memory_order_relaxed);
+        }
+        live[off] = off + kBlock;
+      }
+      auto* words = arena->at<std::uint64_t>(off);
+      for (std::uint64_t w = 0; w < kBlock / sizeof(std::uint64_t); ++w) {
+        words[w] = off + static_cast<std::uint64_t>(t);
+      }
+      mine.push_back(off);
+    }
+    for (const std::uint64_t off : mine) release(off);
+  };
+
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) pool.emplace_back(churn, t);
+    for (auto& th : pool) th.join();
+    EXPECT_EQ(failed_allocs.load(), 0u) << "round " << round;
+    EXPECT_EQ(overlaps.load(), 0u) << "round " << round;
+    EXPECT_EQ(corrupted.load(), 0u) << "round " << round;
+    EXPECT_TRUE(live.empty()) << "round " << round;
+  }
+}
+
 TEST(ShmArena, AttachRejectsUninitializedSegment) {
   const std::string name = unique_segment("garbage");
   SegmentJanitor janitor{name};
@@ -330,12 +431,24 @@ Request fetch_inc(std::uint64_t id, ProcessId p) {
   return Request{id, p, CounterSpec::kFetchInc, 0};
 }
 
-TEST(ShmCombining, ThreadedFetchIncIsExactWithUniqueTickets) {
+// kThreads publishers issue kOps fetch&incs each through one object;
+// the count, the tickets and the service-path telemetry must be exact.
+// Publish-only publishers (may_combine = false) need a combiner, so a
+// server thread loops try_serve while they run.
+template <std::size_t kSlots>
+void expect_exact_fetch_inc(bool may_combine) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kOps = 2000;
-  TestCombining comb;
-  NativeContext main_ctx(0);
+  ShmCombining<ShmCounter, kSlots> comb;
 
+  std::atomic<bool> stop{false};
+  std::thread server;
+  if (!may_combine) {
+    server = std::thread([&] {
+      NativeContext ctx(kThreads);
+      while (!stop.load(std::memory_order_acquire)) comb.try_serve(ctx);
+    });
+  }
   std::vector<std::vector<Response>> tickets(kThreads);
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
@@ -345,14 +458,19 @@ TEST(ShmCombining, ThreadedFetchIncIsExactWithUniqueTickets) {
       mine.reserve(kOps);
       for (std::uint64_t i = 0; i < kOps; ++i) {
         const ModuleResult r = comb.invoke(
-            ctx, fetch_inc((static_cast<std::uint64_t>(t) << 32) | i,
-                           static_cast<ProcessId>(t)));
+            ctx,
+            fetch_inc((static_cast<std::uint64_t>(t) << 32) | i,
+                      static_cast<ProcessId>(t)),
+            std::nullopt, may_combine);
         ASSERT_TRUE(r.committed());
         mine.push_back(r.response);
       }
     });
   }
   for (auto& th : pool) th.join();
+  stop.store(true, std::memory_order_release);
+  if (server.joinable()) server.join();
+  NativeContext main_ctx(kThreads + 1);
   comb.drain(main_ctx);
 
   constexpr std::uint64_t kTotal = kThreads * kOps;
@@ -367,6 +485,17 @@ TEST(ShmCombining, ThreadedFetchIncIsExactWithUniqueTickets) {
   EXPECT_EQ(comb.direct_ops() + comb.combined_ops(), kTotal);
   EXPECT_EQ(comb.occupied(), 0u);
   EXPECT_EQ(comb.pending(), 0u);
+}
+
+TEST(ShmCombining, ThreadedFetchIncIsExactWithUniqueTickets) {
+  expect_exact_fetch_inc<8>(/*may_combine=*/true);
+}
+
+// Claim exhaustion: four publish-only threads share two records, so
+// at least two of them at a time find every record taken and park in
+// claim() until a publisher's collect frees one.
+TEST(ShmCombining, ClaimExhaustionParksAndStaysExact) {
+  expect_exact_fetch_inc<2>(/*may_combine=*/false);
 }
 
 // Reports the init it was handed through its result, on both result
