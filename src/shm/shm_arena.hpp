@@ -229,10 +229,12 @@ class ShmArena {
     // enough and its offset happens to satisfy the alignment (blocks
     // are at least kMinAlign-aligned by construction). A tail
     // remainder big enough to be a block is split back onto the list.
+    const std::uint64_t end = allocated_end(h);
+    std::uint64_t walked = 0;
     std::uint64_t prev = 0;
     for (std::uint64_t off = h.free_head.load(std::memory_order_relaxed);
          off != 0;) {
-      auto* block = at_unchecked<FreeBlock>(off);
+      auto* block = checked_block(h, off, end, walked);
       const std::uint64_t next = block->next;
       if (block->size >= bytes && off % align == 0) {
         const std::uint64_t remainder = block->size - bytes;
@@ -259,12 +261,27 @@ class ShmArena {
 
   // Returns a block to the free list (no coalescing — arena churn is
   // setup-path, a handful of objects per run). `bytes` must be the
-  // size passed to alloc.
+  // size passed to alloc. A block that overlaps one already on the
+  // list (a double free) is a checked error: linking it twice would
+  // make the list cyclic.
   void free(std::uint64_t offset, std::uint64_t bytes) {
     SCM_CHECK_MSG(offset != 0, "freeing the null offset");
     bytes = round_size(bytes);
     Header& h = header();
     LockGuard guard(h.lock);
+    const std::uint64_t end = allocated_end(h);
+    check_locked(h,
+                 offset >= sizeof(Header) && offset % kMinAlign == 0 &&
+                     offset < end && bytes <= end - offset,
+                 "freeing a block outside the arena's allocated region");
+    std::uint64_t walked = 0;
+    for (std::uint64_t off = h.free_head.load(std::memory_order_relaxed);
+         off != 0;) {
+      const FreeBlock* listed = checked_block(h, off, end, walked);
+      check_locked(h, offset + bytes <= off || off + listed->size <= offset,
+                   "double free: the block is already on the shm free list");
+      off = listed->next;
+    }
     auto* block = at_unchecked<FreeBlock>(offset);
     block->next = h.free_head.load(std::memory_order_relaxed);
     block->size = bytes;
@@ -445,6 +462,45 @@ class ShmArena {
   template <class T>
   [[nodiscard]] T* at_unchecked(std::uint64_t offset) noexcept {
     return reinterpret_cast<T*>(static_cast<char*>(base_) + offset);
+  }
+
+  // End of the bump-allocated region: every block, live or free, lies
+  // in [sizeof(Header), end). Clamped to the mapping, so a corrupt
+  // bump pointer cannot widen the range a link is checked against.
+  [[nodiscard]] std::uint64_t allocated_end(const Header& h) const noexcept {
+    const std::uint64_t bump = h.bump.load(std::memory_order_relaxed);
+    return bump < bytes_ ? bump : bytes_;
+  }
+
+  // A check made under the header lock. On failure it releases the lock
+  // before aborting: abort() runs no destructor, so a held LockGuard
+  // would leave the next process to allocate spinning on the lock
+  // instead of failing on the same check.
+  static void check_locked(Header& h, bool ok, const char* what) noexcept {
+    if (ok) return;
+    h.lock.store(0, std::memory_order_release);
+    SCM_CHECK_MSG(ok, what);
+  }
+
+  // The free block at `off`, checked before the walk trusts it. The
+  // segment is shared with every process that maps it, so a corrupt
+  // link or a cycle (a double free, a stray write through at<>()) must
+  // fail loudly here: an unchecked walk would spin forever under the
+  // header lock and wedge every process that allocates next. `walked`
+  // counts the links visited so far; no list can hold more blocks than
+  // the allocated region has room for.
+  FreeBlock* checked_block(Header& h, std::uint64_t off, std::uint64_t end,
+                           std::uint64_t& walked) noexcept {
+    check_locked(h, ++walked <= (end - sizeof(Header)) / kMinObjectBytes,
+                 "shm free list is longer than the arena can hold (a "
+                 "cycle: double free or corrupt segment)");
+    check_locked(h, off >= sizeof(Header) && off % kMinAlign == 0 && off < end,
+                 "shm free-list link points outside the arena's "
+                 "allocated region");
+    auto* block = at_unchecked<FreeBlock>(off);
+    check_locked(h, block->size >= kMinObjectBytes && block->size <= end - off,
+                 "shm free block runs past the arena's allocated region");
+    return block;
   }
 
   // Unlinks `from`'s successor to `to` (free-list surgery under the

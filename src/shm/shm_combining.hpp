@@ -15,7 +15,10 @@
 //   - Every record's word carries its publisher's pid beside the state
 //     (core/slot_protocol.hpp), stamped by the claim CAS itself and
 //     kept by the combiner's kDone store, so a publisher that died at
-//     any point still has its name on the record.
+//     any point still has its name on the record. The pid is resolved
+//     once per process (support/process.hpp), not by a getpid()
+//     syscall per op, and re-resolved in a forked child, which must
+//     stamp its own pid or reclaim_dead could not tell it died.
 //   - reclaim_dead() sweeps, UNDER THE GATE, every slot whose owner no
 //     longer exists (kill(pid, 0) probe, injectable for tests) and
 //     frees the ones the dead process could never recycle itself:
@@ -57,7 +60,6 @@
 #if SCM_HAS_POSIX_SHM
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
@@ -75,6 +77,7 @@
 #include "support/assert.hpp"
 #include "support/cacheline.hpp"
 #include "support/parking.hpp"
+#include "support/process.hpp"
 
 namespace scm {
 
@@ -333,7 +336,10 @@ class ShmCombining {
   // what reclaim_dead's kill(pid, 0) probe understands — and
   // ctx.id() + 1 under an awaitable (simulated) context, whose
   // processes share one OS pid. Nonzero either way: 0 means unowned.
-  // The id must fit the slot word's 30-bit owner field.
+  // The id must fit the slot word's 30-bit owner field. Every invoke
+  // and every try_serve asks, so the native pid comes from
+  // this_process_id()'s per-process cache (re-resolved in a forked
+  // child), not from a getpid() syscall per call.
   template <class Ctx>
   static std::uint32_t owner_of(const Ctx& ctx) noexcept {
     std::uint32_t owner;
@@ -341,7 +347,7 @@ class ShmCombining {
       owner = static_cast<std::uint32_t>(ctx.id()) + 1;
     } else {
       (void)ctx;
-      owner = static_cast<std::uint32_t>(::getpid());
+      owner = this_process_id();
     }
     SCM_CHECK_MSG(owner < kSlotOwnerLimit,
                   "owner id does not fit the slot word's owner field");

@@ -48,7 +48,9 @@
 // fast-wake tally is bumped by EVERY completed wait — in the combining
 // wrappers, once per published op — so it lives in per-thread padded
 // cells off that line (see kFastWakeCells): a waiter writes only its
-// own cell, and the line every wake_all() reads stays quiet.
+// own cell, and the line every wake_all() reads stays quiet. A forked
+// child draws a fresh cell (support/process.hpp) instead of sharing
+// its parent's.
 //
 // Portability: on non-Linux targets — or when SCM_FORCE_NO_FUTEX is
 // defined, the testing seam mirroring SCM_FORCE_GENERIC_CPU_PAUSE —
@@ -67,6 +69,7 @@
 
 #include "support/backoff.hpp"
 #include "support/cacheline.hpp"
+#include "support/process.hpp"
 
 #if defined(__linux__) && !defined(SCM_FORCE_NO_FUTEX)
 #define SCM_HAS_FUTEX 1
@@ -139,22 +142,6 @@ inline long futex_call(const std::atomic<std::uint32_t>* word, int op,
   return ::syscall(SYS_futex, word, op, val, nullptr, nullptr, 0);
 }
 #endif
-
-// This thread's telemetry cell seed, drawn once per thread: a process-
-// wide sequence number, offset by the pid where there is one, so the
-// threads of one process and the first-waiting threads of sibling
-// processes sharing a kShared point start on different cells.
-inline std::size_t this_thread_cell() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t cell = [] {
-    std::size_t seed = next.fetch_add(1, std::memory_order_relaxed);
-#if defined(__linux__)
-    seed += static_cast<std::size_t>(::getpid());
-#endif
-    return seed;
-  }();
-  return cell;
-}
 
 }  // namespace detail
 

@@ -7,9 +7,11 @@
 //  * ShmArena lifecycle: create / attach / publish / resolve across
 //    two independent mappings of one segment, the allocator's
 //    free-list reuse and exhaustion behavior, four threads allocating
-//    and freeing concurrently without two live blocks overlapping, and
-//    the fail-fast attach paths (uninitialized magic, corrupted layout
-//    version);
+//    and freeing concurrently without two live blocks overlapping, the
+//    fail-fast attach paths (uninitialized magic, corrupted layout
+//    version), and a corrupt free list (a cycle, a link outside the
+//    arena, a double free) dying with a named check instead of
+//    spinning;
 //  * distinct ShmCombining instantiations carry distinct type tags;
 //  * ShmSpinBarrier aligns arrivals across generations;
 //  * ShmCombining executes a threaded fetch&inc workload with exact
@@ -246,6 +248,49 @@ TEST(ShmArena, AllocatorReusesFreedBlocksAndReportsExhaustion) {
 
   // Exhaustion is the null offset, not a crash.
   EXPECT_EQ(a->alloc(1 << 20), 0u);
+}
+
+// A corrupt free list fails loudly instead of wedging the allocator.
+// Each death runs in a forked child that maps the same MAP_SHARED
+// segment; the failing check releases the header lock before it
+// aborts, so the parent's next alloc fails on the same check instead
+// of spinning on a lock the dead child still holds.
+TEST(ShmArena, CyclicFreeListFailsInsteadOfSpinning) {
+  const std::string name = unique_segment("cycle");
+  SegmentJanitor janitor{name};
+  auto a = ShmArena::create(name, 1 << 16);
+  ASSERT_TRUE(a.has_value());
+  const std::uint64_t off = a->alloc(64);
+  ASSERT_NE(off, 0u);
+  a->free(off, 64);
+  // A free block's first word is its `next` link: point it at itself.
+  *a->at<std::uint64_t>(off) = off;
+  // Too big for the block, so the first-fit walk follows the cycle.
+  EXPECT_DEATH((void)a->alloc(128), "free list is longer than the arena");
+  EXPECT_DEATH((void)a->alloc(128), "free list is longer than the arena");
+}
+
+TEST(ShmArena, FreeListLinkOutsideTheArenaFails) {
+  const std::string name = unique_segment("badlink");
+  SegmentJanitor janitor{name};
+  auto a = ShmArena::create(name, 1 << 16);
+  ASSERT_TRUE(a.has_value());
+  const std::uint64_t off = a->alloc(64);
+  ASSERT_NE(off, 0u);
+  a->free(off, 64);
+  *a->at<std::uint64_t>(off) = 8;  // into the header
+  EXPECT_DEATH((void)a->alloc(128), "link points outside");
+}
+
+TEST(ShmArena, DoubleFreeFails) {
+  const std::string name = unique_segment("dfree");
+  SegmentJanitor janitor{name};
+  auto a = ShmArena::create(name, 1 << 16);
+  ASSERT_TRUE(a.has_value());
+  const std::uint64_t off = a->alloc(64);
+  ASSERT_NE(off, 0u);
+  a->free(off, 64);
+  EXPECT_DEATH(a->free(off, 64), "double free");
 }
 
 // The header lock under real contention: kThreads threads churn
