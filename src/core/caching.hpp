@@ -105,6 +105,9 @@ concept ReplicationModel =
 // two), and kRecs async completion records PER REPLICA — the bound on
 // one replica's misses and writes in flight through submit() with a
 // refill still pending (beyond it they degrade, see submit()).
+// Replication adds only registers (the seqlock words and the slot
+// generations), so the composition's consensus number is the wrapped
+// object's.
 template <class Obj, std::size_t kReplicas, class Model,
           std::size_t kEntries = 64, std::size_t kRecs = 32>
   requires ReplicationModel<Model>
@@ -283,15 +286,6 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     requires requires(const Obj& o, std::size_t j) { o.commits_by(pid, j); }
   {
     return obj_.value.commits_by(pid, i);
-  }
-
-  // Replication adds only registers (the seqlock words and the slot
-  // generations), so the composition's consensus power is the wrapped
-  // object's.
-  [[nodiscard]] int consensus_number() const
-    requires requires(const Obj& o) { o.consensus_number(); }
-  {
-    return obj_.value.consensus_number();
   }
 
  private:

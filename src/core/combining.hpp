@@ -7,24 +7,23 @@
 // operation publishes its request into a one-cache-line slot (one
 // release store; process i starts its claim at slot i mod kSlots, so
 // with threads <= kSlots every thread owns a private slot), then
-// either waits for a combiner to serve it or — whenever the
-// TAS-elected combiner lock is free — becomes the combiner itself,
-// draining every pending slot through run_batch(obj, ...) in one pass.
-// Under contention the composed-chain walk that every process used to
-// pay per operation is paid once per batch by the combiner, which also
-// keeps the wrapped object's cache lines local to one core instead of
-// bouncing them between all publishers (Hendler/Incze/Shavit/Tzafrir's
-// flat combining, applied to the paper's composition chains).
+// either waits for a combiner to serve it or — whenever the election
+// gate is free — becomes the combiner itself, draining every pending
+// slot through run_batch(obj, ...) in one pass. Under contention the
+// composed-chain walk that every process used to pay per operation is
+// paid once per batch by the combiner, which also keeps the wrapped
+// object's cache lines local to one core instead of bouncing them
+// between all publishers (Hendler/Incze/Shavit/Tzafrir's flat
+// combining, applied to the paper's composition chains).
 //
 // Semantics: the combiner executes the batch sequentially while
-// holding the election lock, so every operation — published or run on
-// the lock-free fast path — takes effect at one point inside its
-// invoke/return interval: the wrapped object's linearizability is
-// preserved, and a single-threaded caller gets bit-identical results
-// to invoking the object directly (combining_test pins both
-// properties). Note the combiner
-// executes published requests under its OWN context: per-op step
-// counters accrue to the serving thread, and requests carry their
+// holding the gate, so every operation — published or run on the
+// fast path — takes effect at one point inside its invoke/return
+// interval: the wrapped object's linearizability is preserved, and a
+// single-threaded caller gets bit-identical results to invoking the
+// object directly (combining_test pins both properties). Note the
+// combiner executes published requests under its OWN context: per-op
+// step counters accrue to the serving thread, and requests carry their
 // issuer in Request::issuer.
 //
 // Combining forwards the module surface (invoke + kConsensusNumber,
@@ -35,31 +34,24 @@
 // Async surface (core/async.hpp): a publication slot already is a
 // one-operation future, so submit() detaches the wait loop — it
 // publishes and returns a Ticket (or completes inline and returns a
-// ready ticket whenever the combiner lock is free), and drain()
-// combines until no publication is pending. The ticket's poll()/wait()
-// complete the slot round trip the blocking invoke() used to finish in
-// place; wait() helps (the caller may elect itself combiner), so
-// progress never depends on other threads. Destroying a Combining with
-// any slot still occupied — an outstanding ticket — is a checked
-// error.
+// ready ticket whenever the gate is free), and drain() combines until
+// no publication is pending. The ticket's poll()/wait() complete the
+// slot round trip the blocking invoke() used to finish in place;
+// wait() helps (the caller may elect itself combiner), so progress
+// never depends on other threads. Destroying a Combining with any slot
+// still occupied — an outstanding ticket — is a checked error.
 //
-// Platform note: publishers BLOCK on the combiner's progress, but the
-// blocking points all go through the wait_until() seam
-// (runtime/wait.hpp): native contexts climb the spin → yield → park
-// ladder against the wrapper's WaitPoint (support/parking.hpp), and the
-// uncontended fast path performs no futex syscall at all, while the
-// deterministic simulator parks the process on the wait predicate — so
-// this class runs under SimPlatform as shipped and
-// combining_explore_test enumerates its interleavings. The slot
-// transitions and their counted steps are core/slot_protocol.hpp's;
-// this wrapper adds one counted step, the winning election exchange.
-// That is the whole RMW budget: a fast-path op pays one (the election),
-// a published op two (claim + whoever wins the election serving it).
-// The election lock's failed pre-test loads and release store are
-// uncounted: under the simulator each such access is adjacent to a
-// counted scheduling point, so no interleaving class is lost — only
-// equivalent schedules collapse, which keeps exhaustive exploration
-// tractable.
+// The protocol is core/slot_protocol.hpp's CombiningCore, the code
+// ShmCombining runs too: the slot transitions, the election gate (held
+// here as 1), the gate-held fast path, the served-wait loop and drain(),
+// all parked on one process-private WaitPoint. Every blocking point
+// goes through wait_until (runtime/wait.hpp), so this class runs under
+// SimPlatform as shipped and combining_explore_test enumerates its
+// interleavings. What stays here is policy: the elect_spins election,
+// the inline fallback when every record is taken, tickets and
+// completion callbacks. The RMW budget: a fast-path op pays one (the
+// gate CAS), a published op two (its claim + whoever wins the gate
+// serving it).
 #pragma once
 
 #include <algorithm>
@@ -86,9 +78,10 @@ namespace scm {
 
 namespace detail {
 
-// The wrapper's own base objects are the publication registers plus a
-// TAS-elected combiner lock, so the composition's consensus number is
-// the max of the wrapped object's and TAS's.
+// The wrapper's own base objects are the publication registers plus the
+// election gate. Its CAS always swaps 0 for the constant kGateHolder,
+// which is a test-and-set, so the composition's consensus number is the
+// max of the wrapped object's and TAS's.
 template <class Obj, class = void>
 struct CombiningConsensusBase {};
 
@@ -112,20 +105,29 @@ struct SlotCompletion {
   }
 };
 
+// Combining lives in one process, so it inherits its core (ShmCombining,
+// which must stay standard-layout for the segment, holds its core as a
+// member instead) and re-exports the core's telemetry as its own.
 template <class Obj, std::size_t kSlots>
-class Combining : public detail::CombiningConsensusBase<Obj>,
-                  public detail::ShardedDepthBase<Obj> {
-  using Slots = SlotArray<SlotCompletion, kSlots>;
+class Combining
+    : public detail::CombiningConsensusBase<Obj>,
+      public detail::ShardedDepthBase<Obj>,
+      private CombiningCore<SlotCompletion, kSlots, FutexScope::kPrivate> {
+  using Core = CombiningCore<SlotCompletion, kSlots, FutexScope::kPrivate>;
+  // A thread cannot die holding the gate, so the holder needs no name.
+  static constexpr std::uint32_t kGateHolder = 1;
 
  public:
   static constexpr std::size_t kSlotCount = kSlots;
 
   // The publication protocol (core/slot_protocol.hpp), exposed so
   // tests can assert this wrapper and the cross-process ShmCombining
-  // compile against the SAME state machine and record payload.
+  // compile against the SAME state machine, record payload and gate.
   using slot_state = SlotState;
   using slot_payload = SlotPayload;
-  static constexpr std::size_t kSlotBytes = sizeof(typename Slots::Record);
+  using gate_type = typename Core::gate_type;
+  static constexpr std::size_t kSlotBytes =
+      sizeof(typename Core::Slots::Record);
 
   Combining()
     requires std::is_default_constructible_v<Obj>
@@ -146,7 +148,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // to read freed memory, so it is a checked error rather than
   // undefined behaviour.
   ~Combining() {
-    SCM_CHECK_MSG(slots_.occupied() == 0,
+    SCM_CHECK_MSG(Core::occupied() == 0,
                   "Combining destroyed with an occupied publication slot "
                   "(outstanding Ticket)");
   }
@@ -154,47 +156,48 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // Module surface: publish, then wait to be served or combine. With
   // more threads than slots, a publisher whose home slot is busy
   // claims the next free one; when none is free it serves itself
-  // inline under the election lock (claim_or_run).
+  // inline under the gate (claim_or_run).
   template <class Ctx>
     requires Composable<Obj, Ctx>
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt) {
-    // Fast path: the combiner lock is free — run the operation
-    // directly (a batch of one, no publication round trip), then
-    // serve anyone who published while we held the lock. At low
-    // contention this makes the wrapper cost one TAS + one scan; at
-    // high contention the lock is rarely free, so operations take the
-    // publication path below and get batched. How hard to fight for
-    // the lock here is the runtime elect_spins knob: 0 skips the
-    // election entirely (publish-and-batch mode).
+    // Fast path: the gate is free — run the operation directly (a
+    // batch of one, no publication round trip), then serve anyone who
+    // published while we held the gate. At low contention this makes
+    // the wrapper cost one CAS + one scan; at high contention the gate
+    // is rarely free, so operations take the publication path below
+    // and get batched. How hard to fight for the gate here is the
+    // runtime elect_spins knob: 0 skips the election entirely
+    // (publish-and-batch mode).
     ModuleResult inline_result;
     const auto idx = submit_impl(ctx, m, init, {}, &inline_result);
-    return idx.has_value() ? await_served(ctx, *idx) : inline_result;
+    return idx.has_value() ? Core::await_served(obj_.value, ctx, *idx,
+                                                kGateHolder, true)
+                           : inline_result;
   }
 
   // ---- async surface (core/async.hpp).
 
-  // Publish-and-return. On the uncontended fast path (combiner lock
-  // free) the operation completes inline — a batch of one, exactly
-  // invoke()'s fast path — and the ticket is born ready, so
-  // submit().wait() costs what invoke() costs and returns bit-identical
-  // results. Otherwise the request is published and the wait loop is
-  // detached into the returned Ticket: poll() checks the slot, wait()
-  // helps combine, and whichever completes first consumes the round
-  // trip. When the publication array is exhausted (every record held
-  // by an uncollected ticket) the operation completes inline under
-  // the combiner lock instead — see claim_or_run — so submission
-  // never blocks on ticket holders. The optional completion callback
-  // runs on the thread that finalizes the operation — the combiner
-  // for published ops, the caller on inline paths — and on EVERY path
-  // it fires with the election lock held, right at the op's
-  // serialization point: callbacks across the whole object fire in
-  // linearization order (the caching combinator's invalidation/refill
-  // depends on this), and callbacks must never re-enter this
-  // Combining. On awaitable contexts (the simulator) submit() is
-  // invoke() plus a ready ticket: the simulator explores invoke()'s
-  // publication round trip through await, and pending tickets stay a
-  // native-thread surface.
+  // Publish-and-return. On the uncontended fast path (gate free) the
+  // operation completes inline — a batch of one, exactly invoke()'s
+  // fast path — and the ticket is born ready, so submit().wait() costs
+  // what invoke() costs and returns bit-identical results. Otherwise
+  // the request is published and the wait loop is detached into the
+  // returned Ticket: poll() checks the slot, wait() helps combine, and
+  // whichever completes first consumes the round trip. When the
+  // publication array is exhausted (every record held by an
+  // uncollected ticket) the operation completes inline under the gate
+  // instead — see claim_or_run — so submission never blocks on ticket
+  // holders. The optional completion callback runs on the thread that
+  // finalizes the operation — the combiner for published ops, the
+  // caller on inline paths — and on EVERY path it fires with the gate
+  // held, right at the op's serialization point: callbacks across the
+  // whole object fire in linearization order (the caching
+  // combinator's invalidation/refill depends on this), and callbacks
+  // must never re-enter this Combining. On awaitable contexts (the
+  // simulator) submit() is invoke() plus a ready ticket: the simulator
+  // explores invoke()'s publication round trip through await, and
+  // pending tickets stay a native-thread surface.
   template <class Ctx>
     requires Composable<Obj, Ctx>
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
@@ -218,21 +221,16 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // Combines until no publication is pending: when drain() returns,
   // every operation submitted (by any thread) before the call has been
   // EXECUTED — its slot sits in kDone awaiting its ticket. It does not
-  // wait for other threads to collect their tickets. A no-op on
-  // awaitable contexts, where submit() leaves nothing pending.
+  // wait for other threads to collect their tickets. kClaimed records
+  // are waited out too: claim and publish are adjacent on every path,
+  // so a claimed record is a publication about to turn pending, and a
+  // drainer that returned past it could leave it to a publisher that
+  // only polls. A no-op on awaitable contexts, where submit() leaves
+  // nothing pending.
   template <class Ctx>
   void drain(Ctx& ctx) {
     if constexpr (!detail::context_can_await_v<Ctx>) {
-      while (any_unserved()) {
-        if (help_combine(ctx)) continue;
-        wait_until(
-            ctx,
-            [this] {
-              return !any_unserved() ||
-                     !lock_.value.load(std::memory_order_relaxed);
-            },
-            waiters_.value);
-      }
+      Core::drain(obj_.value, ctx, kGateHolder, SlotState::kClaimed);
     } else {
       (void)ctx;
     }
@@ -241,40 +239,24 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   [[nodiscard]] Obj& object() noexcept { return obj_.value; }
   [[nodiscard]] const Obj& object() const noexcept { return obj_.value; }
 
-  // ---- combining telemetry (relaxed; written only by the election
-  // lock holder, so plain load+store with no RMW).
-
-  // Number of combiner passes that served at least one operation.
-  [[nodiscard]] std::uint64_t combine_rounds() const noexcept {
-    return slots_.rounds();
-  }
-  // Operations served across all passes; divided by combine_rounds()
-  // this is the achieved batch size — the amortization factor.
-  [[nodiscard]] std::uint64_t combined_ops() const noexcept {
-    return slots_.batched_ops();
-  }
-  // Operations that took the uncontended fast path (lock free, no
-  // publication). direct_ops() + combined_ops() == total invocations.
-  [[nodiscard]] std::uint64_t direct_ops() const noexcept {
-    return direct_ops_.load(std::memory_order_relaxed);
-  }
-
-  // Park/wake telemetry from the wrapper's WaitPoint (rung-3 waits).
-  // futex_syscalls stays zero as long as every operation completed
-  // before any waiter's backoff ladder saturated — in particular, a
-  // pure fast-path run performs NO futex syscalls (async_test's
-  // AsyncSubmit.SoloSubmitWaitMatchesInvokeOnEveryLayer asserts exactly
-  // that on an all-fast-path run).
-  [[nodiscard]] ParkStats park_stats() const noexcept {
-    return waiters_.value.stats();
-  }
+  // ---- combining telemetry (core/slot_protocol.hpp's CombiningCore).
+  // direct_ops() + combined_ops() == total invocations, and
+  // combined_ops() / combine_rounds() is the achieved batch size. A
+  // pure fast-path run makes no futex syscall (async_test's
+  // AsyncSubmit.SoloSubmitWaitMatchesInvokeOnEveryLayer asserts that).
+  // occupied() counts records not kFree: zero once every invoke has
+  // returned and every ticket is collected. gate_holder() is
+  // kGateHolder while some thread combines, 0 when free. The explorer
+  // asserts both are zero after every explored schedule.
+  using Core::combine_rounds, Core::combined_ops, Core::direct_ops,
+      Core::park_stats, Core::occupied, Core::gate_holder;
 
   // ---- runtime knobs: Adaptive's two actuators (core/adaptive.hpp
   // drives them; both are relaxed hints, safe to flip while operations
   // are in flight).
 
-  // Election attempts a per-op entry point makes before conceding to
-  // the publication path. 1 = historical TAS fast path (the default);
+  // Gate attempts a per-op entry point makes before conceding to the
+  // publication path. 1 = one attempt, the fast path (the default);
   // 0 = publish-and-batch mode.
   void set_elect_spins(std::uint32_t n) noexcept {
     elect_spins_.value.store(n, std::memory_order_relaxed);
@@ -283,29 +265,9 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     return elect_spins_.value.load(std::memory_order_relaxed);
   }
 
-  // Wait-rung selection for every blocking site in this wrapper: how
-  // many yields a saturated waiter climbs before its first park
-  // (forwarded to the wrapper's WaitPoint).
-  void set_yields_before_park(int n) noexcept {
-    waiters_.value.set_yields_before_park(n);
-  }
-  [[nodiscard]] int yields_before_park() const noexcept {
-    return waiters_.value.yields_before_park();
-  }
-
-  // Publication records not currently kFree — the slot-residue probe
-  // (mirrors ShmCombining::occupied()). Zero once every invoke has
-  // returned and every ticket is collected; the explorer asserts
-  // exactly that after every explored schedule.
-  [[nodiscard]] std::size_t occupied() const noexcept {
-    return slots_.occupied();
-  }
-  // Whether some thread holds the combiner election lock (the
-  // counterpart of ShmCombining::gate_holder() != 0); the explorer
-  // checks it is released after every schedule.
-  [[nodiscard]] bool gate_held() const noexcept {
-    return lock_.value.load(std::memory_order_acquire);
-  }
+  // How many yields a saturated waiter climbs before its first park,
+  // for every blocking site in this wrapper.
+  using Core::set_yields_before_park, Core::yields_before_park;
 
   // ---- forwarded statistics surfaces (enabled exactly when the
   // wrapped object provides them), so Combining<Pipeline<...>> keeps
@@ -331,128 +293,63 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     return obj_.value.commits_by(pid, i);
   }
 
-  [[nodiscard]] int consensus_number() const
-    requires requires(const Obj& o) { o.consensus_number(); }
-  {
-    return std::max(obj_.value.consensus_number(), kConsensusNumberTas);
-  }
-
  private:
-  // Tries to elect the caller combiner (test-and-test-and-set); the
-  // winning exchange is the counted RMW. The caller owns the lock on
-  // success and must release it.
-  template <class Ctx>
-  bool try_lock(Ctx& ctx) {
-    if (!lock_.value.load(std::memory_order_relaxed) &&
-        !lock_.value.exchange(true, std::memory_order_acquire)) {
-      ctx.on_rmw();
-      return true;
-    }
-    return false;
-  }
-
-  // Releases the election lock with one batched wake: it covers every
-  // waiter class at once — records that turned kDone, lock-waiters,
-  // and drain()ers. Uncontended cost: one fence + one relaxed load, no
-  // RMW, no syscall unless somebody actually parked.
-  void unlock() noexcept {
-    lock_.value.store(false, std::memory_order_release);
-    waiters_.value.wake_all();
-  }
-
   // The knob-gated election used by the PER-OP entry points (invoke,
-  // submit): up to elect_spins election attempts with a pause between
-  // them. The default of 1 is bit-identical to the historical single
-  // TAS; 0 turns the direct fast path off entirely, so every
-  // contended op publishes and amortizes into a combiner batch —
-  // what the adaptive layer selects under sustained contention.
-  // Internal liveness sites (claim_or_run's exhaustion fallback,
-  // help_combine) deliberately keep the raw try_lock: at
-  // elect_spins == 0 someone must still be able to take the lock or
-  // nothing would ever combine.
+  // submit): up to elect_spins gate attempts with a pause between
+  // them. The default of 1 is a single attempt; 0 turns the direct
+  // fast path off entirely, so every contended op publishes and
+  // amortizes into a combiner batch — what the adaptive layer selects
+  // under sustained contention. The liveness sites (claim_or_run's
+  // exhaustion fallback, the core's served-wait and drain loops) make
+  // their one raw attempt regardless: at elect_spins == 0 someone must
+  // still be able to take the gate or nothing would ever combine.
   template <class Ctx>
   bool try_elect(Ctx& ctx) {
     const std::uint32_t attempts =
         elect_spins_.value.load(std::memory_order_relaxed);
     for (std::uint32_t a = 0; a < attempts; ++a) {
-      if (try_lock(ctx)) return true;
+      if (Core::try_acquire(ctx, kGateHolder)) return true;
       cpu_pause();
     }
     return false;
   }
 
-  // On a won election, runs one combine pass and releases the lock.
-  // Every wait loop calls this so a stuck publication can always be
-  // served by whoever is waiting on it — with async submitters in the
-  // mix, the slot's owner may long since have returned.
-  template <class Ctx>
-  bool help_combine(Ctx& ctx) {
-    if (!try_lock(ctx)) return false;
-    slots_.combine(obj_.value, ctx);
-    unlock();
-    return true;
-  }
-
-  // Pre: combiner lock held. Runs one operation directly — a batch of
-  // one, no publication round trip — serves whatever published
-  // meanwhile, and releases the lock. The shared body of the
-  // uncontended fast path and the slot-exhaustion fallback below.
-  //
-  // The completion callback (when given) fires immediately after the
-  // op executes, still under the election lock — the same point in
-  // the serialization order where a combiner fires published ops'
-  // callbacks. That uniformity is load-bearing for layers that react
-  // to completions (the caching combinator's invalidation/refill):
-  // callbacks across ALL paths fire in linearization order, so a
-  // completion-observer sees object states in the order they took
-  // effect. The corollary holds on every path too: callbacks must not
-  // re-enter this Combining.
-  template <class Ctx>
-  ModuleResult run_direct(Ctx& ctx, const Request& m,
-                          std::optional<SwitchValue> init,
-                          const SlotCompletion& completion) {
-    const ModuleResult r = scm::apply(obj_.value, ctx, m, init);
-    completion.complete(r);
-    bump(direct_ops_, 1);
-    slots_.combine(obj_.value, ctx);
-    unlock();
-    return r;
-  }
-
   // Shared body of invoke, and of submit on blocking platforms:
   // completes the operation inline — fast path or exhaustion
-  // fallback, with the callback fired under the election lock inside
+  // fallback, with the callback fired under the gate inside
   // run_direct, returning nullopt with *out filled — or claims AND
   // publishes a record, returning its index (the callback then
   // travels with the publication and the serving combiner fires it,
-  // likewise under the lock).
+  // likewise under the gate).
   template <class Ctx>
   std::optional<std::size_t> submit_impl(Ctx& ctx, const Request& m,
                                          std::optional<SwitchValue> init,
                                          const SlotCompletion& completion,
                                          ModuleResult* out) {
     if (try_elect(ctx)) {
-      *out = run_direct(ctx, m, init, completion);
+      *out = Core::run_direct(obj_.value, ctx, m, init, completion);
       return std::nullopt;
     }
     const auto idx = claim_or_run(ctx, m, init, completion, out);
-    if (idx.has_value()) slots_.publish(ctx, *idx, 0, m, init, completion);
+    if (idx.has_value()) {
+      Core::slots().publish(ctx, *idx, 0, m, init, completion);
+    }
     return idx;
   }
 
   // Either claims a publication record — returning its index,
   // publication left to the caller — or executes the operation inline
-  // under the combiner lock, returning nullopt with *out filled.
+  // under the gate, returning nullopt with *out filled.
   //
   // The inline fallback is what keeps async submission LIVE: a kDone
   // record frees only when its owner polls, and under async submission
   // every owner of every record can simultaneously be stuck in a claim
   // loop (none of them can collect its own tickets from there), so
   // waiting for a record to free can deadlock the whole group. The
-  // combiner lock, by contrast, always frees in bounded time (holders
-  // run one bounded pass and release), so "serve yourself as a batch
-  // of one" is always reachable. The home slot is only where the
-  // rotation starts: any record serves a publication equally.
+  // gate, by contrast, always frees in bounded time (holders run one
+  // bounded pass and release), so "serve yourself as a batch of one"
+  // is always reachable. The home slot is only where the rotation
+  // starts: any record serves a publication equally.
   template <class Ctx>
   std::optional<std::size_t> claim_or_run(Ctx& ctx, const Request& m,
                                           std::optional<SwitchValue> init,
@@ -460,62 +357,17 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
                                           ModuleResult* out) {
     const std::size_t home = static_cast<std::size_t>(ctx.id()) % kSlots;
     for (;;) {
-      if (const auto idx = slots_.try_claim(ctx, home, 0)) return idx;
-      if (try_lock(ctx)) {
-        *out = run_direct(ctx, m, init, completion);
+      if (const auto idx = Core::slots().try_claim(ctx, home, 0)) return idx;
+      if (Core::try_acquire(ctx, kGateHolder)) {
+        *out = Core::run_direct(obj_.value, ctx, m, init, completion);
         return std::nullopt;
       }
-      // Nothing claimable and the lock is held: park until a record
-      // frees or the lock does, then retry the races above.
-      wait_until(
-          ctx,
-          [this] {
-            return !lock_.value.load(std::memory_order_relaxed) ||
-                   slots_.occupied() < kSlots;
-          },
-          waiters_.value);
+      // Nothing claimable and the gate is held: park until a record
+      // frees or the gate does, then retry the races above.
+      Core::wait(ctx, [this] {
+        return Core::gate_free() || Core::occupied() < kSlots;
+      });
     }
-  }
-
-  // Collects a kDone record, then wakes claim_or_run's exhaustion
-  // wait; collect runs on the publisher (the slow path already), so
-  // the wake's fence rides an existing round trip.
-  template <class Ctx>
-  ModuleResult collect(Ctx& ctx, std::size_t idx) {
-    const ModuleResult r = slots_.collect(ctx, idx);
-    waiters_.value.wake_all();
-    return r;
-  }
-
-  // Waits for published record idx to be served, then collects it.
-  // The waiter elects itself combiner whenever the lock is free
-  // (test-and-test-and-set); its own record is pending throughout, so
-  // its combine pass serves at least itself. The wait parks until
-  // something can have changed: the record completed, or the lock
-  // freed and the election is worth another attempt.
-  template <class Ctx>
-  ModuleResult await_served(Ctx& ctx, std::size_t idx) {
-    while (!slots_.done(idx)) {
-      if (help_combine(ctx)) continue;
-      wait_until(
-          ctx,
-          [this, idx] {
-            return slots_.done(idx) ||
-                   !lock_.value.load(std::memory_order_relaxed);
-          },
-          waiters_.value);
-    }
-    return collect(ctx, idx);
-  }
-
-  // Whether any record is kClaimed or kPending. drain() waits out
-  // claimed records too: claim and publish are adjacent on every path,
-  // so a claimed record is a publication about to turn pending, and a
-  // drainer that returned past it could leave it to a publisher that
-  // only polls.
-  [[nodiscard]] bool any_unserved() const noexcept {
-    return slots_.count_below_mark(SlotState::kClaimed,
-                                   SlotState::kPending) != 0;
   }
 
   // ---- ticket plumbing: the type-erased completion source bound into
@@ -528,7 +380,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     auto* self = static_cast<Combining*>(source);
     const auto idx =
         static_cast<std::size_t>(reinterpret_cast<std::uintptr_t>(slot));
-    if (!self->slots_.done(idx)) return false;
+    if (!self->slots().done(idx)) return false;
     *out = self->collect(*static_cast<Ctx*>(ctx), idx);
     return true;
   }
@@ -539,7 +391,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     auto* self = static_cast<Combining*>(source);
     const auto idx =
         static_cast<std::size_t>(reinterpret_cast<std::uintptr_t>(slot));
-    *out = self->await_served(*static_cast<Ctx*>(ctx), idx);
+    *out = self->await_served(self->obj_.value, *static_cast<Ctx*>(ctx), idx,
+                              kGateHolder, true);
   }
 
   template <class Ctx>
@@ -549,17 +402,10 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     return kSource;
   }
 
-  Slots slots_;
-  Padded<std::atomic<bool>> lock_{};  // combiner election (TAS)
-  // Rung-3 parking for every wait loop above (process-private futex).
-  // One point for the whole wrapper: wakes are per-combine-pass, not
-  // per-slot, so a finer grain would buy nothing but syscalls.
-  Padded<WaitPoint<>> waiters_{};
   // Read-mostly election knob on its own line: every per-op entry
   // loads it; only adaptive reconfigurations write it.
   Padded<std::atomic<std::uint32_t>> elect_spins_{std::in_place, 1u};
   Padded<Obj> obj_;
-  std::atomic<std::uint64_t> direct_ops_{0};
 };
 
 }  // namespace scm

@@ -97,8 +97,7 @@ struct ByKeyHash {
 namespace detail {
 
 // Sharded is a ComposableModule iff Obj is: the consensus-number tag
-// is inherited exactly when Obj declares one (chains expose a runtime
-// consensus_number() instead — forwarded below).
+// is inherited exactly when Obj declares one.
 template <class Obj, class = void>
 struct ShardedConsensusBase {};
 
@@ -278,14 +277,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
     std::uint64_t total = 0;
     for (const auto& s : shards_) total += s.value.commits_by(pid, i);
     return total;
-  }
-
-  // Runtime consensus number for chains: replicas are
-  // identical, so shard 0 answers for all.
-  [[nodiscard]] int consensus_number() const
-    requires requires(const Obj& o) { o.consensus_number(); }
-  {
-    return shards_[0].value.consensus_number();
   }
 
   // ---- aggregate combining/parking telemetry (enabled when the

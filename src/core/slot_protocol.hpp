@@ -1,12 +1,13 @@
 // The publication-slot protocol of every combining executor: one
-// record type, one array type, and every slot transition, written once.
+// record type, one array type, every slot transition, and the one
+// combining core around them, written once.
 //
 // Two executors run this code: the in-process flat-combining wrapper
-// (core/combining.hpp), whose array lives inside one process, and the
-// cross-process ShmCombining (shm/shm_combining.hpp), whose array lives
+// (core/combining.hpp), whose core lives inside one process, and the
+// cross-process ShmCombining (shm/shm_combining.hpp), whose core lives
 // inside a shared-memory segment. Both explorer suites
 // (combining_explore_test, slot_protocol_explore_test) therefore check
-// the same claim, publish, serve and collect code.
+// the same claim, publish, serve, collect, election and wait code.
 //
 // Lifecycle of one publication record, and what its payload holds:
 //
@@ -36,21 +37,30 @@
 // name. `extra` is the executor's per-record companion: Combining's
 // completion callback, nothing for ShmCombining.
 //
-// What each executor keeps for itself is policy, not protocol:
-//   - Combining stamps owner 0 (a thread cannot vanish mid-publication),
-//     elects its combiner with elect_spins attempts at a TAS lock, and
-//     serves an op inline when every record is taken;
-//   - ShmCombining stamps the publisher's pid, elects through a pid gate
-//     that reclaim_dead can steal from a dead holder, lets a publisher
-//     opt out of combining (may_combine), and waits when every record is
-//     taken.
-// Each executor also owns its wait loops, its wake word and its drain()
-// predicate.
+// Around the array sits CombiningCore: the election gate (a 32-bit
+// holder word, also ShmArena's header lock), the WaitPoint every
+// blocking site parks on, the gate-held fast path, the combine-if-free
+// pass, the served-wait loop and drain(). What each executor keeps for
+// itself is policy, not protocol:
+//   - Combining holds the gate as 1 and stamps owner 0 (a thread cannot
+//     vanish mid-publication), makes elect_spins attempts at the gate
+//     per op, and serves an op inline when every record is taken;
+//   - ShmCombining holds the gate and stamps records with the caller's
+//     pid, lets a publisher opt out of combining (may_combine), waits
+//     when every record is taken, and has reclaim_dead take the gate
+//     from a dead holder.
+// Each passes its own drain() predicate: Combining also waits out
+// kClaimed records, ShmCombining only kPending ones (a dead publisher's
+// kClaimed record never clears until reclaim_dead).
 //
 // Counted accesses (ctx.on_*) are the simulator's scheduling points:
-// the claim CAS, the publish write, a combiner's read and writeback of
-// each pending record, and the result read. Everything else here —
-// pre-test loads, scans, the claim mark — is uncounted.
+// the winning gate CAS, the claim CAS, the publish write, a combiner's
+// read and writeback of each pending record, and the result read.
+// Everything else here — pre-test loads, failed CASes, the gate's
+// release store, scans, the claim mark — is uncounted. Under the
+// simulator each uncounted access sits next to a counted scheduling
+// point, so no interleaving class is lost; only equivalent schedules
+// collapse, which keeps exhaustive exploration tractable.
 #pragma once
 
 #include <array>
@@ -59,12 +69,15 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "core/batch.hpp"
 #include "core/module.hpp"
 #include "history/request.hpp"
+#include "runtime/wait.hpp"
 #include "shm/shm_layout.hpp"
 #include "support/cacheline.hpp"
+#include "support/parking.hpp"
 
 namespace scm {
 
@@ -190,8 +203,8 @@ struct alignas(kCacheLineSize) SlotRecord {
 
 // The publication array and its transitions. Pre-conditions name who
 // may call what: claim and publish belong to the publisher, combine to
-// whoever holds the executor's election lock, collect to the record's
-// owner once it is done.
+// whoever holds the election gate, collect to the record's owner once
+// it is done.
 template <class Extra, std::size_t kSlots>
 class SlotArray {
   static_assert(kSlots >= 1, "a combining wrapper needs at least one slot");
@@ -267,8 +280,8 @@ class SlotArray {
     return result;
   }
 
-  // One combiner pass; pre: the caller holds its executor's election
-  // lock, which is what keeps a kPending record pending until served.
+  // One combiner pass; pre: the caller holds the election gate, which
+  // is what keeps a kPending record pending until served.
   // Nothing published costs a relaxed scan below the mark and builds no
   // batch. Otherwise the pending requests are snapshotted into a local
   // batch, run through `obj`'s batch path, and each result is written
@@ -386,11 +399,236 @@ class SlotArray {
   std::atomic<std::uint64_t> batched_ops_{0};
 };
 
-// The array lives inside ShmCombining's segment-resident object.
+// ---- the election gate -----------------------------------------------
+//
+// One 32-bit holder word, 0 = free: the combiner election of both
+// executors and ShmArena's header lock. The holder stamps an id —
+// Combining 1, ShmCombining and the arena the holder's pid — so a
+// waiter can tell a busy gate from one a dead process left held.
+// Acquiring is test-and-test-and-set: a relaxed pre-test, then the CAS;
+// only the winning CAS is a counted step.
+class ElectionGate {
+ public:
+  template <class Ctx>
+  bool try_acquire(Ctx& ctx, std::uint32_t self) {
+    std::uint32_t expected = 0;
+    if (holder_.load(std::memory_order_relaxed) == 0 &&
+        holder_.compare_exchange_strong(expected, self,
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+      ctx.on_rmw();
+      return true;
+    }
+    return false;
+  }
+
+  // Takes the gate if it is free, or steals it from a holder that
+  // `alive(holder)` reports dead. Fails when a live process holds it,
+  // or when anyone else got there first (the CAS).
+  template <class Ctx, class Alive>
+  bool take_or_steal(Ctx& ctx, std::uint32_t self, Alive&& alive) {
+    std::uint32_t holder = holder_.load(std::memory_order_acquire);
+    if (holder != 0 && alive(holder)) return false;
+    if (!holder_.compare_exchange_strong(holder, self,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed)) {
+      return false;
+    }
+    ctx.on_rmw();
+    return true;
+  }
+
+  void release() noexcept { holder_.store(0, std::memory_order_release); }
+
+  // The holder's id, 0 when free.
+  [[nodiscard]] std::uint32_t holder() const noexcept {
+    return holder_.load(std::memory_order_acquire);
+  }
+  // Relaxed probe for wait predicates; the waiter re-validates with the
+  // CAS once the predicate holds.
+  [[nodiscard]] bool looks_free() const noexcept {
+    return holder_.load(std::memory_order_relaxed) == 0;
+  }
+
+ private:
+  std::atomic<std::uint32_t> holder_{0};
+};
+
+// ShmArena's header layout (and its version word) assume the gate is
+// one 4-byte word.
+static_assert(sizeof(ElectionGate) == 4 && alignof(ElectionGate) == 4);
+
+// ---- the combining core ---------------------------------------------
+//
+// Everything an executor does around its SlotArray that is not policy.
+// Callers pass the wrapped object and their gate-holder id. kScope is
+// the wait point's futex scope: kPrivate inside one process, kShared
+// for a core that lives in a segment, whose processes each map the
+// futex word at a different virtual address.
+template <class Extra, std::size_t kSlots, FutexScope kScope>
+class CombiningCore {
+ public:
+  using Slots = SlotArray<Extra, kSlots>;
+  using gate_type = ElectionGate;
+
+  [[nodiscard]] Slots& slots() noexcept { return slots_; }
+  [[nodiscard]] const Slots& slots() const noexcept { return slots_; }
+
+  template <class Ctx>
+  bool try_acquire(Ctx& ctx, std::uint32_t self) {
+    return gate_.try_acquire(ctx, self);
+  }
+  template <class Ctx, class Alive>
+  bool take_or_steal(Ctx& ctx, std::uint32_t self, Alive&& alive) {
+    return gate_.take_or_steal(ctx, self, std::forward<Alive>(alive));
+  }
+
+  // Releases the gate with one batched wake. It covers every waiter
+  // class at once: records that turned kDone, gate, claim and drain()
+  // waiters. Uncontended cost: one fence and one relaxed load, no RMW,
+  // no syscall unless somebody parked.
+  void release() noexcept {
+    gate_.release();
+    futex_waiters_.wake_all();
+  }
+
+  // Pre: the caller holds the gate. Runs one operation directly (a
+  // batch of one, no publication round trip), completes its `extra`,
+  // serves whatever published meanwhile and releases the gate. The
+  // completion fires at the op's point in the serialization order, the
+  // same point where a combiner completes published ops.
+  template <class Obj, class Ctx>
+  ModuleResult run_direct(Obj& obj, Ctx& ctx, const Request& m,
+                          std::optional<SwitchValue> init,
+                          const Extra& extra) {
+    const ModuleResult r = scm::apply(obj, ctx, m, init);
+    extra.complete(r);
+    bump(direct_ops_, 1);
+    slots_.combine(obj, ctx);
+    release();
+    return r;
+  }
+
+  // One combine pass if the gate is free right now; false when someone
+  // else holds it.
+  template <class Obj, class Ctx>
+  bool try_serve(Obj& obj, Ctx& ctx, std::uint32_t self) {
+    if (!gate_.try_acquire(ctx, self)) return false;
+    slots_.combine(obj, ctx);
+    release();
+    return true;
+  }
+
+  // Waits for published record idx to be served, then collects it. A
+  // waiter that may combine serves whenever the gate is free; its own
+  // record is pending throughout, so its pass serves at least itself.
+  // The wait parks until something can have changed: the record
+  // completed, or the gate freed and another attempt is worth making.
+  template <class Obj, class Ctx>
+  ModuleResult await_served(Obj& obj, Ctx& ctx, std::size_t idx,
+                            std::uint32_t self, bool may_combine) {
+    while (!slots_.done(idx)) {
+      if (may_combine && try_serve(obj, ctx, self)) continue;
+      wait(ctx, [this, idx, may_combine] {
+        return slots_.done(idx) || (may_combine && gate_.looks_free());
+      });
+    }
+    return collect(ctx, idx);
+  }
+
+  // Collects a kDone record, then wakes the waiters for a free record.
+  // Collect runs on the publisher's slow path already, so the wake's
+  // fence rides an existing round trip.
+  template <class Ctx>
+  ModuleResult collect(Ctx& ctx, std::size_t idx) {
+    const ModuleResult r = slots_.collect(ctx, idx);
+    futex_waiters_.wake_all();
+    return r;
+  }
+
+  // Combines until no record below the mark is kPending or in state
+  // `also_unserved` (the executor's drain predicate). When it returns,
+  // every op published before the call has executed; kDone records
+  // still await their publishers.
+  template <class Obj, class Ctx>
+  void drain(Obj& obj, Ctx& ctx, std::uint32_t self,
+             SlotState also_unserved) {
+    const auto unserved = [this, also_unserved] {
+      return slots_.count_below_mark(also_unserved, SlotState::kPending) !=
+             0;
+    };
+    while (unserved()) {
+      if (try_serve(obj, ctx, self)) continue;
+      wait(ctx,
+           [this, &unserved] { return !unserved() || gate_.looks_free(); });
+    }
+  }
+
+  // Parks on the core's wait point (runtime/wait.hpp) until `pred`
+  // holds; every state change a predicate can watch is followed by a
+  // wake_all on the same point.
+  template <class Ctx, class Pred>
+  void wait(Ctx& ctx, Pred&& pred) {
+    wait_until(ctx, std::forward<Pred>(pred), futex_waiters_);
+  }
+
+  [[nodiscard]] bool gate_free() const noexcept { return gate_.looks_free(); }
+  [[nodiscard]] std::uint32_t gate_holder() const noexcept {
+    return gate_.holder();
+  }
+
+  // ---- telemetry (relaxed; the combining counters are written only by
+  // the gate holder, so each bump is a plain load+store).
+
+  // Operations that ran on the gate-held fast path, unpublished.
+  // direct_ops() + combined_ops() == total invocations.
+  [[nodiscard]] std::uint64_t direct_ops() const noexcept {
+    return direct_ops_.load(std::memory_order_relaxed);
+  }
+  // Operations served by combine passes; divided by combine_rounds()
+  // this is the achieved batch size.
+  [[nodiscard]] std::uint64_t combined_ops() const noexcept {
+    return slots_.batched_ops();
+  }
+  // Combine passes that served at least one operation.
+  [[nodiscard]] std::uint64_t combine_rounds() const noexcept {
+    return slots_.rounds();
+  }
+  // Park/wake telemetry of the wait point. A pure fast-path run makes
+  // no futex syscall at all.
+  [[nodiscard]] ParkStats park_stats() const noexcept {
+    return futex_waiters_.stats();
+  }
+  // Records not currently kFree.
+  [[nodiscard]] std::size_t occupied() const noexcept {
+    return slots_.occupied();
+  }
+  // How many yields a saturated waiter climbs before its first park.
+  void set_yields_before_park(int n) noexcept {
+    futex_waiters_.set_yields_before_park(n);
+  }
+  [[nodiscard]] int yields_before_park() const noexcept {
+    return futex_waiters_.yields_before_park();
+  }
+
+ private:
+  Slots slots_{};
+  alignas(kCacheLineSize) ElectionGate gate_{};
+  // Rung-3 parking for every wait loop of the executor. One point for
+  // the whole object: wakes are per combine pass, not per record, so a
+  // finer grain would buy nothing but syscalls.
+  alignas(kCacheLineSize) WaitPoint<kScope> futex_waiters_{};
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> direct_ops_{0};
+};
+
+// The array and the core live inside ShmCombining's segment-resident
+// object, and the gate inside ShmArena's header.
 SCM_ASSERT_ADDRESS_FREE(SlotRequest);
 SCM_ASSERT_ADDRESS_FREE(SlotPayload);
 SCM_ASSERT_ADDRESS_FREE(SlotNoExtra);
 SCM_ASSERT_ADDRESS_FREE(SlotRecord<SlotNoExtra>);
 SCM_ASSERT_ADDRESS_FREE(SlotArray<SlotNoExtra, 2>);
+SCM_ASSERT_ADDRESS_FREE(ElectionGate);
+SCM_ASSERT_ADDRESS_FREE(CombiningCore<SlotNoExtra, 2, FutexScope::kShared>);
 
 }  // namespace scm

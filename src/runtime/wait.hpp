@@ -1,26 +1,23 @@
 // The blocking-point seam between platforms.
 //
 // Every combining-style layer has wait loops ("until my slot turns
-// kDone", "until the election lock frees") that used to be raw native
+// kDone", "until the election gate frees") that used to be raw native
 // spins — which made the whole slot protocol invisible to the
 // deterministic simulator: a spinning thread never parks, so the
 // step-granting scheduler can neither interleave nor terminate it.
 // wait_until() is the one place that duality now lives:
 //
 //   * NativeContext (no await support): spin on the predicate with the
-//     shared backoff ladder — exactly the wait the native wrappers
-//     always performed, minus the per-iteration lock hammering (the
-//     caller re-attempts its RMW only after the predicate turns true,
-//     a test-and-test-and-set discipline). The overload taking a
-//     WaitPoint adds the third rung: once the ladder saturates, the
-//     waiter parks on the point's futex word and a waker's wake_all()
-//     resumes it (support/parking.hpp) — spin, then yield, then sleep.
+//     shared backoff ladder, then park on the WaitPoint's futex word
+//     once the ladder saturates, until a waker's wake_all() resumes it
+//     (support/parking.hpp) — spin, then yield, then sleep. The caller
+//     re-attempts its RMW only after the predicate turns true, a
+//     test-and-test-and-set discipline.
 //   * SimContext (kCanAwait): park in SimContext::await. The scheduler
 //     excludes the process from the runnable set until the predicate
 //     holds, so sim::explore's interleaving tree stays finite and a
 //     lost wakeup surfaces as a loud simulated deadlock. The WaitPoint
-//     overload routes sim contexts to the SAME await call and never
-//     touches the point — the simulator's park already is rung 3, and
+//     is never touched — the simulator's park already is rung 3, and
 //     the interleaving tree must not depend on native wait plumbing
 //     (the slot-protocol explore tests pin the schedule counts).
 //
@@ -34,7 +31,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "support/backoff.hpp"
 #include "support/parking.hpp"
 
 namespace scm {
@@ -58,21 +54,10 @@ inline constexpr bool context_can_await_v = context_can_await<Ctx>::value;
 
 }  // namespace detail
 
-template <class Ctx, class Pred>
-void wait_until(Ctx& ctx, Pred&& pred) {
-  if constexpr (detail::context_can_await_v<Ctx>) {
-    ctx.await(std::forward<Pred>(pred));
-  } else {
-    (void)ctx;
-    int spins = 0;
-    while (!pred()) (void)spin_backoff(spins);
-  }
-}
-
-// The parking variant: native contexts escalate spin → yield → park on
-// `wp` once the backoff ladder saturates; the waker responsible for
-// the predicate must call wp.wake_all() after its state change.
-// Awaitable contexts ignore the WaitPoint entirely (see file comment).
+// Native contexts escalate spin → yield → park on `wp` once the
+// backoff ladder saturates; the waker responsible for the predicate
+// must call wp.wake_all() after its state change. Awaitable contexts
+// ignore the WaitPoint entirely (see file comment).
 template <class Ctx, class Pred, FutexScope kScope, WaitMode kMode>
 void wait_until(Ctx& ctx, Pred&& pred, WaitPoint<kScope, kMode>& wp) {
   if constexpr (detail::context_can_await_v<Ctx>) {

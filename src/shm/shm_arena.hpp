@@ -20,12 +20,20 @@
 // accesses between mappings of the same physical page regardless of
 // where each process mapped it.
 //
-// Concurrency envelope: alloc/free/publish take a tiny header
-// spinlock — they are SETUP-path operations (a server laying out the
-// segment, clients registering), not per-operation ones. resolve() is
-// lock-free (an acquire scan of the table) so attaching clients never
-// contend with each other. The per-operation hot path never enters
-// this file: ShmCombining's slots synchronize on their own words.
+// Concurrency envelope: alloc/free/publish take the header lock — they
+// are SETUP-path operations (a server laying out the segment, clients
+// registering), not per-operation ones. The lock is the combining
+// executors' election gate (core/slot_protocol.hpp) holding the
+// locker's pid, so a process killed while it holds the lock does not
+// wedge the segment: a waiter whose backoff ladder saturates probes the
+// holder and steals the lock from a dead one. Stealing is sound because
+// every mutation under the lock commits with one store — a free-list
+// pop, split or bump (the free-list link or the bump pointer), a push
+// (the list head) and a table publish (the entry's ready flag) — so a
+// dead holder left either all of its change or none of it, never half.
+// resolve() is lock-free (an acquire scan of the table) so attaching
+// clients never contend with each other. The per-operation hot path
+// never enters this file: ShmCombining synchronizes on its own words.
 #pragma once
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -39,6 +47,7 @@
 #if SCM_HAS_POSIX_SHM
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -53,11 +62,22 @@
 #include <type_traits>
 #include <utility>
 
+#include "core/slot_protocol.hpp"
+#include "runtime/context.hpp"
 #include "shm/shm_layout.hpp"
 #include "support/assert.hpp"
 #include "support/backoff.hpp"
+#include "support/process.hpp"
 
 namespace scm {
+
+// Liveness probe for a gate or record holder stamped with a pid:
+// signal 0 delivers nothing but performs the existence/permission
+// check. EPERM means "exists but not ours" — alive; only ESRCH means
+// gone.
+inline bool shm_process_alive(std::uint32_t pid) noexcept {
+  return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH;
+}
 
 // ShmArena is the process-local HANDLE to a segment (mapping base,
 // path) — it lives on this process's stack/heap, never inside the
@@ -87,6 +107,9 @@ class ShmArena {
     std::uint32_t type_tag = 0;
   };
   SCM_ASSERT_ADDRESS_FREE(Resolved);
+
+  // The header lock's type: the combining executors' election gate.
+  using gate_type = ElectionGate;
 
   // ---- segment lifecycle -------------------------------------------
 
@@ -216,7 +239,7 @@ class ShmArena {
   // Allocates `bytes` at alignment `align` and returns the offset, or
   // 0 (the null offset) when the segment is exhausted. First-fit over
   // the free list, then the bump pointer. Setup-path: takes the header
-  // spinlock.
+  // lock.
   [[nodiscard]] std::uint64_t alloc(std::uint64_t bytes,
                                     std::uint64_t align = kMinAlign) {
     SCM_CHECK_MSG(align != 0 && (align & (align - 1)) == 0,
@@ -234,7 +257,7 @@ class ShmArena {
     std::uint64_t prev = 0;
     for (std::uint64_t off = h.free_head.load(std::memory_order_relaxed);
          off != 0;) {
-      auto* block = checked_block(h, off, end, walked);
+      auto* block = checked_block(off, end, walked);
       const std::uint64_t next = block->next;
       if (block->size >= bytes && off % align == 0) {
         const std::uint64_t remainder = block->size - bytes;
@@ -270,16 +293,15 @@ class ShmArena {
     Header& h = header();
     LockGuard guard(h.lock);
     const std::uint64_t end = allocated_end(h);
-    check_locked(h,
-                 offset >= sizeof(Header) && offset % kMinAlign == 0 &&
-                     offset < end && bytes <= end - offset,
-                 "freeing a block outside the arena's allocated region");
+    SCM_CHECK_MSG(offset >= sizeof(Header) && offset % kMinAlign == 0 &&
+                      offset < end && bytes <= end - offset,
+                  "freeing a block outside the arena's allocated region");
     std::uint64_t walked = 0;
     for (std::uint64_t off = h.free_head.load(std::memory_order_relaxed);
          off != 0;) {
-      const FreeBlock* listed = checked_block(h, off, end, walked);
-      check_locked(h, offset + bytes <= off || off + listed->size <= offset,
-                   "double free: the block is already on the shm free list");
+      const FreeBlock* listed = checked_block(off, end, walked);
+      SCM_CHECK_MSG(offset + bytes <= off || off + listed->size <= offset,
+                    "double free: the block is already on the shm free list");
       off = listed->next;
     }
     auto* block = at_unchecked<FreeBlock>(offset);
@@ -389,7 +411,7 @@ class ShmArena {
     std::uint32_t version = 0;
     std::uint32_t page_size = 0;
     std::uint64_t capacity = 0;
-    std::atomic<std::uint32_t> lock{0};  // setup-path spinlock
+    gate_type lock;  // setup-path lock, holding the locker's pid
     std::uint32_t reserved = 0;
     std::atomic<std::uint64_t> bump{0};
     std::atomic<std::uint64_t> free_head{0};
@@ -399,29 +421,31 @@ class ShmArena {
   static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
                 "shm atomics must be address-free");
 
-  // RAII guard over the header spinlock: stack-resident in the locking
-  // process, holds a reference into the mapping. Test-and-test-and-set:
-  // a waiter spins on a relaxed read (paced by spin_backoff) and tries
-  // the exchange only once the word reads free, so a held lock costs
-  // its waiters cache-local re-reads, not a stream of RMWs on the line
-  // the holder must write to release it.
+  // RAII guard over the header lock: stack-resident in the locking
+  // process, holds a reference into the mapping. The gate's acquire is
+  // test-and-test-and-set, paced by spin_backoff; once the ladder
+  // saturates, each further attempt also probes the holder's pid and
+  // steals the lock from a dead holder (see the file comment).
   // scm-lint: process-local
   class LockGuard {
    public:
-    explicit LockGuard(std::atomic<std::uint32_t>& lock) : lock_(lock) {
+    explicit LockGuard(gate_type& lock) : lock_(lock) {
+      const std::uint32_t self = this_process_id();
+      NativeContext uncounted;  // setup-path steps are not accounted
       int spins = 0;
-      while (lock_.exchange(1, std::memory_order_acquire) != 0) {
-        while (lock_.load(std::memory_order_relaxed) != 0) {
-          spin_backoff(spins);
+      while (!lock_.try_acquire(uncounted, self)) {
+        if (spin_backoff(spins) &&
+            lock_.take_or_steal(uncounted, self, shm_process_alive)) {
+          break;
         }
       }
     }
-    ~LockGuard() { lock_.store(0, std::memory_order_release); }
+    ~LockGuard() { lock_.release(); }
     LockGuard(const LockGuard&) = delete;
     LockGuard& operator=(const LockGuard&) = delete;
 
    private:
-    std::atomic<std::uint32_t>& lock_;
+    gate_type& lock_;
   };
 
   ShmArena(std::string path, void* base, std::uint64_t bytes)
@@ -472,34 +496,25 @@ class ShmArena {
     return bump < bytes_ ? bump : bytes_;
   }
 
-  // A check made under the header lock. On failure it releases the lock
-  // before aborting: abort() runs no destructor, so a held LockGuard
-  // would leave the next process to allocate spinning on the lock
-  // instead of failing on the same check.
-  static void check_locked(Header& h, bool ok, const char* what) noexcept {
-    if (ok) return;
-    h.lock.store(0, std::memory_order_release);
-    SCM_CHECK_MSG(ok, what);
-  }
-
   // The free block at `off`, checked before the walk trusts it. The
   // segment is shared with every process that maps it, so a corrupt
   // link or a cycle (a double free, a stray write through at<>()) must
   // fail loudly here: an unchecked walk would spin forever under the
-  // header lock and wedge every process that allocates next. `walked`
-  // counts the links visited so far; no list can hold more blocks than
-  // the allocated region has room for.
-  FreeBlock* checked_block(Header& h, std::uint64_t off, std::uint64_t end,
+  // header lock and wedge every process that allocates next. A failed
+  // check aborts with the lock held; the next locker steals it from
+  // the dead process. `walked` counts the links visited so far; no list
+  // can hold more blocks than the allocated region has room for.
+  FreeBlock* checked_block(std::uint64_t off, std::uint64_t end,
                            std::uint64_t& walked) noexcept {
-    check_locked(h, ++walked <= (end - sizeof(Header)) / kMinObjectBytes,
-                 "shm free list is longer than the arena can hold (a "
-                 "cycle: double free or corrupt segment)");
-    check_locked(h, off >= sizeof(Header) && off % kMinAlign == 0 && off < end,
-                 "shm free-list link points outside the arena's "
-                 "allocated region");
+    SCM_CHECK_MSG(++walked <= (end - sizeof(Header)) / kMinObjectBytes,
+                  "shm free list is longer than the arena can hold (a "
+                  "cycle: double free or corrupt segment)");
+    SCM_CHECK_MSG(off >= sizeof(Header) && off % kMinAlign == 0 && off < end,
+                  "shm free-list link points outside the arena's "
+                  "allocated region");
     auto* block = at_unchecked<FreeBlock>(off);
-    check_locked(h, block->size >= kMinObjectBytes && block->size <= end - off,
-                 "shm free block runs past the arena's allocated region");
+    SCM_CHECK_MSG(block->size >= kMinObjectBytes && block->size <= end - off,
+                  "shm free block runs past the arena's allocated region");
     return block;
   }
 

@@ -2,23 +2,26 @@
 // segment, so INDEPENDENT PROCESSES submit operations into one
 // combiner the way threads submit into core/combining.hpp.
 //
-// The publication array, its records and every slot transition are
-// core/slot_protocol.hpp's, the same code Combining runs; none of it
-// depends on a virtual address. The array, the gate word and the
-// wrapped object all live inline in this object, which itself lives at
-// an arena offset.
+// The protocol is core/slot_protocol.hpp's CombiningCore, the code
+// Combining runs: the publication array and every slot transition, the
+// election gate, the gate-held fast path, the served-wait loop and
+// drain(). None of it depends on a virtual address. The core and the
+// wrapped object live inline in this object, which itself lives at an
+// arena offset; the core's wait point uses the shared futex scope, so
+// a wake reaches waiters in every process.
 //
 // What IS new is the failure domain. A thread cannot vanish
 // mid-publication; a process can (SIGKILL, OOM kill). Two mechanisms
 // absorb that:
 //
-//   - Every record's word carries its publisher's pid beside the state
-//     (core/slot_protocol.hpp), stamped by the claim CAS itself and
-//     kept by the combiner's kDone store, so a publisher that died at
-//     any point still has its name on the record. The pid is resolved
-//     once per process (support/process.hpp), not by a getpid()
-//     syscall per op, and re-resolved in a forked child, which must
-//     stamp its own pid or reclaim_dead could not tell it died.
+//   - The gate holds the combiner's pid, and every record's word
+//     carries its publisher's pid beside the state, stamped by the
+//     claim CAS itself and kept by the combiner's kDone store, so a
+//     publisher that died at any point still has its name on the
+//     record. The pid is resolved once per process
+//     (support/process.hpp), not by a getpid() syscall per op, and
+//     re-resolved in a forked child, which must stamp its own pid or
+//     reclaim_dead could not tell it died.
 //   - reclaim_dead() sweeps, UNDER THE GATE, every slot whose owner no
 //     longer exists (kill(pid, 0) probe, injectable for tests) and
 //     frees the ones the dead process could never recycle itself:
@@ -42,27 +45,22 @@
 // per kill. A combiner dying mid-batch would instead leave the wrapped
 // object's state ahead of any count — unrecoverable without undo logs.
 //
-// Platform note: publishers BLOCK on the combiner's progress, and every
-// blocking point goes through wait_until (runtime/wait.hpp), so this
-// exact class also runs under the deterministic simulator. There the
-// owner stamp is ctx.id() + 1 instead of the OS pid (simulated
-// processes share one pid), the futex wait becomes a SimContext park,
-// and the counted accesses — the slot transitions' steps, the gate CAS,
-// and reclaim_dead's gate CAS and record frees — are the explorer's
-// scheduling points. slot_protocol_explore_test enumerates every
-// interleaving of 2-3 processes through it and kills a victim at each
-// of its own steps, so the crash wreckage it checks is exactly what
-// this code leaves behind.
+// Platform note: this exact class also runs under the deterministic
+// simulator. There the owner stamp is ctx.id() + 1 instead of the OS
+// pid (simulated processes share one pid), the futex wait becomes a
+// SimContext park, and the counted accesses — the slot transitions'
+// steps, the gate CAS, and reclaim_dead's gate CAS and record frees —
+// are the explorer's scheduling points. slot_protocol_explore_test
+// enumerates every interleaving of 2-3 processes through it and kills a
+// victim at each of its own steps, so the crash wreckage it checks is
+// exactly what this code leaves behind.
 #pragma once
 
 #include "shm/shm_arena.hpp"  // platform gate: defines SCM_HAS_POSIX_SHM
 
 #if SCM_HAS_POSIX_SHM
 
-#include <signal.h>
-
 #include <atomic>
-#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -81,29 +79,23 @@
 
 namespace scm {
 
-// Liveness probe for reclaim_dead: signal 0 delivers nothing but
-// performs the existence/permission check. EPERM means "exists but
-// not ours" — alive; only ESRCH means gone.
-inline bool shm_process_alive(std::uint32_t pid) noexcept {
-  return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH;
-}
-
 template <class Obj, std::size_t kSlots>
 class ShmCombining {
   static_assert(std::is_trivially_destructible_v<Obj>,
                 "segment-resident objects are never destroyed in-place");
 
-  using Slots = SlotArray<SlotNoExtra, kSlots>;
+  using Core = CombiningCore<SlotNoExtra, kSlots, FutexScope::kShared>;
 
  public:
   static constexpr std::size_t kSlotCount = kSlots;
 
-  // Same protocol and record payload as the in-process wrapper —
-  // shm_test asserts the two `slot_state` aliases, and the two
-  // `slot_payload` aliases, are one type each.
+  // Same protocol, record payload and gate as the in-process wrapper —
+  // shm_test asserts each pair of aliases is one type.
   using slot_state = SlotState;
   using slot_payload = SlotPayload;
-  static constexpr std::size_t kSlotBytes = sizeof(typename Slots::Record);
+  using gate_type = typename Core::gate_type;
+  static constexpr std::size_t kSlotBytes =
+      sizeof(typename Core::Slots::Record);
 
   // Compiled-in shape fingerprint, published alongside the arena
   // offset and checked by attachers BEFORE the first shared access:
@@ -140,48 +132,22 @@ class ShmCombining {
   // may_combine = false: pure publication, the op executes only on a
   // serving combiner, and dying at any point leaves at most this one
   // op ambiguous (see file comment). With false and no serving
-  // process anywhere, invoke blocks — the server contract.
+  // process anywhere, invoke blocks — the server contract. Such a
+  // client under a descheduled server PARKS on the segment's shared
+  // futex instead of burning its timeslice; the serving combiner's
+  // gate release wakes it.
   template <class Ctx>
     requires Composable<Obj, Ctx>
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt,
                       bool may_combine = true) {
     const std::uint32_t self = owner_of(ctx);
-    // Fast path: gate free — run directly (a batch of one), serve
-    // whatever published meanwhile, release.
-    if (may_combine && try_gate(ctx, self)) {
-      const ModuleResult r = scm::apply(obj_, ctx, m, init);
-      bump(direct_ops_, 1);
-      slots_.combine(obj_, ctx);
-      release_gate();
-      return r;
+    if (may_combine && core_.try_acquire(ctx, self)) {
+      return core_.run_direct(obj_, ctx, m, init, {});
     }
-
     const std::size_t idx = claim(ctx, self);
-    slots_.publish(ctx, idx, self, m, init, {});
-    while (!slots_.done(idx)) {
-      if (may_combine && try_gate(ctx, self)) {
-        slots_.combine(obj_, ctx);  // serves at least our own record
-        release_gate();
-        continue;
-      }
-      // Rung-3 wait on the segment's shared futex: a may_combine=false
-      // client under a descheduled server PARKS here instead of
-      // burning its timeslice against a gate nobody is serving — the
-      // serving combiner's release_gate() wake resumes it.
-      wait_until(
-          ctx,
-          [this, idx, may_combine] {
-            return slots_.done(idx) ||
-                   (may_combine &&
-                    gate_.load(std::memory_order_relaxed) == 0);
-          },
-          futex_waiters_);
-    }
-    const ModuleResult r = slots_.collect(ctx, idx);
-    // A freed record is what claim()'s exhaustion wait parks on.
-    futex_waiters_.wake_all();
-    return r;
+    core_.slots().publish(ctx, idx, self, m, init, {});
+    return core_.await_served(obj_, ctx, idx, self, may_combine);
   }
 
   // One combine pass if the gate is free right now; false when some
@@ -190,10 +156,7 @@ class ShmCombining {
   template <class Ctx>
     requires Composable<Obj, Ctx>
   bool try_serve(Ctx& ctx) {
-    if (!try_gate(ctx, owner_of(ctx))) return false;
-    slots_.combine(obj_, ctx);
-    release_gate();
-    return true;
+    return core_.try_serve(obj_, ctx, owner_of(ctx));
   }
 
   // Combines until no publication is pending. Same contract as the
@@ -205,32 +168,24 @@ class ShmCombining {
   template <class Ctx>
     requires Composable<Obj, Ctx>
   void drain(Ctx& ctx) {
-    while (pending() != 0) {
-      if (try_serve(ctx)) continue;
-      wait_until(
-          ctx,
-          [this] {
-            return pending() == 0 ||
-                   gate_.load(std::memory_order_relaxed) == 0;
-          },
-          futex_waiters_);
-    }
+    core_.drain(obj_, ctx, owner_of(ctx), SlotState::kPending);
   }
 
   // Published-but-unserved operations right now (acquire scan — there
   // is no pending-count hint on purpose: a cached counter drifts
   // permanently when the process that was about to decrement it dies).
   [[nodiscard]] std::size_t pending() const noexcept {
-    return slots_.count_below_mark(SlotState::kPending, SlotState::kPending);
+    return core_.slots().count_below_mark(SlotState::kPending,
+                                          SlotState::kPending);
   }
   // Records not currently kFree — shm_test checks this is zero after
   // the final drain + reclaim.
   [[nodiscard]] std::size_t occupied() const noexcept {
-    return slots_.occupied();
+    return core_.occupied();
   }
   // Owner id holding the combiner gate, 0 when free.
   [[nodiscard]] std::uint32_t gate_holder() const noexcept {
-    return gate_.load(std::memory_order_acquire);
+    return core_.gate_holder();
   }
 
   // Sweeps the wreckage of dead processes: frees kClaimed and kDone
@@ -248,24 +203,13 @@ class ShmCombining {
   // simulator the sweep interleaves with live publishers step by step.
   template <class Ctx, class Alive>
   std::size_t reclaim_dead(Ctx& ctx, Alive&& alive) {
-    const std::uint32_t self = owner_of(ctx);
-    std::uint32_t holder = gate_.load(std::memory_order_acquire);
-    // Take the gate if it is free, or steal it from a dead holder; the
-    // CAS fails if anyone else (a combiner, another reclaimer) got there
-    // first.
-    if (holder != 0 && alive(holder)) return 0;
-    if (!gate_.compare_exchange_strong(holder, self,
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-      return 0;
-    }
-    ctx.on_rmw();
+    if (!core_.take_or_steal(ctx, owner_of(ctx), alive)) return 0;
 
     // Every record, not just those below the claim mark: a claimer
     // killed between its claim CAS and its mark raise leaves a
     // kClaimed record above it.
     std::size_t reclaimed = 0;
-    for (auto& r : slots_.records()) {
+    for (auto& r : core_.slots().records()) {
       std::uint32_t w = r.word.load(std::memory_order_acquire);
       const SlotState state = slot_state_of(w);
       const std::uint32_t owner = slot_owner_of(w);
@@ -287,12 +231,12 @@ class ShmCombining {
         ++reclaimed;
       }
     }
-    // release_gate's wake doubles as the orphan sweep-up: live waiters
-    // parked against state a DEAD process was supposed to change
-    // (claim() waiting on records the corpse held, publishers waiting
-    // on a gate it wedged) re-check their predicates against the swept
-    // slots and the freed gate instead of sleeping forever.
-    release_gate();
+    // The gate release's wake doubles as the orphan sweep-up: live
+    // waiters parked against state a DEAD process was supposed to
+    // change (claim() waiting on records the corpse held, publishers
+    // waiting on a gate it wedged) re-check their predicates against
+    // the swept slots and the freed gate instead of sleeping forever.
+    core_.release();
     return reclaimed;
   }
 
@@ -302,33 +246,28 @@ class ShmCombining {
     static_assert(!detail::context_can_await_v<Ctx>,
                   "simulated owners are ctx.id() + 1, not pids: pass an "
                   "alive() probe");
-    return reclaim_dead(
-        ctx, [](std::uint32_t pid) { return shm_process_alive(pid); });
+    return reclaim_dead(ctx, shm_process_alive);
   }
 
   [[nodiscard]] Obj& object() noexcept { return obj_; }
   [[nodiscard]] const Obj& object() const noexcept { return obj_; }
 
-  // ---- combining telemetry (this process's mapping is shared, so
-  // these aggregate over ALL participating processes).
+  // ---- combining and park/wake telemetry. The counters live in the
+  // segment, so they aggregate over ALL participating processes: a
+  // client that parked against a stalled server shows up in the
+  // server's readout (shm_test's stalled-server case checks that).
 
   [[nodiscard]] std::uint64_t combine_rounds() const noexcept {
-    return slots_.rounds();
+    return core_.combine_rounds();
   }
   [[nodiscard]] std::uint64_t combined_ops() const noexcept {
-    return slots_.batched_ops();
+    return core_.combined_ops();
   }
   [[nodiscard]] std::uint64_t direct_ops() const noexcept {
-    return direct_ops_.load(std::memory_order_relaxed);
+    return core_.direct_ops();
   }
-
-  // Park/wake telemetry from the segment-resident WaitPoint. The
-  // counters live in shared memory, so — like the combining counters
-  // above — they aggregate over ALL participating processes: a client
-  // that parked against a stalled server shows up in the server's
-  // readout (shm_test's stalled-server case checks exactly that).
   [[nodiscard]] ParkStats park_stats() const noexcept {
-    return futex_waiters_.stats();
+    return core_.park_stats();
   }
 
  private:
@@ -354,64 +293,34 @@ class ShmCombining {
     return owner;
   }
 
-  // Gate = combiner election word holding the OWNER'S PID (0 = free),
-  // the cross-process analogue of the in-process TAS bool — the pid is
-  // what lets reclaim_dead distinguish "busy" from "wedged by a
-  // corpse".
-  template <class Ctx>
-  bool try_gate(Ctx& ctx, std::uint32_t self) {
-    std::uint32_t expected = 0;
-    if (gate_.load(std::memory_order_relaxed) == 0 &&
-        gate_.compare_exchange_strong(expected, self,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
-      ctx.on_rmw();
-      return true;
-    }
-    return false;
-  }
-  void release_gate() noexcept {
-    gate_.store(0, std::memory_order_release);
-    // One batched wake per combine pass / gate handover: kDone slots,
-    // gate-waiters, and drain()ers all re-check off this single call.
-    // Uncontended cost: a fence + one relaxed load, no syscall.
-    futex_waiters_.wake_all();
-  }
-
   // Claims a free record, rotating from a pid-derived hint; blocks
   // (paced) while the array is exhausted — slot holders are publishers
   // mid-round-trip, and each round trip completes in bounded time once
   // a combiner runs. Parks until some record frees: a publisher's
-  // collect, or reclaim_dead() sweeping a corpse's records (its
-  // release_gate wake is what un-parks us after a SIGKILL).
+  // collect, or reclaim_dead() sweeping a corpse's records (its gate
+  // release wake is what un-parks us after a SIGKILL).
   template <class Ctx>
   std::size_t claim(Ctx& ctx, std::uint32_t self) {
     const std::size_t hint = static_cast<std::size_t>(self) % kSlots;
     for (;;) {
-      if (const auto idx = slots_.try_claim(ctx, hint, self)) return *idx;
-      wait_until(
-          ctx, [this] { return slots_.occupied() < kSlots; }, futex_waiters_);
+      if (const auto idx = core_.slots().try_claim(ctx, hint, self)) {
+        return *idx;
+      }
+      core_.wait(ctx, [this] { return core_.occupied() < kSlots; });
     }
   }
 
-  Slots slots_{};
-  alignas(kCacheLineSize) std::atomic<std::uint32_t> gate_{0};
-  // Rung-3 parking for every wait loop above. kShared scope: the futex
-  // word lives in the segment, so FUTEX_WAIT/FUTEX_WAKE must key on
-  // the physical page (no FUTEX_PRIVATE_FLAG) — each process maps it
-  // at a different virtual address.
-  alignas(kCacheLineSize) WaitPoint<FutexScope::kShared> futex_waiters_{};
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> direct_ops_{0};
+  Core core_;
   alignas(kCacheLineSize) Obj obj_{};
 };
 
 // A class template cannot assert on itself from inside its own
 // definition, so the wrapper-level layout guarantee is pinned on a
 // minimal probe instantiation: if ShmCombining<trivial Obj> is
-// segment-safe, nothing in the wrapper's own members (slots, gate,
-// telemetry words) breaks address freedom — a real Obj can only break
-// it through its own fields, which its own SCM_ASSERT_ADDRESS_FREE
-// covers (e.g. ShmCounter's).
+// segment-safe, nothing in the wrapper's own members (the core: slots,
+// gate, wait point, telemetry words) breaks address freedom — a real
+// Obj can only break it through its own fields, which its own
+// SCM_ASSERT_ADDRESS_FREE covers (e.g. ShmCounter's).
 namespace detail {
 struct ShmLayoutProbe {
   std::atomic<std::uint64_t> word{0};

@@ -35,14 +35,14 @@ struct ChainPerformed {
 
 // Structural requirements on an Abstract stage, checked against the
 // concrete context type: invoke(ctx, m, init) commits or aborts m with
-// a history (init is empty for "no init"), consensus_number() is the
-// largest consensus number among the base objects the stage uses, and
-// name() labels the stage in reports.
+// a history (init is empty for "no init"), the static kConsensusNumber
+// is the largest consensus number among the base objects the stage
+// uses, and name() labels the stage in reports.
 template <class S, class Ctx>
 concept AbstractStageLike =
     requires(S s, Ctx& ctx, const Request& m, const History& init) {
       { s.invoke(ctx, m, init) } -> std::same_as<AbstractResult>;
-      { s.consensus_number() } -> std::convertible_to<int>;
+      { S::kConsensusNumber } -> std::convertible_to<int>;
       { s.name() } -> std::convertible_to<const char*>;
     };
 

@@ -37,7 +37,10 @@ namespace scm {
 template <class P, class Spec, class Cons, std::size_t CapPerProc = 64>
 class ComposableUniversal {
  public:
-  static constexpr int kConsensusNumber = Cons::kConsensusNumber;
+  // The cells contribute their own strength; the committed-cell
+  // counter C is fetch&add, whose consensus number is 2.
+  static constexpr int kConsensusNumber =
+      std::max(Cons::kConsensusNumber, kConsensusNumberFetchAdd);
   using Context = typename P::Context;
 
   ComposableUniversal(int num_processes, std::size_t max_cells,
@@ -131,12 +134,6 @@ class ComposableUniversal {
         return out;
       }
     }
-  }
-
-  [[nodiscard]] int consensus_number() const {
-    // The counter C is fetch-and-add (consensus number 2); the cells
-    // contribute their own strength.
-    return std::max(kConsensusNumber, kConsensusNumberFetchAdd);
   }
 
   [[nodiscard]] const char* name() const { return name_; }

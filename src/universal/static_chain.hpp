@@ -56,7 +56,12 @@ class StaticAbstractChain {
 
   static_assert((AbstractStageLike<Stages, Context> && ...),
                 "every static chain stage must expose the Abstract "
-                "surface (invoke/consensus_number/name)");
+                "surface (invoke/kConsensusNumber/name)");
+
+  // The chain's consensus number: the max over its stages, folded at
+  // compile time as Pipeline folds its modules'.
+  static constexpr int kConsensusNumber =
+      std::max({Stages::kConsensusNumber...});
 
   StaticAbstractChain(int num_processes, Stages&... stages)
       : n_(num_processes), stages_(stages...) {
@@ -107,17 +112,6 @@ class StaticAbstractChain {
                   "StaticAbstractChain: process id out of range");
     SCM_CHECK(i < kDepth);
     return per_proc_[static_cast<std::size_t>(pid)].commits_by_stage[i];
-  }
-
-  // The chain's consensus number: max over the stages.
-  [[nodiscard]] int consensus_number() const {
-    return std::apply(
-        [](const auto&... s) {
-          int cn = 1;
-          ((cn = std::max(cn, s.get().consensus_number())), ...);
-          return cn;
-        },
-        stages_);
   }
 
  private:

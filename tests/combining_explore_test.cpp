@@ -3,15 +3,16 @@
 // every interleaving of 2 and 3 processes through its publication-slot
 // protocol (core/slot_protocol.hpp), each run checked for a
 // linearizable fetch&inc history, zero slot residue, and a released
-// combiner lock. Three processes through two slots exhaust the array,
+// election gate. Three processes through two slots exhaust the array,
 // so the claim_or_run inline fallback is explored too.
 //
 // Its cross-process sibling, ShmCombining, is explored the same way in
 // slot_protocol_explore_test. Both executors run the one slot-protocol
 // implementation (core/slot_protocol.hpp), so the two trees check the
-// same claim, publish, serve and collect code under each executor's
-// own policy: this one's election, inline fallback and callbacks,
-// ShmCombining's pid gate, may_combine and claim wait. The trees live
+// same claim, publish, serve, collect, gate and wait code
+// (CombiningCore) under each executor's own policy: this one's
+// elect_spins election, inline fallback and callbacks, ShmCombining's
+// pid stamps, may_combine and claim wait. The trees live
 // in separate binaries so ctest -j runs them in parallel.
 #include <gtest/gtest.h>
 
@@ -23,16 +24,14 @@ namespace {
 
 using InProcess = Combining<slot_explore::TicketModule, 2>;
 
-bool lock_free(const InProcess& c) { return !c.gate_held(); }
-
 TEST(CombiningExplore, TwoProcsTwoSlotsLinearizableNoResidue) {
-  const auto stats = slot_explore::explore_fetch_inc<InProcess>(2, lock_free);
+  const auto stats = slot_explore::explore_fetch_inc<InProcess>(2);
   EXPECT_TRUE(stats.exhausted);
   EXPECT_EQ(stats.runs, 20u);
 }
 
 TEST(CombiningExplore, ThreeProcsTwoSlotsLinearizableNoResidue) {
-  const auto stats = slot_explore::explore_fetch_inc<InProcess>(3, lock_free);
+  const auto stats = slot_explore::explore_fetch_inc<InProcess>(3);
   EXPECT_TRUE(stats.exhausted);
   EXPECT_EQ(stats.runs, 119'652u);
 }

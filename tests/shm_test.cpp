@@ -11,7 +11,8 @@
 //    fail-fast attach paths (uninitialized magic, corrupted layout
 //    version), and a corrupt free list (a cycle, a link outside the
 //    arena, a double free) dying with a named check instead of
-//    spinning;
+//    spinning, after which the next locker steals the header lock from
+//    the dead process;
 //  * distinct ShmCombining instantiations carry distinct type tags;
 //  * ShmSpinBarrier aligns arrivals across generations;
 //  * ShmCombining executes a threaded fetch&inc workload with exact
@@ -92,6 +93,13 @@ static_assert(
                    ShmCombining<ShmCounter, 8>::slot_state>,
     "in-process and cross-process combining must share one slot enum");
 static_assert(std::is_same_v<TestCombining::slot_state, SlotState>);
+// ... and one election gate: both executors' combiner elections and the
+// arena's header lock are the same holder-word type.
+static_assert(std::is_same_v<Combining<ShmCounter, 8>::gate_type,
+                             ElectionGate> &&
+                  std::is_same_v<TestCombining::gate_type, ElectionGate> &&
+                  std::is_same_v<ShmArena::gate_type, ElectionGate>,
+              "both executors and the arena must share one gate type");
 // ... and one record payload: the request and its result overlaid, so
 // each executor's whole publication record is one cache line.
 static_assert(
@@ -252,9 +260,10 @@ TEST(ShmArena, AllocatorReusesFreedBlocksAndReportsExhaustion) {
 
 // A corrupt free list fails loudly instead of wedging the allocator.
 // Each death runs in a forked child that maps the same MAP_SHARED
-// segment; the failing check releases the header lock before it
-// aborts, so the parent's next alloc fails on the same check instead
-// of spinning on a lock the dead child still holds.
+// segment and aborts holding the header lock, stamped with its pid.
+// The second child must steal the lock from the first, which is dead
+// and reaped, or it hangs instead of failing on the same check; the
+// parent's publish() afterwards must steal it from the second.
 TEST(ShmArena, CyclicFreeListFailsInsteadOfSpinning) {
   const std::string name = unique_segment("cycle");
   SegmentJanitor janitor{name};
@@ -268,6 +277,7 @@ TEST(ShmArena, CyclicFreeListFailsInsteadOfSpinning) {
   // Too big for the block, so the first-fit walk follows the cycle.
   EXPECT_DEATH((void)a->alloc(128), "free list is longer than the arena");
   EXPECT_DEATH((void)a->alloc(128), "free list is longer than the arena");
+  EXPECT_TRUE(a->publish("after-death", off, 64, 0));
 }
 
 TEST(ShmArena, FreeListLinkOutsideTheArenaFails) {
@@ -280,6 +290,7 @@ TEST(ShmArena, FreeListLinkOutsideTheArenaFails) {
   a->free(off, 64);
   *a->at<std::uint64_t>(off) = 8;  // into the header
   EXPECT_DEATH((void)a->alloc(128), "link points outside");
+  EXPECT_TRUE(a->publish("after-death", off, 64, 0));
 }
 
 TEST(ShmArena, DoubleFreeFails) {
@@ -291,6 +302,7 @@ TEST(ShmArena, DoubleFreeFails) {
   ASSERT_NE(off, 0u);
   a->free(off, 64);
   EXPECT_DEATH(a->free(off, 64), "double free");
+  EXPECT_TRUE(a->publish("after-death", off, 64, 0));
 }
 
 // The header lock under real contention: kThreads threads churn

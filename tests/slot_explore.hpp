@@ -51,10 +51,10 @@ inline std::vector<ConcurrentOp> history_of(const sim::Simulator& sim) {
 // fetch&inc through a fresh Wrapper<TicketModule, ...>, and checks every
 // run: all ops completed, the history linearizes against CounterSpec,
 // the object executed exactly `procs` ops, no record is left occupied,
-// and `gate_free(wrapper)` holds. Returns the explorer's stats so the
+// and the election gate is free. Returns the explorer's stats so the
 // caller pins the exact tree size.
-template <class Wrapper, class GateFree>
-sim::ExploreStats explore_fetch_inc(int procs, GateFree gate_free) {
+template <class Wrapper>
+sim::ExploreStats explore_fetch_inc(int procs) {
   std::shared_ptr<Wrapper> w;
   std::uint64_t runs = 0;
   auto stats = sim::explore_all_schedules(
@@ -79,7 +79,7 @@ sim::ExploreStats explore_fetch_inc(int procs, GateFree gate_free) {
             << "non-linearizable interleaving at run " << runs;
         ASSERT_EQ(w->object().count(), static_cast<std::uint64_t>(procs));
         ASSERT_EQ(w->occupied(), 0u);
-        ASSERT_TRUE(gate_free(*w));
+        ASSERT_EQ(w->gate_holder(), 0u);
       });
   EXPECT_EQ(stats.runs, runs);
   std::cerr << "[ protocol ] " << procs << " procs x " << Wrapper::kSlotCount

@@ -37,7 +37,6 @@
 #include <optional>
 
 #include "core/slot_protocol.hpp"
-#include "runtime/wait.hpp"
 #include "shm/shm_combining.hpp"
 #include "sim/explorer.hpp"
 #include "sim/simulator.hpp"
@@ -59,16 +58,14 @@ using Shm = ShmCombining<TicketModule, 2>;
 // ---------------------------------------------------------------------------
 // Exhaustive linearizability + residue, no crashes
 
-bool shm_gate_free(const Shm& shm) { return shm.gate_holder() == 0; }
-
 // The trees are smaller than a naive step count suggests: failed gate
 // pre-tests and the publisher's final kFree store are uncounted, so
 // only schedules that differ in a COUNTED access are distinct leaves
-// (the soundness argument lives in core/combining.hpp's platform note).
+// (the soundness argument lives in core/slot_protocol.hpp's header).
 // An exact count pins the protocol's scheduling points: a change that
 // adds or removes one moves it.
 TEST(SlotProtocolExplore, TwoProcsTwoSlotsLinearizableNoResidue) {
-  const auto stats = slot_explore::explore_fetch_inc<Shm>(2, shm_gate_free);
+  const auto stats = slot_explore::explore_fetch_inc<Shm>(2);
   EXPECT_TRUE(stats.exhausted);
   EXPECT_EQ(stats.runs, 20u);
 }
@@ -76,7 +73,7 @@ TEST(SlotProtocolExplore, TwoProcsTwoSlotsLinearizableNoResidue) {
 // Three processes through two slots: some interleavings exhaust the
 // slot array, exercising the claim-wait path and recycle-then-claim.
 TEST(SlotProtocolExplore, ThreeProcsTwoSlotsLinearizableNoResidue) {
-  const auto stats = slot_explore::explore_fetch_inc<Shm>(3, shm_gate_free);
+  const auto stats = slot_explore::explore_fetch_inc<Shm>(3);
   EXPECT_TRUE(stats.exhausted);
   EXPECT_EQ(stats.runs, 120'210u);
 }
@@ -150,7 +147,7 @@ void explore_publisher_kill(const KillPoint& kp) {
         });
         sim->add_process([fx](SimContext& ctx) {
           for (;;) {
-            wait_until(ctx, [fx] {
+            ctx.await([fx] {
               return fx->victim_gone.load(std::memory_order_acquire) ||
                      fx->shm.pending() != 0;
             });
@@ -225,7 +222,7 @@ TEST(CrashReclaim, GateIsStolenFromDeadHolder) {
           victim_body(*fx, ctx, /*may_combine=*/true);
         });
         sim->add_process([fx](SimContext& ctx) {
-          wait_until(ctx, [fx] {
+          ctx.await([fx] {
             return fx->victim_gone.load(std::memory_order_acquire);
           });
           const std::uint32_t wedged = fx->shm.gate_holder();

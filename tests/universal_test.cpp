@@ -343,6 +343,17 @@ static_assert(Composable<decltype(CounterChain::chain), SimContext>);
 static_assert(!std::is_polymorphic_v<SplitStage>);
 static_assert(!std::is_polymorphic_v<CasStage>);
 
+// One consensus number per object, folded at compile time. A stage's
+// is the max of its cells' and its committed-cell counter's, which is
+// fetch&add (2): split consensus alone uses only registers (1).
+static_assert(SplitConsensus<SimPlatform>::kConsensusNumber ==
+              kConsensusNumberRegister);
+static_assert(SplitStage::kConsensusNumber == kConsensusNumberFetchAdd);
+static_assert(CasStage::kConsensusNumber == kConsensusNumberCas);
+// The chain reports its strongest stage.
+static_assert(decltype(CounterChain::chain)::kConsensusNumber ==
+              kConsensusNumberCas);
+
 TEST(StaticChain, SoloUsesFirstStageOnly) {
   Simulator s;
   CounterChain c(2);
@@ -438,17 +449,13 @@ TEST(StaticChain, WorksForQueueSpec) {
   EXPECT_EQ(deqs, (std::vector<Response>{10, 20, QueueSpec::kEmpty}));
 }
 
-TEST(StaticChain, ConsensusNumberReportsStrongestStage) {
-  CounterChain c(2);
-  EXPECT_EQ(c.chain.consensus_number(), kConsensusNumberCas);
-}
-
 // A non-virtual stage stub that aborts until the chain reaches the
 // final stage — the minimal driver for deep-chain accounting.
 template <bool kCommits>
 class AbortingStub {
  public:
   using Context = SimContext;
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
 
   AbstractResult invoke(SimContext& /*ctx*/, const Request& m,
                         const History& init) {
@@ -464,9 +471,6 @@ class AbortingStub {
     return r;
   }
 
-  [[nodiscard]] int consensus_number() const {
-    return kConsensusNumberRegister;
-  }
   [[nodiscard]] const char* name() const {
     return kCommits ? "commit-stub" : "abort-stub";
   }

@@ -38,11 +38,16 @@ RULE 3: cross-process futex words (same scope as rule 2).
   mistakes compile silently and fail only under contention. So every
   member whose name starts with `futex` in a segment-resident type
   must be either:
-    * a WaitPoint<FutexScope::kShared, ...> (support/parking.hpp), or
+    * a WaitPoint<FutexScope::kShared, ...> (support/parking.hpp),
+    * a WaitPoint whose scope is a template parameter of the enclosing
+      type (CombiningCore<Extra, kSlots, kScope>, which also runs
+      in-process), or
     * a bare 4-byte-aligned std::atomic<std::uint32_t>,
   and its enclosing type must be covered by SCM_ASSERT_ADDRESS_FREE
   (types annotated `// scm-lint: process-local` are exempt — they
-  never enter the segment).
+  never enter the segment). A scope-templated type is checked where it
+  is used instead: every instantiation of it in segment-resident code
+  must pass FutexScope::kShared at the scope parameter's position.
 
 RULE 4: relaxed-only hot-path reads (src/core/adaptive.hpp).
   Adaptive<Obj>::maybe_tick sits on EVERY operation's fast path; its
@@ -146,18 +151,35 @@ def line_of(text: str, pos: int) -> int:
     return text.count("\n", 0, pos) + 1
 
 
-def balanced_args(text: str, open_paren: int) -> tuple[str, int] | None:
-    """Returns (argument text, end index) for the parenthesized list
-    starting at text[open_paren] == '(', or None if unbalanced."""
+def balanced_args(text: str, open_paren: int,
+                  brackets: str = "()") -> tuple[str, int] | None:
+    """Returns (argument text, end index) for the bracketed list
+    starting at text[open_paren] == brackets[0], or None if
+    unbalanced."""
     depth = 0
     for i in range(open_paren, len(text)):
-        if text[i] == "(":
+        if text[i] == brackets[0]:
             depth += 1
-        elif text[i] == ")":
+        elif text[i] == brackets[1]:
             depth -= 1
             if depth == 0:
                 return text[open_paren + 1 : i], i
     return None
+
+
+def split_toplevel(args: str) -> list[str]:
+    """Splits an argument list at its top-level commas."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(args):
+        if ch in "([{<":
+            depth += 1
+        elif ch in ")]}>":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(args[start:i])
+            start = i + 1
+    parts.append(args[start:])
+    return [p.strip() for p in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +197,6 @@ ORDER_TOKEN_RE = re.compile(r"\bmemory_order_\w+")
 IGNORE_MARK = "scm-lint: default-order-ok"
 
 
-def first_toplevel_arg(args: str) -> str:
-    depth = 0
-    for i, ch in enumerate(args):
-        if ch in "([{<":
-            depth += 1
-        elif ch in ")]}>":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return args[:i]
-    return args
-
-
 def check_memory_orders(path: str, raw: str) -> list[Finding]:
     text = strip_comments(raw)
     raw_lines = raw.splitlines()
@@ -200,7 +210,7 @@ def check_memory_orders(path: str, raw: str) -> list[Finding]:
         line = line_of(text, m.start())
         if IGNORE_MARK in raw_lines[line - 1]:
             continue
-        if CTX_FIRST_ARG_RE.match(first_toplevel_arg(args)):
+        if CTX_FIRST_ARG_RE.match(split_toplevel(args)[0]):
             continue  # platform primitive, not std::atomic
         orders = len(ORDER_TOKEN_RE.findall(args))
         needed = 2 if op.startswith("compare_exchange") else 1
@@ -243,7 +253,7 @@ def check_adaptive_hot_reads(path: str, raw: str) -> list[Finding]:
         line = line_of(text, m.start())
         if NON_RELAXED_MARK in raw_lines[line - 1]:
             continue
-        if CTX_FIRST_ARG_RE.match(first_toplevel_arg(args)):
+        if CTX_FIRST_ARG_RE.match(split_toplevel(args)[0]):
             continue  # platform primitive, not std::atomic
         if not RELAXED_TOKEN_RE.search(args):
             findings.append(
@@ -373,33 +383,53 @@ def macro_covers(name: str, macro_corpus: str) -> bool:
 # RULE 3: cross-process futex words
 
 FUTEX_DECL_RE = re.compile(r"\bfutex\w*\s*(=|;|\{)")
-FUTEX_WAITPOINT_RE = re.compile(r"\bWaitPoint\s*<")
-FUTEX_SHARED_RE = re.compile(
-    r"\bWaitPoint\s*<\s*(?:scm::)?FutexScope::kShared\b")
+FUTEX_WAITPOINT_RE = re.compile(r"\bWaitPoint\s*<\s*([\w:]+)")
+SHARED_SCOPE_RE = re.compile(r"(?:scm::)?FutexScope::kShared")
 FUTEX_ATOMIC32_RE = re.compile(r"\bstd::atomic\s*<\s*(?:std::)?uint32_t\s*>")
 ALIGNAS_RE = re.compile(r"\balignas\s*\([^)]*\)")
 
 
-def check_shm_futex(path: str, raw: str, macro_corpus: str) -> list[Finding]:
-    """Flags segment-resident futex-word members that the kernel (or a
-    second process) would silently misread: wrong width, private scope,
-    or a containing type nobody asserted address-free."""
+def template_params(text: str, def_start: int) -> list[str]:
+    """Names of the template parameters declared right before the
+    struct/class definition at def_start; [] for a non-template."""
+    head = text[:def_start].rstrip()
+    if not head.endswith(">"):
+        return []
+    depth = 0
+    for i in range(len(head) - 1, -1, -1):
+        if head[i] == ">":
+            depth += 1
+        elif head[i] == "<":
+            depth -= 1
+            if depth == 0:
+                break
+    else:
+        return []
+    if not re.search(r"\btemplate\s*$", head[:i]):
+        return []
+    names = []
+    for param in split_toplevel(head[i + 1 : -1]):
+        m = re.search(r"(\w+)\s*$", param.split("=")[0])
+        names.append(m.group(1) if m else "")
+    return names
+
+
+def futex_members(raw: str):
+    """Yields (type name, definition offset, template parameter names,
+    futex member declarations as (line, text)) for every type in `raw`
+    not annotated process-local. `text` is the comment-stripped file,
+    so offsets index it."""
     text = strip_comments(raw)
-    findings = []
     for m in STRUCT_RE.finditer(text):
-        name = m.group(2)
-        open_brace = text.index("{", m.start())
-        end = body_end(text, open_brace)
         if is_annotated(raw, text, m.start()):
             continue  # process-local handle; its futexes never cross
-        body = text[open_brace + 1 : end]
+        open_brace = text.index("{", m.start())
+        body = text[open_brace + 1 : body_end(text, open_brace)]
         base_line = line_of(text, open_brace)
         brace_depth = 0
         paren_depth = 0
-        has_futex_member = False
+        members = []
         for off, body_ln in enumerate(body.split("\n")):
-            stripped = body_ln.strip()
-            lineno = base_line + off
             at_member_level = brace_depth == 0 and paren_depth == 0
             brace_depth += body_ln.count("{") - body_ln.count("}")
             paren_depth += body_ln.count("(") - body_ln.count(")")
@@ -408,30 +438,80 @@ def check_shm_futex(path: str, raw: str, macro_corpus: str) -> list[Finding]:
             # alignas(...) is the one paren a member declaration may
             # legitimately carry; anything else with parens is a
             # signature or a call, not a member.
-            sans_alignas = ALIGNAS_RE.sub("", stripped)
-            if "(" in sans_alignas or not FUTEX_DECL_RE.search(sans_alignas):
-                continue
-            has_futex_member = True
-            if FUTEX_WAITPOINT_RE.search(sans_alignas):
-                if not FUTEX_SHARED_RE.search(sans_alignas):
+            decl = ALIGNAS_RE.sub("", body_ln.strip())
+            if "(" not in decl and FUTEX_DECL_RE.search(decl):
+                members.append((base_line + off, decl))
+        yield (m.group(2), m.start(), template_params(text, m.start()),
+               members)
+
+
+def check_shm_futex(path: str, raw: str, macro_corpus: str) -> list[Finding]:
+    """Flags segment-resident futex-word members that the kernel (or a
+    second process) would silently misread: wrong width, private scope,
+    or a containing type nobody asserted address-free."""
+    text = strip_comments(raw)
+    findings = []
+    for name, start, params, members in futex_members(raw):
+        for lineno, decl in members:
+            wp = FUTEX_WAITPOINT_RE.search(decl)
+            if wp:
+                scope = wp.group(1)
+                if not SHARED_SCOPE_RE.fullmatch(scope) and scope not in params:
                     findings.append(
                         Finding(path, lineno, "futex-word",
                                 f"'{name}': segment-resident WaitPoint must "
                                 "use FutexScope::kShared — a private futex "
                                 "keys on this process's mapping address and "
                                 "never wakes another process"))
-            elif not FUTEX_ATOMIC32_RE.search(sans_alignas):
+            elif not FUTEX_ATOMIC32_RE.search(decl):
                 findings.append(
                     Finding(path, lineno, "futex-word",
                             f"'{name}': futex word must be a 4-byte-aligned "
                             "std::atomic<std::uint32_t> (futex(2) compares "
                             "exactly 4 bytes) or a kShared WaitPoint"))
-        if has_futex_member and not macro_covers(name, macro_corpus):
+        if members and not macro_covers(name, macro_corpus):
             findings.append(
-                Finding(path, line_of(text, m.start()), "futex-word",
+                Finding(path, line_of(text, start), "futex-word",
                         f"'{name}' holds a futex word but is never covered "
                         f"by {MACRO_NAME} — futex words live in the segment "
                         "and must be address-free"))
+    return findings
+
+
+def scope_templated_types(raw: str) -> dict[str, int]:
+    """Segment-resident types whose WaitPoint scope is one of their own
+    template parameters: type name -> that parameter's position."""
+    scoped = {}
+    for name, _start, params, members in futex_members(raw):
+        for _lineno, decl in members:
+            wp = FUTEX_WAITPOINT_RE.search(decl)
+            if wp and wp.group(1) in params:
+                scoped[name] = params.index(wp.group(1))
+    return scoped
+
+
+def check_scope_instantiations(path: str, raw: str,
+                               scoped: dict[str, int]) -> list[Finding]:
+    """Flags every instantiation, in segment-resident code, of a
+    scope-templated type that does not pass FutexScope::kShared as its
+    wait point's scope."""
+    text = strip_comments(raw)
+    findings = []
+    for name, index in scoped.items():
+        for m in re.finditer(r"\b" + re.escape(name) + r"\s*<", text):
+            extracted = balanced_args(text, m.end() - 1, "<>")
+            if extracted is None:
+                continue
+            args = extracted[0]
+            parts = split_toplevel(args)
+            scope = parts[index] if index < len(parts) else ""
+            if not SHARED_SCOPE_RE.fullmatch(scope):
+                findings.append(
+                    Finding(path, line_of(text, m.start()), "futex-word",
+                            f"'{name}<{args.strip()}>' in segment-resident "
+                            "code must pass FutexScope::kShared as its wait "
+                            "point's scope — a private futex never wakes "
+                            "another process"))
     return findings
 
 
@@ -454,13 +534,20 @@ def collect(root: str) -> list[str]:
 SEGMENT_FILES = (os.path.join("core", "slot_protocol.hpp"),)
 
 
-def lint_file(rel: str, raw: str, macro_corpus: str) -> list[Finding]:
+def in_segment_scope(rel: str) -> bool:
+    return rel.startswith("shm" + os.sep) or rel in SEGMENT_FILES
+
+
+def lint_file(rel: str, raw: str, macro_corpus: str,
+              scoped: dict[str, int]) -> list[Finding]:
     """Runs every rule whose scope covers `rel`, a path relative to the
-    scanned source root."""
+    scanned source root. `scoped` holds the scope-templated types
+    defined anywhere in segment-resident code."""
     findings = check_memory_orders(rel, raw)
-    if rel.startswith("shm" + os.sep) or rel in SEGMENT_FILES:
+    if in_segment_scope(rel):
         findings.extend(check_shm_layout(rel, raw, macro_corpus))
         findings.extend(check_shm_futex(rel, raw, macro_corpus))
+        findings.extend(check_scope_instantiations(rel, raw, scoped))
     if rel == os.path.join("core", "adaptive.hpp"):
         findings.extend(check_adaptive_hot_reads(rel, raw))
     return findings
@@ -473,12 +560,16 @@ def run_lint(src_root: str) -> list[Finding]:
         sys.exit(2)
     # The macro may be applied in a different file than the definition;
     # coverage is checked against the whole scanned tree.
-    macro_corpus = "\n".join(
-        strip_comments(open(p, encoding="utf-8").read()) for p in paths)
+    sources = {p: open(p, encoding="utf-8").read() for p in paths}
+    macro_corpus = "\n".join(strip_comments(raw) for raw in sources.values())
+    scoped: dict[str, int] = {}
+    for p, raw in sources.items():
+        if in_segment_scope(os.path.relpath(p, src_root)):
+            scoped.update(scope_templated_types(raw))
     findings: list[Finding] = []
-    for p in paths:
-        raw = open(p, encoding="utf-8").read()
-        for f in lint_file(os.path.relpath(p, src_root), raw, macro_corpus):
+    for p, raw in sources.items():
+        for f in lint_file(os.path.relpath(p, src_root), raw, macro_corpus,
+                           scoped):
             f.path = p
             findings.append(f)
     return findings
@@ -595,6 +686,66 @@ SELF_TESTS = [
      "file:core/slot_protocol.hpp",
      "struct S { WaitPoint<FutexScope::kPrivate> futex_waiters_{}; };\n"
      "SCM_ASSERT_ADDRESS_FREE(S);", 1),
+    ("scope-templated WaitPoint instantiated shared passes",
+     "futex", "template <class E, FutexScope kScope>\n"
+              "struct Core { WaitPoint<kScope> futex_waiters_{}; };\n"
+              "SCM_ASSERT_ADDRESS_FREE(Core<int, FutexScope::kShared>);\n"
+              "struct S { Core<int, FutexScope::kShared> core_; };\n"
+              "SCM_ASSERT_ADDRESS_FREE(S);", 0),
+    ("scope-templated WaitPoint instantiated private flagged",
+     "futex", "template <class E, FutexScope kScope>\n"
+              "struct Core { WaitPoint<kScope> futex_waiters_{}; };\n"
+              "SCM_ASSERT_ADDRESS_FREE(Core<int, FutexScope::kShared>);\n"
+              "struct S { Core<int, FutexScope::kPrivate> core_; };\n"
+              "SCM_ASSERT_ADDRESS_FREE(S);", 1),
+    ("scope-templated type missing its scope argument flagged",
+     "futex", "template <class E, FutexScope kScope>\n"
+              "struct Core { WaitPoint<kScope> futex_waiters_{}; };\n"
+              "SCM_ASSERT_ADDRESS_FREE(Core<int>);", 1),
+    ("WaitPoint scope named after no template parameter flagged",
+     "futex", "template <class E>\n"
+              "struct Core { WaitPoint<kScope> futex_waiters_{}; };\n"
+              "SCM_ASSERT_ADDRESS_FREE(Core<int>);", 1),
+    ("private scope reaching ShmCombining's core flagged",
+     "file:shm/shm_combining.hpp",
+     "template <class Extra, std::size_t kSlots, FutexScope kScope>\n"
+     "class CombiningCore {\n"
+     "  alignas(64) WaitPoint<kScope> futex_waiters_{};\n"
+     "};\n"
+     "SCM_ASSERT_ADDRESS_FREE(CombiningCore<SlotNoExtra, 2,\n"
+     "                                      FutexScope::kShared>);\n"
+     "template <class Obj, std::size_t kSlots>\n"
+     "class ShmCombining {\n"
+     "  using Core = CombiningCore<SlotNoExtra, kSlots,\n"
+     "                             FutexScope::kPrivate>;\n"
+     "  Core core_;\n"
+     "};\n"
+     "SCM_ASSERT_ADDRESS_FREE(ShmCombining<Probe, 2>);", 1),
+    ("shared scope reaching ShmCombining's core passes",
+     "file:shm/shm_combining.hpp",
+     "template <class Extra, std::size_t kSlots, FutexScope kScope>\n"
+     "class CombiningCore {\n"
+     "  alignas(64) WaitPoint<kScope> futex_waiters_{};\n"
+     "};\n"
+     "SCM_ASSERT_ADDRESS_FREE(CombiningCore<SlotNoExtra, 2,\n"
+     "                                      FutexScope::kShared>);\n"
+     "template <class Obj, std::size_t kSlots>\n"
+     "class ShmCombining {\n"
+     "  using Core = CombiningCore<SlotNoExtra, kSlots,\n"
+     "                             FutexScope::kShared>;\n"
+     "  Core core_;\n"
+     "};\n"
+     "SCM_ASSERT_ADDRESS_FREE(ShmCombining<Probe, 2>);", 0),
+    ("private scope in an in-process executor passes",
+     "file:core/combining.hpp",
+     "template <class Extra, std::size_t kSlots, FutexScope kScope>\n"
+     "class CombiningCore { WaitPoint<kScope> futex_waiters_{}; };\n"
+     "template <class Obj, std::size_t kSlots>\n"
+     "class Combining {\n"
+     "  using Core = CombiningCore<SlotCompletion, kSlots,\n"
+     "                             FutexScope::kPrivate>;\n"
+     "  Core core_;\n"
+     "};", 0),
     ("process-local core files stay out of the segment rules",
      "file:core/combining.hpp",
      "struct S { void* user = nullptr; };", 0),
@@ -632,7 +783,8 @@ def self_test() -> int:
     for name, rule, snippet, expected in SELF_TESTS:
         if rule.startswith("file:"):
             got = lint_file(rule[len("file:"):].replace("/", os.sep), snippet,
-                            strip_comments(snippet))
+                            strip_comments(snippet),
+                            scope_templated_types(snippet))
         elif rule == "order":
             got = check_memory_orders("<self-test>", snippet)
         elif rule == "adaptive":
@@ -640,6 +792,8 @@ def self_test() -> int:
         elif rule == "futex":
             got = check_shm_futex("<self-test>", snippet,
                                   strip_comments(snippet))
+            got += check_scope_instantiations(
+                "<self-test>", snippet, scope_templated_types(snippet))
         else:
             got = check_shm_layout("<self-test>", snippet,
                                    strip_comments(snippet))
