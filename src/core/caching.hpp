@@ -6,50 +6,61 @@
 // object; a read against a cached snapshot is two shared loads plus a
 // generation check. Replicated<Obj, N, Model> keeps N cacheline-padded
 // direct-mapped replica tables of {key, value, generation} entries,
-// each entry guarded by a seqlock-style version word, plus one padded
-// generation counter per entry slot (slot s of every replica shares
-// generation s):
+// each entry guarded by a seqlock-style version word, plus one SLOT
+// LINE per entry slot, shared by that slot of every replica: the
+// slot's invalidation generation and `last`, an entry of the same
+// shape holding what the last write to the slot installed:
 //
 //   * placement: slot_of(key) XOR-folds the key's 64 bits into
 //     log2(kEntries) bits, so any kEntries keys that differ only in
 //     their low bits (a dense range, or a strided one once the high
 //     bits fold in) get distinct slots. SLOT-MATES (equal slot_of)
-//     evict each other and share an invalidation generation;
+//     evict each other and share a slot line;
 //   * reads classified read-only by the Model are served from the
 //     caller's replica (process i reads replica i mod N) via a
 //     generation-checked snapshot — no shared write; the only RMW is
 //     a relaxed fetch_add on the replica's own hits counter. That is
 //     what lets the read slice scale with cores while the write slice
-//     tracks the wrapped object's curve;
+//     tracks the wrapped object's curve. A replica miss snapshots the
+//     slot line's `last` — on the line the read just loaded its
+//     generation from — and on a hit refills the caller's replica;
+//     only a true miss goes to the wrapped object;
 //   * writes are funneled unchanged through the wrapped object's
 //     submit() path (Combining's publication slots), and the
-//     operation's completion callback performs invalidation + refill:
-//     bump the written key's slot generation (one fetch_add — every
-//     replica's entries in that slot miss from that point on, while
-//     the other slots keep hitting), then reinstall the written key
-//     odd→apply→even under the entry's seqlock;
+//     operation's completion callback bumps the written key's slot
+//     generation (one fetch_add — every replica's entries in that
+//     slot miss from that point on, while the other slots keep
+//     hitting), then installs the written key into `last` under its
+//     seqlock, on the line the fetch_add already owns. No replica is
+//     written: `last` serves the new value to all of them;
 //   * a cache-miss fill is just the read submitted through the object
-//     with a fill callback — against a slow backend the ticket simply
-//     completes late, exactly PR 5's "the caching layer must consume
-//     Ticket<R>s" instruction;
+//     with a fill callback that installs into the caller's replica —
+//     against a slow backend the ticket simply completes late;
 //   * an async submission's callback state lives in a completion record
 //     claimed from the caller's replica's own pool of kRecs records, so
 //     a claim scans only lines its replica's callers and the releasing
-//     combiners write — never every thread's in-flight records.
+//     combiners write — never every thread's in-flight records;
+//   * a read that carries a switch value is not served from, and does
+//     not touch, the cache: it runs through the wrapped object with no
+//     callback.
 //
 // Correctness (linearizable): a hit requires the entry's generation to
 // EQUAL its slot's generation loaded at the start of the read — the
-// read's linearization point. The wrapped object's completion
-// callbacks fire at each operation's serialization point (Combining
-// runs them under the election lock on every path), so one key's
-// generations are assigned in linearization order: an entry matching
-// the current generation holds exactly the value the object would
-// return, and every committed write bumps its slot's generation before
-// its publisher can return, so no later read can hit a pre-write
-// entry. Keys that share a slot but are serialized by different locks
-// (other shards of a Sharded<Combining>) only bump each other's
-// generation: a generation never decreases, so the race costs a
-// conservative miss, never a stale hit. Mixed histories are
+// read's linearization point — whether the entry is the replica's or
+// the slot line's `last`. The wrapped object's completion callbacks
+// fire at each operation's serialization point (Combining runs them
+// under the election lock on every path), so one key's generations
+// are assigned in linearization order and each (value, generation)
+// pair is taken at one: an entry matching the current generation
+// holds exactly the value the object would return, and every committed
+// write bumps its slot's generation before its publisher can return,
+// so no later read can hit a pre-write entry. A `last` hit refilled
+// into a replica keeps its tag, so it makes the same claim there. Keys
+// that share a slot but are serialized by different locks (other
+// shards of a Sharded<Combining>) only bump each other's generation
+// and race on `last`'s seqlock: a generation never decreases and an
+// installer that loses the seqlock skips its install, so the race
+// costs a conservative miss, never a stale hit. Mixed histories are
 // pinned by lincheck in caching_test, per key on a sharded stack with
 // slot-mates on different shards. The entry seqlock makes torn values
 // impossible.
@@ -106,7 +117,7 @@ concept ReplicationModel =
 // one replica's misses and writes in flight through submit() with a
 // refill still pending (beyond it they degrade, see submit()).
 // Replication adds only registers (the seqlock words and the slot
-// generations), so the composition's consensus number is the wrapped
+// lines), so the composition's consensus number is the wrapped
 // object's.
 template <class Obj, std::size_t kReplicas, class Model,
           std::size_t kEntries = 64, std::size_t kRecs = 32>
@@ -148,72 +159,79 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     }
   }
 
-  // Module surface: reads hit the caller's replica when fresh enough,
-  // everything else — misses, writes, initialized (switch-carrying)
-  // requests — runs through the wrapped object with the appropriate
-  // completion callback. The callback completes before the wrapped
-  // object hands the result back (Combining fires it before kDone),
-  // so a stack record suffices here.
+  // Module surface: reads hit the caller's replica or the slot line
+  // when fresh enough; misses and writes run through the wrapped object
+  // with a fill or write completion callback; a read that carries a
+  // switch value runs through it with none. The callback completes
+  // before the wrapped object hands the result back (Combining fires
+  // it before kDone), so a stack record suffices here.
   template <class Ctx>
     requires Composable<Obj, Ctx>
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt) {
     const std::size_t rep = replica_of(ctx);
-    if (Model::is_read(m) && !init.has_value()) {
-      if (const auto v = try_read(ctx, rep, key_of(m))) {
-        return ModuleResult::commit(*v);
-      }
+    if (!Model::is_read(m)) {
       CacheRec rec(this, rep, m, /*pooled=*/false);
-      return run_through(ctx, m, init, &Replicated::fill_cb, &rec);
+      return run_through(ctx, m, init, &Replicated::write_cb, &rec);
+    }
+    if (init.has_value()) return run_through(ctx, m, init, nullptr, nullptr);
+    if (const auto v = try_read(ctx, rep, key_of(m))) {
+      return ModuleResult::commit(*v);
     }
     CacheRec rec(this, rep, m, /*pooled=*/false);
-    return run_through(ctx, m, init, &Replicated::write_cb, &rec);
+    return run_through(ctx, m, init, &Replicated::fill_cb, &rec);
   }
 
   // Async surface: a read hit is a ready ticket (it cost no shared
   // write, there is nothing to wait for); a miss or write is the
   // wrapped object's own submission with a completion record, claimed
-  // from the caller's replica's pool, carrying the invalidation/refill.
+  // from the caller's replica's pool, carrying the fill or the install.
   // When that pool is exhausted the operation still proceeds — a miss
   // just skips its fill, a write falls back to invalidate-only (the
   // key's slot generation is the cookie; correctness never depends on
-  // refills, they only raise the hit rate). Another replica's free
+  // installs, they only raise the hit rate). Another replica's free
   // records are never borrowed.
   template <class Ctx>
     requires Composable<Obj, Ctx>
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
                               std::optional<SwitchValue> init = std::nullopt) {
     const std::size_t rep = replica_of(ctx);
-    if (Model::is_read(m) && !init.has_value()) {
-      if (const auto v = try_read(ctx, rep, key_of(m))) {
-        return Ticket<ModuleResult>::ready(ModuleResult::commit(*v));
-      }
+    if (!Model::is_read(m)) {
       if (CacheRec* rec = claim_rec(rep, m)) {
-        return submit_through(ctx, m, init, &Replicated::fill_cb, rec);
+        return submit_through(ctx, m, init, &Replicated::write_cb, rec);
       }
-      return submit_through(ctx, m, init, nullptr, nullptr);
+      return submit_through(ctx, m, init, &Replicated::invalidate_cb,
+                            &line_of(key_of(m)).gen);
+    }
+    if (init.has_value()) return submit_through(ctx, m, init, nullptr, nullptr);
+    if (const auto v = try_read(ctx, rep, key_of(m))) {
+      return Ticket<ModuleResult>::ready(ModuleResult::commit(*v));
     }
     if (CacheRec* rec = claim_rec(rep, m)) {
-      return submit_through(ctx, m, init, &Replicated::write_cb, rec);
+      return submit_through(ctx, m, init, &Replicated::fill_cb, rec);
     }
-    return submit_through(ctx, m, init, &Replicated::invalidate_cb,
-                          &generation(key_of(m)));
+    return submit_through(ctx, m, init, nullptr, nullptr);
   }
 
-  // Probe a replica's table directly — no fill, no traffic to the
-  // wrapped object. Tests and scenarios use this to check that a
-  // committed write is (in)visible on every replica.
+  // What a read of `key` on `replica` would be served without going
+  // to the wrapped object — the replica's entry, else the key's slot
+  // line — with no fill and no counter bump. Tests use this to check
+  // that a committed write is (in)visible on every replica.
   [[nodiscard]] std::optional<Response> read_at(std::size_t replica,
                                                 std::uint64_t key) {
     SCM_CHECK(replica < kReplicas);
-    return snapshot(replicas_[replica], key,
-                    generation(key).load(std::memory_order_seq_cst))
-        .value;
+    SlotLine& line = line_of(key);
+    const std::uint64_t cur = line.gen.load(std::memory_order_seq_cst);
+    const Entry& e = replicas_[replica].entries[slot_of(key)];
+    if (const auto v = snapshot(e, key, cur).value) {
+      return v;
+    }
+    return snapshot(line.last, key, cur).value;
   }
 
-  // The direct-mapped entry slot — and with it the invalidation
-  // generation — that `key` uses in every replica: the key's 64 bits
-  // XOR-folded down to log2(kEntries) bits. Slot-mates evict and
+  // The direct-mapped entry slot — and with it the slot line — that
+  // `key` uses in every replica: the key's 64 bits XOR-folded down to
+  // log2(kEntries) bits. Slot-mates evict and
   // invalidate each other; other keys are independent.
   [[nodiscard]] static constexpr std::size_t slot_of(
       std::uint64_t key) noexcept {
@@ -232,28 +250,28 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // One slot-generation bump per completed write: the sum over slots is
   // the number of invalidations performed.
   [[nodiscard]] std::uint64_t invalidations() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& g : generations_) {
-      total += g.value.load(std::memory_order_relaxed);
-    }
-    return total;
+    return sum_lines(&SlotLine::gen);
   }
 
-  // ---- cache telemetry (relaxed, aggregated over replicas).
+  // ---- cache telemetry (relaxed, aggregated over replicas). A read
+  // served by the slot line is a hit; a miss went to the wrapped object.
   [[nodiscard]] std::uint64_t hits() const noexcept {
     return sum(&Replica::hits);
   }
   [[nodiscard]] std::uint64_t misses() const noexcept {
     return sum(&Replica::misses);
   }
-  // Reads abandoned because an installer held the entry's seqlock odd
-  // (or moved it) mid-read — each one became a miss, never a torn
-  // value. Only the read path counts them; read_at probes do not.
+  // Snapshots abandoned because an installer held the entry's seqlock
+  // odd (or moved it) mid-read, the replica's or the slot line's: each
+  // one fell through to the next source, never to a torn value. Only
+  // the read path counts them; read_at probes do not.
   [[nodiscard]] std::uint64_t torn_retries() const noexcept {
     return sum(&Replica::torn);
   }
+  // Installs: into a replica (a miss's fill, a slot-line hit's
+  // refill) or into a slot line (a write).
   [[nodiscard]] std::uint64_t fills() const noexcept {
-    return sum(&Replica::fills);
+    return sum(&Replica::fills) + sum_lines(&SlotLine::installs);
   }
 
   [[nodiscard]] Obj& object() noexcept { return obj_.value; }
@@ -290,7 +308,7 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
 
  private:
   // Completion-callback state for one in-flight operation: which
-  // replica to refill and the request whose key/effect the refill
+  // replica a fill refills and the request whose key/effect the install
   // concerns. Stack-allocated on blocking paths (the callback runs
   // before the wrapped object hands the result back); pool-claimed on
   // async paths, released by the callback.
@@ -325,6 +343,19 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     std::atomic<std::uint64_t> gen{0};
   };
 
+  // Slot s's line, shared by slot s of every replica: its invalidation
+  // generation, the entry the last write to the slot installed (tagged
+  // with the generation that write bumped to), and the count of those
+  // installs. Writers own the line after their fetch_add on `gen`, so
+  // the install costs no further cross-core traffic; a reader that
+  // misses in its replica finds `last` on the line it just loaded.
+  struct alignas(kCacheLineSize) SlotLine {
+    std::atomic<std::uint64_t> gen{0};
+    Entry last;
+    std::atomic<std::uint64_t> installs{0};
+  };
+  static_assert(sizeof(SlotLine) == kCacheLineSize);
+
   struct alignas(kCacheLineSize) Replica {
     std::array<Entry, kEntries> entries{};
     // Telemetry lives with its replica: a caller bumps counters on
@@ -355,19 +386,18 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     return static_cast<std::uint64_t>(Model::key(m));
   }
 
-  // The generation guarding `key`'s entry slot in every replica.
-  [[nodiscard]] std::atomic<std::uint64_t>& generation(
-      std::uint64_t key) noexcept {
-    return generations_[slot_of(key)].value;
+  // The line guarding `key`'s entry slot in every replica.
+  [[nodiscard]] SlotLine& line_of(std::uint64_t key) noexcept {
+    return lines_[slot_of(key)];
   }
 
-  // The version-checked snapshot shared by the hot read path and the
-  // read_at probe: returns the entry's value iff the seqlock snapshot
-  // is consistent, the key matches, and the tagged generation equals
-  // `cur`. No counters — callers attribute hits, misses and torn reads
-  // themselves.
-  Snapshot snapshot(Replica& rep, std::uint64_t key, std::uint64_t cur) {
-    Entry& e = rep.entries[slot_of(key)];
+  // The version-checked snapshot shared by the read path and the
+  // read_at probe, for a replica entry or a slot line's `last`: returns
+  // the entry's value iff the seqlock snapshot is consistent, the key
+  // matches, and the tagged generation equals `cur`. No counters —
+  // callers attribute hits, misses and torn reads themselves.
+  static Snapshot snapshot(const Entry& e, std::uint64_t key,
+                           std::uint64_t cur) {
     const std::uint64_t v1 = e.ver.load(std::memory_order_acquire);
     if ((v1 & 1) != 0) return {std::nullopt, /*torn=*/true};
     const std::uint64_t k1 = e.key1.load(std::memory_order_relaxed);
@@ -385,32 +415,63 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   }
 
   // The hot read path: one seq_cst load of the key's slot generation
-  // (the linearization point of a hit) plus the entry snapshot. Counted
-  // as two reads — the generation and the entry are the operation's
-  // real shared traffic; the hit/miss counter bump is a relaxed RMW on
-  // the caller's own replica line.
+  // (the linearization point of a hit) plus the replica entry snapshot.
+  // Counted as two reads — the generation and the entry are the
+  // operation's real shared traffic; the hit counter bump is a relaxed
+  // RMW on the caller's own replica line. A replica miss goes on to the
+  // slot line (a third counted read), out of line so the hit path stays
+  // this short.
   template <class Ctx>
   std::optional<Response> try_read(Ctx& ctx, std::size_t rep,
                                    std::uint64_t key) {
     ctx.on_read();
-    const std::uint64_t cur = generation(key).load(std::memory_order_seq_cst);
+    SlotLine& line = line_of(key);
+    const std::uint64_t cur = line.gen.load(std::memory_order_seq_cst);
     ctx.on_read();
     Replica& r = replicas_[rep];
-    const Snapshot s = snapshot(r, key, cur);
+    const Snapshot s = snapshot(r.entries[slot_of(key)], key, cur);
     if (s.torn) r.torn.fetch_add(1, std::memory_order_relaxed);
-    (s.value.has_value() ? r.hits : r.misses)
-        .fetch_add(1, std::memory_order_relaxed);
-    return s.value;
+    Response v = 0;
+    if (s.value.has_value()) {
+      r.hits.fetch_add(1, std::memory_order_relaxed);
+      v = *s.value;
+    } else {
+      ctx.on_read();
+      if (!read_line(r, line, key, cur, v)) return std::nullopt;
+    }
+    return v;
   }
 
-  // Best-effort install of (key, val) tagged with generation g. The
-  // even→odd CAS excludes concurrent installers (from differently-
-  // locked backends, e.g. other shards of a Sharded<Combining>); a
-  // lost race abandons the install — the entry's owner wins, later
-  // reads of our key simply miss and refill.
-  void install(std::size_t rep, std::uint64_t key, Response val,
-               std::uint64_t g) {
-    Entry& e = replicas_[rep].entries[slot_of(key)];
+  // A replica miss: serve the slot line's `last` into `out` if the last
+  // write to the slot wrote this key and nothing has bumped the slot
+  // since `cur`, and refill the caller's replica with it (tagged `cur`,
+  // the same claim `last` makes); otherwise the read is a true miss and
+  // goes to the wrapped object. The value comes back through `out`, not
+  // as an optional: merging two optionals cost the hit path a 16-byte
+  // copy through the stack.
+  [[gnu::noinline]] bool read_line(Replica& r, SlotLine& line,
+                                   std::uint64_t key, std::uint64_t cur,
+                                   Response& out) {
+    const Snapshot s = snapshot(line.last, key, cur);
+    if (s.torn) r.torn.fetch_add(1, std::memory_order_relaxed);
+    if (!s.value.has_value()) {
+      r.misses.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    install(r.entries[slot_of(key)], r.fills, key, *s.value, cur);
+    r.hits.fetch_add(1, std::memory_order_relaxed);
+    out = *s.value;
+    return true;
+  }
+
+  // Best-effort install of (key, val) tagged with generation g into
+  // `e`, counted in `fills` (a counter on a line the installer already
+  // writes). The even→odd CAS excludes concurrent installers (from
+  // differently-locked backends, e.g. other shards of a
+  // Sharded<Combining>); a lost race abandons the install — the
+  // entry's owner wins, later reads of our key simply miss and refill.
+  static void install(Entry& e, std::atomic<std::uint64_t>& fills,
+                      std::uint64_t key, Response val, std::uint64_t g) {
     std::uint64_t v = e.ver.load(std::memory_order_relaxed);
     if ((v & 1) != 0) return;
     if (!e.ver.compare_exchange_strong(v, v + 1, std::memory_order_acquire,
@@ -421,13 +482,13 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     e.val.store(val, std::memory_order_relaxed);
     e.gen.store(g, std::memory_order_relaxed);
     e.ver.store(v + 2, std::memory_order_release);
-    replicas_[rep].fills.fetch_add(1, std::memory_order_relaxed);
+    fills.fetch_add(1, std::memory_order_relaxed);
   }
 
   // ---- completion callbacks (run by the wrapped object's finalizing
   // thread at the operation's serialization point — under Combining's
   // election lock; they must not re-enter the wrapped object, and they
-  // don't: slot generations + entry seqlocks only).
+  // don't: slot lines + entry seqlocks only).
 
   // A committed read's response is the object's value for that key at
   // this serialization point; tag it with the slot generation as of
@@ -439,34 +500,35 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     if (r.committed()) {
       Replicated* self = rec->self;
       const std::uint64_t key = key_of(rec->req);
-      self->install(rec->replica, key, r.response,
-                    self->generation(key).load(std::memory_order_seq_cst));
+      Replica& rep = self->replicas_[rec->replica];
+      install(rep.entries[slot_of(key)], rep.fills, key, r.response,
+              self->line_of(key).gen.load(std::memory_order_seq_cst));
     }
     rec->release();
   }
 
   // A write bumps its key's slot generation FIRST (from this instant
   // every replica's pre-write entries in that slot miss), then — when
-  // the model can derive the post-write value — reinstalls the written
-  // key into the writer's replica tagged with the new generation.
-  // Aborted results bump too: a spurious invalidation is a missed hit,
-  // never an error.
+  // the model can derive the post-write value — installs the written
+  // key into the slot line's `last` tagged with the new generation,
+  // which serves it to every replica. Aborted results bump too: a
+  // spurious invalidation is a missed hit, never an error.
   static void write_cb(void* user, const ModuleResult& r) {
     auto* rec = static_cast<CacheRec*>(user);
-    Replicated* self = rec->self;
     const std::uint64_t key = key_of(rec->req);
+    SlotLine& line = rec->self->line_of(key);
     const std::uint64_t g =
-        self->generation(key).fetch_add(1, std::memory_order_seq_cst) + 1;
+        line.gen.fetch_add(1, std::memory_order_seq_cst) + 1;
     if (r.committed()) {
       if (const auto v = Model::read_after_write(rec->req, r.response)) {
-        self->install(rec->replica, key, *v, g);
+        install(line.last, line.installs, key, *v, g);
       }
     }
     rec->release();
   }
 
   // Pool-exhaustion fallback for async writes: invalidate without
-  // refilling (no per-op state needed — the cookie is the written
+  // installing (no per-op state needed — the cookie is the written
   // key's slot generation).
   static void invalidate_cb(void* user, const ModuleResult&) {
     static_cast<std::atomic<std::uint64_t>*>(user)->fetch_add(
@@ -536,8 +598,17 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     return total;
   }
 
+  [[nodiscard]] std::uint64_t sum_lines(
+      std::atomic<std::uint64_t> SlotLine::* field) const noexcept {
+    std::uint64_t total = 0;
+    for (const auto& l : lines_) {
+      total += (l.*field).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
   std::array<Replica, kReplicas> replicas_{};
-  std::array<Padded<std::atomic<std::uint64_t>>, kEntries> generations_{};
+  std::array<SlotLine, kEntries> lines_{};
   Padded<Obj> obj_;
 };
 

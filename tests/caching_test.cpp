@@ -8,6 +8,8 @@
 //    object's, hit path included;
 //  * invalidation: a post-write read misses, refetches, and refills at
 //    the current generation;
+//  * a read that carries a switch value goes to the object and leaves
+//    the cache alone: no invalidation, no fill;
 //  * ticket-consuming invalidation: submit()'s completion callbacks
 //    refill/invalidate by the time the ticket is collected;
 //  * concurrent mixed read/fetch_inc histories through the cache
@@ -15,13 +17,16 @@
 //  * invalidation storms: every write bumps the generation exactly
 //    once under contention, per-thread read streams stay monotone, and
 //    no read ever returns a value the counter never held;
+//  * the slot line: a write's install serves the new value to every
+//    replica, without another call into the wrapped object;
 //  * per-slot invalidation: a write evicts only its key's slot, keys
 //    in other slots keep hitting on every replica, and per-key
 //    histories over a sharded stack (slot-mates on different shards)
-//    linearize against RegisterSpec;
+//    linearize against RegisterSpec, and slot-mate writers racing on
+//    one slot line never serve each other's values;
 //  * placement: a dense key range stays resident;
 //  * the read_at probe does not count torn reads;
-//  * the async pool-exhaustion fallback invalidates without refilling,
+//  * the async pool-exhaustion fallback invalidates without installing,
 //    and only for the replica whose pool ran dry;
 //  * records claimed by two callers of a pool and released by other
 //    threads' combiners all come back before the cache is destroyed.
@@ -255,6 +260,24 @@ TEST(Cached, InvalidatedEntryMissesThenRefillsAtCurrentGeneration) {
   EXPECT_EQ(cached.hits(), hits_before + 1);
 }
 
+// A read that carries a switch value is not served from the cache. It
+// must not count as a write either: it neither bumps the generation
+// nor installs read_after_write of its response.
+TEST(Cached, ReadWithSwitchValueNeitherInvalidatesNorFills) {
+  CachedCounter cached;
+  NativeContext ctx(0);
+
+  EXPECT_EQ(cached.invoke(ctx, inc_req(1, 0)).response, 0);
+  EXPECT_EQ(cached.invoke(ctx, read_req(2, 0), SwitchValue{0}).response, 1);
+  EXPECT_EQ(cached.submit(ctx, read_req(3, 0), SwitchValue{0}).wait().response,
+            1);
+  EXPECT_EQ(cached.invalidations(), 1u);
+  // The counter holds 1; a plain read must say so, hit or miss.
+  EXPECT_EQ(cached.invoke(ctx, read_req(4, 0)).response, 1);
+  EXPECT_EQ(cached.invoke(ctx, read_req(5, 0)).response, 1);
+  EXPECT_EQ(cached.object().object().peek(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Ticket-consuming invalidation (the async surface)
 
@@ -415,7 +438,7 @@ TEST(Replicated, WritesInvalidateEveryReplica) {
   }
 
   // One write: every replica's entry must stop serving the old value —
-  // either invisible (stale generation) or refilled to the new one.
+  // either invisible (stale generation) or refreshed to the new one.
   NativeContext writer(1);
   EXPECT_EQ(cached.invoke(writer, inc_req(100, 1)).response, 0);
   for (std::size_t rep = 0; rep < 4; ++rep) {
@@ -424,9 +447,40 @@ TEST(Replicated, WritesInvalidateEveryReplica) {
       EXPECT_EQ(*v, 1) << "replica " << rep;
     }
   }
-  // The writer's own replica was refilled by the completion callback.
+  // The completion callback installed the new value on the slot line.
   ASSERT_TRUE(cached.read_at(1, 0).has_value());
   EXPECT_EQ(*cached.read_at(1, 0), 1);
+}
+
+// After a write, the next read on every replica is a hit with the new
+// value: the write's install on the slot line serves them all, so none
+// of them calls into the wrapped object.
+TEST(Replicated, WriteRefreshesEveryReplicaWithoutACombinerCall) {
+  constexpr std::size_t kReps = 4;
+  Replicated<Combining<CounterModule, 8>, kReps, CounterModel> cached;
+  std::uint64_t id = 1;
+  for (ProcessId p = 0; p < static_cast<ProcessId>(kReps); ++p) {
+    NativeContext ctx(p);
+    EXPECT_EQ(cached.invoke(ctx, read_req(id++, p)).response, 0);
+  }
+
+  NativeContext writer(2);
+  EXPECT_EQ(cached.invoke(writer, inc_req(id++, 2)).response, 0);
+  const auto& comb = cached.object();
+  const std::uint64_t calls = comb.direct_ops() + comb.combined_ops();
+  // The first pass hits the slot line, the second the refilled replica.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (ProcessId p = 0; p < static_cast<ProcessId>(kReps); ++p) {
+      NativeContext ctx(p);
+      const std::uint64_t hits_before = cached.hits();
+      EXPECT_EQ(cached.invoke(ctx, read_req(id++, p)).response, 1)
+          << "replica " << p << " pass " << pass;
+      EXPECT_EQ(cached.hits(), hits_before + 1)
+          << "replica " << p << " pass " << pass;
+    }
+  }
+  EXPECT_EQ(comb.direct_ops() + comb.combined_ops(), calls);
+  EXPECT_EQ(cached.invalidations(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -472,8 +526,11 @@ TEST(Replicated, WriteLeavesOtherSlotsHitting) {
     ASSERT_TRUE(vb.has_value()) << "replica " << rep;
     EXPECT_EQ(*vb, b_val) << "replica " << rep;
   }
-  ASSERT_TRUE(cached.read_at(0, a).has_value());  // the writer's refill
-  EXPECT_EQ(*cached.read_at(0, a), a_new);
+  // The write's install on the slot line serves every replica.
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    ASSERT_TRUE(cached.read_at(rep, a).has_value()) << "replica " << rep;
+    EXPECT_EQ(*cached.read_at(rep, a), a_new) << "replica " << rep;
+  }
   // The slot-mate shares a's generation, so it may miss — but whatever
   // it serves is its own, unchanged value.
   const auto vm = cached.read_at(kReps - 1, mate);
@@ -573,6 +630,74 @@ TEST(Replicated, SlotMatesOnDifferentShardsLinearizePerKey) {
   EXPECT_GT(hits, 0u);
 }
 
+// Two writers hammer slot-mates that live on different shards, so their
+// completion callbacks install into the one slot line concurrently,
+// while two readers read both keys. The slot line's seqlock must keep
+// every served value whole: a value always belongs to the key it was
+// read for, hit or miss.
+TEST(Replicated, SlotMateWritersNeverServeEachOthersValues) {
+  using Shards = Sharded<Combining<KeyedRegisters, 8>, 3, ByKeyHash>;
+  using Cache = Replicated<Shards, 2, KeyedModel>;
+  constexpr std::array<std::uint64_t, 2> kMates{1, 64};
+  static_assert(Cache::slot_of(kMates[0]) == Cache::slot_of(kMates[1]));
+  static_assert(ByKeyHash::mix(kMates[0]) % 3 != ByKeyHash::mix(kMates[1]) % 3);
+  // Torn installs are rare: against an install without the seqlock's
+  // CAS, 200 ms runs missed 1-2 in 10 and 400 ms runs caught 20 of 20.
+  constexpr auto kRun = std::chrono::milliseconds(400);
+  // A write stores its request id, whose low byte is the key.
+  const auto decodes = [](Response v, std::uint64_t key) {
+    return v == 0 || (static_cast<std::uint64_t>(v) & 0xff) == key;
+  };
+
+  Cache cached;
+  std::atomic<std::uint64_t> bad{0};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<int> started{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      const auto pid = static_cast<ProcessId>(t);
+      NativeContext ctx(pid);
+      const bool writer = t < 2;
+      std::uint64_t local_reads = 0;
+      started.fetch_add(1, std::memory_order_acq_rel);
+      while (started.load(std::memory_order_acquire) < 4) {
+        std::this_thread::yield();
+      }
+      for (std::uint64_t i = 1; !stop.load(std::memory_order_relaxed); ++i) {
+        const std::uint64_t key =
+            kMates[writer ? static_cast<std::size_t>(t) : i % 2];
+        const std::uint64_t id =
+            (((static_cast<std::uint64_t>(t) << 40) | i) << 8) | key;
+        if (writer) {
+          (void)cached.invoke(ctx, key_write(id, pid, key));
+          continue;
+        }
+        const Response v = cached.invoke(ctx, key_read(id, pid, key)).response;
+        if (!decodes(v, key)) bad.fetch_add(1, std::memory_order_relaxed);
+        // Probes of both keys between reads sample the slot line far
+        // more often than the reads, which mostly wait in a combiner.
+        for (std::uint64_t j = 0; j < 8; ++j) {
+          const std::uint64_t k = kMates[j % 2];
+          const auto p = cached.read_at(static_cast<std::size_t>(t) % 2, k);
+          if (p.has_value() && !decodes(*p, k)) {
+            bad.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        local_reads += 9;
+      }
+      reads.fetch_add(local_reads, std::memory_order_relaxed);
+    });
+  }
+  std::this_thread::sleep_for(kRun);
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(bad.load(), 0u) << "of " << reads.load() << " reads";
+  EXPECT_GT(cached.hits(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Placement: the fold index
 
@@ -619,8 +744,9 @@ TEST(Replicated, ReadAtProbeCountsNoTornReads) {
   std::atomic<std::uint64_t> writes{0};
   std::atomic<bool> stop{false};
 
-  // Every write reinstalls kKey into replica 0 under its seqlock, so
-  // the prober keeps finding the way odd or moved.
+  // Every write reinstalls kKey into the slot line under its seqlock,
+  // and replica 0's entry stays empty, so the prober reads the slot
+  // line and keeps finding it odd or moved.
   std::thread writer([&] {
     NativeContext ctx(0);
     while (!stop.load(std::memory_order_acquire)) {
@@ -705,14 +831,17 @@ TEST(Replicated, ExhaustedRecordPoolInvalidatesWithoutRefill) {
   ASSERT_TRUE(c_written.committed());
 
   EXPECT_EQ(cached.invalidations(), writes);
-  // One refill per replica — replica 0's record-carrying write and the
-  // replica-1 write, each into its own replica; the fallback never
-  // refills.
+  // One install per record-carrying write — replica 0's first write
+  // and the replica-1 write, each into its key's slot line; the
+  // fallback never installs.
   EXPECT_EQ(cached.fills(), fills_before + 2);
-  const auto vc = cached.read_at(1, c);
-  ASSERT_TRUE(vc.has_value());
-  EXPECT_EQ(*vc, c_written.response);
-  EXPECT_FALSE(cached.read_at(0, c).has_value());
+  // The slot line serves c's written value to every replica, the one
+  // that never read it included.
+  for (std::size_t rep = 0; rep < 2; ++rep) {
+    const auto vc = cached.read_at(rep, c);
+    ASSERT_TRUE(vc.has_value()) << "replica " << rep;
+    EXPECT_EQ(*vc, c_written.response) << "replica " << rep;
+  }
   const Response a_now =
       cached.object().invoke(ctx, key_read(id++, 0, a)).response;
   ASSERT_NE(a_now, a_old);
