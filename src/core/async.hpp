@@ -37,7 +37,9 @@
 //
 // Completion callbacks: submit() optionally carries a CompletionFn
 // that the COMPLETING thread runs — the combiner for published
-// operations, the submitter itself on inline-complete paths.
+// operations, the submitter itself on inline-complete paths — handed
+// the request it completes, so a callback needs no per-operation state
+// of its own.
 #pragma once
 
 #include <cstdint>
@@ -49,12 +51,16 @@
 
 namespace scm {
 
-// Completion callback: run exactly once with the operation's final
-// result by whichever thread finalizes it. Function pointer + user
+// Completion callback: run exactly once, by whichever thread finalizes
+// the operation, with the request it completes and its final result.
+// The request is the finalizer's own copy (a combiner's batch snapshot,
+// the submitter's argument on inline paths), never the publication
+// record, whose payload the result overwrites. Function pointer + user
 // cookie, not std::function — the publication hot path allocates
 // nothing. Combiner-run callbacks execute while the combiner lock is
 // held: they must not re-enter the owning Combining.
-using CompletionFn = void (*)(void* user, const ModuleResult& result);
+using CompletionFn = void (*)(void* user, const Request& request,
+                              const ModuleResult& result);
 
 // Type-erased completion source of a pending ticket: two functions
 // instantiated by the issuing layer for the (source, context) pair the

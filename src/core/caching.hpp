@@ -36,10 +36,11 @@
 //   * a cache-miss fill is just the read submitted through the object
 //     with a fill callback that installs into the caller's replica —
 //     against a slow backend the ticket simply completes late;
-//   * an async submission's callback state lives in a completion record
-//     claimed from the caller's replica's own pool of kRecs records, so
-//     a claim scans only lines its replica's callers and the releasing
-//     combiners write — never every thread's in-flight records;
+//   * a completion callback keeps no per-operation state: the wrapped
+//     object hands it the request it completes, its cookie is the
+//     cache itself, and a fill knows its replica because each replica
+//     has its own fill callback. Every async miss and write therefore
+//     carries its callback, however many are in flight;
 //   * a read that carries a switch value is not served from, and does
 //     not touch, the cache: it runs through the wrapped object with no
 //     callback.
@@ -112,22 +113,18 @@ concept ReplicationModel =
     };
 
 // Template parameters: kReplicas replica tables (caller i uses replica
-// i mod kReplicas), kEntries direct-mapped slots per table (a power of
-// two), and kRecs async completion records PER REPLICA — the bound on
-// one replica's misses and writes in flight through submit() with a
-// refill still pending (beyond it they degrade, see submit()).
-// Replication adds only registers (the seqlock words and the slot
-// lines), so the composition's consensus number is the wrapped
+// i mod kReplicas) and kEntries direct-mapped slots per table (a power
+// of two). Replication adds only registers (the seqlock words and the
+// slot lines), so the composition's consensus number is the wrapped
 // object's.
 template <class Obj, std::size_t kReplicas, class Model,
-          std::size_t kEntries = 64, std::size_t kRecs = 32>
+          std::size_t kEntries = 64>
   requires ReplicationModel<Model>
 class Replicated : public detail::ShardedConsensusBase<Obj>,
                    public detail::ShardedDepthBase<Obj> {
   static_assert(kReplicas >= 1, "a replicated cache needs a replica");
   static_assert(kEntries >= 1 && (kEntries & (kEntries - 1)) == 0,
                 "the replica table's slot count must be a power of two");
-  static_assert(kRecs >= 1, "the async completion pool needs a record");
 
  public:
   static constexpr std::size_t kReplicaCount = kReplicas;
@@ -144,73 +141,45 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   Replicated(const Replicated&) = delete;
   Replicated& operator=(const Replicated&) = delete;
 
-  // Every async completion record must have been released by its
-  // callback before the cache goes away — an outstanding record means
-  // an operation is still in flight inside the wrapped object and its
-  // callback is about to write freed memory. Collect or drop all
-  // tickets (a dropped ticket waits its operation out) first.
-  ~Replicated() {
-    for (const auto& r : replicas_) {
-      for (const auto& p : r.recs) {
-        SCM_CHECK_MSG(p.value.busy.load(std::memory_order_acquire) == 0,
-                      "Replicated destroyed with an in-flight completion "
-                      "record (outstanding submission)");
-      }
-    }
-  }
-
   // Module surface: reads hit the caller's replica or the slot line
   // when fresh enough; misses and writes run through the wrapped object
   // with a fill or write completion callback; a read that carries a
-  // switch value runs through it with none. The callback completes
-  // before the wrapped object hands the result back (Combining fires
-  // it before kDone), so a stack record suffices here.
+  // switch value runs through it with none.
   template <class Ctx>
     requires Composable<Obj, Ctx>
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt) {
     const std::size_t rep = replica_of(ctx);
     if (!Model::is_read(m)) {
-      CacheRec rec(this, rep, m, /*pooled=*/false);
-      return run_through(ctx, m, init, &Replicated::write_cb, &rec);
+      return submit_through(ctx, m, init, &Replicated::write_cb).wait();
     }
-    if (init.has_value()) return run_through(ctx, m, init, nullptr, nullptr);
+    if (init.has_value()) return submit_through(ctx, m, init, nullptr).wait();
     if (const auto v = try_read(ctx, rep, key_of(m))) {
       return ModuleResult::commit(*v);
     }
-    CacheRec rec(this, rep, m, /*pooled=*/false);
-    return run_through(ctx, m, init, &Replicated::fill_cb, &rec);
+    return submit_through(ctx, m, init, fill_cb_for(rep)).wait();
   }
 
   // Async surface: a read hit is a ready ticket (it cost no shared
   // write, there is nothing to wait for); a miss or write is the
-  // wrapped object's own submission with a completion record, claimed
-  // from the caller's replica's pool, carrying the fill or the install.
-  // When that pool is exhausted the operation still proceeds — a miss
-  // just skips its fill, a write falls back to invalidate-only (the
-  // key's slot generation is the cookie; correctness never depends on
-  // installs, they only raise the hit rate). Another replica's free
-  // records are never borrowed.
+  // wrapped object's own submission, carrying the fill or the install
+  // as its completion callback, which carries no per-operation state,
+  // so any number may be in flight. Destroying the cache with a ticket
+  // outstanding is the wrapped object's checked error (Combining's
+  // occupied-slot assertion): collect or drop every ticket first.
   template <class Ctx>
     requires Composable<Obj, Ctx>
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
                               std::optional<SwitchValue> init = std::nullopt) {
     const std::size_t rep = replica_of(ctx);
     if (!Model::is_read(m)) {
-      if (CacheRec* rec = claim_rec(rep, m)) {
-        return submit_through(ctx, m, init, &Replicated::write_cb, rec);
-      }
-      return submit_through(ctx, m, init, &Replicated::invalidate_cb,
-                            &line_of(key_of(m)).gen);
+      return submit_through(ctx, m, init, &Replicated::write_cb);
     }
-    if (init.has_value()) return submit_through(ctx, m, init, nullptr, nullptr);
+    if (init.has_value()) return submit_through(ctx, m, init, nullptr);
     if (const auto v = try_read(ctx, rep, key_of(m))) {
       return Ticket<ModuleResult>::ready(ModuleResult::commit(*v));
     }
-    if (CacheRec* rec = claim_rec(rep, m)) {
-      return submit_through(ctx, m, init, &Replicated::fill_cb, rec);
-    }
-    return submit_through(ctx, m, init, nullptr, nullptr);
+    return submit_through(ctx, m, init, fill_cb_for(rep));
   }
 
   // What a read of `key` on `replica` would be served without going
@@ -277,65 +246,17 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   [[nodiscard]] Obj& object() noexcept { return obj_.value; }
   [[nodiscard]] const Obj& object() const noexcept { return obj_.value; }
 
-  // ---- forwarded surfaces (enabled exactly when Obj provides them).
-
-  template <class Ctx>
-  void drain(Ctx& ctx)
-    requires requires(Obj& o) { o.drain(ctx); }
-  {
-    obj_.value.drain(ctx);
-  }
-
-  [[nodiscard]] PipelineStageStats stats(std::size_t i) const
-    requires requires(const Obj& o, std::size_t j) {
-      { o.stats(j) } -> std::same_as<PipelineStageStats>;
-    }
-  {
-    return obj_.value.stats(i);
-  }
-
-  void reset_stats() noexcept
-    requires requires(Obj& o) { o.reset_stats(); }
-  {
-    obj_.value.reset_stats();
-  }
-
-  [[nodiscard]] std::uint64_t commits_by(ProcessId pid, std::size_t i) const
-    requires requires(const Obj& o, std::size_t j) { o.commits_by(pid, j); }
-  {
-    return obj_.value.commits_by(pid, i);
-  }
-
  private:
-  // Completion-callback state for one in-flight operation: which
-  // replica a fill refills and the request whose key/effect the install
-  // concerns. Stack-allocated on blocking paths (the callback runs
-  // before the wrapped object hands the result back); pool-claimed on
-  // async paths, released by the callback.
-  struct CacheRec {
-    CacheRec() = default;
-    CacheRec(Replicated* s, std::size_t r, const Request& m, bool p)
-        : self(s), replica(r), req(m), pooled(p) {}
-
-    Replicated* self = nullptr;
-    std::size_t replica = 0;
-    Request req;
-    bool pooled = false;
-    std::atomic<std::uint32_t> busy{0};
-
-    void release() noexcept {
-      if (pooled) busy.store(0, std::memory_order_release);
-    }
-  };
-
   // One direct-mapped cache entry. The seqlock protocol: installers
   // CAS the version word even→odd (mutual exclusion between
   // installers; a loser skips its install — refills are best-effort),
-  // write the fields, then release-store even+2. Readers snapshot the
-  // word, read the fields, and re-check the word: any concurrent
-  // install is detected and the read becomes a miss. Fields are
-  // relaxed atomics, not plain loads — a reader may race an installer
-  // by design, and the seqlock re-check is what discards those reads.
+  // release-store the fields, then release-store even+2. Readers
+  // acquire-load the word, then the fields, and re-check the word: a
+  // field an installer stored carries that installer's odd CAS with it,
+  // so the re-check sees the word moved and the read becomes a miss.
+  // Fields are atomics, not plain loads — a reader may race an
+  // installer by design, and the re-check is what discards those
+  // reads. On x86 every one of these loads and stores is a plain mov.
   struct Entry {
     std::atomic<std::uint64_t> ver{0};
     std::atomic<std::uint64_t> key1{0};  // key + 1; 0 = empty
@@ -364,10 +285,6 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> torn{0};
     std::atomic<std::uint64_t> fills{0};
-    // The replica's async completion records, each on its own line:
-    // claimed by this replica's callers, released by whichever thread
-    // finalizes the operation.
-    std::array<Padded<CacheRec>, kRecs> recs{};
   };
 
   // What one snapshot saw: the value on a hit; `torn` when the entry's
@@ -400,10 +317,9 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
                            std::uint64_t cur) {
     const std::uint64_t v1 = e.ver.load(std::memory_order_acquire);
     if ((v1 & 1) != 0) return {std::nullopt, /*torn=*/true};
-    const std::uint64_t k1 = e.key1.load(std::memory_order_relaxed);
-    const Response val = e.val.load(std::memory_order_relaxed);
-    const std::uint64_t g = e.gen.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    const std::uint64_t k1 = e.key1.load(std::memory_order_acquire);
+    const Response val = e.val.load(std::memory_order_acquire);
+    const std::uint64_t g = e.gen.load(std::memory_order_acquire);
     if (e.ver.load(std::memory_order_relaxed) != v1) {
       return {std::nullopt, /*torn=*/true};
     }
@@ -478,9 +394,9 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
                                        std::memory_order_relaxed)) {
       return;
     }
-    e.key1.store(key + 1, std::memory_order_relaxed);
-    e.val.store(val, std::memory_order_relaxed);
-    e.gen.store(g, std::memory_order_relaxed);
+    e.key1.store(key + 1, std::memory_order_release);
+    e.val.store(val, std::memory_order_release);
+    e.gen.store(g, std::memory_order_release);
     e.ver.store(v + 2, std::memory_order_release);
     fills.fetch_add(1, std::memory_order_relaxed);
   }
@@ -488,23 +404,33 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // ---- completion callbacks (run by the wrapped object's finalizing
   // thread at the operation's serialization point — under Combining's
   // election lock; they must not re-enter the wrapped object, and they
-  // don't: slot lines + entry seqlocks only).
+  // don't: slot lines + entry seqlocks only). The cookie is the cache;
+  // the request is the one the callback completes.
 
   // A committed read's response is the object's value for that key at
   // this serialization point; tag it with the slot generation as of
-  // NOW. Same-key callbacks fire in linearization order, so every
-  // earlier write's bump is included and no later one; a slot-mate's
-  // concurrent bump can only push the tag below a later read's load.
-  static void fill_cb(void* user, const ModuleResult& r) {
-    auto* rec = static_cast<CacheRec*>(user);
-    if (r.committed()) {
-      Replicated* self = rec->self;
-      const std::uint64_t key = key_of(rec->req);
-      Replica& rep = self->replicas_[rec->replica];
-      install(rep.entries[slot_of(key)], rep.fills, key, r.response,
-              self->line_of(key).gen.load(std::memory_order_seq_cst));
-    }
-    rec->release();
+  // NOW and install it into replica kRep. Same-key callbacks fire in
+  // linearization order, so every earlier write's bump is included and
+  // no later one; a slot-mate's concurrent bump can only push the tag
+  // below a later read's load.
+  template <std::size_t kRep>
+  static void fill_cb(void* user, const Request& m, const ModuleResult& r) {
+    if (!r.committed()) return;
+    auto* self = static_cast<Replicated*>(user);
+    const std::uint64_t key = key_of(m);
+    Replica& rep = self->replicas_[kRep];
+    install(rep.entries[slot_of(key)], rep.fills, key, r.response,
+            self->line_of(key).gen.load(std::memory_order_seq_cst));
+  }
+
+  // The fill callback of replica `rep`: one instantiation per replica,
+  // so a fill refills its caller's replica whichever thread runs it.
+  static CompletionFn fill_cb_for(std::size_t rep) noexcept {
+    static constexpr auto kFills =
+        []<std::size_t... kReps>(std::index_sequence<kReps...>) {
+          return std::array<CompletionFn, kReplicas>{&fill_cb<kReps>...};
+        }(std::make_index_sequence<kReplicas>{});
+    return kFills[rep];
   }
 
   // A write bumps its key's slot generation FIRST (from this instant
@@ -513,80 +439,34 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // key into the slot line's `last` tagged with the new generation,
   // which serves it to every replica. Aborted results bump too: a
   // spurious invalidation is a missed hit, never an error.
-  static void write_cb(void* user, const ModuleResult& r) {
-    auto* rec = static_cast<CacheRec*>(user);
-    const std::uint64_t key = key_of(rec->req);
-    SlotLine& line = rec->self->line_of(key);
+  static void write_cb(void* user, const Request& m, const ModuleResult& r) {
+    const std::uint64_t key = key_of(m);
+    SlotLine& line = static_cast<Replicated*>(user)->line_of(key);
     const std::uint64_t g =
         line.gen.fetch_add(1, std::memory_order_seq_cst) + 1;
     if (r.committed()) {
-      if (const auto v = Model::read_after_write(rec->req, r.response)) {
+      if (const auto v = Model::read_after_write(m, r.response)) {
         install(line.last, line.installs, key, *v, g);
       }
     }
-    rec->release();
   }
 
-  // Pool-exhaustion fallback for async writes: invalidate without
-  // installing (no per-op state needed — the cookie is the written
-  // key's slot generation).
-  static void invalidate_cb(void* user, const ModuleResult&) {
-    static_cast<std::atomic<std::uint64_t>*>(user)->fetch_add(
-        1, std::memory_order_seq_cst);
-  }
-
-  // ---- routing operations through the wrapped object. Callback-
-  // carrying submit when the object has one (Combining and wrappers
-  // thereof: the callback fires at the serialization point), inline
-  // apply + callback otherwise.
-
+  // Routes an operation through the wrapped object: its callback-
+  // carrying submit when it has one (Combining and wrappers thereof:
+  // the callback fires at the serialization point), inline apply +
+  // callback and a ready ticket otherwise. Out of line, so the wrapped
+  // object's submit path stays out of invoke()'s hit path.
   template <class Ctx>
-  ModuleResult run_through(Ctx& ctx, const Request& m,
-                           std::optional<SwitchValue> init, CompletionFn cb,
-                           void* user) {
-    if constexpr (requires(Obj& o) { o.submit(ctx, m, init, cb, user); }) {
-      return obj_.value.submit(ctx, m, init, cb, user).wait();
+  [[gnu::noinline]] Ticket<ModuleResult> submit_through(
+      Ctx& ctx, const Request& m, std::optional<SwitchValue> init,
+      CompletionFn cb) {
+    if constexpr (requires(Obj& o) { o.submit(ctx, m, init, cb, this); }) {
+      return obj_.value.submit(ctx, m, init, cb, this);
     } else {
       const ModuleResult r = scm::apply(obj_.value, ctx, m, init);
-      if (cb != nullptr) cb(user, r);
-      return r;
-    }
-  }
-
-  template <class Ctx>
-  Ticket<ModuleResult> submit_through(Ctx& ctx, const Request& m,
-                                      std::optional<SwitchValue> init,
-                                      CompletionFn cb, void* user) {
-    if constexpr (requires(Obj& o) { o.submit(ctx, m, init, cb, user); }) {
-      return obj_.value.submit(ctx, m, init, cb, user);
-    } else {
-      const ModuleResult r = scm::apply(obj_.value, ctx, m, init);
-      if (cb != nullptr) cb(user, r);
+      if (cb != nullptr) cb(this, m, r);
       return Ticket<ModuleResult>::ready(r);
     }
-  }
-
-  // Claims an async completion record from `replica`'s own pool (a
-  // CAS-scan over its kRecs records; callers whose ids collide modulo
-  // kReplicas share the pool through the same CAS); nullptr when every
-  // record is in flight — callers degrade to the stateless callback,
-  // they never block on the pool.
-  CacheRec* claim_rec(std::size_t replica, const Request& m) {
-    for (auto& p : replicas_[replica].recs) {
-      CacheRec& rec = p.value;
-      std::uint32_t expected = 0;
-      if (rec.busy.load(std::memory_order_relaxed) == 0 &&
-          rec.busy.compare_exchange_strong(expected, 1,
-                                           std::memory_order_acquire,
-                                           std::memory_order_relaxed)) {
-        rec.self = this;
-        rec.replica = replica;
-        rec.req = m;
-        rec.pooled = true;
-        return &rec;
-      }
-    }
-    return nullptr;
   }
 
   [[nodiscard]] std::uint64_t sum(
@@ -615,8 +495,7 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
 // The single-replica special case: one shared table — the right shape
 // when everything runs on few cores or the replicas would all be
 // filled with the same hot keys anyway.
-template <class Obj, class Model, std::size_t kEntries = 64,
-          std::size_t kRecs = 32>
-using Cached = Replicated<Obj, 1, Model, kEntries, kRecs>;
+template <class Obj, class Model, std::size_t kEntries = 64>
+using Cached = Replicated<Obj, 1, Model, kEntries>;
 
 }  // namespace scm

@@ -95,13 +95,13 @@ struct CombiningConsensusBase<Obj,
 }  // namespace detail
 
 // A Combining record's `extra` (core/slot_protocol.hpp): the optional
-// callback the finalizing thread runs.
+// callback the finalizing thread runs on the request it completes.
 struct SlotCompletion {
   CompletionFn fn = nullptr;
   void* user = nullptr;
 
-  void complete(const ModuleResult& result) const {
-    if (fn != nullptr) fn(user, result);
+  void complete(const Request& request, const ModuleResult& result) const {
+    if (fn != nullptr) fn(user, request, result);
   }
 };
 
@@ -206,7 +206,7 @@ class Combining
                               void* user = nullptr) {
     if constexpr (detail::context_can_await_v<Ctx>) {
       const ModuleResult r = invoke(ctx, m, init);
-      if (completion != nullptr) completion(user, r);
+      SlotCompletion{completion, user}.complete(m, r);
       return Ticket<ModuleResult>::ready(r);
     } else {
       ModuleResult r;

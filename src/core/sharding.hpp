@@ -187,16 +187,18 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
 
   // ---- async surface (core/async.hpp).
 
-  // Route, then submit on the chosen shard. When the replica is itself
-  // asynchronous (per-shard Combining), its pending ticket is
-  // forwarded unchanged; otherwise see the synchronous overload below.
-  template <class Ctx>
-    requires ShardRoutingPolicy<Policy, Ctx> &&
-             requires(Obj& o, Ctx& c, const Request& r,
-                      std::optional<SwitchValue> v) { o.submit(c, r, v); }
-  auto submit(Ctx& ctx, const Request& m,
-              std::optional<SwitchValue> init = std::nullopt) {
-    return shards_[route(ctx, m)].value.submit(ctx, m, init);
+  // Route, then submit on the chosen shard with every further argument
+  // (a switch value, a completion callback and its cookie) forwarded
+  // as given. When the replica is itself asynchronous (per-shard
+  // Combining), its pending ticket is forwarded unchanged; otherwise
+  // see the synchronous overload below.
+  template <class Ctx, class... Args>
+    requires ShardRoutingPolicy<Policy, Ctx>
+  auto submit(Ctx& ctx, const Request& m, Args&&... args)
+    requires requires(Obj& o) { o.submit(ctx, m, std::forward<Args>(args)...); }
+  {
+    return shards_[route(ctx, m)].value.submit(ctx, m,
+                                               std::forward<Args>(args)...);
   }
 
   // Synchronous replicas (pipelines, chains) complete inline:
@@ -209,21 +211,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
                               std::optional<SwitchValue> init = std::nullopt) {
     return Ticket<ModuleResult>::ready(invoke(ctx, m, init));
-  }
-
-  // Callback-carrying form, for replicas whose submit accepts a
-  // CompletionFn (per-shard Combining). `completion` is deliberately
-  // not defaulted: 2-/3-argument calls resolve to the overloads above
-  // on every replica shape, 4-/5-argument calls land here only when
-  // the replica can actually run the callback.
-  template <class Ctx>
-    requires ShardRoutingPolicy<Policy, Ctx>
-  auto submit(Ctx& ctx, const Request& m, std::optional<SwitchValue> init,
-              CompletionFn completion, void* user = nullptr)
-    requires requires(Obj& o) { o.submit(ctx, m, init, completion, user); }
-  {
-    return shards_[route(ctx, m)].value.submit(ctx, m, init, completion,
-                                               user);
   }
 
   // Drains every shard's pending publications (enabled exactly when

@@ -187,7 +187,8 @@ inline void bump(std::atomic<std::uint64_t>& counter,
 
 // An empty `extra`: a record that carries nothing besides the protocol.
 struct SlotNoExtra {
-  void complete(const ModuleResult& /*result*/) const noexcept {}
+  void complete(const Request& /*request*/,
+                const ModuleResult& /*result*/) const noexcept {}
 };
 
 // One publication record, exactly one cache line, so distinct
@@ -286,8 +287,10 @@ class SlotArray {
   // batch. Otherwise the pending requests are snapshotted into a local
   // batch, run through `obj`'s batch path, and each result is written
   // back over its request. Each record's `extra` completes before its
-  // kDone store, and that store keeps the publisher's owner, so a
-  // publisher that died waiting still has its name on the record.
+  // kDone store, handed the batch's snapshot of the request (the
+  // record's own copy is gone under the result), and that store keeps
+  // the publisher's owner, so a publisher that died waiting still has
+  // its name on the record.
   template <class Obj, class Ctx>
   void combine(Obj& obj, Ctx& ctx) {
     const std::size_t first = first_pending();
@@ -378,7 +381,7 @@ class SlotArray {
 
     for (std::size_t i = 0; i < n; ++i) {
       Record& r = records_[source[i]];
-      r.extra.complete(batch[i].result);
+      r.extra.complete(batch[i].request, batch[i].result);
       r.payload.result = batch[i].result;
       ctx.on_write();
       const std::uint32_t owner =
@@ -502,7 +505,7 @@ class CombiningCore {
                           std::optional<SwitchValue> init,
                           const Extra& extra) {
     const ModuleResult r = scm::apply(obj, ctx, m, init);
-    extra.complete(r);
+    extra.complete(m, r);
     bump(direct_ops_, 1);
     slots_.combine(obj, ctx);
     release();

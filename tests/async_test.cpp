@@ -93,6 +93,14 @@ Request req(std::uint64_t id, ProcessId p, std::int64_t arg = 0,
   return Request{id, p, op, arg};
 }
 
+// A completion callback that appends the request it was handed to the
+// vector behind its cookie: a test then checks that every op's callback
+// got that op's own request, in firing order.
+using SeenRequests = std::vector<Request>;
+void record_request(void* user, const Request& m, const ModuleResult&) {
+  static_cast<SeenRequests*>(user)->push_back(m);
+}
+
 // ---------------------------------------------------------------------------
 // Ticket state machine
 
@@ -189,19 +197,17 @@ TEST(AsyncSubmit, SimulatorContextCompletesInline) {
   Combining<Pipeline<HopModule, SinkModule>, 4> combined;
   Simulator s;
   s.add_process([&](SimContext& ctx) {
-    std::uint64_t callbacks = 0;
+    SeenRequests seen;
     for (std::uint64_t i = 0; i < 4; ++i) {
-      auto t = combined.submit(
-          ctx, req(i + 1, 0), std::nullopt,
-          [](void* user, const ModuleResult&) {
-            ++*static_cast<std::uint64_t*>(user);
-          },
-          &callbacks);
+      auto t = combined.submit(ctx, req(i + 1, 0), std::nullopt,
+                               &record_request, &seen);
       ASSERT_TRUE(t.poll());
       EXPECT_EQ(t.wait().response, 1);
+      ASSERT_EQ(seen.size(), i + 1);
+      EXPECT_EQ(seen.back(), req(i + 1, 0));
     }
     combined.drain(ctx);  // no-op, nothing can be pending
-    EXPECT_EQ(callbacks, 4u);
+    EXPECT_EQ(seen.size(), 4u);
   });
   sim::SequentialSchedule sched;
   s.run(sched);
@@ -226,20 +232,17 @@ TEST(AsyncSubmit, PublishedSubmissionsAreServedInOneCombinePass) {
   }
 
   NativeContext ctx(0);
-  std::uint64_t callbacks = 0;
+  SeenRequests seen;
   std::vector<Ticket<ModuleResult>> tickets;
   for (std::uint64_t i = 0; i < kPublished; ++i) {
     tickets.push_back(combined.submit(
         ctx, req(i + 1, 0, static_cast<std::int64_t>(i + 10)), std::nullopt,
-        [](void* user, const ModuleResult&) {
-          ++*static_cast<std::uint64_t*>(user);
-        },
-        &callbacks));
+        &record_request, &seen));
   }
 
   // The lock is held and no combiner can run: nothing may complete.
   for (auto& t : tickets) EXPECT_FALSE(t.poll());
-  EXPECT_EQ(callbacks, 0u);
+  EXPECT_TRUE(seen.empty());
 
   // Open the gate: the holder finishes, combines the whole backlog in
   // one pass (running the callbacks), and returns.
@@ -251,7 +254,13 @@ TEST(AsyncSubmit, PublishedSubmissionsAreServedInOneCombinePass) {
     EXPECT_EQ(tickets[i].wait().response,
               static_cast<Response>(i + 10));
   }
-  EXPECT_EQ(callbacks, kPublished);
+  // One pass over records 0..5 in order: each callback got its own
+  // request back out of the combiner's batch, not the overwritten
+  // record.
+  ASSERT_EQ(seen.size(), kPublished);
+  for (std::uint64_t i = 0; i < kPublished; ++i) {
+    EXPECT_EQ(seen[i], req(i + 1, 0, static_cast<std::int64_t>(i + 10)));
+  }
   EXPECT_EQ(combined.combine_rounds(), 1u);
   EXPECT_EQ(combined.combined_ops(), kPublished);
   EXPECT_EQ(combined.direct_ops(), 1u);  // the holder's own op
@@ -271,24 +280,24 @@ TEST(AsyncSubmit, DrainExecutesEveryPublicationSubmittedBefore) {
   }
 
   NativeContext ctx(0);
-  std::uint64_t callbacks = 0;
+  SeenRequests seen;
   std::vector<Ticket<ModuleResult>> tickets;
   for (std::uint64_t i = 0; i < 5; ++i) {
     tickets.push_back(combined.submit(
         ctx, req(i + 1, 0, static_cast<std::int64_t>(i)), std::nullopt,
-        [](void* user, const ModuleResult&) {
-          ++*static_cast<std::uint64_t*>(user);
-        },
-        &callbacks));
+        &record_request, &seen));
   }
-  EXPECT_EQ(callbacks, 0u);
+  EXPECT_TRUE(seen.empty());
 
   g_gate_open.store(true, std::memory_order_release);
   // drain() helps combine until nothing is pending; whichever of the
   // holder and this thread serves the backlog, all five submissions
   // have executed when it returns — before any ticket is touched.
   combined.drain(ctx);
-  EXPECT_EQ(callbacks, 5u);
+  ASSERT_EQ(seen.size(), 5u);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(seen[i], req(i + 1, 0, static_cast<std::int64_t>(i)));
+  }
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_TRUE(tickets[i].poll());
     EXPECT_EQ(tickets[i].wait().response, static_cast<Response>(i));
@@ -327,9 +336,11 @@ TEST(AsyncSubmit, ExhaustedPublicationArrayFallsBackToInlineExecution) {
   // are uncollected) and releases the lock; the submitter then runs
   // inline and its ticket is born ready.
   std::atomic<bool> extra_done{false};
+  SeenRequests seen;
   std::thread extra([&] {
     NativeContext ectx(2);
-    auto t = combined.submit(ectx, req(99, 2, 777));
+    auto t = combined.submit(ectx, req(99, 2, 777), std::nullopt,
+                             &record_request, &seen);
     EXPECT_TRUE(t.poll());
     EXPECT_EQ(t.wait().response, 777);
     extra_done.store(true, std::memory_order_release);
@@ -338,6 +349,9 @@ TEST(AsyncSubmit, ExhaustedPublicationArrayFallsBackToInlineExecution) {
   holder.join();
   extra.join();
   EXPECT_TRUE(extra_done.load());
+  // The inline run fired the extra op's callback with its own request.
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], req(99, 2, 777));
 
   for (std::uint64_t i = 0; i < kSlots; ++i) {
     EXPECT_EQ(tickets[i].wait().response, static_cast<Response>(i));
@@ -354,18 +368,19 @@ TEST(AsyncSubmit, ShardedForwardsCallbackCarryingSubmit) {
   // form.
   Sharded<Combining<Pipeline<HopModule, TicketModule>, 8>, 2, ByThread> obj;
   NativeContext ctx(0);
-  std::uint64_t callbacks = 0;
-  const CompletionFn cb = [](void* user, const ModuleResult& r) {
-    if (r.committed()) ++*static_cast<std::uint64_t*>(user);
-  };
+  SeenRequests seen;
 
+  // Solo, so every op runs on its shard's fast path.
   for (std::uint64_t i = 0; i < 8; ++i) {
-    auto t = obj.submit(ctx, req(i + 1, 0), std::nullopt, cb, &callbacks);
+    auto t = obj.submit(ctx, req(i + 1, 0), std::nullopt, &record_request,
+                        &seen);
     EXPECT_TRUE(t.wait().committed());
+    ASSERT_EQ(seen.size(), i + 1);
+    EXPECT_EQ(seen.back(), req(i + 1, 0));
   }
   obj.drain(ctx);
 
-  EXPECT_EQ(callbacks, 8u);
+  EXPECT_EQ(seen.size(), 8u);
   std::uint64_t sink = 0;
   for (std::size_t s = 0; s < 2; ++s) {
     sink += obj.shard(s).object().stage<1>().count();
@@ -470,7 +485,9 @@ TEST(AsyncSubmit, OwnershipStressDropsPollsWaitsAndDrains) {
   constexpr std::uint64_t kTotal = kThreads * kOps;
 
   Combining<Pipeline<HopModule, TicketModule>, 8> combined;
-  std::atomic<std::uint64_t> dropped_callbacks{0};
+  // Callback firings per op, found from the request each callback was
+  // handed: thread id in the id's high bits, op index below.
+  std::vector<std::atomic<std::uint32_t>> fired(kTotal);
   std::atomic<std::uint64_t> collected{0};
 
   (void)workload::run_threads(
@@ -500,13 +517,15 @@ TEST(AsyncSubmit, OwnershipStressDropsPollsWaitsAndDrains) {
                      // reaches the callback
             auto t = combined.submit(
                 ctx, m, std::nullopt,
-                [](void* user, const ModuleResult& r) {
-                  if (r.committed()) {
-                    static_cast<std::atomic<std::uint64_t>*>(user)->fetch_add(
-                        1, std::memory_order_relaxed);
-                  }
+                [](void* user, const Request& op, const ModuleResult& r) {
+                  if (!r.committed()) return;
+                  const std::uint64_t k =
+                      (op.id >> 40) * kOps + (op.id & ((1ull << 40) - 1)) - 1;
+                  (*static_cast<std::vector<std::atomic<std::uint32_t>>*>(
+                       user))[k]
+                      .fetch_add(1, std::memory_order_relaxed);
                 },
-                &dropped_callbacks);
+                &fired);
             (void)t;
             break;
           }
@@ -522,11 +541,14 @@ TEST(AsyncSubmit, OwnershipStressDropsPollsWaitsAndDrains) {
   NativeContext main_ctx(99);
   combined.drain(main_ctx);
   // Every op executed exactly once (the sink counter is the ground
-  // truth), every dropped ticket's callback fired, every collected result
+  // truth), every dropped ticket's callback fired once, handed its own
+  // op's request, and no other op's did; every collected result
   // committed. Quiescence: the Combining destructor at scope exit
   // asserts all publication records are free.
   EXPECT_EQ(combined.object().stage<1>().count(), kTotal);
-  EXPECT_EQ(dropped_callbacks.load(), kTotal / 4);
+  for (std::uint64_t k = 0; k < kTotal; ++k) {
+    EXPECT_EQ(fired[k].load(), k % kOps % 4 == 2 ? 1u : 0u) << "op " << k;
+  }
   EXPECT_EQ(collected.load(), kTotal / 2);
   EXPECT_EQ(combined.combined_ops() + combined.direct_ops(), kTotal);
 }

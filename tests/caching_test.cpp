@@ -26,10 +26,11 @@
 //    one slot line never serve each other's values;
 //  * placement: a dense key range stays resident;
 //  * the read_at probe does not count torn reads;
-//  * the async pool-exhaustion fallback invalidates without installing,
-//    and only for the replica whose pool ran dry;
-//  * records claimed by two callers of a pool and released by other
-//    threads' combiners all come back before the cache is destroyed.
+//  * every async write in flight installs, however many there are;
+//  * destroying the cache with a ticket outstanding dies on the wrapped
+//    Combining's occupied-slot check;
+//  * async fills and installs run by other threads' combiners keep
+//    every replica coherent, and a quiesced cache destroys cleanly.
 //
 // Runs under the "tsan" ctest label: the CI sanitizer job executes
 // this suite under ThreadSanitizer (the seqlock snapshot protocol is
@@ -769,33 +770,20 @@ TEST(Replicated, ReadAtProbeCountsNoTornReads) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool exhaustion: the invalidate-only fallback, per replica
+// Async completions carry no per-operation state
 
-TEST(Replicated, ExhaustedRecordPoolInvalidatesWithoutRefill) {
-  using Cache = Replicated<Combining<KeyedRegisters, 8>, 2, KeyedModel, 64,
-                           /*kRecs=*/1>;
+// More async writes in flight at once than a bounded per-caller record
+// budget would hold: each still carries its install, so every written
+// key's slot line serves its value once the writes complete.
+TEST(Replicated, EveryInFlightAsyncWriteInstalls) {
+  using Cache = Cached<Combining<KeyedRegisters, 64>, KeyedModel>;
+  constexpr std::uint64_t kWrites = 40;
   Cache cached;
-  const std::uint64_t a = 1;
-  const std::uint64_t b = key_in_slot<Cache>(Cache::slot_of(a), false);
-  const std::uint64_t c = key_in_slot<Cache>(Cache::slot_of(a), false, b);
-  ASSERT_NE(Cache::slot_of(c), Cache::slot_of(b));
-
-  NativeContext ctx(0);
-  std::uint64_t id = 100;
-  std::uint64_t writes = 0;
-  const Response a_old = cached.invoke(ctx, key_write(id++, 0, a)).response;
-  const Response b_val = cached.invoke(ctx, key_write(id++, 0, b)).response;
-  writes += 2;
-  for (ProcessId p = 0; p < 2; ++p) {
-    NativeContext reader(p);
-    (void)cached.invoke(reader, key_read(id++, p, a));
-    (void)cached.invoke(reader, key_read(id++, p, b));
+  std::array<bool, Cache::kEntryCount> used{};
+  for (std::uint64_t k = 1; k <= kWrites; ++k) {
+    ASSERT_FALSE(used[Cache::slot_of(k)]) << "key " << k;
+    used[Cache::slot_of(k)] = true;
   }
-  for (std::size_t rep = 0; rep < 2; ++rep) {
-    ASSERT_TRUE(cached.read_at(rep, a).has_value());
-    ASSERT_EQ(*cached.read_at(rep, a), a_old);
-  }
-  const std::uint64_t fills_before = cached.fills();
 
   // Park a holder inside the combiner (straight into the wrapped
   // object, bypassing the cache) so submissions stay in flight.
@@ -810,69 +798,72 @@ TEST(Replicated, ExhaustedRecordPoolInvalidatesWithoutRefill) {
     std::this_thread::yield();
   }
 
-  // The first write claims replica 0's only record; the second finds
-  // it in flight and falls back to invalidate_cb. Pools are per
-  // replica, so a replica-1 write submitted meanwhile still claims
-  // replica 1's record.
-  auto first = cached.submit(ctx, key_write(id++, 0, a));
-  auto second = cached.submit(ctx, key_write(id++, 0, a));
-  NativeContext ctx1(1);
-  auto other = cached.submit(ctx1, key_write(id++, 1, c));
-  writes += 3;
-  EXPECT_FALSE(first.poll());
-  EXPECT_FALSE(second.poll());
-  EXPECT_FALSE(other.poll());
+  NativeContext ctx(0);
+  std::vector<Ticket<ModuleResult>> tickets;
+  for (std::uint64_t k = 1; k <= kWrites; ++k) {
+    tickets.push_back(cached.submit(ctx, key_write(100 + k, 0, k)));
+  }
+  for (auto& t : tickets) EXPECT_FALSE(t.poll());
+  const std::uint64_t fills_before = cached.fills();
 
   g_gate_open.store(true, std::memory_order_release);
   holder.join();
-  EXPECT_TRUE(first.wait().committed());
-  EXPECT_TRUE(second.wait().committed());
-  const ModuleResult c_written = other.wait();
-  ASSERT_TRUE(c_written.committed());
+  std::vector<Response> written;
+  for (auto& t : tickets) {
+    const ModuleResult r = t.wait();
+    ASSERT_TRUE(r.committed());
+    written.push_back(r.response);
+  }
 
-  EXPECT_EQ(cached.invalidations(), writes);
-  // One install per record-carrying write — replica 0's first write
-  // and the replica-1 write, each into its key's slot line; the
-  // fallback never installs.
-  EXPECT_EQ(cached.fills(), fills_before + 2);
-  // The slot line serves c's written value to every replica, the one
-  // that never read it included.
-  for (std::size_t rep = 0; rep < 2; ++rep) {
-    const auto vc = cached.read_at(rep, c);
-    ASSERT_TRUE(vc.has_value()) << "replica " << rep;
-    EXPECT_EQ(*vc, c_written.response) << "replica " << rep;
-  }
-  const Response a_now =
-      cached.object().invoke(ctx, key_read(id++, 0, a)).response;
-  ASSERT_NE(a_now, a_old);
-  for (std::size_t rep = 0; rep < 2; ++rep) {
-    const auto va = cached.read_at(rep, a);
-    if (va.has_value()) {
-      EXPECT_EQ(*va, a_now) << "replica " << rep;
-    }
-    const auto vb = cached.read_at(rep, b);
-    ASSERT_TRUE(vb.has_value()) << "replica " << rep;
-    EXPECT_EQ(*vb, b_val) << "replica " << rep;
-  }
-  for (ProcessId p = 0; p < 2; ++p) {
-    NativeContext reader(p);
-    const std::uint64_t hits_before = cached.hits();
-    EXPECT_EQ(cached.invoke(reader, key_read(id++, p, b)).response, b_val);
-    EXPECT_EQ(cached.hits(), hits_before + 1) << "replica " << p;
-    EXPECT_EQ(cached.invoke(reader, key_read(id++, p, a)).response, a_now);
+  EXPECT_EQ(cached.invalidations(), kWrites);
+  EXPECT_EQ(cached.fills(), fills_before + kWrites);
+  for (std::uint64_t k = 1; k <= kWrites; ++k) {
+    const auto v = cached.read_at(0, k);
+    ASSERT_TRUE(v.has_value()) << "key " << k;
+    EXPECT_EQ(*v, written[k - 1]) << "key " << k;
   }
 }
 
-// Two callers share each replica's pool of four records and each keeps
-// four submissions in flight, so claims race, combiners on either shard
-// release records other threads claimed, and a pool whose callers have
-// more than four operations published runs dry into the fallbacks.
-// Every value must decode to its key, every write must invalidate once,
-// and the destructor's in-flight record check must pass once every
-// thread has quiesced.
-TEST(Replicated, SharedPoolsSurviveCrossThreadReleaseAndExhaustion) {
+// Death-test body: submit while the combiner is held elsewhere, then
+// destroy the cache with the ticket still outstanding. A named function
+// because template-argument commas inside the EXPECT_DEATH macro would
+// split its argument list.
+void destroy_cache_with_outstanding_ticket() {
+  g_gate_entered.store(false);
+  g_gate_open.store(false);
+  auto* cached = new Cached<Combining<KeyedRegisters, 8>, KeyedModel>();
+  std::thread holder([&] {
+    NativeContext hctx(2);
+    (void)cached->object().invoke(
+        hctx, Request{1000, 2, KeyedRegisters::kGateOp, 0});
+  });
+  while (!g_gate_entered.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  NativeContext ctx(0);
+  auto t = cached->submit(ctx, key_write(1, 0, 1));
+  // The write is published and nobody can serve it: destroying the
+  // cache destroys the wrapped Combining, which must die on its
+  // occupied-slot assertion.
+  delete cached;
+  holder.join();  // not reached
+}
+
+TEST(Replicated, DestroyingTheCacheWithAnOutstandingTicketDies) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(destroy_cache_with_outstanding_ticket(),
+               "occupied publication slot");
+}
+
+// Two callers share each replica and each keeps four submissions in
+// flight, so combiners on either shard run fills and installs for other
+// threads' operations, into replicas those threads read. Every value
+// must decode to its key, every write must invalidate once, and once
+// every thread has quiesced the cache must be destroyable: no
+// publication is left outstanding in either shard's Combining.
+TEST(Replicated, CrossThreadAsyncCompletionsKeepEveryReplicaCoherent) {
   using Shards = Sharded<Combining<KeyedRegisters, 8>, 2, ByKeyHash>;
-  using Cache = Replicated<Shards, 2, KeyedModel, 64, /*kRecs=*/4>;
+  using Cache = Replicated<Shards, 2, KeyedModel>;
   constexpr int kThreads = 4;
   constexpr std::size_t kWindow = 4;
   constexpr std::uint64_t kKeys = 16;

@@ -332,7 +332,11 @@ struct InitEcho {
 // alternates with-init/without-init every op, callback/no callback
 // every 2 and commit/abort every 4, so a has_init left over from the
 // previous publication, or a request field read after the result
-// overwrote it, shows up as a wrong result.
+// overwrote it, shows up as a wrong result — and each callback must be
+// handed its own op's request, which the result has overwritten in the
+// record by then. The callback is then checked on both inline paths:
+// the gate-held fast path, and the inline run of an op that finds the
+// only record held by an uncollected publication.
 TEST(Combining, SeededInitsPlumbThroughThePublicationSlot) {
   Combining<Pipeline<HopModule, SinkModule>, 1> combined;
   combined.set_elect_spins(0);
@@ -346,11 +350,14 @@ TEST(Combining, SeededInitsPlumbThroughThePublicationSlot) {
   echo.set_elect_spins(0);
   struct Seen {
     int calls = 0;
+    Request request;
     ModuleResult last;
   } seen;
-  const CompletionFn record = [](void* user, const ModuleResult& r) {
+  const CompletionFn record = [](void* user, const Request& m,
+                                 const ModuleResult& r) {
     auto* s = static_cast<Seen*>(user);
     ++s->calls;
+    s->request = m;
     s->last = r;
   };
   constexpr std::uint64_t kOps = 16;
@@ -363,9 +370,9 @@ TEST(Combining, SeededInitsPlumbThroughThePublicationSlot) {
         with_init ? std::optional<SwitchValue>(static_cast<SwitchValue>(10 + k))
                   : std::nullopt;
     const SwitchValue expect = init.value_or(InitEcho::kNoInit);
+    const Request m = arg_req(k + 1, 0, aborts ? 1 : 0);
     const ModuleResult r =
-        echo.submit(ctx, arg_req(k + 1, 0, aborts ? 1 : 0), init,
-                    with_callback ? record : nullptr, &seen)
+        echo.submit(ctx, m, init, with_callback ? record : nullptr, &seen)
             .wait();
     if (aborts) {
       EXPECT_EQ(r.outcome, Outcome::kAbort) << "op " << k;
@@ -378,6 +385,7 @@ TEST(Combining, SeededInitsPlumbThroughThePublicationSlot) {
     }
     if (with_callback) {
       ++callbacks;
+      EXPECT_EQ(seen.request, m) << "op " << k;
       EXPECT_EQ(seen.last.outcome, r.outcome) << "op " << k;
       EXPECT_EQ(seen.last.response, r.response) << "op " << k;
       EXPECT_EQ(seen.last.switch_value, r.switch_value) << "op " << k;
@@ -387,6 +395,35 @@ TEST(Combining, SeededInitsPlumbThroughThePublicationSlot) {
   // Every op crossed the record: none ran on the direct path.
   EXPECT_EQ(echo.combined_ops(), kOps);
   EXPECT_EQ(echo.direct_ops(), 0u);
+  EXPECT_EQ(echo.occupied(), 0u);
+
+  // Fast path: the gate is free, the op runs direct.
+  echo.set_elect_spins(1);
+  const Request fast = arg_req(kOps + 1, 0, 0);
+  EXPECT_EQ(echo.submit(ctx, fast, 5, record, &seen).wait().response, 5);
+  EXPECT_EQ(seen.request, fast);
+  EXPECT_EQ(echo.direct_ops(), 1u);
+
+  // Exhaustion: `held` takes the only record and stays uncollected, so
+  // `inline_op` runs inline under the gate, whose pass then serves
+  // `held`. Each callback gets its own op.
+  echo.set_elect_spins(0);
+  const Request held = arg_req(kOps + 2, 0, 0);
+  const Request inline_op = arg_req(kOps + 3, 0, 0);
+  Seen seen_inline;
+  auto held_ticket = echo.submit(ctx, held, 6, record, &seen);
+  EXPECT_FALSE(held_ticket.poll());
+  const int before = seen.calls;
+  auto inline_ticket = echo.submit(ctx, inline_op, 7, record, &seen_inline);
+  EXPECT_EQ(seen_inline.calls, 1);
+  EXPECT_EQ(seen_inline.request, inline_op);
+  EXPECT_EQ(seen_inline.last.response, 7);
+  EXPECT_EQ(seen.calls, before + 1);
+  EXPECT_EQ(seen.request, held);
+  EXPECT_EQ(seen.last.response, 6);
+  EXPECT_EQ(inline_ticket.wait().response, 7);
+  EXPECT_EQ(held_ticket.wait().response, 6);
+  EXPECT_EQ(echo.direct_ops(), 2u);
   EXPECT_EQ(echo.occupied(), 0u);
 }
 
@@ -484,7 +521,8 @@ TEST(Combining, LateHighSlotClaimsAreServedAndDrainLeavesNoResidue) {
     Combining<Pipeline<HopModule, TicketModule>, kSlots> combined;
     std::vector<std::atomic<std::uint32_t>> fired(kTotal);
     std::atomic<std::uint64_t> early_progress{0};
-    const CompletionFn count_fire = [](void* user, const ModuleResult&) {
+    const CompletionFn count_fire = [](void* user, const Request&,
+                                       const ModuleResult&) {
       static_cast<std::atomic<std::uint32_t>*>(user)->fetch_add(
           1, std::memory_order_relaxed);
     };
