@@ -22,10 +22,10 @@
 //                                  lose the spin anyway, park early
 //   park_ratio          low    ->  restore the default yield rung
 //
-// Cost discipline: the per-op overhead is one relaxed fetch_add on
-// the CALLER's own padded op-count cell (indexed by ctx.id(), so no
-// line is written by two threads unless ids collide), and all
-// sampling/decision work runs once per window on the single thread
+// Cost discipline: the per-op overhead is one count in a Tally
+// (support/tally.hpp) — a relaxed load and store on the calling
+// thread's own cell, no RMW, and no line written by two threads — and
+// all sampling/decision work runs once per window on the single thread
 // that wins the tick lock. Every atomic load in this header is
 // memory_order_relaxed — the monitor must never add a fence to the
 // fast path it is observing (tools/scm_lint.py enforces exactly that
@@ -40,7 +40,6 @@
 // every sim-backed proof about Obj applies verbatim to Adaptive<Obj>.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -54,6 +53,7 @@
 #include "runtime/wait.hpp"
 #include "support/cacheline.hpp"
 #include "support/parking.hpp"
+#include "support/tally.hpp"
 
 namespace scm {
 
@@ -188,8 +188,9 @@ struct AdaptivePolicy {
 
 // Adaptive<Obj>: forwards the entire Composable surface of Obj
 // unchanged, ticking the ContentionMonitor once per kWindowOps
-// operations of each caller (blocking contexts only; across N busy
-// callers that is still one tick per ~kWindowOps operations overall)
+// operations of each calling thread (blocking contexts only; across N
+// busy threads that is still one tick per ~kWindowOps operations
+// overall)
 // and applying adapt_decide()'s tuning through Obj's two actuators.
 // Obj must expose the knobs and counters Combining does; wrapping
 // anything else (a Sharded, a bare pipeline) fails to compile instead
@@ -210,9 +211,6 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
  public:
   // Power-of-two so the window boundary test is one mask.
   static constexpr std::uint64_t kWindowOps = 1024;
-  // Per-caller op-count cells; callers whose ids collide modulo this
-  // share a cell (exactly, via fetch_add) and tick on their joint count.
-  static constexpr std::size_t kOpCountCells = 16;
 
   Adaptive()
     requires std::is_default_constructible_v<Obj>
@@ -293,18 +291,17 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
   }
 
  private:
-  // The per-op hook: one relaxed fetch_add on the caller's own cell;
+  // The per-op hook: one count in the calling thread's tally cell;
   // when that cell crosses a window boundary its thread tries the tick
   // lock and does the sampling/decision work, everyone else proceeds
-  // untouched. Compiled out entirely for awaitable contexts (the
-  // deterministic simulator).
+  // untouched. Threads without a cell of their own share one and tick
+  // on their joint count. Compiled out entirely for awaitable contexts
+  // (the deterministic simulator).
   template <class Ctx>
   void maybe_tick(Ctx& ctx) {
     (void)ctx;
     if constexpr (!detail::context_can_await_v<Ctx>) {
-      auto& cell =
-          op_counts_[static_cast<std::size_t>(ctx.id()) % kOpCountCells].value;
-      const std::uint64_t n = cell.fetch_add(1, std::memory_order_relaxed) + 1;
+      const std::uint64_t n = op_counts_.add(0);
       if ((n & (kWindowOps - 1)) != 0) return;
       if (tick_lock_.exchange(true, std::memory_order_acquire)) return;
       tick();
@@ -331,14 +328,14 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
     if (next.yields_before_park != cur.yields_before_park) {
       obj_.value.set_yields_before_park(next.yields_before_park);
     }
-    decisions_.fetch_add(1, std::memory_order_relaxed);
+    bump(decisions_, 1);  // the tick-lock holder is the only writer
   }
 
   Padded<Obj> obj_;
-  // The op counters are the only per-op hot writes; one padded cell per
-  // caller, so no line is written by two callers and none shares a
-  // line with monitor state.
-  std::array<Padded<std::atomic<std::uint64_t>>, kOpCountCells> op_counts_{};
+  // The op counts are the only per-op hot writes; per-thread cells, so
+  // no line is written by two threads and none shares a line with
+  // monitor state.
+  Tally<1> op_counts_;
   std::atomic<bool> tick_lock_{false};
   std::atomic<std::uint64_t> decisions_{0};
   ContentionMonitor monitor_{};

@@ -18,8 +18,9 @@
 //     evict each other and share a slot line;
 //   * reads classified read-only by the Model are served from the
 //     caller's replica (process i reads replica i mod N) via a
-//     generation-checked snapshot — no shared write; the only RMW is
-//     a relaxed fetch_add on the replica's own hits counter. That is
+//     generation-checked snapshot — no shared write and no RMW: the
+//     hit is counted by a load and a store on the calling thread's own
+//     tally cell (support/tally.hpp). That is
 //     what lets the read slice scale with cores while the write slice
 //     tracks the wrapped object's curve. A replica miss snapshots the
 //     slot line's `last` — on the line the read just loaded its
@@ -95,6 +96,7 @@
 #include "history/request.hpp"
 #include "support/assert.hpp"
 #include "support/cacheline.hpp"
+#include "support/tally.hpp"
 
 namespace scm {
 
@@ -154,8 +156,8 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
       return submit_through(ctx, m, init, &Replicated::write_cb).wait();
     }
     if (init.has_value()) return submit_through(ctx, m, init, nullptr).wait();
-    if (const auto v = try_read(ctx, rep, key_of(m))) {
-      return ModuleResult::commit(*v);
+    if (Response v; try_read(ctx, rep, key_of(m), v)) {
+      return ModuleResult::commit(v);
     }
     return submit_through(ctx, m, init, fill_cb_for(rep)).wait();
   }
@@ -176,8 +178,8 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
       return submit_through(ctx, m, init, &Replicated::write_cb);
     }
     if (init.has_value()) return submit_through(ctx, m, init, nullptr);
-    if (const auto v = try_read(ctx, rep, key_of(m))) {
-      return Ticket<ModuleResult>::ready(ModuleResult::commit(*v));
+    if (Response v; try_read(ctx, rep, key_of(m), v)) {
+      return Ticket<ModuleResult>::ready(ModuleResult::commit(v));
     }
     return submit_through(ctx, m, init, fill_cb_for(rep));
   }
@@ -219,28 +221,33 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // One slot-generation bump per completed write: the sum over slots is
   // the number of invalidations performed.
   [[nodiscard]] std::uint64_t invalidations() const noexcept {
-    return sum_lines(&SlotLine::gen);
+    std::uint64_t total = 0;
+    for (const SlotLine& l : lines_) {
+      total += l.gen.load(std::memory_order_relaxed);
+    }
+    return total;
   }
 
-  // ---- cache telemetry (relaxed, aggregated over replicas). A read
-  // served by the slot line is a hit; a miss went to the wrapped object.
+  // ---- cache telemetry (a Tally: per-thread cells, summed here). A
+  // read served by the slot line is a hit; a miss went to the wrapped
+  // object.
   [[nodiscard]] std::uint64_t hits() const noexcept {
-    return sum(&Replica::hits);
+    return tally_.sum(kHits);
   }
   [[nodiscard]] std::uint64_t misses() const noexcept {
-    return sum(&Replica::misses);
+    return tally_.sum(kMisses);
   }
   // Snapshots abandoned because an installer held the entry's seqlock
   // odd (or moved it) mid-read, the replica's or the slot line's: each
   // one fell through to the next source, never to a torn value. Only
   // the read path counts them; read_at probes do not.
   [[nodiscard]] std::uint64_t torn_retries() const noexcept {
-    return sum(&Replica::torn);
+    return tally_.sum(kTorn);
   }
   // Installs: into a replica (a miss's fill, a slot-line hit's
   // refill) or into a slot line (a write).
   [[nodiscard]] std::uint64_t fills() const noexcept {
-    return sum(&Replica::fills) + sum_lines(&SlotLine::installs);
+    return tally_.sum(kFills);
   }
 
   [[nodiscard]] Obj& object() noexcept { return obj_.value; }
@@ -265,27 +272,23 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   };
 
   // Slot s's line, shared by slot s of every replica: its invalidation
-  // generation, the entry the last write to the slot installed (tagged
-  // with the generation that write bumped to), and the count of those
-  // installs. Writers own the line after their fetch_add on `gen`, so
-  // the install costs no further cross-core traffic; a reader that
-  // misses in its replica finds `last` on the line it just loaded.
+  // generation and the entry the last write to the slot installed
+  // (tagged with the generation that write bumped to). Writers own the
+  // line after their fetch_add on `gen`, so the install costs no
+  // further cross-core traffic; a reader that misses in its replica
+  // finds `last` on the line it just loaded.
   struct alignas(kCacheLineSize) SlotLine {
     std::atomic<std::uint64_t> gen{0};
     Entry last;
-    std::atomic<std::uint64_t> installs{0};
   };
   static_assert(sizeof(SlotLine) == kCacheLineSize);
 
   struct alignas(kCacheLineSize) Replica {
     std::array<Entry, kEntries> entries{};
-    // Telemetry lives with its replica: a caller bumps counters on
-    // lines it already owns.
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> torn{0};
-    std::atomic<std::uint64_t> fills{0};
   };
+
+  // The tally's fields.
+  enum : std::size_t { kHits, kMisses, kTorn, kFills, kTallyFields };
 
   // What one snapshot saw: the value on a hit; `torn` when the entry's
   // seqlock was odd or moved under the read.
@@ -333,72 +336,76 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // The hot read path: one seq_cst load of the key's slot generation
   // (the linearization point of a hit) plus the replica entry snapshot.
   // Counted as two reads — the generation and the entry are the
-  // operation's real shared traffic; the hit counter bump is a relaxed
-  // RMW on the caller's own replica line. A replica miss goes on to the
-  // slot line (a third counted read), out of line so the hit path stays
-  // this short.
+  // operation's real shared traffic; the hit count is a load and a
+  // store on the calling thread's own tally cell, no RMW. A replica
+  // miss goes on to the slot line (a third counted read), out of line
+  // so the hit path stays this short. Forced inline, with the value
+  // handed back through `out`: called out of line, or merging the two
+  // paths' optionals, the hit path spilled its result to the stack.
   template <class Ctx>
-  std::optional<Response> try_read(Ctx& ctx, std::size_t rep,
-                                   std::uint64_t key) {
+  [[gnu::always_inline]] bool try_read(Ctx& ctx, std::size_t rep,
+                                       std::uint64_t key, Response& out) {
     ctx.on_read();
     SlotLine& line = line_of(key);
     const std::uint64_t cur = line.gen.load(std::memory_order_seq_cst);
     ctx.on_read();
     Replica& r = replicas_[rep];
     const Snapshot s = snapshot(r.entries[slot_of(key)], key, cur);
-    if (s.torn) r.torn.fetch_add(1, std::memory_order_relaxed);
-    Response v = 0;
     if (s.value.has_value()) {
-      r.hits.fetch_add(1, std::memory_order_relaxed);
-      v = *s.value;
-    } else {
-      ctx.on_read();
-      if (!read_line(r, line, key, cur, v)) return std::nullopt;
+      tally_.add(kHits);
+      out = *s.value;
+      return true;
     }
-    return v;
+    if (s.torn) tally_.add(kTorn);
+    ctx.on_read();
+    return read_line(r, line, key, cur, out);
   }
 
   // A replica miss: serve the slot line's `last` into `out` if the last
   // write to the slot wrote this key and nothing has bumped the slot
   // since `cur`, and refill the caller's replica with it (tagged `cur`,
   // the same claim `last` makes); otherwise the read is a true miss and
-  // goes to the wrapped object. The value comes back through `out`, not
-  // as an optional: merging two optionals cost the hit path a 16-byte
-  // copy through the stack.
+  // goes to the wrapped object.
   [[gnu::noinline]] bool read_line(Replica& r, SlotLine& line,
                                    std::uint64_t key, std::uint64_t cur,
                                    Response& out) {
     const Snapshot s = snapshot(line.last, key, cur);
-    if (s.torn) r.torn.fetch_add(1, std::memory_order_relaxed);
+    if (s.torn) tally_.add(kTorn);
     if (!s.value.has_value()) {
-      r.misses.fetch_add(1, std::memory_order_relaxed);
+      tally_.add(kMisses);
       return false;
     }
-    install(r.entries[slot_of(key)], r.fills, key, *s.value, cur);
-    r.hits.fetch_add(1, std::memory_order_relaxed);
+    install_counted(r.entries[slot_of(key)], key, *s.value, cur);
+    tally_.add(kHits);
     out = *s.value;
     return true;
   }
 
   // Best-effort install of (key, val) tagged with generation g into
-  // `e`, counted in `fills` (a counter on a line the installer already
-  // writes). The even→odd CAS excludes concurrent installers (from
-  // differently-locked backends, e.g. other shards of a
-  // Sharded<Combining>); a lost race abandons the install — the
-  // entry's owner wins, later reads of our key simply miss and refill.
-  static void install(Entry& e, std::atomic<std::uint64_t>& fills,
-                      std::uint64_t key, Response val, std::uint64_t g) {
+  // `e`; returns whether it installed. The even→odd CAS excludes
+  // concurrent installers (from differently-locked backends, e.g.
+  // other shards of a Sharded<Combining>); a lost race abandons the
+  // install — the entry's owner wins, later reads of our key simply
+  // miss and refill.
+  static bool install(Entry& e, std::uint64_t key, Response val,
+                      std::uint64_t g) {
     std::uint64_t v = e.ver.load(std::memory_order_relaxed);
-    if ((v & 1) != 0) return;
+    if ((v & 1) != 0) return false;
     if (!e.ver.compare_exchange_strong(v, v + 1, std::memory_order_acquire,
                                        std::memory_order_relaxed)) {
-      return;
+      return false;
     }
     e.key1.store(key + 1, std::memory_order_release);
     e.val.store(val, std::memory_order_release);
     e.gen.store(g, std::memory_order_release);
     e.ver.store(v + 2, std::memory_order_release);
-    fills.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+  // install(), counted in fills() when it installed.
+  void install_counted(Entry& e, std::uint64_t key, Response val,
+                       std::uint64_t g) {
+    if (install(e, key, val, g)) tally_.add(kFills);
   }
 
   // ---- completion callbacks (run by the wrapped object's finalizing
@@ -418,9 +425,9 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     if (!r.committed()) return;
     auto* self = static_cast<Replicated*>(user);
     const std::uint64_t key = key_of(m);
-    Replica& rep = self->replicas_[kRep];
-    install(rep.entries[slot_of(key)], rep.fills, key, r.response,
-            self->line_of(key).gen.load(std::memory_order_seq_cst));
+    self->install_counted(
+        self->replicas_[kRep].entries[slot_of(key)], key, r.response,
+        self->line_of(key).gen.load(std::memory_order_seq_cst));
   }
 
   // The fill callback of replica `rep`: one instantiation per replica,
@@ -440,13 +447,14 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // which serves it to every replica. Aborted results bump too: a
   // spurious invalidation is a missed hit, never an error.
   static void write_cb(void* user, const Request& m, const ModuleResult& r) {
+    auto* self = static_cast<Replicated*>(user);
     const std::uint64_t key = key_of(m);
-    SlotLine& line = static_cast<Replicated*>(user)->line_of(key);
+    SlotLine& line = self->line_of(key);
     const std::uint64_t g =
         line.gen.fetch_add(1, std::memory_order_seq_cst) + 1;
     if (r.committed()) {
       if (const auto v = Model::read_after_write(m, r.response)) {
-        install(line.last, line.installs, key, *v, g);
+        self->install_counted(line.last, key, *v, g);
       }
     }
   }
@@ -469,26 +477,9 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     }
   }
 
-  [[nodiscard]] std::uint64_t sum(
-      std::atomic<std::uint64_t> Replica::* field) const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& r : replicas_) {
-      total += (r.*field).load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
-  [[nodiscard]] std::uint64_t sum_lines(
-      std::atomic<std::uint64_t> SlotLine::* field) const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& l : lines_) {
-      total += (l.*field).load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
   std::array<Replica, kReplicas> replicas_{};
   std::array<SlotLine, kEntries> lines_{};
+  Tally<kTallyFields> tally_;
   Padded<Obj> obj_;
 };
 

@@ -98,19 +98,26 @@ struct PipelineCounters {
   }
   PipelineCounters& operator=(const PipelineCounters&) = delete;
 
+  // Shared RMW counts, kept so the counters stay copyable and
+  // resettable with the pipeline; FastPipeline, the hot-path form,
+  // compiles them out.
   void on_commit(std::size_t i) noexcept {
+    // scm-lint: relaxed-rmw-ok (copyable per-pipeline stage count)
     cells[i].commits.fetch_add(1, std::memory_order_relaxed);
   }
   void on_abort(std::size_t i) noexcept {
+    // scm-lint: relaxed-rmw-ok (copyable per-pipeline stage count)
     cells[i].aborts.fetch_add(1, std::memory_order_relaxed);
   }
   // Bulk variants for the batch path: one fetch_add per stage per
   // batch instead of one per operation — the per-op composition
   // bookkeeping becomes per-batch bookkeeping.
   void on_commits(std::size_t i, std::uint64_t n) noexcept {
+    // scm-lint: relaxed-rmw-ok (copyable per-pipeline stage count)
     if (n != 0) cells[i].commits.fetch_add(n, std::memory_order_relaxed);
   }
   void on_aborts(std::size_t i, std::uint64_t n) noexcept {
+    // scm-lint: relaxed-rmw-ok (copyable per-pipeline stage count)
     if (n != 0) cells[i].aborts.fetch_add(n, std::memory_order_relaxed);
   }
   [[nodiscard]] PipelineStageStats snapshot(std::size_t i) const noexcept {

@@ -78,6 +78,7 @@
 #include "shm/shm_layout.hpp"
 #include "support/cacheline.hpp"
 #include "support/parking.hpp"
+#include "support/tally.hpp"
 
 namespace scm {
 
@@ -173,15 +174,11 @@ static_assert(pack_slot(SlotState::kDone, 0) ==
 // Both executors count direct ops, combine rounds and batched ops in
 // counters whose single writer is the election-lock (gate) holder; the
 // lock's acquire orders each holder after the previous one's stores, so
-// a relaxed load+store loses nothing and needs no RMW. (A gate stolen
-// from a dead ShmCombining holder may miss that holder's last bumps;
-// a batch cut short by a crash is unaccountable anyway.) Readers load
-// them relaxed, off the hot path.
-inline void bump(std::atomic<std::uint64_t>& counter,
-                 std::uint64_t n) noexcept {
-  counter.store(counter.load(std::memory_order_relaxed) + n,
-                std::memory_order_relaxed);
-}
+// each count is a bump() (support/tally.hpp): a relaxed load+store
+// that loses nothing and needs no RMW. (A gate stolen from a dead
+// ShmCombining holder may miss that holder's last bumps; a batch cut
+// short by a crash is unaccountable anyway.) Readers load them relaxed,
+// off the hot path.
 
 // ---- the record and the array ---------------------------------------
 

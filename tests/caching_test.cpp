@@ -26,6 +26,7 @@
 //    one slot line never serve each other's values;
 //  * placement: a dense key range stays resident;
 //  * the read_at probe does not count torn reads;
+//  * telemetry stays exact when threads share a replica;
 //  * every async write in flight installs, however many there are;
 //  * destroying the cache with a ticket outstanding dies on the wrapped
 //    Combining's occupied-slot check;
@@ -766,6 +767,109 @@ TEST(Replicated, ReadAtProbeCountsNoTornReads) {
   writer.join();
 
   EXPECT_GT(cached.fills(), 0u);
+  EXPECT_EQ(cached.torn_retries(), 0u);
+}
+
+// Eight threads on four replicas: threads t and t + 4 share replica
+// t mod 4, so their reads count hits and misses side by side. Each
+// thread owns eight keys that no other thread touches, each in a slot
+// of its own, so it knows what every one of its operations counts: a
+// read hits its replica's entry when nothing wrote the key since the
+// entry was filled, hits the slot line and refills the entry after its
+// own write, and otherwise misses and fills; a write installs into the
+// slot line. A read that carries a switch value counts nothing.
+TEST(Replicated, TelemetryIsExactWhenThreadsShareAReplica) {
+  using Shards = Sharded<Combining<KeyedRegisters, 8>, 4, ByKeyHash>;
+  using Cache = Replicated<Shards, 4, KeyedModel>;
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kKeysEach = 8;
+  constexpr std::uint64_t kOps = 60'000;
+  static_assert(kThreads * kKeysEach <= Cache::kEntryCount);
+  for (std::uint64_t a = 0; a < kThreads * kKeysEach; ++a) {
+    for (std::uint64_t b = a + 1; b < kThreads * kKeysEach; ++b) {
+      ASSERT_NE(Cache::slot_of(a), Cache::slot_of(b));
+    }
+  }
+
+  struct Expected {
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t fills = 0;
+  };
+  Cache cached;
+  std::array<Expected, kThreads> expected{};
+  std::atomic<std::uint64_t> wrong{0};
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto pid = static_cast<ProcessId>(t);
+      NativeContext ctx(pid);
+      Expected& e = expected[static_cast<std::size_t>(t)];
+      // Per owned key: the replica's entry is current; the slot line
+      // holds the key's last write.
+      std::array<bool, kKeysEach> resident{};
+      std::array<bool, kKeysEach> written{};
+      std::array<Response, kKeysEach> value{};
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < kOps; ++i) {
+        const std::uint64_t h =
+            ByKeyHash::mix((static_cast<std::uint64_t>(t) << 32) | i);
+        const std::size_t k = h % kKeysEach;
+        const std::uint64_t key = static_cast<std::uint64_t>(t) +
+                                  kThreads * static_cast<std::uint64_t>(k);
+        const std::uint64_t id =
+            (static_cast<std::uint64_t>(t) << 40) | (i + 1);
+        const std::uint64_t dice = (h >> 16) % 16;
+        if (dice < 2) {
+          value[k] = cached.invoke(ctx, key_write(id, pid, key)).response;
+          ++e.writes;
+          ++e.fills;
+          resident[k] = false;
+          written[k] = true;
+          continue;
+        }
+        std::optional<SwitchValue> init;
+        if (dice == 2) init = SwitchValue{7};
+        const Response v = cached.invoke(ctx, key_read(id, pid, key), init)
+                               .response;
+        if (v != value[k]) wrong.fetch_add(1, std::memory_order_relaxed);
+        if (init.has_value()) continue;
+        ++e.reads;
+        if (resident[k]) {
+          ++e.hits;
+        } else {
+          ++(written[k] ? e.hits : e.misses);
+          ++e.fills;
+          resident[k] = true;
+        }
+      }
+    });
+  }
+  while (ready.load(std::memory_order_acquire) < kThreads) {
+    std::this_thread::yield();
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+
+  Expected total;
+  for (const Expected& e : expected) {
+    total.reads += e.reads;
+    total.writes += e.writes;
+    total.hits += e.hits;
+    total.misses += e.misses;
+    total.fills += e.fills;
+  }
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(cached.hits() + cached.misses(), total.reads);
+  EXPECT_EQ(cached.hits(), total.hits);
+  EXPECT_EQ(cached.misses(), total.misses);
+  EXPECT_EQ(cached.invalidations(), total.writes);
+  EXPECT_EQ(cached.fills(), total.fills);
   EXPECT_EQ(cached.torn_retries(), 0u);
 }
 

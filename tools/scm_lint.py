@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """scm_lint — repo-specific static checks for the scm codebase.
 
-Four rules, all about invariants the C++ type system cannot state:
+Five rules, all about invariants the C++ type system cannot state:
 
 RULE 1: explicit memory orders (src/**).
   Every std::atomic load/store/RMW must name its std::memory_order.
@@ -51,14 +51,26 @@ RULE 3: cross-process futex words (same scope as rule 2).
 
 RULE 4: relaxed-only hot-path reads (src/core/adaptive.hpp).
   Adaptive<Obj>::maybe_tick sits on EVERY operation's fast path; its
-  whole design contract is that the per-op cost is a handful of
-  relaxed loads and one relaxed fetch_add — no acquire fences, no
-  seq_cst. A stray acquire on x86 is free and invisible in benchmarks,
-  then becomes a real barrier on ARM. So every std::atomic `.load(`
-  in core/adaptive.hpp must name memory_order_relaxed. The one
-  intentional exception (the tick-lock exchange is acquire, but it is
-  an RMW, not a load) needs no escape; a genuinely-needed non-relaxed
-  load takes `// scm-lint: non-relaxed-ok` on its first line.
+  whole design contract is that the per-op cost is one count in the
+  calling thread's tally cell (a relaxed load and a relaxed store) —
+  no RMW, no acquire fences, no seq_cst. A stray acquire on x86 is
+  free and invisible in benchmarks, then becomes a real barrier on
+  ARM. So every std::atomic `.load(` in core/adaptive.hpp must name
+  memory_order_relaxed. The one intentional exception (the tick-lock
+  exchange is acquire, but it is an RMW, not a load) needs no escape;
+  a genuinely-needed non-relaxed load takes
+  `// scm-lint: non-relaxed-ok` on its first line.
+
+RULE 5: no relaxed counting RMWs (src/core/**).
+  A relaxed fetch_add/fetch_sub is a telemetry count (protocol RMWs
+  name the order their protocol needs), and on x86 it is a locked
+  instruction on the path it counts. In-process telemetry goes through
+  a Tally (support/tally.hpp: per-thread cells, load+store), and
+  counters with one writer at a time (a lock holder) use a plain
+  load+store. So src/core/** may not call .fetch_add/.fetch_sub with
+  memory_order_relaxed. A counter that must stay a shared RMW takes
+  `// scm-lint: relaxed-rmw-ok` on the call's first line or on a
+  comment line right above it, with the reason next to it.
 
 Usage:
   tools/scm_lint.py [--root DIR] [--self-test]
@@ -263,6 +275,42 @@ def check_adaptive_hot_reads(path: str, raw: str) -> list[Finding]:
                         "operation; acquire here is a per-op fence on "
                         "weakly-ordered targets) — or annotate "
                         f"'// {NON_RELAXED_MARK}'"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# RULE 5: no relaxed counting RMWs (core/**)
+
+COUNT_RMW_RE = re.compile(r"\.(fetch_add|fetch_sub)\s*\(")
+RELAXED_RMW_MARK = "scm-lint: relaxed-rmw-ok"
+
+
+def check_relaxed_rmws(path: str, raw: str) -> list[Finding]:
+    """A relaxed fetch_add/fetch_sub under src/core/ is a locked count on
+    a hot path: it belongs in a Tally (or a lock holder's load+store)."""
+    text = strip_comments(raw)
+    raw_lines = raw.splitlines()
+    findings = []
+    for m in COUNT_RMW_RE.finditer(text):
+        extracted = balanced_args(text, m.end() - 1)
+        if extracted is None:
+            continue
+        args, _ = extracted
+        line = line_of(text, m.start())
+        above = raw_lines[line - 2].strip() if line >= 2 else ""
+        if RELAXED_RMW_MARK in raw_lines[line - 1] or (
+                above.startswith("//") and RELAXED_RMW_MARK in above):
+            continue
+        if CTX_FIRST_ARG_RE.match(split_toplevel(args)[0]):
+            continue  # platform primitive, not std::atomic
+        if RELAXED_TOKEN_RE.search(args):
+            findings.append(
+                Finding(path, line, "relaxed-rmw",
+                        f".{m.group(1)}() with memory_order_relaxed is a "
+                        "locked telemetry count: use a Tally "
+                        "(support/tally.hpp) or a single writer's "
+                        "load+store — or annotate "
+                        f"'// {RELAXED_RMW_MARK}' with the reason"))
     return findings
 
 
@@ -550,6 +598,8 @@ def lint_file(rel: str, raw: str, macro_corpus: str,
         findings.extend(check_scope_instantiations(rel, raw, scoped))
     if rel == os.path.join("core", "adaptive.hpp"):
         findings.extend(check_adaptive_hot_reads(rel, raw))
+    if rel.startswith("core" + os.sep):
+        findings.extend(check_relaxed_rmws(rel, raw))
     return findings
 
 
@@ -775,6 +825,34 @@ SELF_TESTS = [
      "adaptive",
      "void f() { taken = lock_.exchange(true, std::memory_order_acquire); }",
      0),
+    ("relaxed fetch_add in core flagged",
+     "file:core/caching.hpp",
+     "void f() { hits.fetch_add(1, std::memory_order_relaxed); }", 1),
+    ("multi-line relaxed fetch_sub in core flagged",
+     "file:core/combining.hpp",
+     "void f() {\n  n.fetch_sub(\n      1, std::memory_order_relaxed);\n}", 1),
+    ("protocol fetch_add naming seq_cst passes",
+     "file:core/caching.hpp",
+     "void f() { g = gen.fetch_add(1, std::memory_order_seq_cst) + 1; }", 0),
+    ("single-writer load+store count passes",
+     "file:core/adaptive.hpp",
+     "void f() { n.store(n.load(std::memory_order_relaxed) + 1,\n"
+     "                   std::memory_order_relaxed); }", 0),
+    ("relaxed fetch_add outside core passes",
+     "file:support/parking.hpp",
+     "void f() { parks_.fetch_add(1, std::memory_order_relaxed); }", 0),
+    ("relaxed-rmw escape on the call's line honored",
+     "file:core/pipeline.hpp",
+     "void f() { n.fetch_add(1, std::memory_order_relaxed); }"
+     "  // scm-lint: relaxed-rmw-ok", 0),
+    ("relaxed-rmw escape on the comment line above honored",
+     "file:core/pipeline.hpp",
+     "void f() {\n  // scm-lint: relaxed-rmw-ok (shared stage count)\n"
+     "  n.fetch_add(1, std::memory_order_relaxed);\n}", 0),
+    ("relaxed-rmw escape two lines above does not count",
+     "file:core/pipeline.hpp",
+     "void f() {\n  // scm-lint: relaxed-rmw-ok\n  int k = 0;\n"
+     "  n.fetch_add(1, std::memory_order_relaxed);\n}", 1),
 ]
 
 
