@@ -281,12 +281,6 @@ class Combining
     return obj_.value.stats(i);
   }
 
-  void reset_stats() noexcept
-    requires requires(Obj& o) { o.reset_stats(); }
-  {
-    obj_.value.reset_stats();
-  }
-
   [[nodiscard]] std::uint64_t commits_by(ProcessId pid, std::size_t i) const
     requires requires(const Obj& o, std::size_t j) { o.commits_by(pid, j); }
   {

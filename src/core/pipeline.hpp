@@ -98,9 +98,8 @@ struct PipelineCounters {
   }
   PipelineCounters& operator=(const PipelineCounters&) = delete;
 
-  // Shared RMW counts, kept so the counters stay copyable and
-  // resettable with the pipeline; FastPipeline, the hot-path form,
-  // compiles them out.
+  // Shared RMW counts, kept so the counters stay copyable with the
+  // pipeline; FastPipeline, the hot-path form, compiles them out.
   void on_commit(std::size_t i) noexcept {
     // scm-lint: relaxed-rmw-ok (copyable per-pipeline stage count)
     cells[i].commits.fetch_add(1, std::memory_order_relaxed);
@@ -123,12 +122,6 @@ struct PipelineCounters {
   [[nodiscard]] PipelineStageStats snapshot(std::size_t i) const noexcept {
     return {cells[i].commits.load(std::memory_order_relaxed),
             cells[i].aborts.load(std::memory_order_relaxed)};
-  }
-  void reset() noexcept {
-    for (auto& c : cells) {
-      c.commits.store(0, std::memory_order_relaxed);
-      c.aborts.store(0, std::memory_order_relaxed);
-    }
   }
 };
 
@@ -238,12 +231,6 @@ class BasicPipeline {
   {
     SCM_CHECK(i < kDepth);
     return counters_.snapshot(i);
-  }
-
-  void reset_stats() noexcept
-    requires WithStats
-  {
-    counters_.reset();
   }
 
  private:

@@ -250,12 +250,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
     return agg;
   }
 
-  void reset_stats() noexcept
-    requires requires(Obj& o) { o.reset_stats(); }
-  {
-    for (auto& s : shards_) s.value.reset_stats();
-  }
-
   // Aggregate chain accounting: commits served by stage i for process
   // pid, summed over shards (a process may touch several shards).
   [[nodiscard]] std::uint64_t commits_by(ProcessId pid, std::size_t i) const

@@ -13,12 +13,11 @@
 // at a DIFFERENT virtual address in every process, so nothing stored
 // inside it may be a pointer. Objects are addressed by their byte
 // offset from the segment base (offset 0 is reserved as the null
-// offset — it is the header), and cross-object references inside the
-// segment use ShmRef<T> (shm/shm_ref.hpp), which stores only an
-// offset. Synchronization words are std::atomic on lock-free 32/64-bit
-// integers, which are address-free: acquire/release pairs order
-// accesses between mappings of the same physical page regardless of
-// where each process mapped it.
+// offset — it is the header), and a reference from one segment object
+// to another stores only an offset. Synchronization words are
+// std::atomic on lock-free 32/64-bit integers, which are address-free:
+// acquire/release pairs order accesses between mappings of the same
+// physical page regardless of where each process mapped it.
 //
 // Concurrency envelope: alloc/free/publish take the header lock — they
 // are SETUP-path operations (a server laying out the segment, clients

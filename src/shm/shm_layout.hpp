@@ -3,7 +3,7 @@
 //
 // A segment maps at a different virtual address in every process, so a
 // segment-resident type must be meaningful as raw bytes at any
-// address: no pointers or references (use ShmRef offsets), no virtual
+// address: no pointers or references (store offsets), no virtual
 // anything (a vtable pointer is a process-local address), no
 // destructor side effects (nobody destroys segment objects in-place —
 // the segment outlives any single process and dies by unlink).
@@ -19,8 +19,7 @@
 // segment types hold std::atomic members (whose copy operations are
 // deleted) and delete their own copy constructors to prevent accidental
 // by-value slicing out of the segment, so is_trivially_copyable_v is
-// unattainable for exactly the types this macro exists for. Pure value
-// types (ShmRef) additionally assert trivial copyability themselves.
+// unattainable for exactly the types this macro exists for.
 // What no trait can check — pointer-typed data members that are
 // otherwise standard-layout (e.g. `void* base_`) — is covered by the
 // address-free lint pass (tools/scm_lint.py), which scans member

@@ -287,10 +287,10 @@ class WaitPoint {
 };
 
 // The native three-rung wait loop shared by every blocking site
-// without a simulator seam (wait_until() routes native contexts here;
-// ShmSpinBarrier calls it directly). Same caller contract as
-// wait_until: pure predicate, and returning only means the predicate
-// HELD at some instant — re-validate with a real RMW afterwards.
+// without a simulator seam (wait_until() routes native contexts here).
+// Same caller contract as wait_until: pure predicate, and returning
+// only means the predicate HELD at some instant — re-validate with a
+// real RMW afterwards.
 // The park threshold is read once at entry: a concurrent retune
 // applies to the NEXT wait, never mid-climb.
 template <class WP, class Pred>

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -43,14 +42,6 @@ class Samples {
   [[nodiscard]] double max() const {
     return samples_.empty() ? 0.0
                             : *std::max_element(samples_.begin(), samples_.end());
-  }
-
-  [[nodiscard]] double stddev() const {
-    if (samples_.size() < 2) return 0.0;
-    const double m = mean();
-    double acc = 0.0;
-    for (double s : samples_) acc += (s - m) * (s - m);
-    return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
   }
 
   // Linearly interpolated percentile over the retained samples

@@ -91,7 +91,6 @@ class ObstructionFreeTas {
   }
 
   // Post-run/diagnostic accessors (not algorithm steps).
-  [[nodiscard]] bool was_aborted() const { return aborted_.peek(); }
   [[nodiscard]] int value() const { return value_.peek(); }
 
   // Reinitializes the module outside any measured execution (used only

@@ -254,7 +254,12 @@ TEST(WaitUntil, NativeContextRoutesThroughTheWaitPoint) {
     wait_until(wctx,
                [&] { return flag.load(std::memory_order_acquire); }, wp);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Release the waiter only once it has parked: a fixed sleep can end
+  // before a slow (sanitized, oversubscribed) waiter climbs the ladder.
+  const auto deadline = clock_type::now() + std::chrono::seconds(10);
+  while (wp.stats().parks == 0 && clock_type::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   flag.store(true, std::memory_order_release);
   wp.wake_all();
   waiter.join();

@@ -1,6 +1,5 @@
 // Tests for the variadic composition pipeline (core/pipeline.hpp) and
-// its companions: the consensus-module adapter and the statically-typed
-// Abstract chain.
+// its companion, the statically-typed Abstract chain.
 //
 //  * depth-1/2/4 pipelines produce bit-identical commit/abort results
 //    to a hand-nested two-stage reference combinator across random
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "consensus/cas_consensus.hpp"
-#include "consensus/consensus_module.hpp"
 #include "consensus/split_consensus.hpp"
 #include "core/module.hpp"
 #include "core/pipeline.hpp"
@@ -67,6 +65,11 @@ struct HopModule {
   }
 };
 
+// A hop that claims CAS's consensus number, for the fold check.
+struct CasNumberedHop : HopModule {
+  static constexpr int kConsensusNumber = kConsensusNumberCas;
+};
+
 // ---------------------------------------------------------------------------
 // Static properties
 
@@ -78,7 +81,7 @@ TEST(Pipeline, ConsensusNumberFoldAndConceptConformance) {
   static_assert(RegistersOnly::kDepth == 3);
   static_assert(RegistersOnly::kConsensusNumber == kConsensusNumberRegister,
                 "a register-only chain folds to consensus number 1");
-  using WithCas = Pipeline<A1&, ConsensusModule<CasConsensus<SimPlatform>>&>;
+  using WithCas = Pipeline<A1&, CasNumberedHop&>;
   static_assert(WithCas::kConsensusNumber == kConsensusNumberCas);
 
   // A pipeline is itself a composable module (Theorem 2) and pays no
@@ -218,10 +221,6 @@ TEST(Pipeline, PerStageStatsAccountForEveryInvocation) {
     EXPECT_EQ(s1.invocations(), s0.aborts);
     EXPECT_EQ(s0.commits + s1.commits, static_cast<std::uint64_t>(kN));
     EXPECT_EQ(s1.aborts, 0u);
-
-    pipe.reset_stats();
-    EXPECT_EQ(pipe.stats(0).invocations(), 0u);
-    EXPECT_EQ(pipe.stats(1).invocations(), 0u);
   }
 }
 
@@ -346,79 +345,6 @@ TEST(Pipeline, Depth3TasPipelineStaysLinearizable) {
     }
     ASSERT_TRUE(linearizable<TasSpec>(std::move(ops))) << "seed " << seed;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Consensus modules compose through the same combinator
-
-TEST(ConsensusModule, PipelineAgreesAcrossSchedules) {
-  for (std::uint64_t seed = 0; seed < 60; ++seed) {
-    Simulator s;
-    constexpr int kN = 3;
-    ConsensusModule<SplitConsensus<SimPlatform>> split;
-    ConsensusModule<CasConsensus<SimPlatform>> cas;
-    auto pipe = make_pipeline(split, cas);
-    static_assert(decltype(pipe)::kConsensusNumber == kConsensusNumberCas);
-
-    std::vector<ModuleResult> rs(kN);
-    for (int p = 0; p < kN; ++p) {
-      s.add_process([&, p](SimContext& ctx) {
-        // Propose 100+p for the single decision.
-        const Request m{static_cast<std::uint64_t>(p) + 1, p, 0, 100 + p};
-        rs[static_cast<std::size_t>(p)] = pipe.invoke(ctx, m);
-      });
-    }
-    sim::RandomSchedule sched(seed * 13 + 3);
-    s.run(sched);
-
-    // The CAS fallback is wait-free: everyone commits, on some value
-    // that was actually proposed, and everyone agrees.
-    for (const auto& r : rs) ASSERT_TRUE(r.committed()) << "seed " << seed;
-    const Response decided = rs[0].response;
-    EXPECT_GE(decided, 100);
-    EXPECT_LT(decided, 100 + kN);
-    for (const auto& r : rs) {
-      EXPECT_EQ(r.response, decided) << "seed " << seed;
-    }
-  }
-}
-
-TEST(ConsensusModule, SoloCommitsOnRegistersOnly) {
-  Simulator s;
-  ConsensusModule<SplitConsensus<SimPlatform>> split;
-  ConsensusModule<CasConsensus<SimPlatform>> cas;
-  auto pipe = make_pipeline(split, cas);
-
-  ModuleResult r;
-  s.add_process([&](SimContext& ctx) {
-    r = pipe.invoke(ctx, Request{1, 0, 0, 42});
-  });
-  sim::SequentialSchedule sched;
-  s.run(sched);
-
-  EXPECT_TRUE(r.committed());
-  EXPECT_EQ(r.response, 42);
-  EXPECT_EQ(pipe.stats(0).commits, 1u);  // stage 0: registers only
-  EXPECT_EQ(pipe.stats(1).invocations(), 0u);
-  EXPECT_EQ(s.counters(0).rmws, 0u);
-}
-
-TEST(ConsensusModule, RvalueAdaptersAreOwnedByThePipeline) {
-  // Adapters are movable (the consensus instance sits behind a
-  // unique_ptr) even though the consensus objects themselves pin
-  // registers, so the documented rvalue spelling compiles and works.
-  Simulator s;
-  auto pipe = make_pipeline(ConsensusModule<SplitConsensus<SimPlatform>>{},
-                            ConsensusModule<CasConsensus<SimPlatform>>{});
-  static_assert(decltype(pipe)::kConsensusNumber == kConsensusNumberCas);
-
-  ModuleResult r;
-  s.add_process(
-      [&](SimContext& ctx) { r = pipe.invoke(ctx, Request{1, 0, 0, 7}); });
-  sim::SequentialSchedule sched;
-  s.run(sched);
-  EXPECT_TRUE(r.committed());
-  EXPECT_EQ(r.response, 7);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@
 //    spinning, after which the next locker steals the header lock from
 //    the dead process;
 //  * distinct ShmCombining instantiations carry distinct type tags;
-//  * ShmSpinBarrier aligns arrivals across generations;
 //  * ShmCombining executes a threaded fetch&inc workload with exact
 //    counts and unique tickets (the in-process half of the
 //    equivalence claim), a publish-only client's inits and
@@ -72,10 +71,8 @@
 
 #include "history/specs.hpp"
 #include "runtime/context.hpp"
-#include "shm/shm_barrier.hpp"
 #include "shm/shm_combining.hpp"
 #include "shm/shm_counter.hpp"
-#include "shm/shm_ref.hpp"
 #include "support/cacheline.hpp"
 
 namespace scm {
@@ -201,9 +198,8 @@ TEST(ShmArena, PublishResolveAndWritesCrossMappings) {
   EXPECT_EQ(found->size, sizeof(std::uint64_t));
   EXPECT_EQ(found->type_tag, 7u);
 
-  const ShmRef<std::uint64_t> ref(off);
-  ref.in(*a) = 0xfeedface;
-  EXPECT_EQ(ref.in(*b), 0xfeedfaceu);
+  *a->at<std::uint64_t>(off) = 0xfeedface;
+  EXPECT_EQ(*b->at<std::uint64_t>(off), 0xfeedfaceu);
   EXPECT_EQ(*b->at<std::uint64_t>(found->offset), 0xfeedfaceu);
 
   EXPECT_FALSE(b->resolve("no-such-name").has_value());
@@ -448,37 +444,6 @@ TEST(ShmArena, AttachRejectsCorruptedLayoutVersion) {
   static_cast<unsigned char*>(base)[8] ^= 0x01;  // restore
   EXPECT_TRUE(ShmArena::attach(name).has_value());
   ::munmap(base, 1 << 18);
-}
-
-// ---------------------------------------------------------------------------
-// Barrier.
-
-TEST(ShmSpinBarrier, AlignsPartiesAcrossGenerations) {
-  constexpr std::uint32_t kParties = 4;
-  constexpr int kGenerations = 50;
-  ShmSpinBarrier barrier(kParties);
-  EXPECT_EQ(barrier.parties(), kParties);
-  EXPECT_EQ(barrier.arrived(), 0u);
-
-  // Every generation, every thread bumps the counter before the
-  // barrier and checks the full bump after: a missed release would
-  // show as a torn generation.
-  std::atomic<std::uint32_t> entered{0};
-  std::vector<std::thread> pool;
-  for (std::uint32_t t = 0; t < kParties; ++t) {
-    pool.emplace_back([&] {
-      for (int g = 0; g < kGenerations; ++g) {
-        entered.fetch_add(1, std::memory_order_relaxed);
-        barrier.arrive_and_wait();
-        EXPECT_GE(entered.load(std::memory_order_relaxed),
-                  static_cast<std::uint32_t>(g + 1) * kParties);
-        barrier.arrive_and_wait();  // second phase: safe to re-enter
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-  EXPECT_EQ(entered.load(), kParties * kGenerations);
-  EXPECT_EQ(barrier.arrived(), 0u);  // every generation fully reset
 }
 
 // ---------------------------------------------------------------------------
@@ -1015,31 +980,24 @@ TEST(ShmCombining, ClientFacingAStalledServerParks) {
   ASSERT_TRUE(arena.has_value());
   const std::uint64_t comb_off = arena->construct<TestCombining>();
   const std::uint64_t cell_off = arena->construct<ClientCell>();
-  const std::uint64_t barrier_off = arena->construct<ShmSpinBarrier>(2u);
   ASSERT_NE(comb_off, 0u);
   ASSERT_NE(cell_off, 0u);
-  ASSERT_NE(barrier_off, 0u);
   TestCombining& comb = *arena->at<TestCombining>(comb_off);
   ClientCell& cell = *arena->at<ClientCell>(cell_off);
-  ShmSpinBarrier& start = *arena->at<ShmSpinBarrier>(barrier_off);
 
   ChildReaper reaper;
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
-  if (child == 0) {
-    start.arrive_and_wait();
-    run_client(comb, cell, 1, kOps);
-  }
+  if (child == 0) run_client(comb, cell, 1, kOps);
   reaper.pids.push_back(child);
 
   const auto deadline = clock_type::now() + kDeadline;
-  while (start.arrived() < 1) {
-    ASSERT_LT(clock_type::now(), deadline) << "client never arrived";
+  while (cell.started.load(std::memory_order_acquire) < 1) {
+    ASSERT_LT(clock_type::now(), deadline) << "client never started";
     std::this_thread::yield();
   }
-  start.arrive_and_wait();
-  // The client's first op is published and nobody serves it: 100 ms
-  // outlasts the whole spin/yield ladder, so its wait must park.
+  // The client's first op is being published and nobody serves it:
+  // 100 ms outlasts the whole spin/yield ladder, so its wait must park.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   NativeContext ctx(0);

@@ -1,8 +1,7 @@
-// Tests for the snapshot log, Herlihy's universal construction, the
-// composable universal construction (Abstract), and the three-stage
-// chain of Proposition 1 — with every recorded Abstract trace run
-// through the Definition-1 checker and every committed execution
-// checked for linearizable counter behaviour.
+// Tests for the snapshot log, the composable universal construction
+// (Abstract), and the three-stage chain of Proposition 1 — with every
+// recorded Abstract trace run through the Definition-1 checker and
+// every committed execution checked for linearizable counter behaviour.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -22,7 +21,6 @@
 #include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "universal/composable_universal.hpp"
-#include "universal/herlihy.hpp"
 #include "universal/snapshot.hpp"
 #include "universal/static_chain.hpp"
 
@@ -110,75 +108,6 @@ TEST(SnapshotLog, ReadSlotReturnsWrittenValue) {
 }
 
 // ---------------------------------------------------------------------------
-// HerlihyUniversal
-
-TEST(HerlihyUniversal, SequentialCounterBehaviour) {
-  Simulator s;
-  HerlihyUniversal<SimPlatform, CounterSpec, 16> uni(3, 64);
-  std::vector<Response> responses(3, kNoResponse);
-  for (int p = 0; p < 3; ++p) {
-    s.add_process([&, p](SimContext& ctx) {
-      responses[p] =
-          uni.perform(ctx, req(static_cast<std::uint64_t>(p) + 1, p,
-                               CounterSpec::kFetchInc));
-    });
-  }
-  sim::SequentialSchedule sched;
-  s.run(sched);
-  std::vector<Response> sorted = responses;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, (std::vector<Response>{0, 1, 2}));
-}
-
-TEST(HerlihyUniversal, FetchIncUniqueUnderRandomSchedules) {
-  for (std::uint64_t seed = 0; seed < 60; ++seed) {
-    Simulator s;
-    constexpr int kN = 4;
-    constexpr int kOpsPer = 3;
-    HerlihyUniversal<SimPlatform, CounterSpec, 16> uni(kN, 128);
-    std::vector<std::vector<Response>> responses(kN);
-    for (int p = 0; p < kN; ++p) {
-      s.add_process([&, p](SimContext& ctx) {
-        for (int i = 0; i < kOpsPer; ++i) {
-          const auto id =
-              static_cast<std::uint64_t>(p) * 100 + static_cast<std::uint64_t>(i) + 1;
-          responses[p].push_back(
-              uni.perform(ctx, req(id, p, CounterSpec::kFetchInc)));
-        }
-      });
-    }
-    sim::RandomSchedule sched(seed);
-    s.run(sched);
-    // fetch&inc responses must be exactly {0 .. kN*kOpsPer-1}.
-    std::set<Response> all;
-    for (const auto& rs : responses) {
-      for (Response r : rs) all.insert(r);
-    }
-    EXPECT_EQ(all.size(), static_cast<std::size_t>(kN * kOpsPer))
-        << "duplicate fetch&inc values (seed " << seed << ")";
-    EXPECT_EQ(*all.begin(), 0);
-    EXPECT_EQ(*all.rbegin(), kN * kOpsPer - 1);
-    // Per-process responses must be increasing (program order).
-    for (const auto& rs : responses) {
-      for (std::size_t i = 1; i < rs.size(); ++i) {
-        EXPECT_LT(rs[i - 1], rs[i]);
-      }
-    }
-  }
-}
-
-TEST(HerlihyUniversal, EveryOperationUsesRmw) {
-  Simulator s;
-  HerlihyUniversal<SimPlatform, CounterSpec, 16> uni(1, 16);
-  s.add_process([&](SimContext& ctx) {
-    (void)uni.perform(ctx, req(1, 0, CounterSpec::kFetchInc));
-  });
-  sim::SequentialSchedule sched;
-  s.run(sched);
-  EXPECT_GE(s.counters(0).rmws, 1u);  // Proposition 2: consensus is paid
-}
-
-// ---------------------------------------------------------------------------
 // ComposableUniversal: single stage
 
 using SplitStage =
@@ -204,6 +133,26 @@ TEST(ComposableUniversal, SoloCommitsWithRegistersOnly) {
   // The committed fast path used no RMW except the committed-count
   // counter (documented deviation: the paper's atomic counter C).
   EXPECT_LE(s.counters(0).rmws, 1u);
+}
+
+TEST(ComposableUniversal, CasStageEveryOperationUsesRmw) {
+  // Proposition 2: a wait-free universal operation pays consensus, so
+  // every CAS-stage op runs its cell's CAS on top of the committed-cell
+  // counter C that even the registers-only stage pays.
+  constexpr int kOps = 4;
+  Simulator s;
+  CasStage stage(1, 32, "cas");
+  s.add_process([&](SimContext& ctx) {
+    for (int i = 0; i < kOps; ++i) {
+      const AbstractResult r = stage.invoke(
+          ctx, req(static_cast<std::uint64_t>(i) + 1, 0, CounterSpec::kFetchInc),
+          History{});
+      ASSERT_TRUE(r.committed());
+    }
+  });
+  sim::SequentialSchedule sched;
+  s.run(sched);
+  EXPECT_GE(s.counters(0).rmws, 2u * kOps);
 }
 
 TEST(ComposableUniversal, SequentialRequestsBuildPrefixHistories) {
@@ -546,13 +495,6 @@ TEST(ComposableUniversalDeathTest, RejectsOutOfRangeProcessId) {
   EXPECT_DEATH(
       (void)stage.invoke(ctx, req(1, 2, CounterSpec::kFetchInc), History{}),
       "process id out of range");
-}
-
-TEST(HerlihyUniversalDeathTest, RejectsOutOfRangeProcessId) {
-  HerlihyUniversal<NativePlatform, CounterSpec, 8> uni(2, 8);
-  NativeContext ctx(2);
-  EXPECT_DEATH((void)uni.perform(ctx, req(1, 2, CounterSpec::kFetchInc)),
-               "process id out of range");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """scm_lint — repo-specific static checks for the scm codebase.
 
-Five rules, all about invariants the C++ type system cannot state:
+Six rules, all about invariants the C++ type system cannot state:
 
 RULE 1: explicit memory orders (src/**).
   Every std::atomic load/store/RMW must name its std::memory_order.
@@ -72,6 +72,16 @@ RULE 5: no relaxed counting RMWs (src/core/**).
   `// scm-lint: relaxed-rmw-ok` on the call's first line or on a
   comment line right above it, with the reason next to it.
 
+RULE 6: every header ships (src/**/*.hpp, only when the root is src/).
+  A header that only a test includes is code the library carries for
+  no user: it drifts from the shipped twin it duplicates, and its
+  checks cover nothing that runs. So the quoted includes are followed
+  transitively from every C++ file under ../bench, ../examples and
+  ../perfbench and from every src/**/*.cpp, and each src/**/*.hpp
+  they never reach is reported. The only exemptions are the checkers
+  in SHIPPED_CHECKERS, which tests run against shipped code; each is
+  listed with that reason.
+
 Usage:
   tools/scm_lint.py [--root DIR] [--self-test]
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
@@ -81,6 +91,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import posixpath
 import re
 import sys
 from dataclasses import dataclass
@@ -564,6 +575,58 @@ def check_scope_instantiations(path: str, raw: str,
 
 
 # ---------------------------------------------------------------------------
+# RULE 6: every header ships
+
+QUOTED_INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.M)
+# Directories, next to src/, whose C++ files are shipped entry points.
+SHIPPED_DIRS = ("bench", "examples", "perfbench")
+# Headers no shipped file includes that stay anyway: each is a checker
+# the tests run against shipped code.
+SHIPPED_CHECKERS = {
+    "sim/explorer.hpp":
+        "exhaustive schedule explorer the tests run over the shipped "
+        "modules and the slot protocol",
+    "core/interpretation.hpp":
+        "Definition-2 (safe composability) oracle the tests run over "
+        "traces of the shipped modules",
+}
+
+
+def find_orphans(src_files: dict[str, str],
+                 seeds: dict[str, str]) -> list[Finding]:
+    """Flags every header in `src_files` (paths relative to the source
+    root, '/'-separated) that no quoted include chain reaches from
+    `seeds` or from a .cpp in `src_files`. Includes resolve against the
+    including file's directory first, then the source root (-Isrc)."""
+    def resolve(includer_dir: str, target: str) -> str | None:
+        for cand in (posixpath.join(includer_dir, target), target):
+            cand = posixpath.normpath(cand)
+            if cand in src_files:
+                return cand
+        return None
+
+    # (directory to resolve against, text); seeds resolve from the root.
+    pending = [("", raw) for raw in seeds.values()]
+    pending += [(posixpath.dirname(rel), raw)
+                for rel, raw in src_files.items() if rel.endswith(".cpp")]
+    reached: set[str] = set()
+    while pending:
+        where, raw = pending.pop()
+        for target in QUOTED_INCLUDE_RE.findall(raw):
+            rel = resolve(where, target)
+            if rel is not None and rel not in reached:
+                reached.add(rel)
+                pending.append((posixpath.dirname(rel), src_files[rel]))
+    return [Finding(rel, 1, "orphan-header",
+                    "no file under bench/, examples/, perfbench/ or a "
+                    "src/**/*.cpp includes this header, directly or "
+                    "through another: delete it with its test, or ship it")
+            for rel in sorted(src_files)
+            if rel.endswith(".hpp") and rel not in reached
+            and rel not in SHIPPED_CHECKERS]
+
+
+# ---------------------------------------------------------------------------
 # driver
 
 CPP_EXTS = (".hpp", ".cpp", ".h", ".cc")
@@ -622,6 +685,25 @@ def run_lint(src_root: str) -> list[Finding]:
                            scoped):
             f.path = p
             findings.append(f)
+    if os.path.basename(os.path.abspath(src_root)) == "src":
+        findings.extend(check_shipped_headers(src_root, sources))
+    return findings
+
+
+def check_shipped_headers(src_root: str,
+                          sources: dict[str, str]) -> list[Finding]:
+    """RULE 6 over a src/ tree: seeds are the C++ files of the shipped
+    directories next to it."""
+    parent = os.path.dirname(os.path.abspath(src_root))
+    seeds = {}
+    for d in SHIPPED_DIRS:
+        for p in collect(os.path.join(parent, d)):
+            seeds[p] = open(p, encoding="utf-8").read()
+    src_files = {os.path.relpath(p, src_root).replace(os.sep, "/"): raw
+                 for p, raw in sources.items()}
+    findings = find_orphans(src_files, seeds)
+    for f in findings:
+        f.path = os.path.join(src_root, f.path)
     return findings
 
 
@@ -853,6 +935,24 @@ SELF_TESTS = [
      "file:core/pipeline.hpp",
      "void f() {\n  // scm-lint: relaxed-rmw-ok\n  int k = 0;\n"
      "  n.fetch_add(1, std::memory_order_relaxed);\n}", 1),
+    # RULE 6 snippets are (src files, shipped seed files).
+    ("orphan header flagged",
+     "orphan", ({"core/a.hpp": "", "core/orphan.hpp": ""},
+                {"main.cpp": '#include "core/a.hpp"\n'}), 1),
+    ("header reached through another header passes",
+     "orphan", ({"core/a.hpp": '#include "support/b.hpp"\n',
+                 "support/b.hpp": '#include "c.hpp"\n',
+                 "support/c.hpp": ""},
+                {"main.cpp": '#include "core/a.hpp"  // entry\n'}), 0),
+    ("header reached from a src .cpp passes",
+     "orphan", ({"sim/sim.cpp": '#include "sim/sim.hpp"\n',
+                 "sim/sim.hpp": ""}, {}), 0),
+    ("commented-out include does not ship a header",
+     "orphan", ({"core/a.hpp": ""},
+                {"main.cpp": '// #include "core/a.hpp"\n'}), 1),
+    ("shipped checker is exempt",
+     "orphan", ({"sim/explorer.hpp": "", "core/interpretation.hpp": ""},
+                {}), 0),
 ]
 
 
@@ -867,6 +967,8 @@ def self_test() -> int:
             got = check_memory_orders("<self-test>", snippet)
         elif rule == "adaptive":
             got = check_adaptive_hot_reads("<self-test>", snippet)
+        elif rule == "orphan":
+            got = find_orphans(*snippet)
         elif rule == "futex":
             got = check_shm_futex("<self-test>", snippet,
                                   strip_comments(snippet))
