@@ -44,7 +44,20 @@
 //     carries its callback, however many are in flight;
 //   * a read that carries a switch value is not served from, and does
 //     not touch, the cache: it runs through the wrapped object with no
-//     callback.
+//     callback;
+//   * a reuse gate keeps a thread whose reads do not hit from paying
+//     for the cache. A thread's window closes at its first miss after
+//     kGateWindow probed reads (reads that looked in the cache); if
+//     fewer than 1 in kGateSample of them hit, the thread enters
+//     bypass (or stays in it), else it leaves it. In bypass,
+//     kGateSample - 1 of every kGateSample reads skip the probe and run
+//     through the wrapped object with no fill callback, counted as
+//     misses and in bypassed(); the remaining one probes and fills as
+//     usual, so a thread whose keys come back into reuse leaves bypass
+//     when its window closes. The gate's state lives in the thread's
+//     own tally cell, beside its counts, and a hit only reads it: a
+//     thread without a cell of its own, and every awaitable
+//     (simulated) context, never bypasses.
 //
 // Correctness (linearizable): a hit requires the entry's generation to
 // EQUAL its slot's generation loaded at the start of the read — the
@@ -65,7 +78,8 @@
 // costs a conservative miss, never a stale hit. Mixed histories are
 // pinned by lincheck in caching_test, per key on a sharded stack with
 // slot-mates on different shards. The entry seqlock makes torn values
-// impossible.
+// impossible. A bypassed read is an ordinary call through the wrapped
+// object, and a skipped fill only costs a later miss.
 //
 // Backend requirements: the wrapped object must run completion
 // callbacks at the serialization point (Combining, or
@@ -94,6 +108,7 @@
 #include "core/module.hpp"
 #include "core/sharding.hpp"
 #include "history/request.hpp"
+#include "runtime/wait.hpp"
 #include "support/assert.hpp"
 #include "support/cacheline.hpp"
 #include "support/tally.hpp"
@@ -131,6 +146,11 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
  public:
   static constexpr std::size_t kReplicaCount = kReplicas;
   static constexpr std::size_t kEntryCount = kEntries;
+  // The reuse gate's window, in probed reads, and its sample: a window
+  // whose probed reads hit less than 1 time in kGateSample puts the
+  // thread in bypass, where it probes one read in kGateSample.
+  static constexpr std::uint64_t kGateWindow = 256;
+  static constexpr std::uint64_t kGateSample = 16;
 
   Replicated()
     requires std::is_default_constructible_v<Obj>
@@ -156,19 +176,21 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
       return submit_through(ctx, m, init, &Replicated::write_cb).wait();
     }
     if (init.has_value()) return submit_through(ctx, m, init, nullptr).wait();
-    if (Response v; try_read(ctx, rep, key_of(m), v)) {
+    CompletionFn fill = nullptr;
+    if (Response v; read(ctx, rep, key_of(m), v, fill)) {
       return ModuleResult::commit(v);
     }
-    return submit_through(ctx, m, init, fill_cb_for(rep)).wait();
+    return submit_through(ctx, m, init, fill).wait();
   }
 
   // Async surface: a read hit is a ready ticket (it cost no shared
   // write, there is nothing to wait for); a miss or write is the
-  // wrapped object's own submission, carrying the fill or the install
-  // as its completion callback, which carries no per-operation state,
-  // so any number may be in flight. Destroying the cache with a ticket
-  // outstanding is the wrapped object's checked error (Combining's
-  // occupied-slot assertion): collect or drop every ticket first.
+  // wrapped object's own submission, carrying the fill (none for a
+  // bypassed read) or the install as its completion callback, which
+  // carries no per-operation state, so any number may be in flight.
+  // Destroying the cache with a ticket outstanding is the wrapped
+  // object's checked error (Combining's occupied-slot assertion):
+  // collect or drop every ticket first.
   template <class Ctx>
     requires Composable<Obj, Ctx>
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
@@ -178,10 +200,11 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
       return submit_through(ctx, m, init, &Replicated::write_cb);
     }
     if (init.has_value()) return submit_through(ctx, m, init, nullptr);
-    if (Response v; try_read(ctx, rep, key_of(m), v)) {
+    CompletionFn fill = nullptr;
+    if (Response v; read(ctx, rep, key_of(m), v, fill)) {
       return Ticket<ModuleResult>::ready(ModuleResult::commit(v));
     }
-    return submit_through(ctx, m, init, fill_cb_for(rep));
+    return submit_through(ctx, m, init, fill);
   }
 
   // What a read of `key` on `replica` would be served without going
@@ -230,7 +253,8 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
 
   // ---- cache telemetry (a Tally: per-thread cells, summed here). A
   // read served by the slot line is a hit; a miss went to the wrapped
-  // object.
+  // object, bypassed or not: hits() + misses() is every read without a
+  // switch value.
   [[nodiscard]] std::uint64_t hits() const noexcept {
     return tally_.sum(kHits);
   }
@@ -244,10 +268,20 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   [[nodiscard]] std::uint64_t torn_retries() const noexcept {
     return tally_.sum(kTorn);
   }
-  // Installs: into a replica (a miss's fill, a slot-line hit's
+  // The torn_retries() on a slot line's `last`: the read's last source,
+  // so each one ended the read as a miss.
+  [[nodiscard]] std::uint64_t torn_misses() const noexcept {
+    return tally_.sum(kTornMisses);
+  }
+  // Installs: into a replica (a probed miss's fill, a slot-line hit's
   // refill) or into a slot line (a write).
   [[nodiscard]] std::uint64_t fills() const noexcept {
     return tally_.sum(kFills);
+  }
+  // Misses the reuse gate sent to the wrapped object without a probe
+  // or a fill.
+  [[nodiscard]] std::uint64_t bypassed() const noexcept {
+    return tally_.sum(kBypassed);
   }
 
   [[nodiscard]] Obj& object() noexcept { return obj_.value; }
@@ -287,8 +321,24 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     std::array<Entry, kEntries> entries{};
   };
 
-  // The tally's fields.
-  enum : std::size_t { kHits, kMisses, kTorn, kFills, kTallyFields };
+  // The tally's fields: the counts, then the calling thread's reuse
+  // gate (0 while it probes every read, else the reads left until its
+  // next probe) and the window's start (its hit count in the low 32
+  // bits, its probed-read count in the high 32).
+  enum : std::size_t {
+    kHits,
+    kMisses,
+    kTorn,
+    kTornMisses,
+    kFills,
+    kBypassed,
+    kGate,
+    kGateMark,
+    kTallyFields
+  };
+  using Counts = typename Tally<kTallyFields>::Counts;
+  // A hit reads the gate on the line it counts on.
+  static_assert(sizeof(Counts) <= kCacheLineSize);
 
   // What one snapshot saw: the value on a hit; `torn` when the entry's
   // seqlock was odd or moved under the read.
@@ -316,8 +366,9 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // the entry's value iff the seqlock snapshot is consistent, the key
   // matches, and the tagged generation equals `cur`. No counters —
   // callers attribute hits, misses and torn reads themselves.
-  static Snapshot snapshot(const Entry& e, std::uint64_t key,
-                           std::uint64_t cur) {
+  [[gnu::always_inline]] static Snapshot snapshot(const Entry& e,
+                                                  std::uint64_t key,
+                                                  std::uint64_t cur) {
     const std::uint64_t v1 = e.ver.load(std::memory_order_acquire);
     if ((v1 & 1) != 0) return {std::nullopt, /*torn=*/true};
     const std::uint64_t k1 = e.key1.load(std::memory_order_acquire);
@@ -333,18 +384,104 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     return {val, /*torn=*/false};
   }
 
-  // The hot read path: one seq_cst load of the key's slot generation
-  // (the linearization point of a hit) plus the replica entry snapshot.
+  // Where a read goes: true when the cache served it into `out`;
+  // otherwise `fill` is the completion callback its call through the
+  // wrapped object carries — replica rep's fill after a probed miss,
+  // none for a read the reuse gate bypassed. Native contexts count
+  // through the thread's own cell, found once per read, which also
+  // holds its gate: a hit pays one more load and branch for the gate.
+  template <class Ctx>
+  [[gnu::always_inline]] bool read(Ctx& ctx, std::size_t rep,
+                                   std::uint64_t key, Response& out,
+                                   CompletionFn& fill) {
+    if constexpr (!detail::context_can_await_v<Ctx>) {
+      if (Counts* const c = tally_.own()) [[likely]] {
+        if ((*c)[kGate].load(std::memory_order_relaxed) != 0 &&
+            bypass(*c)) [[unlikely]] {
+          fill = nullptr;
+          return false;
+        }
+        if (try_read(ctx, rep, key, out, c)) return true;
+        note_miss(*c, bump((*c)[kMisses], 1));
+        fill = fill_cb_for(rep);
+        return false;
+      }
+    }
+    fill = fill_cb_for(rep);
+    return read_through_tally(ctx, rep, key, out);
+  }
+
+  // A read without a gate: counted through Tally::add (a thread
+  // without a cell yet or of its own; an awaitable context).
+  template <class Ctx>
+  [[gnu::noinline]] bool read_through_tally(Ctx& ctx, std::size_t rep,
+                                            std::uint64_t key,
+                                            Response& out) {
+    if (try_read(ctx, rep, key, out, nullptr)) return true;
+    tally_.add(kMisses);
+    return false;
+  }
+
+  // A read while the gate is in bypass: the one in kGateSample that
+  // probes returns false and goes on as usual; the others are counted
+  // as bypassed misses and return true.
+  [[gnu::noinline]] static bool bypass(Counts& c) noexcept {
+    const std::uint64_t left = c[kGate].load(std::memory_order_relaxed) - 1;
+    if (left == 0) {
+      c[kGate].store(kGateSample, std::memory_order_relaxed);
+      return false;
+    }
+    c[kGate].store(left, std::memory_order_relaxed);
+    bump(c[kBypassed], 1);
+    note_miss(c, bump(c[kMisses], 1));
+    return true;
+  }
+
+  // A miss of the calling thread, `misses` being its count after this
+  // one: closes the gate's window once it holds kGateWindow probed
+  // reads (hits plus misses, less the bypassed ones).
+  [[gnu::always_inline]] static void note_miss(Counts& c,
+                                               std::uint64_t misses) noexcept {
+    const std::uint64_t hits = c[kHits].load(std::memory_order_relaxed);
+    const std::uint64_t probed =
+        hits + misses - c[kBypassed].load(std::memory_order_relaxed);
+    const std::uint64_t mark = c[kGateMark].load(std::memory_order_relaxed);
+    const auto in_window = static_cast<std::uint32_t>(probed - (mark >> 32));
+    if (in_window >= kGateWindow) [[unlikely]] {
+      close_window(c, hits, probed, mark);
+    }
+  }
+
+  // The window's counts are taken mod 2^32: a window is far shorter.
+  // Fewer than 1 hit in kGateSample probed reads: bypass.
+  [[gnu::noinline]] static void close_window(Counts& c, std::uint64_t hits,
+                                             std::uint64_t probed,
+                                             std::uint64_t mark) noexcept {
+    const std::uint32_t h = static_cast<std::uint32_t>(hits - mark);
+    const std::uint32_t p = static_cast<std::uint32_t>(probed - (mark >> 32));
+    c[kGateMark].store((probed << 32) | static_cast<std::uint32_t>(hits),
+                       std::memory_order_relaxed);
+    const bool cold = std::uint64_t{h} * kGateSample < p;
+    const std::uint64_t gate = c[kGate].load(std::memory_order_relaxed);
+    if (cold != (gate != 0)) {
+      c[kGate].store(cold ? kGateSample : 0, std::memory_order_relaxed);
+    }
+  }
+
+  // The probe: one seq_cst load of the key's slot generation (the
+  // linearization point of a hit) plus the replica entry snapshot.
   // Counted as two reads — the generation and the entry are the
   // operation's real shared traffic; the hit count is a load and a
-  // store on the calling thread's own tally cell, no RMW. A replica
-  // miss goes on to the slot line (a third counted read), out of line
-  // so the hit path stays this short. Forced inline, with the value
-  // handed back through `out`: called out of line, or merging the two
-  // paths' optionals, the hit path spilled its result to the stack.
+  // store on the calling thread's own cell `c` (found by Tally::add
+  // when null), no RMW. A replica miss goes on to the slot line (a
+  // third counted read), out of line so the hit path stays this short;
+  // the caller counts the miss. Forced inline, with the value handed
+  // back through `out`: called out of line, or merging the two paths'
+  // optionals, the hit path spilled its result to the stack.
   template <class Ctx>
   [[gnu::always_inline]] bool try_read(Ctx& ctx, std::size_t rep,
-                                       std::uint64_t key, Response& out) {
+                                       std::uint64_t key, Response& out,
+                                       Counts* c) {
     ctx.on_read();
     SlotLine& line = line_of(key);
     const std::uint64_t cur = line.gen.load(std::memory_order_seq_cst);
@@ -352,13 +489,13 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     Replica& r = replicas_[rep];
     const Snapshot s = snapshot(r.entries[slot_of(key)], key, cur);
     if (s.value.has_value()) {
-      tally_.add(kHits);
+      count(c, kHits);
       out = *s.value;
       return true;
     }
-    if (s.torn) tally_.add(kTorn);
+    if (s.torn) count(c, kTorn);
     ctx.on_read();
-    return read_line(r, line, key, cur, out);
+    return read_line(r, line, key, cur, out, c);
   }
 
   // A replica miss: serve the slot line's `last` into `out` if the last
@@ -368,17 +505,31 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // goes to the wrapped object.
   [[gnu::noinline]] bool read_line(Replica& r, SlotLine& line,
                                    std::uint64_t key, std::uint64_t cur,
-                                   Response& out) {
+                                   Response& out, Counts* c) {
     const Snapshot s = snapshot(line.last, key, cur);
-    if (s.torn) tally_.add(kTorn);
     if (!s.value.has_value()) {
-      tally_.add(kMisses);
+      if (s.torn) {
+        count(c, kTorn);
+        count(c, kTornMisses);
+      }
       return false;
     }
-    install_counted(r.entries[slot_of(key)], key, *s.value, cur);
-    tally_.add(kHits);
+    if (install(r.entries[slot_of(key)], key, *s.value, cur)) {
+      count(c, kFills);
+    }
+    count(c, kHits);
     out = *s.value;
     return true;
+  }
+
+  // One more in `field`: a bump of the calling thread's own cell `c`,
+  // or Tally::add when the read has none.
+  [[gnu::always_inline]] void count(Counts* c, std::size_t field) noexcept {
+    if (c != nullptr) {
+      bump((*c)[field], 1);
+    } else {
+      tally_.add(field);
+    }
   }
 
   // Best-effort install of (key, val) tagged with generation g into

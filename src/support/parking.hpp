@@ -45,12 +45,15 @@
 //
 // Telemetry placement: the slow-path counters (parks, wakes, ...) sit
 // on the word's line, where only parking threads write them. The
-// fast-wake tally is bumped by EVERY completed wait — in the combining
+// fast-wake count is bumped by EVERY completed wait — in the combining
 // wrappers, once per published op — so it lives in per-thread padded
-// cells off that line (see kFastWakeCells): a waiter writes only its
-// own cell, and the line every wake_all() reads stays quiet. A forked
-// child draws a fresh cell (support/process.hpp) instead of sharing
-// its parent's.
+// cells off that line: a waiter writes only its own cell, and the line
+// every wake_all() reads stays quiet. A kPrivate point counts them in a
+// Tally (support/tally.hpp), a load and a store with no locked RMW. A
+// kShared point may live in a segment that several processes write, so
+// it keeps kFastWakeCells cells bumped with fetch_add; a forked child
+// draws a fresh cell (support/process.hpp) instead of sharing its
+// parent's.
 //
 // Portability: on non-Linux targets — or when SCM_FORCE_NO_FUTEX is
 // defined, the testing seam mirroring SCM_FORCE_GENERIC_CPU_PAUSE —
@@ -66,10 +69,12 @@
 #include <cstdint>
 #include <limits>
 #include <thread>
+#include <type_traits>
 
 #include "support/backoff.hpp"
 #include "support/cacheline.hpp"
 #include "support/process.hpp"
+#include "support/tally.hpp"
 
 #if defined(__linux__) && !defined(SCM_FORCE_NO_FUTEX)
 #define SCM_HAS_FUTEX 1
@@ -145,9 +150,9 @@ inline long futex_call(const std::atomic<std::uint32_t>* word, int op,
 
 }  // namespace detail
 
-// Per-thread fast-wake cells in each WaitPoint. Threads beyond this
-// many share cells, which costs line sharing but never accuracy: each
-// bump is a fetch_add on the cell.
+// Per-thread fast-wake cells in each WaitPoint<kShared>. Threads beyond
+// this many share cells, which costs line sharing but never accuracy:
+// each bump is a fetch_add on the cell.
 inline constexpr std::size_t kFastWakeCells = 8;
 
 // Yield rungs to climb after the backoff ladder saturates before the
@@ -242,8 +247,12 @@ class WaitPoint {
   // ParkStats::park_ratio() its denominator. Bumps the calling
   // thread's own cell, not a line shared with other waiters.
   void note_fast_wake() noexcept {
-    fast_wakes_[detail::this_thread_cell() % kFastWakeCells].n.fetch_add(
-        1, std::memory_order_relaxed);
+    if constexpr (kScope == FutexScope::kPrivate) {
+      fast_wakes_.add(0);
+    } else {
+      fast_wakes_[detail::this_thread_cell() % kFastWakeCells].n.fetch_add(
+          1, std::memory_order_relaxed);
+    }
   }
 
   // Runtime wait-rung knob: how many yield rungs a waiter climbs after
@@ -264,8 +273,12 @@ class WaitPoint {
     s.wakes = wakes_.load(std::memory_order_relaxed);
     s.spurious_wakes = spurious_wakes_.load(std::memory_order_relaxed);
     s.futex_syscalls = futex_syscalls_.load(std::memory_order_relaxed);
-    for (const FastWakeCell& c : fast_wakes_) {
-      s.fast_wakes += c.n.load(std::memory_order_relaxed);
+    if constexpr (kScope == FutexScope::kPrivate) {
+      s.fast_wakes = fast_wakes_.sum(0);
+    } else {
+      for (const FastWakeCell& c : fast_wakes_) {
+        s.fast_wakes += c.n.load(std::memory_order_relaxed);
+      }
     }
     return s;
   }
@@ -283,7 +296,9 @@ class WaitPoint {
   std::atomic<std::uint64_t> spurious_wakes_{0};
   std::atomic<std::uint64_t> futex_syscalls_{0};
   std::atomic<std::int32_t> yields_before_park_{kYieldsBeforePark};
-  std::array<FastWakeCell, kFastWakeCells> fast_wakes_{};
+  std::conditional_t<kScope == FutexScope::kPrivate, Tally<1>,
+                     std::array<FastWakeCell, kFastWakeCells>>
+      fast_wakes_{};
 };
 
 // The native three-rung wait loop shared by every blocking site

@@ -57,6 +57,8 @@ class Tally {
   static_assert(kFields >= 1);
 
  public:
+  using Counts = std::array<std::atomic<std::uint64_t>, kFields>;
+
   Tally() = default;
   Tally(const Tally&) = delete;
   Tally& operator=(const Tally&) = delete;
@@ -72,6 +74,16 @@ class Tally {
       return bump(cells_[c].n[field], n);
     }
     return add_slow(field, n);
+  }
+
+  // The calling thread's own cell, for a caller that counts several
+  // fields per operation through one lookup, or keeps per-thread state
+  // beside its counts: nullptr until the thread's first add() leases
+  // it a cell, and for a thread without a cell of its own. Only the
+  // calling thread writes it, with bump().
+  [[gnu::always_inline]] Counts* own() noexcept {
+    const std::uint32_t c = detail::tally_cell;
+    return c < kTallyCells ? &cells_[c].n : nullptr;
   }
 
   [[nodiscard]] std::uint64_t sum(std::size_t field) const noexcept {
@@ -94,7 +106,7 @@ class Tally {
   }
 
   struct alignas(kCacheLineSize) Cell {
-    std::array<std::atomic<std::uint64_t>, kFields> n{};
+    Counts n{};
   };
   // kTallyCells leased cells, then the shared one.
   std::array<Cell, kTallyCells + 1> cells_{};

@@ -25,6 +25,10 @@
 //    linearize against RegisterSpec, and slot-mate writers racing on
 //    one slot line never serve each other's values;
 //  * placement: a dense key range stays resident;
+//  * the reuse gate: a thread whose reads never hit enters bypass and
+//    stops filling but for its samples, leaves bypass once its keys
+//    come back, and a thread whose reads hit often enough never enters
+//    it; a torn snapshot of the slot line is counted as a torn miss;
 //  * the read_at probe does not count torn reads;
 //  * telemetry stays exact when threads share a replica;
 //  * every async write in flight installs, however many there are;
@@ -733,6 +737,150 @@ TEST(Replicated, DenseKeysStayResident) {
   // Every key kept a slot of its own on every replica.
   EXPECT_EQ(cached.hits() - hits_before, kKeys * kReps);
   EXPECT_EQ(cached.fills() - fills_before, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The reuse gate: a thread whose reads do not hit stops probing and
+// filling for all but one read in kGateSample
+
+// Reads through invoke() and submit() alternately (they share the
+// gate), each of `key` on the context's replica.
+template <class Cache>
+struct GateReader {
+  Cache& cached;
+  NativeContext ctx;
+  std::uint64_t reads = 0;
+
+  void read(std::uint64_t key) {
+    const Request m = key_read(++reads, ctx.id(), key);
+    const ModuleResult r = reads % 2 == 0 ? cached.invoke(ctx, m)
+                                          : cached.submit(ctx, m).wait();
+    ASSERT_TRUE(r.committed());
+    ASSERT_EQ(r.response, 0);
+  }
+};
+
+TEST(Replicated, ReadsWithoutReuseEnterBypassAndLeaveItWhenKeysComeBack) {
+  using Cache = Cached<Combining<KeyedRegisters, 8>, KeyedModel>;
+  constexpr std::uint64_t kKeys = 4096;
+  constexpr std::uint64_t kWindow = Cache::kGateWindow;
+  constexpr std::uint64_t kSample = Cache::kGateSample;
+  Cache cached;
+  GateReader<Cache> r{cached, NativeContext(0)};
+
+  // Cycling over more keys than the replica holds, no read ever hits:
+  // the first window to close puts the thread in bypass.
+  while (cached.bypassed() == 0 && r.reads < 2 * kWindow) {
+    r.read(r.reads % kKeys);
+  }
+  ASSERT_GT(cached.bypassed(), 0u) << "no bypass after " << r.reads;
+  EXPECT_EQ(cached.hits(), 0u);
+
+  // In bypass only one read in kSample probes, and only a probe fills.
+  const std::uint64_t reads_before = r.reads;
+  const std::uint64_t fills_before = cached.fills();
+  const std::uint64_t bypassed_before = cached.bypassed();
+  for (std::uint64_t i = 0; i < 2 * kWindow * kSample; ++i) {
+    r.read(r.reads % kKeys);
+  }
+  const std::uint64_t n = r.reads - reads_before;
+  EXPECT_LE(cached.fills() - fills_before, n / kSample + 1);
+  EXPECT_GE(cached.bypassed() - bypassed_before, n - n / kSample - 1);
+  EXPECT_EQ(cached.hits() + cached.misses(), r.reads);
+
+  // One key read over and over: its probes hit, so the gate opens when
+  // the window closes, at most two windows of probes on — kSample
+  // reads in a row then bypass none.
+  constexpr std::uint64_t kKey = 7;
+  const std::uint64_t reuse_from = r.reads;
+  std::uint64_t unbypassed_run = 0;
+  while (unbypassed_run < kSample &&
+         r.reads - reuse_from < 2 * (kWindow + 1) * kSample) {
+    const std::uint64_t b = cached.bypassed();
+    r.read(kKey);
+    unbypassed_run = cached.bypassed() == b ? unbypassed_run + 1 : 0;
+  }
+  ASSERT_EQ(unbypassed_run, kSample)
+      << "still bypassing after " << r.reads - reuse_from << " reads";
+  const std::uint64_t hits_before = cached.hits();
+  for (std::uint64_t i = 0; i < kWindow; ++i) r.read(kKey);
+  EXPECT_EQ(cached.hits() - hits_before, kWindow);
+  EXPECT_EQ(cached.hits() + cached.misses(), r.reads);
+}
+
+// A cold replica warming up on a hot set misses once per key and then
+// hits. Mixed with a stream of keys that never come back, one read in
+// nine still hits, above the gate's 1 in kGateSample: windows close on
+// the stream's misses and keep the gate open.
+TEST(Replicated, AColdReplicaOnAHotSetNeverEntersBypass) {
+  constexpr std::size_t kEntries = 128;
+  using Cache =
+      Replicated<Combining<KeyedRegisters, 8>, 4, KeyedModel, kEntries>;
+  constexpr std::uint64_t kHot = 64;
+  constexpr std::uint64_t kWindow = Cache::kGateWindow;
+  for (std::uint64_t k = 0; k < kHot; ++k) ASSERT_EQ(Cache::slot_of(k), k);
+  // The stream's keys sit in the slots the hot set leaves free.
+  std::vector<std::uint64_t> stream;
+  for (std::uint64_t k = 1000; stream.size() < 4096; ++k) {
+    if (Cache::slot_of(k) >= kHot) stream.push_back(k);
+  }
+
+  Cache cached;
+  GateReader<Cache> r{cached, NativeContext(1)};
+  for (std::uint64_t i = 0; i < 64 * kHot; ++i) r.read(i % kHot);
+  EXPECT_EQ(cached.misses(), kHot);
+  EXPECT_EQ(cached.hits(), 63 * kHot);
+
+  const std::uint64_t hits_before = cached.hits();
+  std::uint64_t hot_reads = 0;
+  for (std::uint64_t i = 0; i < 16 * kWindow; ++i) {
+    if (i % 9 == 0) {
+      r.read(hot_reads++ % kHot);
+    } else {
+      r.read(stream[i % stream.size()]);
+    }
+  }
+  EXPECT_EQ(cached.bypassed(), 0u);
+  EXPECT_EQ(cached.hits() - hits_before, hot_reads);
+  EXPECT_EQ(cached.hits() + cached.misses(), r.reads);
+}
+
+// A read that finds the slot line's `last` mid-install (its seqlock odd
+// or moved) has no source left: it is a torn miss. A writer keeps
+// reinstalling one key while a reader on another replica, whose entry
+// every write invalidates, reads it from the slot line.
+TEST(Replicated, TornSlotLineSnapshotsAreCountedAsTornMisses) {
+  using Cache = Replicated<Combining<KeyedRegisters, 8>, 2, KeyedModel>;
+  constexpr std::uint64_t kKey = 5;
+  Cache cached;
+  std::atomic<bool> stop{false};
+  std::atomic<bool> wrote{false};
+  std::thread writer([&] {
+    NativeContext ctx(0);
+    for (std::uint64_t i = 1; !stop.load(std::memory_order_acquire); ++i) {
+      (void)cached.invoke(ctx, key_write(i, 0, kKey));
+      wrote.store(true, std::memory_order_release);
+    }
+  });
+  while (!wrote.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  NativeContext ctx(1);
+  std::uint64_t reads = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cached.torn_misses() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 1000; ++i) {
+      (void)cached.invoke(ctx, key_read(++reads, 1, kKey));
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+
+  EXPECT_GT(cached.torn_misses(), 0u);
+  EXPECT_LE(cached.torn_misses(), cached.torn_retries());
+  EXPECT_LE(cached.torn_misses(), cached.misses());
+  EXPECT_EQ(cached.hits() + cached.misses(), reads);
 }
 
 // ---------------------------------------------------------------------------

@@ -61,6 +61,34 @@ static_assert(
 using FutexPoint = WaitPoint<FutexScope::kPrivate, WaitMode::kFutex>;
 using YieldPoint = WaitPoint<FutexScope::kPrivate, WaitMode::kYield>;
 
+// Runs one wait on `wp` from a second thread and releases it only once
+// it has parked, polling under a 10 s deadline: a fixed sleep can end
+// before a slow (sanitized, oversubscribed) waiter climbs the ladder.
+// Returns how many times the waiter checked its predicate before its
+// first park, a count the ladder fixes.
+template <class WP>
+std::uint64_t checks_before_park(WP& wp) {
+  const std::uint64_t parks_before = wp.stats().parks;
+  std::atomic<bool> flag{false};
+  std::atomic<std::uint64_t> checks{0};
+  std::thread waiter([&] {
+    parked_wait(wp, [&] {
+      if (wp.stats().parks == parks_before) {
+        checks.fetch_add(1, std::memory_order_relaxed);
+      }
+      return flag.load(std::memory_order_acquire);
+    });
+  });
+  const auto deadline = clock_type::now() + std::chrono::seconds(10);
+  while (wp.stats().parks == parks_before && clock_type::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  flag.store(true, std::memory_order_release);
+  wp.wake_all();
+  waiter.join();
+  return checks.load(std::memory_order_relaxed);
+}
+
 template <class WP>
 class ParkingModes : public testing::Test {};
 using BothModes = testing::Types<FutexPoint, YieldPoint>;
@@ -141,13 +169,7 @@ TYPED_TEST(ParkingModes, ParkRatioIsZeroNotNaNWithNoHistory) {
 // with fast wakes it stays a proper fraction of all finished waits.
 TYPED_TEST(ParkingModes, ParkRatioReflectsParkedVersusFastWaits) {
   TypeParam wp;
-  std::atomic<bool> flag{false};
-  std::thread waiter(
-      [&] { parked_wait(wp, [&] { return flag.load(std::memory_order_acquire); }); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  flag.store(true, std::memory_order_release);
-  wp.wake_all();
-  waiter.join();
+  (void)checks_before_park(wp);
   EXPECT_GT(wp.stats().park_ratio(), 0.0);
 
   // Nine satisfied waits dilute the ratio below 1 but not to 0.
@@ -159,28 +181,24 @@ TYPED_TEST(ParkingModes, ParkRatioReflectsParkedVersusFastWaits) {
 }
 
 // The rung-3 entry threshold is a runtime knob (the adaptive layer's
-// wait actuator): negative values clamp to 0, and a threshold of 0
-// parks on the first ladder saturation — visible as parks where the
-// default rung would have spun through.
+// wait actuator): negative values clamp to 0, and a threshold of 1
+// parks on the first ladder saturation, kYieldsBeforePark - 1 yield
+// rungs (one predicate check each) sooner than the default.
 TYPED_TEST(ParkingModes, YieldsBeforeParkIsARuntimeKnob) {
   TypeParam wp;
   EXPECT_EQ(wp.yields_before_park(), kYieldsBeforePark);
+  const std::uint64_t at_default = checks_before_park(wp);
+  ASSERT_GT(wp.stats().parks, 0u);
+
   wp.set_yields_before_park(-5);
   EXPECT_EQ(wp.yields_before_park(), 0);
   wp.set_yields_before_park(1);
   EXPECT_EQ(wp.yields_before_park(), 1);
-
-  // With the earliest rung, a briefly-false predicate is enough to
-  // force a park even though the default ladder would still be
-  // yielding.
-  std::atomic<bool> flag{false};
-  std::thread waiter(
-      [&] { parked_wait(wp, [&] { return flag.load(std::memory_order_acquire); }); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  flag.store(true, std::memory_order_release);
-  wp.wake_all();
-  waiter.join();
-  EXPECT_GT(wp.stats().parks, 0u);
+  const std::uint64_t parks_before = wp.stats().parks;
+  const std::uint64_t at_one = checks_before_park(wp);
+  ASSERT_GT(wp.stats().parks, parks_before);
+  EXPECT_EQ(at_default - at_one,
+            static_cast<std::uint64_t>(kYieldsBeforePark - 1));
 }
 
 // A wait that outlives the whole spin/yield ladder must reach rung 3:
@@ -189,13 +207,7 @@ TYPED_TEST(ParkingModes, YieldsBeforeParkIsARuntimeKnob) {
 // hold under forced-fallback builds).
 TYPED_TEST(ParkingModes, LongWaitEscalatesToAPark) {
   TypeParam wp;
-  std::atomic<bool> flag{false};
-  std::thread waiter(
-      [&] { parked_wait(wp, [&] { return flag.load(std::memory_order_acquire); }); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  flag.store(true, std::memory_order_release);
-  wp.wake_all();
-  waiter.join();
+  (void)checks_before_park(wp);
   EXPECT_GT(wp.stats().parks, 0u);
 }
 
@@ -216,14 +228,7 @@ TYPED_TEST(FastWakeCells, CountIsExactWithMoreThreadsThanCells) {
   constexpr std::uint64_t kWaitsPerThread = 1000;
   TypeParam wp;
 
-  std::atomic<bool> flag{false};
-  std::thread parked([&] {
-    parked_wait(wp, [&] { return flag.load(std::memory_order_acquire); });
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  flag.store(true, std::memory_order_release);
-  wp.wake_all();
-  parked.join();
+  (void)checks_before_park(wp);
   ASSERT_GT(wp.stats().parks, 0u);
   ASSERT_EQ(wp.stats().fast_wakes, 0u);
 
