@@ -4,10 +4,10 @@
 // chain walk.
 //
 // Every thread publishes its request into a cacheline-padded slot and
-// either waits to be served or — when the combiner lock is free —
-// becomes the combiner and drains ALL pending slots through the
-// pipeline's batch path (one stage-major walk, one bulk stats update
-// per stage). The printout shows the amortization: ops per combiner
+// either waits to be served or — when the combiner lock is free, or
+// frees within a short spin — becomes the combiner and drains ALL
+// pending slots through the pipeline's batch path (one stage-major
+// walk, one bulk stats update per stage). The printout shows the amortization: ops per combiner
 // pass is the number of chain walks a single operation's cost was
 // spread over, and the per-stage stats still account for every op even
 // though the counters were only touched once per batch.
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   std::printf("combined counter: %d threads x %llu ops -> %.1f ns/op\n\n",
               threads, static_cast<unsigned long long>(kOpsPerThread),
               r.ns_per_op());
-  std::printf("fast-path ops:     %llu (lock was free, no publication)\n",
+  std::printf("fast-path ops:     %llu (lock won, no publication)\n",
               static_cast<unsigned long long>(counter.direct_ops()));
   std::printf("combiner passes:   %llu serving %llu published ops "
               "(%.2f ops per pass)\n",

@@ -135,7 +135,13 @@ class ContentionMonitor {
   std::uint64_t windows_ = 0;
 };
 
-// The knob vector a decision produces / the actuators consume.
+// The knob vector a decision produces / the actuators consume. Its
+// elect_spins is Adaptive's direct value: one gate attempt, the TAS
+// fast path. Adaptive starts the wrapped object there and restores it
+// on recovery, whatever the object's own default: a bare Combining
+// spins kDefaultElectSpins attempts, which waits out most holds, so
+// 1 - fastpath_share would stay under publish_contention and the loop
+// would never switch to publishing where batching pays.
 struct AdaptiveTuning {
   std::uint32_t elect_spins = 1;
   int yields_before_park = kYieldsBeforePark;
@@ -172,7 +178,7 @@ struct AdaptivePolicy {
   if (cur.elect_spins > 0) {
     if (contention > p.publish_contention) next.elect_spins = 0;
   } else if (s.ops_per_combine < p.republish_batch) {
-    next.elect_spins = 1;
+    next.elect_spins = AdaptiveTuning{}.elect_spins;
   }
 
   // Actuator 2: wait-rung selection. Waiters that mostly end up
@@ -212,13 +218,20 @@ class Adaptive : public detail::ShardedConsensusBase<Obj>,
   // Power-of-two so the window boundary test is one mask.
   static constexpr std::uint64_t kWindowOps = 1024;
 
+  // Both constructors start the object's election at
+  // AdaptiveTuning{}.elect_spins, not at its own default (see
+  // AdaptiveTuning).
   Adaptive()
     requires std::is_default_constructible_v<Obj>
-      : obj_{} {}
+      : obj_{} {
+    obj_.value.set_elect_spins(AdaptiveTuning{}.elect_spins);
+  }
 
   template <class... Args>
   explicit Adaptive(std::in_place_t, Args&&... args)
-      : obj_(std::in_place, std::forward<Args>(args)...) {}
+      : obj_(std::in_place, std::forward<Args>(args)...) {
+    obj_.value.set_elect_spins(AdaptiveTuning{}.elect_spins);
+  }
 
   Adaptive(const Adaptive&) = delete;
   Adaptive& operator=(const Adaptive&) = delete;

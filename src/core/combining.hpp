@@ -51,7 +51,10 @@
 // the inline fallback when every record is taken, tickets and
 // completion callbacks. The RMW budget: a fast-path op pays one (the
 // gate CAS), a published op two (its claim + whoever wins the gate
-// serving it).
+// serving it). The election makes up to kDefaultElectSpins attempts by
+// default, so an op that finds the gate held by one short direct op
+// waits it out and runs direct too, rather than paying the whole
+// publication round trip.
 #pragma once
 
 #include <algorithm>
@@ -120,6 +123,14 @@ class Combining
  public:
   static constexpr std::size_t kSlotCount = kSlots;
 
+  // Gate attempts a per-op election makes by default before it
+  // publishes (the elect_spins knob): enough, with a pause between
+  // attempts, to wait out one short direct op's hold. On perfbench's
+  // kv-write-heavy (4 threads on a 4-CPU x86 container, 4 runs of 4 s
+  // each) 16 raised p99 by about 20% over 32, 64 and 128, which were
+  // within noise of one another; 64 had the lowest median p50.
+  static constexpr std::uint32_t kDefaultElectSpins = 64;
+
   // The publication protocol (core/slot_protocol.hpp), exposed so
   // tests can assert this wrapper and the cross-process ShmCombining
   // compile against the SAME state machine, record payload and gate.
@@ -161,14 +172,16 @@ class Combining
     requires Composable<Obj, Ctx>
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt) {
-    // Fast path: the gate is free — run the operation directly (a
-    // batch of one, no publication round trip), then serve anyone who
-    // published while we held the gate. At low contention this makes
-    // the wrapper cost one CAS + one scan; at high contention the gate
-    // is rarely free, so operations take the publication path below
-    // and get batched. How hard to fight for the gate here is the
-    // runtime elect_spins knob: 0 skips the election entirely
-    // (publish-and-batch mode).
+    // Fast path: the gate is free, or frees within the election's
+    // attempts — run the operation directly (a batch of one, no
+    // publication round trip), then serve anyone who published while
+    // we held the gate. At low contention this makes the wrapper cost
+    // one CAS, one scan and one more write to the gate's line (the
+    // direct-op count); at high contention the gate rarely frees in
+    // time, so operations take the publication path below and get
+    // batched. How hard to fight for the gate here is the runtime
+    // elect_spins knob: 0 skips the election entirely (publish-and-batch
+    // mode).
     ModuleResult inline_result;
     const auto idx = submit_impl(ctx, m, init, {}, &inline_result);
     return idx.has_value() ? Core::await_served(obj_.value, ctx, *idx,
@@ -256,8 +269,9 @@ class Combining
   // are in flight).
 
   // Gate attempts a per-op entry point makes before conceding to the
-  // publication path. 1 = one attempt, the fast path (the default);
-  // 0 = publish-and-batch mode.
+  // publication path: kDefaultElectSpins unless set; 1 = one attempt,
+  // the TAS fast path (Adaptive's direct value); 0 = publish-and-batch
+  // mode.
   void set_elect_spins(std::uint32_t n) noexcept {
     elect_spins_.value.store(n, std::memory_order_relaxed);
   }
@@ -290,20 +304,21 @@ class Combining
  private:
   // The knob-gated election used by the PER-OP entry points (invoke,
   // submit): up to elect_spins gate attempts with a pause between
-  // them. The default of 1 is a single attempt; 0 turns the direct
-  // fast path off entirely, so every contended op publishes and
-  // amortizes into a combiner batch — what the adaptive layer selects
-  // under sustained contention. The liveness sites (claim_or_run's
-  // exhaustion fallback, the core's served-wait and drain loops) make
-  // their one raw attempt regardless: at elect_spins == 0 someone must
-  // still be able to take the gate or nothing would ever combine.
+  // them, and none after the last. The default, kDefaultElectSpins,
+  // spans one short direct op's hold; 0 turns the direct fast path off
+  // entirely, so every contended op publishes and amortizes into a
+  // combiner batch — what the adaptive layer selects under sustained
+  // contention. The liveness sites (claim_or_run's exhaustion
+  // fallback, the core's served-wait and drain loops) make their one
+  // raw attempt regardless: at elect_spins == 0 someone must still be
+  // able to take the gate or nothing would ever combine.
   template <class Ctx>
   bool try_elect(Ctx& ctx) {
     const std::uint32_t attempts =
         elect_spins_.value.load(std::memory_order_relaxed);
     for (std::uint32_t a = 0; a < attempts; ++a) {
+      if (a != 0) cpu_pause();
       if (Core::try_acquire(ctx, kGateHolder)) return true;
-      cpu_pause();
     }
     return false;
   }
@@ -398,7 +413,8 @@ class Combining
 
   // Read-mostly election knob on its own line: every per-op entry
   // loads it; only adaptive reconfigurations write it.
-  Padded<std::atomic<std::uint32_t>> elect_spins_{std::in_place, 1u};
+  Padded<std::atomic<std::uint32_t>> elect_spins_{std::in_place,
+                                                   kDefaultElectSpins};
   Padded<Obj> obj_;
 };
 

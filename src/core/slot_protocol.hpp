@@ -38,13 +38,18 @@
 // completion callback, nothing for ShmCombining.
 //
 // Around the array sits CombiningCore: the election gate (a 32-bit
-// holder word, also ShmArena's header lock), the WaitPoint every
-// blocking site parks on, the gate-held fast path, the combine-if-free
-// pass, the served-wait loop and drain(). What each executor keeps for
-// itself is policy, not protocol:
+// holder word, also ShmArena's header lock) on one line with the three
+// counters only its holder writes, the WaitPoint every blocking site
+// parks on, the gate-held fast path, the combine-if-free pass, the
+// served-wait loop and drain(). A direct op therefore writes one line
+// of the core, the gate's: the winning CAS fetches it, the direct-op
+// count rides that fetch, and the pass's round counts ride the release
+// store. What each executor keeps for itself is policy, not protocol:
 //   - Combining holds the gate as 1 and stamps owner 0 (a thread cannot
-//     vanish mid-publication), makes elect_spins attempts at the gate
-//     per op, and serves an op inline when every record is taken;
+//     vanish mid-publication), makes up to elect_spins attempts at the
+//     gate per op, so a short hold is waited out rather than paid for
+//     with a publication, and serves an op inline when every record is
+//     taken;
 //   - ShmCombining holds the gate and stamps records with the caller's
 //     pid, lets a publisher opt out of combining (may_combine), waits
 //     when every record is taken, and has reclaim_dead take the gate
@@ -88,7 +93,8 @@ namespace scm {
 // speaking different revisions fail fast at attach time instead of
 // corrupting records. Revision 2: a kDone record's payload holds the
 // result. Revision 3: the slot word is 32 bits, {state:2, owner:30}.
-inline constexpr std::uint32_t kSlotProtocolVersion = 3;
+// Revision 4: the combining counters share the gate's line.
+inline constexpr std::uint32_t kSlotProtocolVersion = 4;
 
 // ---- the record payload ----------------------------------------------
 //
@@ -175,10 +181,13 @@ static_assert(pack_slot(SlotState::kDone, 0) ==
 // counters whose single writer is the election-lock (gate) holder; the
 // lock's acquire orders each holder after the previous one's stores, so
 // each count is a bump() (support/tally.hpp): a relaxed load+store
-// that loses nothing and needs no RMW. (A gate stolen from a dead
-// ShmCombining holder may miss that holder's last bumps; a batch cut
-// short by a crash is unaccountable anyway.) Readers load them relaxed,
-// off the hot path.
+// that loses nothing and needs no RMW. The counters ride the gate's
+// cache line (CombiningCore::GateLine), which the holder owns anyway:
+// the direct-op count is bumped right after the winning CAS, the round
+// counts right before the release store, so neither costs a line
+// transfer of its own. (A gate stolen from a dead ShmCombining holder
+// may miss that holder's last bumps; a batch cut short by a crash is
+// unaccountable anyway.) Readers load them relaxed, off the hot path.
 
 // ---- the record and the array ---------------------------------------
 
@@ -287,11 +296,11 @@ class SlotArray {
   // kDone store, handed the batch's snapshot of the request (the
   // record's own copy is gone under the result), and that store keeps
   // the publisher's owner, so a publisher that died waiting still has
-  // its name on the record.
+  // its name on the record. Returns how many ops the pass served.
   template <class Obj, class Ctx>
-  void combine(Obj& obj, Ctx& ctx) {
+  std::size_t combine(Obj& obj, Ctx& ctx) {
     const std::size_t first = first_pending();
-    if (first != kSlots) serve(obj, ctx, first);
+    return first != kSlots ? serve(obj, ctx, first) : 0;
   }
 
   // Records below the mark in state `a` or `b`. Acquire: every other
@@ -327,13 +336,6 @@ class SlotArray {
     return records_;
   }
 
-  [[nodiscard]] std::uint64_t rounds() const noexcept {
-    return rounds_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t batched_ops() const noexcept {
-    return batched_ops_.load(std::memory_order_relaxed);
-  }
-
  private:
   // Index of the first kPending record below the mark, or kSlots. A
   // claim racing this scan raises the mark too late to be seen, and
@@ -351,9 +353,9 @@ class SlotArray {
 
   // Pre: record `first` is kPending. The pass scans below the mark it
   // reads here: a record first claimed during the pass is served by the
-  // next one.
+  // next one. Returns the batch size.
   template <class Obj, class Ctx>
-  void serve(Obj& obj, Ctx& ctx, std::size_t first) {
+  std::size_t serve(Obj& obj, Ctx& ctx, std::size_t first) {
     const std::size_t mark = mark_.load(std::memory_order_relaxed);
     std::array<OpSlot, kSlots> batch;
     std::array<std::size_t, kSlots> source{};
@@ -386,8 +388,7 @@ class SlotArray {
       r.word.store(pack_slot(SlotState::kDone, owner),
                    std::memory_order_release);
     }
-    bump(rounds_, 1);
-    bump(batched_ops_, n);
+    return n;
   }
 
   std::array<Record, kSlots> records_{};
@@ -395,8 +396,6 @@ class SlotArray {
   // below-mark scans look only at this prefix. Monotonic, so after
   // warm-up it is a read-only line.
   alignas(kCacheLineSize) std::atomic<std::size_t> mark_{0};
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> rounds_{0};
-  std::atomic<std::uint64_t> batched_ops_{0};
 };
 
 // ---- the election gate -----------------------------------------------
@@ -476,11 +475,11 @@ class CombiningCore {
 
   template <class Ctx>
   bool try_acquire(Ctx& ctx, std::uint32_t self) {
-    return gate_.try_acquire(ctx, self);
+    return line_.gate.try_acquire(ctx, self);
   }
   template <class Ctx, class Alive>
   bool take_or_steal(Ctx& ctx, std::uint32_t self, Alive&& alive) {
-    return gate_.take_or_steal(ctx, self, std::forward<Alive>(alive));
+    return line_.gate.take_or_steal(ctx, self, std::forward<Alive>(alive));
   }
 
   // Releases the gate with one batched wake. It covers every waiter
@@ -488,24 +487,24 @@ class CombiningCore {
   // waiters. Uncontended cost: one fence and one relaxed load, no RMW,
   // no syscall unless somebody parked.
   void release() noexcept {
-    gate_.release();
+    line_.gate.release();
     futex_waiters_.wake_all();
   }
 
-  // Pre: the caller holds the gate. Runs one operation directly (a
-  // batch of one, no publication round trip), completes its `extra`,
+  // Pre: the caller has just won the gate. Runs one operation directly
+  // (a batch of one, no publication round trip), completes its `extra`,
   // serves whatever published meanwhile and releases the gate. The
   // completion fires at the op's point in the serialization order, the
-  // same point where a combiner completes published ops.
+  // same point where a combiner completes published ops. The count
+  // comes first, while the winning CAS still holds the gate's line.
   template <class Obj, class Ctx>
   ModuleResult run_direct(Obj& obj, Ctx& ctx, const Request& m,
                           std::optional<SwitchValue> init,
                           const Extra& extra) {
+    bump(line_.direct_ops, 1);
     const ModuleResult r = scm::apply(obj, ctx, m, init);
     extra.complete(m, r);
-    bump(direct_ops_, 1);
-    slots_.combine(obj, ctx);
-    release();
+    combine_and_release(obj, ctx);
     return r;
   }
 
@@ -513,9 +512,8 @@ class CombiningCore {
   // else holds it.
   template <class Obj, class Ctx>
   bool try_serve(Obj& obj, Ctx& ctx, std::uint32_t self) {
-    if (!gate_.try_acquire(ctx, self)) return false;
-    slots_.combine(obj, ctx);
-    release();
+    if (!line_.gate.try_acquire(ctx, self)) return false;
+    combine_and_release(obj, ctx);
     return true;
   }
 
@@ -530,7 +528,7 @@ class CombiningCore {
     while (!slots_.done(idx)) {
       if (may_combine && try_serve(obj, ctx, self)) continue;
       wait(ctx, [this, idx, may_combine] {
-        return slots_.done(idx) || (may_combine && gate_.looks_free());
+        return slots_.done(idx) || (may_combine && line_.gate.looks_free());
       });
     }
     return collect(ctx, idx);
@@ -560,7 +558,9 @@ class CombiningCore {
     while (unserved()) {
       if (try_serve(obj, ctx, self)) continue;
       wait(ctx,
-           [this, &unserved] { return !unserved() || gate_.looks_free(); });
+           [this, &unserved] {
+             return !unserved() || line_.gate.looks_free();
+           });
     }
   }
 
@@ -572,9 +572,11 @@ class CombiningCore {
     wait_until(ctx, std::forward<Pred>(pred), futex_waiters_);
   }
 
-  [[nodiscard]] bool gate_free() const noexcept { return gate_.looks_free(); }
+  [[nodiscard]] bool gate_free() const noexcept {
+    return line_.gate.looks_free();
+  }
   [[nodiscard]] std::uint32_t gate_holder() const noexcept {
-    return gate_.holder();
+    return line_.gate.holder();
   }
 
   // ---- telemetry (relaxed; the combining counters are written only by
@@ -583,16 +585,16 @@ class CombiningCore {
   // Operations that ran on the gate-held fast path, unpublished.
   // direct_ops() + combined_ops() == total invocations.
   [[nodiscard]] std::uint64_t direct_ops() const noexcept {
-    return direct_ops_.load(std::memory_order_relaxed);
+    return line_.direct_ops.load(std::memory_order_relaxed);
   }
   // Operations served by combine passes; divided by combine_rounds()
   // this is the achieved batch size.
   [[nodiscard]] std::uint64_t combined_ops() const noexcept {
-    return slots_.batched_ops();
+    return line_.batched_ops.load(std::memory_order_relaxed);
   }
   // Combine passes that served at least one operation.
   [[nodiscard]] std::uint64_t combine_rounds() const noexcept {
-    return slots_.rounds();
+    return line_.rounds.load(std::memory_order_relaxed);
   }
   // Park/wake telemetry of the wait point. A pure fast-path run makes
   // no futex syscall at all.
@@ -612,13 +614,37 @@ class CombiningCore {
   }
 
  private:
+  // The gate and the counters only its holder writes, on one line.
+  struct alignas(kCacheLineSize) GateLine {
+    ElectionGate gate;
+    std::atomic<std::uint64_t> direct_ops{0};
+    std::atomic<std::uint64_t> rounds{0};
+    std::atomic<std::uint64_t> batched_ops{0};
+  };
+  static_assert(sizeof(GateLine) == kCacheLineSize,
+                "the gate and its holder's counters fill one cache line");
+  SCM_ASSERT_ADDRESS_FREE(GateLine);
+
+  // Pre: the caller holds the gate. One combine pass, then the
+  // release; the pass's counts are bumped just before the release
+  // store, so they and the release share one transfer of the gate's
+  // line.
+  template <class Obj, class Ctx>
+  void combine_and_release(Obj& obj, Ctx& ctx) {
+    const std::size_t served = slots_.combine(obj, ctx);
+    if (served != 0) {
+      bump(line_.rounds, 1);
+      bump(line_.batched_ops, served);
+    }
+    release();
+  }
+
   Slots slots_{};
-  alignas(kCacheLineSize) ElectionGate gate_{};
+  GateLine line_{};
   // Rung-3 parking for every wait loop of the executor. One point for
   // the whole object: wakes are per combine pass, not per record, so a
   // finer grain would buy nothing but syscalls.
   alignas(kCacheLineSize) WaitPoint<kScope> futex_waiters_{};
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> direct_ops_{0};
 };
 
 // The array and the core live inside ShmCombining's segment-resident

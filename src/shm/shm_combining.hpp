@@ -107,12 +107,15 @@ class ShmCombining {
     // sizeof(WaitPoint) folds the parking-word layout in: a binary
     // without the shared futex member (or with different telemetry
     // counters) maps the object differently and must not attach.
+    // sizeof(Core) folds the core's own layout in: where the gate and
+    // the combining counters sit beside the records.
     for (std::uint64_t v :
          {std::uint64_t{kSlotProtocolVersion}, std::uint64_t{kSlots},
           std::uint64_t{sizeof(Obj)}, std::uint64_t{alignof(Obj)},
           std::uint64_t{kSlotBytes}, std::uint64_t{sizeof(Request)},
           std::uint64_t{sizeof(ModuleResult)},
-          std::uint64_t{sizeof(WaitPoint<FutexScope::kShared>)}}) {
+          std::uint64_t{sizeof(WaitPoint<FutexScope::kShared>)},
+          std::uint64_t{sizeof(Core)}}) {
       for (int b = 0; b < 8; ++b) {
         h ^= static_cast<std::uint32_t>((v >> (8 * b)) & 0xff);
         h *= 16777619u;

@@ -260,6 +260,41 @@ TEST(AdaptDecide, ParkRatioSelectsTheWaitRung) {
   EXPECT_EQ(adapt_decide(p, s, cur).yields_before_park, 1);
 }
 
+// A bare Combining spins kDefaultElectSpins gate attempts; Adaptive
+// starts its object at its own direct value instead, on both
+// constructors, and recovery restores that value, not the bare
+// default. A solo caller at elect_spins == 0 publishes every op and
+// serves it alone, one op per round, so its first window recovers.
+TEST(Adaptive, StartsAndRecoversAtItsOwnElectSpinsNotTheBareDefault) {
+  constexpr std::uint32_t kDirect = AdaptiveTuning{}.elect_spins;
+  static_assert(CombStack::kDefaultElectSpins != kDirect);
+  const CombStack bare;
+  EXPECT_EQ(bare.elect_spins(), CombStack::kDefaultElectSpins);
+
+  Adaptive<CombStack> adaptive;
+  EXPECT_EQ(adaptive.tuning().elect_spins, kDirect);
+  const Adaptive<CombStack> in_place(std::in_place);
+  EXPECT_EQ(in_place.tuning().elect_spins, kDirect);
+
+  const AdaptivePolicy p;
+  ContentionSignals s;
+  s.fastpath_share = 0.3;
+  AdaptiveTuning cur = adapt_decide(p, s, adaptive.tuning());
+  ASSERT_EQ(cur.elect_spins, 0u);
+  s.fastpath_share = 0.0;
+  s.ops_per_combine = 1.0;
+  EXPECT_EQ(adapt_decide(p, s, cur).elect_spins, kDirect);
+
+  adaptive.object().set_elect_spins(0);
+  NativeContext ctx(0);
+  for (std::uint64_t i = 0; i < Adaptive<CombStack>::kWindowOps; ++i) {
+    ASSERT_TRUE(adaptive.invoke(ctx, inc_req(i + 1, 0)).committed());
+  }
+  EXPECT_EQ(adaptive.windows(), 1u);
+  EXPECT_EQ(adaptive.decisions(), 1u);
+  EXPECT_EQ(adaptive.tuning().elect_spins, kDirect);
+}
+
 // ---------------------------------------------------------------------------
 // The closed loop, end to end (deterministic direction)
 

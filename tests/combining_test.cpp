@@ -22,7 +22,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <thread>
@@ -498,6 +500,123 @@ TEST(Combining, DrainReturnsAtOnceWhenNothingIsPending) {
 
 // ---------------------------------------------------------------------------
 // Combining under real threads (runs under TSan via the "tsan" label)
+
+// Holds the gate for as long as the test says: an op with arg kHold
+// reports that it entered, then blocks until `go` is set; every other
+// op commits its arg at once.
+struct HoldModule {
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+  static constexpr std::int64_t kHold = -1;
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> go{false};
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& /*ctx*/, const Request& m,
+                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
+    if (m.arg == kHold) {
+      entered.store(true, std::memory_order_release);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    }
+    return ModuleResult::commit(m.arg);
+  }
+};
+
+// Spins on `flag` for at most 10 s; false when the deadline passed.
+bool await_flag(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// The election's spin is bounded: while a direct op holds the gate for
+// longer than the spin lasts, a second context's submit makes its
+// elect_spins attempts, then publishes and returns a pending ticket,
+// and the holder's pass serves it before the holder releases the gate.
+// An unbounded spin never returns from submit, which the deadline
+// turns into a failure (the holder is released either way, so nothing
+// hangs).
+TEST(Combining, ElectionSpinIsBoundedAndALongHoldPublishes) {
+  Combining<HoldModule, 4> combined;
+  HoldModule& mod = combined.object();
+  NativeContext holder_ctx(0);
+  NativeContext publisher_ctx(1);
+
+  std::thread holder([&] {
+    (void)combined.invoke(holder_ctx, arg_req(1, 0, HoldModule::kHold));
+  });
+  ASSERT_TRUE(await_flag(mod.entered));
+  EXPECT_EQ(combined.direct_ops(), 1u);
+
+  std::optional<Ticket<ModuleResult>> ticket;
+  std::atomic<bool> submitted{false};
+  std::thread publisher([&] {
+    ticket.emplace(combined.submit(publisher_ctx, arg_req(2, 1, 7)));
+    submitted.store(true, std::memory_order_release);
+  });
+  const bool returned = await_flag(submitted);
+  EXPECT_TRUE(returned) << "submit kept spinning on a held gate";
+  if (returned) {
+    EXPECT_EQ(combined.occupied(), 1u);
+    EXPECT_EQ(combined.direct_ops(), 1u);
+    EXPECT_EQ(combined.combined_ops(), 0u);
+  }
+  mod.go.store(true, std::memory_order_release);
+  holder.join();
+  publisher.join();
+
+  if (returned) {
+    // The holder's own pass served the publication.
+    EXPECT_EQ(combined.combined_ops(), 1u);
+    EXPECT_EQ(combined.combine_rounds(), 1u);
+    EXPECT_EQ(combined.direct_ops(), 1u);
+    ASSERT_TRUE(ticket.has_value());
+    EXPECT_TRUE(ticket->poll());
+    EXPECT_EQ(ticket->wait().response, 7);
+  }
+  EXPECT_EQ(combined.occupied(), 0u);
+}
+
+// The converse: a gate freed while the election still spins is taken,
+// and the op runs direct; nothing is published. The knob is pinned at
+// its maximum so that no schedule can exhaust the spin before the
+// holder lets go.
+TEST(Combining, GateFreedWithinTheSpinRunsTheOpDirect) {
+  Combining<HoldModule, 4> combined;
+  HoldModule& mod = combined.object();
+  combined.set_elect_spins(std::numeric_limits<std::uint32_t>::max());
+  NativeContext holder_ctx(0);
+  NativeContext spinner_ctx(1);
+
+  std::thread holder([&] {
+    (void)combined.invoke(holder_ctx, arg_req(1, 0, HoldModule::kHold));
+  });
+  ASSERT_TRUE(await_flag(mod.entered));
+
+  std::atomic<bool> spinning{false};
+  ModuleResult result;
+  std::thread spinner([&] {
+    spinning.store(true, std::memory_order_release);
+    result = combined.invoke(spinner_ctx, arg_req(2, 1, 7));
+  });
+  ASSERT_TRUE(await_flag(spinning));
+  // Let the spin get under way before the holder lets go.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(combined.occupied(), 0u);
+  mod.go.store(true, std::memory_order_release);
+  holder.join();
+  spinner.join();
+
+  EXPECT_EQ(result.response, 7);
+  EXPECT_EQ(combined.direct_ops(), 2u);
+  EXPECT_EQ(combined.combined_ops(), 0u);
+  EXPECT_EQ(combined.combine_rounds(), 0u);
+  EXPECT_EQ(combined.occupied(), 0u);
+}
 
 // Combiners find pending records by scanning the claimed prefix of the
 // slot array, so records claimed for the first time MID-RUN (raising
