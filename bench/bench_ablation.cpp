@@ -1,5 +1,5 @@
-// Scenario ablation.repairs — the two pseudocode repairs
-// (DESIGN.md § Deviations).
+// Scenario ablation.repairs — the two pseudocode repairs (README,
+// "Deviations from the paper's pseudocode").
 //
 // Runs the PAPER-LITERAL variants side by side with the repaired ones
 // and lets the repository's own oracles judge them:
@@ -239,7 +239,8 @@ ScenarioResult run(const BenchParams& params) {
   }
 
   result.claim = "the repaired algorithms show no non-linearizable runs and "
-                 "no spurious sequential aborts (DESIGN.md deviations)";
+                 "no spurious sequential aborts (README: deviations from the "
+                 "paper's pseudocode)";
   result.claim_holds = repaired.bad == 0 && repaired_aborts == 0;
   return result;
 }

@@ -53,6 +53,12 @@ struct PipelineStageStats {
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;
 
+  PipelineStageStats& operator+=(const PipelineStageStats& o) noexcept {
+    commits += o.commits;
+    aborts += o.aborts;
+    return *this;
+  }
+
   [[nodiscard]] std::uint64_t invocations() const noexcept {
     return commits + aborts;
   }

@@ -241,13 +241,9 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
       { o.stats(j) } -> std::same_as<PipelineStageStats>;
     }
   {
-    PipelineStageStats agg;
-    for (const auto& s : shards_) {
-      const PipelineStageStats one = s.value.stats(i);
-      agg.commits += one.commits;
-      agg.aborts += one.aborts;
-    }
-    return agg;
+    return sum_shards([i](const Obj& o) __attribute__((always_inline)) {
+      return o.stats(i);
+    });
   }
 
   // Aggregate chain accounting: commits served by stage i for process
@@ -255,9 +251,9 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   [[nodiscard]] std::uint64_t commits_by(ProcessId pid, std::size_t i) const
     requires requires(const Obj& o, std::size_t j) { o.commits_by(pid, j); }
   {
-    std::uint64_t total = 0;
-    for (const auto& s : shards_) total += s.value.commits_by(pid, i);
-    return total;
+    return sum_shards([pid, i](const Obj& o) __attribute__((always_inline)) {
+      return o.commits_by(pid, i);
+    });
   }
 
   // ---- aggregate combining/parking telemetry (enabled when the
@@ -267,25 +263,25 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   [[nodiscard]] std::uint64_t direct_ops() const noexcept
     requires requires(const Obj& o) { o.direct_ops(); }
   {
-    std::uint64_t total = 0;
-    for (const auto& s : shards_) total += s.value.direct_ops();
-    return total;
+    return sum_shards([](const Obj& o) __attribute__((always_inline)) {
+      return o.direct_ops();
+    });
   }
 
   [[nodiscard]] std::uint64_t combined_ops() const noexcept
     requires requires(const Obj& o) { o.combined_ops(); }
   {
-    std::uint64_t total = 0;
-    for (const auto& s : shards_) total += s.value.combined_ops();
-    return total;
+    return sum_shards([](const Obj& o) __attribute__((always_inline)) {
+      return o.combined_ops();
+    });
   }
 
   [[nodiscard]] std::uint64_t combine_rounds() const noexcept
     requires requires(const Obj& o) { o.combine_rounds(); }
   {
-    std::uint64_t total = 0;
-    for (const auto& s : shards_) total += s.value.combine_rounds();
-    return total;
+    return sum_shards([](const Obj& o) __attribute__((always_inline)) {
+      return o.combine_rounds();
+    });
   }
 
   [[nodiscard]] ParkStats park_stats() const noexcept
@@ -293,19 +289,23 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
       { o.park_stats() } -> std::same_as<ParkStats>;
     }
   {
-    ParkStats agg;
-    for (const auto& s : shards_) {
-      const ParkStats one = s.value.park_stats();
-      agg.parks += one.parks;
-      agg.wakes += one.wakes;
-      agg.spurious_wakes += one.spurious_wakes;
-      agg.futex_syscalls += one.futex_syscalls;
-      agg.fast_wakes += one.fast_wakes;
-    }
-    return agg;
+    return sum_shards([](const Obj& o) __attribute__((always_inline)) {
+      return o.park_stats();
+    });
   }
 
  private:
+  // One reading per shard, summed with the reading type's +=. The
+  // helper and every reading are always_inline, so each aggregate
+  // compiles to the loop it would be written as by hand, and GCC's
+  // inlining decisions around its callers stay where they were.
+  template <class Read>
+  [[gnu::always_inline]] auto sum_shards(Read read) const {
+    decltype(read(shards_[0].value)) total{};
+    for (const auto& s : shards_) total += read(s.value);
+    return total;
+  }
+
   template <class Fn, std::size_t... I>
   static std::array<Padded<Obj>, kShards> build(Fn& make_args,
                                                 std::index_sequence<I...>) {

@@ -38,13 +38,13 @@
 // completion callback, nothing for ShmCombining.
 //
 // Around the array sits CombiningCore: the election gate (a 32-bit
-// holder word, also ShmArena's header lock) on one line with the three
-// counters only its holder writes, the WaitPoint every blocking site
-// parks on, the gate-held fast path, the combine-if-free pass, the
-// served-wait loop and drain(). A direct op therefore writes one line
-// of the core, the gate's: the winning CAS fetches it, the direct-op
-// count rides that fetch, and the pass's round counts ride the release
-// store. What each executor keeps for itself is policy, not protocol:
+// holder word) on one line with the three counters only its holder
+// writes, the WaitPoint every blocking site parks on, the gate-held
+// fast path, the combine-if-free pass, the served-wait loop and
+// drain(). A direct op therefore writes one line of the core, the
+// gate's: the winning CAS fetches it, the direct-op count rides that
+// fetch, and the pass's round counts ride the release store. What each
+// executor keeps for itself is policy, not protocol:
 //   - Combining holds the gate as 1 and stamps owner 0 (a thread cannot
 //     vanish mid-publication), makes up to elect_spins attempts at the
 //     gate per op, so a short hold is waited out rather than paid for
@@ -86,15 +86,6 @@
 #include "support/tally.hpp"
 
 namespace scm {
-
-// Protocol revision: bumped whenever a state is added/renumbered, a
-// transition changes meaning, or the record layout changes. Cross-process
-// consumers fold it into their segment type tags so two binaries
-// speaking different revisions fail fast at attach time instead of
-// corrupting records. Revision 2: a kDone record's payload holds the
-// result. Revision 3: the slot word is 32 bits, {state:2, owner:30}.
-// Revision 4: the combining counters share the gate's line.
-inline constexpr std::uint32_t kSlotProtocolVersion = 4;
 
 // ---- the record payload ----------------------------------------------
 //
@@ -401,9 +392,9 @@ class SlotArray {
 // ---- the election gate -----------------------------------------------
 //
 // One 32-bit holder word, 0 = free: the combiner election of both
-// executors and ShmArena's header lock. The holder stamps an id —
-// Combining 1, ShmCombining and the arena the holder's pid — so a
-// waiter can tell a busy gate from one a dead process left held.
+// executors. The holder stamps an id — Combining 1, ShmCombining the
+// holder's pid — so ShmCombining::reclaim_dead can tell a busy gate
+// from one a dead process left held, and steal the latter.
 // Acquiring is test-and-test-and-set: a relaxed pre-test, then the CAS;
 // only the winning CAS is a counted step.
 class ElectionGate {
@@ -453,8 +444,8 @@ class ElectionGate {
   std::atomic<std::uint32_t> holder_{0};
 };
 
-// ShmArena's header layout (and its version word) assume the gate is
-// one 4-byte word.
+// One 4-byte word: the holder is a 32-bit pid, the same id the slot
+// word's owner field carries.
 static_assert(sizeof(ElectionGate) == 4 && alignof(ElectionGate) == 4);
 
 // ---- the combining core ---------------------------------------------
@@ -647,8 +638,8 @@ class CombiningCore {
   alignas(kCacheLineSize) WaitPoint<kScope> futex_waiters_{};
 };
 
-// The array and the core live inside ShmCombining's segment-resident
-// object, and the gate inside ShmArena's header.
+// The array, the gate and the core live inside ShmCombining's
+// segment-resident object.
 SCM_ASSERT_ADDRESS_FREE(SlotRequest);
 SCM_ASSERT_ADDRESS_FREE(SlotPayload);
 SCM_ASSERT_ADDRESS_FREE(SlotNoExtra);

@@ -6,9 +6,12 @@
 // Combining runs: the publication array and every slot transition, the
 // election gate, the gate-held fast path, the served-wait loop and
 // drain(). None of it depends on a virtual address. The core and the
-// wrapped object live inline in this object, which itself lives at an
-// arena offset; the core's wait point uses the shared futex scope, so
-// a wake reaches waiters in every process.
+// wrapped object live inline in this object, which itself lives in a
+// MAP_SHARED mapping that each process may map at its own address; the
+// core's wait point uses the shared futex scope, so a wake reaches
+// waiters in every process. The object is address-free, so a user who
+// needs a named segment maps one (shm_open + mmap) and placement-news
+// it there; forked processes can simply inherit one mapping.
 //
 // What IS new is the failure domain. A thread cannot vanish
 // mid-publication; a process can (SIGKILL, OOM kill). Two mechanisms
@@ -60,7 +63,10 @@
 
 #if SCM_HAS_POSIX_SHM
 
+#include <signal.h>
+
 #include <atomic>
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -79,6 +85,14 @@
 
 namespace scm {
 
+// Liveness probe for a gate or record holder stamped with a pid:
+// signal 0 delivers nothing but performs the existence/permission
+// check. EPERM means "exists but not ours" — alive; only ESRCH means
+// gone.
+inline bool shm_process_alive(std::uint32_t pid) noexcept {
+  return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH;
+}
+
 template <class Obj, std::size_t kSlots>
 class ShmCombining {
   static_assert(std::is_trivially_destructible_v<Obj>,
@@ -96,33 +110,6 @@ class ShmCombining {
   using gate_type = typename Core::gate_type;
   static constexpr std::size_t kSlotBytes =
       sizeof(typename Core::Slots::Record);
-
-  // Compiled-in shape fingerprint, published alongside the arena
-  // offset and checked by attachers BEFORE the first shared access:
-  // folds the slot protocol revision and every layout-determining
-  // quantity, so two binaries whose ShmCombining instantiations
-  // disagree in any way fail fast at resolve time.
-  static constexpr std::uint32_t kTypeTag = [] {
-    std::uint32_t h = 2166136261u;  // FNV-1a
-    // sizeof(WaitPoint) folds the parking-word layout in: a binary
-    // without the shared futex member (or with different telemetry
-    // counters) maps the object differently and must not attach.
-    // sizeof(Core) folds the core's own layout in: where the gate and
-    // the combining counters sit beside the records.
-    for (std::uint64_t v :
-         {std::uint64_t{kSlotProtocolVersion}, std::uint64_t{kSlots},
-          std::uint64_t{sizeof(Obj)}, std::uint64_t{alignof(Obj)},
-          std::uint64_t{kSlotBytes}, std::uint64_t{sizeof(Request)},
-          std::uint64_t{sizeof(ModuleResult)},
-          std::uint64_t{sizeof(WaitPoint<FutexScope::kShared>)},
-          std::uint64_t{sizeof(Core)}}) {
-      for (int b = 0; b < 8; ++b) {
-        h ^= static_cast<std::uint32_t>((v >> (8 * b)) & 0xff);
-        h *= 16777619u;
-      }
-    }
-    return h;
-  }();
 
   ShmCombining() = default;
   ShmCombining(const ShmCombining&) = delete;

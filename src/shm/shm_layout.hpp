@@ -23,8 +23,8 @@
 // What no trait can check — pointer-typed data members that are
 // otherwise standard-layout (e.g. `void* base_`) — is covered by the
 // address-free lint pass (tools/scm_lint.py), which scans member
-// declarations under src/shm/ and requires every non-process-local
-// type there to carry this macro.
+// declarations under src/shm/ and core/slot_protocol.hpp and requires
+// every type there to carry this macro.
 #pragma once
 
 #include <type_traits>

@@ -62,9 +62,9 @@ inline constexpr int kPauseSteps = 255;
 //
 // Why one pause per step: every caller re-checks only a read of its
 // predicate between calls (an RMW is retried only once that read
-// turns true; ShmArena's header lock is a test-and-test-and-set for
-// this reason), so there is no RMW traffic for longer pause blocks to
-// throttle. Re-reading a line this core holds is nearly free, while a
+// turns true: a combining waiter retries the gate's CAS only after the
+// gate looks free), so there is no RMW traffic for longer pause blocks
+// to throttle. Re-reading a line this core holds is nearly free, while a
 // block of N pauses delays seeing the write by up to N pauses.
 //
 // Returns whether the ladder is SATURATED — this call yielded the

@@ -37,8 +37,8 @@
 // Scope: FutexScope::kPrivate uses FUTEX_*_PRIVATE (cheaper, skips the
 // kernel's shared-mapping lookup); FutexScope::kShared omits the
 // private flag so the wait queue keys on the PHYSICAL page — required
-// for words living in a ShmArena segment, where each process maps the
-// word at a different virtual address. WaitPoint is standard-layout,
+// for words living in a MAP_SHARED segment, where each process may map
+// the word at a different virtual address. WaitPoint is standard-layout,
 // trivially destructible, and pointer-free, so a kShared instance is
 // address-free and may live directly in a segment (the telemetry
 // counters then aggregate across every participating process).
@@ -124,6 +124,15 @@ struct ParkStats {
   std::uint64_t spurious_wakes = 0;
   std::uint64_t futex_syscalls = 0;
   std::uint64_t fast_wakes = 0;
+
+  ParkStats& operator+=(const ParkStats& o) noexcept {
+    parks += o.parks;
+    wakes += o.wakes;
+    spurious_wakes += o.spurious_wakes;
+    futex_syscalls += o.futex_syscalls;
+    fast_wakes += o.fast_wakes;
+    return *this;
+  }
 
   // Fraction of waits that escalated to rung 3: parks out of all
   // completed waits (parked + fast). The contention signal the

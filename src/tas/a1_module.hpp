@@ -46,11 +46,11 @@ class ObstructionFreeTas {
     // proceed to the hardware module, and possibly win — yielding a
     // winner that follows a loser in real time, which is not
     // linearizable. (Our Definition-2 checker found the counterexample;
-    // see DESIGN.md §"Deviations".) Aborting with L instead is safe:
-    // whenever `aborted` is set, some doorway process aborted W (or is
-    // crashed/pending), so a winner candidate that invoked early enough
-    // always exists, and dropping the latecomer from contention only
-    // adds losers behind it.
+    // see README's "Deviations from the paper's pseudocode".) Aborting
+    // with L instead is safe: whenever `aborted` is set, some doorway
+    // process aborted W (or is crashed/pending), so a winner candidate
+    // that invoked early enough always exists, and dropping the
+    // latecomer from contention only adds losers behind it.
     if constexpr (CheckAbortedOnEntry) {
       if (aborted_.read(ctx)) {
         return ModuleResult::abort_with(TasConstraint::kL);

@@ -19,10 +19,10 @@
 //    parked_wait (sim contexts keep their ctx.await path — explorer
 //    parity is pinned by slot_protocol_explore_test's unchanged leaf
 //    counts);
-//  * a WaitPoint<FutexScope::kShared> living inside a ShmArena segment
-//    wakes a waiter in a DIFFERENT process that attached the segment
-//    by name (the wait queue keys on the physical page, not the
-//    mapping address);
+//  * a WaitPoint<FutexScope::kShared> living inside a shared segment
+//    wakes a waiter in a DIFFERENT process that reaches it through its
+//    own mapping at its own address (the wait queue keys on the
+//    physical page, not the mapping address);
 //  * SIGKILLing a client parked inside ShmCombining leaves the
 //    combiner fully serviceable: the op executes, reclaim_dead sweeps
 //    the corpse's slot, and the parked waiter had actually parked.
@@ -286,25 +286,14 @@ TEST(WaitUntil, NativeContextRoutesThroughTheWaitPoint) {
 #include <unistd.h>
 
 #include <cstdint>
-#include <string>
 
 #include "history/specs.hpp"
 #include "shm/shm_combining.hpp"
 #include "shm/shm_counter.hpp"
+#include "shm_mapping.hpp"
 
 namespace scm {
 namespace {
-
-std::string unique_segment(const char* tag) {
-  static int counter = 0;
-  return "/scm-park-" + std::string(tag) + "-" +
-         std::to_string(::getpid()) + "-" + std::to_string(counter++);
-}
-
-struct SegmentJanitor {
-  std::string name;
-  ~SegmentJanitor() { ShmArena::unlink(name); }
-};
 
 // Segment-resident cell: a flag (the predicate) plus the shared-scope
 // wait point. Pointer-free, fixed layout.
@@ -312,40 +301,29 @@ struct ParkCell {
   std::atomic<std::uint32_t> flag{0};
   WaitPoint<FutexScope::kShared> wp;
 };
-constexpr std::uint32_t kParkCellTag = 0x70617263;  // "parc"
 
-// A waiter parked in a second process — which attached the segment by
-// NAME, so its mapping address differs — must be woken by this
+// A waiter parked in a second process — which reaches the cell through
+// its own mapping, so its address differs — must be woken by this
 // process's wake_all(). kShared keys the wait queue on the physical
 // page; a kPrivate word here would strand the child (and the scm_lint
 // futex-word rule rejects it statically).
 TEST(ParkingShm, SharedWaitPointWakesAcrossProcesses) {
-  const std::string name = unique_segment("xwake");
-  SegmentJanitor janitor{name};
-
-  auto arena = ShmArena::create(name, 1 << 20);
-  ASSERT_TRUE(arena.has_value());
-  const std::uint64_t off = arena->construct<ParkCell>();
-  ASSERT_NE(off, 0u);
-  ASSERT_TRUE(arena->publish("cell", off, sizeof(ParkCell), kParkCellTag));
+  SharedMapping mapping(sizeof(ParkCell));
+  ParkCell& cell = mapping.emplace<ParkCell>();
 
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    // Child: attach by name (fresh mapping, own base address), park
-    // until the parent raises the flag. _exit codes, not gtest.
-    auto mine = ShmArena::attach(name);
-    if (!mine.has_value()) ::_exit(10);
-    const auto found = mine->resolve("cell");
-    if (!found.has_value() || found->type_tag != kParkCellTag) ::_exit(11);
-    ParkCell& cell = *mine->at<ParkCell>(found->offset);
-    parked_wait(cell.wp, [&] {
-      return cell.flag.load(std::memory_order_acquire) != 0;
+    // Child: map the cell afresh (own base address), park until the
+    // parent raises the flag. _exit codes, not gtest.
+    auto* mine = static_cast<ParkCell*>(mapping.map_again());
+    if (mine == &cell) ::_exit(10);
+    parked_wait(mine->wp, [mine] {
+      return mine->flag.load(std::memory_order_acquire) != 0;
     });
     ::_exit(0);
   }
 
-  ParkCell& cell = *arena->at<ParkCell>(off);
   // Wait until the child has actually reached rung 3 (the counters
   // live in the segment, so the parent sees them). If the wake below
   // raced an in-flight FUTEX_WAIT, the epoch bump still makes it
@@ -374,14 +352,8 @@ TEST(ParkingShm, SharedWaitPointWakesAcrossProcesses) {
 // spinning publisher.
 TEST(ParkingShm, SigkillWhileParkedStillReclaims) {
   using TestCombining = ShmCombining<ShmCounter, 8>;
-  const std::string name = unique_segment("kill");
-  SegmentJanitor janitor{name};
-
-  auto arena = ShmArena::create(name, 1 << 20);
-  ASSERT_TRUE(arena.has_value());
-  const std::uint64_t off = arena->construct<TestCombining>();
-  ASSERT_NE(off, 0u);
-  TestCombining& comb = *arena->at<TestCombining>(off);
+  SharedMapping mapping(sizeof(TestCombining));
+  TestCombining& comb = mapping.emplace<TestCombining>();
 
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);

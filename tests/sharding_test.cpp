@@ -11,7 +11,9 @@
 //    pipeline commits its full-walk hop count, and each shard's sink
 //    counts exactly the ops whose key routes to it;
 //  * merged statistics equal the sum of the per-shard snapshots, for
-//    both pipeline stats and chain commit tallies;
+//    pipeline stats, chain commit tallies, and per-shard Combining's
+//    direct, combined and round counts and all five park/wake fields
+//    (each forced nonzero on every shard);
 //  * the shard count is a compile-time constant and shard(s) rejects
 //    an index outside it;
 //  * Sharded composes: it is itself a ComposableModule, nests inside
@@ -23,13 +25,16 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "consensus/cas_consensus.hpp"
 #include "consensus/split_consensus.hpp"
+#include "core/combining.hpp"
 #include "core/module.hpp"
 #include "core/pipeline.hpp"
 #include "core/sharding.hpp"
@@ -41,6 +46,7 @@
 #include "sim/schedules.hpp"
 #include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
+#include "support/parking.hpp"
 #include "support/rng.hpp"
 #include "tas/a1_module.hpp"
 #include "tas/a2_module.hpp"
@@ -368,6 +374,166 @@ TEST(Sharded, AggregateStatsEqualSumOfPerShardSnapshots) {
   }
   EXPECT_EQ(sharded.stats(0).aborts, kTotal);   // every op hops once
   EXPECT_EQ(sharded.stats(1).commits, kTotal);  // and commits at the sink
+}
+
+// Holds its shard's gate for as long as the test says: an op with arg
+// kHold reports that it entered, then blocks until `go` is set; every
+// other op commits its arg at once.
+struct HoldModule {
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+  static constexpr std::int64_t kHold = -1;
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> go{false};
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& /*ctx*/, const Request& m,
+                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
+    if (m.arg == kHold) {
+      entered.store(true, std::memory_order_release);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    }
+    return ModuleResult::commit(m.arg);
+  }
+};
+
+// Polls `done` for at most 10 s; false when the deadline passed.
+template <class Pred>
+bool within_deadline(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// Runs one kHold op on its own thread, through the Sharded, and returns
+// once it holds the gate of shard `k`.
+template <class S>
+std::thread hold_gate(S& sharded, std::size_t k, NativeContext& ctx,
+                      std::uint64_t id) {
+  HoldModule& mod = sharded.shard(k).object();
+  mod.entered.store(false, std::memory_order_relaxed);
+  mod.go.store(false, std::memory_order_relaxed);
+  std::thread holder([&sharded, &ctx, id] {
+    (void)sharded.invoke(ctx, Request{id, ctx.id(), 0, HoldModule::kHold});
+  });
+  EXPECT_TRUE(within_deadline(
+      [&mod] { return mod.entered.load(std::memory_order_acquire); }));
+  return holder;
+}
+
+// Sharded<Combining<...>>'s combining and parking aggregates against
+// the sum of its shards. Every shard is driven through every counter:
+//   * a kHold op runs direct and holds the gate, so a submit publishes
+//     and the holder's pass serves it (a round, a combined op);
+//   * a second holder keeps the gate while an invoke publishes and
+//     parks; collecting the first ticket wakes it with its record still
+//     unserved (a wake and a spurious wake), and the holder's pass
+//     serves it (the futex syscalls ride the park and the wakes);
+//   * an invoke that waits without parking, its yields raised so that
+//     the holder lets go first, is a fast wake.
+TEST(Sharded, AggregateCombiningAndParkingEqualSumOfShards) {
+  constexpr std::size_t kShards = 2;
+  using S = Sharded<Combining<HoldModule, 4>, kShards, ByThread>;
+  S sharded;
+  std::uint64_t next_id = 1;
+
+  for (std::size_t k = 0; k < kShards; ++k) {
+    auto& shard = sharded.shard(k);
+    // ByThread: ids k, k + kShards, ... all route to shard k.
+    NativeContext holder_ctx(static_cast<ProcessId>(k));
+    NativeContext submit_ctx(static_cast<ProcessId>(k + kShards));
+    NativeContext waiter_ctx(static_cast<ProcessId>(k + 2 * kShards));
+    ASSERT_EQ(sharded.route(submit_ctx, Request{}), k);
+    ASSERT_EQ(sharded.route(waiter_ctx, Request{}), k);
+
+    std::thread holder = hold_gate(sharded, k, holder_ctx, next_id++);
+    Ticket<ModuleResult> ticket = sharded.submit(
+        submit_ctx, Request{next_id++, submit_ctx.id(), 0, 5});
+    EXPECT_EQ(shard.occupied(), 1u);
+    shard.object().go.store(true, std::memory_order_release);
+    holder.join();
+
+    holder = hold_gate(sharded, k, holder_ctx, next_id++);
+    const std::uint64_t parks_before = shard.park_stats().parks;
+    const std::uint64_t waiter_id = next_id++;
+    std::thread waiter([&] {
+      EXPECT_EQ(sharded.invoke(waiter_ctx,
+                               Request{waiter_id, waiter_ctx.id(), 0, 9})
+                    .response,
+                9);
+    });
+    EXPECT_TRUE(within_deadline(
+        [&] { return shard.park_stats().parks > parks_before; }))
+        << "shard " << k << ": the waiter never parked";
+    const std::uint64_t spurious_before = shard.park_stats().spurious_wakes;
+    EXPECT_TRUE(ticket.poll());  // collects, and wakes the parked waiter
+    EXPECT_TRUE(within_deadline([&] {
+      return shard.park_stats().spurious_wakes > spurious_before;
+    })) << "shard " << k << ": the wake found the record unserved";
+    shard.object().go.store(true, std::memory_order_release);
+    holder.join();
+    waiter.join();
+    EXPECT_EQ(ticket.wait().response, 5);
+
+    // A fast wake needs the holder to let go while the waiter is still
+    // in its wait, before it would park; retry until one lands.
+    const int yields = shard.yields_before_park();
+    shard.set_yields_before_park(1 << 20);
+    EXPECT_TRUE(within_deadline([&] {
+      holder = hold_gate(sharded, k, holder_ctx, next_id++);
+      const std::uint64_t id = next_id++;
+      std::thread fast([&sharded, &waiter_ctx, id] {
+        (void)sharded.invoke(waiter_ctx, Request{id, waiter_ctx.id(), 0, 1});
+      });
+      (void)within_deadline([&] { return shard.occupied() == 1; });
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      shard.object().go.store(true, std::memory_order_release);
+      holder.join();
+      fast.join();
+      return shard.park_stats().fast_wakes > 0;
+    })) << "shard " << k << ": no fast wake";
+    shard.set_yields_before_park(yields);
+  }
+
+  std::uint64_t direct = 0;
+  std::uint64_t combined = 0;
+  std::uint64_t rounds = 0;
+  ParkStats sum;
+  for (std::size_t k = 0; k < kShards; ++k) {
+    const auto& shard = sharded.shard(k);
+    const ParkStats one = shard.park_stats();
+    EXPECT_GT(shard.direct_ops(), 0u) << "shard " << k;
+    EXPECT_GT(shard.combined_ops(), 0u) << "shard " << k;
+    EXPECT_GT(shard.combine_rounds(), 0u) << "shard " << k;
+    EXPECT_GT(one.parks, 0u) << "shard " << k;
+    EXPECT_GT(one.wakes, 0u) << "shard " << k;
+    EXPECT_GT(one.spurious_wakes, 0u) << "shard " << k;
+    EXPECT_GT(one.fast_wakes, 0u) << "shard " << k;
+    if (SCM_HAS_FUTEX) {
+      EXPECT_GT(one.futex_syscalls, 0u) << "shard " << k;
+    }
+    direct += shard.direct_ops();
+    combined += shard.combined_ops();
+    rounds += shard.combine_rounds();
+    sum.parks += one.parks;
+    sum.wakes += one.wakes;
+    sum.spurious_wakes += one.spurious_wakes;
+    sum.futex_syscalls += one.futex_syscalls;
+    sum.fast_wakes += one.fast_wakes;
+  }
+  EXPECT_EQ(sharded.direct_ops(), direct);
+  EXPECT_EQ(sharded.combined_ops(), combined);
+  EXPECT_EQ(sharded.combine_rounds(), rounds);
+  const ParkStats agg = sharded.park_stats();
+  EXPECT_EQ(agg.parks, sum.parks);
+  EXPECT_EQ(agg.wakes, sum.wakes);
+  EXPECT_EQ(agg.spurious_wakes, sum.spurious_wakes);
+  EXPECT_EQ(agg.futex_syscalls, sum.futex_syscalls);
+  EXPECT_EQ(agg.fast_wakes, sum.fast_wakes);
 }
 
 // ---------------------------------------------------------------------------

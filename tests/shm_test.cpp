@@ -4,16 +4,8 @@
 //    (core/slot_protocol.hpp): they alias its enum and payload, each
 //    record is one cache line, the 32-bit {state:2, owner:30} word
 //    format is pinned, and owner_of rejects an owner that does not fit;
-//  * ShmArena lifecycle: create / attach / publish / resolve across
-//    two independent mappings of one segment, the allocator's
-//    free-list reuse and exhaustion behavior, four threads allocating
-//    and freeing concurrently without two live blocks overlapping, the
-//    fail-fast attach paths (uninitialized magic, corrupted layout
-//    version), and a corrupt free list (a cycle, a link outside the
-//    arena, a double free) dying with a named check instead of
-//    spinning, after which the next locker steals the header lock from
-//    the dead process;
-//  * distinct ShmCombining instantiations carry distinct type tags;
+//  * two mappings of one shared object, at different addresses, see
+//    each other's writes (the test helper's contract);
 //  * ShmCombining executes a threaded fetch&inc workload with exact
 //    counts and unique tickets (the in-process half of the
 //    equivalence claim), a publish-only client's inits and
@@ -21,8 +13,9 @@
 //    budget is the gate plus the claim when published, and four
 //    publish-only threads sharing two records (claim exhaustion) still
 //    count exactly;
-//  * one and three fork()ed client PROCESSES attach the segment by
-//    name and combine into the same object — exact total, no residue;
+//  * one and three fork()ed client PROCESSES, each through its own
+//    mapping of the segment at its own address, combine into the same
+//    object — exact total, no residue;
 //  * the crash-reclaim protocol: a publisher SIGKILLed while kPending
 //    is executed (not dropped), then its kDone residue is swept by
 //    reclaim_dead(), with the kPending exemption and the injectable
@@ -33,7 +26,13 @@
 //    are exact, and drain + reclaim_dead leave no occupied slot;
 //  * stall: a client whose server sleeps 100 ms before serving parks
 //    on the segment's futex word (the park counter is segment-resident,
-//    so the server reads it) and still counts exactly.
+//    so the server reads it) and still counts exactly;
+//  * a may_combine = true op's process SIGKILLed while it holds the
+//    gate: reclaim_dead steals the gate from the dead pid, and the
+//    object serves the next op.
+//
+// Every segment is a tests/shm_mapping.hpp SharedMapping, whose name is
+// unlinked at creation, so no test leaves a /dev/shm entry behind.
 //
 // fork() under ThreadSanitizer is unreliable, so this suite stays
 // unlabeled (not part of the TSan ctest subset); the in-process
@@ -48,7 +47,6 @@
 
 #if SCM_HAS_POSIX_SHM
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/wait.h>
@@ -58,14 +56,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <iterator>
-#include <map>
-#include <mutex>
-#include <new>
 #include <optional>
 #include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -74,6 +66,7 @@
 #include "shm/shm_combining.hpp"
 #include "shm/shm_counter.hpp"
 #include "support/cacheline.hpp"
+#include "shm_mapping.hpp"
 
 namespace scm {
 namespace {
@@ -90,13 +83,12 @@ static_assert(
                    ShmCombining<ShmCounter, 8>::slot_state>,
     "in-process and cross-process combining must share one slot enum");
 static_assert(std::is_same_v<TestCombining::slot_state, SlotState>);
-// ... and one election gate: both executors' combiner elections and the
-// arena's header lock are the same holder-word type.
+// ... and one election gate: both executors' combiner elections are the
+// same holder-word type.
 static_assert(std::is_same_v<Combining<ShmCounter, 8>::gate_type,
                              ElectionGate> &&
-                  std::is_same_v<TestCombining::gate_type, ElectionGate> &&
-                  std::is_same_v<ShmArena::gate_type, ElectionGate>,
-              "both executors and the arena must share one gate type");
+                  std::is_same_v<TestCombining::gate_type, ElectionGate>,
+              "both executors must share one gate type");
 // ... and one record payload: the request and its result overlaid, so
 // each executor's whole publication record is one cache line.
 static_assert(
@@ -107,11 +99,6 @@ static_assert(std::is_same_v<TestCombining::slot_payload, SlotPayload>);
 static_assert(Combining<ShmCounter, 8>::kSlotBytes == 64 &&
                   ShmCombining<ShmCounter, 8>::kSlotBytes == 64,
               "each publication record must be one 64-byte cache line");
-
-// Any layout-determining difference must change the fingerprint.
-static_assert(ShmCombining<ShmCounter, 8>::kTypeTag !=
-                  ShmCombining<ShmCounter, 16>::kTypeTag,
-              "slot count must be folded into the type tag");
 
 // The word format, revision 3: state in the low 2 bits, owner in the
 // high 30. Owner 0 (Combining's stamp) leaves each word equal to its
@@ -154,296 +141,21 @@ TEST(SlotProtocol, OwnerOutsideTheWordIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena.
+// The shared mapping every multi-process test below runs on.
 
-// Unique-per-test segment names: concurrent ctest invocations and
-// leftover segments from a crashed previous run must not collide.
-std::string unique_segment(const char* tag) {
-  static int counter = 0;
-  return "/scm-test-" + std::string(tag) + "-" +
-         std::to_string(::getpid()) + "-" + std::to_string(counter++);
-}
-
-// Unlinks the segment name when the test scope ends, pass or fail.
-struct SegmentJanitor {
-  std::string name;
-  ~SegmentJanitor() { ShmArena::unlink(name); }
-};
-
-TEST(ShmArena, PublishResolveAndWritesCrossMappings) {
-  const std::string name = unique_segment("xmap");
-  SegmentJanitor janitor{name};
-
-  std::string error;
-  auto a = ShmArena::create(name, 1 << 20, &error);
-  ASSERT_TRUE(a.has_value()) << error;
-  EXPECT_EQ(a->capacity(), 1u << 20);
-  EXPECT_GT(a->page_size(), 0u);
-
-  // Second, independent mapping of the same segment — the in-process
-  // stand-in for a second process.
-  auto b = ShmArena::attach(name, &error);
-  ASSERT_TRUE(b.has_value()) << error;
-  EXPECT_EQ(b->capacity(), a->capacity());
-
-  const std::uint64_t off = a->construct<std::uint64_t>(0u);
-  ASSERT_NE(off, 0u);
-  ASSERT_TRUE(a->publish("word", off, sizeof(std::uint64_t), 7));
-
-  // Resolve through the OTHER mapping and read the value written
-  // through the first one: offsets, not addresses, cross the boundary.
-  const auto found = b->resolve("word");
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->offset, off);
-  EXPECT_EQ(found->size, sizeof(std::uint64_t));
-  EXPECT_EQ(found->type_tag, 7u);
-
-  *a->at<std::uint64_t>(off) = 0xfeedface;
-  EXPECT_EQ(*b->at<std::uint64_t>(off), 0xfeedfaceu);
-  EXPECT_EQ(*b->at<std::uint64_t>(found->offset), 0xfeedfaceu);
-
-  EXPECT_FALSE(b->resolve("no-such-name").has_value());
-}
-
-TEST(ShmArena, DuplicateCreateAndDuplicatePublishFail) {
-  const std::string name = unique_segment("dup");
-  SegmentJanitor janitor{name};
-
-  auto a = ShmArena::create(name, 1 << 18);
-  ASSERT_TRUE(a.has_value());
-
-  // A second create of a live segment must fail loudly (stale-segment
-  // safety), not silently reattach.
-  std::string error;
-  EXPECT_FALSE(ShmArena::create(name, 1 << 18, &error).has_value());
-  EXPECT_FALSE(error.empty());
-
-  const std::uint64_t off = a->construct<std::uint64_t>(1u);
-  ASSERT_NE(off, 0u);
-  EXPECT_TRUE(a->publish("obj", off, sizeof(std::uint64_t), 1));
-  EXPECT_FALSE(a->publish("obj", off, sizeof(std::uint64_t), 1));  // dup
-  // Over-long names are rejected, not truncated into collisions.
-  EXPECT_FALSE(a->publish(std::string(ShmArena::kNameCapacity, 'x'), off,
-                          sizeof(std::uint64_t), 1));
-}
-
-TEST(ShmArena, AllocatorReusesFreedBlocksAndReportsExhaustion) {
-  const std::string name = unique_segment("alloc");
-  SegmentJanitor janitor{name};
-
-  auto a = ShmArena::create(name, 1 << 16);
-  ASSERT_TRUE(a.has_value());
-
-  const std::uint64_t first = a->alloc(256);
-  ASSERT_NE(first, 0u);
-  EXPECT_EQ(first % 16, 0u);
-  a->free(first, 256);
-  // First-fit over the free list: the freed block satisfies the next
-  // same-size request exactly.
-  EXPECT_EQ(a->alloc(256), first);
-
-  // A freed block larger than the request is split, and the tail
-  // serves a later request.
-  const std::uint64_t big = a->alloc(512);
-  ASSERT_NE(big, 0u);
-  a->free(big, 512);
-  EXPECT_EQ(a->alloc(128), big);
-  EXPECT_EQ(a->alloc(128), big + 128);
-
-  // Exhaustion is the null offset, not a crash.
-  EXPECT_EQ(a->alloc(1 << 20), 0u);
-}
-
-// A corrupt free list fails loudly instead of wedging the allocator.
-// Each death runs in a forked child that maps the same MAP_SHARED
-// segment and aborts holding the header lock, stamped with its pid.
-// The second child must steal the lock from the first, which is dead
-// and reaped, or it hangs instead of failing on the same check; the
-// parent's publish() afterwards must steal it from the second.
-TEST(ShmArena, CyclicFreeListFailsInsteadOfSpinning) {
-  const std::string name = unique_segment("cycle");
-  SegmentJanitor janitor{name};
-  auto a = ShmArena::create(name, 1 << 16);
-  ASSERT_TRUE(a.has_value());
-  const std::uint64_t off = a->alloc(64);
-  ASSERT_NE(off, 0u);
-  a->free(off, 64);
-  // A free block's first word is its `next` link: point it at itself.
-  *a->at<std::uint64_t>(off) = off;
-  // Too big for the block, so the first-fit walk follows the cycle.
-  EXPECT_DEATH((void)a->alloc(128), "free list is longer than the arena");
-  EXPECT_DEATH((void)a->alloc(128), "free list is longer than the arena");
-  EXPECT_TRUE(a->publish("after-death", off, 64, 0));
-}
-
-TEST(ShmArena, FreeListLinkOutsideTheArenaFails) {
-  const std::string name = unique_segment("badlink");
-  SegmentJanitor janitor{name};
-  auto a = ShmArena::create(name, 1 << 16);
-  ASSERT_TRUE(a.has_value());
-  const std::uint64_t off = a->alloc(64);
-  ASSERT_NE(off, 0u);
-  a->free(off, 64);
-  *a->at<std::uint64_t>(off) = 8;  // into the header
-  EXPECT_DEATH((void)a->alloc(128), "link points outside");
-  EXPECT_TRUE(a->publish("after-death", off, 64, 0));
-}
-
-TEST(ShmArena, DoubleFreeFails) {
-  const std::string name = unique_segment("dfree");
-  SegmentJanitor janitor{name};
-  auto a = ShmArena::create(name, 1 << 16);
-  ASSERT_TRUE(a.has_value());
-  const std::uint64_t off = a->alloc(64);
-  ASSERT_NE(off, 0u);
-  a->free(off, 64);
-  EXPECT_DEATH(a->free(off, 64), "double free");
-  EXPECT_TRUE(a->publish("after-death", off, 64, 0));
-}
-
-// The header lock under real contention: kThreads threads churn
-// same-size blocks through one arena, each keeping up to a quarter of
-// the arena live at a time. A registry of live [offset, end) ranges
-// catches any two live blocks that overlap, and each block's contents
-// must survive untouched until its owner frees it. The arena holds
-// exactly kThreads * kLive blocks (calibrated on a fresh arena of the
-// same capacity), so a block the free list lost would fail a later
-// alloc; the second round reruns the same churn on the recycled blocks.
-TEST(ShmArena, ConcurrentAllocationsNeverOverlap) {
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kBlock = 256;
-  constexpr std::uint64_t kCapacity = 1 << 16;
-  constexpr int kAllocsPerThread = 2000;
-
-  // How many kBlock blocks a fresh arena of this capacity holds.
-  std::size_t fits = 0;
-  {
-    const std::string probe_name = unique_segment("alloc-probe");
-    SegmentJanitor probe_janitor{probe_name};
-    auto probe = ShmArena::create(probe_name, kCapacity);
-    ASSERT_TRUE(probe.has_value());
-    while (probe->alloc(kBlock) != 0) ++fits;
-  }
-  const std::size_t kLive = fits / kThreads;
-  ASSERT_GE(kLive, 8u);
-
-  const std::string name = unique_segment("alloc-mt");
-  SegmentJanitor janitor{name};
-  auto arena = ShmArena::create(name, kCapacity);
-  ASSERT_TRUE(arena.has_value());
-
-  std::mutex registry_mu;
-  std::map<std::uint64_t, std::uint64_t> live;  // offset -> end
-  std::atomic<std::uint64_t> failed_allocs{0};
-  std::atomic<std::uint64_t> overlaps{0};
-  std::atomic<std::uint64_t> corrupted{0};
-
-  auto churn = [&](int t) {
-    std::vector<std::uint64_t> mine;
-    auto release = [&](std::uint64_t off) {
-      const auto* words = arena->at<std::uint64_t>(off);
-      for (std::uint64_t w = 0; w < kBlock / sizeof(std::uint64_t); ++w) {
-        if (words[w] != off + static_cast<std::uint64_t>(t)) {
-          corrupted.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
-      {
-        const std::lock_guard<std::mutex> lock(registry_mu);
-        live.erase(off);
-      }
-      arena->free(off, kBlock);
-    };
-    for (int i = 0; i < kAllocsPerThread; ++i) {
-      if (mine.size() == kLive) {
-        release(mine.front());
-        mine.erase(mine.begin());
-      }
-      const std::uint64_t off = arena->alloc(kBlock);
-      if (off == 0) {
-        failed_allocs.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      {
-        const std::lock_guard<std::mutex> lock(registry_mu);
-        auto next = live.lower_bound(off);
-        const bool hits_next = next != live.end() && next->first < off + kBlock;
-        const bool hits_prev =
-            next != live.begin() && std::prev(next)->second > off;
-        if (hits_next || hits_prev) {
-          overlaps.fetch_add(1, std::memory_order_relaxed);
-        }
-        live[off] = off + kBlock;
-      }
-      auto* words = arena->at<std::uint64_t>(off);
-      for (std::uint64_t w = 0; w < kBlock / sizeof(std::uint64_t); ++w) {
-        words[w] = off + static_cast<std::uint64_t>(t);
-      }
-      mine.push_back(off);
-    }
-    for (const std::uint64_t off : mine) release(off);
-  };
-
-  for (int round = 0; round < 2; ++round) {
-    std::vector<std::thread> pool;
-    for (int t = 0; t < kThreads; ++t) pool.emplace_back(churn, t);
-    for (auto& th : pool) th.join();
-    EXPECT_EQ(failed_allocs.load(), 0u) << "round " << round;
-    EXPECT_EQ(overlaps.load(), 0u) << "round " << round;
-    EXPECT_EQ(corrupted.load(), 0u) << "round " << round;
-    EXPECT_TRUE(live.empty()) << "round " << round;
-  }
-}
-
-TEST(ShmArena, AttachRejectsUninitializedSegment) {
-  const std::string name = unique_segment("garbage");
-  SegmentJanitor janitor{name};
-
-  // A raw segment that never went through ShmArena::create: sized like
-  // an arena but with no magic (and then with a WRONG magic).
-  const int fd = ::shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(::ftruncate(fd, 1 << 18), 0);
-  void* base = ::mmap(nullptr, 1 << 18, PROT_READ | PROT_WRITE, MAP_SHARED,
-                      fd, 0);
-  ::close(fd);
-  ASSERT_NE(base, MAP_FAILED);
-
-  std::string error;
-  EXPECT_FALSE(ShmArena::attach(name, &error).has_value());  // zero magic
-  EXPECT_NE(error.find("magic"), std::string::npos) << error;
-
-  std::memset(base, 0x5a, 64);  // arbitrary non-arena bytes
-  EXPECT_FALSE(ShmArena::attach(name, &error).has_value());
-  ::munmap(base, 1 << 18);
-}
-
-TEST(ShmArena, AttachRejectsCorruptedLayoutVersion) {
-  const std::string name = unique_segment("version");
-  SegmentJanitor janitor{name};
-
-  auto a = ShmArena::create(name, 1 << 18);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(ShmArena::attach(name).has_value());  // sane before corruption
-
-  // Flip a bit in the version word (bytes 8..11 of the header: right
-  // after the 8-byte magic) through a raw side mapping — the stand-in
-  // for a binary built against a different header layout.
-  const int fd = ::shm_open(name.c_str(), O_RDWR, 0600);
-  ASSERT_GE(fd, 0);
-  void* base = ::mmap(nullptr, 1 << 18, PROT_READ | PROT_WRITE, MAP_SHARED,
-                      fd, 0);
-  ::close(fd);
-  ASSERT_NE(base, MAP_FAILED);
-  static_cast<unsigned char*>(base)[8] ^= 0x01;
-
-  std::string error;
-  EXPECT_FALSE(ShmArena::attach(name, &error).has_value());
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
-
-  static_cast<unsigned char*>(base)[8] ^= 0x01;  // restore
-  EXPECT_TRUE(ShmArena::attach(name).has_value());
-  ::munmap(base, 1 << 18);
+// Two mappings of one object sit at different addresses, and a write
+// through either is read through the other: the stand-in, inside one
+// process, for two processes that each mapped the segment.
+TEST(SharedMapping, WritesCrossMappings) {
+  SharedMapping mapping(1 << 16);
+  auto* a = static_cast<std::uint64_t*>(mapping.base());
+  auto* b = static_cast<std::uint64_t*>(mapping.map_again());
+  ASSERT_NE(a, b);
+  a[1] = 0xfeedface;
+  EXPECT_EQ(b[1], 0xfeedfaceu);
+  b[2] = 0xdecafbad;
+  EXPECT_EQ(a[2], 0xdecafbadu);
+  ::munmap(b, 1 << 16);
 }
 
 // ---------------------------------------------------------------------------
@@ -695,22 +407,16 @@ struct alignas(kCacheLineSize) ClientCell {
 
 // ---------------------------------------------------------------------------
 // N processes, one object: the fork()-based equivalence check. Each
-// client attaches the segment by name, as a separate binary would.
+// client reaches the object through its own mapping of the segment, at
+// its own address, as a separately started process would.
 
 class ShmCombiningClients : public testing::TestWithParam<int> {};
 
-TEST_P(ShmCombiningClients, ClientProcessesAttachByNameAndCombine) {
+TEST_P(ShmCombiningClients, ClientProcessesCombineThroughTheirOwnMappings) {
   constexpr std::uint64_t kOps = 1500;
   const int clients = GetParam();
-  const std::string name = unique_segment("fork-eq");
-  SegmentJanitor janitor{name};
-
-  auto arena = ShmArena::create(name, 1 << 20);
-  ASSERT_TRUE(arena.has_value());
-  const std::uint64_t off = arena->construct<TestCombining>();
-  ASSERT_NE(off, 0u);
-  ASSERT_TRUE(arena->publish("comb", off, sizeof(TestCombining),
-                             TestCombining::kTypeTag));
+  SharedMapping mapping(sizeof(TestCombining));
+  TestCombining& comb = mapping.emplace<TestCombining>();
 
   ChildReaper reaper;
   std::vector<pid_t> children;
@@ -718,20 +424,16 @@ TEST_P(ShmCombiningClients, ClientProcessesAttachByNameAndCombine) {
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-      // Child: reach the object the way a separate binary would —
-      // attach by NAME (a fresh mapping at its own base address),
-      // resolve, tag check. Plain _exit codes instead of gtest: the
-      // child must never run the parent's test teardown.
-      auto mine = ShmArena::attach(name);
-      if (!mine.has_value()) ::_exit(10);
-      const auto found = mine->resolve("comb");
-      if (!found.has_value()) ::_exit(11);
-      if (found->type_tag != TestCombining::kTypeTag) ::_exit(12);
-      TestCombining& comb = *mine->at<TestCombining>(found->offset);
+      // Child: reach the object through a fresh mapping at its own base
+      // address, not the one inherited from the parent. Plain _exit
+      // codes instead of gtest: the child must never run the parent's
+      // test teardown.
+      auto* mine = static_cast<TestCombining*>(mapping.map_again());
+      if (mine == &comb) ::_exit(10);
       const auto id = static_cast<ProcessId>(k);
       NativeContext ctx(id);
       for (std::uint64_t i = 0; i < kOps; ++i) {
-        const ModuleResult r = comb.invoke(
+        const ModuleResult r = mine->invoke(
             ctx, fetch_inc((static_cast<std::uint64_t>(id) << 40) | i, id));
         if (!r.committed()) ::_exit(13);
       }
@@ -743,7 +445,6 @@ TEST_P(ShmCombiningClients, ClientProcessesAttachByNameAndCombine) {
 
   // Parent: combine into the same object through its own mapping,
   // concurrently with the clients.
-  TestCombining& comb = *arena->at<TestCombining>(off);
   NativeContext ctx(0);
   std::set<Response> mine;
   for (std::uint64_t i = 0; i < kOps; ++i) {
@@ -780,14 +481,8 @@ INSTANTIATE_TEST_SUITE_P(Clients, ShmCombiningClients, testing::Values(1, 3),
 // and the residue is swept.
 
 TEST(ShmCombining, SigkilledPublisherIsExecutedThenReclaimed) {
-  const std::string name = unique_segment("reclaim");
-  SegmentJanitor janitor{name};
-
-  auto arena = ShmArena::create(name, 1 << 20);
-  ASSERT_TRUE(arena.has_value());
-  const std::uint64_t off = arena->construct<TestCombining>();
-  ASSERT_NE(off, 0u);
-  TestCombining& comb = *arena->at<TestCombining>(off);
+  SharedMapping mapping(sizeof(TestCombining));
+  TestCombining& comb = mapping.emplace<TestCombining>();
 
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
@@ -855,19 +550,14 @@ TEST(ShmCombining, SigkilledClientUnderLoadReconcilesAndIsReclaimed) {
   // The victim never finishes on its own: it is still mid-run whenever
   // the kill lands.
   constexpr std::uint64_t kVictimOps = std::uint64_t{1} << 40;
-  const std::string name = unique_segment("crash");
-  SegmentJanitor janitor{name};
-
-  auto arena = ShmArena::create(name, 1 << 20);
-  ASSERT_TRUE(arena.has_value());
-  const std::uint64_t comb_off = arena->construct<TestCombining>();
-  const std::uint64_t cells_off =
-      arena->alloc(sizeof(ClientCell) * kClients, alignof(ClientCell));
-  ASSERT_NE(comb_off, 0u);
-  ASSERT_NE(cells_off, 0u);
-  TestCombining& comb = *arena->at<TestCombining>(comb_off);
-  ClientCell* cells = arena->at<ClientCell>(cells_off);
-  for (int k = 0; k < kClients; ++k) new (&cells[k]) ClientCell;
+  struct Segment {
+    TestCombining comb;
+    ClientCell cells[kClients];
+  };
+  SharedMapping mapping(sizeof(Segment));
+  Segment& segment = mapping.emplace<Segment>();
+  TestCombining& comb = segment.comb;
+  ClientCell* cells = segment.cells;
 
   ChildReaper reaper;
   std::vector<pid_t> pids;
@@ -973,17 +663,14 @@ TEST(ShmCombining, SigkilledClientUnderLoadReconcilesAndIsReclaimed) {
 
 TEST(ShmCombining, ClientFacingAStalledServerParks) {
   constexpr std::uint64_t kOps = 64;
-  const std::string name = unique_segment("stall");
-  SegmentJanitor janitor{name};
-
-  auto arena = ShmArena::create(name, 1 << 20);
-  ASSERT_TRUE(arena.has_value());
-  const std::uint64_t comb_off = arena->construct<TestCombining>();
-  const std::uint64_t cell_off = arena->construct<ClientCell>();
-  ASSERT_NE(comb_off, 0u);
-  ASSERT_NE(cell_off, 0u);
-  TestCombining& comb = *arena->at<TestCombining>(comb_off);
-  ClientCell& cell = *arena->at<ClientCell>(cell_off);
+  struct Segment {
+    TestCombining comb;
+    ClientCell cell;
+  };
+  SharedMapping mapping(sizeof(Segment));
+  Segment& segment = mapping.emplace<Segment>();
+  TestCombining& comb = segment.comb;
+  ClientCell& cell = segment.cell;
 
   ChildReaper reaper;
   const pid_t child = ::fork();
@@ -1021,6 +708,73 @@ TEST(ShmCombining, ClientFacingAStalledServerParks) {
   EXPECT_EQ(comb.object().value(), static_cast<std::int64_t>(kOps));
   EXPECT_EQ(cell.started.load(), kOps);
   EXPECT_EQ(cell.completed.load(), kOps);
+  EXPECT_EQ(comb.occupied(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Kill point: a combiner SIGKILLed while it holds the gate.
+
+// Blocks every op while `hold` is set, so the process running one as a
+// combiner keeps the gate. It lives in the segment: the flag a forked
+// child's op waits on is the one the parent clears.
+struct GateHoldModule {
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+  std::atomic<std::uint32_t> hold{1};
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& /*ctx*/, const Request& m,
+                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
+    while (hold.load(std::memory_order_acquire) != 0) {
+      std::this_thread::yield();
+    }
+    return ModuleResult::commit(static_cast<Response>(m.id));
+  }
+};
+SCM_ASSERT_ADDRESS_FREE(GateHoldModule);
+
+// A may_combine = true op wins the free gate and runs direct, so its
+// process dies holding the gate under its pid, mid-batch. Only
+// reclaim_dead's steal frees such a gate: without it every later op
+// would wait on a holder that never releases. The object's state after
+// a dead combiner's batch is unrecoverable by design, so only the gate
+// and the next op are checked.
+TEST(ShmCombining, SigkilledGateHolderIsStolenByReclaim) {
+  using HoldCombining = ShmCombining<GateHoldModule, 4>;
+  SharedMapping mapping(sizeof(HoldCombining));
+  HoldCombining& comb = mapping.emplace<HoldCombining>();
+
+  ChildReaper reaper;
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    NativeContext ctx(1);
+    (void)comb.invoke(ctx, Request{1, 1, 0, 0});
+    ::_exit(0);  // unreachable: the flag stays set while the child lives
+  }
+  reaper.pids.push_back(child);
+
+  const auto deadline = clock_type::now() + std::chrono::seconds(10);
+  while (comb.gate_holder() != static_cast<std::uint32_t>(child)) {
+    ASSERT_LT(clock_type::now(), deadline) << "child never took the gate";
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  int status = 0;
+  ASSERT_TRUE(reap_by(child, &status, deadline));
+  reaper.forget(child);
+  ASSERT_TRUE(WIFSIGNALED(status));
+  EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  EXPECT_EQ(comb.gate_holder(), static_cast<std::uint32_t>(child));
+
+  // The real kill(pid, 0) probe finds the reaped holder gone. The dead
+  // process ran direct, so it held no record to sweep.
+  NativeContext ctx(0);
+  EXPECT_EQ(comb.reclaim_dead(ctx), 0u);
+  ASSERT_EQ(comb.gate_holder(), 0u) << "the dead holder kept the gate";
+
+  comb.object().hold.store(0, std::memory_order_release);
+  EXPECT_TRUE(comb.invoke(ctx, Request{2, 0, 0, 0}).committed());
+  EXPECT_EQ(comb.gate_holder(), 0u);
   EXPECT_EQ(comb.occupied(), 0u);
 }
 

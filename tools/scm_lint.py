@@ -24,13 +24,12 @@ RULE 2: address-free segment code (src/shm/**, src/core/slot_protocol.hpp).
   addresses. The slot protocol's payload, record and array types live
   in every ShmCombining's segment although they are defined under
   src/core/, so that file is in scope too. Every struct/class defined
-  in scope must either:
-    * be annotated `// scm-lint: process-local` in the comment block
-      right above it (handle types: ShmArena, LockGuard), or
-    * contain no pointer/reference/virtual/owning-container members
-      AND be covered by an SCM_ASSERT_ADDRESS_FREE(<name>...) somewhere
-      under src/ (the macro pins what the traits can check; this rule
-      pins the rest and that the macro is actually applied).
+  in scope must contain no pointer/reference/virtual/owning-container
+  members AND be covered by an SCM_ASSERT_ADDRESS_FREE(<name>...)
+  somewhere under src/ (the macro pins what the traits can check; this
+  rule pins the rest and that the macro is actually applied). There is
+  no escape: a type that never enters a segment does not belong in
+  scope.
 
 RULE 3: cross-process futex words (same scope as rule 2).
   futex(2) compares exactly 4 bytes at the given address, and a
@@ -43,9 +42,8 @@ RULE 3: cross-process futex words (same scope as rule 2).
       type (CombiningCore<Extra, kSlots, kScope>, which also runs
       in-process), or
     * a bare 4-byte-aligned std::atomic<std::uint32_t>,
-  and its enclosing type must be covered by SCM_ASSERT_ADDRESS_FREE
-  (types annotated `// scm-lint: process-local` are exempt — they
-  never enter the segment). A scope-templated type is checked where it
+  and its enclosing type must be covered by SCM_ASSERT_ADDRESS_FREE.
+  A scope-templated type is checked where it
   is used instead: every instantiation of it in segment-resident code
   must pass FutexScope::kShared at the scope parameter's position.
 
@@ -333,7 +331,6 @@ STRUCT_RE = re.compile(
     r"(?<!\benum\s)\b(struct|class)\s+(?:alignas\s*\([^)]*\)\s*)?([A-Za-z_]\w*)"
     r"(?:\s+final)?\s*(?::[^{;]*)?\{"
 )
-PROCESS_LOCAL_MARK = "scm-lint: process-local"
 MACRO_NAME = "SCM_ASSERT_ADDRESS_FREE"
 # Member declarations that smuggle process-local addresses into the
 # segment. Scanned only on paren-free lines ending in ';' (plain member
@@ -361,24 +358,6 @@ def body_end(text: str, open_brace: int) -> int:
     return len(text)
 
 
-def is_annotated(raw: str, text: str, def_start: int) -> bool:
-    """True if the comment block immediately above the definition line
-    carries the process-local mark."""
-    def_line = line_of(text, def_start)  # 1-based
-    raw_lines = raw.splitlines()
-    i = def_line - 2  # 0-based index of the line above the definition
-    while i >= 0:
-        stripped = raw_lines[i].strip()
-        if stripped.startswith("//") or stripped.startswith("*") \
-                or stripped.startswith("/*"):
-            if PROCESS_LOCAL_MARK in stripped:
-                return True
-            i -= 1
-            continue
-        break
-    return False
-
-
 def check_shm_layout(path: str, raw: str, macro_corpus: str) -> list[Finding]:
     text = strip_comments(raw)
     findings = []
@@ -386,8 +365,6 @@ def check_shm_layout(path: str, raw: str, macro_corpus: str) -> list[Finding]:
         name = m.group(2)
         open_brace = text.index("{", m.start())
         end = body_end(text, open_brace)
-        if is_annotated(raw, text, m.start()):
-            continue
         body = text[open_brace + 1 : end]
         base_line = line_of(text, open_brace)
         # Member scan: direct member declaration lines only. Brace depth
@@ -416,17 +393,14 @@ def check_shm_layout(path: str, raw: str, macro_corpus: str) -> list[Finding]:
                 if pat.search(stripped):
                     findings.append(
                         Finding(path, lineno, "address-free",
-                                f"'{name}': {what} in a segment-resident type "
-                                "(annotate '// scm-lint: process-local' if "
-                                "this type never enters the segment)"))
+                                f"'{name}': {what} in a segment-resident type"))
         # Macro coverage: the type (or an instantiation of it) must be
         # asserted address-free somewhere in the scanned tree.
         if not macro_covers(name, macro_corpus):
             findings.append(
                 Finding(path, line_of(text, m.start()), "address-free",
                         f"'{name}' is defined in segment-resident code but "
-                        f"never covered by {MACRO_NAME} (or annotate it "
-                        "process-local)"))
+                        f"never covered by {MACRO_NAME}"))
     return findings
 
 
@@ -475,13 +449,10 @@ def template_params(text: str, def_start: int) -> list[str]:
 
 def futex_members(raw: str):
     """Yields (type name, definition offset, template parameter names,
-    futex member declarations as (line, text)) for every type in `raw`
-    not annotated process-local. `text` is the comment-stripped file,
-    so offsets index it."""
+    futex member declarations as (line, text)) for every type in `raw`.
+    `text` is the comment-stripped file, so offsets index it."""
     text = strip_comments(raw)
     for m in STRUCT_RE.finditer(text):
-        if is_annotated(raw, text, m.start()):
-            continue  # process-local handle; its futexes never cross
         open_brace = text.index("{", m.start())
         body = text[open_brace + 1 : body_end(text, open_brace)]
         base_line = line_of(text, open_brace)
@@ -753,10 +724,10 @@ SELF_TESTS = [
     ("template instantiation counts as coverage",
      "shm", "template <class T> struct S { std::uint64_t off = 0; };\n"
             "SCM_ASSERT_ADDRESS_FREE(S<int>);", 0),
-    ("process-local annotation exempts",
+    ("a comment above a segment type exempts nothing",
      "shm", "// the handle, lives on this process's stack\n"
-            "// scm-lint: process-local\n"
-            "class S { void* base_ = nullptr; };", 0),
+            "class S { void* base_ = nullptr; };\n"
+            "SCM_ASSERT_ADDRESS_FREE(S);", 1),
     ("method signatures are not members",
      "shm", "struct S { std::uint64_t off = 0;\n"
             "  int* get(Arena& a) const; };\n"
@@ -878,7 +849,7 @@ SELF_TESTS = [
      "                             FutexScope::kPrivate>;\n"
      "  Core core_;\n"
      "};", 0),
-    ("process-local core files stay out of the segment rules",
+    ("in-process core files stay out of the segment rules",
      "file:core/combining.hpp",
      "struct S { void* user = nullptr; };", 0),
     ("acquire load in adaptive hot path flagged",
