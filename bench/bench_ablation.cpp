@@ -29,8 +29,8 @@
 #include "consensus/splitter.hpp"
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
+#include "runtime/platform.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "tas/a2_module.hpp"
 #include "tas/speculative_tas.hpp"
@@ -40,7 +40,6 @@ namespace {
 using namespace scm;
 using namespace scm::bench;
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 Request tas_req(std::uint64_t id, ProcessId p) {
@@ -51,7 +50,6 @@ Request tas_req(std::uint64_t id, ProcessId p) {
 // Variant A: Algorithm 1 exactly as printed (entry check aborts W when
 // V = 0), composed with A2.
 
-template <class P>
 class PaperLiteralA1 {
  public:
   template <class Ctx>
@@ -86,10 +84,10 @@ class PaperLiteralA1 {
   }
 
  private:
-  typename P::template Register<ProcessId> pace_{kInvalidProcess};
-  typename P::template Register<ProcessId> set_{kInvalidProcess};
-  typename P::template Register<bool> aborted_{false};
-  typename P::template Register<int> value_{0};
+  NativeRegister<ProcessId> pace_{kInvalidProcess};
+  NativeRegister<ProcessId> set_{kInvalidProcess};
+  NativeRegister<bool> aborted_{false};
+  NativeRegister<int> value_{0};
 };
 
 struct SweepOutcome {
@@ -105,7 +103,7 @@ SweepOutcome count_nonlinearizable_runs(int sweeps, std::uint64_t seed) {
   for (int i = 0; i < sweeps; ++i) {
     Simulator s;
     A1Variant a1;
-    WaitFreeTas<SimPlatform> a2;
+    WaitFreeTas a2;
     constexpr int kN = 4;
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
@@ -144,7 +142,6 @@ SweepOutcome count_nonlinearizable_runs(int sweeps, std::uint64_t seed) {
 // --------------------------------------------------------------------------
 // Variant B: Algorithm 3 without the read-commit splitter reset.
 
-template <class P>
 class PaperLiteralSplitConsensus {
  public:
   template <class Ctx>
@@ -177,9 +174,9 @@ class PaperLiteralSplitConsensus {
   }
 
  private:
-  Splitter<P> splitter_;
-  typename P::template Register<std::int64_t> value_{kBottom};
-  typename P::template Register<bool> contended_{false};
+  Splitter splitter_;
+  NativeRegister<std::int64_t> value_{kBottom};
+  NativeRegister<bool> contended_{false};
 };
 
 // Three processes read a decided instance strictly one after another;
@@ -205,15 +202,13 @@ ScenarioResult run(const BenchParams& params) {
   const int sweeps = params.sweeps(1, 50, 3000);
 
   const SweepOutcome literal =
-      count_nonlinearizable_runs<PaperLiteralA1<SimPlatform>>(sweeps,
-                                                              params.seed);
+      count_nonlinearizable_runs<PaperLiteralA1>(sweeps, params.seed);
   const SweepOutcome repaired =
-      count_nonlinearizable_runs<ObstructionFreeTas<SimPlatform, true>>(
-          sweeps, params.seed);
+      count_nonlinearizable_runs<ObstructionFreeTas<true>>(sweeps,
+                                                           params.seed);
   const int literal_aborts =
-      sequential_rereader_aborts<PaperLiteralSplitConsensus<SimPlatform>>();
-  const int repaired_aborts =
-      sequential_rereader_aborts<SplitConsensus<SimPlatform>>();
+      sequential_rereader_aborts<PaperLiteralSplitConsensus>();
+  const int repaired_aborts = sequential_rereader_aborts<SplitConsensus>();
 
   ScenarioResult result;
   {

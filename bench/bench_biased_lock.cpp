@@ -52,7 +52,7 @@ ScenarioResult run(const BenchParams& params) {
   double biased_owner_rmws = 1.0;
   double spin_owner_rmws = 0.0;
   {
-    BiasedLock<NativePlatform> lock(1, kPool, /*recycle=*/true);
+    BiasedLock<> lock(1, kPool, /*recycle=*/true);
     PhaseMetrics pm =
         measure_native("biased/owner", 1, params.ops,
                        [&](NativeContext& ctx, std::uint64_t) {
@@ -95,7 +95,7 @@ ScenarioResult run(const BenchParams& params) {
   const int threads =
       hc != 0 ? std::min(params.threads, static_cast<int>(hc)) : params.threads;
   if (threads > 1) {
-    BiasedLock<NativePlatform> lock(threads, kPool, /*recycle=*/true);
+    BiasedLock<> lock(threads, kPool, /*recycle=*/true);
     result.phases.push_back(
         measure_native("biased/contended t=" + std::to_string(threads),
                        threads, params.ops,

@@ -103,8 +103,8 @@ void run_depth(const BenchParams& params, ScenarioResult& result,
 
   // ---- commit family: (D-1) x A1 + A2, steady-state stage-0 commits.
   {
-    std::array<ObstructionFreeTas<NativePlatform>, D - 1> a1s;
-    WaitFreeTas<NativePlatform> a2;
+    std::array<ObstructionFreeTas<>, D - 1> a1s;
+    WaitFreeTas a2;
     auto pipe = [&]<std::size_t... I>(std::index_sequence<I...>) {
       return make_fast_pipeline(a1s[I]..., a2);
     }(std::make_index_sequence<D - 1>{});
@@ -120,8 +120,8 @@ void run_depth(const BenchParams& params, ScenarioResult& result,
     commit_steps[D] = pm.steps_per_op();
     pm.extra["depth"] = static_cast<double>(D);
 
-    std::array<ObstructionFreeTas<NativePlatform>, D - 1> probe_a1s;
-    WaitFreeTas<NativePlatform> probe_a2;
+    std::array<ObstructionFreeTas<>, D - 1> probe_a1s;
+    WaitFreeTas probe_a2;
     auto probe = [&]<std::size_t... I>(std::index_sequence<I...>) {
       return make_pipeline(probe_a1s[I]..., probe_a2);
     }(std::make_index_sequence<D - 1>{});

@@ -17,7 +17,6 @@
 #include "consensus/cas_consensus.hpp"
 #include "consensus/split_consensus.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -25,7 +24,6 @@ namespace {
 using namespace scm;
 using namespace scm::bench;
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 template <class Cons>
@@ -100,9 +98,9 @@ ScenarioResult run(const BenchParams& params) {
     return pm;
   };
   for (int n : {2, 4, 8, 16, 32}) {
-    const auto sc = solo_steps<SplitConsensus<SimPlatform>>(n);
-    const auto bc = solo_steps<AbortableBakery<SimPlatform>>(n);
-    const auto cc = solo_steps<CasConsensus<SimPlatform>>(n);
+    const auto sc = solo_steps<SplitConsensus>(n);
+    const auto bc = solo_steps<AbortableBakery>(n);
+    const auto cc = solo_steps<CasConsensus>(n);
     result.phases.push_back(solo_phase("split", n, sc));
     result.phases.push_back(solo_phase("bakery", n, bc));
     result.phases.push_back(solo_phase("cas", n, cc));
@@ -119,12 +117,12 @@ ScenarioResult run(const BenchParams& params) {
   // Abort rates under contention at the requested process count.
   const int n = std::max(2, params.threads);
   const int sweeps = params.sweeps(2, 4, 300);
-  result.phases.push_back(contended_phase<SplitConsensus<SimPlatform>>(
-      "contended split", n, sweeps, policy));
-  result.phases.push_back(contended_phase<AbortableBakery<SimPlatform>>(
+  result.phases.push_back(
+      contended_phase<SplitConsensus>("contended split", n, sweeps, policy));
+  result.phases.push_back(contended_phase<AbortableBakery>(
       "contended bakery", n, sweeps, policy));
-  result.phases.push_back(contended_phase<CasConsensus<SimPlatform>>(
-      "contended cas", n, sweeps, policy));
+  result.phases.push_back(
+      contended_phase<CasConsensus>("contended cas", n, sweeps, policy));
 
   result.claim = "SplitConsensus solo steps constant in n; AbortableBakery "
                  "grows linearly (>=4x from n=2 to n=32)";

@@ -16,7 +16,6 @@
 #include "bench/registry.hpp"
 #include "bench/scenario.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "tas/long_lived_tas.hpp"
 
@@ -25,7 +24,6 @@ namespace {
 using namespace scm;
 using namespace scm::bench;
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 Request tas_req(std::uint64_t id, ProcessId p) {
@@ -49,8 +47,7 @@ PhaseStats run_phase(int others, int rounds, bool contended,
   PhaseStats st;
   Simulator s;
   const int n = 1 + others;
-  LongLivedTas<SimPlatform> tas(n,
-                                static_cast<std::size_t>(rounds) * (n + 1) + 8);
+  LongLivedTas<> tas(n, static_cast<std::size_t>(rounds) * (n + 1) + 8);
   const auto round_body = [&](SimContext& ctx, ProcessId p, int count) {
     for (int r = 0; r < count; ++r) {
       const auto id = static_cast<std::uint64_t>(p) * 100000 +
@@ -131,7 +128,7 @@ ScenarioResult run(const BenchParams& params) {
   {
     Simulator s;
     constexpr int kN = 3;
-    LongLivedTas<SimPlatform> tas(kN, 256);
+    LongLivedTas<> tas(kN, 256);
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
         for (int r = 0; r < 5; ++r) {

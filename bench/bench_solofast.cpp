@@ -13,7 +13,6 @@
 #include "bench/registry.hpp"
 #include "bench/scenario.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
 #include "tas/speculative_tas.hpp"
@@ -23,7 +22,6 @@ namespace {
 using namespace scm;
 using namespace scm::bench;
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 Request tas_req(std::uint64_t id, ProcessId p) {
@@ -92,9 +90,9 @@ ScenarioResult run(const BenchParams& params) {
 
   ScenarioResult result;
   int base_bystander_hw = 0, solofast_bystander_hw = 0;
-  result.phases.push_back(sweep<SpeculativeTas<SimPlatform>>(
+  result.phases.push_back(sweep<SpeculativeTas<>>(
       "base (A1;A2)", sweeps, params.seed, &base_bystander_hw));
-  result.phases.push_back(sweep<SoloFastTas<SimPlatform>>(
+  result.phases.push_back(sweep<SoloFastTas>(
       "solo-fast (App. B)", sweeps, params.seed, &solofast_bystander_hw));
 
   result.claim = "in the solo-fast variant an uncontended bystander never "

@@ -13,7 +13,6 @@
 #include "bench/registry.hpp"
 #include "bench/scenario.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "tas/a1_module.hpp"
 #include "workload/sim_metrics.hpp"
@@ -23,7 +22,6 @@ namespace {
 using namespace scm;
 using namespace scm::bench;
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 Request tas_req(std::uint64_t id, ProcessId p) {
@@ -34,7 +32,7 @@ workload::SimMetrics sweep_stickiness(int n, double stickiness, int sweeps,
                                       std::uint64_t seed) {
   workload::SimMetrics total;
   for (int i = 0; i < sweeps; ++i) {
-    auto a1 = std::make_shared<ObstructionFreeTas<SimPlatform>>();
+    auto a1 = std::make_shared<ObstructionFreeTas<>>();
     sim::StickyRandomSchedule sched(
         seed + static_cast<std::uint64_t>(i) * 131 + 7, stickiness);
     total += workload::run_sim(

@@ -15,8 +15,8 @@
 
 #include "bench/registry.hpp"
 #include "bench/scenario.hpp"
+#include "runtime/platform.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "tas/speculative_tas.hpp"
 
@@ -25,7 +25,6 @@ namespace {
 using namespace scm;
 using namespace scm::bench;
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 Request tas_req(std::uint64_t id, ProcessId p) {
@@ -40,7 +39,7 @@ struct HardwareOnly {
     return TasOutcome{prev == 0 ? TasSpec::kWinner : TasSpec::kLoser,
                       TasPath::kHardware};
   }
-  sim::SimPlatform::Tas cell;
+  NativeTas cell;
 };
 
 struct RmwStats {
@@ -94,11 +93,9 @@ ScenarioResult run(const BenchParams& params) {
   const int sweeps = params.sweeps(1, 8, 200);
 
   const auto spec =
-      measure<SpeculativeTas<SimPlatform>>("speculative (A1;A2)", n, sweeps,
-                                           policy);
+      measure<SpeculativeTas<>>("speculative (A1;A2)", n, sweeps, policy);
   const auto solofast =
-      measure<SoloFastTas<SimPlatform>>("solo-fast (App. B)", n, sweeps,
-                                        policy);
+      measure<SoloFastTas>("solo-fast (App. B)", n, sweeps, policy);
   const auto hw = measure<HardwareOnly>("hardware TAS", n, sweeps, policy);
 
   ScenarioResult result;

@@ -77,7 +77,7 @@ ScenarioResult run(const BenchParams& params) {
   double solo_hw_rmws = -1.0;
   for (int threads : thread_counts) {
     {
-      LongLivedTas<NativePlatform> tas(threads, kPool, /*recycle=*/true);
+      LongLivedTas<> tas(threads, kPool, /*recycle=*/true);
       PhaseMetrics pm = measure_native(
           "speculative t=" + std::to_string(threads), threads, params.ops,
           [&](NativeContext& ctx, std::uint64_t i) {

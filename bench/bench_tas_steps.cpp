@@ -17,7 +17,6 @@
 #include "bench/registry.hpp"
 #include "bench/scenario.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "tas/speculative_tas.hpp"
 #include "workload/sim_metrics.hpp"
@@ -27,7 +26,6 @@ namespace {
 using namespace scm;
 using namespace scm::bench;
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 Request tas_req(std::uint64_t id, ProcessId p) {
@@ -37,7 +35,7 @@ Request tas_req(std::uint64_t id, ProcessId p) {
 // Exact solo step count of one composed test-and-set at process count n.
 StepCounters solo_steps(int n) {
   Simulator s;
-  SpeculativeTas<SimPlatform> tas;
+  SpeculativeTas<> tas;
   s.add_process(
       [&](SimContext& ctx) { (void)tas.test_and_set(ctx, tas_req(1, 0)); });
   for (int p = 1; p < n; ++p) s.add_process([](SimContext&) {});
@@ -68,7 +66,7 @@ ScenarioResult run(const BenchParams& params) {
     double max_steps_per_op = 0.0;
     for (int sweep = 0; sweep < sweeps; ++sweep) {
       Simulator s;
-      auto tas = std::make_shared<SpeculativeTas<SimPlatform>>();
+      auto tas = std::make_shared<SpeculativeTas<>>();
       for (int p = 0; p < n; ++p) {
         s.add_process([tas, p](SimContext& ctx) {
           (void)tas->test_and_set(

@@ -20,7 +20,6 @@
 #include "consensus/split_consensus.hpp"
 #include "history/specs.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "universal/composable_universal.hpp"
 #include "universal/static_chain.hpp"
@@ -30,18 +29,11 @@ namespace {
 using namespace scm;
 using namespace scm::bench;
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
-using SplitStage =
-    ComposableUniversal<SimPlatform, CounterSpec, SplitConsensus<SimPlatform>,
-                        48>;
-using BakeryStage =
-    ComposableUniversal<SimPlatform, CounterSpec, AbortableBakery<SimPlatform>,
-                        48>;
-using CasStage =
-    ComposableUniversal<SimPlatform, CounterSpec, CasConsensus<SimPlatform>,
-                        48>;
+using SplitStage = ComposableUniversal<CounterSpec, SplitConsensus, 48>;
+using BakeryStage = ComposableUniversal<CounterSpec, AbortableBakery, 48>;
+using CasStage = ComposableUniversal<CounterSpec, CasConsensus, 48>;
 
 struct PhaseResult {
   std::uint64_t commits_by_stage[3] = {0, 0, 0};

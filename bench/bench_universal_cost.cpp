@@ -18,7 +18,6 @@
 #include "consensus/cas_consensus.hpp"
 #include "history/specs.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "tas/speculative_tas.hpp"
 #include "universal/composable_universal.hpp"
@@ -28,7 +27,6 @@ namespace {
 using namespace scm;
 using namespace scm::bench;
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 // Steps for a fresh process's first op after `k` prior committed
@@ -41,9 +39,7 @@ struct CatchUp {
 
 CatchUp measure_catchup(int k) {
   constexpr std::size_t kCap = 600;
-  using Stage =
-      ComposableUniversal<SimPlatform, CounterSpec, CasConsensus<SimPlatform>,
-                          kCap>;
+  using Stage = ComposableUniversal<CounterSpec, CasConsensus, kCap>;
   Simulator s;
   Stage stage(2, kCap, "cas");
   CatchUp out;
@@ -73,7 +69,7 @@ CatchUp measure_catchup(int k) {
 // speculative TAS pays O(1) regardless of "history" (prior rounds).
 std::uint64_t tas_late_joiner_steps(int prior_ops) {
   Simulator s;
-  SpeculativeTas<SimPlatform> tas;
+  SpeculativeTas<> tas;
   s.add_process([&](SimContext& ctx) {
     for (int i = 0; i < prior_ops; ++i) {
       (void)tas.test_and_set(

@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
   const int items = argc > 1 ? std::atoi(argv[1]) : 200'000;
   const int steals = argc > 2 ? std::atoi(argv[2]) : 10;
 
-  BiasedLock<NativePlatform> lock(/*num_processes=*/2, 1 << 14,
-                                  /*recycle=*/true);
+  BiasedLock<> lock(/*num_processes=*/2, 1 << 14, /*recycle=*/true);
   std::atomic<long> pipeline_sum{0};
   std::atomic<bool> done{false};
   std::atomic<int> compactions{0};

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const int workers = argc > 1 ? std::atoi(argv[1]) : 4;
   const int rounds = argc > 2 ? std::atoi(argv[2]) : 10'000;
 
-  LongLivedTas<NativePlatform> election(workers, 1 << 14, /*recycle=*/true);
+  LongLivedTas<> election(workers, 1 << 14, /*recycle=*/true);
   std::atomic<int> rounds_led{0};
 
   struct alignas(kCacheLineSize) WorkerStats {

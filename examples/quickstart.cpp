@@ -18,10 +18,10 @@ using namespace scm;
 
 int main() {
   constexpr int kThreads = 4;
-  SpeculativeTas<NativePlatform> tas;
+  SpeculativeTas<> tas;
 
   // The composition's consensus number is 2: statically guaranteed.
-  static_assert(SpeculativeTas<NativePlatform>::kConsensusNumber == 2);
+  static_assert(SpeculativeTas<>::kConsensusNumber == 2);
 
   struct Result {
     TasOutcome outcome;
@@ -59,8 +59,8 @@ int main() {
   // API: make_pipeline chains any number of modules, folds the abort→
   // init switch plumbing at compile time, and counts per-stage commits
   // and aborts.
-  ObstructionFreeTas<NativePlatform> a1;
-  WaitFreeTas<NativePlatform> a2;
+  ObstructionFreeTas<> a1;
+  WaitFreeTas a2;
   auto pipeline = make_pipeline(a1, a2);
   static_assert(decltype(pipeline)::kDepth == 2);
   static_assert(decltype(pipeline)::kConsensusNumber == 2);

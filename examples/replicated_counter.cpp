@@ -35,18 +35,16 @@ namespace {
 constexpr std::size_t kCap = 96;
 
 template <class Cons>
-using Stage = ComposableUniversal<NativePlatform, CounterSpec, Cons, kCap>;
+using Stage = ComposableUniversal<CounterSpec, Cons, kCap>;
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const int threads = argc > 1 ? std::atoi(argv[1]) : 4;
 
-  Stage<SplitConsensus<NativePlatform>> split(threads, kCap,
-                                              "split/registers");
-  Stage<AbortableBakery<NativePlatform>> bakery(threads, kCap,
-                                                "bakery/registers");
-  Stage<CasConsensus<NativePlatform>> cas(threads, kCap, "cas/hardware");
+  Stage<SplitConsensus> split(threads, kCap, "split/registers");
+  Stage<AbortableBakery> bakery(threads, kCap, "bakery/registers");
+  Stage<CasConsensus> cas(threads, kCap, "cas/hardware");
   StaticAbstractChain chain(threads, split, bakery, cas);
 
   // Quiet phase: thread 0 increments alone.

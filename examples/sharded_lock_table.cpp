@@ -38,8 +38,7 @@ constexpr std::size_t kShards = 4;
 constexpr std::uint64_t kKeys = 64;
 constexpr std::uint64_t kOpsPerThread = 32;
 
-using LockPipe =
-    Pipeline<ObstructionFreeTas<NativePlatform>, WaitFreeTas<NativePlatform>>;
+using LockPipe = Pipeline<ObstructionFreeTas<>, WaitFreeTas>;
 
 Request lock_req(ProcessId p, std::uint64_t i, std::uint64_t key) {
   return Request{(static_cast<std::uint64_t>(p) << 40) | (i + 1), p,

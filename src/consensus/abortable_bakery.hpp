@@ -21,14 +21,13 @@
 #include "support/assert.hpp"
 #include "consensus/consensus.hpp"
 #include "runtime/ids.hpp"
+#include "runtime/registers.hpp"
 
 namespace scm {
 
-template <class P>
 class AbortableBakery {
  public:
   static constexpr int kConsensusNumber = kConsensusNumberRegister;
-  using Context = typename P::Context;
 
   explicit AbortableBakery(int num_processes) : n_(num_processes) {
     SCM_CHECK(num_processes > 0);
@@ -108,7 +107,7 @@ class AbortableBakery {
     std::int64_t val = kBottom;
   };
   struct Slot {
-    typename P::template Register<TsVal> reg{TsVal{}};
+    NativeRegister<TsVal> reg{TsVal{}};
   };
 
   template <class Ctx>
@@ -176,8 +175,8 @@ class AbortableBakery {
   int n_;
   std::unique_ptr<Slot[]> announce_;
   std::unique_ptr<Slot[]> confirm_;
-  typename P::template Register<bool> quit_{false};
-  typename P::template Register<std::int64_t> decision_{kBottom};
+  NativeRegister<bool> quit_{false};
+  NativeRegister<std::int64_t> decision_{kBottom};
 };
 
 }  // namespace scm

@@ -6,14 +6,13 @@
 
 #include "consensus/consensus.hpp"
 #include "runtime/ids.hpp"
+#include "runtime/primitives.hpp"
 
 namespace scm {
 
-template <class P>
 class CasConsensus {
  public:
   static constexpr int kConsensusNumber = kConsensusNumberCas;
-  using Context = typename P::Context;
 
   // Wait-free: always commits, in at most one RMW step.
   template <class Ctx>
@@ -51,7 +50,7 @@ class CasConsensus {
   }
 
  private:
-  typename P::template Cas<std::int64_t> cell_{kBottom};
+  NativeCas<std::int64_t> cell_{kBottom};
 };
 
 }  // namespace scm

@@ -9,7 +9,6 @@
 // AbortableBakery, always for CasConsensus).
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 
 #include "core/module.hpp"
@@ -34,16 +33,6 @@ struct ConsensusResult {
   [[nodiscard]] bool committed() const noexcept {
     return outcome == Outcome::kCommit;
   }
-};
-
-// Structural requirements on an abortable consensus implementation:
-// the two-argument wrapper of Algorithm 3/4 (inherited value `old`
-// plus own proposal) and the raw single-value propose.
-template <class C, class Ctx>
-concept AbortableConsensus = requires(C c, Ctx& ctx, std::int64_t v) {
-  { c.propose(ctx, v) } -> std::same_as<ConsensusResult>;
-  { c.run(ctx, v, v) } -> std::same_as<ConsensusResult>;
-  { C::kConsensusNumber } -> std::convertible_to<int>;
 };
 
 }  // namespace scm

@@ -14,14 +14,13 @@
 
 #include "consensus/consensus.hpp"
 #include "consensus/splitter.hpp"
+#include "runtime/registers.hpp"
 
 namespace scm {
 
-template <class P>
 class SplitConsensus {
  public:
   static constexpr int kConsensusNumber = kConsensusNumberRegister;
-  using Context = typename P::Context;
 
   // Algorithm 3, propose(v), lines 5-17 — with one repair: the paper's
   // pseudocode resets the splitter only on the V-writing commit path
@@ -79,9 +78,9 @@ class SplitConsensus {
   }
 
  private:
-  Splitter<P> splitter_;
-  typename P::template Register<std::int64_t> value_{kBottom};
-  typename P::template Register<bool> contended_{false};
+  Splitter splitter_;
+  NativeRegister<std::int64_t> value_{kBottom};
+  NativeRegister<bool> contended_{false};
 };
 
 }  // namespace scm

@@ -7,16 +7,15 @@
 #pragma once
 
 #include "runtime/ids.hpp"
+#include "runtime/registers.hpp"
 
 namespace scm {
 
 enum class SplitterVerdict : std::uint8_t { kStop, kRight, kDown };
 
-template <class P>
 class Splitter {
  public:
   static constexpr int kConsensusNumber = kConsensusNumberRegister;
-  using Context = typename P::Context;
 
   template <class Ctx>
   [[nodiscard]] SplitterVerdict get(Ctx& ctx) {
@@ -36,8 +35,8 @@ class Splitter {
   }
 
  private:
-  typename P::template Register<ProcessId> door_{kInvalidProcess};
-  typename P::template Register<bool> closed_{false};
+  NativeRegister<ProcessId> door_{kInvalidProcess};
+  NativeRegister<bool> closed_{false};
 };
 
 }  // namespace scm

@@ -46,7 +46,7 @@
 // here as 1), the gate-held fast path, the served-wait loop and drain(),
 // all parked on one process-private WaitPoint. Every blocking point
 // goes through wait_until (runtime/wait.hpp), so this class runs under
-// SimPlatform as shipped and combining_explore_test enumerates its
+// SimContext as shipped and combining_explore_test enumerates its
 // interleavings. What stays here is policy: the elect_spins election,
 // the inline fallback when every record is taken, tickets and
 // completion callbacks. The RMW budget: a fast-path op pays one (the

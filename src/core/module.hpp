@@ -61,34 +61,4 @@ ModuleResult apply(M& obj, Ctx& ctx, const Request& m,
   return obj.invoke(ctx, m, init);
 }
 
-// ---- read-only op classification ----------------------------------
-//
-// Nothing in Request distinguishes reads from writes — the op code is
-// spec-defined. Layers that want to serve reads differently (the
-// caching combinator of core/caching.hpp) need the spec to say which
-// op codes are read-only: ReadOnlyOps<kOps...> is that declaration.
-// A read-only op must not change the object's state; serving it from
-// a replica snapshot is then semantically invisible.
-template <std::int64_t... kOps>
-struct ReadOnlyOps {
-  [[nodiscard]] static constexpr bool is_read_only(
-      std::int64_t op) noexcept {
-    return ((op == kOps) || ...);
-  }
-  [[nodiscard]] static constexpr bool is_read_only(
-      const Request& m) noexcept {
-    return is_read_only(m.op);
-  }
-};
-
-// A classifier answers "is this op code read-only?" — structurally,
-// so specs can hand-roll their own instead of using ReadOnlyOps.
-template <class C>
-concept ReadOnlyClassifier = requires(std::int64_t op, const Request& m) {
-  { C::is_read_only(op) } -> std::convertible_to<bool>;
-  { C::is_read_only(m) } -> std::convertible_to<bool>;
-};
-
-static_assert(ReadOnlyClassifier<ReadOnlyOps<1>>);
-
 }  // namespace scm

@@ -55,10 +55,10 @@ namespace scm {
 // pure function of its arguments, so routing the same operation twice
 // (route() then invoke_at())
 // always picks the same shard.
-template <class P, class Ctx>
+template <class R, class Ctx>
 concept ShardRoutingPolicy =
-    requires(const P& p, Ctx& ctx, const Request& m, std::size_t shards) {
-      { p(ctx, m, shards) } -> std::convertible_to<std::size_t>;
+    requires(const R& r, Ctx& ctx, const Request& m, std::size_t shards) {
+      { r(ctx, m, shards) } -> std::convertible_to<std::size_t>;
     };
 
 // Deterministic per-process routing: process i always uses shard

@@ -8,7 +8,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
 #include <ostream>
 
 #include "runtime/ids.hpp"
@@ -41,12 +40,6 @@ struct SwitchToken {
   SwitchValue value = 0;
 
   friend auto operator<=>(const SwitchToken&, const SwitchToken&) = default;
-};
-
-struct RequestIdHash {
-  std::size_t operator()(const Request& r) const noexcept {
-    return std::hash<std::uint64_t>{}(r.id);
-  }
 };
 
 }  // namespace scm

@@ -51,9 +51,10 @@ struct Crashed {};
 // depends on it) but bumps no StepCounters field.
 enum class Access : std::uint8_t { kRead, kWrite, kRmw, kWake };
 
-// Execution context handed to a simulated process body. Satisfies the
-// scm::ExecutionContext concept, so the same algorithm templates run
-// here and on the native platform.
+// Execution context handed to a simulated process body. It has
+// NativeContext's interface (id, counters, on_read/on_write/on_rmw),
+// so every algorithm, templated only on its context, runs the same
+// base objects here and natively.
 class SimContext {
  public:
   // Marker consumed by scm::wait_until (runtime/wait.hpp): this context

@@ -20,14 +20,14 @@
 #include "core/module.hpp"
 #include "history/specs.hpp"
 #include "runtime/ids.hpp"
+#include "runtime/registers.hpp"
 
 namespace scm {
 
-template <class P, bool CheckAbortedOnEntry = true>
+template <bool CheckAbortedOnEntry = true>
 class ObstructionFreeTas {
  public:
   static constexpr int kConsensusNumber = kConsensusNumberRegister;
-  using Context = typename P::Context;
 
   // Algorithm 1, A1-test-and-set(val)_i. `init` carries the switch
   // value the module was entered with (composition input), if any.
@@ -104,14 +104,10 @@ class ObstructionFreeTas {
   }
 
  private:
-  typename P::template Register<ProcessId> pace_{kInvalidProcess};  // P
-  typename P::template Register<ProcessId> set_{kInvalidProcess};   // S
-  typename P::template Register<bool> aborted_{false};
-  typename P::template Register<int> value_{0};  // V
+  NativeRegister<ProcessId> pace_{kInvalidProcess};  // P
+  NativeRegister<ProcessId> set_{kInvalidProcess};   // S
+  NativeRegister<bool> aborted_{false};
+  NativeRegister<int> value_{0};  // V
 };
-
-// Appendix B: the solo-fast module — identical, minus the entry check.
-template <class P>
-using SoloFastTasModule = ObstructionFreeTas<P, false>;
 
 }  // namespace scm

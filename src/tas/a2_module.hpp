@@ -12,14 +12,13 @@
 #include "core/module.hpp"
 #include "history/specs.hpp"
 #include "runtime/ids.hpp"
+#include "runtime/primitives.hpp"
 
 namespace scm {
 
-template <class P>
 class WaitFreeTas {
  public:
   static constexpr int kConsensusNumber = kConsensusNumberTas;
-  using Context = typename P::Context;
 
   template <class Ctx>
   ModuleResult invoke(Ctx& ctx, const Request& /*m*/,
@@ -38,7 +37,7 @@ class WaitFreeTas {
   void unsafe_reset() { hardware_.reset(); }
 
  private:
-  typename P::Tas hardware_;
+  NativeTas hardware_;
 };
 
 }  // namespace scm

@@ -20,12 +20,11 @@
 
 namespace scm {
 
-template <class P, bool SoloFast = false>
+template <bool SoloFast = false>
 class BiasedLock {
  public:
   static constexpr int kConsensusNumber =
-      LongLivedTas<P, SoloFast>::kConsensusNumber;
-  using Context = typename P::Context;
+      LongLivedTas<SoloFast>::kConsensusNumber;
 
   BiasedLock(int num_processes, std::size_t rounds, bool recycle = true)
       : tas_(num_processes, rounds, recycle) {
@@ -35,7 +34,8 @@ class BiasedLock {
   // Acquires the lock; blocking (a lock cannot be wait-free), but each
   // round's decision is, and the uncontended path costs O(1) register
   // steps.
-  void lock(Context& ctx) {
+  template <class Ctx>
+  void lock(Ctx& ctx) {
     for (;;) {
       const std::uint64_t round_before = tas_.round_read(ctx);
       if (tas_.test_and_set(ctx, next_request(ctx)).won()) return;
@@ -48,7 +48,8 @@ class BiasedLock {
   }
 
   // Releases the lock. Caller must hold it (TAS well-formedness).
-  void unlock(Context& ctx) { tas_.reset(ctx); }
+  template <class Ctx>
+  void unlock(Ctx& ctx) { tas_.reset(ctx); }
 
   [[nodiscard]] std::uint64_t rounds_played() const { return tas_.round(); }
 
@@ -57,14 +58,15 @@ class BiasedLock {
     std::uint64_t next = 0;
   };
 
-  Request next_request(Context& ctx) {
+  template <class Ctx>
+  Request next_request(Ctx& ctx) {
     auto& mine = seq_[static_cast<std::size_t>(ctx.id())];
     const std::uint64_t id =
         (static_cast<std::uint64_t>(ctx.id()) << 32) | ++mine.next;
     return Request{id, ctx.id(), TasSpec::kTestAndSet, 0};
   }
 
-  LongLivedTas<P, SoloFast> tas_;
+  LongLivedTas<SoloFast> tas_;
   std::unique_ptr<Seq[]> seq_;
 };
 

@@ -24,17 +24,17 @@
 
 #include "support/assert.hpp"
 #include "support/cacheline.hpp"
+#include "runtime/registers.hpp"
 #include "tas/speculative_tas.hpp"
 
 namespace scm {
 
-template <class P, bool SoloFast = false>
+template <bool SoloFast = false>
 class LongLivedTas {
  public:
-  using OneShot = SpeculativeTas<P, SoloFast>;
+  using OneShot = SpeculativeTas<SoloFast>;
   static constexpr int kConsensusNumber = OneShot::kConsensusNumber;
   static_assert(kConsensusNumber <= 2);
-  using Context = typename P::Context;
 
   LongLivedTas(int num_processes, std::size_t capacity, bool recycle = false)
       : recycle_(recycle), capacity_(capacity) {
@@ -48,7 +48,8 @@ class LongLivedTas {
   }
 
   // Algorithm 2, test-and-set()_i.
-  TasOutcome test_and_set(Context& ctx, const Request& m) {
+  template <class Ctx>
+  TasOutcome test_and_set(Ctx& ctx, const Request& m) {
     const std::uint64_t round = count_.read(ctx);
     OneShot& tas = slot(round);
     const TasOutcome out = tas.test_and_set(ctx, m);
@@ -59,7 +60,8 @@ class LongLivedTas {
   }
 
   // Algorithm 2, reset()_i: only the current winner advances the round.
-  void reset(Context& ctx) {
+  template <class Ctx>
+  void reset(Ctx& ctx) {
     auto& mine = winner_flag_[static_cast<std::size_t>(ctx.id())].value;
     if (!mine) return;
     const std::uint64_t round = count_.read(ctx);
@@ -96,7 +98,7 @@ class LongLivedTas {
   // crtWinner is process-local state in the paper; one padded slot per
   // process (written only by its owner).
   std::unique_ptr<Padded<bool>[]> winner_flag_;
-  typename P::template Register<std::uint64_t> count_{0};  // Count
+  NativeRegister<std::uint64_t> count_{0};  // Count
 };
 
 }  // namespace scm

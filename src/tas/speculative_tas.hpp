@@ -31,11 +31,11 @@ struct TasOutcome {
   [[nodiscard]] bool won() const noexcept { return value == TasSpec::kWinner; }
 };
 
-template <class P, bool SoloFast = false>
+template <bool SoloFast = false>
 class SpeculativeTas {
  public:
-  using A1 = ObstructionFreeTas<P, /*CheckAbortedOnEntry=*/!SoloFast>;
-  using A2 = WaitFreeTas<P>;
+  using A1 = ObstructionFreeTas</*CheckAbortedOnEntry=*/!SoloFast>;
+  using A2 = WaitFreeTas;
   // The A1∘A2 chain as a pipeline. FastPipeline: the one-shot TAS is
   // the native benches' hot object (pooled by LongLivedTas), so the
   // commit path must touch nothing but the modules' own registers.
@@ -43,7 +43,6 @@ class SpeculativeTas {
   static constexpr int kConsensusNumber = Chain::kConsensusNumber;
   static_assert(kConsensusNumber <= 2,
                 "the composed TAS must not require consensus (Section 6)");
-  using Context = typename P::Context;
 
   // One-shot test-and-set; wait-free.
   template <class Ctx>
@@ -64,9 +63,6 @@ class SpeculativeTas {
     return chain_.invoke(ctx, m, init);
   }
 
-  [[nodiscard]] A1& speculative_module() noexcept { return a1_; }
-  [[nodiscard]] A2& hardware_module() noexcept { return a2_; }
-
   // Current logical value (diagnostics): taken if either module shows
   // it taken.
   [[nodiscard]] bool taken() const {
@@ -86,7 +82,6 @@ class SpeculativeTas {
 
 // Appendix B: solo-fast composition — a process reverts to hardware
 // only when it itself encounters step contention.
-template <class P>
-using SoloFastTas = SpeculativeTas<P, /*SoloFast=*/true>;
+using SoloFastTas = SpeculativeTas</*SoloFast=*/true>;
 
 }  // namespace scm

@@ -28,20 +28,21 @@
 #include "support/assert.hpp"
 #include "consensus/consensus.hpp"
 #include "history/specs.hpp"
+#include "runtime/primitives.hpp"
+#include "runtime/registers.hpp"
 #include "support/cacheline.hpp"
 #include "universal/abstract.hpp"
 #include "universal/snapshot.hpp"
 
 namespace scm {
 
-template <class P, class Spec, class Cons, std::size_t CapPerProc = 64>
+template <class Spec, class Cons, std::size_t CapPerProc = 64>
 class ComposableUniversal {
  public:
   // The cells contribute their own strength; the committed-cell
   // counter C is fetch&add, whose consensus number is 2.
   static constexpr int kConsensusNumber =
       std::max(Cons::kConsensusNumber, kConsensusNumberFetchAdd);
-  using Context = typename P::Context;
 
   ComposableUniversal(int num_processes, std::size_t max_cells,
                       const char* stage_name = "composable-universal")
@@ -57,8 +58,8 @@ class ComposableUniversal {
         static_cast<std::size_t>(num_processes));
   }
 
-  AbstractResult invoke(Context& ctx, const Request& m,
-                        const History& init) {
+  template <class Ctx>
+  AbstractResult invoke(Ctx& ctx, const Request& m, const History& init) {
     SCM_CHECK_MSG(0 <= ctx.id() && ctx.id() < n_,
                   "ComposableUniversal: process id out of range");
     PerProc& me = per_proc_[static_cast<std::size_t>(ctx.id())];
@@ -138,12 +139,9 @@ class ComposableUniversal {
 
   [[nodiscard]] const char* name() const { return name_; }
 
-  // Whether this instance has been poisoned (post-run diagnostics).
-  [[nodiscard]] bool poisoned() const { return aborted_.peek(); }
-
  private:
   struct AnnounceSlot {
-    typename P::template Register<std::int64_t> ref{kBottom};
+    NativeRegister<std::int64_t> ref{kBottom};
   };
 
   struct alignas(kCacheLineSize) PerProc {
@@ -187,7 +185,8 @@ class ComposableUniversal {
   // Proposes the inherited history, in order, to the leading cells
   // (Section 4.2: "each process proposes, in order, the requests in its
   // (abort) history to the Cons list of the new instance").
-  AbstractResult run_init(Context& ctx, PerProc& me, const History& init,
+  template <class Ctx>
+  AbstractResult run_init(Ctx& ctx, PerProc& me, const History& init,
                           const Request& current) {
     for (;;) {
       // First inherited request not yet performed locally.
@@ -221,7 +220,8 @@ class ComposableUniversal {
   // history from the decided cells (bounded by the committed-cell
   // counter), appending the caller's own request if it never decided
   // (Termination: "h contains m").
-  AbstractResult abort_path(Context& ctx, PerProc& me, const Request& m) {
+  template <class Ctx>
+  AbstractResult abort_path(Ctx& ctx, PerProc& me, const Request& m) {
     if (!aborted_.read(ctx)) aborted_.write(ctx, true);
     const std::uint64_t count = committed_count_.read(ctx);
 
@@ -244,11 +244,11 @@ class ComposableUniversal {
   int n_;
   const char* name_;
   std::vector<std::unique_ptr<Cons>> cells_;
-  SnapshotLog<P, Request, CapPerProc> requests_;
+  SnapshotLog<Request, CapPerProc> requests_;
   std::unique_ptr<AnnounceSlot[]> announce_;
   std::unique_ptr<PerProc[]> per_proc_;
-  typename P::template Register<bool> aborted_{false};
-  typename P::Counter committed_count_;
+  NativeRegister<bool> aborted_{false};
+  NativeCounter committed_count_;
 };
 
 }  // namespace scm

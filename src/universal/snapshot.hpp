@@ -17,13 +17,14 @@
 
 #include "support/assert.hpp"
 #include "runtime/ids.hpp"
+#include "runtime/registers.hpp"
 
 namespace scm {
 
 // Fixed-capacity append-only log per process; Cap bounds the number of
 // requests one process may issue to a single universal-construction
 // instance (a model parameter, not a correctness bound).
-template <class P, class T, std::size_t Cap = 64>
+template <class T, std::size_t Cap = 64>
 class SnapshotLog {
  public:
   static constexpr int kConsensusNumber = kConsensusNumberRegister;
@@ -89,8 +90,8 @@ class SnapshotLog {
 
  private:
   struct Component {
-    typename P::template Register<std::uint64_t> length{0};
-    std::array<typename P::template Register<T>, Cap> slots{};
+    NativeRegister<std::uint64_t> length{0};
+    std::array<NativeRegister<T>, Cap> slots{};
   };
 
   int n_;

@@ -45,18 +45,8 @@ template <class... Stages>
 class StaticAbstractChain {
   static_assert(sizeof...(Stages) >= 1, "empty static chain");
 
-  template <std::size_t I>
-  using stage_t = std::tuple_element_t<I, std::tuple<Stages...>>;
-
  public:
   static constexpr std::size_t kDepth = sizeof...(Stages);
-  // The platform context comes from the first stage; all stages run on
-  // the same platform.
-  using Context = typename stage_t<0>::Context;
-
-  static_assert((AbstractStageLike<Stages, Context> && ...),
-                "every static chain stage must expose the Abstract "
-                "surface (invoke/kConsensusNumber/name)");
 
   // The chain's consensus number: the max over its stages, folded at
   // compile time as Pipeline folds its modules'.
@@ -73,7 +63,11 @@ class StaticAbstractChain {
   }
 
   // Performs request m; wait-free iff the last stage never aborts.
-  ChainPerformed perform(Context& ctx, const Request& m) {
+  // Every stage must expose the Abstract surface under the caller's
+  // context.
+  template <class Ctx>
+    requires(AbstractStageLike<Stages, Ctx> && ...)
+  ChainPerformed perform(Ctx& ctx, const Request& m) {
     SCM_CHECK_MSG(0 <= ctx.id() && ctx.id() < n_,
                   "StaticAbstractChain: process id out of range");
     PerProc& me = per_proc_[static_cast<std::size_t>(ctx.id())];
@@ -84,7 +78,9 @@ class StaticAbstractChain {
   // values travel inside it (an abort's history initializes the next
   // stage, and the last stage never aborts), so an external init has
   // no meaning here — passing one is a composition error.
-  ModuleResult invoke(Context& ctx, const Request& m,
+  template <class Ctx>
+    requires(AbstractStageLike<Stages, Ctx> && ...)
+  ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt) {
     SCM_CHECK_MSG(!init.has_value(),
                   "a chain consumes its switch values internally; an "
@@ -123,8 +119,8 @@ class StaticAbstractChain {
 
   // Runtime stage index -> compile-time stage: walk the tuple until the
   // sticky index is reached, then run the chain tail from there.
-  template <std::size_t I>
-  ChainPerformed resume_at(std::size_t idx, PerProc& me, Context& ctx,
+  template <std::size_t I, class Ctx>
+  ChainPerformed resume_at(std::size_t idx, PerProc& me, Ctx& ctx,
                            const Request& m) {
     if constexpr (I < kDepth) {
       if (idx == I) return run_from<I>(me, ctx, m);
@@ -135,8 +131,8 @@ class StaticAbstractChain {
     }
   }
 
-  template <std::size_t I>
-  ChainPerformed run_from(PerProc& me, Context& ctx, const Request& m) {
+  template <std::size_t I, class Ctx>
+  ChainPerformed run_from(PerProc& me, Ctx& ctx, const Request& m) {
     AbstractResult r =
         std::get<I>(stages_).get().invoke(ctx, m, me.pending_init);
     if (r.committed()) {

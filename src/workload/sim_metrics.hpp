@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 
 namespace scm::workload {

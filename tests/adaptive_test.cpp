@@ -47,7 +47,7 @@
 #include "runtime/context.hpp"
 #include "runtime/platform.hpp"
 #include "runtime/wait.hpp"
-#include "sim/sim_platform.hpp"
+#include "sim/simulator.hpp"
 #include "workload/driver.hpp"
 
 namespace scm {

@@ -50,7 +50,6 @@
 #include "runtime/platform.hpp"
 #include "runtime/wait.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "workload/driver.hpp"
 

@@ -3,7 +3,6 @@
 //
 //  * Composable concept + scm::apply(): module-shaped and chain-shaped
 //    objects both dispatch through the one entry point;
-//  * ReadOnlyOps classification;
 //  * a solo caller's cached results are bit-identical to the bare
 //    object's, hit path included;
 //  * invalidation: a post-write read misses, refetches, and refills at
@@ -199,20 +198,6 @@ TEST(ComposableSurface, ApplyForwardsToInvoke) {
   NativeContext ctx(0);
   EXPECT_EQ(scm::apply(counter, ctx, inc_req(1, 0)).response, 0);
   EXPECT_EQ(scm::apply(counter, ctx, read_req(2, 0)).response, 1);
-}
-
-TEST(ComposableSurface, ReadOnlyOpsClassifies) {
-  using Reads = ReadOnlyOps<CounterSpec::kRead>;
-  static_assert(ReadOnlyClassifier<Reads>);
-  EXPECT_TRUE(Reads::is_read_only(CounterSpec::kRead));
-  EXPECT_FALSE(Reads::is_read_only(CounterSpec::kFetchInc));
-  EXPECT_TRUE(Reads::is_read_only(read_req(1, 0)));
-  EXPECT_FALSE(Reads::is_read_only(inc_req(1, 0)));
-
-  using Multi = ReadOnlyOps<3, 5>;
-  EXPECT_TRUE(Multi::is_read_only(3));
-  EXPECT_TRUE(Multi::is_read_only(5));
-  EXPECT_FALSE(Multi::is_read_only(4));
 }
 
 // ---------------------------------------------------------------------------

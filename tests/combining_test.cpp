@@ -275,10 +275,8 @@ TEST(Combining, SoloStreamIsIdenticalToDirectInvocation) {
 }
 
 TEST(Combining, WrappedChainInvokeMatchesBarePerformSolo) {
-  using SplitStage = ComposableUniversal<NativePlatform, CounterSpec,
-                                         SplitConsensus<NativePlatform>, 32>;
-  using CasStage = ComposableUniversal<NativePlatform, CounterSpec,
-                                       CasConsensus<NativePlatform>, 32>;
+  using SplitStage = ComposableUniversal<CounterSpec, SplitConsensus, 32>;
+  using CasStage = ComposableUniversal<CounterSpec, CasConsensus, 32>;
   using Chain = StaticAbstractChain<SplitStage, CasStage>;
   static_assert(Composable<Chain, NativeContext>);
   static_assert(Combining<Chain, 4>::kConsensusNumber == kConsensusNumberCas);

@@ -15,14 +15,12 @@
 #include "consensus/splitter.hpp"
 #include "sim/explorer.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 
 namespace scm {
 namespace {
 
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 // ---------------------------------------------------------------------------
@@ -30,7 +28,7 @@ using sim::Simulator;
 
 TEST(Splitter, SoloProcessStops) {
   Simulator s;
-  Splitter<SimPlatform> splitter;
+  Splitter splitter;
   SplitterVerdict verdict{};
   s.add_process([&](SimContext& ctx) { verdict = splitter.get(ctx); });
   sim::SequentialSchedule sched;
@@ -43,7 +41,7 @@ TEST(Splitter, AtMostOneStopUnderAllInterleavings) {
   auto stats = sim::explore_all_schedules(
       [&]() {
         auto s = std::make_unique<Simulator>();
-        auto splitter = std::make_shared<Splitter<SimPlatform>>();
+        auto splitter = std::make_shared<Splitter>();
         verdicts->assign(3, SplitterVerdict::kDown);
         for (int p = 0; p < 3; ++p) {
           s->add_process([splitter, verdicts, p](SimContext& ctx) {
@@ -68,7 +66,7 @@ TEST(Splitter, AtMostOneStopUnderAllInterleavings) {
 
 TEST(Splitter, ReusableAfterReset) {
   Simulator s;
-  Splitter<SimPlatform> splitter;
+  Splitter splitter;
   std::vector<SplitterVerdict> verdicts;
   s.add_process([&](SimContext& ctx) {
     for (int round = 0; round < 3; ++round) {
@@ -153,7 +151,7 @@ auto make_random_sched_factory() {
 
 TEST(SplitConsensus, SoloCommitsOwnValue) {
   Simulator s;
-  SplitConsensus<SimPlatform> cons;
+  SplitConsensus cons;
   std::optional<ConsensusResult> result;
   s.add_process(
       [&](SimContext& ctx) { result = cons.run(ctx, kBottom, 42); });
@@ -168,7 +166,7 @@ TEST(SplitConsensus, SequentialProcessesAgreeOnFirstValue) {
   // No interval contention: everyone must commit, and later processes
   // adopt the first decided value.
   Simulator s;
-  SplitConsensus<SimPlatform> cons;
+  SplitConsensus cons;
   constexpr int kN = 4;
   std::vector<std::optional<ConsensusResult>> results(kN);
   for (int p = 0; p < kN; ++p) {
@@ -191,7 +189,7 @@ TEST(SplitConsensus, SoloStepComplexityIsConstant) {
   // different process counts.
   auto solo_steps = [](int bystanders) {
     Simulator s;
-    SplitConsensus<SimPlatform> cons;
+    SplitConsensus cons;
     s.add_process([&](SimContext& ctx) { (void)cons.run(ctx, kBottom, 7); });
     for (int p = 0; p < bystanders; ++p) {
       s.add_process([](SimContext&) {});
@@ -207,12 +205,12 @@ TEST(SplitConsensus, SoloStepComplexityIsConstant) {
 }
 
 TEST(SplitConsensus, SafetyUnderRandomSchedules) {
-  consensus_safety_sweep<SplitConsensus<SimPlatform>>(
-      4, make_random_sched_factory<SplitConsensus<SimPlatform>>(), 200);
+  consensus_safety_sweep<SplitConsensus>(
+      4, make_random_sched_factory<SplitConsensus>(), 200);
 }
 
 TEST(SplitConsensus, SafetyUnderRoundRobin) {
-  consensus_safety_sweep<SplitConsensus<SimPlatform>>(3, [](int iter) {
+  consensus_safety_sweep<SplitConsensus>(3, [](int iter) {
     return std::make_unique<sim::RoundRobinSchedule>(
         static_cast<std::uint64_t>(iter % 3 + 1));
   }, 3);
@@ -224,7 +222,7 @@ TEST(SplitConsensus, ExhaustiveTwoProcessSafety) {
   auto stats = sim::explore_all_schedules(
       [&]() {
         auto s = std::make_unique<Simulator>();
-        auto cons = std::make_shared<SplitConsensus<SimPlatform>>();
+        auto cons = std::make_shared<SplitConsensus>();
         results->assign(2, std::nullopt);
         for (int p = 0; p < 2; ++p) {
           s->add_process([cons, results, p](SimContext& ctx) {
@@ -234,8 +232,7 @@ TEST(SplitConsensus, ExhaustiveTwoProcessSafety) {
         return s;
       },
       [&](Simulator&) {
-        check_agreement_and_validity<SplitConsensus<SimPlatform>>(
-            *results, {100, 101});
+        check_agreement_and_validity<SplitConsensus>(*results, {100, 101});
       },
       // Bounded DFS prefix of the two-process interleaving tree; the
       // randomized sweeps cover the remainder.
@@ -247,7 +244,7 @@ TEST(SplitConsensus, InheritedValueWins) {
   // A process arriving with an inherited (init) value must impose it
   // when running solo: the init round proposes `old` first.
   Simulator s;
-  SplitConsensus<SimPlatform> cons;
+  SplitConsensus cons;
   std::optional<ConsensusResult> result;
   s.add_process([&](SimContext& ctx) { result = cons.run(ctx, 77, 42); });
   sim::SequentialSchedule sched;
@@ -262,7 +259,7 @@ TEST(SplitConsensus, InheritedValueWins) {
 
 TEST(AbortableBakery, SoloCommitsOwnValue) {
   Simulator s;
-  AbortableBakery<SimPlatform> cons(1);
+  AbortableBakery cons(1);
   std::optional<ConsensusResult> result;
   s.add_process(
       [&](SimContext& ctx) { result = cons.run(ctx, kBottom, 42); });
@@ -276,7 +273,7 @@ TEST(AbortableBakery, SoloCommitsOwnValue) {
 TEST(AbortableBakery, SequentialProcessesAgree) {
   Simulator s;
   constexpr int kN = 4;
-  AbortableBakery<SimPlatform> cons(kN);
+  AbortableBakery cons(kN);
   std::vector<std::optional<ConsensusResult>> results(kN);
   for (int p = 0; p < kN; ++p) {
     s.add_process([&, p](SimContext& ctx) {
@@ -295,7 +292,7 @@ TEST(AbortableBakery, SequentialProcessesAgree) {
 TEST(AbortableBakery, SoloStepComplexityIsLinearInN) {
   auto solo_steps = [](int n) {
     Simulator s;
-    AbortableBakery<SimPlatform> cons(n);
+    AbortableBakery cons(n);
     s.add_process([&](SimContext& ctx) { (void)cons.run(ctx, kBottom, 7); });
     for (int p = 1; p < n; ++p) s.add_process([](SimContext&) {});
     sim::SequentialSchedule sched;
@@ -312,8 +309,8 @@ TEST(AbortableBakery, SoloStepComplexityIsLinearInN) {
 }
 
 TEST(AbortableBakery, SafetyUnderRandomSchedules) {
-  consensus_safety_sweep<AbortableBakery<SimPlatform>>(
-      4, make_random_sched_factory<AbortableBakery<SimPlatform>>(), 200);
+  consensus_safety_sweep<AbortableBakery>(
+      4, make_random_sched_factory<AbortableBakery>(), 200);
 }
 
 TEST(AbortableBakery, ExhaustiveTwoProcessSafety) {
@@ -322,7 +319,7 @@ TEST(AbortableBakery, ExhaustiveTwoProcessSafety) {
   auto stats = sim::explore_all_schedules(
       [&]() {
         auto s = std::make_unique<Simulator>();
-        auto cons = std::make_shared<AbortableBakery<SimPlatform>>(2);
+        auto cons = std::make_shared<AbortableBakery>(2);
         results->assign(2, std::nullopt);
         for (int p = 0; p < 2; ++p) {
           s->add_process([cons, results, p](SimContext& ctx) {
@@ -332,8 +329,7 @@ TEST(AbortableBakery, ExhaustiveTwoProcessSafety) {
         return s;
       },
       [&](Simulator&) {
-        check_agreement_and_validity<AbortableBakery<SimPlatform>>(
-            *results, {100, 101});
+        check_agreement_and_validity<AbortableBakery>(*results, {100, 101});
       },
       /*max_runs=*/4'000);
   // The bakery's tree is larger; cap the exploration but require real
@@ -347,7 +343,7 @@ TEST(AbortableBakery, AbortsOnlyUnderStepContention) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     Simulator s;
     constexpr int kN = 3;
-    AbortableBakery<SimPlatform> cons(kN);
+    AbortableBakery cons(kN);
     std::vector<std::optional<ConsensusResult>> results(kN);
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
@@ -374,7 +370,7 @@ TEST(AbortableBakery, AbortsOnlyUnderStepContention) {
 TEST(CasConsensus, AlwaysCommitsUnderAnySchedule) {
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     Simulator s;
-    CasConsensus<SimPlatform> cons;
+    CasConsensus cons;
     constexpr int kN = 5;
     std::vector<std::optional<ConsensusResult>> results(kN);
     std::vector<std::int64_t> proposals(kN);
@@ -398,7 +394,7 @@ TEST(CasConsensus, AlwaysCommitsUnderAnySchedule) {
 
 TEST(CasConsensus, UsesExactlyOneRmwWhenUncontended) {
   Simulator s;
-  CasConsensus<SimPlatform> cons;
+  CasConsensus cons;
   s.add_process([&](SimContext& ctx) { (void)cons.run(ctx, kBottom, 5); });
   sim::SequentialSchedule sched;
   s.run(sched);
@@ -407,7 +403,7 @@ TEST(CasConsensus, UsesExactlyOneRmwWhenUncontended) {
 
 TEST(CasConsensus, InheritedValueProposedFirst) {
   Simulator s;
-  CasConsensus<SimPlatform> cons;
+  CasConsensus cons;
   std::optional<ConsensusResult> result;
   s.add_process([&](SimContext& ctx) { result = cons.run(ctx, 88, 5); });
   sim::SequentialSchedule sched;
@@ -447,13 +443,13 @@ void crash_safety_sweep(int n) {
 }
 
 TEST(SplitConsensus, SafeUnderCrashes) {
-  crash_safety_sweep<SplitConsensus<SimPlatform>>(4);
+  crash_safety_sweep<SplitConsensus>(4);
 }
 TEST(AbortableBakery, SafeUnderCrashes) {
-  crash_safety_sweep<AbortableBakery<SimPlatform>>(4);
+  crash_safety_sweep<AbortableBakery>(4);
 }
 TEST(CasConsensus, SafeUnderCrashes) {
-  crash_safety_sweep<CasConsensus<SimPlatform>>(4);
+  crash_safety_sweep<CasConsensus>(4);
 }
 
 }  // namespace

@@ -5,13 +5,18 @@
 //    pipeline combinator;
 //  * trace recorder ordering;
 //  * schedule policies' behavioural contracts;
-//  * crash injection through the full universal chain.
+//  * crash injection through the full universal chain;
+//  * one algorithm object counts the same steps natively and under the
+//    simulator.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <set>
+#include <type_traits>
 #include <vector>
 
+#include "consensus/abortable_bakery.hpp"
 #include "consensus/cas_consensus.hpp"
 #include "consensus/split_consensus.hpp"
 #include "core/interpretation.hpp"
@@ -20,8 +25,8 @@
 #include "core/trace.hpp"
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
+#include "runtime/platform.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "tas/a1_module.hpp"
 #include "tas/a2_module.hpp"
@@ -34,7 +39,6 @@ namespace scm {
 namespace {
 
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 Request tas_req(std::uint64_t id, ProcessId p) {
@@ -49,7 +53,7 @@ TEST(BiasedLock, MutualExclusionUnderRandomSchedules) {
     Simulator s;
     constexpr int kN = 3;
     constexpr int kAcquires = 3;
-    BiasedLock<SimPlatform> lock(kN, 256, /*recycle=*/false);
+    BiasedLock<> lock(kN, 256, /*recycle=*/false);
     int in_critical = 0;
     int max_in_critical = 0;
     long shared_counter = 0;
@@ -76,7 +80,7 @@ TEST(BiasedLock, MutualExclusionUnderRandomSchedules) {
 
 TEST(BiasedLock, OwnerFastPathUsesNoRmw) {
   Simulator s;
-  BiasedLock<SimPlatform> lock(1, 64, /*recycle=*/true);
+  BiasedLock<> lock(1, 64, /*recycle=*/true);
   s.add_process([&](SimContext& ctx) {
     for (int i = 0; i < 20; ++i) {
       lock.lock(ctx);
@@ -92,7 +96,7 @@ TEST(BiasedLock, OwnerFastPathUsesNoRmw) {
 TEST(BiasedLock, StepsPerUncontendedAcquireConstant) {
   auto steps_for = [](int acquires) {
     Simulator s;
-    BiasedLock<SimPlatform> lock(1, 128, /*recycle=*/true);
+    BiasedLock<> lock(1, 128, /*recycle=*/true);
     s.add_process([&](SimContext& ctx) {
       for (int i = 0; i < acquires; ++i) {
         lock.lock(ctx);
@@ -117,9 +121,9 @@ TEST(PipelineChain, A1WithItselfThenHardwareIsCorrect) {
   for (std::uint64_t seed = 0; seed < 150; ++seed) {
     Simulator s;
     constexpr int kN = 3;
-    ObstructionFreeTas<SimPlatform> first;
-    ObstructionFreeTas<SimPlatform> second;
-    WaitFreeTas<SimPlatform> final_stage;
+    ObstructionFreeTas<> first;
+    ObstructionFreeTas<> second;
+    WaitFreeTas final_stage;
     auto chain = make_pipeline(first, second, final_stage);
     static_assert(decltype(chain)::kConsensusNumber == 2);
     static_assert(decltype(chain)::kDepth == 3);
@@ -158,8 +162,8 @@ TEST(PipelineChain, A1WithItselfThenHardwareIsCorrect) {
 
 TEST(PipelineChain, SoloPathNeverReachesSecondModule) {
   Simulator s;
-  ObstructionFreeTas<SimPlatform> a1;
-  WaitFreeTas<SimPlatform> a2;
+  ObstructionFreeTas<> a1;
+  WaitFreeTas a2;
   auto chain = make_pipeline(a1, a2);
   ModuleResult r;
   s.add_process([&](SimContext& ctx) { r = chain.invoke(ctx, tas_req(1, 0)); });
@@ -209,7 +213,7 @@ TEST(TraceRecorder, ProjectionKeepsPerProcessOrder) {
 
 TEST(Schedules, SoloScheduleRunsHeroToCompletionFirst) {
   Simulator s;
-  sim::SimPlatform::Register<int> reg(0);
+  NativeRegister<int> reg(0);
   std::vector<int> finish_order;
   for (int p = 0; p < 3; ++p) {
     s.add_process([&, p](SimContext& ctx) {
@@ -225,7 +229,7 @@ TEST(Schedules, SoloScheduleRunsHeroToCompletionFirst) {
 
 TEST(Schedules, StickyRandomWithStickinessOneIsSequentialPerOp) {
   Simulator s;
-  sim::SimPlatform::Register<int> reg(0);
+  NativeRegister<int> reg(0);
   for (int p = 0; p < 3; ++p) {
     s.add_process([&](SimContext& ctx) {
       ctx.begin_op();
@@ -243,7 +247,7 @@ TEST(Schedules, StickyRandomWithStickinessOneIsSequentialPerOp) {
 TEST(Schedules, RoundRobinQuantumControlsInterleavingGranularity) {
   auto contention_with_quantum = [](std::uint64_t quantum) {
     Simulator s;
-    sim::SimPlatform::Register<int> reg(0);
+    NativeRegister<int> reg(0);
     for (int p = 0; p < 2; ++p) {
       s.add_process([&](SimContext& ctx) {
         ctx.begin_op();
@@ -268,10 +272,8 @@ TEST(Schedules, RoundRobinQuantumControlsInterleavingGranularity) {
 // Crash injection through the universal chain
 
 TEST(StaticChain, SurvivorsStayCorrectUnderCrashes) {
-  using SplitStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                         SplitConsensus<SimPlatform>, 48>;
-  using CasStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                       CasConsensus<SimPlatform>, 48>;
+  using SplitStage = ComposableUniversal<CounterSpec, SplitConsensus, 48>;
+  using CasStage = ComposableUniversal<CounterSpec, CasConsensus, 48>;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     constexpr int kN = 4;
     SplitStage split(kN, 48, "split");
@@ -307,6 +309,67 @@ TEST(StaticChain, SurvivorsStayCorrectUnderCrashes) {
     }
     EXPECT_EQ(all.size(), completed);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One object, both contexts: each algorithm is one type, and a solo op
+// on a fresh instance counts the same steps whether NativeContext or
+// SimContext drives it. This ties the simulator's step and RMW claims
+// (E1, E4) to the code the native benches run.
+
+template <class Obj, std::uint64_t kSoloRmws>
+struct SoloCase {
+  using Type = Obj;
+  static constexpr std::uint64_t kRmws = kSoloRmws;
+};
+
+template <class Case>
+class OneObjectBothContexts : public testing::Test {};
+
+using SoloCases =
+    testing::Types<SoloCase<ObstructionFreeTas<>, 0>, SoloCase<WaitFreeTas, 1>,
+                   SoloCase<SpeculativeTas<>, 0>, SoloCase<SoloFastTas, 0>,
+                   SoloCase<SplitConsensus, 0>, SoloCase<AbortableBakery, 0>,
+                   SoloCase<CasConsensus, 1>>;
+TYPED_TEST_SUITE(OneObjectBothContexts, SoloCases);
+
+template <class Obj>
+std::unique_ptr<Obj> fresh_solo_object() {
+  if constexpr (std::is_constructible_v<Obj, int>) {
+    return std::make_unique<Obj>(1);
+  } else {
+    return std::make_unique<Obj>();
+  }
+}
+
+template <class Obj, class Ctx>
+void solo_op(Obj& obj, Ctx& ctx) {
+  if constexpr (requires { obj.run(ctx, kBottom, std::int64_t{7}); }) {
+    (void)obj.run(ctx, kBottom, 7);
+  } else {
+    (void)obj.invoke(ctx, tas_req(1, 0));
+  }
+}
+
+TYPED_TEST(OneObjectBothContexts, SoloOpCountsTheSameSteps) {
+  using Obj = typename TypeParam::Type;
+
+  NativeContext native(0);
+  solo_op(*fresh_solo_object<Obj>(), native);
+
+  Simulator s;
+  const auto simulated = fresh_solo_object<Obj>();
+  s.add_process([&](SimContext& ctx) { solo_op(*simulated, ctx); });
+  sim::SequentialSchedule sched;
+  s.run(sched);
+
+  const StepCounters& n = native.counters();
+  const StepCounters& m = s.counters(0);
+  EXPECT_GT(n.total(), 0u);
+  EXPECT_EQ(n.reads, m.reads);
+  EXPECT_EQ(n.writes, m.writes);
+  EXPECT_EQ(n.rmws, m.rmws);
+  EXPECT_EQ(n.rmws, TypeParam::kRmws);
 }
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@
 #include "lincheck/lincheck.hpp"
 #include "runtime/context.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "tas/a1_module.hpp"
 #include "tas/a2_module.hpp"
@@ -41,11 +40,10 @@ namespace {
 using fixtures::SinkModule;
 
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
-using A1 = ObstructionFreeTas<SimPlatform>;
-using A2 = WaitFreeTas<SimPlatform>;
+using A1 = ObstructionFreeTas<>;
+using A2 = WaitFreeTas;
 
 Request tas_req(std::uint64_t id, ProcessId p) {
   return Request{id, p, TasSpec::kTestAndSet, 0};
@@ -351,10 +349,8 @@ TEST(Pipeline, Depth3TasPipelineStaysLinearizable) {
 // StaticAbstractChain
 
 TEST(StaticChain, SoloRunsCommitOnStageZero) {
-  using SplitStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                         SplitConsensus<SimPlatform>, 48>;
-  using CasStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                       CasConsensus<SimPlatform>, 48>;
+  using SplitStage = ComposableUniversal<CounterSpec, SplitConsensus, 48>;
+  using CasStage = ComposableUniversal<CounterSpec, CasConsensus, 48>;
   SplitStage split(1, 48, "split");
   CasStage cas(1, 48, "cas");
   StaticAbstractChain chain(1, split, cas);

@@ -18,7 +18,6 @@
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "tas/long_lived_tas.hpp"
 #include "tas/speculative_tas.hpp"
@@ -27,7 +26,6 @@ namespace scm {
 namespace {
 
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 enum class SchedKind { kSequential, kRoundRobin1, kRoundRobin3, kRandom, kSticky50 };
@@ -88,7 +86,7 @@ TEST_P(TasSweep, OneWinnerAndLinearizable) {
   for (int s = 0; s < p.seeds; ++s) {
     const std::uint64_t seed = p.seed_base + static_cast<std::uint64_t>(s);
     Simulator sim;
-    SpeculativeTas<SimPlatform> tas;
+    SpeculativeTas<> tas;
     std::vector<TasOutcome> outs(p.processes);
     for (int pid = 0; pid < p.processes; ++pid) {
       sim.add_process([&, pid](SimContext& ctx) {
@@ -132,7 +130,7 @@ TEST_P(TasSweep, A1TracesSafelyComposable) {
   for (int s = 0; s < p.seeds; ++s) {
     const std::uint64_t seed = p.seed_base + static_cast<std::uint64_t>(s);
     Simulator sim;
-    ObstructionFreeTas<SimPlatform> a1;
+    ObstructionFreeTas<> a1;
     TraceRecorder rec;
     for (int pid = 0; pid < p.processes; ++pid) {
       sim.add_process([&, pid](SimContext& ctx) {
@@ -210,7 +208,7 @@ class ConsensusSweepBase : public testing::TestWithParam<SweepParam> {
   }
 };
 
-using SplitSweep = ConsensusSweepBase<SplitConsensus<SimPlatform>>;
+using SplitSweep = ConsensusSweepBase<SplitConsensus>;
 TEST_P(SplitSweep, Agreement) { run_sweep(); }
 INSTANTIATE_TEST_SUITE_P(
     Schedules, SplitSweep,
@@ -221,7 +219,7 @@ INSTANTIATE_TEST_SUITE_P(
                     SweepParam{6, SchedKind::kRandom, 400, 20}),
     param_name);
 
-using BakerySweep = ConsensusSweepBase<AbortableBakery<SimPlatform>>;
+using BakerySweep = ConsensusSweepBase<AbortableBakery>;
 TEST_P(BakerySweep, Agreement) { run_sweep(); }
 INSTANTIATE_TEST_SUITE_P(
     Schedules, BakerySweep,
@@ -232,7 +230,7 @@ INSTANTIATE_TEST_SUITE_P(
                     SweepParam{6, SchedKind::kRandom, 400, 15}),
     param_name);
 
-using CasSweep = ConsensusSweepBase<CasConsensus<SimPlatform>>;
+using CasSweep = ConsensusSweepBase<CasConsensus>;
 TEST_P(CasSweep, Agreement) { run_sweep(); }
 INSTANTIATE_TEST_SUITE_P(
     Schedules, CasSweep,
@@ -252,7 +250,7 @@ TEST_P(LongLivedSweep, RoundsMatchWins) {
   for (int s = 0; s < p.seeds; ++s) {
     const std::uint64_t seed = p.seed_base + static_cast<std::uint64_t>(s);
     Simulator sim;
-    LongLivedTas<SimPlatform> tas(p.processes, 64);
+    LongLivedTas<> tas(p.processes, 64);
     std::vector<int> wins(p.processes, 0);
     for (int pid = 0; pid < p.processes; ++pid) {
       sim.add_process([&, pid](SimContext& ctx) {

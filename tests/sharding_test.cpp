@@ -42,9 +42,9 @@
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
 #include "runtime/context.hpp"
+#include "runtime/platform.hpp"
 #include "runtime/primitives.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "support/parking.hpp"
 #include "support/rng.hpp"
@@ -62,11 +62,10 @@ using fixtures::HopModule;
 using fixtures::SinkModule;
 
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
-using A1 = ObstructionFreeTas<SimPlatform>;
-using A2 = WaitFreeTas<SimPlatform>;
+using A1 = ObstructionFreeTas<>;
+using A2 = WaitFreeTas;
 
 Request keyed_req(std::uint64_t id, ProcessId p, std::uint64_t key) {
   return Request{id, p, TasSpec::kTestAndSet,
@@ -557,10 +556,8 @@ TEST(Sharded, NestsInsideAPipelineAsAStage) {
 }
 
 TEST(Sharded, WrapsStaticAbstractChainWithPerShardArguments) {
-  using SplitStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                         SplitConsensus<SimPlatform>, 48>;
-  using CasStage = ComposableUniversal<SimPlatform, CounterSpec,
-                                       CasConsensus<SimPlatform>, 48>;
+  using SplitStage = ComposableUniversal<CounterSpec, SplitConsensus, 48>;
+  using CasStage = ComposableUniversal<CounterSpec, CasConsensus, 48>;
   using Chain = StaticAbstractChain<SplitStage, CasStage>;
   static_assert(Sharded<Chain, 2, ByThread>::kConsensusNumber ==
                 kConsensusNumberCas);

@@ -14,7 +14,6 @@
 #include "runtime/registers.hpp"
 #include "sim/explorer.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 
 namespace scm::sim {
@@ -22,7 +21,7 @@ namespace {
 
 TEST(Simulator, SingleProcessRunsToCompletion) {
   Simulator sim;
-  SimPlatform::Register<int> reg(0);
+  NativeRegister<int> reg(0);
   sim.add_process([&](SimContext& ctx) {
     ctx.begin_op(1);
     reg.write(ctx, 42);
@@ -41,7 +40,7 @@ TEST(Simulator, SingleProcessRunsToCompletion) {
 
 TEST(Simulator, SequentialScheduleHasNoContention) {
   Simulator sim;
-  SimPlatform::Register<int> reg(0);
+  NativeRegister<int> reg(0);
   for (int p = 0; p < 4; ++p) {
     sim.add_process([&](SimContext& ctx) {
       ctx.begin_op();
@@ -63,7 +62,7 @@ TEST(Simulator, SequentialScheduleHasNoContention) {
 
 TEST(Simulator, RoundRobinScheduleCreatesStepContention) {
   Simulator sim;
-  SimPlatform::Register<int> reg(0);
+  NativeRegister<int> reg(0);
   for (int p = 0; p < 2; ++p) {
     sim.add_process([&](SimContext& ctx) {
       ctx.begin_op();
@@ -85,7 +84,7 @@ TEST(Simulator, StepsAreMutuallyExclusiveAndTotal) {
   // as two *separate* steps may lose updates under round-robin, but the
   // total step count must be exact and no torn values can appear.
   Simulator sim;
-  SimPlatform::Register<int> reg(0);
+  NativeRegister<int> reg(0);
   constexpr int kProcs = 8;
   constexpr int kIters = 5;
   for (int p = 0; p < kProcs; ++p) {
@@ -106,7 +105,7 @@ TEST(Simulator, StepsAreMutuallyExclusiveAndTotal) {
 TEST(Simulator, DeterministicUnderSameSeed) {
   auto run_once = [](std::uint64_t seed) {
     Simulator sim;
-    auto reg = std::make_unique<SimPlatform::Register<int>>(0);
+    auto reg = std::make_unique<NativeRegister<int>>(0);
     for (int p = 0; p < 4; ++p) {
       sim.add_process([&reg](SimContext& ctx) {
         for (int i = 0; i < 6; ++i) {
@@ -125,7 +124,7 @@ TEST(Simulator, DeterministicUnderSameSeed) {
 
 TEST(Simulator, CrashInjectionStopsProcessMidOperation) {
   Simulator sim;
-  SimPlatform::Register<int> reg(0);
+  NativeRegister<int> reg(0);
   sim.add_process([&](SimContext& ctx) {
     ctx.begin_op();
     reg.write(ctx, 1);
@@ -149,8 +148,8 @@ TEST(Simulator, CrashInjectionStopsProcessMidOperation) {
   EXPECT_EQ(reg.peek(), 1);  // exactly one write landed before the crash
 }
 
-// The native base objects are context-generic, and SimPlatform runs
-// them under the simulator — so a crash at their step must unwind
+// The native base objects are context-generic, and the simulator runs
+// them under SimContext — so a crash at their step must unwind
 // through them (noexcept there would turn the Crashed exception into
 // std::terminate). Natively they stay noexcept. One entry per step:
 // register read and write, test&set, compare&swap, fetch&add.
@@ -190,7 +189,7 @@ TEST(Simulator, CrashInsideNativeCounterFetchAddUnwinds) {
 
 TEST(Simulator, StepLimitTerminatesRun) {
   Simulator sim(/*max_steps=*/10);
-  SimPlatform::Register<int> reg(0);
+  NativeRegister<int> reg(0);
   sim.add_process([&](SimContext& ctx) {
     for (;;) reg.write(ctx, 1);  // unbounded loop, must be cut off
   });
@@ -202,7 +201,7 @@ TEST(Simulator, StepLimitTerminatesRun) {
 
 TEST(Simulator, CasSemantics) {
   Simulator sim;
-  SimPlatform::Cas<int> cas(0);
+  NativeCas<int> cas(0);
   std::vector<int> won(2, 0);
   for (int p = 0; p < 2; ++p) {
     sim.add_process([&, p](SimContext& ctx) {
@@ -219,7 +218,7 @@ TEST(Simulator, CasSemantics) {
 TEST(Simulator, TasExactlyOneWinner) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Simulator sim;
-    SimPlatform::Tas tas;
+    NativeTas tas;
     std::vector<int> result(4, -1);
     for (int p = 0; p < 4; ++p) {
       sim.add_process(
@@ -240,7 +239,7 @@ TEST(Explorer, EnumeratesAllInterleavingsOfTwoWriters) {
   auto stats = explore_all_schedules(
       [&]() {
         auto sim = std::make_unique<Simulator>();
-        auto reg = std::make_shared<SimPlatform::Register<int>>(-1);
+        auto reg = std::make_shared<NativeRegister<int>>(-1);
         for (int p = 0; p < 2; ++p) {
           sim->add_process([reg, p](SimContext& ctx) {
             reg->write(ctx, p);
@@ -273,7 +272,7 @@ TEST(Explorer, RespectsRunLimit) {
   auto stats = explore_all_schedules(
       [&]() {
         auto sim = std::make_unique<Simulator>();
-        auto reg = std::make_shared<SimPlatform::Register<int>>(0);
+        auto reg = std::make_shared<NativeRegister<int>>(0);
         for (int p = 0; p < 3; ++p) {
           sim->add_process([reg](SimContext& ctx) {
             for (int i = 0; i < 4; ++i) reg->write(ctx, i);

@@ -21,7 +21,6 @@
 #include "lincheck/lincheck.hpp"
 #include "sim/explorer.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "tas/a1_module.hpp"
 #include "tas/a2_module.hpp"
@@ -32,7 +31,6 @@ namespace scm {
 namespace {
 
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 Request tas_req(std::uint64_t id, ProcessId p) {
@@ -44,7 +42,7 @@ Request tas_req(std::uint64_t id, ProcessId p) {
 
 TEST(A1, SoloProcessWins) {
   Simulator s;
-  ObstructionFreeTas<SimPlatform> a1;
+  ObstructionFreeTas<> a1;
   ModuleResult r;
   s.add_process(
       [&](SimContext& ctx) { r = a1.invoke(ctx, tas_req(1, 0)); });
@@ -56,7 +54,7 @@ TEST(A1, SoloProcessWins) {
 
 TEST(A1, SequentialSecondProcessLoses) {
   Simulator s;
-  ObstructionFreeTas<SimPlatform> a1;
+  ObstructionFreeTas<> a1;
   std::vector<ModuleResult> rs(2);
   for (int p = 0; p < 2; ++p) {
     s.add_process([&, p](SimContext& ctx) {
@@ -73,7 +71,7 @@ TEST(A1, SequentialSecondProcessLoses) {
 
 TEST(A1, EnteringWithLCommitsLoserImmediately) {
   Simulator s;
-  ObstructionFreeTas<SimPlatform> a1;
+  ObstructionFreeTas<> a1;
   ModuleResult r;
   s.add_process([&](SimContext& ctx) {
     r = a1.invoke(ctx, tas_req(1, 0), TasConstraint::kL);
@@ -90,7 +88,7 @@ TEST(A1, ConstantStepComplexity) {
   // read; S write; P re-read; V write; aborted re-read = 9 steps).
   auto solo_steps = [](int bystanders) {
     Simulator s;
-    ObstructionFreeTas<SimPlatform> a1;
+    ObstructionFreeTas<> a1;
     s.add_process([&](SimContext& ctx) { (void)a1.invoke(ctx, tas_req(1, 0)); });
     for (int p = 0; p < bystanders; ++p) s.add_process([](SimContext&) {});
     sim::SequentialSchedule sched;
@@ -101,7 +99,7 @@ TEST(A1, ConstantStepComplexity) {
   EXPECT_LE(solo_steps(0), 9u);
   // And zero RMWs: registers only.
   Simulator s;
-  ObstructionFreeTas<SimPlatform> a1;
+  ObstructionFreeTas<> a1;
   s.add_process([&](SimContext& ctx) { (void)a1.invoke(ctx, tas_req(1, 0)); });
   sim::SequentialSchedule sched;
   s.run(sched);
@@ -118,7 +116,7 @@ TEST(A1, Lemma6NeverAbortsWithoutStepContention) {
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     Simulator s;
     constexpr int kN = 3;
-    ObstructionFreeTas<SimPlatform> a1;
+    ObstructionFreeTas<> a1;
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
         ctx.begin_op();
@@ -156,7 +154,7 @@ TEST(A1, Lemma4InvariantsExhaustive) {
   auto stats = sim::explore_all_schedules(
       [&]() {
         auto s = std::make_unique<Simulator>();
-        auto a1 = std::make_shared<ObstructionFreeTas<SimPlatform>>();
+        auto a1 = std::make_shared<ObstructionFreeTas<>>();
         obs->results.assign(3, ModuleResult{});
         obs->return_order.clear();
         for (int p = 0; p < 3; ++p) {
@@ -236,7 +234,7 @@ TEST(A1, SafelyComposableUnderRandomSchedules) {
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
     Simulator s;
     constexpr int kN = 3;
-    ObstructionFreeTas<SimPlatform> a1;
+    ObstructionFreeTas<> a1;
     TraceRecorder rec;
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
@@ -270,7 +268,7 @@ TEST(A1, SafelyComposableUnderCrashes) {
   for (std::uint64_t seed = 0; seed < 150; ++seed) {
     Simulator s;
     constexpr int kN = 3;
-    ObstructionFreeTas<SimPlatform> a1;
+    ObstructionFreeTas<> a1;
     TraceRecorder rec;
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
@@ -302,7 +300,7 @@ TEST(A1, SafelyComposableUnderCrashes) {
 TEST(A2, AlwaysCommitsOneWinner) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     Simulator s;
-    WaitFreeTas<SimPlatform> a2;
+    WaitFreeTas a2;
     constexpr int kN = 4;
     std::vector<ModuleResult> rs(kN);
     for (int p = 0; p < kN; ++p) {
@@ -323,7 +321,7 @@ TEST(A2, AlwaysCommitsOneWinner) {
 
 TEST(A2, LInputCommitsLoserWithoutHardware) {
   Simulator s;
-  WaitFreeTas<SimPlatform> a2;
+  WaitFreeTas a2;
   ModuleResult r;
   s.add_process([&](SimContext& ctx) {
     r = a2.invoke(ctx, tas_req(1, 0), TasConstraint::kL);
@@ -342,7 +340,7 @@ TEST(A2, SafelyComposableTraces) {
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     Simulator s;
     constexpr int kN = 3;
-    WaitFreeTas<SimPlatform> a2;
+    WaitFreeTas a2;
     TraceRecorder rec;
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
@@ -364,7 +362,7 @@ TEST(A2, SafelyComposableTraces) {
 
 TEST(SpeculativeTas, SoloWinsOnSpeculativePathWithZeroRmw) {
   Simulator s;
-  SpeculativeTas<SimPlatform> tas;
+  SpeculativeTas<> tas;
   TasOutcome out;
   s.add_process(
       [&](SimContext& ctx) { out = tas.test_and_set(ctx, tas_req(1, 0)); });
@@ -379,7 +377,7 @@ TEST(SpeculativeTas, ExactlyOneWinnerUnderRandomSchedules) {
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     Simulator s;
     constexpr int kN = 4;
-    SpeculativeTas<SimPlatform> tas;
+    SpeculativeTas<> tas;
     std::vector<TasOutcome> outs(kN);
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
@@ -401,7 +399,7 @@ TEST(SpeculativeTas, ExhaustiveTwoProcessSafetyAndLinearizability) {
   auto stats = sim::explore_all_schedules(
       [&]() {
         auto s = std::make_unique<Simulator>();
-        auto tas = std::make_shared<SpeculativeTas<SimPlatform>>();
+        auto tas = std::make_shared<SpeculativeTas<>>();
         outs->assign(2, TasOutcome{});
         for (int p = 0; p < 2; ++p) {
           s->add_process([tas, outs, p](SimContext& ctx) {
@@ -440,7 +438,7 @@ TEST(SpeculativeTas, LinearizableUnderRandomSchedulesWithCrashes) {
   for (std::uint64_t seed = 0; seed < 150; ++seed) {
     Simulator s;
     constexpr int kN = 4;
-    SpeculativeTas<SimPlatform> tas;
+    SpeculativeTas<> tas;
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
         ctx.begin_op();
@@ -471,7 +469,7 @@ TEST(SpeculativeTas, HardwarePathOnlyUnderContention) {
   // Sequential executions never touch the hardware module.
   Simulator s;
   constexpr int kN = 4;
-  SpeculativeTas<SimPlatform> tas;
+  SpeculativeTas<> tas;
   std::vector<TasOutcome> outs(kN);
   for (int p = 0; p < kN; ++p) {
     s.add_process([&, p](SimContext& ctx) {
@@ -488,7 +486,7 @@ TEST(SpeculativeTas, AtMostOneRmwPerOperation) {
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     Simulator s;
     constexpr int kN = 4;
-    SpeculativeTas<SimPlatform> tas;
+    SpeculativeTas<> tas;
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
         (void)tas.test_and_set(ctx,
@@ -513,8 +511,8 @@ TEST(SpeculativeTas, ComposedTraceSafelyComposable) {
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     Simulator s;
     constexpr int kN = 3;
-    ObstructionFreeTas<SimPlatform> a1;
-    WaitFreeTas<SimPlatform> a2;
+    ObstructionFreeTas<> a1;
+    WaitFreeTas a2;
     TraceRecorder outer;  // the composition's trace
     TraceRecorder inner;  // A2's trace, with init events
     bool used_a2 = false;
@@ -554,7 +552,7 @@ TEST(SpeculativeTas, ComposedTraceSafelyComposable) {
 
 TEST(LongLivedTas, WinnerResetsAndObjectIsReusable) {
   Simulator s;
-  LongLivedTas<SimPlatform> tas(1, 8);
+  LongLivedTas<> tas(1, 8);
   std::vector<TasOutcome> outs;
   s.add_process([&](SimContext& ctx) {
     for (std::uint64_t round = 0; round < 4; ++round) {
@@ -574,7 +572,7 @@ TEST(LongLivedTas, WinnerResetsAndObjectIsReusable) {
 
 TEST(LongLivedTas, NonWinnerResetIsIgnored) {
   Simulator s;
-  LongLivedTas<SimPlatform> tas(2, 8);
+  LongLivedTas<> tas(2, 8);
   s.add_process([&](SimContext& ctx) {
     (void)tas.test_and_set(ctx, tas_req(1, 0));  // wins round 0
   });
@@ -592,7 +590,7 @@ TEST(LongLivedTas, OneWinnerPerRoundUnderContention) {
     Simulator s;
     constexpr int kN = 3;
     constexpr int kRounds = 3;
-    LongLivedTas<SimPlatform> tas(kN, 16);
+    LongLivedTas<> tas(kN, 16);
     // Per-round winner counts.
     std::vector<std::vector<int>> wins(kRounds, std::vector<int>(kN, 0));
     for (int p = 0; p < kN; ++p) {
@@ -624,7 +622,7 @@ TEST(LongLivedTas, OneWinnerPerRoundUnderContention) {
 
 TEST(LongLivedTas, RecyclingReusesSlots) {
   Simulator s;
-  LongLivedTas<SimPlatform> tas(1, 4, /*recycle=*/true);
+  LongLivedTas<> tas(1, 4, /*recycle=*/true);
   int wins = 0;
   s.add_process([&](SimContext& ctx) {
     for (std::uint64_t round = 0; round < 12; ++round) {  // 3 full cycles
@@ -645,7 +643,7 @@ TEST(LongLivedTas, RecyclingReusesSlots) {
 
 TEST(SoloFast, SoloPathIdenticalToBase) {
   Simulator s;
-  SoloFastTas<SimPlatform> tas;
+  SoloFastTas tas;
   TasOutcome out;
   s.add_process(
       [&](SimContext& ctx) { out = tas.test_and_set(ctx, tas_req(1, 0)); });
@@ -660,7 +658,7 @@ TEST(SoloFast, ExactlyOneWinnerUnderRandomSchedules) {
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     Simulator s;
     constexpr int kN = 4;
-    SoloFastTas<SimPlatform> tas;
+    SoloFastTas tas;
     std::vector<TasOutcome> outs(kN);
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
@@ -682,7 +680,7 @@ TEST(SoloFast, ExhaustiveTwoProcessSafety) {
   auto stats = sim::explore_all_schedules(
       [&]() {
         auto s = std::make_unique<Simulator>();
-        auto tas = std::make_shared<SoloFastTas<SimPlatform>>();
+        auto tas = std::make_shared<SoloFastTas>();
         outs->assign(2, TasOutcome{});
         for (int p = 0; p < 2; ++p) {
           s->add_process([tas, outs, p](SimContext& ctx) {
@@ -710,7 +708,7 @@ TEST(SoloFast, UncontendedProcessAvoidsHardwareEvenAfterOthersContend) {
   // speculatively because it skips the aborted check — it either sees
   // V=1 (loser via registers) or races the doorway alone.
   Simulator s;
-  SoloFastTas<SimPlatform> tas;
+  SoloFastTas tas;
   std::vector<TasOutcome> outs(3);
   for (int p = 0; p < 2; ++p) {
     s.add_process([&, p](SimContext& ctx) {
@@ -756,7 +754,7 @@ TEST(SoloFast, BystanderNeverUsesHardware) {
   // variant, regardless of what the pair did.
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     Simulator s;
-    SoloFastTas<SimPlatform> tas;
+    SoloFastTas tas;
     std::vector<TasOutcome> outs(3);
     for (int p = 0; p < 2; ++p) {
       s.add_process([&, p](SimContext& ctx) {
@@ -787,7 +785,7 @@ TEST(SpeculativeTas, LateArrivalAfterLoserCommitRegression) {
   // every interleaving of the continuation stays linearizable.
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     Simulator s;
-    SpeculativeTas<SimPlatform> tas;
+    SpeculativeTas<> tas;
     std::vector<TasOutcome> outs(3);
     for (int p = 0; p < 2; ++p) {
       s.add_process([&, p](SimContext& ctx) {

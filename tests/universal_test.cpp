@@ -18,7 +18,6 @@
 #include "history/specs.hpp"
 #include "runtime/platform.hpp"
 #include "sim/schedules.hpp"
-#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 #include "universal/composable_universal.hpp"
 #include "universal/snapshot.hpp"
@@ -28,7 +27,6 @@ namespace scm {
 namespace {
 
 using sim::SimContext;
-using sim::SimPlatform;
 using sim::Simulator;
 
 Request req(std::uint64_t id, ProcessId p, std::int64_t op = 0,
@@ -41,7 +39,7 @@ Request req(std::uint64_t id, ProcessId p, std::int64_t op = 0,
 
 TEST(SnapshotLog, AppendScanRoundTrip) {
   Simulator s;
-  SnapshotLog<SimPlatform, std::int64_t, 8> log(2);
+  SnapshotLog<std::int64_t, 8> log(2);
   s.add_process([&](SimContext& ctx) {
     log.append(ctx, 10);
     log.append(ctx, 11);
@@ -55,7 +53,7 @@ TEST(SnapshotLog, AppendScanRoundTrip) {
   // scan from a fresh simulated process over the same (plain) storage
   // is not possible across simulators; scan within the same run:
   Simulator s3;
-  SnapshotLog<SimPlatform, std::int64_t, 8> log3(2);
+  SnapshotLog<std::int64_t, 8> log3(2);
   s3.add_process([&](SimContext& ctx) {
     log3.append(ctx, 1);
     log3.append(ctx, 2);
@@ -72,7 +70,7 @@ TEST(SnapshotLog, AppendScanRoundTrip) {
 TEST(SnapshotLog, ScanIsConsistentCutUnderInterleaving) {
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     Simulator s;
-    SnapshotLog<SimPlatform, std::int64_t, 16> log(3);
+    SnapshotLog<std::int64_t, 16> log(3);
     std::vector<std::vector<std::int64_t>> view;
     s.add_process([&](SimContext& ctx) {
       for (int i = 0; i < 8; ++i) log.append(ctx, i);
@@ -96,7 +94,7 @@ TEST(SnapshotLog, ScanIsConsistentCutUnderInterleaving) {
 
 TEST(SnapshotLog, ReadSlotReturnsWrittenValue) {
   Simulator s;
-  SnapshotLog<SimPlatform, std::int64_t, 4> log(2);
+  SnapshotLog<std::int64_t, 4> log(2);
   std::int64_t got = -1;
   s.add_process([&](SimContext& ctx) {
     const auto idx = log.append(ctx, 77);
@@ -110,12 +108,9 @@ TEST(SnapshotLog, ReadSlotReturnsWrittenValue) {
 // ---------------------------------------------------------------------------
 // ComposableUniversal: single stage
 
-using SplitStage =
-    ComposableUniversal<SimPlatform, CounterSpec, SplitConsensus<SimPlatform>, 32>;
-using BakeryStage =
-    ComposableUniversal<SimPlatform, CounterSpec, AbortableBakery<SimPlatform>, 32>;
-using CasStage =
-    ComposableUniversal<SimPlatform, CounterSpec, CasConsensus<SimPlatform>, 32>;
+using SplitStage = ComposableUniversal<CounterSpec, SplitConsensus, 32>;
+using BakeryStage = ComposableUniversal<CounterSpec, AbortableBakery, 32>;
+using CasStage = ComposableUniversal<CounterSpec, CasConsensus, 32>;
 
 TEST(ComposableUniversal, SoloCommitsWithRegistersOnly) {
   Simulator s;
@@ -269,7 +264,7 @@ TEST(ComposableUniversal, InitializationReplaysInheritedHistory) {
 template <class Spec>
 struct PropositionOneChain {
   template <class Cons>
-  using Stage = ComposableUniversal<SimPlatform, Spec, Cons, 32>;
+  using Stage = ComposableUniversal<Spec, Cons, 32>;
 
   explicit PropositionOneChain(int n)
       : split(n, 32, "contention-free"),
@@ -277,12 +272,11 @@ struct PropositionOneChain {
         cas(n, 32, "wait-free"),
         chain(n, split, bakery, cas) {}
 
-  Stage<SplitConsensus<SimPlatform>> split;
-  Stage<AbortableBakery<SimPlatform>> bakery;
-  Stage<CasConsensus<SimPlatform>> cas;
-  StaticAbstractChain<Stage<SplitConsensus<SimPlatform>>,
-                      Stage<AbortableBakery<SimPlatform>>,
-                      Stage<CasConsensus<SimPlatform>>>
+  Stage<SplitConsensus> split;
+  Stage<AbortableBakery> bakery;
+  Stage<CasConsensus> cas;
+  StaticAbstractChain<Stage<SplitConsensus>, Stage<AbortableBakery>,
+                      Stage<CasConsensus>>
       chain;
 };
 using CounterChain = PropositionOneChain<CounterSpec>;
@@ -295,8 +289,7 @@ static_assert(!std::is_polymorphic_v<CasStage>);
 // One consensus number per object, folded at compile time. A stage's
 // is the max of its cells' and its committed-cell counter's, which is
 // fetch&add (2): split consensus alone uses only registers (1).
-static_assert(SplitConsensus<SimPlatform>::kConsensusNumber ==
-              kConsensusNumberRegister);
+static_assert(SplitConsensus::kConsensusNumber == kConsensusNumberRegister);
 static_assert(SplitStage::kConsensusNumber == kConsensusNumberFetchAdd);
 static_assert(CasStage::kConsensusNumber == kConsensusNumberCas);
 // The chain reports its strongest stage.
@@ -377,10 +370,8 @@ TEST(StaticChain, ContentionPushesProcessesToLaterStages) {
 TEST(StaticChain, WorksForQueueSpec) {
   Simulator s;
   constexpr int kN = 2;
-  ComposableUniversal<SimPlatform, QueueSpec, SplitConsensus<SimPlatform>, 32>
-      split(kN, 32, "split");
-  ComposableUniversal<SimPlatform, QueueSpec, CasConsensus<SimPlatform>, 32>
-      cas(kN, 32, "cas");
+  ComposableUniversal<QueueSpec, SplitConsensus, 32> split(kN, 32, "split");
+  ComposableUniversal<QueueSpec, CasConsensus, 32> cas(kN, 32, "cas");
   StaticAbstractChain chain(kN, split, cas);
 
   std::vector<Response> deqs;
@@ -403,7 +394,6 @@ TEST(StaticChain, WorksForQueueSpec) {
 template <bool kCommits>
 class AbortingStub {
  public:
-  using Context = SimContext;
   static constexpr int kConsensusNumber = kConsensusNumberRegister;
 
   AbstractResult invoke(SimContext& /*ctx*/, const Request& m,
@@ -424,6 +414,11 @@ class AbortingStub {
     return kCommits ? "commit-stub" : "abort-stub";
   }
 };
+
+// A chain accepts exactly the contexts every one of its stages accepts.
+static_assert(Composable<StaticAbstractChain<AbortingStub<true>>, SimContext>);
+static_assert(
+    !Composable<StaticAbstractChain<AbortingStub<true>>, NativeContext>);
 
 // Commit tallies are sized from the chain's depth, so a process that
 // falls through to stage 8+ is counted in bounds.
@@ -458,13 +453,9 @@ TEST(StaticChain, DeepChainAccountsCommitsBeyondEightStages) {
 // so an id outside [0, num_processes) must fail loudly instead of
 // writing past the allocation.
 
-template <class Cons>
-using NativeStage =
-    ComposableUniversal<NativePlatform, CounterSpec, Cons, 8>;
-
 TEST(StaticChainDeathTest, RejectsOutOfRangeProcessId) {
-  NativeStage<SplitConsensus<NativePlatform>> split(2, 8, "split");
-  NativeStage<CasConsensus<NativePlatform>> cas(2, 8, "cas");
+  SplitStage split(2, 8, "split");
+  CasStage cas(2, 8, "cas");
   StaticAbstractChain chain(2, split, cas);
   NativeContext ctx(2);
   EXPECT_DEATH((void)chain.perform(ctx, req(1, 2, CounterSpec::kFetchInc)),
@@ -472,16 +463,16 @@ TEST(StaticChainDeathTest, RejectsOutOfRangeProcessId) {
 }
 
 TEST(StaticChainDeathTest, CommitsByRejectsOutOfRangeProcessId) {
-  NativeStage<SplitConsensus<NativePlatform>> split(2, 8, "split");
-  NativeStage<CasConsensus<NativePlatform>> cas(2, 8, "cas");
+  SplitStage split(2, 8, "split");
+  CasStage cas(2, 8, "cas");
   StaticAbstractChain chain(2, split, cas);
   EXPECT_DEATH((void)chain.commits_by(2, 0), "process id out of range");
   EXPECT_DEATH((void)chain.commits_by(-1, 0), "process id out of range");
 }
 
 TEST(StaticChainDeathTest, InvokeRejectsAnExternalInit) {
-  NativeStage<SplitConsensus<NativePlatform>> split(1, 8, "split");
-  NativeStage<CasConsensus<NativePlatform>> cas(1, 8, "cas");
+  SplitStage split(1, 8, "split");
+  CasStage cas(1, 8, "cas");
   StaticAbstractChain chain(1, split, cas);
   NativeContext ctx(0);
   EXPECT_DEATH((void)chain.invoke(ctx, req(1, 0, CounterSpec::kFetchInc),
@@ -490,7 +481,7 @@ TEST(StaticChainDeathTest, InvokeRejectsAnExternalInit) {
 }
 
 TEST(ComposableUniversalDeathTest, RejectsOutOfRangeProcessId) {
-  NativeStage<CasConsensus<NativePlatform>> stage(2, 8, "cas");
+  CasStage stage(2, 8, "cas");
   NativeContext ctx(2);
   EXPECT_DEATH(
       (void)stage.invoke(ctx, req(1, 2, CounterSpec::kFetchInc), History{}),
