@@ -156,7 +156,7 @@ void write_json(const RunReport& report, std::ostream& os) {
       // Parking provenance — additive key again: which rung-3 wait
       // implementation the binary was built with (futex vs the forced
       // yield fallback), since the slow-path numbers differ.
-      .kv("wait_mode", wait_mode_name(kDefaultWaitMode));
+      .kv("wait_mode", SCM_HAS_FUTEX ? "futex" : "yield");
   w.end_object();
 
   w.key("scenarios").begin_array();

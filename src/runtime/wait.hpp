@@ -58,8 +58,8 @@ inline constexpr bool context_can_await_v = context_can_await<Ctx>::value;
 // backoff ladder saturates; the waker responsible for the predicate
 // must call wp.wake_all() after its state change. Awaitable contexts
 // ignore the WaitPoint entirely (see file comment).
-template <class Ctx, class Pred, FutexScope kScope, WaitMode kMode>
-void wait_until(Ctx& ctx, Pred&& pred, WaitPoint<kScope, kMode>& wp) {
+template <class Ctx, class Pred, FutexScope kScope>
+void wait_until(Ctx& ctx, Pred&& pred, WaitPoint<kScope>& wp) {
   if constexpr (detail::context_can_await_v<Ctx>) {
     (void)wp;
     ctx.await(std::forward<Pred>(pred));

@@ -43,24 +43,26 @@
 // address-free and may live directly in a segment (the telemetry
 // counters then aggregate across every participating process).
 //
-// Telemetry placement: the slow-path counters (parks, wakes, ...) sit
-// on the word's line, where only parking threads write them. The
-// fast-wake count is bumped by EVERY completed wait — in the combining
-// wrappers, once per published op — so it lives in per-thread padded
-// cells off that line: a waiter writes only its own cell, and the line
-// every wake_all() reads stays quiet. A kPrivate point counts them in a
-// Tally (support/tally.hpp), a load and a store with no locked RMW. A
-// kShared point may live in a segment that several processes write, so
-// it keeps kFastWakeCells cells bumped with fetch_add; a forked child
-// draws a fresh cell (support/process.hpp) instead of sharing its
-// parent's.
+// Telemetry placement: the word's line holds only the word and the
+// rung knob, which every wake_all() reads. All five ParkStats counts
+// live in per-thread padded cells off that line: the fast-wake count is
+// bumped by EVERY completed wait — in the combining wrappers, once per
+// published op — and the park-path counts by whichever thread parks or
+// wakes, so a counting thread writes only its own cell. A kPrivate point
+// counts in a Tally (support/tally.hpp), a load and a store with no
+// locked RMW. A kShared point may live in a segment that several
+// processes write, so it keeps kSharedParkCells cells bumped with
+// fetch_add, picked by the thread's tally cell index plus its pid
+// (support/process.hpp); a forked child draws a fresh index and has its
+// own pid, so it does not share its parent's cell.
 //
-// Portability: on non-Linux targets — or when SCM_FORCE_NO_FUTEX is
-// defined, the testing seam mirroring SCM_FORCE_GENERIC_CPU_PAUSE —
-// WaitMode::kYield replaces the syscall with one yield per park():
-// exactly the ladder behavior this subsystem replaces, so correctness
-// never depends on the kernel primitive. parking_test compiles both
-// modes in one translation unit via the kMode template parameter.
+// Portability: SCM_HAS_FUTEX is the one selector. The platform sets it
+// on Linux, and defining SCM_FORCE_NO_FUTEX — the testing seam
+// mirroring SCM_FORCE_GENERIC_CPU_PAUSE — clears it. Without it park()
+// is one yield: exactly the ladder behavior this subsystem replaces, so
+// correctness never depends on the kernel primitive. parking_test runs
+// in both builds: the parking_yield_test ctest entry compiles the same
+// source with SCM_FORCE_NO_FUTEX.
 #pragma once
 
 #include <array>
@@ -85,26 +87,10 @@
 #if SCM_HAS_FUTEX
 #include <linux/futex.h>
 #include <sys/syscall.h>
-#endif
-#if defined(__linux__)
 #include <unistd.h>
 #endif
 
 namespace scm {
-
-// How a saturated wait loop gives up the CPU: kFutex parks in the
-// kernel, kYield stays on the historical yield ladder. The default
-// follows the platform; tests instantiate both explicitly.
-enum class WaitMode : std::uint8_t { kYield, kFutex };
-
-inline constexpr WaitMode kDefaultWaitMode =
-    SCM_HAS_FUTEX ? WaitMode::kFutex : WaitMode::kYield;
-
-// Human-readable mode name, recorded in scm-bench/v1 params so an
-// artifact says which slow path its numbers were measured with.
-inline constexpr const char* wait_mode_name(WaitMode mode) noexcept {
-  return mode == WaitMode::kFutex ? "futex" : "yield";
-}
 
 // Whether the futex wait queue keys on the virtual address (private to
 // one process) or the physical page (shared across mappings).
@@ -113,11 +99,12 @@ enum class FutexScope : std::uint8_t { kPrivate, kShared };
 // Park/wake telemetry snapshot. parks counts every descent into rung
 // 3; wakes counts wake_all() calls that found a waiter flag set;
 // spurious_wakes counts parks that returned with the predicate still
-// false (EAGAIN races, unrelated epoch bumps, yield-mode re-checks);
+// false (EAGAIN races, unrelated epoch bumps, yield-build re-checks);
 // futex_syscalls counts actual kernel entries — zero on any path that
-// never saw a parked waiter; fast_wakes counts waits that completed
-// WITHOUT parking (rungs 1-2 sufficed), the denominator that turns
-// raw park counts into a contention ratio.
+// never saw a parked waiter, and always zero without SCM_HAS_FUTEX;
+// fast_wakes counts waits that completed WITHOUT parking (rungs 1-2
+// sufficed), the denominator that turns raw park counts into a
+// contention ratio.
 struct ParkStats {
   std::uint64_t parks = 0;
   std::uint64_t wakes = 0;
@@ -132,16 +119,6 @@ struct ParkStats {
     futex_syscalls += o.futex_syscalls;
     fast_wakes += o.fast_wakes;
     return *this;
-  }
-
-  // Fraction of waits that escalated to rung 3: parks out of all
-  // completed waits (parked + fast). The contention signal the
-  // ContentionMonitor and humans both read. Zero-safe: no waits yet
-  // means no evidence of contention, so 0.0 — never NaN.
-  [[nodiscard]] double park_ratio() const noexcept {
-    const double total =
-        static_cast<double>(parks) + static_cast<double>(fast_wakes);
-    return total == 0.0 ? 0.0 : static_cast<double>(parks) / total;
   }
 };
 
@@ -159,10 +136,10 @@ inline long futex_call(const std::atomic<std::uint32_t>* word, int op,
 
 }  // namespace detail
 
-// Per-thread fast-wake cells in each WaitPoint<kShared>. Threads beyond
-// this many share cells, which costs line sharing but never accuracy:
-// each bump is a fetch_add on the cell.
-inline constexpr std::size_t kFastWakeCells = 8;
+// Telemetry cells in each WaitPoint<kShared>. Threads beyond this many
+// share cells, which costs line sharing but never accuracy: each count
+// is a fetch_add on the cell.
+inline constexpr std::size_t kSharedParkCells = 8;
 
 // Yield rungs to climb after the backoff ladder saturates before the
 // first park: parks cost two syscalls round-trip plus a likely context
@@ -172,8 +149,7 @@ inline constexpr std::size_t kFastWakeCells = 8;
 // so the adaptive layer can re-rung individual wait sites.
 inline constexpr int kYieldsBeforePark = 4;
 
-template <FutexScope kScope = FutexScope::kPrivate,
-          WaitMode kMode = kDefaultWaitMode>
+template <FutexScope kScope = FutexScope::kPrivate>
 class WaitPoint {
   // The kernel compares exactly 4 naturally-aligned bytes; anything
   // else is EINVAL at best and a silent miscompare at worst.
@@ -196,25 +172,20 @@ class WaitPoint {
 
   // Rung 3: sleep until the word moves off `observed` (a waker bumped
   // the epoch) or a spurious kernel wakeup. Callers re-check their
-  // predicate afterwards, as with any condition-variable wait.
+  // predicate afterwards, as with any condition-variable wait. Without
+  // SCM_HAS_FUTEX the pre-park ladder already saturated, so one yield
+  // per park IS the historical long-wait behavior.
   void park(std::uint32_t observed) noexcept {
-    parks_.fetch_add(1, std::memory_order_relaxed);
-    if constexpr (kMode == WaitMode::kFutex) {
+    count(kParks);
 #if SCM_HAS_FUTEX
-      futex_syscalls_.fetch_add(1, std::memory_order_relaxed);
-      constexpr int op =
-          kScope == FutexScope::kShared ? FUTEX_WAIT : FUTEX_WAIT_PRIVATE;
-      (void)detail::futex_call(&word_, op, observed);
+    count(kFutexSyscalls);
+    constexpr int op =
+        kScope == FutexScope::kShared ? FUTEX_WAIT : FUTEX_WAIT_PRIVATE;
+    (void)detail::futex_call(&word_, op, observed);
 #else
-      (void)observed;
-      std::this_thread::yield();
+    (void)observed;
+    std::this_thread::yield();
 #endif
-    } else {
-      // Portable fallback: the pre-park ladder already saturated, so
-      // one yield per park IS the historical long-wait behavior.
-      (void)observed;
-      std::this_thread::yield();
-    }
   }
 
   // Wake every parked waiter. The no-waiter path — every uncontended
@@ -230,16 +201,14 @@ class WaitPoint {
       if (word_.compare_exchange_weak(w, (w + 2u) & ~1u,
                                       std::memory_order_release,
                                       std::memory_order_relaxed)) {
-        wakes_.fetch_add(1, std::memory_order_relaxed);
-        if constexpr (kMode == WaitMode::kFutex) {
+        count(kWakes);
 #if SCM_HAS_FUTEX
-          futex_syscalls_.fetch_add(1, std::memory_order_relaxed);
-          constexpr int op =
-              kScope == FutexScope::kShared ? FUTEX_WAKE : FUTEX_WAKE_PRIVATE;
-          (void)detail::futex_call(&word_, op,
-                                   std::numeric_limits<std::int32_t>::max());
+        count(kFutexSyscalls);
+        constexpr int op =
+            kScope == FutexScope::kShared ? FUTEX_WAKE : FUTEX_WAKE_PRIVATE;
+        (void)detail::futex_call(&word_, op,
+                                 std::numeric_limits<std::int32_t>::max());
 #endif
-        }
         return;
       }
     }
@@ -247,22 +216,12 @@ class WaitPoint {
 
   // Telemetry hook for the wait loop: the predicate was still false
   // after a park returned.
-  void note_spurious() noexcept {
-    spurious_wakes_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void note_spurious() noexcept { count(kSpuriousWakes); }
 
   // Telemetry hook for the wait loop: a wait completed without ever
-  // parking — rungs 1-2 were enough. Together with parks this gives
-  // ParkStats::park_ratio() its denominator. Bumps the calling
-  // thread's own cell, not a line shared with other waiters.
-  void note_fast_wake() noexcept {
-    if constexpr (kScope == FutexScope::kPrivate) {
-      fast_wakes_.add(0);
-    } else {
-      fast_wakes_[detail::this_thread_cell() % kFastWakeCells].n.fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  }
+  // parking — rungs 1-2 were enough. Together with parks this gives a
+  // park ratio its denominator.
+  void note_fast_wake() noexcept { count(kFastWakes); }
 
   // Runtime wait-rung knob: how many yield rungs a waiter climbs after
   // the backoff ladder saturates before its first park. Lowering it
@@ -277,37 +236,57 @@ class WaitPoint {
   }
 
   [[nodiscard]] ParkStats stats() const noexcept {
-    ParkStats s;
-    s.parks = parks_.load(std::memory_order_relaxed);
-    s.wakes = wakes_.load(std::memory_order_relaxed);
-    s.spurious_wakes = spurious_wakes_.load(std::memory_order_relaxed);
-    s.futex_syscalls = futex_syscalls_.load(std::memory_order_relaxed);
-    if constexpr (kScope == FutexScope::kPrivate) {
-      s.fast_wakes = fast_wakes_.sum(0);
-    } else {
-      for (const FastWakeCell& c : fast_wakes_) {
-        s.fast_wakes += c.n.load(std::memory_order_relaxed);
-      }
-    }
-    return s;
+    return {total(kParks), total(kWakes), total(kSpuriousWakes),
+            total(kFutexSyscalls), total(kFastWakes)};
   }
 
  private:
-  // One counter per line; plain struct (not Padded) so WaitPoint stays
+  enum Field : std::size_t {
+    kParks,
+    kWakes,
+    kSpuriousWakes,
+    kFutexSyscalls,
+    kFastWakes,
+    kFields
+  };
+
+  // One count in the calling thread's cell: a kShared thread's cell is
+  // its tally cell index plus its pid, so sibling processes' first
+  // threads land on different cells.
+  void count(Field f) noexcept {
+    if constexpr (kScope == FutexScope::kPrivate) {
+      cells_.add(f);
+    } else {
+      const std::size_t cell = (detail::this_thread_tally_cell() +
+                                std::size_t{this_process_id()}) %
+                               kSharedParkCells;
+      cells_[cell].n[f].fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  [[nodiscard]] std::uint64_t total(Field f) const noexcept {
+    if constexpr (kScope == FutexScope::kPrivate) {
+      return cells_.sum(f);
+    } else {
+      std::uint64_t n = 0;
+      for (const SharedCell& c : cells_) {
+        n += c.n[f].load(std::memory_order_relaxed);
+      }
+      return n;
+    }
+  }
+
+  // One line of counters; plain struct (not Padded) so WaitPoint stays
   // standard-layout for segment residence.
-  struct alignas(kCacheLineSize) FastWakeCell {
-    std::atomic<std::uint64_t> n{0};
+  struct alignas(kCacheLineSize) SharedCell {
+    std::array<std::atomic<std::uint64_t>, kFields> n{};
   };
 
   alignas(4) std::atomic<std::uint32_t> word_{0};
-  std::atomic<std::uint64_t> parks_{0};
-  std::atomic<std::uint64_t> wakes_{0};
-  std::atomic<std::uint64_t> spurious_wakes_{0};
-  std::atomic<std::uint64_t> futex_syscalls_{0};
   std::atomic<std::int32_t> yields_before_park_{kYieldsBeforePark};
-  std::conditional_t<kScope == FutexScope::kPrivate, Tally<1>,
-                     std::array<FastWakeCell, kFastWakeCells>>
-      fast_wakes_{};
+  std::conditional_t<kScope == FutexScope::kPrivate, Tally<kFields>,
+                     std::array<SharedCell, kSharedParkCells>>
+      cells_{};
 };
 
 // The native three-rung wait loop shared by every blocking site

@@ -11,12 +11,14 @@
 // fork() copies the cache into the child, where it names the PARENT.
 // A pthread_atfork child handler, registered before the cache is first
 // filled, clears it, so the child's first this_process_id() resolves
-// its own pid. The same handler resets the other per-process values a
-// forked child would otherwise inherit: the forking thread's telemetry
-// cell seed (this_thread_cell) and the tally cell registry
+// its own pid. The same handler resets the other per-process value a
+// forked child would otherwise inherit: the tally cell registry
 // (this_thread_tally_cell), which it empties and whose cell it takes
 // back from the forking thread. The forking thread is the only thread
-// in the child, so clearing its thread_locals there is enough.
+// in the child, so clearing its thread_local there is enough. A
+// segment-resident WaitPoint (support/parking.hpp) picks its telemetry
+// cell from the tally cell index plus the pid, so a forked child's
+// cell follows its own lease and pid, not its parent's.
 //
 // The limit: a child started by a raw clone() or by vfork() runs no
 // atfork handler and would keep its parent's stamp. Nothing in this
@@ -29,7 +31,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstddef>
 #include <cstdint>
 
 #include "support/assert.hpp"
@@ -39,10 +40,6 @@ namespace detail {
 
 // 0 = not resolved in this process yet. Pids are never 0.
 inline std::atomic<std::uint32_t> cached_process_id{0};
-
-// This thread's telemetry cell seed; 0 = not drawn yet (a drawn seed
-// includes the pid, so it is never 0).
-inline thread_local std::size_t thread_cell_seed = 0;
 
 // The tally cell registry: bit i set = tally cell i is leased to a live
 // thread of this process. One bit per cell.
@@ -58,7 +55,6 @@ inline thread_local std::uint32_t tally_cell = kTallyUndrawn;
 // pthread_atfork child handler: runs in the child, on its one thread.
 inline void forget_process_identity() noexcept {
   cached_process_id.store(0, std::memory_order_relaxed);
-  thread_cell_seed = 0;
   tally_cells_leased.store(0, std::memory_order_relaxed);
   tally_cell = kTallyUndrawn;
 }
@@ -92,20 +88,6 @@ inline std::uint32_t this_process_id() noexcept {
 }
 
 namespace detail {
-
-// This thread's telemetry cell seed, drawn once per thread and again in
-// a forked child: a process-wide sequence number offset by the pid, so
-// the threads of one process and the first-waiting threads of sibling
-// processes sharing a segment-resident WaitPoint start on different
-// cells.
-inline std::size_t this_thread_cell() noexcept {
-  static std::atomic<std::size_t> next{0};
-  if (thread_cell_seed == 0) {
-    thread_cell_seed = next.fetch_add(1, std::memory_order_relaxed) +
-                       static_cast<std::size_t>(this_process_id());
-  }
-  return thread_cell_seed;
-}
 
 // Hands this thread's tally cell back to the registry at thread exit.
 // Anything the thread counts after that goes to the shared cell. The

@@ -52,7 +52,9 @@
 namespace scm {
 namespace {
 
+using fixtures::HoldModule;
 using fixtures::HopModule;
+using fixtures::InitEcho;
 using fixtures::SinkModule;
 using fixtures::TicketModule;
 
@@ -308,22 +310,6 @@ TEST(Combining, WrappedChainInvokeMatchesBarePerformSolo) {
   EXPECT_EQ(bare.commits_by(0, 0), 8u);  // solo: stage 0 served all
 }
 
-// Reports the init it was handed through its result, on both result
-// paths: an even arg commits the init as the response, an odd arg
-// aborts with it as the switch value (kNoInit when uninitialized).
-struct InitEcho {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-  static constexpr SwitchValue kNoInit = -7;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& m,
-                      std::optional<SwitchValue> init = std::nullopt) {
-    const SwitchValue seen = init.value_or(kNoInit);
-    return m.arg % 2 == 0 ? ModuleResult::commit(seen)
-                          : ModuleResult::abort_with(seen);
-  }
-};
-
 // One record and elect_spins = 0: every op claims record 0, publishes
 // into it and is served there by its own wait loop, so each op's
 // request and then its result cross the same payload bytes. Op k
@@ -498,27 +484,6 @@ TEST(Combining, DrainReturnsAtOnceWhenNothingIsPending) {
 
 // ---------------------------------------------------------------------------
 // Combining under real threads (runs under TSan via the "tsan" label)
-
-// Holds the gate for as long as the test says: an op with arg kHold
-// reports that it entered, then blocks until `go` is set; every other
-// op commits its arg at once.
-struct HoldModule {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-  static constexpr std::int64_t kHold = -1;
-
-  std::atomic<bool> entered{false};
-  std::atomic<bool> go{false};
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& m,
-                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
-    if (m.arg == kHold) {
-      entered.store(true, std::memory_order_release);
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-    }
-    return ModuleResult::commit(m.arg);
-  }
-};
 
 // Spins on `flag` for at most 10 s; false when the deadline passed.
 bool await_flag(const std::atomic<bool>& flag) {

@@ -1,9 +1,12 @@
 // Module fixtures shared by the composition-layer tests: plumbing-only
-// stages (no shared-memory steps) and a fetch&inc module.
+// stages (no shared-memory steps), a fetch&inc module, an init echo and
+// a gate-holding module.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
+#include <thread>
 
 #include "core/module.hpp"
 #include "history/request.hpp"
@@ -50,6 +53,43 @@ struct TicketModule {
 
  private:
   NativeCounter count_;
+};
+
+// Reports the init it was handed through its result, on both result
+// paths: an even arg commits the init as the response, an odd arg
+// aborts with it as the switch value (kNoInit when uninitialized).
+struct InitEcho {
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+  static constexpr SwitchValue kNoInit = -7;
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& /*ctx*/, const Request& m,
+                      std::optional<SwitchValue> init = std::nullopt) {
+    const SwitchValue seen = init.value_or(kNoInit);
+    return m.arg % 2 == 0 ? ModuleResult::commit(seen)
+                          : ModuleResult::abort_with(seen);
+  }
+};
+
+// Holds the gate it runs under for as long as the test says: an op
+// with arg kHold reports that it entered, then blocks until `go` is
+// set; every other op commits its arg at once.
+struct HoldModule {
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+  static constexpr std::int64_t kHold = -1;
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> go{false};
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& /*ctx*/, const Request& m,
+                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
+    if (m.arg == kHold) {
+      entered.store(true, std::memory_order_release);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    }
+    return ModuleResult::commit(m.arg);
+  }
 };
 
 }  // namespace scm::fixtures

@@ -1,20 +1,20 @@
 // Tests for the futex parking layer (support/parking.hpp) — rung 3 of
 // the wait ladder:
 //
-//  * both WaitModes compile and run in ONE translation unit (kMode is
-//    a template parameter, unlike the macro-only forced-generic-pause
-//    seam), so the portable yield fallback cannot rot on Linux CI;
+//  * the same source builds twice: parking_test with the platform's
+//    futex, parking_yield_test with SCM_FORCE_NO_FUTEX, so the portable
+//    yield fallback cannot rot on Linux CI;
 //  * the eventcount protocol never loses a wakeup: a waker that runs
 //    between prepare() and park() bumps the epoch, so the park returns
 //    immediately instead of sleeping forever — stressed across many
-//    racing rounds in both modes;
+//    racing rounds in both futex scopes;
 //  * telemetry: a wait that outlives the spin/yield ladder records
 //    parks > 0; an already-satisfied wait records one fast wake and
 //    zero futex syscalls (the fast-path purity half of the combining
-//    wrappers' contract); park_ratio() is NaN-free and moves with the
-//    park/fast-wake mix; the fast-wake tally stays exact when more
-//    threads than per-thread cells share them; the rung-3 entry
-//    threshold is a runtime knob; wake_all() against no waiter is free;
+//    wrappers' contract); every count a thread drives stays exact when
+//    more threads than per-thread cells share them, and the yield
+//    build never counts a futex syscall; the rung-3 entry threshold is
+//    a runtime knob; wake_all() against no waiter is free;
 //  * wait_until()'s WaitPoint overload routes native contexts through
 //    parked_wait (sim contexts keep their ctx.await path — explorer
 //    parity is pinned by slot_protocol_explore_test's unchanged leaf
@@ -38,6 +38,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -56,10 +57,17 @@ static_assert(std::is_standard_layout_v<WaitPoint<FutexScope::kShared>>);
 static_assert(
     std::is_trivially_destructible_v<WaitPoint<FutexScope::kShared>>);
 
-// The two modes this TU exercises side by side. kPrivate scope: these
-// waiters live in one process.
-using FutexPoint = WaitPoint<FutexScope::kPrivate, WaitMode::kFutex>;
-using YieldPoint = WaitPoint<FutexScope::kPrivate, WaitMode::kYield>;
+// Both scopes park in-process as well; kShared only changes the wait
+// queue's key and where the counts live.
+using BothScopes =
+    testing::Types<WaitPoint<FutexScope::kPrivate>,
+                   WaitPoint<FutexScope::kShared>>;
+
+// Every park and every counted wake enters the kernel once in the futex
+// build; the yield build never does.
+void expect_syscalls_match(const ParkStats& s) {
+  EXPECT_EQ(s.futex_syscalls, SCM_HAS_FUTEX ? s.parks + s.wakes : 0u);
+}
 
 // Runs one wait on `wp` from a second thread and releases it only once
 // it has parked, polling under a 10 s deadline: a fixed sleep can end
@@ -90,14 +98,13 @@ std::uint64_t checks_before_park(WP& wp) {
 }
 
 template <class WP>
-class ParkingModes : public testing::Test {};
-using BothModes = testing::Types<FutexPoint, YieldPoint>;
-TYPED_TEST_SUITE(ParkingModes, BothModes);
+class ParkingScopes : public testing::Test {};
+TYPED_TEST_SUITE(ParkingScopes, BothScopes);
 
 // wake_all() with nobody parked must be pure arithmetic: no wake
 // recorded, no kernel entered. This is the waker-side cost every
 // uncontended fast-path op pays.
-TYPED_TEST(ParkingModes, WakeWithNoWaiterIsFree) {
+TYPED_TEST(ParkingScopes, WakeWithNoWaiterIsFree) {
   TypeParam wp;
   for (int i = 0; i < 100; ++i) wp.wake_all();
   const ParkStats s = wp.stats();
@@ -109,7 +116,7 @@ TYPED_TEST(ParkingModes, WakeWithNoWaiterIsFree) {
 // A wake that lands between prepare() and park() bumps the epoch, so
 // the park must return promptly instead of sleeping on a stale word —
 // the no-lost-wakeup property, deterministic single-threaded form.
-TYPED_TEST(ParkingModes, WakeBetweenPrepareAndParkIsNotLost) {
+TYPED_TEST(ParkingScopes, WakeBetweenPrepareAndParkIsNotLost) {
   TypeParam wp;
   const std::uint32_t token = wp.prepare();
   wp.wake_all();        // epoch moved past `token`
@@ -123,7 +130,7 @@ TYPED_TEST(ParkingModes, WakeBetweenPrepareAndParkIsNotLost) {
 // the waker flips the predicate and wakes, many rounds. A single lost
 // wakeup hangs the round (and the test times out) — this is the
 // Dekker-handshake stress.
-TYPED_TEST(ParkingModes, RacingWakerNeverStrandsTheWaiter) {
+TYPED_TEST(ParkingScopes, RacingWakerNeverStrandsTheWaiter) {
   constexpr int kRounds = 200;
   for (int round = 0; round < kRounds; ++round) {
     TypeParam wp;
@@ -145,46 +152,20 @@ TYPED_TEST(ParkingModes, RacingWakerNeverStrandsTheWaiter) {
 // but the wait IS recorded as a fast wake, the denominator the
 // adaptive layer's park_ratio signal needs (a ratio over parks alone
 // cannot distinguish "nobody waits" from "every waiter parks").
-TYPED_TEST(ParkingModes, SatisfiedWaitRecordsAFastWakeAndNothingElse) {
+TYPED_TEST(ParkingScopes, SatisfiedWaitRecordsAFastWakeAndNothingElse) {
   TypeParam wp;
   parked_wait(wp, [] { return true; });
   const ParkStats s = wp.stats();
   EXPECT_EQ(s.parks, 0u);
   EXPECT_EQ(s.futex_syscalls, 0u);
   EXPECT_EQ(s.fast_wakes, 1u);
-  EXPECT_EQ(s.park_ratio(), 0.0);
-}
-
-// park_ratio() must be defined (0.0, not NaN) before any wait has
-// ever finished — the adaptive monitor reads it on its first window.
-TYPED_TEST(ParkingModes, ParkRatioIsZeroNotNaNWithNoHistory) {
-  TypeParam wp;
-  const ParkStats s = wp.stats();
-  EXPECT_EQ(s.parks, 0u);
-  EXPECT_EQ(s.fast_wakes, 0u);
-  EXPECT_EQ(s.park_ratio(), 0.0);
-}
-
-// Once a wait actually reaches rung 3, the ratio moves off zero; mixed
-// with fast wakes it stays a proper fraction of all finished waits.
-TYPED_TEST(ParkingModes, ParkRatioReflectsParkedVersusFastWaits) {
-  TypeParam wp;
-  (void)checks_before_park(wp);
-  EXPECT_GT(wp.stats().park_ratio(), 0.0);
-
-  // Nine satisfied waits dilute the ratio below 1 but not to 0.
-  for (int i = 0; i < 9; ++i) parked_wait(wp, [] { return true; });
-  const ParkStats s = wp.stats();
-  EXPECT_GE(s.fast_wakes, 9u);
-  EXPECT_GT(s.park_ratio(), 0.0);
-  EXPECT_LT(s.park_ratio(), 1.0);
 }
 
 // The rung-3 entry threshold is a runtime knob (the adaptive layer's
 // wait actuator): negative values clamp to 0, and a threshold of 1
 // parks on the first ladder saturation, kYieldsBeforePark - 1 yield
 // rungs (one predicate check each) sooner than the default.
-TYPED_TEST(ParkingModes, YieldsBeforeParkIsARuntimeKnob) {
+TYPED_TEST(ParkingScopes, YieldsBeforeParkIsARuntimeKnob) {
   TypeParam wp;
   EXPECT_EQ(wp.yields_before_park(), kYieldsBeforePark);
   const std::uint64_t at_default = checks_before_park(wp);
@@ -202,51 +183,61 @@ TYPED_TEST(ParkingModes, YieldsBeforeParkIsARuntimeKnob) {
 }
 
 // A wait that outlives the whole spin/yield ladder must reach rung 3:
-// parks > 0 in BOTH modes (the yield fallback counts its fallback
+// parks > 0 in BOTH builds (the yield fallback counts its fallback
 // yields as parks — that is what lets shm_test's stalled-server case
 // hold under forced-fallback builds).
-TYPED_TEST(ParkingModes, LongWaitEscalatesToAPark) {
+TYPED_TEST(ParkingScopes, LongWaitEscalatesToAPark) {
   TypeParam wp;
   (void)checks_before_park(wp);
   EXPECT_GT(wp.stats().parks, 0u);
+  expect_syscalls_match(wp.stats());
 }
 
-// Fast wakes are tallied in per-thread cells; with more threads than
-// cells some threads share one, and the total must still be exact —
-// in both modes and both futex scopes. One genuinely parked wait first
-// keeps park_ratio() a proper fraction strictly inside (0, 1).
+// Every count lives in per-thread cells; with more threads than cells
+// some threads share one, and each total must still be exact — in both
+// futex scopes. Each round drives every count a thread can drive alone:
+// a satisfied wait (fast_wakes), a park on a stale token, which returns
+// at once (parks, and futex_syscalls in the futex build), and a
+// spurious-wake note.
 template <class WP>
 class FastWakeCells : public testing::Test {};
-using ModesAndScopes =
-    testing::Types<FutexPoint, YieldPoint,
-                   WaitPoint<FutexScope::kShared, WaitMode::kFutex>,
-                   WaitPoint<FutexScope::kShared, WaitMode::kYield>>;
-TYPED_TEST_SUITE(FastWakeCells, ModesAndScopes);
+TYPED_TEST_SUITE(FastWakeCells, BothScopes);
 
 TYPED_TEST(FastWakeCells, CountIsExactWithMoreThreadsThanCells) {
-  constexpr int kThreads = static_cast<int>(2 * kFastWakeCells + 3);
-  constexpr std::uint64_t kWaitsPerThread = 1000;
+  constexpr int kThreads = static_cast<int>(2 * kSharedParkCells + 3);
+  constexpr std::uint64_t kRoundsPerThread = 20000;
+  constexpr std::uint64_t kTotal = kThreads * kRoundsPerThread;
   TypeParam wp;
 
-  (void)checks_before_park(wp);
-  ASSERT_GT(wp.stats().parks, 0u);
-  ASSERT_EQ(wp.stats().fast_wakes, 0u);
+  // The wake moves the word off `stale` for good: nothing below
+  // prepares or wakes again.
+  const std::uint32_t stale = wp.prepare();
+  wp.wake_all();
+  const ParkStats before = wp.stats();
+  ASSERT_EQ(before.wakes, 1u);
 
+  // Every thread holds its cell before any counts, so the threads that
+  // share a cell count into it at the same time.
+  std::latch all_started(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      for (std::uint64_t i = 0; i < kWaitsPerThread; ++i) {
+      all_started.arrive_and_wait();
+      for (std::uint64_t i = 0; i < kRoundsPerThread; ++i) {
         parked_wait(wp, [] { return true; });
+        wp.park(stale);
+        wp.note_spurious();
       }
     });
   }
   for (auto& th : threads) th.join();
 
   const ParkStats s = wp.stats();
-  EXPECT_EQ(s.fast_wakes,
-            static_cast<std::uint64_t>(kThreads) * kWaitsPerThread);
-  EXPECT_GT(s.park_ratio(), 0.0);
-  EXPECT_LT(s.park_ratio(), 1.0);
+  EXPECT_EQ(s.fast_wakes - before.fast_wakes, kTotal);
+  EXPECT_EQ(s.parks - before.parks, kTotal);
+  EXPECT_EQ(s.spurious_wakes - before.spurious_wakes, kTotal);
+  EXPECT_EQ(s.wakes, before.wakes);
+  expect_syscalls_match(s);
 }
 
 // The wait_until() overload: a native context takes the parked_wait

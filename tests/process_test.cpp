@@ -8,8 +8,9 @@
 //    pid: it dies holding a record, and the parent's reclaim_dead(ctx)
 //    sweeps that record, which it does only if the stamp names the
 //    dead child and not the live parent;
-//  * forked children draw their own telemetry cell seeds instead of
-//    reusing the parent's.
+//  * forked children count into a segment-resident WaitPoint's cells,
+//    which each picks by its own tally lease and pid, and no count is
+//    lost where a child shares a cell with its parent or sibling.
 //
 // This translation unit defines getpid() itself. The definition takes
 // the place of libc's for every call made from this executable, and
@@ -33,7 +34,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstddef>
 #include <cstdint>
 #include <new>
 #include <optional>
@@ -43,6 +43,7 @@
 #include "runtime/context.hpp"
 #include "shm/shm_combining.hpp"
 #include "shm/shm_counter.hpp"
+#include "support/parking.hpp"
 
 namespace {
 std::atomic<std::uint64_t> getpid_calls{0};
@@ -180,20 +181,20 @@ TEST(ProcessId, ForkedChildStampsItsOwnPid) {
   EXPECT_EQ(comb.occupied(), 0u);
 }
 
-TEST(ProcessId, ForkedChildrenDrawTheirOwnTelemetryCells) {
-  struct Shared {
-    std::atomic<std::size_t> seeds[2];
-  };
-  SharedObject<Shared> shared;
-  const std::size_t parent_seed = detail::this_thread_cell();
+TEST(ProcessId, ForkedChildrenCountExactlyIntoASharedWaitPoint) {
+  constexpr std::uint64_t kCounts = 1000;
+  SharedObject<WaitPoint<FutexScope::kShared>> wp;
+  wp->note_fast_wake();  // the parent's cell is drawn before the forks
 
   pid_t children[2];
   for (int k = 0; k < 2; ++k) {
     children[k] = ::fork();
     ASSERT_GE(children[k], 0);
     if (children[k] == 0) {
-      shared->seeds[k].store(detail::this_thread_cell(),
-                             std::memory_order_release);
+      for (std::uint64_t i = 0; i < kCounts; ++i) {
+        wp->note_fast_wake();
+        wp->note_spurious();
+      }
       ::_exit(0);
     }
   }
@@ -201,13 +202,11 @@ TEST(ProcessId, ForkedChildrenDrawTheirOwnTelemetryCells) {
     int status = 0;
     ASSERT_EQ(::waitpid(child, &status, 0), child);
     ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
   }
-  const std::size_t first = shared->seeds[0].load(std::memory_order_acquire);
-  const std::size_t second = shared->seeds[1].load(std::memory_order_acquire);
-  EXPECT_NE(first, parent_seed);
-  EXPECT_NE(second, parent_seed);
-  EXPECT_NE(first, second);  // siblings fork from the same parent state
-  EXPECT_EQ(detail::this_thread_cell(), parent_seed);  // drawn once
+  const ParkStats s = wp->stats();
+  EXPECT_EQ(s.fast_wakes, 1 + 2 * kCounts);
+  EXPECT_EQ(s.spurious_wakes, 2 * kCounts);
 }
 
 }  // namespace

@@ -58,6 +58,7 @@
 namespace scm {
 namespace {
 
+using fixtures::HoldModule;
 using fixtures::HopModule;
 using fixtures::SinkModule;
 
@@ -374,27 +375,6 @@ TEST(Sharded, AggregateStatsEqualSumOfPerShardSnapshots) {
   EXPECT_EQ(sharded.stats(0).aborts, kTotal);   // every op hops once
   EXPECT_EQ(sharded.stats(1).commits, kTotal);  // and commits at the sink
 }
-
-// Holds its shard's gate for as long as the test says: an op with arg
-// kHold reports that it entered, then blocks until `go` is set; every
-// other op commits its arg at once.
-struct HoldModule {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-  static constexpr std::int64_t kHold = -1;
-
-  std::atomic<bool> entered{false};
-  std::atomic<bool> go{false};
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& m,
-                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
-    if (m.arg == kHold) {
-      entered.store(true, std::memory_order_release);
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-    }
-    return ModuleResult::commit(m.arg);
-  }
-};
 
 // Polls `done` for at most 10 s; false when the deadline passed.
 template <class Pred>

@@ -61,6 +61,7 @@
 #include <thread>
 #include <vector>
 
+#include "fixtures.hpp"
 #include "history/specs.hpp"
 #include "runtime/context.hpp"
 #include "shm/shm_combining.hpp"
@@ -71,6 +72,7 @@
 namespace scm {
 namespace {
 
+using fixtures::InitEcho;
 using TestCombining = ShmCombining<ShmCounter, 8>;
 
 // ---------------------------------------------------------------------------
@@ -232,21 +234,6 @@ TEST(ShmCombining, ClaimExhaustionParksAndStaysExact) {
   expect_exact_fetch_inc<2>(/*may_combine=*/false);
 }
 
-// Reports the init it was handed through its result, on both result
-// paths: an even arg commits the init as the response, an odd arg
-// aborts with it as the switch value (kNoInit when uninitialized).
-struct InitEcho {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-  static constexpr SwitchValue kNoInit = -7;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& m,
-                      std::optional<SwitchValue> init = std::nullopt) {
-    const SwitchValue seen = init.value_or(kNoInit);
-    return m.arg % 2 == 0 ? ModuleResult::commit(seen)
-                          : ModuleResult::abort_with(seen);
-  }
-};
 SCM_ASSERT_ADDRESS_FREE(InitEcho);
 
 // The cross-process twin of combining_test's

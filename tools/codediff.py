@@ -10,7 +10,11 @@ masking what moves when unrelated code moves:
     `<f+0x42>`);
   * rip-relative displacements and the `# addr <sym+off>` comment that
     resolves them (`0x3ffcd(%rip)` and `# 42fd8 <g+0x8>` keep only the
-    symbol `<g>`).
+    symbol `<g>`);
+  * the source line an SCM_CHECK or SCM_CHECK_MSG passes to
+    scm::detail::assert_fail: the `mov $0x126,%edx` that loads it
+    before the call reads `mov $LINE,%edx`, so lines added or removed
+    above a check do not change the function that holds it.
 
 What is left is the instruction stream itself, so a change that only
 moves code or data reports every function identical, and any change to
@@ -43,6 +47,12 @@ RIP_DISP = re.compile(r"-?0x[0-9a-f]+\(%rip\)")
 # The comment closes the line; the symbol may itself contain '<', '>'
 # and '+' (templates, operator+), so only a trailing +0x.. is an offset.
 RIP_COMMENT = re.compile(r"#\s*[0-9a-f]+\s*<(.*?)(?:\+0x[0-9a-f]+)?>\s*$")
+# After mask(): the call to the check-failure handler, and the load of
+# its third argument, the line number.
+ASSERT_CALL = re.compile(r"^call <scm::detail::assert_fail\(")
+LINE_ARG = re.compile(r"^mov \$0x[0-9a-f]+,%edx$")
+# How far back from that call the line load is looked for.
+LINE_ARG_WINDOW = 6
 
 
 def mask(insn):
@@ -51,6 +61,18 @@ def mask(insn):
     insn = RIP_DISP.sub("X(%rip)", insn)
     insn = TARGET.sub(r"\1", insn)
     return " ".join(insn.split())
+
+
+def mask_check_line(insns):
+    """Masks the line-number load before a trailing assert_fail call,
+    searching back no further than the previous call, jump or return."""
+    for i in range(len(insns) - 2, max(len(insns) - 2 - LINE_ARG_WINDOW, -1),
+                   -1):
+        if LINE_ARG.match(insns[i]):
+            insns[i] = "mov $LINE,%edx"
+            return
+        if insns[i].startswith(("call", "jmp", "ret")):
+            return
 
 
 def split_functions(listing):
@@ -72,6 +94,8 @@ def split_functions(listing):
         m = INSN.match(line)
         if m and current is not None:
             current.append(mask(m.group(1)))
+            if ASSERT_CALL.match(current[-1]):
+                mask_check_line(current)
     return funcs
 
 
@@ -141,6 +165,20 @@ MOVED = """\
     1147:\tret
 """
 
+# A bounds check: the failure branch loads __LINE__ (0x126) into %edx
+# and calls the check-failure handler.
+CHECKED = """\
+0000000000001000 <f>:
+    1000:\tcmp    $0x3f,%eax
+    1003:\tja     1008 <f+0x8>
+    1005:\tmov    $0x1,%eax
+    1007:\tret
+    1008:\tmov    $0x126,%edx
+    100d:\tlea    0x2f1(%rip),%rsi        # 1300 <_IO_stdin_used+0x6b8>
+    1014:\tlea    0x2ea(%rip),%rdi        # 1300 <_IO_stdin_used+0x568>
+    101b:\tcall   1100 <scm::detail::assert_fail(char const*, char const*, int, char const*)>
+"""
+
 SELF_TESTS = [
     # (description, old listing, new listing, expected compare() shape)
     ("identical listings", BASE, BASE, (2, [], [], [])),
@@ -164,6 +202,16 @@ SELF_TESTS = [
      BASE + "0000000000001200 <h>:\n    1200:\tret\n", (2, [], [], ["h"])),
     ("a duplicate local symbol", BASE + "0000000000001200 <g>:\n"
      "    1200:\tret\n", BASE, (2, [], ["g [2]"], [])),
+    ("an SCM_CHECK's line moved", CHECKED,
+     CHECKED.replace("$0x126,%edx", "$0x119,%edx"), (1, [], [], [])),
+    ("another immediate changed beside a check", CHECKED,
+     CHECKED.replace("$0x1,%eax", "$0x2,%eax"), (0, [("f", 8, 8)], [], [])),
+    ("a checked bound changed", CHECKED,
+     CHECKED.replace("$0x3f,%eax", "$0x7f,%eax"), (0, [("f", 8, 8)], [], [])),
+    ("a %edx immediate before another call changed",
+     CHECKED.replace("scm::detail::assert_fail", "report"),
+     CHECKED.replace("scm::detail::assert_fail", "report")
+     .replace("$0x126,%edx", "$0x119,%edx"), (0, [("f", 8, 8)], [], [])),
 ]
 
 

@@ -37,7 +37,7 @@ RULE 3: cross-process futex words (same scope as rule 2).
   mistakes compile silently and fail only under contention. So every
   member whose name starts with `futex` in a segment-resident type
   must be either:
-    * a WaitPoint<FutexScope::kShared, ...> (support/parking.hpp),
+    * a WaitPoint<FutexScope::kShared> (support/parking.hpp),
     * a WaitPoint whose scope is a template parameter of the enclosing
       type (CombiningCore<Extra, kSlots, kScope>, which also runs
       in-process), or
