@@ -50,11 +50,12 @@
 // interleavings. What stays here is policy: the elect_spins election,
 // the inline fallback when every record is taken, tickets and
 // completion callbacks. The RMW budget: a fast-path op pays one (the
-// gate CAS), a published op two (its claim + whoever wins the gate
-// serving it). The election makes up to kDefaultElectSpins attempts by
-// default, so an op that finds the gate held by one short direct op
-// waits it out and runs direct too, rather than paying the whole
-// publication round trip.
+// gate CAS), a published op two (its claim + the gate CAS of whoever
+// serves it; a direct op that finds it after its release takes the
+// gate again for that). The election makes up to kDefaultElectSpins
+// attempts by default, so an op that finds the gate held by one short
+// direct op waits it out and runs direct too, rather than paying the
+// whole publication round trip.
 #pragma once
 
 #include <algorithm>
@@ -174,10 +175,11 @@ class Combining
                       std::optional<SwitchValue> init = std::nullopt) {
     // Fast path: the gate is free, or frees within the election's
     // attempts — run the operation directly (a batch of one, no
-    // publication round trip), then serve anyone who published while
-    // we held the gate. At low contention this makes the wrapper cost
-    // one CAS, one scan and one more write to the gate's line (the
-    // direct-op count); at high contention the gate rarely frees in
+    // publication round trip) and release the gate, then serve anyone
+    // who published while we held it, taking the gate again. At low
+    // contention this makes the wrapper cost one CAS and one more write
+    // to the gate's line (the direct-op count), plus one scan after the
+    // release; at high contention the gate rarely frees in
     // time, so operations take the publication path below and get
     // batched. How hard to fight for the gate here is the runtime
     // elect_spins knob: 0 skips the election entirely (publish-and-batch
@@ -336,7 +338,8 @@ class Combining
                                          const SlotCompletion& completion,
                                          ModuleResult* out) {
     if (try_elect(ctx)) {
-      *out = Core::run_direct(obj_.value, ctx, m, init, completion);
+      *out = Core::run_direct(obj_.value, ctx, m, init, completion,
+                              kGateHolder);
       return std::nullopt;
     }
     const auto idx = claim_or_run(ctx, m, init, completion, out);
@@ -368,7 +371,8 @@ class Combining
     for (;;) {
       if (const auto idx = Core::slots().try_claim(ctx, home, 0)) return idx;
       if (Core::try_acquire(ctx, kGateHolder)) {
-        *out = Core::run_direct(obj_.value, ctx, m, init, completion);
+        *out = Core::run_direct(obj_.value, ctx, m, init, completion,
+                                kGateHolder);
         return std::nullopt;
       }
       // Nothing claimable and the gate is held: park until a record

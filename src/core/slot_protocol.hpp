@@ -39,12 +39,15 @@
 //
 // Around the array sits CombiningCore: the election gate (a 32-bit
 // holder word) on one line with the three counters only its holder
-// writes, the WaitPoint every blocking site parks on, the gate-held
-// fast path, the combine-if-free pass, the served-wait loop and
-// drain(). A direct op therefore writes one line of the core, the
-// gate's: the winning CAS fetches it, the direct-op count rides that
-// fetch, and the pass's round counts ride the release store. What each
-// executor keeps for itself is policy, not protocol:
+// writes, the WaitPoint every blocking site parks on, the direct fast
+// path, the combine-if-free pass, the served-wait loop and drain(). A
+// direct op holds the gate for the op and its completion alone, so it
+// writes one line of the core, the gate's: the winning CAS fetches it,
+// the direct-op count rides that fetch, and the release store ends the
+// hold. Only after the release does it scan the records, and it serves
+// what it finds with a combine-if-free pass of its own, whose round
+// counts ride that pass's release store. What each executor keeps for
+// itself is policy, not protocol:
 //   - Combining holds the gate as 1 and stamps owner 0 (a thread cannot
 //     vanish mid-publication), makes up to elect_spins attempts at the
 //     gate per op, so a short hold is waited out rather than paid for
@@ -66,6 +69,18 @@
 // simulator each uncounted access sits next to a counted scheduling
 // point, so no interleaving class is lost; only equivalent schedules
 // collapse, which keeps exhaustive exploration tractable.
+//
+// The direct op's release, its scan and its serving CAS are one such
+// run: the simulator executes them with no other process in between,
+// while natively another process can take the gate after the release.
+// All the intruder can change is whether the releaser serves: its scan
+// finds the record already served, or its CAS fails, an uncounted read
+// that changes nothing. Either way the releaser returns without serving
+// and the record is the intruder's. That native run ends like an
+// explored one in which the publish step comes after the releaser's
+// run, so its scan finds nothing, and the intruder's CAS comes next.
+// The native publisher only invoked earlier, which widens its op's
+// interval and so cannot make a linearizable history fail.
 #pragma once
 
 #include <array>
@@ -174,11 +189,12 @@ static_assert(pack_slot(SlotState::kDone, 0) ==
 // each count is a bump() (support/tally.hpp): a relaxed load+store
 // that loses nothing and needs no RMW. The counters ride the gate's
 // cache line (CombiningCore::GateLine), which the holder owns anyway:
-// the direct-op count is bumped right after the winning CAS, the round
-// counts right before the release store, so neither costs a line
-// transfer of its own. (A gate stolen from a dead ShmCombining holder
-// may miss that holder's last bumps; a batch cut short by a crash is
-// unaccountable anyway.) Readers load them relaxed, off the hot path.
+// the direct-op count is bumped right after the winning CAS, a combine
+// pass's round counts right before its release store, so neither
+// costs a line transfer of its own. (A gate stolen from a dead
+// ShmCombining holder may miss that holder's last bumps; a batch cut
+// short by a crash is unaccountable anyway.) Readers load them
+// relaxed, off the hot path.
 
 // ---- the record and the array ---------------------------------------
 
@@ -292,6 +308,13 @@ class SlotArray {
   std::size_t combine(Obj& obj, Ctx& ctx) {
     const std::size_t first = first_pending();
     return first != kSlots ? serve(obj, ctx, first) : 0;
+  }
+
+  // Whether a record below the mark looks kPending: the relaxed scan a
+  // combine pass starts with, for a caller that does not hold the gate
+  // and takes it only when the scan finds something.
+  [[nodiscard]] bool any_pending() const noexcept {
+    return first_pending() != kSlots;
   }
 
   // Records below the mark in state `a` or `b`. Acquire: every other
@@ -482,29 +505,43 @@ class CombiningCore {
     futex_waiters_.wake_all();
   }
 
-  // Pre: the caller has just won the gate. Runs one operation directly
-  // (a batch of one, no publication round trip), completes its `extra`,
-  // serves whatever published meanwhile and releases the gate. The
-  // completion fires at the op's point in the serialization order, the
-  // same point where a combiner completes published ops. The count
-  // comes first, while the winning CAS still holds the gate's line.
+  // Pre: the caller has just won the gate as `self`. Runs one operation
+  // directly (a batch of one, no publication round trip), completes its
+  // `extra` and releases the gate; only then scans for whatever
+  // published meanwhile, and serves it through try_serve as `self`. The
+  // completion fires under the gate at the op's point in the
+  // serialization order, the same point where a combiner completes
+  // published ops. The count comes first, while the winning CAS still
+  // holds the gate's line. The scan runs after the release so that the
+  // hold is the op and its completion alone: nearly every direct op
+  // finds nothing, and the gate is free for the next op meanwhile. A
+  // record found here may already be served by whoever took the gate
+  // after the release; a failed try_serve leaves it to that holder.
   template <class Obj, class Ctx>
   ModuleResult run_direct(Obj& obj, Ctx& ctx, const Request& m,
-                          std::optional<SwitchValue> init,
-                          const Extra& extra) {
+                          std::optional<SwitchValue> init, const Extra& extra,
+                          std::uint32_t self) {
     bump(line_.direct_ops, 1);
     const ModuleResult r = scm::apply(obj, ctx, m, init);
     extra.complete(m, r);
-    combine_and_release(obj, ctx);
+    release();
+    if (slots_.any_pending()) try_serve(obj, ctx, self);
     return r;
   }
 
-  // One combine pass if the gate is free right now; false when someone
-  // else holds it.
+  // One combine pass if the gate is free right now, then the release;
+  // false when someone else holds the gate. The pass's counts are
+  // bumped just before the release store, so they and the release share
+  // one transfer of the gate's line.
   template <class Obj, class Ctx>
   bool try_serve(Obj& obj, Ctx& ctx, std::uint32_t self) {
     if (!line_.gate.try_acquire(ctx, self)) return false;
-    combine_and_release(obj, ctx);
+    const std::size_t served = slots_.combine(obj, ctx);
+    if (served != 0) {
+      bump(line_.rounds, 1);
+      bump(line_.batched_ops, served);
+    }
+    release();
     return true;
   }
 
@@ -573,7 +610,7 @@ class CombiningCore {
   // ---- telemetry (relaxed; the combining counters are written only by
   // the gate holder, so each bump is a plain load+store).
 
-  // Operations that ran on the gate-held fast path, unpublished.
+  // Operations that ran direct on the fast path, unpublished.
   // direct_ops() + combined_ops() == total invocations.
   [[nodiscard]] std::uint64_t direct_ops() const noexcept {
     return line_.direct_ops.load(std::memory_order_relaxed);
@@ -615,20 +652,6 @@ class CombiningCore {
   static_assert(sizeof(GateLine) == kCacheLineSize,
                 "the gate and its holder's counters fill one cache line");
   SCM_ASSERT_ADDRESS_FREE(GateLine);
-
-  // Pre: the caller holds the gate. One combine pass, then the
-  // release; the pass's counts are bumped just before the release
-  // store, so they and the release share one transfer of the gate's
-  // line.
-  template <class Obj, class Ctx>
-  void combine_and_release(Obj& obj, Ctx& ctx) {
-    const std::size_t served = slots_.combine(obj, ctx);
-    if (served != 0) {
-      bump(line_.rounds, 1);
-      bump(line_.batched_ops, served);
-    }
-    release();
-  }
 
   Slots slots_{};
   GateLine line_{};

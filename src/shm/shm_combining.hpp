@@ -133,7 +133,7 @@ class ShmCombining {
                       bool may_combine = true) {
     const std::uint32_t self = owner_of(ctx);
     if (may_combine && core_.try_acquire(ctx, self)) {
-      return core_.run_direct(obj_, ctx, m, init, {});
+      return core_.run_direct(obj_, ctx, m, init, {}, self);
     }
     const std::size_t idx = claim(ctx, self);
     core_.slots().publish(ctx, idx, self, m, init, {});

@@ -33,7 +33,7 @@ TEST(CombiningExplore, TwoProcsTwoSlotsLinearizableNoResidue) {
 TEST(CombiningExplore, ThreeProcsTwoSlotsLinearizableNoResidue) {
   const auto stats = slot_explore::explore_fetch_inc<InProcess>(3);
   EXPECT_TRUE(stats.exhausted);
-  EXPECT_EQ(stats.runs, 119'652u);
+  EXPECT_EQ(stats.runs, 146'184u);
 }
 
 }  // namespace

@@ -459,8 +459,8 @@ TEST(Combining, DrainReturnsAtOnceWhenNothingIsPending) {
   EXPECT_EQ(combined.occupied(), 0u);
 
   // Two publications fill both records; the third submission finds no
-  // free record, wins the lock and completes inline, serving the two
-  // pending records in the same pass.
+  // free record, wins the lock and completes inline, then releases it
+  // and serves the two pending records in one pass of its own.
   combined.set_elect_spins(0);
   Ticket<ModuleResult> a = combined.submit(ctx, arg_req(1, 0, 0));
   Ticket<ModuleResult> b = combined.submit(ctx, arg_req(2, 0, 0));
@@ -475,8 +475,8 @@ TEST(Combining, DrainReturnsAtOnceWhenNothingIsPending) {
   EXPECT_EQ((ctx.counters() - before).rmws, 0u);
   EXPECT_TRUE(a.poll());
   EXPECT_TRUE(b.poll());
-  // The inline op executed first (ticket 0), then the pass it ran
-  // served the two publications (tickets 1 and 2).
+  // The inline op executed first (ticket 0), then the pass that
+  // followed its release served the two publications (tickets 1 and 2).
   EXPECT_EQ(c.wait().response, 0);
   EXPECT_EQ(a.wait().response + b.wait().response, 1 + 2);
   EXPECT_EQ(combined.occupied(), 0u);
@@ -499,7 +499,7 @@ bool await_flag(const std::atomic<bool>& flag) {
 // The election's spin is bounded: while a direct op holds the gate for
 // longer than the spin lasts, a second context's submit makes its
 // elect_spins attempts, then publishes and returns a pending ticket,
-// and the holder's pass serves it before the holder releases the gate.
+// and the holder's pass after its release serves it.
 // An unbounded spin never returns from submit, which the deadline
 // turns into a failure (the holder is released either way, so nothing
 // hangs).
@@ -533,7 +533,10 @@ TEST(Combining, ElectionSpinIsBoundedAndALongHoldPublishes) {
   publisher.join();
 
   if (returned) {
-    // The holder's own pass served the publication.
+    // The holder's own pass served the publication, after its release:
+    // it took the gate a second time to serve it, so its context
+    // counted two RMWs, the election and the serving CAS.
+    EXPECT_EQ(holder_ctx.counters().rmws, 2u);
     EXPECT_EQ(combined.combined_ops(), 1u);
     EXPECT_EQ(combined.combine_rounds(), 1u);
     EXPECT_EQ(combined.direct_ops(), 1u);

@@ -30,6 +30,9 @@
 //  * a may_combine = true op's process SIGKILLed while it holds the
 //    gate: reclaim_dead steals the gate from the dead pid, and the
 //    object serves the next op.
+//  * a may_combine = false op published while a direct op holds the
+//    gate is served by that op's pass after its release, with no
+//    serving loop anywhere.
 //
 // Every segment is a tests/shm_mapping.hpp SharedMapping, whose name is
 // unlinked at creation, so no test leaves a /dev/shm entry behind.
@@ -761,6 +764,71 @@ TEST(ShmCombining, SigkilledGateHolderIsStolenByReclaim) {
 
   comb.object().hold.store(0, std::memory_order_release);
   EXPECT_TRUE(comb.invoke(ctx, Request{2, 0, 0, 0}).committed());
+  EXPECT_EQ(comb.gate_holder(), 0u);
+  EXPECT_EQ(comb.occupied(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// A publish-only op made during a direct op's hold.
+
+// Spins until `pred` holds, for at most 10 s; false when the deadline
+// passed.
+template <class Pred>
+bool await_within_deadline(Pred&& pred) {
+  const auto deadline = clock_type::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (clock_type::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// A may_combine = true op runs direct and holds the gate while a
+// may_combine = false op publishes. No serving loop runs anywhere, so
+// only the direct op's pass after its release can serve the
+// publication. Without that pass the publisher would wait forever: the
+// deadline turns that into a failure, and the drain that follows frees
+// the publisher so the test still ends.
+TEST(ShmCombining, PublicationDuringADirectHoldIsServedAfterTheRelease) {
+  using HoldCombining = ShmCombining<GateHoldModule, 4>;
+  SharedMapping mapping(sizeof(HoldCombining));
+  HoldCombining& comb = mapping.emplace<HoldCombining>();
+
+  std::thread holder([&] {
+    NativeContext ctx(0);
+    (void)comb.invoke(ctx, Request{1, 0, 0, 0});
+  });
+  EXPECT_TRUE(await_within_deadline([&] { return comb.gate_holder() != 0; }))
+      << "the direct op never took the gate";
+
+  std::atomic<bool> completed{false};
+  ModuleResult result;
+  std::thread publisher([&] {
+    NativeContext ctx(1);
+    result = comb.invoke(ctx, Request{2, 1, 0, 0}, std::nullopt,
+                         /*may_combine=*/false);
+    completed.store(true, std::memory_order_release);
+  });
+  EXPECT_TRUE(await_within_deadline([&] { return comb.pending() == 1; }))
+      << "the publisher never published";
+
+  comb.object().hold.store(0, std::memory_order_release);
+  holder.join();
+  const bool served = await_within_deadline(
+      [&] { return completed.load(std::memory_order_acquire); });
+  EXPECT_TRUE(served) << "the publication waited past the direct op's "
+                         "release with nobody to serve it";
+  if (!served) {
+    NativeContext ctx(2);
+    comb.drain(ctx);
+  }
+  publisher.join();
+
+  EXPECT_TRUE(result.committed());
+  EXPECT_EQ(result.response, 2);
+  EXPECT_EQ(comb.direct_ops(), 1u);
+  EXPECT_EQ(comb.combine_rounds(), 1u);
+  EXPECT_EQ(comb.combined_ops(), 1u);
   EXPECT_EQ(comb.gate_holder(), 0u);
   EXPECT_EQ(comb.occupied(), 0u);
 }

@@ -75,7 +75,7 @@ TEST(SlotProtocolExplore, TwoProcsTwoSlotsLinearizableNoResidue) {
 TEST(SlotProtocolExplore, ThreeProcsTwoSlotsLinearizableNoResidue) {
   const auto stats = slot_explore::explore_fetch_inc<Shm>(3);
   EXPECT_TRUE(stats.exhausted);
-  EXPECT_EQ(stats.runs, 120'210u);
+  EXPECT_EQ(stats.runs, 147'246u);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,14 @@ masking what moves when unrelated code moves:
   * the source line an SCM_CHECK or SCM_CHECK_MSG passes to
     scm::detail::assert_fail: the `mov $0x126,%edx` that loads it
     before the call reads `mov $LINE,%edx`, so lines added or removed
-    above a check do not change the function that holds it.
+    above a check do not change the function that holds it;
+  * the offset of a local-exec thread-local access: `%fs:0x..e0` reads
+    `%fs:<scm::detail::tally_cell>`. The executable's TLS block ends
+    at the thread pointer, so a symbol with TLS value v sits at
+    %fs:-(size - v), where size is the PT_TLS segment's memsz rounded
+    up to its alignment (both read with `readelf`). An offset that
+    names no symbol, such as the stack guard's %fs:0x28, stays as
+    written.
 
 What is left is the instruction stream itself, so a change that only
 moves code or data reports every function identical, and any change to
@@ -53,13 +60,44 @@ ASSERT_CALL = re.compile(r"^call <scm::detail::assert_fail\(")
 LINE_ARG = re.compile(r"^mov \$0x[0-9a-f]+,%edx$")
 # How far back from that call the line load is looked for.
 LINE_ARG_WINDOW = 6
+# A thread-pointer-relative operand, its offset as objdump prints it
+# (a negative offset is a 64-bit two's complement).
+FS_OFFSET = re.compile(r"%fs:(0x[0-9a-f]+)")
 
 
-def mask(insn):
-    """The instruction text with every layout-dependent number removed."""
+def parse_tls(program_headers, symbols):
+    """Maps the %fs: offset of each defined TLS symbol to its name, from
+    `readelf -lW` and `readelf -sW -C` listings. Empty when the binary
+    has no PT_TLS segment."""
+    size = None
+    for line in program_headers.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "TLS":
+            memsz, align = int(fields[5], 16), int(fields[-1], 16)
+            size = (memsz + align - 1) // align * align if align else memsz
+    if size is None:
+        return {}
+    names = {}
+    for line in symbols.splitlines():
+        fields = line.split(None, 7)
+        if len(fields) == 8 and fields[3] == "TLS" and fields[6] != "UND":
+            offset = (int(fields[1], 16) - size) % (1 << 64)
+            names.setdefault(offset, set()).add(fields[7])
+    # An offset two symbols share names neither for sure.
+    return {off: n.pop() for off, n in names.items() if len(n) == 1}
+
+
+def mask(insn, tls=None):
+    """The instruction text with every layout-dependent number removed;
+    `tls` is parse_tls()'s map of the binary the text came from."""
     insn = RIP_COMMENT.sub(r"# <\1>", insn)
     insn = RIP_DISP.sub("X(%rip)", insn)
     insn = TARGET.sub(r"\1", insn)
+    if tls:
+        def resolve(m):
+            name = tls.get(int(m.group(1), 16))
+            return f"%fs:<{name}>" if name else m.group(0)
+        insn = FS_OFFSET.sub(resolve, insn)
     return " ".join(insn.split())
 
 
@@ -75,7 +113,7 @@ def mask_check_line(insns):
             return
 
 
-def split_functions(listing):
+def split_functions(listing, tls=None):
     """Maps each symbol of an objdump listing to its masked instructions.
     A name that occurs twice (local symbols of two translation units)
     gets a ` [2]` suffix, and so on, in listing order."""
@@ -93,7 +131,7 @@ def split_functions(listing):
             continue
         m = INSN.match(line)
         if m and current is not None:
-            current.append(mask(m.group(1)))
+            current.append(mask(m.group(1), tls))
             if ASSERT_CALL.match(current[-1]):
                 mask_check_line(current)
     return funcs
@@ -124,16 +162,23 @@ def report(old, new):
     return 0 if not (changed or old_only or new_only) else 1
 
 
-def disassemble(path):
+def run_tool(cmd, path):
     try:
-        return subprocess.run(
-            ["objdump", "-d", "--no-show-raw-insn", "-C", path],
-            check=True, capture_output=True, text=True).stdout
+        return subprocess.run(cmd + [path], check=True, capture_output=True,
+                              text=True).stdout
     except (OSError, subprocess.CalledProcessError) as e:
         detail = (getattr(e, "stderr", "") or str(e)).strip()
-        print(f"codediff: cannot disassemble {path}: {detail}",
+        print(f"codediff: {cmd[0]} failed on {path}: {detail}",
               file=sys.stderr)
         raise SystemExit(2)
+
+
+def functions_of(path):
+    """The masked functions of one binary."""
+    tls = parse_tls(run_tool(["readelf", "-lW"], path),
+                    run_tool(["readelf", "-sW", "-C"], path))
+    return split_functions(
+        run_tool(["objdump", "-d", "--no-show-raw-insn", "-C"], path), tls)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +224,35 @@ CHECKED = """\
     101b:\tcall   1100 <scm::detail::assert_fail(char const*, char const*, int, char const*)>
 """
 
+
+def tls_layout(cell, trace):
+    """parse_tls() of a 0x19-byte, 8-aligned TLS block (0x20 rounded)
+    holding two thread-locals at the given values."""
+    headers = ("  TLS            0x043aa8 0x0000000000043aa8 "
+               "0x0000000000043aa8 0x000004 0x000019 R   0x8\n")
+    symbols = (
+        f"   418: {cell:016x}     4 TLS     UNIQUE DEFAULT   21 "
+        "scm::detail::tally_cell\n"
+        f"   424: {trace:016x}     8 TLS     UNIQUE DEFAULT   22 "
+        "perfbench::t_trace\n"
+        "    12: 0000000000000000     0 TLS     GLOBAL DEFAULT  UND errno\n")
+    return parse_tls(headers, symbols)
+
+
+def tls_read(offset):
+    return ("0000000000001000 <f>:\n"
+            f"    1000:\tmov    %fs:{offset},%eax\n"
+            "    1008:\tret\n")
+
+
+# tally_cell first: it is at %fs:-0x20, t_trace at %fs:-0x18. Swapped,
+# tally_cell moves to %fs:-0x18.
+CELL_FIRST = tls_layout(0x0, 0x8)
+TRACE_FIRST = tls_layout(0x8, 0x0)
+
 SELF_TESTS = [
-    # (description, old listing, new listing, expected compare() shape)
+    # (description, old listing, new listing, expected compare() shape);
+    # a listing given as (text, tls map) resolves %fs: offsets by the map
     ("identical listings", BASE, BASE, (2, [], [], [])),
     ("addresses and displacements moved", BASE, MOVED, (2, [], [], [])),
     ("an instruction changed", BASE,
@@ -212,14 +284,31 @@ SELF_TESTS = [
      CHECKED.replace("scm::detail::assert_fail", "report"),
      CHECKED.replace("scm::detail::assert_fail", "report")
      .replace("$0x126,%edx", "$0x119,%edx"), (0, [("f", 8, 8)], [], [])),
+    ("a moved thread_local",
+     (tls_read("0xffffffffffffffe0"), CELL_FIRST),
+     (tls_read("0xffffffffffffffe8"), TRACE_FIRST), (1, [], [], [])),
+    ("a different thread_local read",
+     (tls_read("0xffffffffffffffe0"), CELL_FIRST),
+     (tls_read("0xffffffffffffffe8"), CELL_FIRST), (0, [("f", 2, 2)], [], [])),
+    ("an offset that names no thread_local moved",
+     (tls_read("0xffffffffffffffd8"), CELL_FIRST),
+     (tls_read("0xffffffffffffffd0"), TRACE_FIRST),
+     (0, [("f", 2, 2)], [], [])),
+    ("the stack guard's offset read on both sides",
+     (tls_read("0x28"), CELL_FIRST), (tls_read("0x28"), TRACE_FIRST),
+     (1, [], [], [])),
 ]
 
 
 def self_test():
     failures = 0
+    def functions(listing):
+        return (split_functions(*listing) if isinstance(listing, tuple)
+                else split_functions(listing))
+
     for desc, old, new, want in SELF_TESTS:
         identical, changed, old_only, new_only = compare(
-            split_functions(old), split_functions(new))
+            functions(old), functions(new))
         got = (len(identical), changed, old_only, new_only)
         if got != want:
             failures += 1
@@ -243,8 +332,7 @@ def main():
     if not (args.old and args.new):
         ap.print_usage(sys.stderr)
         return 2
-    return report(split_functions(disassemble(args.old)),
-                  split_functions(disassemble(args.new)))
+    return report(functions_of(args.old), functions_of(args.new))
 
 
 if __name__ == "__main__":
