@@ -215,6 +215,7 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
                                                 std::uint64_t key) {
     SCM_CHECK(replica < kReplicas);
     SlotLine& line = line_of(key);
+    // scm-lint: coarse (test probe: counts nothing)
     const std::uint64_t cur = line.gen.load(std::memory_order_seq_cst);
     const Entry& e = replicas_[replica].entries[slot_of(key)];
     if (const auto v = snapshot(e, key, cur).value) {
@@ -246,6 +247,7 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   [[nodiscard]] std::uint64_t invalidations() const noexcept {
     std::uint64_t total = 0;
     for (const SlotLine& l : lines_) {
+      // scm-lint: coarse (telemetry)
       total += l.gen.load(std::memory_order_relaxed);
     }
     return total;
@@ -369,11 +371,16 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   [[gnu::always_inline]] static Snapshot snapshot(const Entry& e,
                                                   std::uint64_t key,
                                                   std::uint64_t cur) {
+    // scm-lint: coarse (the seqlock payload a counted read reads)
     const std::uint64_t v1 = e.ver.load(std::memory_order_acquire);
     if ((v1 & 1) != 0) return {std::nullopt, /*torn=*/true};
+    // scm-lint: coarse (seqlock payload)
     const std::uint64_t k1 = e.key1.load(std::memory_order_acquire);
+    // scm-lint: coarse (seqlock payload)
     const Response val = e.val.load(std::memory_order_acquire);
+    // scm-lint: coarse (seqlock payload)
     const std::uint64_t g = e.gen.load(std::memory_order_acquire);
+    // scm-lint: coarse (seqlock payload)
     if (e.ver.load(std::memory_order_relaxed) != v1) {
       return {std::nullopt, /*torn=*/true};
     }
@@ -396,6 +403,7 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
                                    CompletionFn& fill) {
     if constexpr (!detail::context_can_await_v<Ctx>) {
       if (Counts* const c = tally_.own()) [[likely]] {
+        // scm-lint: coarse (the thread's own tally cell)
         if ((*c)[kGate].load(std::memory_order_relaxed) != 0 &&
             bypass(*c)) [[unlikely]] {
           fill = nullptr;
@@ -426,11 +434,14 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // probes returns false and goes on as usual; the others are counted
   // as bypassed misses and return true.
   [[gnu::noinline]] static bool bypass(Counts& c) noexcept {
+    // scm-lint: coarse (the thread's own tally cell)
     const std::uint64_t left = c[kGate].load(std::memory_order_relaxed) - 1;
     if (left == 0) {
+      // scm-lint: coarse (tally cell)
       c[kGate].store(kGateSample, std::memory_order_relaxed);
       return false;
     }
+    // scm-lint: coarse (tally cell)
     c[kGate].store(left, std::memory_order_relaxed);
     bump(c[kBypassed], 1);
     note_miss(c, bump(c[kMisses], 1));
@@ -442,9 +453,12 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // reads (hits plus misses, less the bypassed ones).
   [[gnu::always_inline]] static void note_miss(Counts& c,
                                                std::uint64_t misses) noexcept {
+    // scm-lint: coarse (the thread's own tally cell)
     const std::uint64_t hits = c[kHits].load(std::memory_order_relaxed);
     const std::uint64_t probed =
+        // scm-lint: coarse (tally cell)
         hits + misses - c[kBypassed].load(std::memory_order_relaxed);
+    // scm-lint: coarse (tally cell)
     const std::uint64_t mark = c[kGateMark].load(std::memory_order_relaxed);
     const auto in_window = static_cast<std::uint32_t>(probed - (mark >> 32));
     if (in_window >= kGateWindow) [[unlikely]] {
@@ -459,11 +473,14 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
                                              std::uint64_t mark) noexcept {
     const std::uint32_t h = static_cast<std::uint32_t>(hits - mark);
     const std::uint32_t p = static_cast<std::uint32_t>(probed - (mark >> 32));
+    // scm-lint: coarse (the thread's own tally cell)
     c[kGateMark].store((probed << 32) | static_cast<std::uint32_t>(hits),
                        std::memory_order_relaxed);
     const bool cold = std::uint64_t{h} * kGateSample < p;
+    // scm-lint: coarse (tally cell)
     const std::uint64_t gate = c[kGate].load(std::memory_order_relaxed);
     if (cold != (gate != 0)) {
+      // scm-lint: coarse (tally cell)
       c[kGate].store(cold ? kGateSample : 0, std::memory_order_relaxed);
     }
   }
@@ -482,20 +499,17 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   [[gnu::always_inline]] bool try_read(Ctx& ctx, std::size_t rep,
                                        std::uint64_t key, Response& out,
                                        Counts* c) {
-    ctx.on_read();
     SlotLine& line = line_of(key);
-    const std::uint64_t cur = line.gen.load(std::memory_order_seq_cst);
-    ctx.on_read();
+    const std::uint64_t cur = ctx.load(line.gen, std::memory_order_seq_cst);
     Replica& r = replicas_[rep];
-    const Snapshot s = snapshot(r.entries[slot_of(key)], key, cur);
+    const Snapshot s = snapshot(ctx.read(r.entries[slot_of(key)]), key, cur);
     if (s.value.has_value()) {
       count(c, kHits);
       out = *s.value;
       return true;
     }
     if (s.torn) count(c, kTorn);
-    ctx.on_read();
-    return read_line(r, line, key, cur, out, c);
+    return read_line(r, ctx.read(line), key, cur, out, c);
   }
 
   // A replica miss: serve the slot line's `last` into `out` if the last
@@ -540,15 +554,21 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // miss and refill.
   static bool install(Entry& e, std::uint64_t key, Response val,
                       std::uint64_t g) {
+    // scm-lint: coarse (install)
     std::uint64_t v = e.ver.load(std::memory_order_relaxed);
     if ((v & 1) != 0) return false;
+    // scm-lint: coarse (install)
     if (!e.ver.compare_exchange_strong(v, v + 1, std::memory_order_acquire,
                                        std::memory_order_relaxed)) {
       return false;
     }
+    // scm-lint: coarse (install)
     e.key1.store(key + 1, std::memory_order_release);
+    // scm-lint: coarse (install)
     e.val.store(val, std::memory_order_release);
+    // scm-lint: coarse (install)
     e.gen.store(g, std::memory_order_release);
+    // scm-lint: coarse (install)
     e.ver.store(v + 2, std::memory_order_release);
     return true;
   }
@@ -578,6 +598,7 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     const std::uint64_t key = key_of(m);
     self->install_counted(
         self->replicas_[kRep].entries[slot_of(key)], key, r.response,
+        // scm-lint: coarse (completion callback: no serving context)
         self->line_of(key).gen.load(std::memory_order_seq_cst));
   }
 
@@ -602,6 +623,7 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     const std::uint64_t key = key_of(m);
     SlotLine& line = self->line_of(key);
     const std::uint64_t g =
+        // scm-lint: coarse (completion callback: no serving context)
         line.gen.fetch_add(1, std::memory_order_seq_cst) + 1;
     if (r.committed()) {
       if (const auto v = Model::read_after_write(m, r.response)) {

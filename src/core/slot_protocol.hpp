@@ -61,14 +61,28 @@
 // kClaimed records, ShmCombining only kPending ones (a dead publisher's
 // kClaimed record never clears until reclaim_dead).
 //
-// Counted accesses (ctx.on_*) are the simulator's scheduling points:
-// the winning gate CAS, the claim CAS, the publish write, a combiner's
-// read and writeback of each pending record, and the result read.
-// Everything else here — pre-test loads, failed CASes, the gate's
-// release store, scans, the claim mark — is uncounted. Under the
-// simulator each uncounted access sits next to a counted scheduling
-// point, so no interleaving class is lost; only equivalent schedules
-// collapse, which keeps exhaustive exploration tractable.
+// Counted accesses go through the context's accessors
+// (runtime/context.hpp) and are the simulator's scheduling points:
+//   - the winning gate CAS and the winning claim CAS (ctx.late_cas: the
+//     step after the CAS, and only when it wins);
+//   - the publish store of kPending (ctx.store), whose release
+//     publishes the plain request writes before it;
+//   - a combiner's read of each pending request (ctx.read) and its
+//     kDone store, which keeps the owner (ctx.store of next(word));
+//   - the publisher's result read (ctx.read).
+// Everything else is coarse: uncounted, and marked
+// `scm-lint: coarse (<reason>)` where it stands (lint rule 7):
+//   - the relaxed pre-tests before the gate and claim CASes, and every
+//     CAS that loses;
+//   - the claim mark's load and CAS loop (at most kSlots raises per
+//     array);
+//   - the gate's release() store, and collect()'s kFree store;
+//   - the scans: first_pending, count_below_mark, occupied, done(),
+//     serve's state check and the gate probes (holder, looks_free);
+//   - the telemetry readers (direct_ops, combined_ops, combine_rounds).
+// Under the simulator each coarse access sits next to a counted
+// scheduling point, so no interleaving class is lost; only equivalent
+// schedules collapse, which keeps exhaustive exploration tractable.
 //
 // The direct op's release, its scan and its serving CAS are one such
 // run: the simulator executes them with no other process in between,
@@ -244,15 +258,16 @@ class SlotArray {
       const std::size_t idx = hint + k < kSlots ? hint + k : hint + k - kSlots;
       std::atomic<std::uint32_t>& word = records_[idx].word;
       std::uint32_t expected = pack_slot(SlotState::kFree, 0);
+      // scm-lint: coarse (pre-test)
       if (word.load(std::memory_order_relaxed) != expected ||
-          !word.compare_exchange_strong(expected, claimed,
-                                        std::memory_order_acquire,
-                                        std::memory_order_relaxed)) {
+          !ctx.late_cas(word, expected, claimed, std::memory_order_acquire,
+                        std::memory_order_relaxed)) {
         continue;
       }
-      ctx.on_rmw();
+      // scm-lint: coarse (claim mark: at most kSlots raises per array)
       std::size_t mark = mark_.load(std::memory_order_relaxed);
       while (idx >= mark &&
+             // scm-lint: coarse (claim mark)
              !mark_.compare_exchange_weak(mark, idx + 1,
                                           std::memory_order_relaxed,
                                           std::memory_order_relaxed)) {
@@ -273,12 +288,12 @@ class SlotArray {
     r.has_init = init.has_value();
     r.payload.published = SlotRequest{init.value_or(SwitchValue{0}), m};
     r.extra = extra;
-    ctx.on_write();
-    r.word.store(pack_slot(SlotState::kPending, owner),
-                 std::memory_order_release);
+    ctx.store(r.word, pack_slot(SlotState::kPending, owner),
+              std::memory_order_release);
   }
 
   [[nodiscard]] bool done(std::size_t idx) const noexcept {
+    // scm-lint: coarse (wait predicate; the result read is counted)
     return slot_state_of(records_[idx].word.load(std::memory_order_acquire)) ==
            SlotState::kDone;
   }
@@ -288,8 +303,8 @@ class SlotArray {
   template <class Ctx>
   ModuleResult collect(Ctx& ctx, std::size_t idx) {
     Record& r = records_[idx];
-    ctx.on_read();
-    const ModuleResult result = r.payload.result;
+    const ModuleResult result = ctx.read(r.payload.result);
+    // scm-lint: coarse (the kFree store rides the counted result read)
     r.word.store(pack_slot(SlotState::kFree, 0), std::memory_order_release);
     return result;
   }
@@ -322,10 +337,12 @@ class SlotArray {
   // it, so a zero count carries every served op's effects with it.
   [[nodiscard]] std::size_t count_below_mark(SlotState a,
                                              SlotState b) const noexcept {
+    // scm-lint: coarse (scan)
     const std::size_t mark = mark_.load(std::memory_order_relaxed);
     std::size_t n = 0;
     for (std::size_t i = 0; i < mark; ++i) {
       const SlotState s =
+          // scm-lint: coarse (scan)
           slot_state_of(records_[i].word.load(std::memory_order_acquire));
       if (s == a || s == b) ++n;
     }
@@ -338,6 +355,7 @@ class SlotArray {
   [[nodiscard]] std::size_t occupied() const noexcept {
     std::size_t n = 0;
     for (const Record& r : records_) {
+      // scm-lint: coarse (scan)
       if (slot_state_of(r.word.load(std::memory_order_acquire)) !=
           SlotState::kFree) {
         ++n;
@@ -355,8 +373,10 @@ class SlotArray {
   // claim racing this scan raises the mark too late to be seen, and
   // that publication waits for the next pass.
   [[nodiscard]] std::size_t first_pending() const noexcept {
+    // scm-lint: coarse (scan)
     const std::size_t mark = mark_.load(std::memory_order_relaxed);
     for (std::size_t i = 0; i < mark; ++i) {
+      // scm-lint: coarse (scan)
       if (slot_state_of(records_[i].word.load(std::memory_order_relaxed)) ==
           SlotState::kPending) {
         return i;
@@ -370,21 +390,23 @@ class SlotArray {
   // next one. Returns the batch size.
   template <class Obj, class Ctx>
   std::size_t serve(Obj& obj, Ctx& ctx, std::size_t first) {
+    // scm-lint: coarse (scan)
     const std::size_t mark = mark_.load(std::memory_order_relaxed);
     std::array<OpSlot, kSlots> batch;
     std::array<std::size_t, kSlots> source{};
     std::size_t n = 0;
     for (std::size_t i = first; i < mark; ++i) {
       Record& r = records_[i];
+      // scm-lint: coarse (scan; the request read is counted)
       if (slot_state_of(r.word.load(std::memory_order_acquire)) !=
           SlotState::kPending) {
         continue;
       }
-      ctx.on_read();
-      batch[n].request = r.payload.published.request;
-      batch[n].init = r.has_init ? std::optional<SwitchValue>(
-                                       r.payload.published.init)
-                                 : std::nullopt;
+      const SlotRequest& published = ctx.read(r.payload.published);
+      batch[n].request = published.request;
+      batch[n].init = r.has_init
+                          ? std::optional<SwitchValue>(published.init)
+                          : std::nullopt;
       batch[n].done = false;
       source[n] = i;
       ++n;
@@ -396,11 +418,14 @@ class SlotArray {
       Record& r = records_[source[i]];
       r.extra.complete(batch[i].request, batch[i].result);
       r.payload.result = batch[i].result;
-      ctx.on_write();
-      const std::uint32_t owner =
-          slot_owner_of(r.word.load(std::memory_order_relaxed));
-      r.word.store(pack_slot(SlotState::kDone, owner),
-                   std::memory_order_release);
+      // kDone keeps the publisher's owner, read from the word after the
+      // step.
+      ctx.store(
+          r.word,
+          [](std::uint32_t w) {
+            return pack_slot(SlotState::kDone, slot_owner_of(w));
+          },
+          std::memory_order_release);
     }
     return n;
   }
@@ -425,11 +450,10 @@ class ElectionGate {
   template <class Ctx>
   bool try_acquire(Ctx& ctx, std::uint32_t self) {
     std::uint32_t expected = 0;
+    // scm-lint: coarse (pre-test)
     if (holder_.load(std::memory_order_relaxed) == 0 &&
-        holder_.compare_exchange_strong(expected, self,
-                                        std::memory_order_acquire,
-                                        std::memory_order_relaxed)) {
-      ctx.on_rmw();
+        ctx.late_cas(holder_, expected, self, std::memory_order_acquire,
+                     std::memory_order_relaxed)) {
       return true;
     }
     return false;
@@ -440,26 +464,26 @@ class ElectionGate {
   // or when anyone else got there first (the CAS).
   template <class Ctx, class Alive>
   bool take_or_steal(Ctx& ctx, std::uint32_t self, Alive&& alive) {
+    // scm-lint: coarse (pre-test)
     std::uint32_t holder = holder_.load(std::memory_order_acquire);
     if (holder != 0 && alive(holder)) return false;
-    if (!holder_.compare_exchange_strong(holder, self,
-                                         std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-      return false;
-    }
-    ctx.on_rmw();
-    return true;
+    return ctx.late_cas(holder_, holder, self, std::memory_order_acquire,
+                        std::memory_order_relaxed);
   }
 
-  void release() noexcept { holder_.store(0, std::memory_order_release); }
+  void release() noexcept {
+    holder_.store(0, std::memory_order_release);  // scm-lint: coarse (release)
+  }
 
   // The holder's id, 0 when free.
   [[nodiscard]] std::uint32_t holder() const noexcept {
+    // scm-lint: coarse (probe)
     return holder_.load(std::memory_order_acquire);
   }
   // Relaxed probe for wait predicates; the waiter re-validates with the
   // CAS once the predicate holds.
   [[nodiscard]] bool looks_free() const noexcept {
+    // scm-lint: coarse (wait predicate)
     return holder_.load(std::memory_order_relaxed) == 0;
   }
 
@@ -613,15 +637,18 @@ class CombiningCore {
   // Operations that ran direct on the fast path, unpublished.
   // direct_ops() + combined_ops() == total invocations.
   [[nodiscard]] std::uint64_t direct_ops() const noexcept {
+    // scm-lint: coarse (telemetry)
     return line_.direct_ops.load(std::memory_order_relaxed);
   }
   // Operations served by combine passes; divided by combine_rounds()
   // this is the achieved batch size.
   [[nodiscard]] std::uint64_t combined_ops() const noexcept {
+    // scm-lint: coarse (telemetry)
     return line_.batched_ops.load(std::memory_order_relaxed);
   }
   // Combine passes that served at least one operation.
   [[nodiscard]] std::uint64_t combine_rounds() const noexcept {
+    // scm-lint: coarse (telemetry)
     return line_.rounds.load(std::memory_order_relaxed);
   }
   // Park/wake telemetry of the wait point. A pure fast-path run makes

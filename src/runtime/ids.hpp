@@ -2,9 +2,9 @@
 //
 // The paper's complexity metrics count *shared-memory steps* (register
 // reads/writes and RMW operations). Every platform context carries a
-// StepCounters instance that the shared-memory primitives bump, so step
-// complexity is measured identically on the native and the simulated
-// platform.
+// StepCounters instance that its step accessors bump
+// (runtime/context.hpp), so step complexity is measured identically on
+// the native and the simulated platform.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +20,14 @@ inline constexpr int kConsensusNumberRegister = 1;
 inline constexpr int kConsensusNumberTas = 2;
 inline constexpr int kConsensusNumberFetchAdd = 2;
 inline constexpr int kConsensusNumberCas = INT32_MAX;
+
+// The kind of a step. kRead, kWrite and kRmw are the shared-memory
+// steps of the cost model, each bumping its StepCounters field. kWake
+// is the simulator's grant that resumes a process parked in
+// sim::SimContext::await — a scheduling event, not a shared-memory
+// step, so it appears in the simulator's step log (schedules see it,
+// determinism depends on it) but bumps no StepCounters field.
+enum class Access : std::uint8_t { kRead, kWrite, kRmw, kWake };
 
 struct StepCounters {
   std::uint64_t reads = 0;   // atomic register reads

@@ -3,12 +3,9 @@
 // algorithms can statically assert the paper's "consensus number at
 // most two" claims.
 //
-// The context-taking accessors are noexcept exactly when the context's
-// step hook is: under the simulator, ctx.on_*() throws sim::Crashed when
-// the scheduler kills the process at that step, and the crash must
-// unwind to the simulator's thread wrapper (through noexcept it would
-// std::terminate the whole binary). NativeContext's hooks are noexcept,
-// so native instantiations keep it. peek()/reset() take no step.
+// Each context-taking method is one step through the context's
+// accessors (runtime/context.hpp), and so noexcept exactly when the
+// context's step is. peek()/reset() take no step.
 #pragma once
 
 #include <atomic>
@@ -32,15 +29,13 @@ class alignas(kCacheLineSize) NativeTas {
   NativeTas& operator=(const NativeTas&) = delete;
 
   template <class Ctx>
-  [[nodiscard]] int test_and_set(Ctx& ctx) noexcept(noexcept(ctx.on_rmw())) {
-    ctx.on_rmw();
-    return cell_.exchange(1, std::memory_order_seq_cst);
+  [[nodiscard]] int test_and_set(Ctx& ctx) noexcept(Ctx::kNoexceptSteps) {
+    return ctx.exchange(cell_, 1, std::memory_order_seq_cst);
   }
 
   template <class Ctx>
-  [[nodiscard]] int read(Ctx& ctx) const noexcept(noexcept(ctx.on_read())) {
-    ctx.on_read();
-    return cell_.load(std::memory_order_seq_cst);
+  [[nodiscard]] int read(Ctx& ctx) const noexcept(Ctx::kNoexceptSteps) {
+    return ctx.load(cell_, std::memory_order_seq_cst);
   }
 
   // Model-level reset (used by the long-lived wrapper; the paper resets
@@ -72,23 +67,19 @@ class alignas(kCacheLineSize) NativeCas {
   // the current value, matching std::atomic::compare_exchange_strong.
   template <class Ctx>
   [[nodiscard]] bool compare_and_swap(Ctx& ctx, T& expected, T desired)
-      noexcept(noexcept(ctx.on_rmw())) {
-    ctx.on_rmw();
-    return cell_.compare_exchange_strong(expected, desired,
-                                         std::memory_order_seq_cst,
-                                         std::memory_order_seq_cst);
+      noexcept(Ctx::kNoexceptSteps) {
+    return ctx.cas(cell_, expected, desired, std::memory_order_seq_cst,
+                   std::memory_order_seq_cst);
   }
 
   template <class Ctx>
-  [[nodiscard]] T read(Ctx& ctx) const noexcept(noexcept(ctx.on_read())) {
-    ctx.on_read();
-    return cell_.load(std::memory_order_seq_cst);
+  [[nodiscard]] T read(Ctx& ctx) const noexcept(Ctx::kNoexceptSteps) {
+    return ctx.load(cell_, std::memory_order_seq_cst);
   }
 
   template <class Ctx>
-  void write(Ctx& ctx, T value) noexcept(noexcept(ctx.on_write())) {
-    ctx.on_write();
-    cell_.store(value, std::memory_order_seq_cst);
+  void write(Ctx& ctx, T value) noexcept(Ctx::kNoexceptSteps) {
+    ctx.store(cell_, value, std::memory_order_seq_cst);
   }
 
   [[nodiscard]] T peek() const noexcept {
@@ -114,16 +105,14 @@ class alignas(kCacheLineSize) NativeCounter {
 
   template <class Ctx>
   [[nodiscard]] std::uint64_t fetch_add(Ctx& ctx, std::uint64_t d = 1)
-      noexcept(noexcept(ctx.on_rmw())) {
-    ctx.on_rmw();
-    return cell_.fetch_add(d, std::memory_order_seq_cst);
+      noexcept(Ctx::kNoexceptSteps) {
+    return ctx.fetch_add(cell_, d, std::memory_order_seq_cst);
   }
 
   template <class Ctx>
   [[nodiscard]] std::uint64_t read(Ctx& ctx) const
-      noexcept(noexcept(ctx.on_read())) {
-    ctx.on_read();
-    return cell_.load(std::memory_order_seq_cst);
+      noexcept(Ctx::kNoexceptSteps) {
+    return ctx.load(cell_, std::memory_order_seq_cst);
   }
 
   [[nodiscard]] std::uint64_t peek() const noexcept {

@@ -6,7 +6,9 @@
 // pattern, the bakery — need the store-load ordering that weaker
 // orders would forfeit). Each register is padded onto its own cache
 // line so that register-level step counts translate into cache-level
-// behaviour without false-sharing artifacts.
+// behaviour without false-sharing artifacts. A read is ctx.load and a
+// write ctx.store (runtime/context.hpp): one step each, before the
+// access, noexcept exactly when the context's step is.
 #pragma once
 
 #include <atomic>
@@ -33,18 +35,14 @@ class alignas(kCacheLineSize) NativeRegister {
   NativeRegister(const NativeRegister&) = delete;
   NativeRegister& operator=(const NativeRegister&) = delete;
 
-  // noexcept only for contexts whose hooks are: a simulated ctx.on_*()
-  // throws sim::Crashed (see runtime/primitives.hpp).
   template <class Ctx>
-  [[nodiscard]] T read(Ctx& ctx) const noexcept(noexcept(ctx.on_read())) {
-    ctx.on_read();
-    return cell_.load(std::memory_order_seq_cst);
+  [[nodiscard]] T read(Ctx& ctx) const noexcept(Ctx::kNoexceptSteps) {
+    return ctx.load(cell_, std::memory_order_seq_cst);
   }
 
   template <class Ctx>
-  void write(Ctx& ctx, T value) noexcept(noexcept(ctx.on_write())) {
-    ctx.on_write();
-    cell_.store(value, std::memory_order_seq_cst);
+  void write(Ctx& ctx, T value) noexcept(Ctx::kNoexceptSteps) {
+    ctx.store(cell_, value, std::memory_order_seq_cst);
   }
 
   // Unsynchronized accessors for setup/teardown and assertions outside

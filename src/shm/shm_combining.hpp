@@ -200,6 +200,7 @@ class ShmCombining {
     // kClaimed record above it.
     std::size_t reclaimed = 0;
     for (auto& r : core_.slots().records()) {
+      // scm-lint: coarse (scan; the free CAS is counted)
       std::uint32_t w = r.word.load(std::memory_order_acquire);
       const SlotState state = slot_state_of(w);
       const std::uint32_t owner = slot_owner_of(w);
@@ -214,10 +215,8 @@ class ShmCombining {
       // Only the owner performs kClaimed->kPending and kDone->kFree,
       // and the owner is dead; the gate excludes combiners. The CAS is
       // belt-and-braces against a probe that raced the owner's death.
-      if (r.word.compare_exchange_strong(w, pack_slot(SlotState::kFree, 0),
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed)) {
-        ctx.on_rmw();
+      if (ctx.late_cas(r.word, w, pack_slot(SlotState::kFree, 0),
+                       std::memory_order_acq_rel, std::memory_order_relaxed)) {
         ++reclaimed;
       }
     }

@@ -38,17 +38,15 @@ class ShmCounter {
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> /*init*/ = std::nullopt) {
     if (m.op == Op::kRead) {
-      ctx.on_read();
       return ModuleResult::commit(
-          static_cast<Response>(value_.load(std::memory_order_acquire)));
+          static_cast<Response>(ctx.load(value_, std::memory_order_acquire)));
     }
-    ctx.on_rmw();
     return ModuleResult::commit(static_cast<Response>(
-        value_.fetch_add(1, std::memory_order_acq_rel)));
+        ctx.fetch_add(value_, 1, std::memory_order_acq_rel)));
   }
 
   [[nodiscard]] std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_acquire);
+    return value_.load(std::memory_order_acquire);  // scm-lint: coarse (peek)
   }
 
  private:

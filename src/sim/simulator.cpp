@@ -116,7 +116,7 @@ void Simulator::await_cond(ProcessId pid, std::function<bool()> pred) {
   ++steps_;
 }
 
-void SimContext::take_step(Access kind) { sim_->take_step(id_, kind); }
+void SimContext::grant(Access kind) { sim_->take_step(id_, kind); }
 
 void SimContext::await(std::function<bool()> pred) {
   sim_->await_cond(id_, std::move(pred));

@@ -9,9 +9,9 @@
 //
 //  * every process runs on its own thread, but a token-passing
 //    controller lets exactly one process execute at a time;
-//  * every shared-memory access (register read/write, RMW) is a
-//    scheduling point: the process parks and the Schedule policy picks
-//    who takes the next step;
+//  * every counted shared-memory access (a step accessor of the
+//    context, runtime/context.hpp) is a scheduling point: the process
+//    parks and the Schedule policy picks who takes the next step;
 //  * the controller can crash a process at any scheduling point
 //    (n-1 crash faults, as in the model);
 //  * all events (operation invocations/responses and steps) get global
@@ -33,6 +33,7 @@
 #include <condition_variable>
 #include <mutex>
 
+#include "runtime/context.hpp"
 #include "runtime/ids.hpp"
 
 namespace scm::sim {
@@ -45,18 +46,16 @@ class Simulator;
 // exactly as the model prescribes: half-finished.
 struct Crashed {};
 
-// kWake is the grant that resumes a process parked in SimContext::await
-// — a scheduling event, not a shared-memory step in the paper's cost
-// model, so it appears in the step log (schedules see it, determinism
-// depends on it) but bumps no StepCounters field.
-enum class Access : std::uint8_t { kRead, kWrite, kRmw, kWake };
-
 // Execution context handed to a simulated process body. It has
-// NativeContext's interface (id, counters, on_read/on_write/on_rmw),
-// so every algorithm, templated only on its context, runs the same
-// base objects here and natively.
-class SimContext {
+// NativeContext's interface (id, counters and the step accessors of
+// runtime/context.hpp), so every algorithm, templated only on its
+// context, runs the same base objects here and natively. Its grant
+// parks the process until the scheduler grants the step, and throws
+// Crashed when the scheduler kills it there.
+class SimContext : public StepAccessors<SimContext> {
  public:
+  static constexpr bool kNoexceptSteps = false;
+
   // Marker consumed by scm::wait_until (runtime/wait.hpp): this context
   // supports conditional parking, so blocking layers (the combining
   // wrappers' wait loops) park in await() instead of spinning — which
@@ -67,19 +66,6 @@ class SimContext {
 
   [[nodiscard]] ProcessId id() const noexcept { return id_; }
   [[nodiscard]] StepCounters& counters() noexcept { return counters_; }
-
-  void on_read() {
-    take_step(Access::kRead);
-    ++counters_.reads;
-  }
-  void on_write() {
-    take_step(Access::kWrite);
-    ++counters_.writes;
-  }
-  void on_rmw() {
-    take_step(Access::kRmw);
-    ++counters_.rmws;
-  }
 
   // Conditional scheduling point: parks this process until `pred()`
   // holds. The controller re-evaluates predicates between grants (all
@@ -106,8 +92,9 @@ class SimContext {
 
  private:
   friend class Simulator;
+  friend class StepAccessors<SimContext>;
   SimContext(Simulator& sim, ProcessId id) noexcept : sim_(&sim), id_(id) {}
-  void take_step(Access kind);
+  void grant(Access kind);
 
   Simulator* sim_;
   ProcessId id_;

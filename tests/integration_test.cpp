@@ -6,12 +6,13 @@
 //  * trace recorder ordering;
 //  * schedule policies' behavioural contracts;
 //  * crash injection through the full universal chain;
-//  * one algorithm object counts the same steps natively and under the
-//    simulator.
+//  * one algorithm object, or one composition stack, counts the same
+//    steps natively and under the simulator.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <type_traits>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "consensus/abortable_bakery.hpp"
 #include "consensus/cas_consensus.hpp"
 #include "consensus/split_consensus.hpp"
+#include "core/caching.hpp"
+#include "core/combining.hpp"
 #include "core/interpretation.hpp"
 #include "core/module.hpp"
 #include "core/pipeline.hpp"
@@ -26,6 +29,8 @@
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
 #include "runtime/platform.hpp"
+#include "shm/shm_combining.hpp"
+#include "shm/shm_counter.hpp"
 #include "sim/schedules.hpp"
 #include "sim/simulator.hpp"
 #include "tas/a1_module.hpp"
@@ -317,22 +322,6 @@ TEST(StaticChain, SurvivorsStayCorrectUnderCrashes) {
 // SimContext drives it. This ties the simulator's step and RMW claims
 // (E1, E4) to the code the native benches run.
 
-template <class Obj, std::uint64_t kSoloRmws>
-struct SoloCase {
-  using Type = Obj;
-  static constexpr std::uint64_t kRmws = kSoloRmws;
-};
-
-template <class Case>
-class OneObjectBothContexts : public testing::Test {};
-
-using SoloCases =
-    testing::Types<SoloCase<ObstructionFreeTas<>, 0>, SoloCase<WaitFreeTas, 1>,
-                   SoloCase<SpeculativeTas<>, 0>, SoloCase<SoloFastTas, 0>,
-                   SoloCase<SplitConsensus, 0>, SoloCase<AbortableBakery, 0>,
-                   SoloCase<CasConsensus, 1>>;
-TYPED_TEST_SUITE(OneObjectBothContexts, SoloCases);
-
 template <class Obj>
 std::unique_ptr<Obj> fresh_solo_object() {
   if constexpr (std::is_constructible_v<Obj, int>) {
@@ -342,24 +331,103 @@ std::unique_ptr<Obj> fresh_solo_object() {
   }
 }
 
-template <class Obj, class Ctx>
-void solo_op(Obj& obj, Ctx& ctx) {
-  if constexpr (requires { obj.run(ctx, kBottom, std::int64_t{7}); }) {
-    (void)obj.run(ctx, kBottom, 7);
-  } else {
-    (void)obj.invoke(ctx, tas_req(1, 0));
+// The paper's objects: one solo op each.
+template <class Obj, std::uint64_t kSoloRmws>
+struct SoloCase {
+  using Type = Obj;
+  static constexpr std::uint64_t kRmws = kSoloRmws;
+
+  template <class Ctx>
+  static void op(Obj& obj, Ctx& ctx) {
+    if constexpr (requires { obj.run(ctx, kBottom, std::int64_t{7}); }) {
+      (void)obj.run(ctx, kBottom, 7);
+    } else {
+      (void)obj.invoke(ctx, tas_req(1, 0));
+    }
   }
-}
+};
+
+// Composition stacks, so the slot protocol's and the cache's counted
+// accesses are tied to both contexts too. A solo op runs direct: the
+// election gate's CAS is the one RMW Combining adds, and A1 commits
+// with registers alone.
+struct CombinedPipelineCase {
+  using Type = Combining<Pipeline<ObstructionFreeTas<>, WaitFreeTas>, 4>;
+  static constexpr std::uint64_t kRmws = 1;
+
+  template <class Ctx>
+  static void op(Type& obj, Ctx& ctx) {
+    EXPECT_EQ(obj.invoke(ctx, tas_req(1, 0)).response, TasSpec::kWinner);
+  }
+};
+
+#if SCM_HAS_POSIX_SHM
+// The gate's CAS and the counter's fetch_add.
+struct ShmCombinedCounterCase {
+  using Type = ShmCombining<ShmCounter, 4>;
+  static constexpr std::uint64_t kRmws = 2;
+
+  template <class Ctx>
+  static void op(Type& obj, Ctx& ctx) {
+    const Request inc{1, 0, CounterSpec::kFetchInc, 0};
+    EXPECT_EQ(obj.invoke(ctx, inc).response, 0);
+  }
+};
+#endif
+
+// One counter key: a read is served by the cache once a fill put it
+// there, and a write's response + 1 is the value after it.
+struct CounterReadModel {
+  static bool is_read(const Request& m) { return m.op == CounterSpec::kRead; }
+  static std::uint64_t key(const Request& /*m*/) { return 0; }
+  static std::optional<Response> read_after_write(const Request& /*m*/,
+                                                  Response r) {
+    return r + 1;
+  }
+};
+
+// A read that misses, then one that hits. The miss reads the slot
+// generation, the replica entry and the slot line's `last` (3 reads),
+// then goes through Combining (the gate's CAS) to the counter (1 read);
+// its fill callback installs uncounted. The hit reads the generation
+// and the entry (2 reads).
+struct CachedMissThenHitCase {
+  using Type = Cached<Combining<ShmCounter, 4>, CounterReadModel>;
+  static constexpr std::uint64_t kRmws = 1;
+  static constexpr std::uint64_t kReads = 6;
+
+  template <class Ctx>
+  static void op(Type& obj, Ctx& ctx) {
+    const Request read{1, 0, CounterSpec::kRead, 0};
+    EXPECT_EQ(obj.invoke(ctx, read).response, 0);
+    EXPECT_EQ(obj.invoke(ctx, read).response, 0);
+    EXPECT_EQ(obj.hits(), 1u);
+  }
+};
+
+template <class Case>
+class OneObjectBothContexts : public testing::Test {};
+
+using SoloCases =
+    testing::Types<SoloCase<ObstructionFreeTas<>, 0>, SoloCase<WaitFreeTas, 1>,
+                   SoloCase<SpeculativeTas<>, 0>, SoloCase<SoloFastTas, 0>,
+                   SoloCase<SplitConsensus, 0>, SoloCase<AbortableBakery, 0>,
+                   SoloCase<CasConsensus, 1>, CombinedPipelineCase,
+#if SCM_HAS_POSIX_SHM
+                   ShmCombinedCounterCase,
+#endif
+                   CachedMissThenHitCase>;
+TYPED_TEST_SUITE(OneObjectBothContexts, SoloCases);
 
 TYPED_TEST(OneObjectBothContexts, SoloOpCountsTheSameSteps) {
   using Obj = typename TypeParam::Type;
 
   NativeContext native(0);
-  solo_op(*fresh_solo_object<Obj>(), native);
+  TypeParam::op(*fresh_solo_object<Obj>(), native);
 
   Simulator s;
   const auto simulated = fresh_solo_object<Obj>();
-  s.add_process([&](SimContext& ctx) { solo_op(*simulated, ctx); });
+  s.add_process([&](SimContext& ctx) { TypeParam::op(*simulated, ctx); });
   sim::SequentialSchedule sched;
   s.run(sched);
 
@@ -370,6 +438,9 @@ TYPED_TEST(OneObjectBothContexts, SoloOpCountsTheSameSteps) {
   EXPECT_EQ(n.writes, m.writes);
   EXPECT_EQ(n.rmws, m.rmws);
   EXPECT_EQ(n.rmws, TypeParam::kRmws);
+  if constexpr (requires { TypeParam::kReads; }) {
+    EXPECT_EQ(n.reads, TypeParam::kReads);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -123,14 +123,12 @@ TEST(SlotProtocol, OwnerPackedWordsRoundtrip) {
   EXPECT_EQ(pack_slot(SlotState::kFree, 0), 0u);  // zero-init == free
 }
 
-// An awaitable context with a chosen id: ShmCombining stamps
-// ctx.id() + 1 under it, so the owner range check is reachable without
-// a real pid that large. reclaim_dead needs nothing more.
-struct OwnerProbeContext {
+// A native context marked awaitable: ShmCombining stamps ctx.id() + 1
+// under it, so the owner range check is reachable without a real pid
+// that large. reclaim_dead never waits, so nothing else changes.
+struct OwnerProbeContext : NativeContext {
   static constexpr bool kCanAwait = true;
-  ProcessId pid;
-  [[nodiscard]] ProcessId id() const noexcept { return pid; }
-  void on_rmw() noexcept {}
+  using NativeContext::NativeContext;
 };
 
 TEST(SlotProtocol, OwnerOutsideTheWordIsRejected) {

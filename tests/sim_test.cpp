@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -185,6 +186,200 @@ TEST(Simulator, CrashInsideNativeCounterFetchAddUnwinds) {
   ASSERT_EQ(sim.ops().size(), 1u);
   EXPECT_FALSE(sim.ops()[0].complete);
   EXPECT_EQ(counter.peek(), 1u);  // exactly one add landed before the crash
+}
+
+// ---- the accessor contract (runtime/context.hpp) ----------------------
+//
+// Each accessor is one call on a std::atomic<int> holding 1 (and, for
+// read, a plain payload int): the step kind it must log, and the value
+// the atomic must hold after it.
+struct LoadCall {
+  static constexpr Access kKind = Access::kRead;
+  static constexpr int kAfter = 1;
+  template <class Ctx>
+  static void run(Ctx& ctx, std::atomic<int>& a, int& /*payload*/) {
+    EXPECT_EQ(ctx.load(a, std::memory_order_seq_cst), 1);
+  }
+};
+struct StoreCall {
+  static constexpr Access kKind = Access::kWrite;
+  static constexpr int kAfter = 5;
+  template <class Ctx>
+  static void run(Ctx& ctx, std::atomic<int>& a, int& /*payload*/) {
+    ctx.store(a, 5, std::memory_order_release);
+  }
+};
+struct UpdateStoreCall {
+  static constexpr Access kKind = Access::kWrite;
+  static constexpr int kAfter = 11;
+  template <class Ctx>
+  static void run(Ctx& ctx, std::atomic<int>& a, int& /*payload*/) {
+    ctx.store(a, [](int v) { return v + 10; }, std::memory_order_release);
+  }
+};
+struct ExchangeCall {
+  static constexpr Access kKind = Access::kRmw;
+  static constexpr int kAfter = 7;
+  template <class Ctx>
+  static void run(Ctx& ctx, std::atomic<int>& a, int& /*payload*/) {
+    EXPECT_EQ(ctx.exchange(a, 7, std::memory_order_acq_rel), 1);
+  }
+};
+struct FetchAddCall {
+  static constexpr Access kKind = Access::kRmw;
+  static constexpr int kAfter = 3;
+  template <class Ctx>
+  static void run(Ctx& ctx, std::atomic<int>& a, int& /*payload*/) {
+    EXPECT_EQ(ctx.fetch_add(a, 2, std::memory_order_acq_rel), 1);
+  }
+};
+struct CasCall {
+  static constexpr Access kKind = Access::kRmw;
+  static constexpr int kAfter = 9;
+  template <class Ctx>
+  static void run(Ctx& ctx, std::atomic<int>& a, int& /*payload*/) {
+    int expected = 1;
+    EXPECT_TRUE(ctx.cas(a, expected, 9, std::memory_order_acq_rel,
+                        std::memory_order_relaxed));
+  }
+};
+struct ReadCall {
+  static constexpr Access kKind = Access::kRead;
+  static constexpr int kAfter = 1;
+  template <class Ctx>
+  static void run(Ctx& ctx, std::atomic<int>& /*a*/, int& payload) {
+    int& got = ctx.read(payload);
+    EXPECT_EQ(&got, &payload);
+  }
+};
+
+template <class Call>
+class StepAccessor : public testing::Test {};
+using AccessorCalls = testing::Types<LoadCall, StoreCall, UpdateStoreCall,
+                                     ExchangeCall, FetchAddCall, CasCall,
+                                     ReadCall>;
+TYPED_TEST_SUITE(StepAccessor, AccessorCalls);
+
+// The StepCounters a single step of `kind` leaves behind.
+StepCounters one_step_of(Access kind) {
+  StepCounters c;
+  if (kind == Access::kRead) ++c.reads;
+  if (kind == Access::kWrite) ++c.writes;
+  if (kind == Access::kRmw) ++c.rmws;
+  return c;
+}
+
+// One call, one StepRecord of the accessor's kind, one bump of its
+// field; natively the same bump.
+TYPED_TEST(StepAccessor, TakesOneStepOfItsKind) {
+  Simulator sim;
+  std::atomic<int> a{1};
+  int payload = 1;
+  sim.add_process(
+      [&](SimContext& ctx) { TypeParam::run(ctx, a, payload); });
+  SequentialSchedule sched;
+  EXPECT_EQ(sim.run(sched), 1u);
+  ASSERT_EQ(sim.steps().size(), 1u);
+  EXPECT_EQ(sim.steps()[0].kind, TypeParam::kKind);
+  EXPECT_EQ(sim.counters(0), one_step_of(TypeParam::kKind));
+  EXPECT_EQ(a.load(), TypeParam::kAfter);
+
+  NativeContext native(0);
+  std::atomic<int> b{1};
+  TypeParam::run(native, b, payload);
+  EXPECT_EQ(native.counters(), one_step_of(TypeParam::kKind));
+  EXPECT_EQ(b.load(), TypeParam::kAfter);
+}
+
+// A crash at step index 1: the process first takes one read step on
+// another atomic (step index 0 is also the start grant's, which a crash
+// there would kill before the body runs), then dies at the grant of
+// its next step.
+constexpr std::uint64_t kSecondStep = 1;
+
+template <class Call>
+void after_one_read(SimContext& ctx, std::atomic<int>& a, int& payload) {
+  std::atomic<int> other{0};
+  (void)ctx.load(other, std::memory_order_relaxed);
+  Call::run(ctx, a, payload);
+}
+
+// Killed at its step, the process never reaches the access: the step
+// comes first.
+TYPED_TEST(StepAccessor, CrashAtTheStepLeavesTheAtomicUnchanged) {
+  Simulator sim;
+  std::atomic<int> a{1};
+  int payload = 1;
+  sim.add_process(
+      [&](SimContext& ctx) { after_one_read<TypeParam>(ctx, a, payload); });
+  SequentialSchedule inner;
+  CrashSchedule sched(inner, {{0, kSecondStep}});
+  sim.run(sched);
+  EXPECT_TRUE(sim.crashed(0));
+  EXPECT_EQ(sim.steps().size(), 1u);  // the read before it
+  EXPECT_EQ(sim.counters(0), one_step_of(Access::kRead));
+  EXPECT_EQ(a.load(), 1);
+}
+
+// late_cas, the one exception: a losing CAS takes no step and counts
+// nothing; a winning one logs one kRmw after the CAS, so a crash at
+// that step finds the CAS done.
+template <class Ctx>
+bool late_cas_from(Ctx& ctx, std::atomic<int>& a, int from) {
+  return ctx.late_cas(a, from, 9, std::memory_order_acq_rel,
+                      std::memory_order_relaxed);
+}
+
+TEST(StepAccessorLateCas, LosingTakesNoStepAndCountsNothing) {
+  Simulator sim;
+  std::atomic<int> a{1};
+  sim.add_process(
+      [&](SimContext& ctx) { EXPECT_FALSE(late_cas_from(ctx, a, 2)); });
+  SequentialSchedule sched;
+  EXPECT_EQ(sim.run(sched), 0u);
+  EXPECT_TRUE(sim.steps().empty());
+  EXPECT_EQ(sim.counters(0), StepCounters{});
+  EXPECT_EQ(a.load(), 1);
+
+  NativeContext native(0);
+  EXPECT_FALSE(late_cas_from(native, a, 2));
+  EXPECT_EQ(native.counters(), StepCounters{});
+}
+
+TEST(StepAccessorLateCas, WinningLogsOneRmwAfterTheCas) {
+  Simulator sim;
+  std::atomic<int> a{1};
+  sim.add_process(
+      [&](SimContext& ctx) { EXPECT_TRUE(late_cas_from(ctx, a, 1)); });
+  SequentialSchedule sched;
+  EXPECT_EQ(sim.run(sched), 1u);
+  ASSERT_EQ(sim.steps().size(), 1u);
+  EXPECT_EQ(sim.steps()[0].kind, Access::kRmw);
+  EXPECT_EQ(sim.counters(0), one_step_of(Access::kRmw));
+  EXPECT_EQ(a.load(), 9);
+
+  struct LateCasCall {
+    static void run(SimContext& ctx, std::atomic<int>& a, int& /*payload*/) {
+      (void)late_cas_from(ctx, a, 1);
+    }
+  };
+  Simulator crashed;
+  std::atomic<int> b{1};
+  int payload = 0;
+  crashed.add_process([&](SimContext& ctx) {
+    after_one_read<LateCasCall>(ctx, b, payload);
+  });
+  SequentialSchedule inner;
+  CrashSchedule kill_at_the_step(inner, {{0, kSecondStep}});
+  crashed.run(kill_at_the_step);
+  EXPECT_TRUE(crashed.crashed(0));
+  EXPECT_EQ(crashed.counters(0), one_step_of(Access::kRead));
+  EXPECT_EQ(b.load(), 9);  // the CAS landed before its step
+
+  NativeContext native(0);
+  std::atomic<int> c{1};
+  EXPECT_TRUE(late_cas_from(native, c, 1));
+  EXPECT_EQ(native.counters(), one_step_of(Access::kRmw));
 }
 
 TEST(Simulator, StepLimitTerminatesRun) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """scm_lint — repo-specific static checks for the scm codebase.
 
-Six rules, all about invariants the C++ type system cannot state:
+Seven rules, all about invariants the C++ type system cannot state:
 
 RULE 1: explicit memory orders (src/**).
   Every std::atomic load/store/RMW must name its std::memory_order.
@@ -79,6 +79,21 @@ RULE 6: every header ships (src/**/*.hpp, only when the root is src/).
   they never reach is reported. The only exemptions are the checkers
   in SHIPPED_CHECKERS, which tests run against shipped code; each is
   listed with that reason.
+
+RULE 7: counted accesses go through the context (src/core/slot_protocol.hpp,
+  src/core/caching.hpp, src/shm/**).
+  A shared-memory step is counted, and under the simulator scheduled,
+  by the context's accessors (runtime/context.hpp): ctx.load(a, mo),
+  ctx.store, ctx.late_cas, ctx.read(payload)... So in these files, the
+  protocol code both executors and the replicated cache run, a raw
+  .load(/.store(/exchange(/compare_exchange_*(/fetch_*( on a std::atomic
+  is an access nobody counts. Each one that is uncounted on purpose —
+  a pre-test, the claim mark, the gate's release store, a scan, a
+  seqlock payload a counted read reads, an install, a completion
+  callback, telemetry readers, peek and setup — carries
+  `// scm-lint: coarse (<reason>)` on the call's first line or on a
+  comment line right above it, so the list of coarse accesses is
+  written down where they are. The reason is required.
 
 Usage:
   tools/scm_lint.py [--root DIR] [--self-test]
@@ -320,6 +335,43 @@ def check_relaxed_rmws(path: str, raw: str) -> list[Finding]:
                         "(support/tally.hpp) or a single writer's "
                         "load+store — or annotate "
                         f"'// {RELAXED_RMW_MARK}' with the reason"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# RULE 7: counted accesses go through the context
+
+COARSE_MARK_RE = re.compile(r"scm-lint: coarse \([^)]+\)")
+# Files whose atomics are shared protocol state.
+COUNTED_FILES = (os.path.join("core", "slot_protocol.hpp"),
+                 os.path.join("core", "caching.hpp"))
+
+
+def in_counted_scope(rel: str) -> bool:
+    return rel.startswith("shm" + os.sep) or rel in COUNTED_FILES
+
+
+def check_counted_accesses(path: str, raw: str) -> list[Finding]:
+    """Every raw std::atomic access in the counted scope is either a
+    context accessor (`ctx.load(`...) or marked coarse with a reason."""
+    text = strip_comments(raw)
+    raw_lines = raw.splitlines()
+    findings = []
+    for m in ATOMIC_CALL_RE.finditer(text):
+        head = text[:m.start()].rstrip()
+        if re.search(r"\bctx$", head):
+            continue  # the context's accessor takes the step
+        line = line_of(text, m.start())
+        above = raw_lines[line - 2].strip() if line >= 2 else ""
+        if COARSE_MARK_RE.search(raw_lines[line - 1]) or (
+                above.startswith("//") and COARSE_MARK_RE.search(above)):
+            continue
+        findings.append(
+            Finding(path, line, "counted-access",
+                    f"raw .{m.group(1)}() on a shared atomic: take the step "
+                    "through the context (ctx.load/store/exchange/fetch_add/"
+                    "cas/late_cas/read) or mark it "
+                    "'// scm-lint: coarse (<reason>)'"))
     return findings
 
 
@@ -634,6 +686,8 @@ def lint_file(rel: str, raw: str, macro_corpus: str,
         findings.extend(check_adaptive_hot_reads(rel, raw))
     if rel.startswith("core" + os.sep):
         findings.extend(check_relaxed_rmws(rel, raw))
+    if in_counted_scope(rel):
+        findings.extend(check_counted_accesses(rel, raw))
     return findings
 
 
@@ -879,13 +933,13 @@ SELF_TESTS = [
      "void f() { taken = lock_.exchange(true, std::memory_order_acquire); }",
      0),
     ("relaxed fetch_add in core flagged",
-     "file:core/caching.hpp",
+     "file:core/sharding.hpp",
      "void f() { hits.fetch_add(1, std::memory_order_relaxed); }", 1),
     ("multi-line relaxed fetch_sub in core flagged",
      "file:core/combining.hpp",
      "void f() {\n  n.fetch_sub(\n      1, std::memory_order_relaxed);\n}", 1),
     ("protocol fetch_add naming seq_cst passes",
-     "file:core/caching.hpp",
+     "file:core/sharding.hpp",
      "void f() { g = gen.fetch_add(1, std::memory_order_seq_cst) + 1; }", 0),
     ("single-writer load+store count passes",
      "file:core/adaptive.hpp",
@@ -906,6 +960,35 @@ SELF_TESTS = [
      "file:core/pipeline.hpp",
      "void f() {\n  // scm-lint: relaxed-rmw-ok\n  int k = 0;\n"
      "  n.fetch_add(1, std::memory_order_relaxed);\n}", 1),
+    ("raw load in counted scope flagged",
+     "file:core/slot_protocol.hpp",
+     "void f() { w.load(std::memory_order_acquire); }", 1),
+    ("raw multi-line CAS in shm flagged",
+     "file:shm/shm_combining.hpp",
+     "void f() {\n  w.compare_exchange_strong(\n      e, d, std::memory_order_acq_rel,"
+     " std::memory_order_relaxed);\n}", 1),
+    ("coarse raw load on its line passes",
+     "file:core/caching.hpp",
+     "void f() { w.load(std::memory_order_acquire); }"
+     "  // scm-lint: coarse (scan)", 0),
+    ("coarse mark on the comment line above passes",
+     "file:core/caching.hpp",
+     "void f() {\n  // scm-lint: coarse (telemetry)\n"
+     "  n = c[k].load(std::memory_order_relaxed);\n}", 0),
+    ("context accessor passes",
+     "file:core/slot_protocol.hpp",
+     "void f() { v = ctx.load(w, std::memory_order_acquire); }", 0),
+    ("coarse mark without a reason does not count",
+     "file:core/slot_protocol.hpp",
+     "void f() { w.load(std::memory_order_acquire); }"
+     "  // scm-lint: coarse", 1),
+    ("coarse mark in an unrelated comment line does not count",
+     "file:shm/shm_counter.hpp",
+     "void f() {\n  // scm-lint: coarse (scan)\n  int k = 0;\n"
+     "  w.store(k, std::memory_order_release);\n}", 1),
+    ("raw load outside the counted scope passes",
+     "file:core/combining.hpp",
+     "void f() { w.load(std::memory_order_acquire); }", 0),
     # RULE 6 snippets are (src files, shipped seed files).
     ("orphan header flagged",
      "orphan", ({"core/a.hpp": "", "core/orphan.hpp": ""},
