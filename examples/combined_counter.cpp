@@ -1,16 +1,15 @@
 // Flat-combining demo: a shared ticket counter behind a composed
 // pipeline, wrapped in Combining<> (core/combining.hpp) so one elected
-// combiner executes everyone's pending operations in a single batched
-// chain walk.
+// combiner executes everyone's pending operations.
 //
 // Every thread publishes its request into a cacheline-padded slot and
 // either waits to be served or — when the combiner lock is free, or
 // frees within a short spin — becomes the combiner and drains ALL
-// pending slots through the pipeline's batch path (one stage-major
-// walk, one bulk stats update per stage). The printout shows the amortization: ops per combiner
-// pass is the number of chain walks a single operation's cost was
-// spread over, and the per-stage stats still account for every op even
-// though the counters were only touched once per batch.
+// pending slots, running each one through the pipeline's per-op chain
+// walk. The printout shows how many published ops a combiner pass
+// served, and the per-stage stats account for every op: each op
+// served, directly or by a combiner, bumps one counter per stage it
+// visits.
 //
 //   $ ./examples/combined_counter [threads]
 #include <atomic>
@@ -66,9 +65,8 @@ class TicketCounter {
   NativeCounter count_;
 };
 
-// Depth-3 composed object: two relays in front of the counter. The
-// stats-enabled Pipeline is affordable here because the batch path
-// updates its counters once per BATCH per stage, not once per op.
+// Depth-3 composed object: two relays in front of the counter, with
+// the stats-enabled Pipeline's per-stage counters.
 using TicketPipe = Pipeline<Relay, Relay, TicketCounter>;
 
 }  // namespace
@@ -115,8 +113,8 @@ int main(int argc, char** argv) {
                           : static_cast<double>(batched) /
                                 static_cast<double>(rounds));
 
-  // Per-stage accounting survives the batch path: both relays abort
-  // every op into the next stage, the counter commits all of them.
+  // Per-stage accounting: both relays abort every op into the next
+  // stage, the counter commits all of them.
   bool stats_ok = true;
   for (std::size_t st = 0; st < 3; ++st) {
     const PipelineStageStats s = counter.stats(st);

@@ -1,7 +1,7 @@
 // Flat-combining composition (the batching counterpart of Sharded's
 // replication): wrap any ComposableModule in a publication array and
 // let ONE elected combiner execute everyone's pending requests through
-// the batch invocation path (core/batch.hpp).
+// the batch invocation layer (core/batch.hpp).
 //
 // Combining<Obj, kSlots> is a combinator, not an algorithm: each
 // operation publishes its request into a one-cache-line slot (one
@@ -9,11 +9,12 @@
 // with threads <= kSlots every thread owns a private slot), then
 // either waits for a combiner to serve it or — whenever the election
 // gate is free — becomes the combiner itself, draining every pending
-// slot through run_batch(obj, ...) in one pass. Under contention the
-// composed-chain walk that every process used to pay per operation is
-// paid once per batch by the combiner, which also keeps the wrapped
-// object's cache lines local to one core instead of bouncing them
-// between all publishers (Hendler/Incze/Shavit/Tzafrir's flat
+// slot through run_batch(obj, ...) in one pass. The combiner runs each
+// served op through the object's own per-op path, so a composed chain
+// is walked once per op, as in the paper; what combining saves under
+// contention is an election per op and the cache-line traffic: the
+// wrapped object's lines stay local to the combiner's core instead of
+// bouncing between all publishers (Hendler/Incze/Shavit/Tzafrir's flat
 // combining, applied to the paper's composition chains).
 //
 // Semantics: the combiner executes the batch sequentially while

@@ -21,9 +21,14 @@
 // make_pipeline(a, b, c) deduces the mode per argument: lvalues are
 // referenced, rvalues are moved in and owned.
 //
+// There is one walk, run_from: a direct invoke, a Sharded shard and a
+// combiner serving a batch (core/batch.hpp runs it op by op) all take
+// it.
+//
 // Statistics: the default Pipeline counts per-stage commits and aborts
-// with relaxed atomics (one uncontended fetch_add per stage visited —
-// harness bookkeeping, never a counted shared-memory step).
+// with relaxed atomics (one uncontended fetch_add per stage visited
+// per operation, served by a combiner or not — harness bookkeeping,
+// never a counted shared-memory step).
 // FastPipeline/make_fast_pipeline disable the counters at compile time
 // for hot paths that must not touch a shared cache line per operation
 // (e.g. the speculative TAS used by the native throughput benches).
@@ -35,13 +40,11 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
-#include <span>
 #include <tuple>
 #include <type_traits>
 #include <utility>
 
 #include "core/async.hpp"
-#include "core/batch.hpp"
 #include "core/module.hpp"
 #include "history/request.hpp"
 #include "support/assert.hpp"
@@ -113,17 +116,6 @@ struct PipelineCounters {
   void on_abort(std::size_t i) noexcept {
     // scm-lint: relaxed-rmw-ok (copyable per-pipeline stage count)
     cells[i].aborts.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Bulk variants for the batch path: one fetch_add per stage per
-  // batch instead of one per operation — the per-op composition
-  // bookkeeping becomes per-batch bookkeeping.
-  void on_commits(std::size_t i, std::uint64_t n) noexcept {
-    // scm-lint: relaxed-rmw-ok (copyable per-pipeline stage count)
-    if (n != 0) cells[i].commits.fetch_add(n, std::memory_order_relaxed);
-  }
-  void on_aborts(std::size_t i, std::uint64_t n) noexcept {
-    // scm-lint: relaxed-rmw-ok (copyable per-pipeline stage count)
-    if (n != 0) cells[i].aborts.fetch_add(n, std::memory_order_relaxed);
   }
   [[nodiscard]] PipelineStageStats snapshot(std::size_t i) const noexcept {
     return {cells[i].commits.load(std::memory_order_relaxed),
@@ -198,30 +190,6 @@ class BasicPipeline {
     return Ticket<ModuleResult>::ready(run_from<0>(ctx, m, init).result);
   }
 
-  // Batch path: executes every pending (done == false) slot and fills
-  // its result, walking the chain STAGE-MAJOR — all pending slots
-  // visit stage 0, the aborted ones carry their switch values to
-  // stage 1 together, and so on. For a single executing thread this
-  // is result-identical to invoking the slots in order PROVIDED the
-  // stages are distinct objects: each stage then sees the same
-  // invocation subsequence in the same order, so its state evolves
-  // identically. (make_pipeline's reference mode does let one module
-  // serve two stages; such a shared stateful module observes the
-  // stage-major order instead — don't drive that shape through the
-  // batch path expecting per-op results.) The composition overhead is
-  // paid once per batch: the compile-time switch-plumbing walk happens
-  // once, and the per-stage statistics are ONE bulk fetch_add per
-  // stage instead of one per operation. A stage that itself has a
-  // batch path (a nested pipeline) receives the whole span and skips
-  // the finalized slots — no gathering, no allocation. Slot `init`
-  // fields are consumed as the fold's carriers; all done flags are
-  // true on return.
-  template <class Ctx>
-  void invoke_batch(Ctx& ctx, std::span<OpSlot> batch) {
-    if (batch.empty()) return;
-    batch_from<0>(ctx, batch);
-  }
-
   // The I-th composed module (unwrapped from its storage mode).
   template <std::size_t I>
   [[nodiscard]] auto& stage() noexcept {
@@ -254,66 +222,6 @@ class BasicPipeline {
                              std::optional<SwitchValue>(r.switch_value));
     } else {
       return {r, I};  // whole-pipeline abort: composes further upstream
-    }
-  }
-
-  // One stage of the stage-major batch walk: run every live (not yet
-  // committed / finally aborted) slot through stage I, then hand the
-  // survivors to stage I+1. Commit/abort tallies are accumulated in
-  // locals and flushed with one bulk update per stage.
-  template <std::size_t I, class Ctx>
-  void batch_from(Ctx& ctx, std::span<OpSlot> batch) {
-    auto& st = stage<I>();
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t pending = 0;
-
-    if constexpr (BatchInvocable<std::remove_reference_t<decltype(st)>, Ctx>) {
-      // The stage has its own batch path (e.g. a nested pipeline):
-      // hand it the WHOLE span — the done-flag contract makes it skip
-      // the slots earlier outer stages finalized, so no gather/scatter
-      // copies and no allocation. Afterwards every slot is done;
-      // whether one continues downstream is decided by its result
-      // outcome. The outcome also re-identifies the slots this stage
-      // served: slots finalized at an earlier outer stage can only
-      // hold commits (final aborts exist only past the LAST stage), so
-      // every abort-result slot is one of ours, and our commits are
-      // the live count minus those aborts.
-      std::uint64_t live = 0;
-      for (const OpSlot& slot : batch) live += slot.done ? 0 : 1;
-      st.invoke_batch(ctx, batch);
-      for (OpSlot& slot : batch) {
-        if (slot.result.committed()) continue;
-        slot.init = slot.result.switch_value;
-        ++aborts;
-        ++pending;
-        if constexpr (I + 1 < kDepth) slot.done = false;
-      }
-      commits = live - aborts;
-    } else {
-      for (OpSlot& slot : batch) {
-        if (slot.done) continue;
-        slot.result = st.invoke(ctx, slot.request, slot.init);
-        if (slot.result.committed()) {
-          slot.done = true;
-          ++commits;
-        } else {
-          // Theorem 1's plumbing, batched: the abort switch value
-          // initializes this slot's next stage.
-          slot.init = slot.result.switch_value;
-          ++aborts;
-          ++pending;
-          if constexpr (I + 1 == kDepth) slot.done = true;
-        }
-      }
-    }
-
-    if constexpr (WithStats) {
-      counters_.on_commits(I, commits);
-      counters_.on_aborts(I, aborts);
-    }
-    if constexpr (I + 1 < kDepth) {
-      if (pending != 0) batch_from<I + 1>(ctx, batch);
     }
   }
 

@@ -313,12 +313,13 @@ class SlotArray {
   // is what keeps a kPending record pending until served.
   // Nothing published costs a relaxed scan below the mark and builds no
   // batch. Otherwise the pending requests are snapshotted into a local
-  // batch, run through `obj`'s batch path, and each result is written
-  // back over its request. Each record's `extra` completes before its
-  // kDone store, handed the batch's snapshot of the request (the
-  // record's own copy is gone under the result), and that store keeps
-  // the publisher's owner, so a publisher that died waiting still has
-  // its name on the record. Returns how many ops the pass served.
+  // batch, run_batch runs them through `obj` one op at a time, and each
+  // result is written back over its request. Each record's `extra`
+  // completes before its kDone store, handed the batch's snapshot of
+  // the request (the record's own copy is gone under the result), and
+  // that store keeps the publisher's owner, so a publisher that died
+  // waiting still has its name on the record. Returns how many ops the
+  // pass served.
   template <class Obj, class Ctx>
   std::size_t combine(Obj& obj, Ctx& ctx) {
     const std::size_t first = first_pending();
@@ -407,7 +408,6 @@ class SlotArray {
       batch[n].init = r.has_init
                           ? std::optional<SwitchValue>(published.init)
                           : std::nullopt;
-      batch[n].done = false;
       source[n] = i;
       ++n;
     }

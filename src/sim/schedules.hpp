@@ -173,7 +173,8 @@ class ReplaySchedule final : public Schedule {
 
 // Wraps another schedule and crashes chosen processes at chosen step
 // indices (pairs of pid -> step index at which its next grant becomes a
-// crash).
+// crash). A start grant never crashes, so index 0 kills a process at
+// its first counted step, after its body has begun.
 class CrashSchedule final : public Schedule {
  public:
   CrashSchedule(Schedule& inner, std::map<ProcessId, std::uint64_t> crash_at)
@@ -183,7 +184,8 @@ class CrashSchedule final : public Schedule {
 
   bool should_crash(ProcessId pid, const View& view) override {
     auto it = crash_at_.find(pid);
-    return it != crash_at_.end() && view.step_index >= it->second;
+    return it != crash_at_.end() && view.sim->started(pid) &&
+           view.step_index >= it->second;
   }
 
  private:

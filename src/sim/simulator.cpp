@@ -299,4 +299,9 @@ bool Simulator::in_operation(ProcessId pid) const {
   return procs_.at(pid)->in_op;
 }
 
+bool Simulator::started(ProcessId pid) const {
+  // Same contract as in_operation: read with every process parked.
+  return procs_.at(pid)->started;
+}
+
 }  // namespace scm::sim

@@ -189,6 +189,11 @@ class Simulator {
   // for Schedule implementations.
   [[nodiscard]] bool in_operation(ProcessId pid) const;
 
+  // True once `pid` has consumed its startup grant, so its next grant
+  // is one of its counted steps. Valid during run() for Schedule
+  // implementations.
+  [[nodiscard]] bool started(ProcessId pid) const;
+
  private:
   friend class SimContext;
 

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/async.hpp"
-#include "core/batch.hpp"
 #include "core/combining.hpp"
 #include "core/module.hpp"
 #include "core/pipeline.hpp"

@@ -1,12 +1,10 @@
-// Tests for the batch invocation path (core/batch.hpp, the pipeline's
-// stage-major invoke_batch) and the flat-combining combinator
-// (core/combining.hpp):
+// Tests for the batch invocation layer (core/batch.hpp) and the
+// flat-combining combinator (core/combining.hpp):
 //
-//  * run_batch falls back to the per-op loop for plain modules and
-//    dispatches to a module's own batch path when it has one;
-//  * Pipeline::invoke_batch is result- and stats-identical to invoking
-//    the slots in order, across commit/abort mixes, seeded inits,
-//    whole-pipeline aborts, FastPipeline, and nested pipeline stages;
+//  * run_batch runs a plain module's slots op by op and dispatches to
+//    a module's own batch path when it has one; a pipeline has none,
+//    so a batch through a pipeline whose two stages share one stateful
+//    module returns exactly the per-op results;
 //  * Combining satisfies ComposableModule, folds TAS into the
 //    consensus number, nests inside Sharded, and a solo stream through
 //    it is bit-identical to direct invocation (each op combining
@@ -44,7 +42,6 @@
 #include "lincheck/lincheck.hpp"
 #include "runtime/context.hpp"
 #include "runtime/platform.hpp"
-#include "support/rng.hpp"
 #include "universal/composable_universal.hpp"
 #include "universal/static_chain.hpp"
 #include "workload/driver.hpp"
@@ -58,27 +55,42 @@ using fixtures::InitEcho;
 using fixtures::SinkModule;
 using fixtures::TicketModule;
 
-// Commits exactly the requests whose arg equals this stage's index
-// (response encodes the inherited fold and the serving stage), aborts
-// the rest onward — a deterministic commit/abort mix per batch.
-struct StageGate {
-  static constexpr int kConsensusNumber = kConsensusNumberRegister;
-  std::size_t my_stage = 0;
-
-  template <class Ctx>
-  ModuleResult invoke(Ctx& /*ctx*/, const Request& m,
-                      std::optional<SwitchValue> init = std::nullopt) {
-    if (static_cast<std::size_t>(m.arg) == my_stage) {
-      return ModuleResult::commit(init.value_or(0) * 10 +
-                                  static_cast<Response>(my_stage));
-    }
-    return ModuleResult::abort_with(init.value_or(0) + 1);
-  }
-};
-
 Request arg_req(std::uint64_t id, ProcessId p, std::int64_t arg) {
   return Request{id, p, 0, arg};
 }
+
+// Counts its visits. Uninitialized, it aborts with the visit count;
+// initialized, it commits init * 100 + visit count. Referenced at two
+// stages of one pipeline, its responses depend on the order in which
+// the two stages' invocations interleave across ops.
+struct VisitCounter {
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+  SwitchValue visits = 0;
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& /*ctx*/, const Request& /*m*/,
+                      std::optional<SwitchValue> init = std::nullopt) {
+    ++visits;
+    if (!init) return ModuleResult::abort_with(visits);
+    return ModuleResult::commit(*init * 100 + visits);
+  }
+};
+
+// A module with a batch path of its own: it answers every slot with
+// the size of the batch it was handed, which no per-op loop can do.
+struct WholeBatchModule {
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+  int batches = 0;
+
+  template <class Ctx>
+  void invoke_batch(Ctx& /*ctx*/, std::span<OpSlot> batch) {
+    ++batches;
+    for (OpSlot& slot : batch) {
+      slot.result =
+          ModuleResult::commit(static_cast<Response>(batch.size()));
+    }
+  }
+};
 
 // ---------------------------------------------------------------------------
 // run_batch dispatch
@@ -88,146 +100,65 @@ TEST(Batch, RunBatchFallsBackToPerOpLoopForPlainModules) {
   SinkModule sink;
   NativeContext ctx(0);
   std::array<OpSlot, 3> batch{
-      OpSlot{arg_req(1, 0, 0), std::nullopt, {}, false},
-      OpSlot{arg_req(2, 0, 0), SwitchValue{7}, {}, false},
-      OpSlot{arg_req(3, 0, 0), SwitchValue{-2}, {}, false}};
+      OpSlot{arg_req(1, 0, 0), std::nullopt, {}},
+      OpSlot{arg_req(2, 0, 0), SwitchValue{7}, {}},
+      OpSlot{arg_req(3, 0, 0), SwitchValue{-2}, {}}};
   run_batch(sink, ctx, std::span<OpSlot>(batch));
-  EXPECT_TRUE(batch[0].done && batch[1].done && batch[2].done);
   EXPECT_EQ(batch[0].result.response, 0);
   EXPECT_EQ(batch[1].result.response, 7);
   EXPECT_EQ(batch[2].result.response, -2);
 }
 
 TEST(Batch, RunBatchDispatchesToAModulesOwnBatchPath) {
-  using Pipe = Pipeline<HopModule, SinkModule>;
-  static_assert(BatchInvocable<Pipe, NativeContext>);
-  Pipe pipe;
+  static_assert(BatchInvocable<WholeBatchModule, NativeContext>);
+  WholeBatchModule mod;
   NativeContext ctx(0);
-  std::array<OpSlot, 2> batch{
-      OpSlot{arg_req(1, 0, 0), std::nullopt, {}, false},
-      OpSlot{arg_req(2, 0, 0), SwitchValue{5}, {}, false}};
-  run_batch(pipe, ctx, std::span<OpSlot>(batch));
-  EXPECT_EQ(batch[0].result.response, 1);  // one hop
-  EXPECT_EQ(batch[1].result.response, 6);  // seeded init + one hop
-  // Bulk stats: one batch accounted exactly two ops per stage.
-  EXPECT_EQ(pipe.stats(0).aborts, 2u);
-  EXPECT_EQ(pipe.stats(1).commits, 2u);
+  std::array<OpSlot, 3> batch{
+      OpSlot{arg_req(1, 0, 0), std::nullopt, {}},
+      OpSlot{arg_req(2, 0, 0), SwitchValue{5}, {}},
+      OpSlot{arg_req(3, 0, 0), std::nullopt, {}}};
+  run_batch(mod, ctx, std::span<OpSlot>(batch));
+  EXPECT_EQ(mod.batches, 1);
+  for (const OpSlot& slot : batch) EXPECT_EQ(slot.result.response, 3);
 }
 
-// ---------------------------------------------------------------------------
-// Pipeline::invoke_batch equivalence with per-op invocation
+// A pipeline has no batch path: a combiner serves it op by op through
+// the same run_from walk a direct invoke takes. With one stateful
+// module at two stages, only that order gives the per-op responses.
+TEST(Batch, SharedModuleAtTwoStagesGetsThePerOpResults) {
+  using Pipe = Pipeline<VisitCounter&, VisitCounter&>;
+  EXPECT_FALSE((BatchInvocable<Pipe, NativeContext>));
+  EXPECT_FALSE((BatchInvocable<FastPipeline<HopModule, SinkModule>,
+                               NativeContext>));
 
-template <class Pipe>
-std::vector<ModuleResult> drive_per_op(Pipe& pipe,
-                                       const std::vector<OpSlot>& slots) {
+  VisitCounter direct_mod;
+  Pipe direct(direct_mod, direct_mod);
+  VisitCounter batched_mod;
+  Pipe batched(batched_mod, batched_mod);
   NativeContext ctx(0);
-  std::vector<ModuleResult> out;
-  out.reserve(slots.size());
-  for (const OpSlot& s : slots) {
-    out.push_back(pipe.invoke(ctx, s.request, s.init));
+
+  std::array<OpSlot, 3> batch{
+      OpSlot{arg_req(1, 0, 0), std::nullopt, {}},
+      OpSlot{arg_req(2, 0, 0), std::nullopt, {}},
+      OpSlot{arg_req(3, 0, 0), std::nullopt, {}}};
+  std::array<ModuleResult, 3> expect;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    expect[i] = direct.invoke(ctx, batch[i].request, batch[i].init);
   }
-  return out;
-}
+  run_batch(batched, ctx, std::span<OpSlot>(batch));
 
-std::vector<OpSlot> random_slots(std::uint64_t seed, std::size_t n,
-                                 std::int64_t max_arg) {
-  Rng rng(seed);
-  std::vector<OpSlot> slots;
-  slots.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    OpSlot s;
-    s.request = arg_req(i + 1, 0,
-                        static_cast<std::int64_t>(rng.below(
-                            static_cast<std::uint64_t>(max_arg) + 1)));
-    if (rng.chance(0.5)) s.init = static_cast<SwitchValue>(rng.below(5));
-    slots.push_back(s);
+  // Op k visits twice in a row: aborts with 2k-1, commits
+  // (2k-1) * 100 + 2k.
+  EXPECT_EQ(expect[0].response, 102);
+  EXPECT_EQ(expect[2].response, 506);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch[i].result.outcome, expect[i].outcome) << i;
+    EXPECT_EQ(batch[i].result.response, expect[i].response) << i;
   }
-  return slots;
-}
-
-TEST(Batch, PipelineBatchMatchesPerOpAcrossCommitAbortMixes) {
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    // arg in [0, 4]: commits at stage arg for arg < 3, whole-pipeline
-    // abort (switch value = inherited + 3 hops) for arg >= 3.
-    std::vector<OpSlot> slots = random_slots(seed, 17, 4);
-
-    Pipeline<StageGate, StageGate, StageGate> per_op(
-        StageGate{0}, StageGate{1}, StageGate{2});
-    const std::vector<ModuleResult> expect = drive_per_op(per_op, slots);
-
-    Pipeline<StageGate, StageGate, StageGate> batched(
-        StageGate{0}, StageGate{1}, StageGate{2});
-    NativeContext ctx(0);
-    batched.invoke_batch(ctx, std::span<OpSlot>(slots));
-
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      EXPECT_TRUE(slots[i].done) << "slot " << i << " seed " << seed;
-      EXPECT_EQ(slots[i].result.outcome, expect[i].outcome)
-          << "slot " << i << " seed " << seed;
-      EXPECT_EQ(slots[i].result.response, expect[i].response)
-          << "slot " << i << " seed " << seed;
-      EXPECT_EQ(slots[i].result.switch_value, expect[i].switch_value)
-          << "slot " << i << " seed " << seed;
-    }
-    // Stats: the bulk per-stage updates equal the per-op tallies.
-    for (std::size_t st = 0; st < 3; ++st) {
-      EXPECT_EQ(batched.stats(st).commits, per_op.stats(st).commits)
-          << "stage " << st << " seed " << seed;
-      EXPECT_EQ(batched.stats(st).aborts, per_op.stats(st).aborts)
-          << "stage " << st << " seed " << seed;
-    }
+  for (std::size_t st = 0; st < Pipe::kDepth; ++st) {
+    EXPECT_EQ(batched.stats(st).commits, direct.stats(st).commits) << st;
+    EXPECT_EQ(batched.stats(st).aborts, direct.stats(st).aborts) << st;
   }
-}
-
-TEST(Batch, FastPipelineBatchMatchesPerOp) {
-  std::vector<OpSlot> slots = random_slots(7, 11, 4);
-  FastPipeline<StageGate, StageGate, StageGate> per_op(
-      StageGate{0}, StageGate{1}, StageGate{2});
-  const std::vector<ModuleResult> expect = drive_per_op(per_op, slots);
-
-  FastPipeline<StageGate, StageGate, StageGate> batched(
-      StageGate{0}, StageGate{1}, StageGate{2});
-  NativeContext ctx(0);
-  batched.invoke_batch(ctx, std::span<OpSlot>(slots));
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    EXPECT_EQ(slots[i].result.outcome, expect[i].outcome) << i;
-    EXPECT_EQ(slots[i].result.response, expect[i].response) << i;
-    EXPECT_EQ(slots[i].result.switch_value, expect[i].switch_value) << i;
-  }
-}
-
-TEST(Batch, NestedPipelineStageReceivesItsLiveSlotsAsASubBatch) {
-  // Outer stage 0 is itself a pipeline (so the gather/scatter branch
-  // of batch_from runs); the sink commits whatever aborts out of it.
-  const auto make = [] {
-    return make_pipeline(make_pipeline(StageGate{0}, StageGate{1}),
-                         SinkModule{});
-  };
-  std::vector<OpSlot> slots = random_slots(13, 9, 3);
-
-  auto per_op = make();
-  const std::vector<ModuleResult> expect = drive_per_op(per_op, slots);
-
-  auto batched = make();
-  NativeContext ctx(0);
-  batched.invoke_batch(ctx, std::span<OpSlot>(slots));
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    EXPECT_EQ(slots[i].result.outcome, expect[i].outcome) << i;
-    EXPECT_EQ(slots[i].result.response, expect[i].response) << i;
-    EXPECT_EQ(slots[i].result.switch_value, expect[i].switch_value) << i;
-  }
-  for (std::size_t st = 0; st < 2; ++st) {
-    EXPECT_EQ(batched.stats(st).commits, per_op.stats(st).commits) << st;
-    EXPECT_EQ(batched.stats(st).aborts, per_op.stats(st).aborts) << st;
-  }
-}
-
-TEST(Batch, EmptyBatchIsANoOp) {
-  Pipeline<HopModule, SinkModule> pipe;
-  NativeContext ctx(0);
-  pipe.invoke_batch(ctx, std::span<OpSlot>{});
-  EXPECT_EQ(pipe.stats(0).invocations(), 0u);
-  EXPECT_EQ(pipe.stats(1).invocations(), 0u);
 }
 
 // ---------------------------------------------------------------------------

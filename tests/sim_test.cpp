@@ -188,6 +188,30 @@ TEST(Simulator, CrashInsideNativeCounterFetchAddUnwinds) {
   EXPECT_EQ(counter.peek(), 1u);  // exactly one add landed before the crash
 }
 
+// Crash index 0 kills the process at its first counted step: the start
+// grant never crashes, so the body runs up to that step and the step's
+// access never lands.
+TEST(Simulator, CrashAtIndexZeroKillsAtTheFirstStep) {
+  Simulator sim;
+  NativeCounter counter;
+  bool entered = false;
+  sim.add_process([&](SimContext& ctx) {
+    ctx.begin_op();
+    entered = true;
+    (void)counter.fetch_add(ctx);
+    ctx.end_op();
+  });
+  SequentialSchedule inner;
+  CrashSchedule sched(inner, {{0, 0}});
+  sim.run(sched);
+  EXPECT_TRUE(sim.crashed(0));
+  EXPECT_TRUE(entered);
+  ASSERT_EQ(sim.ops().size(), 1u);
+  EXPECT_FALSE(sim.ops()[0].complete);
+  EXPECT_TRUE(sim.steps().empty());
+  EXPECT_EQ(counter.peek(), 0u);
+}
+
 // ---- the accessor contract (runtime/context.hpp) ----------------------
 //
 // Each accessor is one call on a std::atomic<int> holding 1 (and, for
@@ -292,9 +316,7 @@ TYPED_TEST(StepAccessor, TakesOneStepOfItsKind) {
 }
 
 // A crash at step index 1: the process first takes one read step on
-// another atomic (step index 0 is also the start grant's, which a crash
-// there would kill before the body runs), then dies at the grant of
-// its next step.
+// another atomic, then dies at the grant of its next step.
 constexpr std::uint64_t kSecondStep = 1;
 
 template <class Call>

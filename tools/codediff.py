@@ -21,7 +21,11 @@ masking what moves when unrelated code moves:
     %fs:-(size - v), where size is the PT_TLS segment's memsz rounded
     up to its alignment (both read with `readelf`). An offset that
     names no symbol, such as the stack guard's %fs:0x28, stays as
-    written.
+    written;
+  * the alignment padding after a function's last `ret` or `jmp`
+    (`nop` in any width, `xchg %ax,%ax`, `int3`), which objdump lists
+    as part of the function. A `nop` before that last `ret` or `jmp`
+    is code and is compared.
 
 What is left is the instruction stream itself, so a change that only
 moves code or data reports every function identical, and any change to
@@ -63,6 +67,10 @@ LINE_ARG_WINDOW = 6
 # A thread-pointer-relative operand, its offset as objdump prints it
 # (a negative offset is a 64-bit two's complement).
 FS_OFFSET = re.compile(r"%fs:(0x[0-9a-f]+)")
+# After mask(): a padding instruction, and a function's last real one.
+PADDING = re.compile(
+    r"^(?:(?:data16|cs|ds) )*(?:nop[wl]?(?: .*)?|xchg %ax,%ax|int3)$")
+LAST = re.compile(r"^(?:(?:repz?|bnd|notrack) )*(?:ret|jmp)\b")
 
 
 def parse_tls(program_headers, symbols):
@@ -113,6 +121,15 @@ def mask_check_line(insns):
             return
 
 
+def strip_padding(insns):
+    """Drops the padding that follows a function's last ret or jmp."""
+    end = len(insns)
+    while end > 0 and PADDING.match(insns[end - 1]):
+        end -= 1
+    if 0 < end < len(insns) and LAST.match(insns[end - 1]):
+        del insns[end:]
+
+
 def split_functions(listing, tls=None):
     """Maps each symbol of an objdump listing to its masked instructions.
     A name that occurs twice (local symbols of two translation units)
@@ -134,6 +151,8 @@ def split_functions(listing, tls=None):
             current.append(mask(m.group(1), tls))
             if ASSERT_CALL.match(current[-1]):
                 mask_check_line(current)
+    for insns in funcs.values():
+        strip_padding(insns)
     return funcs
 
 
@@ -225,6 +244,16 @@ CHECKED = """\
 """
 
 
+# g padded to the next 16-byte boundary two ways, as two builds of the
+# same code can be.
+PADDED = BASE.replace("    1107:\tret\n", "    1107:\tret\n"
+                      "    1108:\tnopl   0x0(%rax,%rax,1)\n")
+REPADDED = BASE.replace("    1107:\tret\n", "    1107:\tret\n"
+                        "    1108:\tnop\n    1109:\txchg   %ax,%ax\n"
+                        "    110b:\tcs nopw 0x0(%rax,%rax,1)\n"
+                        "    1116:\tint3\n")
+
+
 def tls_layout(cell, trace):
     """parse_tls() of a 0x19-byte, 8-aligned TLS block (0x20 rounded)
     holding two thread-locals at the given values."""
@@ -284,6 +313,16 @@ SELF_TESTS = [
      CHECKED.replace("scm::detail::assert_fail", "report"),
      CHECKED.replace("scm::detail::assert_fail", "report")
      .replace("$0x126,%edx", "$0x119,%edx"), (0, [("f", 8, 8)], [], [])),
+    ("only the padding after the last ret differs", PADDED, REPADDED,
+     (2, [], [], [])),
+    ("padding added after the last ret", BASE, REPADDED, (2, [], [], [])),
+    ("a nop inside the body, before the padded ret", PADDED,
+     PADDED.replace("    1107:\tret\n", "    1106:\tnop\n    1107:\tret\n"),
+     (1, [("g", 2, 3)], [], [])),
+    ("a nop after a call is not padding",
+     BASE.replace("    1107:\tret\n", "    1107:\tcall   1000 <f>\n"),
+     BASE.replace("    1107:\tret\n", "    1107:\tcall   1000 <f>\n"
+                  "    110c:\tnop\n"), (1, [("g", 2, 3)], [], [])),
     ("a moved thread_local",
      (tls_read("0xffffffffffffffe0"), CELL_FIRST),
      (tls_read("0xffffffffffffffe8"), TRACE_FIRST), (1, [], [], [])),
