@@ -21,8 +21,8 @@
 #include "history/specs.hpp"
 #include "sim/schedules.hpp"
 #include "sim/simulator.hpp"
+#include "core/pipeline.hpp"
 #include "universal/composable_universal.hpp"
-#include "universal/static_chain.hpp"
 
 namespace {
 
@@ -47,7 +47,7 @@ PhaseResult run_phase(int n, int ops_per_proc, sim::Schedule& sched) {
   SplitStage split(n, 48, "split (registers)");
   BakeryStage bakery(n, 48, "bakery (registers)");
   CasStage cas(n, 48, "cas (hardware)");
-  StaticAbstractChain chain(n, split, bakery, cas);
+  auto chain = make_pipeline(split, bakery, cas);
   Simulator s;
   std::vector<std::vector<Response>> responses(n);
   for (int p = 0; p < n; ++p) {
@@ -56,7 +56,7 @@ PhaseResult run_phase(int n, int ops_per_proc, sim::Schedule& sched) {
         const auto id = static_cast<std::uint64_t>(p) * 1000 +
                         static_cast<std::uint64_t>(i) + 1;
         responses[p].push_back(
-            chain.perform(ctx, Request{id, p, CounterSpec::kFetchInc, 0})
+            chain.invoke(ctx, Request{id, p, CounterSpec::kFetchInc, 0})
                 .response);
       }
     });
@@ -68,9 +68,9 @@ PhaseResult run_phase(int n, int ops_per_proc, sim::Schedule& sched) {
     const StepCounters& c = s.counters(static_cast<ProcessId>(p));
     out.steps += c.total();
     out.rmws += c.rmws;
-    for (std::size_t st = 0; st < 3; ++st) {
-      out.commits_by_stage[st] += chain.commits_by(p, st);
-    }
+  }
+  for (std::size_t st = 0; st < 3; ++st) {
+    out.commits_by_stage[st] = chain.stats(st).commits;
   }
   std::set<Response> all;
   for (const auto& rs : responses) {

@@ -7,8 +7,10 @@
 //   stage 1: AbortableBakery   — registers only, commits absent step
 //                                contention;
 //   stage 2: CasConsensus      — hardware CAS, wait-free.
-// The chain is assembled with StaticAbstractChain over the three
-// concrete stage types, so every stage call is a direct call.
+// The chain is make_pipeline over the three stages: the same
+// composition operator that chains the TAS modules, here passing
+// abort histories instead of switch values. Every stage call is a
+// direct call.
 // The example runs a quiet phase (one thread) and a storm phase (all
 // threads) and prints which stage served the commits in each — the
 // speculation reverting to hardware exactly when contention appears.
@@ -25,8 +27,8 @@
 #include "consensus/split_consensus.hpp"
 #include "history/specs.hpp"
 #include "runtime/platform.hpp"
+#include "core/pipeline.hpp"
 #include "universal/composable_universal.hpp"
-#include "universal/static_chain.hpp"
 
 using namespace scm;
 
@@ -45,18 +47,19 @@ int main(int argc, char** argv) {
   Stage<SplitConsensus> split(threads, kCap, "split/registers");
   Stage<AbortableBakery> bakery(threads, kCap, "bakery/registers");
   Stage<CasConsensus> cas(threads, kCap, "cas/hardware");
-  StaticAbstractChain chain(threads, split, bakery, cas);
+  auto chain = make_pipeline(split, bakery, cas);
+  const char* const stage_names[] = {split.name(), bakery.name(), cas.name()};
 
   // Quiet phase: thread 0 increments alone.
   {
     NativeContext ctx(0);
     for (int i = 0; i < 8; ++i) {
-      const auto r = chain.perform(
+      const auto r = chain.invoke_traced(
           ctx, Request{static_cast<std::uint64_t>(i) + 1, 0,
                        CounterSpec::kFetchInc, 0});
       std::printf("quiet  : fetch&inc -> %lld  (stage %zu: %s)\n",
-                  static_cast<long long>(r.response), r.stage,
-                  chain.stage_name(r.stage));
+                  static_cast<long long>(r.result.response), r.stage,
+                  stage_names[r.stage]);
     }
   }
 
@@ -71,8 +74,8 @@ int main(int argc, char** argv) {
                         static_cast<std::uint64_t>(i);
         got[static_cast<std::size_t>(t)].push_back(
             chain
-                .perform(ctx, Request{id, static_cast<ProcessId>(t),
-                                      CounterSpec::kFetchInc, 0})
+                .invoke(ctx, Request{id, static_cast<ProcessId>(t),
+                                     CounterSpec::kFetchInc, 0})
                 .response);
       }
     });
@@ -92,16 +95,11 @@ int main(int argc, char** argv) {
   std::sort(all.begin(), all.end());
   const bool unique = std::adjacent_find(all.begin(), all.end()) == all.end();
 
-  std::printf("\ncommits by stage (thread 0): quiet ran on stage 0 "
+  std::printf("\ncommits by stage: quiet ran on stage 0 "
               "(registers); contention pushed ops to later stages.\n");
-  for (std::size_t st = 0; st < chain.stage_count(); ++st) {
-    std::uint64_t commits = 0;
-    for (int t = 0; t < threads; ++t) {
-      commits += chain.commits_by(static_cast<ProcessId>(t), st);
-    }
-    std::printf("  stage %zu (%-16s): %llu commits\n", st,
-                chain.stage_name(st),
-                static_cast<unsigned long long>(commits));
+  for (std::size_t st = 0; st < decltype(chain)::kDepth; ++st) {
+    std::printf("  stage %zu (%-16s): %llu commits\n", st, stage_names[st],
+                static_cast<unsigned long long>(chain.stats(st).commits));
   }
   std::printf("\nall fetch&inc values distinct: %s\n",
               unique ? "yes" : "NO (bug!)");

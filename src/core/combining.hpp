@@ -28,7 +28,7 @@
 // issuer in Request::issuer.
 //
 // Combining forwards the module surface (invoke + kConsensusNumber,
-// plus stats()/commits_by() when Obj has them), so it is itself a
+// plus stats() when Obj has it), so it is itself a
 // ComposableModule and nests inside Sharded — per-shard combiners are
 // the roadmap's "per-shard batch queues".
 //
@@ -296,12 +296,6 @@ class Combining
     }
   {
     return obj_.value.stats(i);
-  }
-
-  [[nodiscard]] std::uint64_t commits_by(ProcessId pid, std::size_t i) const
-    requires requires(const Obj& o, std::size_t j) { o.commits_by(pid, j); }
-  {
-    return obj_.value.commits_by(pid, i);
   }
 
  private:

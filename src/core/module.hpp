@@ -7,11 +7,16 @@
 // structure of Figure 1. A composition is itself a module, mirroring
 // Theorem 2 (composition of safely composable modules is safely
 // composable), so chains of any length nest. Chains are built with
-// Pipeline<Ms...> / make_pipeline (core/pipeline.hpp).
+// Pipeline<Ms...> / make_pipeline (core/pipeline.hpp), the one
+// composition operator: it also chains the universal construction's
+// Abstracts, whose switch value is a history (Theorem 1), through the
+// stage hooks at the end of this file and their History overloads in
+// universal/abstract.hpp.
 #pragma once
 
 #include <concepts>
 #include <optional>
+#include <utility>
 
 #include "history/request.hpp"
 
@@ -37,8 +42,8 @@ struct ModuleResult {
 };
 
 // The composable surface: every composable object — a module, a
-// Pipeline, a universal chain, and every wrapper over them (Sharded,
-// Combining, Replicated, Adaptive) — speaks one op entry,
+// Pipeline (of modules or of Abstracts), and every wrapper over them
+// (Sharded, Combining, Replicated, Adaptive) — speaks one op entry,
 // invoke(ctx, m, init) -> ModuleResult.
 template <class M, class Ctx>
 concept Composable =
@@ -46,8 +51,7 @@ concept Composable =
       { m.invoke(ctx, r, v) } -> std::same_as<ModuleResult>;
     };
 
-// A composable module also declares its consensus number statically
-// (a chain reports its consensus number at runtime instead).
+// A composable module also declares its consensus number statically.
 template <class M, class Ctx>
 concept ComposableModule = Composable<M, Ctx> && requires {
   { M::kConsensusNumber } -> std::convertible_to<int>;
@@ -60,5 +64,22 @@ ModuleResult apply(M& obj, Ctx& ctx, const Request& m,
                    std::optional<SwitchValue> init = std::nullopt) {
   return obj.invoke(ctx, m, init);
 }
+
+// Stage hooks of the composition operator (core/pipeline.hpp),
+// overloaded on what a stage takes and returns. A module needs no
+// conversion: it runs with the init it is handed, its abort switch
+// value initializes the next stage, and its result — a commit, or the
+// last stage's abort, which composes further upstream — is the
+// chain's result. universal/abstract.hpp overloads them for Abstract
+// stages.
+template <class S, class Ctx, class Init>
+auto enter_stage(S& stage, Ctx& ctx, const Request& m, Init&& init)
+    -> decltype(stage.invoke(ctx, m, std::forward<Init>(init))) {
+  return stage.invoke(ctx, m, std::forward<Init>(init));
+}
+inline std::optional<SwitchValue> next_init(const ModuleResult& r) noexcept {
+  return r.switch_value;
+}
+inline ModuleResult module_result(ModuleResult r) noexcept { return r; }
 
 }  // namespace scm

@@ -2,15 +2,27 @@
 // depth; Theorem 2 — safely composable modules compose to a safely
 // composable module).
 //
-// Pipeline<Ms...> is the statically-typed chain combinator: it holds
-// any number of ComposableModules and folds the abort→init switch-value plumbing at
-// compile time. Invoking the pipeline runs stage 0; if a stage aborts,
-// its switch value initializes the next stage, exactly as in the
-// paper's composition operator, and the recursion is unrolled with
-// `if constexpr` — no virtual dispatch, no type erasure, no heap. If
-// the LAST stage aborts, the pipeline as a whole aborts with that
-// stage's switch value, so a Pipeline is itself a ComposableModule and
-// nests (a pipeline of pipelines is a pipeline).
+// Pipeline<Ms...> is the statically-typed chain combinator, the
+// paper's one composition operator: it holds any number of stages and
+// folds the abort→init switch-value plumbing at compile time. Invoking
+// the pipeline runs stage 0; if a stage aborts, its switch value
+// initializes the next stage, and the recursion is unrolled with
+// `if constexpr` — no virtual dispatch, no type erasure, no heap.
+//
+// The switch value's type is a property of the stages, read through
+// the stage hooks (enter_stage, next_init, module_result in
+// core/module.hpp), never branched on here:
+//   * modules (Theorem 2) pass a constant-size SwitchValue. If the
+//     LAST stage aborts, the pipeline aborts with that stage's switch
+//     value, so a Pipeline is itself a ComposableModule and nests (a
+//     pipeline of pipelines is a pipeline);
+//   * Abstracts (Theorem 1, universal/abstract.hpp) pass a history.
+//     Such a chain takes no external init and commits every op, so
+//     make_pipeline(split, bakery, cas) over the universal
+//     construction's stages is the wait-free object of Proposition 1.
+//     Switching is sticky per process because each Abstract stage
+//     remembers the processes that aborted out of it; the pipeline
+//     keeps no per-process state.
 //
 // Each type parameter selects a storage mode:
 //   * `M&` — the pipeline *references* a module owned elsewhere
@@ -21,9 +33,9 @@
 // make_pipeline(a, b, c) deduces the mode per argument: lvalues are
 // referenced, rvalues are moved in and owned.
 //
-// There is one walk, run_from: a direct invoke, a Sharded shard and a
-// combiner serving a batch (core/batch.hpp runs it op by op) all take
-// it.
+// There is one walk, run_from: a direct invoke, a Sharded shard, a
+// combiner serving a batch (core/batch.hpp runs it op by op) and every
+// Abstract chain take it.
 //
 // Statistics: the default Pipeline counts per-stage commits and aborts
 // with relaxed atomics (one uncontended fetch_add per stage visited
@@ -65,6 +77,24 @@ struct PipelineStageStats {
   [[nodiscard]] std::uint64_t invocations() const noexcept {
     return commits + aborts;
   }
+};
+
+// One invocation's result together with the stage that produced it
+// (Figure 1's arrows — which stage served the operation). R is that
+// stage's own result: a ModuleResult, or for Abstract stages an
+// AbstractResult, whose history is the commit history.
+template <class R>
+struct Served {
+  R result;
+  std::size_t stage = 0;
+};
+
+// A stage of a chain that runs under Ctx: a module's invoke, or an
+// Abstract's, accepts the context.
+template <class S, class Ctx>
+concept ChainStage = requires(S& s, Ctx& ctx, const Request& m,
+                              std::optional<SwitchValue> init) {
+  enter_stage(s, ctx, m, init);
 };
 
 namespace detail {
@@ -141,13 +171,6 @@ class BasicPipeline {
   static constexpr int kConsensusNumber =
       std::max({std::remove_reference_t<Ms>::kConsensusNumber...});
 
-  // Result of one invocation together with the stage that produced it
-  // (Figure 1's arrows — which module served the operation).
-  struct Traced {
-    ModuleResult result;
-    std::size_t stage = 0;
-  };
-
   // Reference slots bind to the given modules; owned slots are
   // move-constructed from rvalue arguments.
   explicit BasicPipeline(Ms&&... modules)
@@ -163,17 +186,21 @@ class BasicPipeline {
 
   // The module interface (ComposableModule): run the chain starting at
   // stage 0 with `init`; a stage's abort switch value initializes the
-  // next stage; the last stage's abort is the pipeline's abort.
+  // next stage; the last stage's abort is the pipeline's abort (for
+  // Abstracts, a check failure). Every entry point accepts exactly the
+  // contexts all stages accept.
   template <class Ctx>
+    requires(ChainStage<std::remove_reference_t<Ms>, Ctx> && ...)
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt) {
-    return run_from<0>(ctx, m, init).result;
+    return module_result(run_from<0>(ctx, m, init).result);
   }
 
-  // invoke plus the index of the serving stage.
+  // The serving stage's own result plus its index.
   template <class Ctx>
-  Traced invoke_traced(Ctx& ctx, const Request& m,
-                       std::optional<SwitchValue> init = std::nullopt) {
+    requires(ChainStage<std::remove_reference_t<Ms>, Ctx> && ...)
+  auto invoke_traced(Ctx& ctx, const Request& m,
+                     std::optional<SwitchValue> init = std::nullopt) {
     return run_from<0>(ctx, m, init);
   }
 
@@ -185,9 +212,11 @@ class BasicPipeline {
   // pipelines, sharded pipelines, and combining wrappers) at zero
   // behavioural and zero per-op cost.
   template <class Ctx>
+    requires(ChainStage<std::remove_reference_t<Ms>, Ctx> && ...)
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
                               std::optional<SwitchValue> init = std::nullopt) {
-    return Ticket<ModuleResult>::ready(run_from<0>(ctx, m, init).result);
+    return Ticket<ModuleResult>::ready(
+        module_result(run_from<0>(ctx, m, init).result));
   }
 
   // The I-th composed module (unwrapped from its storage mode).
@@ -208,20 +237,21 @@ class BasicPipeline {
   }
 
  private:
-  template <std::size_t I, class Ctx>
-  Traced run_from(Ctx& ctx, const Request& m,
-                  std::optional<SwitchValue> init) {
-    const ModuleResult r = stage<I>().invoke(ctx, m, init);
+  // r stays const and is copied, not moved: a mutable local here
+  // changes how GCC inlines the module walk into the layers around it.
+  template <std::size_t I, class Ctx, class Init>
+  auto run_from(Ctx& ctx, const Request& m, Init init) {
+    const auto r = enter_stage(stage<I>(), ctx, m, std::move(init));
+    using Result = Served<std::remove_const_t<decltype(r)>>;
     if (r.committed()) {
       if constexpr (WithStats) counters_.on_commit(I);
-      return {r, I};
+      return Result{r, I};
     }
     if constexpr (WithStats) counters_.on_abort(I);
     if constexpr (I + 1 < kDepth) {
-      return run_from<I + 1>(ctx, m,
-                             std::optional<SwitchValue>(r.switch_value));
+      return run_from<I + 1>(ctx, m, next_init(r));
     } else {
-      return {r, I};  // whole-pipeline abort: composes further upstream
+      return Result{r, I};  // whole-chain abort
     }
   }
 

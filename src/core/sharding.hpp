@@ -1,12 +1,12 @@
 // Sharded composition (the decomposition-for-scalability counterpart
-// of Pipeline<Ms...>): replicate a pipeline or chain across
+// of Pipeline<Ms...>): replicate a pipeline across
 // cacheline-isolated shards and route every operation to exactly one
 // replica, so contention becomes a tunable axis instead of a fixed
 // property of the single shared instance the paper measures.
 //
 // Sharded<Obj, kShards, Policy> is a combinator, not an algorithm: each
-// shard is an independent instance of Obj (a Pipeline, FastPipeline,
-// StaticAbstractChain, or any other Composable object), and
+// shard is an independent instance of Obj (a Pipeline of modules or of
+// Abstracts, a FastPipeline, or any other Composable object), and
 // the policy maps (context, request) -> shard index. Routing is the
 // only code the combinator adds to the hot path — one pure arithmetic
 // function, no shared state, no virtual dispatch, no type erasure.
@@ -26,9 +26,9 @@
 // partition is fixed for the object's lifetime: the same key always
 // reaches the same shard, and per-key histories stay linearizable.
 //
-// Statistics: per-shard PipelineCounters (or per-process chain commit
-// tallies) stay on their shard's cache lines; stats()/commits_by()
-// merge them into the aggregate view on demand, off the hot path.
+// Statistics: per-shard PipelineCounters stay on their shard's cache
+// lines; stats() merges them into the aggregate view on demand, off
+// the hot path.
 #pragma once
 
 #include <array>
@@ -134,7 +134,7 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
       : shards_{} {}
 
   // Per-shard argument construction for objects with constructor
-  // parameters (StaticAbstractChain needs its process count and stage
+  // parameters (a Pipeline of Abstracts needs its shard's stage
   // references): make_args(shard) returns a tuple of constructor
   // arguments for that shard's replica, which is built in place — Obj
   // may be immovable (registers pin their cache lines).
@@ -166,8 +166,8 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   }
 
   // Module surface: route, then run the replica through apply(). Any
-  // Composable replica serves it, Sharded<StaticAbstractChain<...>>
-  // included. Together with the inherited kConsensusNumber this makes
+  // Composable replica serves it, a Pipeline of Abstracts included.
+  // Together with the inherited kConsensusNumber this makes
   // Sharded<Pipeline<...>> a ComposableModule again.
   template <class Ctx>
     requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
@@ -243,16 +243,6 @@ class Sharded : public detail::ShardedConsensusBase<Obj>,
   {
     return sum_shards([i](const Obj& o) __attribute__((always_inline)) {
       return o.stats(i);
-    });
-  }
-
-  // Aggregate chain accounting: commits served by stage i for process
-  // pid, summed over shards (a process may touch several shards).
-  [[nodiscard]] std::uint64_t commits_by(ProcessId pid, std::size_t i) const
-    requires requires(const Obj& o, std::size_t j) { o.commits_by(pid, j); }
-  {
-    return sum_shards([pid, i](const Obj& o) __attribute__((always_inline)) {
-      return o.commits_by(pid, i);
     });
   }
 

@@ -19,6 +19,12 @@
 // Progress: commits while the underlying consensus commits (its NT
 // predicate — Lemma 1); any abort poisons the instance so that every
 // process switches to the next module.
+//
+// The switch is sticky per process, as in the paper: a process that
+// aborted out of the instance keeps its abort history and answers every
+// later request with that history plus the request, without a shared
+// step, so a chain (core/pipeline.hpp) walks it straight to the next
+// stage.
 #pragma once
 
 #include <algorithm>
@@ -64,8 +70,18 @@ class ComposableUniversal {
                   "ComposableUniversal: process id out of range");
     PerProc& me = per_proc_[static_cast<std::size_t>(ctx.id())];
 
+    // Aborted out before: the switch is sticky (never empty: it holds
+    // the request it aborted with).
+    if (!me.left_with.empty()) {
+      AbstractResult out;
+      out.outcome = Outcome::kAbort;
+      out.history = me.left_with;
+      out.history.append_if_absent(m);
+      return out;
+    }
+
     // Already poisoned? Recover immediately (checkAbort task).
-    if (aborted_.read(ctx)) return abort_path(ctx, me, m);
+    if (aborted_.read(ctx)) return abort_path(ctx, me, m, init);
 
     // ---- Initialization (first call per process, with init history) ----
     if (!me.initialized) {
@@ -86,7 +102,7 @@ class ComposableUniversal {
     // this cell and Abort Ordering holds; committing without the
     // re-check can race a recovery that missed the cell.
     if (me.performed.contains(m.id)) {
-      if (aborted_.read(ctx)) return abort_path(ctx, me, m);
+      if (aborted_.read(ctx)) return abort_path(ctx, me, m, init);
       AbstractResult out;
       out.outcome = Outcome::kCommit;
       out.history = me.performed;
@@ -99,7 +115,7 @@ class ComposableUniversal {
 
     // ---- Agree, cell by cell ---------------------------------------------
     for (;;) {
-      if (aborted_.read(ctx)) return abort_path(ctx, me, m);
+      if (aborted_.read(ctx)) return abort_path(ctx, me, m, init);
       const std::size_t k = me.performed.size();
       SCM_CHECK_MSG(k < cells_.size(), "ComposableUniversal out of cells");
 
@@ -115,7 +131,7 @@ class ComposableUniversal {
 
       const ConsensusResult decision =
           cells_[k]->run(ctx, kBottom, target);
-      if (!decision.committed()) return abort_path(ctx, me, m);
+      if (!decision.committed()) return abort_path(ctx, me, m, init);
 
       const Request decided = fetch(ctx, decision.value);
       SCM_CHECK_MSG(!me.performed.contains(decided.id),
@@ -127,7 +143,7 @@ class ComposableUniversal {
         // Commit only if the instance was not aborted concurrently: the
         // increment-then-check ordering guarantees any aborter that
         // missed us reads a count covering our cell (Abort Ordering).
-        if (aborted_.read(ctx)) return abort_path(ctx, me, m);
+        if (aborted_.read(ctx)) return abort_path(ctx, me, m, init);
         AbstractResult out;
         out.outcome = Outcome::kCommit;
         out.history = me.performed;
@@ -147,6 +163,7 @@ class ComposableUniversal {
   struct alignas(kCacheLineSize) PerProc {
     bool initialized = false;
     History performed;  // lPerf: requests applied by this process
+    History left_with;  // abort history, once the process aborted out
   };
 
   static std::unique_ptr<Cons> make_cons_impl(int n) {
@@ -199,12 +216,12 @@ class ComposableUniversal {
       }
       if (next == nullptr) break;  // fully initialized
 
-      if (aborted_.read(ctx)) return abort_path(ctx, me, current);
+      if (aborted_.read(ctx)) return abort_path(ctx, me, current, init);
       const std::size_t k = me.performed.size();
       SCM_CHECK_MSG(k < cells_.size(), "ComposableUniversal out of cells");
       const std::int64_t ref = announce(ctx, *next);
       const ConsensusResult decision = cells_[k]->run(ctx, ref, ref);
-      if (!decision.committed()) return abort_path(ctx, me, current);
+      if (!decision.committed()) return abort_path(ctx, me, current, init);
       const Request decided = fetch(ctx, decision.value);
       SCM_CHECK_MSG(!me.performed.contains(decided.id),
                     "request decided twice during initialization");
@@ -218,10 +235,14 @@ class ComposableUniversal {
 
   // Abort recovery: poison the instance, then rebuild a valid abort
   // history from the decided cells (bounded by the committed-cell
-  // counter), appending the caller's own request if it never decided
-  // (Termination: "h contains m").
+  // counter), then the inherited init requests not among them — earlier
+  // stages committed them, so they must reach the next stage even if
+  // this instance never replayed them — then the caller's own request
+  // if it never decided (Termination: "h contains m"). The process
+  // keeps the history: its switch is sticky.
   template <class Ctx>
-  AbstractResult abort_path(Ctx& ctx, PerProc& me, const Request& m) {
+  AbstractResult abort_path(Ctx& ctx, PerProc& me, const Request& m,
+                            const History& init) {
     if (!aborted_.read(ctx)) aborted_.write(ctx, true);
     const std::uint64_t count = committed_count_.read(ctx);
 
@@ -232,8 +253,9 @@ class ComposableUniversal {
       const Request r = fetch(ctx, decided);
       if (!habort.append_if_absent(r)) break;  // defensive: stop on repeat
     }
+    for (const Request& r : init) habort.append_if_absent(r);
     habort.append_if_absent(m);
-    (void)me;  // per-process state unused on the abort path (kept for symmetry)
+    me.left_with = habort;
 
     AbstractResult out;
     out.outcome = Outcome::kAbort;

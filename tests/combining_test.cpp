@@ -8,9 +8,9 @@
 //  * Combining satisfies ComposableModule, folds TAS into the
 //    consensus number, nests inside Sharded, and a solo stream through
 //    it is bit-identical to direct invocation (each op combining
-//    itself) — for pipelines and for a StaticAbstractChain, whose
+//    itself) — for pipelines of modules and of Abstracts, whose
 //    Combining and Sharded wrappers answer invoke() with the bare
-//    chain's perform() responses and commit tallies;
+//    pipeline's responses and per-stage commit tallies;
 //  * under real threads (the "tsan" ctest label runs this suite under
 //    ThreadSanitizer) every combined op draws a distinct ticket and
 //    the recorded concurrent history linearizes against CounterSpec —
@@ -43,7 +43,6 @@
 #include "runtime/context.hpp"
 #include "runtime/platform.hpp"
 #include "universal/composable_universal.hpp"
-#include "universal/static_chain.hpp"
 #include "workload/driver.hpp"
 
 namespace scm {
@@ -207,38 +206,39 @@ TEST(Combining, SoloStreamIsIdenticalToDirectInvocation) {
   EXPECT_EQ(combined.stats(1).commits, 50u);
 }
 
-TEST(Combining, WrappedChainInvokeMatchesBarePerformSolo) {
+TEST(Combining, WrappedAbstractPipelineMatchesBareInvokeSolo) {
   using SplitStage = ComposableUniversal<CounterSpec, SplitConsensus, 32>;
   using CasStage = ComposableUniversal<CounterSpec, CasConsensus, 32>;
-  using Chain = StaticAbstractChain<SplitStage, CasStage>;
+  using Chain = Pipeline<SplitStage&, CasStage&>;
   static_assert(Composable<Chain, NativeContext>);
   static_assert(Combining<Chain, 4>::kConsensusNumber == kConsensusNumberCas);
 
-  constexpr int kN = 1;  // named: forward_as_tuple holds references
+  constexpr int kN = 1;
   SplitStage split_a(kN, 32, "a"), split_b(kN, 32, "b"), split_c(kN, 32, "c");
   CasStage cas_a(kN, 32, "a"), cas_b(kN, 32, "b"), cas_c(kN, 32, "c");
-  Chain bare(kN, split_a, cas_a);
-  Combining<Chain, 4> combined(std::in_place, kN, split_b, cas_b);
+  Chain bare(split_a, cas_a);
+  Combining<Chain, 4> combined(std::in_place, split_b, cas_b);
   Sharded<Chain, 2, ByThread> sharded(std::in_place, [&](std::size_t) {
-    return std::forward_as_tuple(kN, split_c, cas_c);
+    return std::forward_as_tuple(split_c, cas_c);
   });
 
   NativeContext ctx(0);
   for (std::uint64_t i = 0; i < 8; ++i) {
     const Request m{i + 1, 0, CounterSpec::kFetchInc, 0};
-    const Response want = bare.perform(ctx, m).response;
+    const ModuleResult want = bare.invoke(ctx, m);
+    ASSERT_TRUE(want.committed());
     const ModuleResult via_combining = combined.invoke(ctx, m);
     const ModuleResult via_sharding = sharded.invoke(ctx, m);
     ASSERT_TRUE(via_combining.committed());
     ASSERT_TRUE(via_sharding.committed());
-    EXPECT_EQ(via_combining.response, want) << "op " << i;
-    EXPECT_EQ(via_sharding.response, want) << "op " << i;
+    EXPECT_EQ(via_combining.response, want.response) << "op " << i;
+    EXPECT_EQ(via_sharding.response, want.response) << "op " << i;
   }
   for (std::size_t st = 0; st < Chain::kDepth; ++st) {
-    EXPECT_EQ(combined.commits_by(0, st), bare.commits_by(0, st)) << st;
-    EXPECT_EQ(sharded.commits_by(0, st), bare.commits_by(0, st)) << st;
+    EXPECT_EQ(combined.stats(st).commits, bare.stats(st).commits) << st;
+    EXPECT_EQ(sharded.stats(st).commits, bare.stats(st).commits) << st;
   }
-  EXPECT_EQ(bare.commits_by(0, 0), 8u);  // solo: stage 0 served all
+  EXPECT_EQ(bare.stats(0).commits, 8u);  // solo: stage 0 served all
 }
 
 // One record and elect_spins = 0: every op claims record 0, publishes

@@ -38,7 +38,6 @@
 #include "tas/biased_lock.hpp"
 #include "tas/speculative_tas.hpp"
 #include "universal/composable_universal.hpp"
-#include "universal/static_chain.hpp"
 
 namespace scm {
 namespace {
@@ -274,16 +273,16 @@ TEST(Schedules, RoundRobinQuantumControlsInterleavingGranularity) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash injection through the universal chain
+// Crash injection through a Pipeline of Abstracts
 
-TEST(StaticChain, SurvivorsStayCorrectUnderCrashes) {
+TEST(AbstractPipeline, SurvivorsStayCorrectUnderCrashes) {
   using SplitStage = ComposableUniversal<CounterSpec, SplitConsensus, 48>;
   using CasStage = ComposableUniversal<CounterSpec, CasConsensus, 48>;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     constexpr int kN = 4;
     SplitStage split(kN, 48, "split");
     CasStage cas(kN, 48, "cas");
-    StaticAbstractChain chain(kN, split, cas);
+    auto chain = make_pipeline(split, cas);
 
     Simulator s;
     std::vector<std::vector<Response>> got(kN);
@@ -293,7 +292,7 @@ TEST(StaticChain, SurvivorsStayCorrectUnderCrashes) {
           const auto id = static_cast<std::uint64_t>(p) * 100 +
                           static_cast<std::uint64_t>(i) + 1;
           got[p].push_back(
-              chain.perform(ctx, Request{id, p, CounterSpec::kFetchInc, 0})
+              chain.invoke(ctx, Request{id, p, CounterSpec::kFetchInc, 0})
                   .response);
         }
       });

@@ -1,5 +1,5 @@
-// Tests for the variadic composition pipeline (core/pipeline.hpp) and
-// its companion, the statically-typed Abstract chain.
+// Tests for the variadic composition pipeline (core/pipeline.hpp), over
+// modules and over the universal construction's Abstracts.
 //
 //  * depth-1/2/4 pipelines produce bit-identical commit/abort results
 //    to a hand-nested two-stage reference combinator across random
@@ -11,7 +11,8 @@
 //  * switch values plumb through arbitrary depths, pipelines nest, and
 //    rvalue modules are owned by the pipeline;
 //  * a depth-3 A1∘A1∘A2 pipeline stays linearizable (Theorem 4 shape);
-//  * a solo StaticAbstractChain commits everything on stage 0.
+//  * a pipeline accepts exactly the contexts all of its stages accept;
+//  * a solo pipeline of Abstracts commits everything on stage 0.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,7 +33,6 @@
 #include "tas/a1_module.hpp"
 #include "tas/a2_module.hpp"
 #include "universal/composable_universal.hpp"
-#include "universal/static_chain.hpp"
 
 namespace scm {
 namespace {
@@ -68,6 +68,16 @@ struct CasNumberedHop : HopModule {
   static constexpr int kConsensusNumber = kConsensusNumberCas;
 };
 
+// A module that runs only under the simulator's context.
+struct SimOnlyModule {
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+
+  ModuleResult invoke(SimContext& /*ctx*/, const Request& /*m*/,
+                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
+    return ModuleResult::commit(0);
+  }
+};
+
 // ---------------------------------------------------------------------------
 // Static properties
 
@@ -88,6 +98,11 @@ TEST(Pipeline, ConsensusNumberFoldAndConceptConformance) {
   static_assert(ComposableModule<P2, NativeContext>);
   static_assert(!std::is_polymorphic_v<P2>);
   static_assert(!std::is_polymorphic_v<FastPipeline<A1&, A2&>>);
+
+  // Every entry point accepts exactly the contexts all stages accept.
+  static_assert(Composable<FastPipeline<SimOnlyModule>, SimContext>);
+  static_assert(!Composable<FastPipeline<SimOnlyModule>, NativeContext>);
+  static_assert(!Composable<Pipeline<HopModule, SimOnlyModule>, NativeContext>);
   SUCCEED();
 }
 
@@ -346,24 +361,25 @@ TEST(Pipeline, Depth3TasPipelineStaysLinearizable) {
 }
 
 // ---------------------------------------------------------------------------
-// StaticAbstractChain
+// Pipeline over Abstracts
 
-TEST(StaticChain, SoloRunsCommitOnStageZero) {
+TEST(Pipeline, AbstractStagesSoloRunsCommitOnStageZero) {
   using SplitStage = ComposableUniversal<CounterSpec, SplitConsensus, 48>;
   using CasStage = ComposableUniversal<CounterSpec, CasConsensus, 48>;
   SplitStage split(1, 48, "split");
   CasStage cas(1, 48, "cas");
-  StaticAbstractChain chain(1, split, cas);
+  auto chain = make_pipeline(split, cas);
 
   Simulator s;
   std::vector<Response> got;
   s.add_process([&](SimContext& ctx) {
     for (int i = 0; i < 5; ++i) {
-      const auto r = chain.perform(
+      const auto r = chain.invoke_traced(
           ctx, Request{static_cast<std::uint64_t>(i) + 1, 0,
                        CounterSpec::kFetchInc, 0});
       EXPECT_EQ(r.stage, 0u);
-      got.push_back(r.response);
+      EXPECT_EQ(r.result.history.size(), static_cast<std::size_t>(i) + 1);
+      got.push_back(r.result.response);
     }
   });
   sim::SequentialSchedule sched;
@@ -372,9 +388,9 @@ TEST(StaticChain, SoloRunsCommitOnStageZero) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
   }
-  EXPECT_EQ(chain.commits_by(0, 0), 5u);
-  EXPECT_EQ(chain.commits_by(0, 1), 0u);
-  EXPECT_STREQ(chain.stage_name(0), "split");
+  EXPECT_EQ(chain.stats(0).commits, 5u);
+  EXPECT_EQ(chain.stats(1).invocations(), 0u);
+  EXPECT_STREQ(chain.stage<0>().name(), "split");
 }
 
 }  // namespace

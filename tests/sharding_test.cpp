@@ -17,8 +17,8 @@
 //  * the shard count is a compile-time constant and shard(s) rejects
 //    an index outside it;
 //  * Sharded composes: it is itself a ComposableModule, nests inside
-//    pipelines and inside another Sharded, and wraps
-//    StaticAbstractChain via per-shard constructor arguments;
+//    pipelines and inside another Sharded, and wraps a Pipeline of
+//    Abstracts via per-shard constructor arguments;
 //  * keyed streams are deterministic, in-bounds, and skewed exactly
 //    when asked.
 #include <gtest/gtest.h>
@@ -51,7 +51,6 @@
 #include "tas/a1_module.hpp"
 #include "tas/a2_module.hpp"
 #include "universal/composable_universal.hpp"
-#include "universal/static_chain.hpp"
 #include "workload/driver.hpp"
 #include "workload/keyed.hpp"
 
@@ -535,10 +534,10 @@ TEST(Sharded, NestsInsideAPipelineAsAStage) {
   EXPECT_EQ(front.shard(0).stats(0).invocations(), 0u);
 }
 
-TEST(Sharded, WrapsStaticAbstractChainWithPerShardArguments) {
+TEST(Sharded, WrapsAbstractPipelineWithPerShardArguments) {
   using SplitStage = ComposableUniversal<CounterSpec, SplitConsensus, 48>;
   using CasStage = ComposableUniversal<CounterSpec, CasConsensus, 48>;
-  using Chain = StaticAbstractChain<SplitStage, CasStage>;
+  using Chain = Pipeline<SplitStage&, CasStage&>;
   static_assert(Sharded<Chain, 2, ByThread>::kConsensusNumber ==
                 kConsensusNumberCas);
   constexpr int kN = 2;
@@ -547,8 +546,8 @@ TEST(Sharded, WrapsStaticAbstractChainWithPerShardArguments) {
   CasStage cas0(kN, 48, "cas0"), cas1(kN, 48, "cas1");
   Sharded<Chain, 2, ByThread> sharded(
       std::in_place, [&](std::size_t shard) {
-        return shard == 0 ? std::forward_as_tuple(kN, split0, cas0)
-                          : std::forward_as_tuple(kN, split1, cas1);
+        return shard == 0 ? std::forward_as_tuple(split0, cas0)
+                          : std::forward_as_tuple(split1, cas1);
       });
 
   // Each process drives its own shard's counter: two independent
@@ -585,19 +584,24 @@ TEST(Sharded, WrapsStaticAbstractChainWithPerShardArguments) {
 
   // Chain accounting merges across shards: all eight commits are
   // visible through the aggregate, and they sum over the per-shard
-  // tallies.
+  // tallies; each process drove its own shard, so each shard served
+  // exactly its four.
   std::uint64_t agg = 0;
   for (std::size_t st = 0; st < 2; ++st) {
-    for (int p = 0; p < kN; ++p) {
-      std::uint64_t per_shard = 0;
-      for (std::size_t sh = 0; sh < 2; ++sh) {
-        per_shard += sharded.shard(sh).commits_by(p, st);
-      }
-      EXPECT_EQ(sharded.commits_by(p, st), per_shard);
-      agg += per_shard;
+    std::uint64_t per_shard = 0;
+    for (std::size_t sh = 0; sh < 2; ++sh) {
+      per_shard += sharded.shard(sh).stats(st).commits;
     }
+    EXPECT_EQ(sharded.stats(st).commits, per_shard);
+    agg += per_shard;
   }
   EXPECT_EQ(agg, 8u);
+  for (std::size_t sh = 0; sh < 2; ++sh) {
+    EXPECT_EQ(sharded.shard(sh).stats(0).commits +
+                  sharded.shard(sh).stats(1).commits,
+              4u)
+        << "shard " << sh;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 // Tests for the snapshot log, the composable universal construction
-// (Abstract), and the three-stage chain of Proposition 1 — with every
+// (Abstract), and the three-stage Pipeline of Proposition 1 — with every
 // recorded Abstract trace run through the Definition-1 checker and
 // every committed execution checked for linearizable counter behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -14,6 +15,7 @@
 #include "consensus/cas_consensus.hpp"
 #include "consensus/split_consensus.hpp"
 #include "core/abstract_checker.hpp"
+#include "core/pipeline.hpp"
 #include "core/trace.hpp"
 #include "history/specs.hpp"
 #include "runtime/platform.hpp"
@@ -21,7 +23,6 @@
 #include "sim/simulator.hpp"
 #include "universal/composable_universal.hpp"
 #include "universal/snapshot.hpp"
-#include "universal/static_chain.hpp"
 
 namespace scm {
 namespace {
@@ -257,7 +258,7 @@ TEST(ComposableUniversal, InitializationReplaysInheritedHistory) {
 }
 
 // ---------------------------------------------------------------------------
-// StaticAbstractChain: the Proposition-1 composition
+// Pipeline over Abstracts: the Proposition-1 composition
 
 // The three Proposition-1 stages and the chain over them, owned
 // together (the chain holds its stages by reference).
@@ -270,13 +271,13 @@ struct PropositionOneChain {
       : split(n, 32, "contention-free"),
         bakery(n, 32, "obstruction-free"),
         cas(n, 32, "wait-free"),
-        chain(n, split, bakery, cas) {}
+        chain(split, bakery, cas) {}
 
   Stage<SplitConsensus> split;
   Stage<AbortableBakery> bakery;
   Stage<CasConsensus> cas;
-  StaticAbstractChain<Stage<SplitConsensus>, Stage<AbortableBakery>,
-                      Stage<CasConsensus>>
+  Pipeline<Stage<SplitConsensus>&, Stage<AbortableBakery>&,
+           Stage<CasConsensus>&>
       chain;
 };
 using CounterChain = PropositionOneChain<CounterSpec>;
@@ -296,21 +297,23 @@ static_assert(CasStage::kConsensusNumber == kConsensusNumberCas);
 static_assert(decltype(CounterChain::chain)::kConsensusNumber ==
               kConsensusNumberCas);
 
-TEST(StaticChain, SoloUsesFirstStageOnly) {
+TEST(AbstractPipeline, SoloUsesFirstStageOnly) {
   Simulator s;
   CounterChain c(2);
-  ChainPerformed result;
+  Served<AbstractResult> served;
   s.add_process([&](SimContext& ctx) {
-    result = c.chain.perform(ctx, req(1, 0, CounterSpec::kFetchInc));
+    served = c.chain.invoke_traced(ctx, req(1, 0, CounterSpec::kFetchInc));
   });
   s.add_process([](SimContext&) {});
   sim::SequentialSchedule sched;
   s.run(sched);
-  EXPECT_EQ(result.response, 0);
-  EXPECT_EQ(result.stage, 0u);  // registers-only stage served it
+  ASSERT_TRUE(served.result.committed());
+  EXPECT_EQ(served.result.response, 0);
+  EXPECT_EQ(served.stage, 0u);  // registers-only stage served it
+  EXPECT_EQ(served.result.history, History{req(1, 0, CounterSpec::kFetchInc)});
 }
 
-TEST(StaticChain, NeverFailsAndStaysLinearizableUnderContention) {
+TEST(AbstractPipeline, NeverFailsAndStaysLinearizableUnderContention) {
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
     Simulator s;
     constexpr int kN = 4;
@@ -323,7 +326,7 @@ TEST(StaticChain, NeverFailsAndStaysLinearizableUnderContention) {
           const auto id = static_cast<std::uint64_t>(p) * 100 +
                           static_cast<std::uint64_t>(i) + 1;
           responses[p].push_back(
-              c.chain.perform(ctx, req(id, p, CounterSpec::kFetchInc))
+              c.chain.invoke(ctx, req(id, p, CounterSpec::kFetchInc))
                   .response);
         }
       });
@@ -342,7 +345,58 @@ TEST(StaticChain, NeverFailsAndStaysLinearizableUnderContention) {
   }
 }
 
-TEST(StaticChain, ContentionPushesProcessesToLaterStages) {
+// Regression: a process whose first call reaches an already-poisoned
+// stage with an inherited history must pass the whole history on. p0
+// first commits 8 fetch&incs on stage 0 alone, then four processes
+// contend. A stage whose abort history kept only its own decided cells
+// dropped the inherited commits on the way to the CAS stage, which
+// then handed out values already returned.
+TEST(AbstractPipeline, AbortOfAPoisonedStageKeepsTheInheritedHistory) {
+  constexpr int kN = 4;
+  constexpr int kQuiet = 8;
+  constexpr int kOpsPer = 4;
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    CounterChain c(kN);
+    std::vector<Response> all;
+    Simulator quiet;
+    quiet.add_process([&](SimContext& ctx) {
+      for (int i = 0; i < kQuiet; ++i) {
+        all.push_back(
+            c.chain
+                .invoke(ctx, req(static_cast<std::uint64_t>(i) + 1, 0,
+                                 CounterSpec::kFetchInc))
+                .response);
+      }
+    });
+    sim::SequentialSchedule alone;
+    quiet.run(alone);
+
+    Simulator storm;
+    std::vector<std::vector<Response>> got(kN);
+    for (int p = 0; p < kN; ++p) {
+      storm.add_process([&, p](SimContext& ctx) {
+        for (int i = 0; i < kOpsPer; ++i) {
+          const auto id = 1000 + static_cast<std::uint64_t>(p) * 100 +
+                          static_cast<std::uint64_t>(i);
+          got[static_cast<std::size_t>(p)].push_back(
+              c.chain.invoke(ctx, req(id, p, CounterSpec::kFetchInc))
+                  .response);
+        }
+      });
+    }
+    sim::RandomSchedule sched(seed);
+    storm.run(sched);
+    for (const auto& rs : got) all.insert(all.end(), rs.begin(), rs.end());
+
+    std::sort(all.begin(), all.end());
+    std::vector<Response> want(kQuiet + kN * kOpsPer);
+    std::iota(want.begin(), want.end(), Response{0});
+    ASSERT_EQ(all, want) << "fetch&inc values lost or repeated (seed "
+                         << seed << ")";
+  }
+}
+
+TEST(AbstractPipeline, ContentionPushesProcessesToLaterStages) {
   int later_stage_commits = 0;
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     Simulator s;
@@ -351,10 +405,10 @@ TEST(StaticChain, ContentionPushesProcessesToLaterStages) {
     std::vector<std::size_t> stages_used(kN, 0);
     for (int p = 0; p < kN; ++p) {
       s.add_process([&, p](SimContext& ctx) {
-        const auto r = c.chain.perform(
+        const auto served = c.chain.invoke_traced(
             ctx, req(static_cast<std::uint64_t>(p) + 1, p,
                      CounterSpec::kFetchInc));
-        stages_used[p] = r.stage;
+        stages_used[p] = served.stage;
       });
     }
     sim::RoundRobinSchedule sched(1);
@@ -367,22 +421,78 @@ TEST(StaticChain, ContentionPushesProcessesToLaterStages) {
       << "round-robin contention never escalated past stage 0";
 }
 
-TEST(StaticChain, WorksForQueueSpec) {
+// The switch is sticky inside the stage: a process that aborted out of
+// an Abstract answers its next request from its own record, taking no
+// counted step there, and that abort history still contains the request
+// and extends every commit history (Definition 1).
+TEST(ComposableUniversal, AbortedProcessLeavesWithoutASharedStep) {
+  int second_ops = 0;
+  for (std::uint64_t seed = 0; seed < 80; ++seed) {
+    Simulator s;
+    constexpr int kN = 3;
+    SplitStage stage(kN, 32, "split");
+    TraceRecorder rec;
+    std::vector<std::optional<StepCounters>> second_steps(kN);
+    std::vector<AbstractResult> first(kN), second(kN);
+    for (int p = 0; p < kN; ++p) {
+      s.add_process([&, p](SimContext& ctx) {
+        const auto pi = static_cast<std::size_t>(p);
+        const Request m1 =
+            req(static_cast<std::uint64_t>(p) + 1, p, CounterSpec::kFetchInc);
+        rec.invoke(p, m1);
+        first[pi] = stage.invoke(ctx, m1, History{});
+        if (first[pi].committed()) {
+          rec.commit(p, m1, first[pi].response, first[pi].history);
+          return;
+        }
+        rec.abort(p, m1, 0, first[pi].history);
+
+        const Request m2 = req(static_cast<std::uint64_t>(p) + 101, p,
+                               CounterSpec::kFetchInc);
+        rec.invoke(p, m2);
+        const StepCounters before = ctx.counters();
+        second[pi] = stage.invoke(ctx, m2, History{});
+        second_steps[pi] = ctx.counters() - before;
+        if (second[pi].committed()) {
+          rec.commit(p, m2, second[pi].response, second[pi].history);
+        } else {
+          rec.abort(p, m2, 0, second[pi].history);
+        }
+      });
+    }
+    sim::RandomSchedule sched(seed);
+    s.run(sched);
+    for (std::size_t p = 0; p < kN; ++p) {
+      if (!second_steps[p]) continue;
+      ++second_ops;
+      EXPECT_EQ(*second_steps[p], StepCounters{})
+          << "seed " << seed << " p" << p;
+      ASSERT_FALSE(second[p].committed()) << "seed " << seed << " p" << p;
+      EXPECT_TRUE(second[p].history.contains(p + 101));
+      EXPECT_TRUE(first[p].history.prefix_of(second[p].history));
+    }
+    const auto verdict = check_abstract_trace(rec.trace());
+    ASSERT_TRUE(verdict) << "seed " << seed << ": " << verdict.error;
+  }
+  EXPECT_GT(second_ops, 0) << "contention never triggered an abort";
+}
+
+TEST(AbstractPipeline, WorksForQueueSpec) {
   Simulator s;
   constexpr int kN = 2;
   ComposableUniversal<QueueSpec, SplitConsensus, 32> split(kN, 32, "split");
   ComposableUniversal<QueueSpec, CasConsensus, 32> cas(kN, 32, "cas");
-  StaticAbstractChain chain(kN, split, cas);
+  auto chain = make_pipeline(split, cas);
 
   std::vector<Response> deqs;
   s.add_process([&](SimContext& ctx) {
-    (void)chain.perform(ctx, req(1, 0, QueueSpec::kEnqueue, 10));
-    (void)chain.perform(ctx, req(2, 0, QueueSpec::kEnqueue, 20));
+    (void)chain.invoke(ctx, req(1, 0, QueueSpec::kEnqueue, 10));
+    (void)chain.invoke(ctx, req(2, 0, QueueSpec::kEnqueue, 20));
   });
   s.add_process([&](SimContext& ctx) {
-    deqs.push_back(chain.perform(ctx, req(3, 1, QueueSpec::kDequeue)).response);
-    deqs.push_back(chain.perform(ctx, req(4, 1, QueueSpec::kDequeue)).response);
-    deqs.push_back(chain.perform(ctx, req(5, 1, QueueSpec::kDequeue)).response);
+    deqs.push_back(chain.invoke(ctx, req(3, 1, QueueSpec::kDequeue)).response);
+    deqs.push_back(chain.invoke(ctx, req(4, 1, QueueSpec::kDequeue)).response);
+    deqs.push_back(chain.invoke(ctx, req(5, 1, QueueSpec::kDequeue)).response);
   });
   sim::SequentialSchedule sched;
   s.run(sched);
@@ -409,43 +519,42 @@ class AbortingStub {
     }
     return r;
   }
-
-  [[nodiscard]] const char* name() const {
-    return kCommits ? "commit-stub" : "abort-stub";
-  }
 };
 
 // A chain accepts exactly the contexts every one of its stages accepts.
-static_assert(Composable<StaticAbstractChain<AbortingStub<true>>, SimContext>);
-static_assert(
-    !Composable<StaticAbstractChain<AbortingStub<true>>, NativeContext>);
+static_assert(Composable<Pipeline<AbortingStub<true>>, SimContext>);
+static_assert(!Composable<Pipeline<AbortingStub<true>>, NativeContext>);
 
-// Commit tallies are sized from the chain's depth, so a process that
+// Stage tallies are sized from the chain's depth, so a process that
 // falls through to stage 8+ is counted in bounds.
-TEST(StaticChain, DeepChainAccountsCommitsBeyondEightStages) {
+TEST(AbstractPipeline, DeepChainAccountsCommitsBeyondEightStages) {
   constexpr std::size_t kStages = 10;
   AbortingStub<false> a;
   AbortingStub<true> last;
-  StaticAbstractChain chain(2, a, a, a, a, a, a, a, a, a, last);
+  auto chain = make_pipeline(a, a, a, a, a, a, a, a, a, last);
   static_assert(decltype(chain)::kDepth == kStages);
 
   Simulator s;
-  ChainPerformed r0, r1;
-  s.add_process([&](SimContext& ctx) { r0 = chain.perform(ctx, req(1, 0)); });
-  s.add_process([&](SimContext& ctx) { r1 = chain.perform(ctx, req(2, 1)); });
+  Served<AbstractResult> r0, r1;
+  s.add_process(
+      [&](SimContext& ctx) { r0 = chain.invoke_traced(ctx, req(1, 0)); });
+  s.add_process(
+      [&](SimContext& ctx) { r1 = chain.invoke_traced(ctx, req(2, 1)); });
   sim::SequentialSchedule sched;
   s.run(sched);
 
   // Both processes fell through all nine aborting stages and committed
-  // on the tenth; the tally for stage 9 holds exactly that commit.
+  // on the tenth; stage 9's tally holds exactly those two commits.
+  ASSERT_TRUE(r0.result.committed());
+  ASSERT_TRUE(r1.result.committed());
   EXPECT_EQ(r0.stage, kStages - 1);
   EXPECT_EQ(r1.stage, kStages - 1);
   for (std::size_t st = 0; st + 1 < kStages; ++st) {
-    EXPECT_EQ(chain.commits_by(0, st), 0u) << "stage " << st;
-    EXPECT_EQ(chain.commits_by(1, st), 0u) << "stage " << st;
+    EXPECT_EQ(chain.stats(st).commits, 0u) << "stage " << st;
+    EXPECT_EQ(chain.stats(st).aborts, 2u) << "stage " << st;
   }
-  EXPECT_EQ(chain.commits_by(0, kStages - 1), 1u);
-  EXPECT_EQ(chain.commits_by(1, kStages - 1), 1u);
+  EXPECT_EQ(chain.stats(kStages - 1).commits, 2u);
+  EXPECT_EQ(chain.stats(kStages - 1).aborts, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -453,31 +562,42 @@ TEST(StaticChain, DeepChainAccountsCommitsBeyondEightStages) {
 // so an id outside [0, num_processes) must fail loudly instead of
 // writing past the allocation.
 
-TEST(StaticChainDeathTest, RejectsOutOfRangeProcessId) {
+TEST(AbstractPipelineDeathTest, RejectsOutOfRangeProcessId) {
   SplitStage split(2, 8, "split");
   CasStage cas(2, 8, "cas");
-  StaticAbstractChain chain(2, split, cas);
+  auto chain = make_pipeline(split, cas);
   NativeContext ctx(2);
-  EXPECT_DEATH((void)chain.perform(ctx, req(1, 2, CounterSpec::kFetchInc)),
+  EXPECT_DEATH((void)chain.invoke(ctx, req(1, 2, CounterSpec::kFetchInc)),
                "process id out of range");
 }
 
-TEST(StaticChainDeathTest, CommitsByRejectsOutOfRangeProcessId) {
+TEST(AbstractPipelineDeathTest, StatsRejectOutOfRangeStage) {
   SplitStage split(2, 8, "split");
   CasStage cas(2, 8, "cas");
-  StaticAbstractChain chain(2, split, cas);
-  EXPECT_DEATH((void)chain.commits_by(2, 0), "process id out of range");
-  EXPECT_DEATH((void)chain.commits_by(-1, 0), "process id out of range");
+  auto chain = make_pipeline(split, cas);
+  EXPECT_DEATH((void)chain.stats(2), "i < kDepth");
 }
 
-TEST(StaticChainDeathTest, InvokeRejectsAnExternalInit) {
+TEST(AbstractPipelineDeathTest, InvokeRejectsAnExternalInit) {
   SplitStage split(1, 8, "split");
   CasStage cas(1, 8, "cas");
-  StaticAbstractChain chain(1, split, cas);
+  auto chain = make_pipeline(split, cas);
   NativeContext ctx(0);
   EXPECT_DEATH((void)chain.invoke(ctx, req(1, 0, CounterSpec::kFetchInc),
                                   SwitchValue{1}),
                "external init");
+}
+
+TEST(AbstractPipelineDeathTest, LastStageAbortIsACompositionError) {
+  Pipeline<AbortingStub<false>> chain;
+  EXPECT_DEATH(
+      {
+        Simulator s;
+        s.add_process([&](SimContext& ctx) { (void)chain.invoke(ctx, req(1, 0)); });
+        sim::SequentialSchedule sched;
+        s.run(sched);
+      },
+      "last stage aborted");
 }
 
 TEST(ComposableUniversalDeathTest, RejectsOutOfRangeProcessId) {
